@@ -94,12 +94,18 @@ def build_basis(n: int, m: int) -> Basis:
     """Enumerate all n-of-m occupation bitmasks in ascending order."""
     if n <= 0 or n > m:
         raise ParameterError(f"need 0 < n <= m, got n={n}, m={m}")
+    states = basis_states(n, m)
+    return Basis(n=n, m=m, states=states, index={v: j for j, v in enumerate(states.tolist())})
+
+
+def basis_states(n: int, m: int) -> np.ndarray:
+    """The ascending int64 bitmasks of ``build_basis(n, m)``, without the index."""
     masks = sorted(
         sum(1 << s for s in occ) for occ in combinations(range(m), n)
     )
     states = np.array(masks, dtype=np.int64)
     assert len(states) == comb(m, n)
-    return Basis(n=n, m=m, states=states, index={v: j for j, v in enumerate(masks)})
+    return states
 
 
 def orbital_difference(f: FockState, g: FockState) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -150,10 +156,8 @@ def classify(basis: Basis, reference: FockState) -> ClassPartition:
     ref = int(reference)
     basis.position(ref)
     n_classes = min(basis.n, basis.m - basis.n)
-    class_of = np.array(
-        [((int(s) ^ ref).bit_count() // 2 + 1) // 2 for s in basis.states],
-        dtype=np.int64,
-    )
+    moved = np.bitwise_count(basis.states ^ ref).astype(np.int64) // 2
+    class_of = (moved + 1) // 2
     sizes = np.bincount(class_of, minlength=n_classes + 1)
     return ClassPartition(
         reference=ref, class_of=class_of, n_classes=n_classes, sizes=sizes
@@ -162,8 +166,9 @@ def classify(basis: Basis, reference: FockState) -> ClassPartition:
 
 def occupancy_matrix(basis: Basis) -> np.ndarray:
     """(m, N) 0/1 matrix; row alpha flags the states occupying orbital alpha."""
-    occ = np.zeros((basis.m, basis.size))
-    for j, s in enumerate(basis.states):
-        for alpha in occupied_orbitals(int(s)):
-            occ[alpha, j] = 1.0
-    return occ
+    return occupation_bits(basis.states, basis.m).astype(np.float64)
+
+
+def occupation_bits(states: np.ndarray, m: int) -> np.ndarray:
+    """(m, N) int64 0/1 array: entry [alpha, j] is bit alpha of ``states[j]``."""
+    return (states >> np.arange(m)[:, None]) & 1

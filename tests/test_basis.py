@@ -195,3 +195,7 @@ def test_occupancy_matrix_counts_particles():
     occ = tb.occupancy_matrix(basis)
     assert occ.shape == (6, 20)
     assert np.all(occ.sum(axis=0) == 3)
+    # C order keeps the BLAS summation order of ``occ @ weights`` fixed.
+    assert occ.dtype == np.float64 and occ.flags.c_contiguous
+    for j, state in enumerate(basis.states):
+        assert np.flatnonzero(occ[:, j]).tolist() == list(tb.occupied_orbitals(int(state)))

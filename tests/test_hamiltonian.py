@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
+from math import comb
 
 import numpy as np
 import pytest
 
 import tbrisim as tb
 from tbrisim.exceptions import ParameterError
+from tbrisim.hamiltonian import _couplings, _index_dtype
 
-from oracles import operator_hamiltonian, project_to_basis
+from oracles import loop_hamiltonian, operator_hamiltonian, project_to_basis
 
 
 def test_model_params_validation():
@@ -99,6 +101,48 @@ def test_hamiltonian_matches_operator_algebra_oracle(n, m, eta, seed):
     full = operator_hamiltonian(m, spectrum.epsilon, tensor.matrix, tensor.pairs)
     expected = project_to_basis(full, basis.states)
     assert np.abs(h.entries - expected).max() < 1e-12
+
+
+@pytest.mark.parametrize("n,m", [(1, 4), (2, 4), (2, 5), (4, 4), (3, 7), (4, 8), (6, 12)])
+def test_hamiltonian_bitwise_equal_to_loop_oracle(n, m):
+    """The cached-structure builder reproduces the entry-by-entry loop exactly."""
+    basis = tb.build_basis(n, m)
+    for jitter in (0.0, 0.3):
+        params = tb.ModelParams(n=n, m=m, eta=0.083, seed=7, jitter=jitter)
+        spectrum, tensor = tb.sample_spectrum(params), tb.sample_two_body(params)
+        for one_orbital, diagonal_pair in product((True, False), repeat=2):
+            switches = {"one_orbital_terms": one_orbital, "diagonal_pair_terms": diagonal_pair}
+            h = tb.build_hamiltonian(basis, spectrum, tensor, **switches)
+            expected = loop_hamiltonian(basis, spectrum, tensor, **switches)
+            assert np.array_equal(h.entries, expected.entries), (jitter, switches)
+
+
+def test_cached_structure_survives_another_size():
+    """(6,12), then (4,8), then (6,12) from the cache give the same H."""
+    def build(n, m):
+        params = tb.ModelParams(n=n, m=m, eta=0.083, seed=4, jitter=0.3)
+        basis = tb.build_basis(n, m)
+        return tb.build_hamiltonian(
+            basis, tb.sample_spectrum(params), tb.sample_two_body(params)
+        ).entries
+
+    _couplings.cache_clear()
+    first = build(6, 12)
+    build(4, 8)
+    again = build(6, 12)
+    assert _couplings.cache_info().hits == 1
+    assert np.array_equal(again, first)
+
+
+def test_index_dtype_holds_largest_index():
+    """Column and term dtypes widen before an index could wrap."""
+    assert _index_dtype(comb(12, 6) - 1) is np.int16         # N=924 columns
+    assert _index_dtype(2 * comb(14, 2) ** 2 + 14 - 1) is np.int16
+    assert _index_dtype(np.iinfo(np.int16).max) is np.int16
+    assert _index_dtype(np.iinfo(np.int16).max + 1) is np.int32
+    assert _index_dtype(comb(18, 9) - 1) is np.int32         # n=9, m=18: N=48620
+    assert _index_dtype(2 * comb(27, 2) ** 2 + 27 - 1) is np.int32
+    assert _index_dtype(np.iinfo(np.int32).max + 1) is np.int64
 
 
 def test_hamiltonian_exactly_symmetric(fig1):
