@@ -18,7 +18,6 @@ from .basis import (
     state_from_orbitals,
 )
 from .dynamics import (
-    AmplitudeFrame,
     OccupationTrajectory,
     TimeGrid,
     asymptotic_occupations,

@@ -43,14 +43,6 @@ class TimeGrid:
 
 
 @dataclass(frozen=True)
-class AmplitudeFrame:
-    """Complex amplitudes over the whole basis at one time."""
-
-    t: float
-    amplitudes: np.ndarray
-
-
-@dataclass(frozen=True)
 class OccupationTrajectory:
     """Occupations n_alpha(t), survival W0(t) and class populations W_s(t)."""
 
@@ -86,32 +78,47 @@ def default_grid(
     return TimeGrid(merged)
 
 
-def evolve_amplitudes(decomp: EigenDecomposition, i: int, grid) -> list[AmplitudeFrame]:
-    """Amplitude frames A_f(t) for an initial basis state i; unitary at every t."""
+def _phases(energies: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """(N, 2T) exp(-i E_k t_j) as interleaved columns cos(E_k t_j), -sin(E_k t_j)."""
+    theta = np.outer(-energies, times)
+    out = np.empty(theta.shape + (2,))
+    np.cos(theta, out=out[..., 0])
+    np.sin(theta, out=out[..., 1])
+    return out.reshape(len(energies), -1)
+
+
+def _spectral_power(weights: np.ndarray, energies: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """|sum_k weights_k exp(-i E_k t)|^2 at every t."""
+    parts = weights @ _phases(energies, times)
+    return parts[0::2] ** 2 + parts[1::2] ** 2
+
+
+def evolve_amplitudes(decomp: EigenDecomposition, i: int, grid) -> np.ndarray:
+    """(N, T) amplitudes A_f(t) for an initial basis state i; unitary at every t.
+
+    The eigenvectors are real, so the product runs as one real GEMM over the
+    interleaved real/imaginary columns of the phase matrix; the complex
+    result is a view of it.
+    """
     if not 0 <= i < decomp.size:
         raise PreconditionError(f"basis index {i} outside [0, {decomp.size})")
     times = _times(grid)
-    phases = np.exp(-1j * np.outer(decomp.energies, times))   # (N, T)
-    amplitudes = decomp.vectors @ (decomp.vectors[i, :, None] * phases)
-    norms = np.abs(amplitudes) ** 2
-    worst = np.abs(norms.sum(axis=0) - 1.0).max() if times.size else 0.0
+    rhs = _phases(decomp.energies, times)
+    rhs *= decomp.vectors[i, :, None]
+    parts = decomp.vectors @ rhs
+    norms = np.einsum("ft,ft->t", parts, parts).reshape(-1, 2).sum(axis=1)
+    worst = np.abs(norms - 1.0).max() if times.size else 0.0
     if worst > UNITARITY_TOL:
         raise PreconditionError(f"evolution lost unitarity: |sum - 1| = {worst:.3e}")
-    return [AmplitudeFrame(t=float(t), amplitudes=amplitudes[:, j]) for j, t in enumerate(times)]
+    return parts.view(np.complex128)
 
 
-def _probability_matrix(frames) -> np.ndarray:
-    """(N, T) squared amplitudes of a frame sequence."""
-    if not frames:
-        return np.zeros((0, 0))
-    return np.abs(np.stack([fr.amplitudes for fr in frames], axis=1)) ** 2
+def _probabilities(amplitudes: np.ndarray) -> np.ndarray:
+    return amplitudes.real**2 + amplitudes.imag**2
 
 
-def occupation_numbers(frames, basis: Basis) -> np.ndarray:
+def occupation_numbers(prob: np.ndarray, basis: Basis) -> np.ndarray:
     """(m, T) occupations n_alpha(t) = sum_f |A_f|^2 [alpha occupied in f]."""
-    prob = _probability_matrix(frames)
-    if prob.size == 0:
-        return np.zeros((basis.m, 0))
     return occupancy_matrix(basis) @ prob
 
 
@@ -119,23 +126,14 @@ def survival_probability(decomp: EigenDecomposition, i: int, grid) -> np.ndarray
     """W0(t) = |sum_k w_k exp(-i E_k t)|^2 with w_k the strength weights of i."""
     if not 0 <= i < decomp.size:
         raise PreconditionError(f"basis index {i} outside [0, {decomp.size})")
-    weights = decomp.vectors[i, :] ** 2
-    times = _times(grid)
-    amplitude = np.exp(-1j * np.outer(times, decomp.energies)) @ weights
-    return np.abs(amplitude) ** 2
+    return _spectral_power(decomp.vectors[i, :] ** 2, decomp.energies, _times(grid))
 
 
-def class_populations(frames, partition: ClassPartition) -> np.ndarray:
+def class_populations(prob: np.ndarray, partition: ClassPartition) -> np.ndarray:
     """(n_classes + 1, T) populations W_s(t) summed over each cascade class."""
-    prob = _probability_matrix(frames)
-    if prob.size == 0:
-        return np.zeros((partition.n_classes + 1, 0))
-    out = np.zeros((partition.n_classes + 1, prob.shape[1]))
-    for cls in range(partition.n_classes + 1):
-        members = partition.members(cls)
-        if len(members):
-            out[cls] = prob[members].sum(axis=0)
-    return out
+    indicator = np.zeros((partition.n_classes + 1, len(partition.class_of)))
+    indicator[partition.class_of, np.arange(len(partition.class_of))] = 1.0
+    return indicator @ prob
 
 
 def diagonal_weights(decomp: EigenDecomposition, i: int) -> np.ndarray:
@@ -155,11 +153,9 @@ def split_occupation_terms(
     for idx in (i, q):
         if not 0 <= idx < decomp.size:
             raise PreconditionError(f"basis index {idx} outside [0, {decomp.size})")
-    s_diag = float(diagonal_weights(decomp, i)[q])
-    times = _times(grid)
-    phases = np.exp(-1j * np.outer(times, decomp.energies))
-    amp_q = phases @ (decomp.vectors[i, :] * decomp.vectors[q, :])
-    return s_diag, np.abs(amp_q) ** 2 - s_diag
+    s_diag = float((decomp.vectors[q] ** 2) @ (decomp.vectors[i] ** 2))
+    power = _spectral_power(decomp.vectors[i] * decomp.vectors[q], decomp.energies, _times(grid))
+    return s_diag, power - s_diag
 
 
 def asymptotic_occupations(decomp: EigenDecomposition, i: int, basis: Basis) -> np.ndarray:
@@ -176,12 +172,12 @@ def simulate_trajectory(
 ) -> OccupationTrajectory:
     """Full trajectory bundle for one initial state on one grid."""
     times = TimeGrid(_times(grid))
-    frames = evolve_amplitudes(decomp, i, times)
+    prob = _probabilities(evolve_amplitudes(decomp, i, times))
     return OccupationTrajectory(
         grid=times,
-        occupations=occupation_numbers(frames, basis),
-        w0=survival_probability(decomp, i, times),
-        class_populations=class_populations(frames, partition),
+        occupations=occupation_numbers(prob, basis),
+        w0=prob[i].copy(),
+        class_populations=class_populations(prob, partition),
     )
 
 
@@ -229,8 +225,8 @@ def average_occupations(
 ) -> np.ndarray:
     """Long-time average of n_alpha(t) over the decorrelating sample grid."""
     times = long_time_grid(decomp, i, samples=samples)
-    frames = evolve_amplitudes(decomp, i, times)
-    return occupation_numbers(frames, basis).mean(axis=1)
+    prob = _probabilities(evolve_amplitudes(decomp, i, times))
+    return occupation_numbers(prob, basis).mean(axis=1)
 
 
 def write_trajectory_csv(traj: OccupationTrajectory, path, *, header_lines=()) -> None:

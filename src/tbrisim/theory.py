@@ -41,13 +41,11 @@ class ThermalizationPrediction:
 
 @dataclass(frozen=True)
 class SurvivalModelCurves:
-    """Model W0 curves: exponential, Gaussian, saturation floor, composites."""
+    """Model W0 curves: exponential, Gaussian and the saturation floor."""
 
     breit_wigner: np.ndarray
     gaussian: np.ndarray
     saturation: float
-    composite_bw: np.ndarray
-    composite_gaussian: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -85,15 +83,10 @@ def survival_models(params: SpreadingParams, n_pc: float, grid) -> SurvivalModel
     if params.gamma_gr <= 0 or params.delta_e <= 0:
         raise ParameterError("survival models need positive Gamma and Delta_E")
     t = _times(grid)
-    bw = np.exp(-params.gamma_gr * t)
-    gauss = np.exp(-(params.delta_e**2) * t * t)
-    floor = 3.0 / n_pc if n_pc > 0 else 0.0
     return SurvivalModelCurves(
-        breit_wigner=bw,
-        gaussian=gauss,
-        saturation=floor,
-        composite_bw=np.maximum(bw, floor),
-        composite_gaussian=np.maximum(gauss, floor),
+        breit_wigner=np.exp(-params.gamma_gr * t),
+        gaussian=np.exp(-(params.delta_e**2) * t * t),
+        saturation=3.0 / n_pc if n_pc > 0 else 0.0,
     )
 
 
@@ -113,14 +106,17 @@ def n_pc_envelope(profile: StrengthProfile, stats: SpectralStats) -> float:
     inverse participation ratio is about a third of this count and the
     long-time W0 floor sum_k w_k^2 is about 3 / n_pc_envelope (Flambaum &
     Izrailev, PRE 56, 5144 (1997)).
+
+    rho is the kernel density of the same levels at the bandwidth of
+    ``stats``, so one kernel block K gives F~/rho = (K @ w) / K.sum(axis=1);
+    the kernel normalisation cancels.
     """
     energies = profile.energies
     envelope = np.empty_like(energies)
     for lo in range(0, len(energies), ENVELOPE_BLOCK):   # no N x N kernel held at once
-        nodes = energies[lo : lo + ENVELOPE_BLOCK]
-        envelope[lo : lo + len(nodes)] = (
-            _smoothed_weight_density(profile, nodes, stats.bandwidth) / stats.rho(nodes)
-        )
+        z = (energies[lo : lo + ENVELOPE_BLOCK, None] - energies[None, :]) / stats.bandwidth
+        kernel = np.exp(-0.5 * z * z)
+        envelope[lo : lo + len(kernel)] = (kernel @ profile.weights) / kernel.sum(axis=1)
     return float(1.0 / (envelope @ envelope))
 
 

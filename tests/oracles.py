@@ -3,20 +3,30 @@
 Everything here is built from different machinery than the code under
 test: fermion operators as explicit Jordan-Wigner matrices (kron products),
 signs from list transpositions, time evolution through the
-scaling-and-squaring matrix exponential, and the Hamiltonian assembled
-entry by entry with scalar fermionic phases.
+scaling-and-squaring matrix exponential, the Hamiltonian assembled
+entry by entry with scalar fermionic phases, and a trajectory evolved with
+a complex product split into per-time frames.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 from scipy.linalg import expm
 
-from tbrisim.basis import Basis, fermionic_phase, occupied_orbitals
-from tbrisim.exceptions import ParameterError
+from tbrisim.basis import (
+    Basis,
+    ClassPartition,
+    fermionic_phase,
+    occupancy_matrix,
+    occupied_orbitals,
+)
+from tbrisim.dynamics import UNITARITY_TOL, OccupationTrajectory, TimeGrid
+from tbrisim.exceptions import ParameterError, PreconditionError
 from tbrisim.hamiltonian import HamiltonianMatrix, SingleParticleSpectrum, TwoBodyTensor
+from tbrisim.spectral import EigenDecomposition
 
 _SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]])
 _PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -163,3 +173,84 @@ def loop_hamiltonian(
                     entries[fi, gi] = entries[gi, fi] = element
 
     return HamiltonianMatrix(entries=entries, basis=basis)
+
+
+@dataclass(frozen=True)
+class AmplitudeFrame:
+    """Complex amplitudes over the whole basis at one time."""
+
+    t: float
+    amplitudes: np.ndarray
+
+
+def _evolve_frames(decomp: EigenDecomposition, i: int, times: np.ndarray) -> list[AmplitudeFrame]:
+    """Amplitude frames A_f(t) for an initial basis state i; unitary at every t."""
+    if not 0 <= i < decomp.size:
+        raise PreconditionError(f"basis index {i} outside [0, {decomp.size})")
+    phases = np.exp(-1j * np.outer(decomp.energies, times))   # (N, T)
+    amplitudes = decomp.vectors @ (decomp.vectors[i, :, None] * phases)
+    norms = np.abs(amplitudes) ** 2
+    worst = np.abs(norms.sum(axis=0) - 1.0).max() if times.size else 0.0
+    if worst > UNITARITY_TOL:
+        raise PreconditionError(f"evolution lost unitarity: |sum - 1| = {worst:.3e}")
+    return [AmplitudeFrame(t=float(t), amplitudes=amplitudes[:, j]) for j, t in enumerate(times)]
+
+
+def _probability_matrix(frames) -> np.ndarray:
+    """(N, T) squared amplitudes of a frame sequence."""
+    if not frames:
+        return np.zeros((0, 0))
+    return np.abs(np.stack([fr.amplitudes for fr in frames], axis=1)) ** 2
+
+
+def _occupation_numbers(frames, basis: Basis) -> np.ndarray:
+    """(m, T) occupations n_alpha(t) = sum_f |A_f|^2 [alpha occupied in f]."""
+    prob = _probability_matrix(frames)
+    if prob.size == 0:
+        return np.zeros((basis.m, 0))
+    return occupancy_matrix(basis) @ prob
+
+
+def _survival_probability(decomp: EigenDecomposition, i: int, times: np.ndarray) -> np.ndarray:
+    """W0(t) = |sum_k w_k exp(-i E_k t)|^2 with w_k the strength weights of i."""
+    if not 0 <= i < decomp.size:
+        raise PreconditionError(f"basis index {i} outside [0, {decomp.size})")
+    weights = decomp.vectors[i, :] ** 2
+    amplitude = np.exp(-1j * np.outer(times, decomp.energies)) @ weights
+    return np.abs(amplitude) ** 2
+
+
+def _class_populations(frames, partition: ClassPartition) -> np.ndarray:
+    """(n_classes + 1, T) populations W_s(t) summed over each cascade class."""
+    prob = _probability_matrix(frames)
+    if prob.size == 0:
+        return np.zeros((partition.n_classes + 1, 0))
+    out = np.zeros((partition.n_classes + 1, prob.shape[1]))
+    for cls in range(partition.n_classes + 1):
+        members = partition.members(cls)
+        if len(members):
+            out[cls] = prob[members].sum(axis=0)
+    return out
+
+
+def complex_trajectory(
+    decomp: EigenDecomposition,
+    basis: Basis,
+    partition: ClassPartition,
+    i: int,
+    times,
+) -> OccupationTrajectory:
+    """Trajectory bundle from a complex eigenvector product split into frames.
+
+    The eigenvector matrix is multiplied as complex, the result is split
+    into one frame per time and re-stacked for each observable, and W0 comes
+    from a second phase product over the strength weights.
+    """
+    grid = TimeGrid(np.asarray(times, dtype=float))
+    frames = _evolve_frames(decomp, i, grid.points)
+    return OccupationTrajectory(
+        grid=grid,
+        occupations=_occupation_numbers(frames, basis),
+        w0=_survival_probability(decomp, i, grid.points),
+        class_populations=_class_populations(frames, partition),
+    )

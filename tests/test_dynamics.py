@@ -11,7 +11,9 @@ import tbrisim as tb
 from tbrisim.exceptions import ParameterError, PreconditionError
 
 from conftest import make_system
-from oracles import expm_amplitudes
+from oracles import complex_trajectory, expm_amplitudes
+
+ORACLE_PATH_TOL = 1e-13
 
 
 def test_time_grid_validation():
@@ -37,8 +39,7 @@ def test_default_grid_free_fermion_fallback():
 
 
 def test_initial_frame_is_delta(small_3_6):
-    frames = tb.evolve_amplitudes(small_3_6.decomp, small_3_6.i, np.array([0.0]))
-    a0 = frames[0].amplitudes
+    a0 = tb.evolve_amplitudes(small_3_6.decomp, small_3_6.i, np.array([0.0]))[:, 0]
     expected = np.zeros(20)
     expected[small_3_6.i] = 1.0
     assert np.abs(a0 - expected).max() < 1e-10
@@ -46,8 +47,7 @@ def test_initial_frame_is_delta(small_3_6):
 
 def test_free_fermions_stay_put():
     s = make_system(3, 6, eta=0.0, seed=1, initial=7)
-    frames = tb.evolve_amplitudes(s.decomp, 7, np.linspace(0.0, 20.0, 31))
-    prob = np.abs(np.stack([f.amplitudes for f in frames], axis=1)) ** 2
+    prob = np.abs(tb.evolve_amplitudes(s.decomp, 7, np.linspace(0.0, 20.0, 31))) ** 2
     expected = np.zeros((20, 31))
     expected[7, :] = 1.0
     assert np.abs(prob - expected).max() < 1e-10
@@ -59,28 +59,51 @@ def test_amplitudes_match_matrix_exponential(fixture, request):
     s = request.getfixturevalue(fixture)
     rng = np.random.default_rng(12)
     times = np.sort(rng.uniform(0.05, 30.0, size=20))
-    frames = tb.evolve_amplitudes(s.decomp, s.i, times)
-    occ = tb.occupation_numbers(frames, s.basis)
+    amplitudes = tb.evolve_amplitudes(s.decomp, s.i, times)
+    occ = tb.occupation_numbers(np.abs(amplitudes) ** 2, s.basis)
     w0 = tb.survival_probability(s.decomp, s.i, times)
     occ_matrix = tb.occupancy_matrix(s.basis)
     for j, t in enumerate(times):
         ref = expm_amplitudes(s.h.entries, s.i, t)
-        assert np.abs(frames[j].amplitudes - ref).max() < 1e-10
+        assert np.abs(amplitudes[:, j] - ref).max() < 1e-10
         assert np.abs(occ[:, j] - occ_matrix @ np.abs(ref) ** 2).max() < 1e-10
         assert abs(w0[j] - np.abs(ref[s.i]) ** 2) < 1e-10
 
 
 def test_unitarity_along_trajectory(fig2):
-    prob = (
-        np.abs(
-            np.stack(
-                [f.amplitudes for f in tb.evolve_amplitudes(fig2.decomp, fig2.i, fig2.grid)],
-                axis=1,
-            )
-        )
-        ** 2
-    )
+    prob = np.abs(tb.evolve_amplitudes(fig2.decomp, fig2.i, fig2.grid)) ** 2
     assert np.abs(prob.sum(axis=0) - 1.0).max() < 1e-10
+
+
+@pytest.mark.parametrize("fixture", ["small_2_4", "small_3_6", "fig1", "fig2"])
+def test_trajectory_matches_complex_oracle(fixture, request):
+    """Real-GEMM trajectory vs the complex product split into frames.
+
+    Same spectral sum in a different order, so only rounding may differ:
+    occupations, W0 and class populations on the fixture grid and on an
+    empty grid, plus the long-time occupation average.
+    """
+    s = request.getfixturevalue(fixture)
+    for times in (s.grid.points, np.array([])):
+        got = tb.simulate_trajectory(s.decomp, s.basis, s.partition, s.i, times)
+        ref = complex_trajectory(s.decomp, s.basis, s.partition, s.i, times)
+        for field in ("occupations", "w0", "class_populations"):
+            a, b = getattr(got, field), getattr(ref, field)
+            assert a.shape == b.shape
+            assert a.size == 0 or np.abs(a - b).max() <= ORACLE_PATH_TOL, field
+    long_times = tb.dynamics.long_time_grid(s.decomp, s.i, samples=256)
+    ref = complex_trajectory(s.decomp, s.basis, s.partition, s.i, long_times)
+    avg = tb.average_occupations(s.decomp, s.basis, s.i, samples=256)
+    assert np.abs(avg - ref.occupations.mean(axis=1)).max() <= ORACLE_PATH_TOL
+
+
+def test_unitarity_guard_rejects_non_orthonormal_vectors(small_3_6):
+    s = small_3_6
+    bad = tb.EigenDecomposition(energies=s.decomp.energies, vectors=s.decomp.vectors * 1.001)
+    with pytest.raises(PreconditionError, match="unitarity"):
+        tb.evolve_amplitudes(bad, s.i, s.grid)
+    with pytest.raises(PreconditionError, match="unitarity"):
+        tb.simulate_trajectory(bad, s.basis, s.partition, s.i, s.grid)
 
 
 def test_occupations_start_on_bits(fig1):
@@ -98,8 +121,7 @@ def test_particle_number_conserved(fixture, request):
 def test_split_terms_reconstruct_probability(fig1):
     rng = np.random.default_rng(3)
     times = np.sort(rng.uniform(0.0, 50.0, size=7))
-    frames = tb.evolve_amplitudes(fig1.decomp, fig1.i, times)
-    prob = np.abs(np.stack([f.amplitudes for f in frames], axis=1)) ** 2
+    prob = np.abs(tb.evolve_amplitudes(fig1.decomp, fig1.i, times)) ** 2
     for q in rng.choice(fig1.basis.size, size=5, replace=False):
         s_d, s_fl = tb.split_occupation_terms(fig1.decomp, fig1.i, int(q), times)
         assert np.abs(s_d + s_fl - prob[int(q)]).max() < 1e-10

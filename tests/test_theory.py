@@ -54,7 +54,6 @@ def test_survival_models_at_zero():
     assert curves.gaussian[0] == 1.0
     assert curves.breit_wigner[1] == pytest.approx(math.exp(-1.0))
     assert curves.saturation == pytest.approx(0.1)
-    assert np.all(curves.composite_bw >= curves.saturation)
 
 
 def test_survival_models_require_positive_widths():
@@ -90,6 +89,16 @@ def test_n_pc_envelope_carries_porter_thomas_factor():
     profile, stats = _ladder_profile(weights)
     ratio = (weights @ weights) * tb.n_pc_envelope(profile, stats) / 3.0
     assert 0.5 <= ratio <= 2.0
+
+
+def test_n_pc_envelope_matches_density_ratio(fig2):
+    """One kernel per block equals the smoothed weight density over rho."""
+    energies = fig2.profile.energies
+    envelope = tb.theory._smoothed_weight_density(
+        fig2.profile, energies, fig2.stats.bandwidth
+    ) / fig2.stats.rho(energies)
+    expected = 1.0 / (envelope @ envelope)
+    assert tb.n_pc_envelope(fig2.profile, fig2.stats) == pytest.approx(expected, rel=1e-12)
 
 
 def test_gaussian_model_tracks_exact_survival(fig2):
