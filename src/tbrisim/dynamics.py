@@ -24,6 +24,7 @@ from .exceptions import ParameterError, PreconditionError
 from .spectral import EigenDecomposition
 
 UNITARITY_TOL = 1e-10
+ROW_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -138,8 +139,11 @@ def class_populations(prob: np.ndarray, partition: ClassPartition) -> np.ndarray
 
 def diagonal_weights(decomp: EigenDecomposition, i: int) -> np.ndarray:
     """S_q^(d) for every q: the time-independent part of |A_q(t)|^2."""
-    w_sq = decomp.vectors**2
-    return w_sq @ w_sq[i]
+    vectors, target = decomp.vectors, decomp.vectors[i] ** 2
+    weights = np.empty(decomp.size)
+    for lo in range(0, decomp.size, ROW_BLOCK):   # no N x N square held at once
+        weights[lo : lo + ROW_BLOCK] = (vectors[lo : lo + ROW_BLOCK] ** 2) @ target
+    return weights
 
 
 def split_occupation_terms(

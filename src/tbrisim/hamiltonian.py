@@ -154,14 +154,14 @@ def build_hamiltonian(
     Which entries couple, through which tensor element and with which
     fermionic sign depends only on (n, m), not on the seed, eta or the level
     jitter.  That coupling structure is computed once per (n, m) and cached
-    for the two most recent sizes.  For every basis state (one column of each
-    block) it holds each term of that state's row, as an index into the
-    table ``concat(V.ravel(), -V.ravel(), epsilon)``, and the column each
-    move reaches: n orbital energies and C(n,2) pair terms on the diagonal,
-    one term per two-orbital move, and n - 1 spectator terms per one-orbital
-    move.  Indices are int16 while N and the table fit, wider beyond; the
-    structure takes 1.3 MB at N=924 (n=6, m=12) and 8.6 MB at N=3432
-    (n=7, m=14).  Assembly gathers the table one block at a time.
+    for the two most recent sizes.  For every basis state it holds each term
+    of that state's row, as an index into the table
+    ``concat(V.ravel(), -V.ravel(), epsilon)``, and the column each move
+    reaches: n orbital energies and C(n,2) pair terms on the diagonal, one
+    term per two-orbital move, and n - 1 spectator terms per one-orbital
+    move.  Indices are int16 while N and the table fit, wider beyond: 1.3 MB
+    at N=924 (n=6, m=12), 8.6 MB at N=3432 (n=7, m=14).  With one row per
+    state, assembly is one gather and one row-wise scatter per move kind.
 
     The terms of an entry are added in a fixed order: orbital energies in
     ascending orbital order, then the pair terms, and the spectators of a
@@ -180,19 +180,19 @@ def build_hamiltonian(
     v = tensor.matrix.ravel()
     table = np.concatenate((v, -v, spectrum.epsilon))
     n_states = basis.size
-    rows = np.arange(n_states)
+    rows = np.arange(n_states)[:, None]
     entries = np.zeros((n_states, n_states))
 
     diagonal = entries.reshape(-1)[:: n_states + 1]   # writable view
     n_diagonal = len(couplings.diagonal) if diagonal_pair_terms else basis.n
     for terms in couplings.diagonal[:n_diagonal]:
         diagonal += table[terms]
-    for cols, terms in zip(couplings.move2_col, couplings.move2_term):
-        entries[rows, cols] = table[terms]
+    entries[rows, couplings.move2_col] = table[couplings.move2_term]
     if one_orbital_terms:
+        summed = np.zeros(couplings.move1_col.shape)   # +0.0 start, as the plain loop
         for rank_terms in couplings.move1_term:
-            for cols, terms in zip(couplings.move1_col, rank_terms):
-                entries[rows, cols] += table[terms]
+            summed += table[rank_terms]
+        entries[rows, couplings.move1_col] = summed
 
     return HamiltonianMatrix(entries=entries, basis=basis)
 
@@ -201,15 +201,15 @@ def build_hamiltonian(
 class _Couplings:
     """Coupling structure of H for one (n, m); see ``build_hamiltonian``.
 
-    Each array has one column per basis state (N = binomial(m, n)).  A term
-    is an index into ``concat(V.ravel(), -V.ravel(), epsilon)``.
+    N = binomial(m, n) basis states; the move arrays have one row per state.
+    A term is an index into ``concat(V.ravel(), -V.ravel(), epsilon)``.
     """
 
     diagonal: np.ndarray    # (n + C(n,2), N): orbital energies, then pair terms
-    move2_col: np.ndarray   # (C(n,2) C(m-n,2), N): target of each two-orbital move
+    move2_col: np.ndarray   # (N, C(n,2) C(m-n,2)): target of each two-orbital move
     move2_term: np.ndarray  # same shape: its signed tensor element
-    move1_col: np.ndarray   # (n (m-n), N): target of each one-orbital move
-    move1_term: np.ndarray  # (n - 1, n (m-n), N): its terms, by spectator rank
+    move1_col: np.ndarray   # (N, n (m-n)): target of each one-orbital move
+    move1_term: np.ndarray  # (n - 1, N, n (m-n)): its terms, by spectator rank
 
 
 @functools.lru_cache(maxsize=2)
@@ -243,7 +243,9 @@ def _couplings(n: int, m: int) -> _Couplings:
     diagonal, move2_col, move2_term, move1_col, move1_term = np.split(
         block_rows, np.cumsum([n + len(occ_pairs), n_move2, n_move2, n_move1])
     )
-    move1_term = move1_term.reshape(n - 1, n_move1, n_states)
+    move2_col, move2_term, move1_col = (
+        a.reshape(n_states, -1) for a in (move2_col, move2_term, move1_col))
+    move1_term = move1_term.reshape(n - 1, n_states, n_move1)
 
     diagonal[:n] = 2 * n_pairs**2 + occ.T
     r, s = free[:, free_pairs[:, 0]], free[:, free_pairs[:, 1]]
@@ -251,22 +253,18 @@ def _couplings(n: int, m: int) -> _Couplings:
         p, q = occ[:, j:j + 1], occ[:, k:k + 1]
         diagonal[n + c] = (n_pairs + 1) * pair(p, q)[:, 0]
         block = slice(c * len(free_pairs), (c + 1) * len(free_pairs))
-        move2_col[block] = np.searchsorted(states, f ^ (1 << p) ^ (1 << q) | (1 << r) | (1 << s)).T
-        move2_term[block] = term(p, q, r, s).T
+        move2_col[:, block] = np.searchsorted(states, f ^ (1 << p) ^ (1 << q) | (1 << r) | (1 << s))
+        move2_term[:, block] = term(p, q, r, s)
 
     for j in range(n):
         p, block = occ[:, j:j + 1], slice(j * (m - n), (j + 1) * (m - n))
-        move1_col[block] = np.searchsorted(states, f ^ (1 << p) ^ (1 << free)).T
+        move1_col[:, block] = np.searchsorted(states, f ^ (1 << p) ^ (1 << free))
         for rank, k in enumerate(k for k in range(n) if k != j):
             s = occ[:, k:k + 1]
-            move1_term[rank, block] = term(np.minimum(p, s), np.maximum(p, s),
-                                           np.minimum(free, s), np.maximum(free, s)).T
+            move1_term[rank, :, block] = term(np.minimum(p, s), np.maximum(p, s),
+                                              np.minimum(free, s), np.maximum(free, s))
 
-    structure = _Couplings(
-        diagonal=diagonal,
-        move2_col=move2_col, move2_term=move2_term,
-        move1_col=move1_col, move1_term=move1_term,
-    )
+    structure = _Couplings(diagonal, move2_col, move2_term, move1_col, move1_term)
     for array in vars(structure).values():
         array.flags.writeable = False   # shared by every caller through the cache
     return structure

@@ -14,7 +14,6 @@ import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .basis import Basis, ClassPartition, occupancy_matrix
 from .exceptions import (
@@ -181,6 +180,8 @@ def _quartile_width(profile: StrengthProfile) -> float:
 
 
 def _run_least_squares(residual_fn, x0, bounds):
+    from scipy.optimize import least_squares   # ~0.4 s to import: paid by the first fit only
+
     result = least_squares(residual_fn, x0=x0, bounds=bounds)
     if not result.success:
         raise FitConvergenceError(

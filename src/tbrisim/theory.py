@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .dynamics import TimeGrid, _times
 from .exceptions import ParameterError, PreconditionError
@@ -176,6 +175,8 @@ def _fermi_dirac(eps: np.ndarray, mu: float, temperature: float) -> np.ndarray:
 
 
 def _mu_for_filling(eps: np.ndarray, temperature: float, n: int) -> float:
+    from scipy.optimize import brentq   # lazily, as in strength._run_least_squares
+
     span = eps[-1] - eps[0] + 1.0
     lo = eps[0] - span - 50 * temperature
     hi = eps[-1] + span + 50 * temperature
@@ -202,6 +203,8 @@ def fit_fermi_dirac(ninf, spectrum: SingleParticleSpectrum, n: int) -> FermiDira
         )
     if np.any(ninf < 0) or np.any(ninf > 1):
         raise PreconditionError("occupations must lie in [0, 1]")
+
+    from scipy.optimize import minimize_scalar   # lazily, as in strength._run_least_squares
 
     d0 = (eps[-1] - eps[0]) / (len(eps) - 1)
 

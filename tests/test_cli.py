@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -270,3 +274,12 @@ def test_grid_flag_parsing():
     }
     with pytest.raises(ParameterError):
         cli._parse_grid_flag("weird:1:2:3")
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    """The fits import scipy.optimize on first use, so `inspect` and `fits: false` skip it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(tb.__file__).parents[1]))
+    code = "import sys, tbrisim.cli; print('scipy.optimize' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert done.stdout.strip() == "False"

@@ -139,6 +139,17 @@ def test_diagonal_weights_sum_to_one(fig2):
     assert tb.diagonal_weights(fig2.decomp, fig2.i).sum() == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("fixture", ["small_2_4", "fig2"])
+def test_diagonal_weights_match_whole_matrix_product(fixture, request):
+    """Row blocks give (V**2) @ (V[i]**2): N=6 is below one block, 924 is no multiple of it."""
+    s = request.getfixturevalue(fixture)
+    vectors = s.decomp.vectors
+    for i in (0, s.i, s.basis.size - 1):
+        expected = (vectors**2) @ (vectors[i] ** 2)
+        got = tb.diagonal_weights(s.decomp, i)
+        assert np.all(np.abs(got - expected) <= 1e-14 * np.abs(expected)), i
+
+
 def test_fluctuating_term_averages_to_zero(fig2):
     """Long-window mean of S_q^(fl) vanishes within the statistical scale."""
     times = tb.dynamics.long_time_grid(fig2.decomp, fig2.i, samples=256)

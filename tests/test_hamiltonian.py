@@ -105,16 +105,20 @@ def test_hamiltonian_matches_operator_algebra_oracle(n, m, eta, seed):
 
 @pytest.mark.parametrize("n,m", [(1, 4), (2, 4), (2, 5), (4, 4), (3, 7), (4, 8), (6, 12)])
 def test_hamiltonian_bitwise_equal_to_loop_oracle(n, m):
-    """The cached-structure builder reproduces the entry-by-entry loop exactly."""
+    """The cached-structure builder reproduces the entry-by-entry loop exactly.
+
+    ``tobytes`` also tells -0.0 from +0.0; eta=0 makes every move term a signed zero.
+    """
     basis = tb.build_basis(n, m)
-    for jitter in (0.0, 0.3):
-        params = tb.ModelParams(n=n, m=m, eta=0.083, seed=7, jitter=jitter)
+    for eta, jitter in ((0.083, 0.0), (0.083, 0.3), (0.0, 0.0)):
+        params = tb.ModelParams(n=n, m=m, eta=eta, seed=7, jitter=jitter)
         spectrum, tensor = tb.sample_spectrum(params), tb.sample_two_body(params)
         for one_orbital, diagonal_pair in product((True, False), repeat=2):
             switches = {"one_orbital_terms": one_orbital, "diagonal_pair_terms": diagonal_pair}
             h = tb.build_hamiltonian(basis, spectrum, tensor, **switches)
             expected = loop_hamiltonian(basis, spectrum, tensor, **switches)
-            assert np.array_equal(h.entries, expected.entries), (jitter, switches)
+            assert np.array_equal(h.entries, expected.entries), (eta, jitter, switches)
+            assert h.entries.tobytes() == expected.entries.tobytes(), (eta, jitter, switches)
 
 
 def test_cached_structure_survives_another_size():
@@ -132,6 +136,30 @@ def test_cached_structure_survives_another_size():
     again = build(6, 12)
     assert _couplings.cache_info().hits == 1
     assert np.array_equal(again, first)
+
+
+@pytest.mark.parametrize("n,m", [(2, 4), (4, 8), (6, 12)])
+def test_coupling_structure_layout(n, m):
+    """Row-major, read-only fields of one backing array that holds only column and term indices."""
+    couplings = _couplings(n, m)
+    size, n_move2, n_move1 = comb(m, n), comb(n, 2) * comb(m - n, 2), n * (m - n)
+    dtype = np.dtype(_index_dtype(max(size - 1, 2 * comb(m, 2) ** 2 + m - 1)))
+    shapes = {
+        "diagonal": (n + comb(n, 2), size),
+        "move2_col": (size, n_move2),
+        "move2_term": (size, n_move2),
+        "move1_col": (size, n_move1),
+        "move1_term": (n - 1, size, n_move1),
+    }
+    backing = couplings.diagonal.base
+    for name, shape in shapes.items():
+        array = getattr(couplings, name)
+        assert array.shape == shape, name
+        assert array.dtype == dtype, name
+        assert not array.flags.writeable, name
+        assert array.base is backing, name
+    rows = n + comb(n, 2) + 2 * n_move2 + n * n_move1
+    assert backing.nbytes == rows * size * dtype.itemsize   # 1,269,576 B at N=924
 
 
 def test_index_dtype_holds_largest_index():
