@@ -20,7 +20,7 @@ import hashlib
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -296,6 +296,21 @@ def emit_plotdata(
     return [path]
 
 
+def _attempt_fit(enabled: bool, fit, *args, **kwargs):
+    """Run one optional fit: (result, manifest record) or (None, the reason it is unavailable).
+
+    Each fit is tried on its own, so one that cannot run leaves the others
+    and the rest of the pipeline untouched.
+    """
+    if not enabled:
+        return None, {"status": "unavailable", "reason": "disabled in the analysis config"}
+    try:
+        result = fit(*args, **kwargs)
+    except (PreconditionError, FitConvergenceError) as exc:
+        return None, {"status": "unavailable", "reason": str(exc)}
+    return result, {"status": "converged", **asdict(result)}
+
+
 def run(config: ExperimentConfig) -> RunManifest:
     """Execute the full pipeline for one config and write all outputs."""
     cfg_hash = config_hash(config)
@@ -336,16 +351,13 @@ def run(config: ExperimentConfig) -> RunManifest:
         profile = strength.strength_function(decomp, i)
         delta_e = strength.energy_variance(h, i)
         gamma_gr = strength.golden_rule_gamma(h, partition, i)
-        spreading = strength.spreading_params(
-            h, decomp, partition, i, stats.mean_spacing_mid, fit=config.fits
+        _, bw_record = _attempt_fit(config.fits, strength.fit_bw, profile, gamma0=gamma_gr)
+        _, hybrid_record = _attempt_fit(
+            config.fits, strength.fit_hybrid, profile, stats, gamma0=gamma_gr
         )
-        gamma_fit = hybrid = None
-        if config.fits:
-            try:
-                gamma_fit = strength.fit_bw(profile, gamma0=gamma_gr)
-                hybrid = strength.fit_hybrid(profile, stats, gamma0=gamma_gr)
-            except (PreconditionError, FitConvergenceError):
-                pass
+        spreading = strength.spreading_params(
+            profile, delta_e, gamma_gr, stats.mean_spacing_mid, fit=config.fits
+        )
     with stage("dynamics"):
         grid = _build_grid(config, delta_e, gamma_gr, partition.n_classes)
         trajectory = dynamics.simulate_trajectory(decomp, basis, partition, i, grid)
@@ -366,9 +378,11 @@ def run(config: ExperimentConfig) -> RunManifest:
         models = None
         if spreading.gamma_gr > 0 and spreading.delta_e > 0:
             models = theory.survival_models(spreading, n_pc_env, grid)
-        fd = None
-        if config.fermi_dirac:
-            fd = theory.fit_fermi_dirac(n_inf, spectrum, params.n)
+        fd, fd_record = _attempt_fit(
+            config.fermi_dirac, theory.fit_fermi_dirac, n_inf, spectrum, params.n
+        )
+        if fd and fd.infinite_temperature:   # JSON has no inf or NaN
+            fd_record.update(temperature="inf", mu=None)
         conv_sum = None
         if config.convolution_check:
             conv = theory.convolve_strength_map(profile, decomp, stats)
@@ -455,17 +469,8 @@ def run(config: ExperimentConfig) -> RunManifest:
             "mean_spacing_mid": stats.mean_spacing_mid,
             "delta_e": delta_e,
             "gamma_golden_rule": gamma_gr,
-            "gamma_bw_fit": gamma_fit.gamma if gamma_fit else None,
-            "bw_fit_center": gamma_fit.center if gamma_fit else None,
-            "hybrid_fit": {
-                "b_fitted": hybrid.b_fitted,
-                "b_derived": hybrid.b_derived,
-                "e_c": hybrid.e_c,
-                "sigma": hybrid.sigma,
-                "gamma": hybrid.gamma,
-            }
-            if hybrid
-            else None,
+            "bw_fit": bw_record,
+            "hybrid_fit": hybrid_record,
             "sigma": spreading.sigma,
             "e_c": spreading.e_c,
             "n_pc_ratio": spreading.n_pc_ratio,
@@ -480,14 +485,7 @@ def run(config: ExperimentConfig) -> RunManifest:
             "w0_longtime_average": w0_longtime,
             "saturation_3_over_npc_envelope": 3.0 / n_pc_env,
             "asymptotic_occupations": [float(x) for x in n_inf],
-            "fermi_dirac": {
-                "temperature": fd.temperature if not fd.infinite_temperature else "inf",
-                "mu": None if fd.infinite_temperature else fd.mu,
-                "residual": fd.residual,
-                "infinite_temperature": fd.infinite_temperature,
-            }
-            if fd
-            else None,
+            "fermi_dirac": fd_record,
             "convolution_completeness": conv_sum,
             "rng": "PCG64 (numpy default_rng) with per-purpose child streams",
         }
@@ -628,7 +626,7 @@ def _cmd_sweep(args) -> int:
             {
                 "eta": eta,
                 "gamma_golden_rule": d["gamma_golden_rule"],
-                "gamma_bw_fit": d["gamma_bw_fit"],
+                "gamma_bw_fit": d["bw_fit"].get("gamma"),
                 "delta_e": d["delta_e"],
                 "n_pc_ipr": d["n_pc_ipr"],
                 "rms_eq14": d["rms_eq14"],

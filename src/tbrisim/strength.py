@@ -26,6 +26,11 @@ from .spectral import EigenDecomposition, SpectralStats
 
 MIN_BIN_COUNT = 10
 MIN_FIT_COMPONENTS = 5.0
+FIT_XTOL = 1e-12        # largest Gauss-Newton step of a converged fit, per 1 + |parameter|
+FIT_MAX_ITER = 200
+MIN_DAMPING = 1e-12     # Levenberg-Marquardt damping of a Gauss-Newton step
+MAX_DAMPING = 1e10      # damping at which a fit counts as stalled
+MOMENT_NODES = 2001     # trapezoid nodes for the hybrid shape's second moment
 
 
 @dataclass(frozen=True)
@@ -63,16 +68,24 @@ class BWFit:
     gamma: float
     center: float
     residual: float
+    iterations: int
+    stderr: dict
+    at_bound: tuple[str, ...]
 
 
 @dataclass(frozen=True)
 class HybridFit:
+    """Hybrid line shape: B and Gamma fitted, sigma solved from the second moment, E_c = E_i."""
+
     b_fitted: float
     e_c: float
     sigma: float
     gamma: float
     b_derived: float
     residual: float
+    iterations: int
+    stderr: dict
+    at_bound: tuple[str, ...]
 
 
 def strength_function(decomp: EigenDecomposition, i: int) -> StrengthProfile:
@@ -179,23 +192,94 @@ def _quartile_width(profile: StrengthProfile) -> float:
     return max(hi - lo, 1e-12)
 
 
-def _run_least_squares(residual_fn, x0, bounds):
-    from scipy.optimize import least_squares   # ~0.4 s to import: paid by the first fit only
+def _box_step(normal, grad, damping, x, lower, upper):
+    """Solve (J^T J + diag(damping)) dx = -J^T r inside the box [lower, upper].
 
-    result = least_squares(residual_fn, x0=x0, bounds=bounds)
-    if not result.success:
-        raise FitConvergenceError(
-            f"line-shape fit did not converge: {result.message}", last_params=result.x
-        )
-    return result
+    A parameter whose step would leave the box is moved onto the bound and
+    held there while the others are solved again.
+    """
+    system = normal + np.diag(damping)
+    step = np.zeros(len(x))
+    free = np.ones(len(x), dtype=bool)
+    while True:
+        rhs = -grad[free] - system[np.ix_(free, ~free)] @ step[~free]
+        step[free] = np.linalg.solve(system[np.ix_(free, free)], rhs)
+        inside = np.clip(x + step, lower, upper)
+        hit = free & (inside != x + step)
+        if not hit.any():
+            return step
+        step[hit] = inside[hit] - x[hit]
+        free &= ~hit
+
+
+def _levenberg_marquardt(fun, x0, lower, upper):
+    """Minimize |r(x)|^2 over the box [lower, upper]; returns (x, r, J, iterations).
+
+    ``fun(x)`` returns the residual vector and its analytic Jacobian.  Each
+    trial step solves (J^T J + lam D) dx = -J^T r within the box, D the
+    running maximum of diag(J^T J) (More, LNM 630 (1978)).  lam shrinks
+    after a step that does not raise the cost, or whose predicted change is
+    below the rounding of the cost, and grows after any other.  The fit has
+    converged when the Gauss-Newton step (lam = MIN_DAMPING) from the
+    current point moves no parameter by more than FIT_XTOL (1 + |x|), so a
+    small but heavily damped step in a flat valley does not end it.  A
+    wrong Jacobian never passes that test away from a minimum: its steps
+    raise the cost until lam exceeds MAX_DAMPING.
+    """
+    x = np.clip(np.asarray(x0, dtype=float), lower, upper)
+    r, jac = fun(x)
+    cost = r @ r
+    scale = np.zeros(len(x))
+    lam = 1e-3
+    for iteration in range(1, FIT_MAX_ITER + 1):
+        normal, grad = jac.T @ jac, jac.T @ r
+        scale = np.maximum(scale, np.diag(normal))
+        try:
+            newton = _box_step(normal, grad, MIN_DAMPING * scale, x, lower, upper)
+            if np.all(np.abs(newton) <= FIT_XTOL * (1 + np.abs(x))):
+                return x, r, jac, iteration
+            step = _box_step(normal, grad, lam * scale, x, lower, upper)
+        except np.linalg.LinAlgError as exc:
+            raise FitConvergenceError(f"singular normal equations: {exc}", last_params=x) from exc
+        predicted = 2 * grad @ step + step @ normal @ step   # cost change, linear model
+        with np.errstate(over="ignore", invalid="ignore"):   # an overflowing trial is rejected
+            r_new, jac_new = fun(x + step)
+            cost_new = r_new @ r_new
+        if cost_new <= cost or (
+            np.isfinite(cost_new) and abs(predicted) <= len(r) * np.finfo(float).eps * cost
+        ):   # below the cost's rounding the gradient, not the cost, ranks the points
+            x, r, jac, cost = x + step, r_new, jac_new, cost_new
+            lam = max(0.1 * lam, MIN_DAMPING)
+        else:
+            lam *= 10.0
+            if lam > MAX_DAMPING:
+                raise FitConvergenceError("line-shape fit stalled: no step lowers the cost",
+                                          last_params=x)
+    raise FitConvergenceError(f"line-shape fit did not converge in {FIT_MAX_ITER} steps",
+                              last_params=x)
+
+
+def _fit_diagnostics(names, x, r, jac, lower, upper, log_params):
+    """Standard errors from s^2 (J^T J)^-1 and the names of parameters on a bound.
+
+    Errors of log-parametrised values are carried to the values themselves
+    (delta method: se(v) = v se(log v)).
+    """
+    dof = max(len(r) - len(x), 1)
+    cov = (r @ r) / dof * np.linalg.pinv(jac.T @ jac)
+    se = np.sqrt(np.maximum(np.diag(cov), 0.0))
+    se = np.where(log_params, np.exp(x) * se, se)
+    stderr = {name: float(v) for name, v in zip(names, se)}
+    at_bound = tuple(n for n, v, lo, hi in zip(names, x, lower, upper) if v <= lo or v >= hi)
+    return stderr, at_bound
 
 
 def fit_bw(profile: StrengthProfile, *, gamma0: float | None = None) -> BWFit:
     """Least-squares Breit-Wigner fit of the binned weight density.
 
     Model: (Gamma/2pi) / ((E - E0)^2 + Gamma^2/4), the unit-normalized
-    Lorentzian.  Returns the fitted width and center with the RMS residual
-    relative to the peak height.
+    Lorentzian, fitted in (log Gamma, E0).  Returns the fitted width and
+    center with the RMS residual relative to the peak height.
     """
     _check_fit_precondition(profile)
     centers, heights, _ = _adaptive_bins(profile)
@@ -203,18 +287,77 @@ def fit_bw(profile: StrengthProfile, *, gamma0: float | None = None) -> BWFit:
     span = profile.energies[-1] - profile.energies[0]
 
     def residual(x):
-        gamma, e0 = x
-        model = (gamma / (2 * np.pi)) / ((centers - e0) ** 2 + gamma**2 / 4)
-        return model - heights
+        gamma = np.exp(x[0])
+        d = centers - x[1]
+        denom = d * d + gamma**2 / 4
+        model = (gamma / (2 * np.pi)) / denom
+        jac = np.column_stack([model * (1 - gamma**2 / (2 * denom)), model * 2 * d / denom])
+        return model - heights, jac
 
-    result = _run_least_squares(
-        residual,
-        x0=[g0, profile.e_i],
-        bounds=([1e-9, profile.energies[0] - span], [10 * span, profile.energies[-1] + span]),
+    lower = np.array([np.log(1e-9), profile.energies[0] - span])
+    upper = np.array([np.log(10 * span), profile.energies[-1] + span])
+    x, r, jac, iterations = _levenberg_marquardt(
+        residual, [np.log(g0), profile.e_i], lower, upper
     )
-    gamma, e0 = result.x
-    rms = float(np.sqrt(np.mean(result.fun**2)) / heights.max())
-    return BWFit(gamma=float(gamma), center=float(e0), residual=rms)
+    stderr, at_bound = _fit_diagnostics(
+        ("gamma", "center"), x, r, jac, lower, upper, np.array([True, False])
+    )
+    return BWFit(
+        gamma=float(np.exp(x[0])),
+        center=float(x[1]),
+        residual=float(np.sqrt(np.mean(r**2)) / heights.max()),
+        iterations=iterations,
+        stderr=stderr,
+        at_bound=at_bound,
+    )
+
+
+def _hybrid_shape(u, sigma, gamma):
+    """exp(-u / (2 sigma^2)) / (u + Gamma^2/4) and its Lorentzian factor, u = (E - E_i)^2."""
+    lor = 1.0 / (u + gamma**2 / 4)
+    return np.exp(-u / (2 * sigma**2)) * lor, lor
+
+
+def _moment_sigma(u, weights, gamma, target, bounds):
+    """sigma at which the hybrid shape's second moment about E_i equals ``target``.
+
+    The moment is the trapezoid sum m2 = sum f u over nodes at squared
+    distances ``u`` from E_i, f the normalized shape.  With both factors
+    centred on E_i, d(m2)/d(log sigma) = Var_f(u) / sigma^2 > 0: the root is
+    unique, and Newton's method in log sigma, kept inside a bisection
+    bracket, finds it.  Returns sigma, d(log sigma)/d(log Gamma) by the
+    implicit function theorem (0 when sigma sits on a bound), and whether
+    it does.
+    """
+
+    def moments(t):
+        f = weights * _hybrid_shape(u, np.exp(t), gamma)[0]
+        f /= f.sum()
+        m2 = f @ u
+        # d m2 / d theta = Cov_f(u, d log shape / d theta)
+        return m2, lambda a: f @ (u * a) - m2 * (f @ a)
+
+    lo, hi = np.log(bounds)
+    if moments(lo)[0] >= target:
+        return bounds[0], 0.0, True
+    if moments(hi)[0] <= target:
+        return bounds[1], 0.0, True
+    t = lo
+    for _ in range(100):
+        m2, slope = moments(t)
+        if m2 > target:
+            hi = t
+        else:
+            lo = t
+        dm_dt = slope(u / np.exp(2 * t))
+        t_new = t - (m2 - target) / dm_dt
+        if not lo <= t_new <= hi:
+            t_new = 0.5 * (lo + hi)
+        if abs(t_new - t) <= 4 * np.finfo(float).eps * (1 + abs(t)):
+            break
+        t = t_new
+    dlog_shape_dlg = -(gamma**2 / 2) / (u + gamma**2 / 4)
+    return float(np.exp(t)), float(-slope(dlog_shape_dlg) / dm_dt), False
 
 
 def fit_hybrid(
@@ -227,41 +370,68 @@ def fit_hybrid(
 
     Model for the weight density:
         B * exp(-(E - E_c)^2 / (2 sigma^2)) / ((E - E_i)^2 + Gamma^2/4)
-    with E_i pinned to the profile's first moment.  B is reported both as
-    fitted and as re-derived from unit normalization of the shape.
+    with E_c = E_i, the profile's first moment (H_ii).  sigma is not a free
+    parameter: the profile's second moment about E_i is exactly Delta_E^2
+    (``energy_variance``), and sigma is solved so that the normalized
+    shape, restricted to the spectrum, has that moment.  Only B and Gamma
+    are fitted, which the binned data identify.  With sigma free as well,
+    sigma and Gamma trade against each other from one realization to the
+    next; with E_c free, E_c runs off to where the moment equation has no
+    root on weak-coupling profiles.  B is reported both as fitted and as
+    re-derived from unit normalization of the shape.
     """
     _check_fit_precondition(profile)
     centers, heights, _ = _adaptive_bins(profile)
     g0 = gamma0 if gamma0 and gamma0 > 0 else _quartile_width(profile)
-    sigma0 = max(np.sqrt(profile.second_central_moment()), 1e-9)
     e_i = profile.e_i
-    b0 = float(heights.max() * g0**2 / 4)
+    target = profile.second_central_moment()
     span = profile.energies[-1] - profile.energies[0]
+    nodes = np.linspace(profile.energies[0], profile.energies[-1], MOMENT_NODES)
+    weights = np.full(MOMENT_NODES, nodes[1] - nodes[0])
+    weights[[0, -1]] *= 0.5
+    u_nodes, u_centers = (nodes - e_i) ** 2, (centers - e_i) ** 2
+    # the Lorentzian factor narrows a Gaussian centred with it, so sigma >= Delta_E
+    sigma_bounds = (np.sqrt(target), 10 * span)
 
-    def shape(e, e_c, sigma, gamma):
-        return np.exp(-((e - e_c) ** 2) / (2 * sigma**2)) / ((e - e_i) ** 2 + gamma**2 / 4)
+    def shape(gamma):
+        sigma, dt_dlg, _ = _moment_sigma(u_nodes, weights, gamma, target, sigma_bounds)
+        unit, lor = _hybrid_shape(u_centers, sigma, gamma)
+        return unit, -lor * gamma**2 / 2 + u_centers / sigma**2 * dt_dlg
 
     def residual(x):
-        b, e_c, sigma, gamma = x
-        return b * shape(centers, e_c, sigma, gamma) - heights
+        unit, dlog_dlg = shape(np.exp(x[1]))
+        model = np.exp(x[0]) * unit
+        return model - heights, np.column_stack([model, model * dlog_dlg])
 
-    result = _run_least_squares(
-        residual,
-        x0=[b0, e_i, sigma0, g0],
-        bounds=(
-            [0.0, profile.energies[0] - span, 1e-9, 1e-9],
-            [np.inf, profile.energies[-1] + span, 10 * span, 10 * span],
-        ),
+    unit = shape(g0)[0]   # B enters linearly: start from its least-squares value
+    b0 = max(float(unit @ heights) / float(unit @ unit), 1e-300)
+    lower = np.array([-np.inf, np.log(1e-9)])
+    upper = np.array([np.inf, np.log(10 * span)])
+    x, r, jac, iterations = _levenberg_marquardt(
+        residual, [np.log(b0), np.log(g0)], lower, upper
     )
-    b_fit, e_c, sigma, gamma = (float(x) for x in result.x)
+    stderr, at_bound = _fit_diagnostics(
+        ("b_fitted", "gamma"), x, r, jac, lower, upper, np.array([True, True])
+    )
+    b_fit, gamma = (float(v) for v in np.exp(x))
+    sigma, _, sigma_at_bound = _moment_sigma(u_nodes, weights, gamma, target, sigma_bounds)
+    if sigma_at_bound:
+        at_bound += ("sigma",)
 
     # Unit normalization of the fitted shape fixes B independently.
     margin = 0.5 * span if rho is None else 3 * rho.bandwidth + 0.5 * span
     grid = np.linspace(profile.energies[0] - margin, profile.energies[-1] + margin, 4001)
-    b_derived = float(1.0 / np.trapezoid(shape(grid, e_c, sigma, gamma), grid))
-    rms = float(np.sqrt(np.mean(result.fun**2)) / heights.max())
+    b_derived = float(1.0 / np.trapezoid(_hybrid_shape((grid - e_i) ** 2, sigma, gamma)[0], grid))
     return HybridFit(
-        b_fitted=b_fit, e_c=e_c, sigma=sigma, gamma=gamma, b_derived=b_derived, residual=rms
+        b_fitted=b_fit,
+        e_c=e_i,
+        sigma=sigma,
+        gamma=gamma,
+        b_derived=b_derived,
+        residual=float(np.sqrt(np.mean(r**2)) / heights.max()),
+        iterations=iterations,
+        stderr=stderr,
+        at_bound=at_bound,
     )
 
 
@@ -273,35 +443,31 @@ def compound_occupations(decomp: EigenDecomposition, basis: Basis, k: int) -> np
 
 
 def spreading_params(
-    h: HamiltonianMatrix,
-    decomp: EigenDecomposition,
-    partition: ClassPartition,
-    i: int,
+    profile: StrengthProfile,
+    delta_e: float,
+    gamma_gr: float,
     mean_spacing: float,
     *,
     fit: bool = True,
 ) -> SpreadingParams:
-    """Bundle all width estimates for initial state i.
+    """Bundle the width estimates of one initial state from its computed profile and widths.
 
-    sigma and E_c come from the hybrid fit when it is feasible; otherwise
-    they fall back to the profile's second moment and first moment.
+    sigma comes from the hybrid fit when it is feasible and falls back to
+    Delta_E otherwise; E_c is the profile's first moment, where the hybrid
+    shape is centred.
     """
-    profile = strength_function(decomp, i)
-    delta_e = energy_variance(h, i)
-    gamma = golden_rule_gamma(h, partition, i)
-    sigma, e_c = delta_e, profile.e_i
+    sigma = delta_e
     if fit:
         try:
-            hybrid = fit_hybrid(profile, gamma0=gamma)
-            sigma, e_c = hybrid.sigma, hybrid.e_c
+            sigma = fit_hybrid(profile, gamma0=gamma_gr).sigma
         except (PreconditionError, FitConvergenceError):
             pass
     return SpreadingParams(
-        gamma_gr=gamma,
+        gamma_gr=gamma_gr,
         delta_e=delta_e,
         sigma=sigma,
-        e_c=e_c,
-        n_pc_ratio=gamma / mean_spacing if mean_spacing > 0 else np.inf,
+        e_c=profile.e_i,
+        n_pc_ratio=gamma_gr / mean_spacing if mean_spacing > 0 else np.inf,
         n_pc_ipr=profile.n_pc_ipr(),
     )
 

@@ -27,6 +27,7 @@ from .strength import SpreadingParams, StrengthProfile, strength_function
 
 UNIFORM_TOL = 1e-9
 ENVELOPE_BLOCK = 256
+MU_MAX_STEPS = 200       # bisection alone reaches adjacent floats in ~55 steps at m=12
 
 
 @dataclass(frozen=True)
@@ -174,21 +175,62 @@ def _fermi_dirac(eps: np.ndarray, mu: float, temperature: float) -> np.ndarray:
     return 1.0 / (np.exp(x) + 1.0)
 
 
-def _mu_for_filling(eps: np.ndarray, temperature: float, n: int) -> float:
-    from scipy.optimize import brentq   # lazily, as in strength._run_least_squares
+def _mu_for_filling(eps: np.ndarray, temperatures, n: int) -> np.ndarray:
+    """Chemical potential that holds n particles, at each temperature.
 
-    span = eps[-1] - eps[0] + 1.0
-    lo = eps[0] - span - 50 * temperature
-    hi = eps[-1] + span + 50 * temperature
-    return brentq(lambda mu: _fermi_dirac(eps, mu, temperature).sum() - n, lo, hi, xtol=1e-13)
+    The filling sum S(mu) rises monotonically, and S = n has its root in
+    [min eps, max eps] + T ln(n / (m - n)): at the lower end no level holds
+    more than n/m, at the upper end none holds less.  Each step halves that
+    bracket or, where the Newton step on S lands inside it, takes that step;
+    the bracket shrinks by the sign of S - n either way.  All temperatures
+    are solved at once, to the precision that rounding of S allows.
+    """
+    t = np.asarray(temperatures, dtype=float)[:, None]
+    shift = t * math.log(n / (len(eps) - n))
+    lo, hi = eps.min() + shift, eps.max() + shift
+    mu = 0.5 * (lo + hi)
+    tiny = 4 * np.finfo(float).eps
+    for _ in range(MU_MAX_STEPS):
+        filled = _fermi_dirac(eps, mu, t)
+        excess = filled.sum(axis=1, keepdims=True) - n
+        hi = np.where(excess > 0, mu, hi)
+        lo = np.where(excess > 0, lo, mu)
+        slope = (filled * (1 - filled)).sum(axis=1, keepdims=True) / t
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = mu - excess / slope
+        step = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
+        # done once a step is below rounding of mu, or S - n is below rounding of the sum
+        done = np.all((np.abs(step - mu) <= tiny * (1 + np.abs(mu))) | (np.abs(excess) <= tiny * n))
+        mu = step
+        if done:
+            break
+    return mu[:, 0]
+
+
+def _misfit_slope(eps: np.ndarray, ninf: np.ndarray, log_t: float, n: int) -> float:
+    """Sign of d/d(log T) of the squared Fermi-Dirac misfit, mu held by the constraint.
+
+    With z = (eps - mu)/T and w = f (1 - f), the constraint sum f = n gives
+    df/d(log T) = w (z - zbar), zbar the w-weighted mean of z.
+    """
+    temperature = math.exp(log_t)
+    mu = _mu_for_filling(eps, [temperature], n)[0]
+    filled = _fermi_dirac(eps, mu, temperature)
+    w = filled * (1 - filled)
+    if not w.sum() > 0:   # every level frozen at 0 or 1: the misfit is flat here
+        return 0.0
+    z = (eps - mu) / temperature
+    return float((filled - ninf) @ (w * (z - (w @ z) / w.sum())))
 
 
 def fit_fermi_dirac(ninf, spectrum: SingleParticleSpectrum, n: int) -> FermiDiracFit:
     """Constrained (T, mu) fit: sum of occupations pinned to n, RMS minimized.
 
     The chemical potential is eliminated by the particle-number constraint
-    at every trial temperature; the remaining 1-D problem is minimized over
-    log T.  A profile uniformly equal to n/m has no finite-T solution and is
+    at every trial temperature; the remaining 1-D problem is scanned over
+    120 log T points (one vectorized solve for all of them) and refined by
+    bisection on the sign of its slope within two scan steps of the best.
+    A profile uniformly equal to n/m has no finite-T solution and is
     returned as the infinite-temperature case.
     """
     ninf = np.asarray(ninf, dtype=float)
@@ -203,28 +245,34 @@ def fit_fermi_dirac(ninf, spectrum: SingleParticleSpectrum, n: int) -> FermiDira
         )
     if np.any(ninf < 0) or np.any(ninf > 1):
         raise PreconditionError("occupations must lie in [0, 1]")
-
-    from scipy.optimize import minimize_scalar   # lazily, as in strength._run_least_squares
+    if not 0 < n < len(eps):
+        raise ParameterError(f"particle number {n} leaves no partly filled level")
 
     d0 = (eps[-1] - eps[0]) / (len(eps) - 1)
 
-    def rms_at(log_t: float) -> float:
-        temperature = math.exp(log_t)
-        mu = _mu_for_filling(eps, temperature, n)
-        return float(np.sqrt(np.mean((_fermi_dirac(eps, mu, temperature) - ninf) ** 2)))
+    def rms(log_t):
+        temperatures = np.exp(np.atleast_1d(log_t))
+        mu = _mu_for_filling(eps, temperatures, n)
+        filled = _fermi_dirac(eps, mu[:, None], temperatures[:, None])
+        return np.sqrt(np.mean((filled - ninf) ** 2, axis=1)), mu
 
     lo, hi = math.log(1e-3 * d0), math.log(1e6 * d0)
     coarse = np.linspace(lo, hi, 120)
-    best = min(coarse, key=rms_at)
+    best = coarse[np.argmin(rms(coarse)[0])]
     width = coarse[1] - coarse[0]
-    result = minimize_scalar(
-        rms_at, bounds=(max(lo, best - 2 * width), min(hi, best + 2 * width)),
-        method="bounded", options={"xatol": 1e-10},
-    )
-    temperature = math.exp(result.x)
-    mu = _mu_for_filling(eps, temperature, n)
+    # Bisect the sign of the slope, not the misfit: near its minimum the misfit
+    # is flat to rounding over ~1e-7 in log T, its slope is not.
+    a, b = max(lo, best - 2 * width), min(hi, best + 2 * width)
+    while a < 0.5 * (a + b) < b:
+        mid = 0.5 * (a + b)
+        if _misfit_slope(eps, ninf, mid, n) > 0:
+            b = mid
+        else:
+            a = mid
+    (residual,), (mu,) = rms(a)
     return FermiDiracFit(
-        temperature=temperature, mu=mu, residual=float(result.fun), infinite_temperature=False
+        temperature=math.exp(a), mu=float(mu), residual=float(residual),
+        infinite_temperature=False,
     )
 
 

@@ -78,6 +78,25 @@ def realization_widths(eta: float, seed: int) -> tuple[float, float]:
     return tb.golden_rule_gamma(h, partition, i), tb.energy_variance(h, i)
 
 
+@lru_cache(maxsize=None)
+def realization_fit_inputs(eta: float, seed: int):
+    """(profile, golden-rule Gamma, asymptotic occupations, spectrum) of the mid-spectrum state."""
+    params = tb.ModelParams(n=6, m=12, eta=eta, seed=seed)
+    basis = _basis_6_12()
+    spectrum = tb.sample_spectrum(params)
+    h = tb.build_hamiltonian(basis, spectrum, tb.sample_two_body(params))
+    decomp = tb.diagonalize(h)
+    diag = h.diagonal()
+    i = int(np.argmin(np.abs(diag - np.median(diag))))
+    partition = tb.classify(basis, int(basis.states[i]))
+    return (
+        tb.strength_function(decomp, i),
+        tb.golden_rule_gamma(h, partition, i),
+        tb.asymptotic_occupations(decomp, i, basis),
+        spectrum,
+    )
+
+
 @lru_cache(maxsize=1)
 def _basis_6_12() -> tb.Basis:
     return tb.build_basis(6, 12)

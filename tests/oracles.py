@@ -4,8 +4,10 @@ Everything here is built from different machinery than the code under
 test: fermion operators as explicit Jordan-Wigner matrices (kron products),
 signs from list transpositions, time evolution through the
 scaling-and-squaring matrix exponential, the Hamiltonian assembled
-entry by entry with scalar fermionic phases, and a trajectory evolved with
-a complex product split into per-time frames.
+entry by entry with scalar fermionic phases, a trajectory evolved with
+a complex product split into per-time frames, and the line-shape and
+Fermi-Dirac fits solved by ``scipy.optimize`` with finite-difference
+Jacobians and Brent root finding.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from itertools import combinations
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.optimize import brentq, least_squares, minimize_scalar
 
 from tbrisim.basis import (
     Basis,
@@ -27,6 +30,7 @@ from tbrisim.dynamics import UNITARITY_TOL, OccupationTrajectory, TimeGrid
 from tbrisim.exceptions import ParameterError, PreconditionError
 from tbrisim.hamiltonian import HamiltonianMatrix, SingleParticleSpectrum, TwoBodyTensor
 from tbrisim.spectral import EigenDecomposition
+from tbrisim.strength import MOMENT_NODES, StrengthProfile, _adaptive_bins
 
 _SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]])
 _PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -254,3 +258,77 @@ def complex_trajectory(
         w0=_survival_probability(decomp, i, grid.points),
         class_populations=_class_populations(frames, partition),
     )
+
+
+def _least_squares(residual, x0) -> np.ndarray:
+    fit = least_squares(residual, x0, jac="3-point", x_scale="jac",
+                        ftol=1e-15, xtol=1e-15, gtol=1e-15)
+    return fit.x
+
+
+def scipy_bw_fit(profile: StrengthProfile, gamma0: float) -> tuple[float, float]:
+    """(Gamma, E0) of the binned Breit-Wigner least-squares fit."""
+    centers, heights, _ = _adaptive_bins(profile)
+
+    def residual(x):
+        gamma = np.exp(x[0])
+        return (gamma / (2 * np.pi)) / ((centers - x[1]) ** 2 + gamma**2 / 4) - heights
+
+    log_gamma, center = _least_squares(residual, [np.log(gamma0), profile.e_i])
+    return float(np.exp(log_gamma)), float(center)
+
+
+def scipy_hybrid_fit(profile: StrengthProfile, gamma0: float) -> tuple[float, float, float]:
+    """(B, sigma, Gamma) of the hybrid fit, sigma from the second moment about E_i by brentq."""
+    centers, heights, _ = _adaptive_bins(profile)
+    e_i, target = profile.e_i, profile.second_central_moment()
+    span = profile.energies[-1] - profile.energies[0]
+    nodes = np.linspace(profile.energies[0], profile.energies[-1], MOMENT_NODES)
+
+    def shape(e, sigma, gamma):
+        return np.exp(-((e - e_i) ** 2) / (2 * sigma**2)) / ((e - e_i) ** 2 + gamma**2 / 4)
+
+    def sigma_for(gamma):
+        def excess(sigma):
+            f = shape(nodes, sigma, gamma)
+            return np.trapezoid(f * (nodes - e_i) ** 2, nodes) / np.trapezoid(f, nodes) - target
+
+        return brentq(excess, np.sqrt(target), 10 * span, xtol=1e-15, rtol=1e-15)
+
+    def residual(x):
+        gamma = np.exp(x[1])
+        return np.exp(x[0]) * shape(centers, sigma_for(gamma), gamma) - heights
+
+    unit = shape(centers, sigma_for(gamma0), gamma0)
+    log_b, log_gamma = _least_squares(residual, [np.log(unit @ heights / (unit @ unit)),
+                                                 np.log(gamma0)])
+    gamma = float(np.exp(log_gamma))
+    return float(np.exp(log_b)), sigma_for(gamma), gamma
+
+
+def scipy_fermi_dirac(ninf, eps, n: int) -> tuple[float, float, float]:
+    """(T, mu, RMS misfit): mu by brentq per trial T, log T by bounded Brent after a scan."""
+    ninf, eps = np.asarray(ninf, dtype=float), np.asarray(eps, dtype=float)
+
+    def filled(mu, temperature):
+        return 1.0 / (np.exp(np.clip((eps - mu) / temperature, -500, 500)) + 1.0)
+
+    def mu_at(temperature):
+        span = eps[-1] - eps[0] + 1.0
+        return brentq(lambda mu: filled(mu, temperature).sum() - n,
+                      eps[0] - span - 50 * temperature, eps[-1] + span + 50 * temperature,
+                      xtol=1e-14)
+
+    def rms(log_t):
+        temperature = np.exp(log_t)
+        return float(np.sqrt(np.mean((filled(mu_at(temperature), temperature) - ninf) ** 2)))
+
+    d0 = (eps[-1] - eps[0]) / (len(eps) - 1)
+    lo, hi = np.log(1e-3 * d0), np.log(1e6 * d0)
+    coarse = np.linspace(lo, hi, 120)
+    best = min(coarse, key=rms)
+    width = coarse[1] - coarse[0]
+    fit = minimize_scalar(rms, bounds=(max(lo, best - 2 * width), min(hi, best + 2 * width)),
+                          method="bounded", options={"xatol": 1e-12})
+    temperature = float(np.exp(fit.x))
+    return temperature, mu_at(temperature), float(fit.fun)

@@ -7,7 +7,12 @@ seeds 1..10; everything else runs on the documented default seed 1.
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -205,6 +210,12 @@ def test_criterion_11_class_timescale(fig1):
 
 
 def test_criterion_12_determinism(tmp_path):
+    """Two runs of one config write byte-identical payloads.
+
+    Byte identity holds at a fixed BLAS thread count: eigh's last bits
+    depend on how BLAS splits its work, which
+    ``test_payloads_and_fits_agree_across_blas_thread_counts`` bounds.
+    """
     payloads = ("occupations.csv", "prediction.csv", "strength.csv", "plotdata.csv")
     outs = []
     for tag in ("first", "second"):
@@ -217,3 +228,50 @@ def test_criterion_12_determinism(tmp_path):
     )
     report(12, "determinism", identical, f"byte-identical payloads: {', '.join(payloads)}")
     assert identical
+
+
+
+FIT_FIELDS = {
+    "bw_fit": ("gamma", "center"),
+    "hybrid_fit": ("b_fitted", "b_derived", "e_c", "sigma", "gamma"),
+    "fermi_dirac": ("temperature", "mu"),
+}
+
+
+def _csv_rows(path: Path) -> list[list[str]]:
+    return [line.split(",") for line in path.read_text().splitlines() if not line.startswith("#")]
+
+
+def test_payloads_and_fits_agree_across_blas_thread_counts(tmp_path):
+    """fig2 seed 1 with 1 and with 2 BLAS threads: payloads within 1e-12, fits within 1e-8.
+
+    The payloads differ in their last bits (eigh); a well-identified fit must
+    not amplify that into its parameters.
+    """
+    outs = {}
+    for threads in ("1", "2"):
+        outs[threads] = tmp_path / f"threads-{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(tb.__file__).parents[1]))
+        subprocess.run(
+            [sys.executable, "-m", "tbrisim.cli", "reproduce-fig2", "--seed", "1",
+             "--out", str(outs[threads])],
+            env=env, capture_output=True, check=True, timeout=300,
+        )
+    worst = 0.0
+    for name in ("occupations.csv", "prediction.csv", "strength.csv", "plotdata.csv"):
+        rows1, rows2 = (_csv_rows(outs[t] / name) for t in ("1", "2"))
+        assert rows1[0] == rows2[0] and len(rows1) == len(rows2), name
+        for row1, row2 in zip(rows1[1:], rows2[1:]):
+            for a, b in zip(row1, row2):
+                if a != b:
+                    worst = max(worst, abs(float(a) - float(b)))
+    assert worst <= 1e-12
+    derived = [json.loads((outs[t] / "manifest.json").read_text())["derived"] for t in ("1", "2")]
+    for fit, fields in FIT_FIELDS.items():
+        assert derived[0][fit]["status"] == derived[1][fit]["status"] == "converged", fit
+        for field in fields:
+            assert derived[0][fit][field] == pytest.approx(derived[1][fit][field], rel=1e-8), (
+                fit, field,
+            )
+    report(12, "determinism-across-threads", True, f"payloads within {worst:.1e}")

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 import tbrisim as tb
-from tbrisim import cli
-from tbrisim.exceptions import ParameterError
+from tbrisim import cli, strength, theory
+from tbrisim.exceptions import FitConvergenceError, ParameterError, PreconditionError
 
 
 def small_doc(tmp_path, eta=0.1, seed=5, **extra):
@@ -88,6 +88,48 @@ def test_run_small_system(tmp_path):
     assert set(manifest.files) >= {"config.json", "occupations.csv", "plotdata.csv"}
     saved = json.loads((outdir / "manifest.json").read_text())
     assert saved["config_hash"] == manifest.config_hash
+
+
+def _fitted_doc(tmp_path):
+    """A config small enough to run fast whose three fits all converge."""
+    return {
+        "model": {"n": 4, "m": 8, "eta": 0.083, "seed": 1},
+        "output": {"directory": str(tmp_path / "out")},
+    }
+
+
+def test_manifest_records_each_fit(tmp_path):
+    derived = cli.run(cli.config_from_dict(_fitted_doc(tmp_path))).derived
+    for key in ("bw_fit", "hybrid_fit", "fermi_dirac"):
+        assert derived[key]["status"] == "converged", key
+    for key in ("bw_fit", "hybrid_fit"):
+        record = derived[key]
+        assert record["iterations"] > 0
+        assert set(record["stderr"]) <= set(record) and record["stderr"]
+        assert isinstance(record["at_bound"], (list, tuple))
+    assert derived["sigma"] == derived["hybrid_fit"]["sigma"]
+
+
+def test_failed_fit_is_recorded_and_the_others_still_run(tmp_path, monkeypatch):
+    """One fit that cannot run leaves the other fits and the run untouched."""
+    def no_bw(*args, **kwargs):
+        raise FitConvergenceError("forced")
+
+    def no_fd(*args, **kwargs):
+        raise PreconditionError("forced")
+
+    monkeypatch.setattr(strength, "fit_bw", no_bw)
+    monkeypatch.setattr(theory, "fit_fermi_dirac", no_fd)
+    derived = cli.run(cli.config_from_dict(_fitted_doc(tmp_path))).derived
+    assert derived["bw_fit"] == {"status": "unavailable", "reason": "forced"}
+    assert derived["fermi_dirac"] == {"status": "unavailable", "reason": "forced"}
+    assert derived["hybrid_fit"]["status"] == "converged"
+
+
+def test_disabled_fits_are_recorded(tmp_path):
+    derived = cli.run(cli.config_from_dict(small_doc(tmp_path))).derived
+    assert derived["bw_fit"]["status"] == derived["hybrid_fit"]["status"] == "unavailable"
+    assert derived["sigma"] == derived["delta_e"]
 
 
 def test_run_free_fermions_frozen(tmp_path):
@@ -277,9 +319,22 @@ def test_grid_flag_parsing():
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
-    """The fits import scipy.optimize on first use, so `inspect` and `fits: false` skip it."""
+    """Importing the CLI loads no scipy.optimize."""
     env = dict(os.environ, PYTHONPATH=str(Path(tb.__file__).parents[1]))
     code = "import sys, tbrisim.cli; print('scipy.optimize' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=120)
     assert done.stdout.strip() == "False"
+
+
+def test_reproduce_fig2_loads_no_scipy(tmp_path):
+    """numpy is the only runtime dependency: a whole fig2 run, fits included, imports no scipy."""
+    env = dict(os.environ, PYTHONPATH=str(Path(tb.__file__).parents[1]))
+    code = (
+        "import sys, tbrisim.cli\n"
+        f"assert tbrisim.cli.main(['reproduce-fig2', '--out', {str(tmp_path / 'fig2')!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=300)
+    assert done.stdout.strip().splitlines()[-1] == "[]"

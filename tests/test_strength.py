@@ -9,9 +9,13 @@ import numpy as np
 import pytest
 
 import tbrisim as tb
-from tbrisim.exceptions import PreconditionError
+from tbrisim import strength
+from tbrisim.exceptions import FitConvergenceError, PreconditionError
 
-from conftest import make_system
+from conftest import FIG1_ETA, FIG2_ETA, make_system, realization_fit_inputs
+from oracles import scipy_bw_fit, scipy_hybrid_fit
+
+ORACLE_RTOL = 1e-6   # scipy's 3-point finite-difference Jacobian agrees to ~5e-8
 
 
 def synthetic_profile(shape_fn, spacing=0.02, half_span=30.0, center=0.0):
@@ -157,6 +161,103 @@ def test_fit_hybrid_normalization_self_consistent(fig2):
     assert fit.b_derived == pytest.approx(fit.b_fitted, rel=0.10)
 
 
+FIT_CASES = ["bw-shape", "hybrid-shape"] + [
+    f"{fig}-seed{seed}" for fig in ("fig1", "fig2") for seed in (1, 2, 3)
+]
+
+
+def _fit_case(case):
+    """(profile, Gamma start) of a synthetic shape or a fig1/fig2 realization."""
+    if case == "bw-shape":
+        return synthetic_profile(breit_wigner(0.5), spacing=0.005), 0.6
+    if case == "hybrid-shape":
+        return synthetic_profile(hybrid_shape(1.0, 0.0, 5.8, 10.5), spacing=0.05, half_span=40.0), 9.0
+    fig, seed = case.split("-seed")
+    profile, gamma, _, _ = realization_fit_inputs(
+        FIG1_ETA if fig == "fig1" else FIG2_ETA, int(seed)
+    )
+    return profile, gamma
+
+
+def _bw_agrees_with_scipy(profile, gamma0) -> bool:
+    try:
+        fit = tb.fit_bw(profile, gamma0=gamma0)
+    except FitConvergenceError:
+        return False
+    gamma, center = scipy_bw_fit(profile, gamma0)
+    return bool(
+        np.isclose(fit.gamma, gamma, rtol=ORACLE_RTOL, atol=0)
+        and abs(fit.center - center) <= ORACLE_RTOL * (1 + abs(center))
+    )
+
+
+def _hybrid_agrees_with_scipy(profile, gamma0) -> bool:
+    try:
+        fit = tb.fit_hybrid(profile, gamma0=gamma0)
+    except FitConvergenceError:
+        return False
+    return bool(np.allclose(
+        [fit.b_fitted, fit.sigma, fit.gamma], scipy_hybrid_fit(profile, gamma0),
+        rtol=ORACLE_RTOL, atol=0,
+    ))
+
+
+@pytest.mark.parametrize("case", FIT_CASES)
+def test_line_shape_fits_match_scipy(case):
+    """The Levenberg-Marquardt fits land where scipy's least_squares lands."""
+    profile, gamma0 = _fit_case(case)
+    assert _bw_agrees_with_scipy(profile, gamma0)
+    assert _hybrid_agrees_with_scipy(profile, gamma0)
+
+
+def test_flipped_jacobian_column_fails_the_oracle(monkeypatch):
+    """Mutation check: the oracle comparison catches a Jacobian column with a wrong sign."""
+    solve = strength._levenberg_marquardt
+
+    def with_flipped_column(fun, x0, lower, upper):
+        def flipped(x):
+            r, jac = fun(x)
+            jac = jac.copy()
+            jac[:, 0] *= -1
+            return r, jac
+
+        return solve(flipped, x0, lower, upper)
+
+    profile = synthetic_profile(breit_wigner(0.5), spacing=0.005)
+    assert _bw_agrees_with_scipy(profile, 1.0)
+    monkeypatch.setattr(strength, "_levenberg_marquardt", with_flipped_column)
+    assert not _bw_agrees_with_scipy(profile, 1.0)
+
+
+def test_fit_hybrid_sigma_meets_the_moment_identity(fig2):
+    """The fitted shape's second moment about E_i is the profile's, Delta_E^2."""
+    fit = tb.fit_hybrid(fig2.profile, fig2.stats, gamma0=fig2.gamma)
+    e = np.linspace(fig2.profile.energies[0], fig2.profile.energies[-1], strength.MOMENT_NODES)
+    shape = hybrid_shape(1.0, fit.e_c, fit.sigma, fit.gamma, e_i=fig2.profile.e_i)(e)
+    moment = np.trapezoid(shape * (e - fig2.profile.e_i) ** 2, e) / np.trapezoid(shape, e)
+    assert moment == pytest.approx(fig2.delta_e**2, rel=1e-8)
+    assert fit.sigma >= fig2.delta_e
+
+
+def test_fit_diagnostics(fig2):
+    """Iterations, standard errors and bound flags come with every fit."""
+    bw = tb.fit_bw(fig2.profile, gamma0=fig2.gamma)
+    hybrid = tb.fit_hybrid(fig2.profile, fig2.stats, gamma0=fig2.gamma)
+    assert bw.iterations > 0 and hybrid.iterations > 0
+    assert set(bw.stderr) == {"gamma", "center"}
+    assert set(hybrid.stderr) == {"b_fitted", "gamma"}
+    assert all(v > 0 for v in [*bw.stderr.values(), *hybrid.stderr.values()])
+    assert bw.at_bound == () and hybrid.at_bound == ()
+
+
+def test_fit_reports_parameter_at_bound():
+    """A pure Gaussian drives Gamma to its upper bound, which the fit reports."""
+    profile = synthetic_profile(lambda e: np.exp(-e * e / 2), spacing=0.01, half_span=8.0)
+    fit = tb.fit_hybrid(profile, gamma0=1.0)
+    assert "gamma" in fit.at_bound
+    assert fit.sigma == pytest.approx(1.0, rel=1e-3)
+
+
 def test_compound_occupations_free_case():
     s = make_system(3, 6, eta=0.0, seed=3)
     for k in (0, 7, 19):
@@ -180,7 +281,7 @@ def test_compound_occupations_mid_spectrum_plateau(fig2):
 
 def test_spreading_params_bundle(fig2):
     sp = tb.spreading_params(
-        fig2.h, fig2.decomp, fig2.partition, fig2.i, fig2.stats.mean_spacing_mid
+        fig2.profile, fig2.delta_e, fig2.gamma, fig2.stats.mean_spacing_mid
     )
     assert sp.gamma_gr == pytest.approx(fig2.gamma, rel=1e-12)
     assert sp.delta_e == pytest.approx(fig2.delta_e, rel=1e-12)
@@ -203,7 +304,7 @@ def test_profile_csv_round_trip(tmp_path, fig1):
 
 def test_spreading_json_sidecar(tmp_path, fig1):
     sp = tb.spreading_params(
-        fig1.h, fig1.decomp, fig1.partition, fig1.i, fig1.stats.mean_spacing_mid, fit=False
+        fig1.profile, fig1.delta_e, fig1.gamma, fig1.stats.mean_spacing_mid, fit=False
     )
     path = tmp_path / "spreading.json"
     tb.strength.write_spreading_json(sp, path, extra={"seed": 1})

@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 
 import tbrisim as tb
+from scipy.optimize import brentq
+from tbrisim import theory
 from tbrisim.exceptions import ParameterError, PreconditionError
+
+from conftest import FIG1_ETA, FIG2_ETA, realization_fit_inputs
+from oracles import scipy_fermi_dirac
 
 
 def test_prediction_frozen_when_w0_is_one():
@@ -222,6 +227,56 @@ def test_fermi_dirac_rejects_out_of_range():
     bad[0] = 1.2
     with pytest.raises(PreconditionError):
         tb.fit_fermi_dirac(bad, eps, n=6)
+
+
+def test_mu_for_filling_matches_brentq():
+    """One vectorized solve gives every temperature's chemical potential."""
+    eps = np.array([0.0, 0.3, 1.1, 1.2, 2.0, 3.5, 3.6, 5.0])
+    temperatures = np.geomspace(1e-3, 1e6, 25)
+    mus = theory._mu_for_filling(eps, temperatures, 3)
+    for temperature, mu in zip(temperatures, mus):
+        def excess(x):
+            return theory._fermi_dirac(eps, x, temperature).sum() - 3
+
+        assert abs(excess(mu)) <= 1e-12
+        filled = theory._fermi_dirac(eps, mu, temperature)
+        if (filled * (1 - filled)).sum() / temperature > 1e-6:   # else S is flat: mu not unique
+            expected = brentq(excess, -100 * temperature - 10, 100 * temperature + 10, xtol=1e-14)
+            assert mu == pytest.approx(expected, abs=1e-9 * (1 + temperature))
+
+
+def _fermi_dirac_case(case):
+    """(occupations, spectrum) of a synthetic profile or of fig1/fig2 seeds 1-3."""
+    eps = tb.SingleParticleSpectrum(epsilon=np.arange(12.0))
+    if case == "thermal":
+        return 1.0 / (np.exp((eps.epsilon - 5.5) / 2.0) + 1.0), eps
+    if case == "noisy":
+        rng = np.random.default_rng(1)
+        ninf = np.clip(0.5 + 0.2 * rng.standard_normal(12), 0.05, 0.95)
+        return ninf * 6.0 / ninf.sum(), eps
+    fig, seed = case.split("-seed")
+    _, _, n_inf, spectrum = realization_fit_inputs(
+        FIG1_ETA if fig == "fig1" else FIG2_ETA, int(seed)
+    )
+    return n_inf, spectrum
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["thermal", "noisy"] + [f"{fig}-seed{seed}" for fig in ("fig1", "fig2") for seed in (1, 2, 3)],
+)
+def test_fermi_dirac_matches_scipy(case):
+    """Same minimum as brentq + bounded Brent: a misfit no larger, T within the flatness.
+
+    Near its minimum the misfit is flat to rounding over ~1e-7 relative in T,
+    so Brent's T is only that good; the misfit values are compared tightly.
+    """
+    ninf, spectrum = _fermi_dirac_case(case)
+    fit = tb.fit_fermi_dirac(ninf, spectrum, n=6)
+    temperature, mu, residual = scipy_fermi_dirac(ninf, spectrum.epsilon, 6)
+    assert fit.residual <= residual + 1e-14
+    assert fit.temperature == pytest.approx(temperature, rel=1e-5)
+    assert fit.mu == pytest.approx(mu, abs=1e-8)
 
 
 def test_prediction_csv_provenance(tmp_path, small_3_6):
