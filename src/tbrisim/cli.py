@@ -18,6 +18,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
@@ -41,9 +43,15 @@ from .hamiltonian import (
     sample_spectrum,
     sample_two_body,
 )
-from .spectral import diagonalize, dump_decomposition, spectral_stats
+from .spectral import PROBES, diagonalize, dump_decomposition, spectral_stats
 
 CONFIG_VERSION = 1
+# Dense N x N float64 arrays alive at the peak of a run: H, the copy eigh
+# factorizes, its workspace (~2 N^2) and the eigenvectors.
+DENSE_COPIES = 6
+_BLAS_THREAD_GETTERS = (
+    "scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads",
+)
 
 _MODEL_DEFAULTS = {"n": 6, "m": 12, "eta": 0.003, "seed": 1, "d0": 1.0, "jitter": 0.0}
 
@@ -104,13 +112,15 @@ class ExperimentConfig:
 
 @dataclass
 class RunManifest:
-    """Echo of the config plus derived quantities and output-file hashes."""
+    """Echo of the config plus derived quantities, output-file hashes and
+    the library environment that produced the bytes (not part of the hash)."""
 
     config: dict
     config_hash: str
     seed: int
     derived: dict
     files: dict = field(default_factory=dict)
+    environment: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -119,7 +129,57 @@ class RunManifest:
             "seed": self.seed,
             "derived": self.derived,
             "files": self.files,
+            "environment": self.environment,
         }
+
+
+def _blas_threads() -> int | None:
+    """Thread count of the loaded OpenBLAS, read through its getter; None if none is found."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as fh:
+            libraries = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in libraries:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in _BLAS_THREAD_GETTERS:
+            if hasattr(lib, symbol):
+                getter = getattr(lib, symbol)
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return int(getter())
+    return None
+
+
+def _environment() -> dict:
+    """numpy version, BLAS build and BLAS thread count: eigh's last bits depend on them."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "numpy": np.__version__,
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "blas_threads": _blas_threads(),
+    }
+
+
+def _check_dense_size(model: ModelParams) -> None:
+    """Refuse a model whose dense H and eigendecomposition exceed physical memory."""
+    states = math.comb(model.m, model.n)
+    need = states**2 * 8 * DENSE_COPIES
+    try:
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (ValueError, OSError):   # not reported on this platform
+        return
+    if 0 < physical < need:
+        raise ParameterError(
+            f"n={model.n}, m={model.m} has {states} basis states; the dense Hamiltonian and "
+            f"its eigendecomposition need ~{need / 1e9:.3g} GB, more than the "
+            f"{physical / 1e9:.3g} GB of physical memory"
+        )
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -141,6 +201,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParameterError(f"bad model block: {exc}") from exc
+    _check_dense_size(model)
     ham = data.get("hamiltonian", {})
     grid = data.get("grid", {})
     analysis = data.get("analysis", {})
@@ -486,11 +547,17 @@ def run(config: ExperimentConfig) -> RunManifest:
             "saturation_3_over_npc_envelope": 3.0 / n_pc_env,
             "asymptotic_occupations": [float(x) for x in n_inf],
             "fermi_dirac": fd_record,
+            "eigensolver": {
+                "orthonormality_residual": decomp.orthonormality_residual,
+                "reconstruction_residual": decomp.reconstruction_residual,
+                "probes": PROBES,
+            },
             "convolution_completeness": conv_sum,
             "rng": "PCG64 (numpy default_rng) with per-purpose child streams",
         }
         manifest = RunManifest(
-            config=config.to_dict(), config_hash=cfg_hash, seed=params.seed, derived=derived
+            config=config.to_dict(), config_hash=cfg_hash, seed=params.seed, derived=derived,
+            environment=_environment(),
         )
         manifest.files = {p.name: _sha256(p) for p in written}
         manifest_path = outdir / "manifest.json"

@@ -54,12 +54,16 @@ class FermiDiracFit:
 
     ``infinite_temperature`` flags the degenerate uniform profile n/m, where
     T diverges and mu is fixed only by symmetry; ``mu`` is NaN there.
+    ``at_bound`` holds "temperature" when T ends within one scan step of
+    either end of the scanned range [1e-3 d0, 1e6 d0]: the misfit's
+    minimum lies at or beyond the end of the scan.
     """
 
     temperature: float
     mu: float
     residual: float
     infinite_temperature: bool
+    at_bound: tuple[str, ...]
 
 
 def predict_occupations(
@@ -241,7 +245,8 @@ def fit_fermi_dirac(ninf, spectrum: SingleParticleSpectrum, n: int) -> FermiDira
         )
     if np.abs(ninf - n / len(eps)).max() < UNIFORM_TOL:
         return FermiDiracFit(
-            temperature=math.inf, mu=math.nan, residual=0.0, infinite_temperature=True
+            temperature=math.inf, mu=math.nan, residual=0.0, infinite_temperature=True,
+            at_bound=(),
         )
     if np.any(ninf < 0) or np.any(ninf > 1):
         raise PreconditionError("occupations must lie in [0, 1]")
@@ -273,6 +278,7 @@ def fit_fermi_dirac(ninf, spectrum: SingleParticleSpectrum, n: int) -> FermiDira
     return FermiDiracFit(
         temperature=math.exp(a), mu=float(mu), residual=float(residual),
         infinite_temperature=False,
+        at_bound=("temperature",) if min(a - lo, hi - a) <= width else (),
     )
 
 

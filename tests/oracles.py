@@ -5,9 +5,10 @@ test: fermion operators as explicit Jordan-Wigner matrices (kron products),
 signs from list transpositions, time evolution through the
 scaling-and-squaring matrix exponential, the Hamiltonian assembled
 entry by entry with scalar fermionic phases, a trajectory evolved with
-a complex product split into per-time frames, and the line-shape and
+a complex product split into per-time frames, the line-shape and
 Fermi-Dirac fits solved by ``scipy.optimize`` with finite-difference
-Jacobians and Brent root finding.
+Jacobians and Brent root finding, and the eigendecomposition checked
+through the full products V^T V and H V.
 """
 
 from __future__ import annotations
@@ -332,3 +333,17 @@ def scipy_fermi_dirac(ninf, eps, n: int) -> tuple[float, float, float]:
                           method="bounded", options={"xatol": 1e-12})
     temperature = float(np.exp(fit.x))
     return temperature, mu_at(temperature), float(fit.fun)
+
+
+def exact_eigen_residuals(h, decomp: EigenDecomposition) -> tuple[float, float]:
+    """Max-norm residuals of V^T V = 1 and of H V = V E, the latter over max|H|.
+
+    These are the O(N^3) checks ``diagonalize`` made before its probe
+    check; compare them with ``ORTHONORMALITY_TOL`` and ``RECONSTRUCTION_TOL``.
+    """
+    matrix = h.entries if isinstance(h, HamiltonianMatrix) else np.asarray(h, dtype=float)
+    energies, vectors = decomp.energies, decomp.vectors
+    ortho = np.abs(vectors.T @ vectors - np.eye(len(energies))).max()
+    scale = np.abs(matrix).max() or 1.0
+    recon = np.abs(matrix @ vectors - vectors * energies).max()
+    return float(ortho), float(recon / scale)

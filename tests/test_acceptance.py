@@ -245,6 +245,8 @@ def _csv_rows(path: Path) -> list[list[str]]:
 def test_payloads_and_fits_agree_across_blas_thread_counts(tmp_path):
     """fig2 seed 1 with 1 and with 2 BLAS threads: payloads within 1e-12, fits within 1e-8.
 
+    Each manifest records the thread count that produced it.
+
     The payloads differ in their last bits (eigh); a well-identified fit must
     not amplify that into its parameters.
     """
@@ -267,7 +269,9 @@ def test_payloads_and_fits_agree_across_blas_thread_counts(tmp_path):
                 if a != b:
                     worst = max(worst, abs(float(a) - float(b)))
     assert worst <= 1e-12
-    derived = [json.loads((outs[t] / "manifest.json").read_text())["derived"] for t in ("1", "2")]
+    manifests = [json.loads((outs[t] / "manifest.json").read_text()) for t in ("1", "2")]
+    assert [m["environment"]["blas_threads"] for m in manifests] == [1, 2]
+    derived = [m["derived"] for m in manifests]
     for fit, fields in FIT_FIELDS.items():
         assert derived[0][fit]["status"] == derived[1][fit]["status"] == "converged", fit
         for field in fields:

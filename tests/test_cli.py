@@ -7,13 +7,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tbrisim as tb
-from tbrisim import cli, strength, theory
+from tbrisim import cli, spectral, strength, theory
 from tbrisim.exceptions import FitConvergenceError, ParameterError, PreconditionError
 
 
@@ -108,6 +109,33 @@ def test_manifest_records_each_fit(tmp_path):
         assert set(record["stderr"]) <= set(record) and record["stderr"]
         assert isinstance(record["at_bound"], (list, tuple))
     assert derived["sigma"] == derived["hybrid_fit"]["sigma"]
+
+
+def test_manifest_records_eigensolver_and_environment(tmp_path):
+    cli.run(cli.config_from_dict(_fitted_doc(tmp_path)))
+    saved = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    eigensolver = saved["derived"]["eigensolver"]
+    assert eigensolver["probes"] == spectral.PROBES
+    assert 0 <= eigensolver["orthonormality_residual"] < spectral.ORTHONORMALITY_TOL
+    assert 0 <= eigensolver["reconstruction_residual"] < spectral.RECONSTRUCTION_TOL
+    assert isinstance(saved["derived"]["fermi_dirac"]["at_bound"], list)
+    environment = saved["environment"]
+    assert environment["numpy"] == np.__version__
+    assert set(environment) == {"numpy", "blas", "blas_version", "blas_threads"}
+    threads = environment["blas_threads"]
+    assert threads is None or threads >= 1
+
+
+def test_size_guard_refuses_a_dense_matrix_beyond_physical_memory(tmp_path):
+    """n=10, m=20 (N=184,756) exits 2 before any enumeration; n=7, m=14 validates."""
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"model": {"n": 10, "m": 20},
+                                "output": {"directory": str(tmp_path / "out")}}))
+    start = time.perf_counter()
+    assert cli.main(["run", "--config", str(path)]) == 2
+    assert time.perf_counter() - start < 0.5
+    assert not (tmp_path / "out").exists()
+    assert cli.config_from_dict({"model": {"n": 7, "m": 14}}).model.n == 7
 
 
 def test_failed_fit_is_recorded_and_the_others_still_run(tmp_path, monkeypatch):

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 import tbrisim as tb
-from tbrisim.exceptions import InsufficientStatisticsError, PreconditionError
+from tbrisim import spectral
+from tbrisim.exceptions import EigensolverError, InsufficientStatisticsError, PreconditionError
+from tbrisim.spectral import ORTHONORMALITY_TOL, PROBE_MARGIN, RECONSTRUCTION_TOL
+
+from oracles import exact_eigen_residuals
+
+FIXTURES = ("small_2_4", "small_3_6", "fig1", "fig2")
 
 
 def test_one_by_one():
@@ -114,3 +120,71 @@ def test_decomposition_dump_round_trip(tmp_path, small_3_6):
     assert loaded.vectors.tobytes(order="F") == small_3_6.decomp.vectors.tobytes(order="F")
     assert np.array_equal(loaded.vectors, small_3_6.decomp.vectors)
     assert header["size"] == 20 and header["seed"] == small_3_6.params.seed
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_probe_and_exact_residuals_within_tolerances(request, name):
+    system = request.getfixturevalue(name)
+    h, decomp = system.h.entries, system.decomp
+    scale = np.abs(h).max()
+    assert decomp.orthonormality_residual <= ORTHONORMALITY_TOL / PROBE_MARGIN
+    assert decomp.reconstruction_residual <= RECONSTRUCTION_TOL * scale / PROBE_MARGIN
+    assert spectral._check_decomposition(h, decomp.energies, decomp.vectors) == (
+        decomp.orthonormality_residual, decomp.reconstruction_residual,
+    )
+    ortho, recon = exact_eigen_residuals(h, decomp)
+    assert ortho <= ORTHONORMALITY_TOL and recon <= RECONSTRUCTION_TOL
+
+
+def _mutate(kind, h, energies, vectors):
+    """A copy of (H, E, V) with one defect, sized to fail the exact check by 1.5x.
+
+    A swap of two columns of distinct energy has a fixed size, far above it.
+    """
+    h, energies, vectors = h.copy(), energies.copy(), vectors.copy()
+    size = len(energies)
+    k = size // 2
+    scale = np.abs(h).max()
+    if kind == "scaled-column":   # |V^T V - 1|_kk = 2 delta
+        vectors[:, k] *= 1 + 1.5 * ORTHONORMALITY_TOL / 2
+    elif kind == "swapped-columns":
+        vectors[:, [k - 1, k]] = vectors[:, [k, k - 1]]
+    elif kind == "shifted-energy":   # |H V - V E|_ik = shift |V_ik|
+        energies[k] += 1.5 * RECONSTRUCTION_TOL * scale / np.abs(vectors[:, k]).max()
+    elif kind == "perturbed-pair":   # rows i, j of (H' - H) V are delta V_j, delta V_i
+        i, j = 1, size - 2
+        delta = 1.5 * RECONSTRUCTION_TOL * scale / np.abs(vectors[[i, j]]).max()
+        h[i, j] += delta
+        h[j, i] += delta
+    return h, energies, vectors
+
+
+@pytest.mark.parametrize("kind", ["scaled-column", "swapped-columns", "shifted-energy",
+                                  "perturbed-pair"])
+@pytest.mark.parametrize("name", FIXTURES)
+def test_probe_check_rejects_what_the_exact_check_rejects(request, name, kind):
+    system = request.getfixturevalue(name)
+    h, energies, vectors = _mutate(kind, system.h.entries, system.decomp.energies,
+                                   system.decomp.vectors)
+    ortho, recon = exact_eigen_residuals(h, tb.EigenDecomposition(energies, vectors))
+    assert ortho > ORTHONORMALITY_TOL or recon > RECONSTRUCTION_TOL
+    with pytest.raises(EigensolverError) as caught:
+        spectral._check_decomposition(h, energies, vectors)
+    assert caught.value.residual > 0
+
+
+@pytest.mark.parametrize("name", ["small_3_6", "fig2"])
+def test_in_place_gauge_matches_the_copying_gauge_bitwise(request, name):
+    h = request.getfixturevalue(name).h.entries
+    energies, vectors = np.linalg.eigh(h)
+    lead = np.argmax(np.abs(vectors), axis=0)
+    flip = vectors[lead, np.arange(vectors.shape[1])] < 0
+    copied = vectors * np.where(flip, -1.0, 1.0)
+    decomp = tb.diagonalize(h)
+    assert decomp.vectors.tobytes() == copied.tobytes()
+    assert decomp.energies.tobytes() == energies.tobytes()
+
+
+def test_residuals_default_to_none():
+    decomp = tb.EigenDecomposition(energies=np.array([0.0, 1.0]), vectors=np.eye(2))
+    assert decomp.orthonormality_residual is None and decomp.reconstruction_residual is None

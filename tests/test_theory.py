@@ -215,6 +215,16 @@ def test_fermi_dirac_step_function_is_cold():
     assert fit.residual < 1e-6
 
 
+def test_fermi_dirac_flags_a_temperature_at_the_scan_edge():
+    """fig1 seed 2 ends at T = 1e6 d0, the top of the scan; fig2 seed 1 inside it."""
+    for eta, seed, expected in ((FIG1_ETA, 2, ("temperature",)), (FIG2_ETA, 1, ())):
+        _, _, ninf, spectrum = realization_fit_inputs(eta, seed)
+        fit = tb.fit_fermi_dirac(ninf, spectrum, n=6)
+        assert fit.at_bound == expected, (eta, seed, fit.temperature)
+    eps = tb.SingleParticleSpectrum(epsilon=np.arange(12.0))
+    assert tb.fit_fermi_dirac(np.full(12, 0.5), eps, n=6).at_bound == ()
+
+
 def test_fermi_dirac_rejects_length_mismatch():
     eps = tb.SingleParticleSpectrum(epsilon=np.arange(12.0))
     with pytest.raises(ParameterError):
