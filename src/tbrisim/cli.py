@@ -8,7 +8,8 @@ repeated run can be verified byte for byte.  Subcommands:
     reproduce-fig1  preset: n=6, m=12, eta=0.003, mid-spectrum initial state
     reproduce-fig2  preset: same with eta=0.083
     sweep           run a list of eta values and tabulate the widths
-    inspect         print a run's manifest and verify file hashes
+    inspect         print a run's manifest and verify file hashes; with
+                    --against OTHER, compare every file with OTHER's
 
 Exit codes: 0 success, 2 config error, 3 numerical-stage error.
 """
@@ -52,6 +53,15 @@ DENSE_COPIES = 6
 _BLAS_THREAD_GETTERS = (
     "scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads",
 )
+
+# `inspect --against` accepts |a - b| <= INSPECT_TOL * max(1, |a|, |b|) in every
+# numeric CSV cell and JSON leaf: relative above 1, absolute below.  It lies far
+# above one build's rounding (payloads across BLAS thread counts: 4.3e-14 apart,
+# fit parameters <= 3e-13 relative) and far below any change of the physics.
+INSPECT_TOL = 1e-9
+# Manifest and config keys that describe the machine, the hashes or the output
+# routing rather than the result; `inspect --against` does not compare them.
+_UNCOMPARED_KEYS = frozenset({"environment", "files", "output"})
 
 _MODEL_DEFAULTS = {"n": 6, "m": 12, "eta": 0.003, "seed": 1, "d0": 1.0, "jitter": 0.0}
 
@@ -632,6 +642,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_inspect = sub.add_parser("inspect", help="print a run manifest and verify hashes")
     p_inspect.add_argument("rundir", help="run output directory")
+    p_inspect.add_argument(
+        "--against", metavar="OTHER",
+        help=f"compare every file with OTHER's; exit 3 beyond {INSPECT_TOL:g} (see INSPECT_TOL)",
+    )
     return parser
 
 
@@ -730,6 +744,82 @@ def _cmd_inspect(args) -> int:
             status = 3
         else:
             print(f"{name}: ok {recorded[:12]}")
+    if args.against is not None:
+        names = [*manifest.get("files", {}), "manifest.json"]
+        status = max(status, _compare_runs(Path(args.rundir), Path(args.against), names))
+    return status
+
+
+def _json_leaves(doc, path=""):
+    """(key path, scalar) for every leaf of a parsed JSON document but _UNCOMPARED_KEYS."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            if key not in _UNCOMPARED_KEYS:
+                yield from _json_leaves(value, f"{path}.{key}" if path else key)
+    elif isinstance(doc, list):
+        for j, value in enumerate(doc):
+            yield from _json_leaves(value, f"{path}[{j}]")
+    else:
+        yield path, doc
+
+
+def _csv_cell(cell: str):
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
+
+
+def _fields(path: Path) -> dict:
+    """JSON leaves by key path, or CSV cells by line:column (numbers parsed)."""
+    if path.suffix == ".json":
+        return dict(_json_leaves(json.loads(path.read_text())))
+    return {
+        f"{r}:{c}": _csv_cell(cell)
+        for r, line in enumerate(path.read_text().splitlines())
+        for c, cell in enumerate(line.split(","))
+    }
+
+
+def _compare_runs(rundir: Path, other: Path, names) -> int:
+    """Print per file "bytes equal" or the largest numeric differences; 3 if beyond INSPECT_TOL."""
+    status = 0
+    for name in names:
+        mine, theirs = rundir / name, other / name
+        if not theirs.exists():
+            print(f"{name}: MISSING in {other}")
+            status = 3
+            continue
+        if mine.read_bytes() == theirs.read_bytes():
+            print(f"{name}: bytes equal")
+            continue
+        if mine.suffix not in (".csv", ".json"):
+            print(f"{name}: bytes differ (not a table)")
+            status = 3
+            continue
+        a, b = _fields(mine), _fields(theirs)
+        beyond = sorted(a.keys() ^ b.keys())
+        worst_abs, worst_rel, worst_key = 0.0, 0.0, None
+        for key in sorted(a.keys() & b.keys()):
+            x, y = a[key], b[key]
+            numeric = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (x, y))
+            if x == y or numeric and math.isnan(x) and math.isnan(y):
+                continue
+            diff = abs(x - y) if numeric else math.nan
+            if not math.isfinite(diff):   # text, or NaN/inf against a number
+                beyond.append(key)
+                continue
+            worst_abs = max(worst_abs, diff)
+            rel = diff / max(abs(x), abs(y))
+            if rel > worst_rel:
+                worst_rel, worst_key = rel, key
+            if diff > INSPECT_TOL * max(1.0, abs(x), abs(y)):
+                beyond.append(key)
+        line = f"{name}: max abs diff {worst_abs:.3g}, max rel diff {worst_rel:.3g} ({worst_key})"
+        if beyond:
+            line += f"; {len(beyond)} beyond tolerance, e.g. {', '.join(sorted(beyond)[:3])}"
+            status = 3
+        print(line)
     return status
 
 

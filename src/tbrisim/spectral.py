@@ -151,19 +151,29 @@ def spectral_stats(
         z = (e[..., None] - _energies) / _bw
         return np.exp(-0.5 * z * z).sum(axis=-1) / (_bw * np.sqrt(2 * np.pi))
 
+    spacing_mid, inside, window = _mid_spacing(energies, window)
+    if inside < 10:
+        raise InsufficientStatisticsError(
+            f"only {inside} levels within {window} of the median; need >= 10"
+        )
+    return SpectralStats(
+        rho=rho, mean_spacing_mid=spacing_mid, bandwidth=bandwidth, window=window
+    )
+
+
+def _mid_spacing(energies: np.ndarray, window: float | None = None) -> tuple[float, int, float]:
+    """(mean spacing, level count, window) of the levels within ``window`` of the median.
+
+    The default window holds the ~51 central levels.  The spacing is the
+    span of those levels over their count minus one, 0 for fewer than two.
+    """
     median = float(np.median(energies))
     if window is None:
-        count = min(51, n_levels)
+        count = min(51, len(energies))
         window = float(np.sort(np.abs(energies - median))[count - 1]) * (1 + 1e-12)
     inside = energies[np.abs(energies - median) <= window]
-    if len(inside) < 10:
-        raise InsufficientStatisticsError(
-            f"only {len(inside)} levels within {window} of the median; need >= 10"
-        )
-    spacing_mid = float(inside[-1] - inside[0]) / (len(inside) - 1)
-    return SpectralStats(
-        rho=rho, mean_spacing_mid=spacing_mid, bandwidth=bandwidth, window=float(window)
-    )
+    spacing = float(inside[-1] - inside[0]) / (len(inside) - 1) if len(inside) > 1 else 0.0
+    return spacing, len(inside), float(window)
 
 
 _DUMP_MAGIC = b"TBRD"

@@ -55,8 +55,10 @@ class FermiDiracFit:
     ``infinite_temperature`` flags the degenerate uniform profile n/m, where
     T diverges and mu is fixed only by symmetry; ``mu`` is NaN there.
     ``at_bound`` holds "temperature" when T ends within one scan step of
-    either end of the scanned range [1e-3 d0, 1e6 d0]: the misfit's
-    minimum lies at or beyond the end of the scan.
+    either end of the scanned range [1e-3 d0, 1e6 d0], or when the misfit
+    at the scan's end on the optimum's side is within rounding (4 eps) of
+    its minimum: either way the minimum lies at or beyond the end of the
+    scan, and T is only bounded from one side.
     """
 
     temperature: float
@@ -263,8 +265,12 @@ def fit_fermi_dirac(ninf, spectrum: SingleParticleSpectrum, n: int) -> FermiDira
 
     lo, hi = math.log(1e-3 * d0), math.log(1e6 * d0)
     coarse = np.linspace(lo, hi, 120)
-    best = coarse[np.argmin(rms(coarse)[0])]
-    width = coarse[1] - coarse[0]
+    misfit = rms(coarse)[0]
+    k = int(np.argmin(misfit))
+    best, width = coarse[k], coarse[1] - coarse[0]
+    # flat to rounding out to the scan's end on the optimum's side: T is not identified
+    edge = misfit[0] if 2 * k < len(coarse) else misfit[-1]
+    flat_to_edge = edge - misfit[k] <= 4 * np.finfo(float).eps
     # Bisect the sign of the slope, not the misfit: near its minimum the misfit
     # is flat to rounding over ~1e-7 in log T, its slope is not.
     a, b = max(lo, best - 2 * width), min(hi, best + 2 * width)
@@ -278,7 +284,7 @@ def fit_fermi_dirac(ninf, spectrum: SingleParticleSpectrum, n: int) -> FermiDira
     return FermiDiracFit(
         temperature=math.exp(a), mu=float(mu), residual=float(residual),
         infinite_temperature=False,
-        at_bound=("temperature",) if min(a - lo, hi - a) <= width else (),
+        at_bound=("temperature",) if flat_to_edge or min(a - lo, hi - a) <= width else (),
     )
 
 

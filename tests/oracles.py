@@ -7,8 +7,10 @@ scaling-and-squaring matrix exponential, the Hamiltonian assembled
 entry by entry with scalar fermionic phases, a trajectory evolved with
 a complex product split into per-time frames, the line-shape and
 Fermi-Dirac fits solved by ``scipy.optimize`` with finite-difference
-Jacobians and Brent root finding, and the eigendecomposition checked
-through the full products V^T V and H V.
+Jacobians and Brent root finding, the eigendecomposition checked
+through the full products V^T V and H V, and the mid-spectrum spacing
+and long-time grid as each was computed on its own before they shared
+one helper.
 """
 
 from __future__ import annotations
@@ -347,3 +349,34 @@ def exact_eigen_residuals(h, decomp: EigenDecomposition) -> tuple[float, float]:
     scale = np.abs(matrix).max() or 1.0
     recon = np.abs(matrix @ vectors - vectors * energies).max()
     return float(ortho), float(recon / scale)
+
+
+def windowed_mid_spacing(energies: np.ndarray) -> float:
+    """Mean spacing of the ~51 levels nearest the median, as ``spectral_stats`` had it."""
+    median = float(np.median(energies))
+    count = min(51, len(energies))
+    window = float(np.sort(np.abs(energies - median))[count - 1]) * (1 + 1e-12)
+    inside = energies[np.abs(energies - median) <= window]
+    return float(inside[-1] - inside[0]) / (len(inside) - 1)
+
+
+def standalone_long_time_grid(
+    decomp: EigenDecomposition, i: int, samples: int = 256, spacing_factor: float = 1.137
+) -> np.ndarray:
+    """``dynamics.long_time_grid`` as it was, with its own copy of the spacing logic."""
+    energies = decomp.energies
+    if len(energies) < 3:
+        return np.arange(1, samples + 1, dtype=float)
+    count = min(51, len(energies))
+    median = np.median(energies)
+    order = np.sort(np.abs(energies - median))
+    window = energies[np.abs(energies - median) <= order[count - 1] * (1 + 1e-12)]
+    spacing_mid = (window[-1] - window[0]) / max(len(window) - 1, 1)
+    if spacing_mid <= 0:
+        spacing_mid = max((energies[-1] - energies[0]) / (len(energies) - 1), 1e-12)
+    dt = spacing_factor * np.pi / spacing_mid
+    weights = decomp.vectors[i, :] ** 2
+    e_mean = weights @ energies
+    width = np.sqrt(max(weights @ (energies - e_mean) ** 2, 0.0))
+    t0 = max(dt, 50.0 / width) if width > 0 else dt
+    return t0 + dt * np.arange(samples)

@@ -261,6 +261,47 @@ def test_main_inspect_detects_tampering(tmp_path, capsys):
     assert cli.main(["inspect", str(tmp_path / "out")]) == 3
 
 
+def _scale_cell(path: Path, factor: float) -> None:
+    """Multiply the second cell of the first data row of a CSV payload by ``factor``."""
+    lines = path.read_text().splitlines(keepends=True)
+    j = next(k for k, line in enumerate(lines) if not line.startswith("#")) + 1
+    cells = lines[j].split(",")
+    cells[1] = f"{float(cells[1]) * factor:.17g}"
+    lines[j] = ",".join(cells)
+    path.write_text("".join(lines))
+
+
+def test_main_inspect_against_another_run(tmp_path, capsys):
+    """Two runs of one config: bytes equal, routing ignored; a numeric change is
+    reported with its size and fails above INSPECT_TOL; a missing file fails."""
+    outs = []
+    for tag in ("a", "b"):
+        doc = small_doc(tmp_path, output={"directory": str(tmp_path / tag)})
+        cli.run(cli.config_from_dict(doc))
+        outs.append(str(tmp_path / tag))
+    capsys.readouterr()
+    assert cli.main(["inspect", outs[0], "--against", outs[1]]) == 0
+    out = capsys.readouterr().out
+    for name in ("occupations.csv", "prediction.csv", "strength.csv", "spreading.json"):
+        assert f"{name}: bytes equal" in out
+    assert "config.json: max abs diff 0, max rel diff 0" in out   # only output.directory differs
+
+    target = Path(outs[1]) / "occupations.csv"
+    _scale_cell(target, 1 + 1e-12)
+    assert cli.main(["inspect", outs[0], "--against", outs[1]]) == 0
+    line = [x for x in capsys.readouterr().out.splitlines() if x.startswith("occupations.csv:")][-1]
+    rel = float(line.split("max rel diff ")[1].split()[0])
+    assert rel == pytest.approx(1e-12, rel=1e-2) and "beyond" not in line
+
+    _scale_cell(target, 1 + 1e-6)
+    assert cli.main(["inspect", outs[0], "--against", outs[1]]) == 3
+    assert "occupations.csv: max abs diff" in capsys.readouterr().out
+
+    target.unlink()
+    assert cli.main(["inspect", outs[0], "--against", outs[1]]) == 3
+    assert "occupations.csv: MISSING" in capsys.readouterr().out
+
+
 def test_main_config_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")

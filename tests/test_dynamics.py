@@ -11,7 +11,7 @@ import tbrisim as tb
 from tbrisim.exceptions import ParameterError, PreconditionError
 
 from conftest import make_system
-from oracles import complex_trajectory, expm_amplitudes
+from oracles import complex_trajectory, expm_amplitudes, standalone_long_time_grid
 
 ORACLE_PATH_TOL = 1e-13
 
@@ -236,6 +236,46 @@ def test_long_time_grid_contract(fig2):
     assert len(times) == 256
     with pytest.raises(ParameterError):
         tb.dynamics.long_time_grid(fig2.decomp, fig2.i, samples=100)
+
+
+def _long_time_bound(decomp, times) -> float:
+    """``average_survival``'s a-priori bound on its distance from the sampled mean."""
+    scale = np.abs(decomp.energies).max() * times[-1] + decomp.size + len(times)
+    return 16 * np.finfo(float).eps * scale
+
+
+@pytest.mark.parametrize("samples", [200, 256, 257, 400])   # 257 is prime, 400 square
+@pytest.mark.parametrize("fixture", ["small_2_4", "small_3_6", "fig1", "fig2"])
+def test_separable_average_matches_sampled_mean(fixture, samples, request):
+    """Coarse x fine phase product vs W0 sampled on every time of the long-time grid."""
+    s = request.getfixturevalue(fixture)
+    times = tb.dynamics.long_time_grid(s.decomp, s.i, samples=samples)
+    sampled = tb.survival_probability(s.decomp, s.i, times).mean()
+    got = tb.average_survival(s.decomp, s.i, samples=samples)
+    assert abs(got - sampled) <= _long_time_bound(s.decomp, times)
+
+
+def test_separable_average_on_the_two_level_grid():
+    """Below three levels the grid is t = 1..samples; W0 = 1 - 2 w0 w1 (1 - cos(E1 - E0) t)."""
+    decomp = tb.diagonalize(np.array([[0.3, 0.4], [0.4, -0.2]]))
+    for samples in (200, 257):
+        times = tb.dynamics.long_time_grid(decomp, 0, samples=samples)
+        assert times.tobytes() == np.arange(1, samples + 1, dtype=float).tobytes()
+        w = decomp.vectors[0] ** 2
+        exact = np.mean(1 - 2 * w[0] * w[1] * (1 - np.cos(np.diff(decomp.energies)[0] * times)))
+        got = tb.average_survival(decomp, 0, samples=samples)
+        assert abs(got - exact) <= _long_time_bound(decomp, times)
+        sampled = tb.survival_probability(decomp, 0, times).mean()
+        assert abs(got - sampled) <= _long_time_bound(decomp, times)
+
+
+@pytest.mark.parametrize("fixture", ["small_2_4", "small_3_6", "fig1", "fig2"])
+def test_long_time_grid_bytes_unchanged_by_the_shared_spacing(fixture, request):
+    s = request.getfixturevalue(fixture)
+    for i in (0, s.i, s.basis.size - 1):
+        for samples in (200, 256):
+            got = tb.dynamics.long_time_grid(s.decomp, i, samples=samples)
+            assert got.tobytes() == standalone_long_time_grid(s.decomp, i, samples).tobytes()
 
 
 def test_evolve_rejects_bad_index(fig1):

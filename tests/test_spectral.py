@@ -10,7 +10,7 @@ from tbrisim import spectral
 from tbrisim.exceptions import EigensolverError, InsufficientStatisticsError, PreconditionError
 from tbrisim.spectral import ORTHONORMALITY_TOL, PROBE_MARGIN, RECONSTRUCTION_TOL
 
-from oracles import exact_eigen_residuals
+from oracles import exact_eigen_residuals, windowed_mid_spacing
 
 FIXTURES = ("small_2_4", "small_3_6", "fig1", "fig2")
 
@@ -99,6 +99,18 @@ def test_stats_mid_spacing_matches_central_average(fig1):
     direct = float(np.mean(np.diff(np.sort(central))))
     stats = tb.spectral_stats(fig1.decomp)
     assert stats.mean_spacing_mid == pytest.approx(direct, rel=0.01)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_mid_spacing_bytes_unchanged_by_the_shared_helper(request, name):
+    """small_2_4 has 6 levels, too few for spectral_stats; the other three compare bytes."""
+    decomp = request.getfixturevalue(name).decomp
+    if decomp.size < 10:
+        with pytest.raises(InsufficientStatisticsError):
+            tb.spectral_stats(decomp)
+        return
+    got = tb.spectral_stats(decomp).mean_spacing_mid
+    assert np.float64(got).tobytes() == np.float64(windowed_mid_spacing(decomp.energies)).tobytes()
 
 
 def test_stats_window_too_small(fig1):

@@ -225,6 +225,18 @@ def test_fermi_dirac_flags_a_temperature_at_the_scan_edge():
     assert tb.fit_fermi_dirac(np.full(12, 0.5), eps, n=6).at_bound == ()
 
 
+def test_fermi_dirac_flags_a_misfit_flat_to_the_scan_edge():
+    """A step fits to rounding at every T below ~0.05 d0, down to the scan's lower end.
+
+    The slope bisection stops two scan steps above that end, so the distance
+    rule alone leaves the temperature unflagged; the flat misfit flags it.
+    """
+    eps = tb.SingleParticleSpectrum(epsilon=np.arange(12.0))
+    fit = tb.fit_fermi_dirac(np.array([1.0] * 6 + [0.0] * 6), eps, n=6)
+    assert fit.residual < 1e-100
+    assert fit.at_bound == ("temperature",)
+
+
 def test_fermi_dirac_rejects_length_mismatch():
     eps = tb.SingleParticleSpectrum(epsilon=np.arange(12.0))
     with pytest.raises(ParameterError):
