@@ -21,7 +21,6 @@ from .dynamics import (
     OccupationTrajectory,
     TimeGrid,
     asymptotic_occupations,
-    average_occupations,
     average_survival,
     class_populations,
     default_grid,
@@ -29,7 +28,6 @@ from .dynamics import (
     evolve_amplitudes,
     occupation_numbers,
     simulate_trajectory,
-    split_occupation_terms,
     survival_probability,
 )
 from .exceptions import (

@@ -562,6 +562,10 @@ def run(config: ExperimentConfig) -> RunManifest:
                 "reconstruction_residual": decomp.reconstruction_residual,
                 "probes": PROBES,
             },
+            "dynamics": {
+                "unitarity_drift": trajectory.unitarity_drift,
+                "time_nodes": trajectory.time_nodes,
+            },
             "convolution_completeness": conv_sum,
             "rng": "PCG64 (numpy default_rng) with per-purpose child streams",
         }

@@ -1,12 +1,17 @@
-"""Exact time evolution of an initially excited basis state.
+"""Time evolution of an initially excited basis state.
 
 All dynamics are evaluated spectrally: with row i of the eigenvector matrix
 written as c_k = C_i(k), the amplitude on basis state f at time t is
 
-    A_f(t) = sum_k c_k C_f(k) exp(-i E_k t)        (hbar = 1),
+    A_f(t) = sum_k c_k C_f(k) exp(-i E_k t)        (hbar = 1).
 
-so every quantity is exact at any t with no step-size error.  Occupation
-numbers, the survival probability W0, cascade-class populations and the
+On a trajectory grid [t_1, t_T] this sum is an entire function of t of
+bandwidth (W/2)(t_T - t_1)/2 once the energies are centred (W the width of
+the spectrum), so it is evaluated at K first-kind Chebyshev nodes and
+carried to the grid by barycentric interpolation, to within a stated
+a-priori bound of ~eps (see ``evolve_amplitudes``); a grid of at most K
+points is evaluated directly at its own times.  Occupation numbers, the
+survival probability W0, cascade-class populations and the
 diagonal-ensemble (infinite-time) occupations all derive from these
 amplitudes.
 """
@@ -26,6 +31,7 @@ from .spectral import EigenDecomposition, _mid_spacing
 
 UNITARITY_TOL = 1e-10
 ROW_BLOCK = 256
+_NODE_EPS = np.finfo(float).eps   # target of the Chebyshev truncation bound
 
 
 @dataclass(frozen=True)
@@ -46,12 +52,19 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class OccupationTrajectory:
-    """Occupations n_alpha(t), survival W0(t) and class populations W_s(t)."""
+    """Occupations n_alpha(t), survival W0(t) and class populations W_s(t).
+
+    ``unitarity_drift`` is max_t |sum_f |A_f(t)|^2 - 1| on the grid;
+    ``time_nodes`` is the Chebyshev node count K, or None when the grid
+    was evaluated directly.
+    """
 
     grid: TimeGrid
     occupations: np.ndarray      # (m, T)
     w0: np.ndarray               # (T,)
     class_populations: np.ndarray  # (n_classes + 1, T)
+    unitarity_drift: float
+    time_nodes: int | None
 
 
 def _times(grid) -> np.ndarray:
@@ -95,28 +108,114 @@ def _spectral_power(weights: np.ndarray, energies: np.ndarray, times: np.ndarray
     return parts[0::2] ** 2 + parts[1::2] ** 2
 
 
-def evolve_amplitudes(decomp: EigenDecomposition, i: int, grid) -> np.ndarray:
-    """(N, T) amplitudes A_f(t) for an initial basis state i; unitary at every t.
+def _node_count(energies: np.ndarray, times: np.ndarray) -> int:
+    """Smallest K with omega^K / (2^(K-1) K!) <= _NODE_EPS, or len(times) if none is smaller.
 
-    The eigenvectors are real, so the product runs as one real GEMM over the
-    interleaved real/imaginary columns of the phase matrix; the complex
-    result is a view of it.
+    omega = (W/2)(t_T - t_1)/2, with W = E_max - E_min, is the largest
+    frequency of the centred spectral sum once [t_1, t_T] is mapped to [-1, 1].
+    """
+    points = len(times)
+    if points < 2:
+        return points
+    omega = 0.25 * (energies.max() - energies.min()) * (times[-1] - times[0])
+    log_omega = math.log(omega) if omega > 0 else -math.inf
+    log_target = math.log(_NODE_EPS)
+    for count in range(1, points):
+        if count * log_omega - (count - 1) * math.log(2.0) - math.lgamma(count + 1) <= log_target:
+            return count
+    return points
+
+
+def _chebyshev_nodes(first: float, last: float, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """First-kind Chebyshev nodes on [first, last] and their barycentric weights."""
+    angles = (2 * np.arange(count) + 1) * (np.pi / (2 * count))
+    nodes = 0.5 * (first + last) + 0.5 * (last - first) * np.cos(angles)
+    weights = np.sin(angles)
+    weights[1::2] *= -1.0
+    return nodes, weights
+
+
+def _lagrange_matrix(nodes: np.ndarray, weights: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """(K, T) barycentric Lagrange weights carrying node values to ``times``.
+
+    A time that equals a node exactly gets that node's unit column.
+    """
+    offsets = times - nodes[:, None]
+    exact = offsets == 0.0
+    offsets[exact] = 1.0
+    lagrange = weights[:, None] / offsets
+    lagrange /= lagrange.sum(axis=0)
+    hits = exact.any(axis=0)
+    lagrange[:, hits] = exact[:, hits]
+    return lagrange
+
+
+def _evolve(
+    decomp: EigenDecomposition, i: int, times: np.ndarray
+) -> tuple[np.ndarray, float, int | None]:
+    """(N, T, 2) real and imaginary parts of exp(i c t) A_f(t), the centre c, and K.
+
+    With K < T nodes the energies are centred at c; on the direct path
+    (K >= T) c = 0 and K is returned as None.
     """
     if not 0 <= i < decomp.size:
         raise PreconditionError(f"basis index {i} outside [0, {decomp.size})")
-    times = _times(grid)
-    rhs = _phases(decomp.energies, times)
+    energies, count = decomp.energies, _node_count(decomp.energies, times)
+    if count < len(times):
+        centre = 0.5 * (energies.max() + energies.min())
+        nodes, weights = _chebyshev_nodes(times[0], times[-1], count)
+    else:
+        centre, nodes, count = 0.0, times, None
+    rhs = _phases(energies - centre, nodes)
     rhs *= decomp.vectors[i, :, None]
-    parts = decomp.vectors @ rhs
-    norms = np.einsum("ft,ft->t", parts, parts).reshape(-1, 2).sum(axis=1)
-    worst = np.abs(norms - 1.0).max() if times.size else 0.0
-    if worst > UNITARITY_TOL:
-        raise PreconditionError(f"evolution lost unitarity: |sum - 1| = {worst:.3e}")
-    return parts.view(np.complex128)
+    parts = (decomp.vectors @ rhs).reshape(decomp.size, len(nodes), 2)
+    if count is not None:   # (2N x K) @ (K x T), read back as (N, T, 2)
+        stacked = parts.transpose(0, 2, 1).reshape(2 * decomp.size, count)
+        parts = stacked @ _lagrange_matrix(nodes, weights, times)
+        parts = parts.reshape(decomp.size, 2, len(times)).transpose(0, 2, 1)
+    return parts, centre, count
 
 
-def _probabilities(amplitudes: np.ndarray) -> np.ndarray:
-    return amplitudes.real**2 + amplitudes.imag**2
+def _checked_probabilities(parts: np.ndarray) -> tuple[np.ndarray, float]:
+    """(N, T) |A_f(t)|^2 and the unitarity drift max_t |sum_f |A_f(t)|^2 - 1|."""
+    prob = parts[..., 0] ** 2 + parts[..., 1] ** 2
+    drift = float(np.abs(prob.sum(axis=0) - 1.0).max()) if prob.shape[1] else 0.0
+    if drift > UNITARITY_TOL:
+        raise PreconditionError(f"evolution lost unitarity: |sum - 1| = {drift:.3e}")
+    return prob, drift
+
+
+def evolve_amplitudes(decomp: EigenDecomposition, i: int, grid) -> np.ndarray:
+    """(N, T) amplitudes A_f(t) for an initial basis state i; unitary at every t.
+
+    The grid [t_1, t_T] is mapped to s in [-1, 1].  With the energies centred
+    at c = (E_min + E_max)/2, every term of exp(i c t) A_f(t) is a constant
+    times exp(-i a s) with |a| <= omega = (W/2)(t_T - t_1)/2, W = E_max - E_min.
+    The sum is evaluated at K first-kind Chebyshev nodes, K the smallest count
+    with omega^K / (2^(K-1) K!) <= eps: a real GEMM of N x N x 2K over the
+    interleaved cos/sin columns of ``_phases``.  One real product
+    (2N x K) @ (K x T) with the barycentric Lagrange weights carries the node
+    values to the grid (Berrut & Trefethen, SIAM Rev. 46, 501 (2004)), and the
+    phase exp(-i c t) is multiplied back.  When K >= T the nodes are the grid
+    itself: the energies are not centred and the final product is skipped.
+
+    Bound: interpolating exp(-i a s) at K Chebyshev nodes leaves each of its
+    real and imaginary parts off by at most omega^K / (2^(K-1) K!).  Each
+    amplitude is a combination of these with coefficients c_k C_f(k), whose
+    absolute values sum to at most 1 by Cauchy-Schwarz over the unit vectors
+    c and C_f, so it is off by at most sqrt(2) omega^K / (2^(K-1) K!)
+    <= sqrt(2) eps.  Rounding in the node values, eps (3 (W/2) t_T + 2N) as
+    on the direct path, and in the final K-term sums is amplified by at most
+    the Lebesgue constant Lambda_K <= (2/pi) ln(K + 1) + 1 (about 4 at
+    K ~ 100).
+    """
+    times = _times(grid)
+    parts, centre, time_nodes = _evolve(decomp, i, times)
+    _checked_probabilities(parts)
+    amplitudes = np.ascontiguousarray(parts).view(np.complex128)[..., 0]
+    if time_nodes is not None:
+        amplitudes *= np.exp(-1j * centre * times)
+    return amplitudes
 
 
 def occupation_numbers(prob: np.ndarray, basis: Basis) -> np.ndarray:
@@ -147,22 +246,6 @@ def diagonal_weights(decomp: EigenDecomposition, i: int) -> np.ndarray:
     return weights
 
 
-def split_occupation_terms(
-    decomp: EigenDecomposition, i: int, q: int, grid
-) -> tuple[float, np.ndarray]:
-    """Diagonal term S_q^(d) and fluctuating series S_q^(fl)(t).
-
-    The fluctuating part is computed as |A_q(t)|^2 - S_q^(d), which is
-    algebraically identical to the double eigenstate sum but O(N) per time.
-    """
-    for idx in (i, q):
-        if not 0 <= idx < decomp.size:
-            raise PreconditionError(f"basis index {idx} outside [0, {decomp.size})")
-    s_diag = float((decomp.vectors[q] ** 2) @ (decomp.vectors[i] ** 2))
-    power = _spectral_power(decomp.vectors[i] * decomp.vectors[q], decomp.energies, _times(grid))
-    return s_diag, power - s_diag
-
-
 def asymptotic_occupations(decomp: EigenDecomposition, i: int, basis: Basis) -> np.ndarray:
     """Diagonal-ensemble occupations n_alpha(inf) = sum_q S_q^(d) [alpha in q]."""
     return occupancy_matrix(basis) @ diagonal_weights(decomp, i)
@@ -177,12 +260,15 @@ def simulate_trajectory(
 ) -> OccupationTrajectory:
     """Full trajectory bundle for one initial state on one grid."""
     times = TimeGrid(_times(grid))
-    prob = _probabilities(evolve_amplitudes(decomp, i, times))
+    parts, _, time_nodes = _evolve(decomp, i, times.points)
+    prob, drift = _checked_probabilities(parts)
     return OccupationTrajectory(
         grid=times,
         occupations=occupation_numbers(prob, basis),
         w0=prob[i].copy(),
         class_populations=class_populations(prob, partition),
+        unitarity_drift=drift,
+        time_nodes=time_nodes,
     )
 
 
@@ -270,15 +356,6 @@ def _powers(first, ratio: np.ndarray, count: int) -> np.ndarray:
     for r in range(1, count):
         np.multiply(out[r - 1], ratio, out=out[r])
     return out
-
-
-def average_occupations(
-    decomp: EigenDecomposition, basis: Basis, i: int, *, samples: int = 256
-) -> np.ndarray:
-    """Long-time average of n_alpha(t) over the decorrelating sample grid."""
-    times = long_time_grid(decomp, i, samples=samples)
-    prob = _probabilities(evolve_amplitudes(decomp, i, times))
-    return occupation_numbers(prob, basis).mean(axis=1)
 
 
 def write_trajectory_csv(traj: OccupationTrajectory, path, *, header_lines=()) -> None:

@@ -8,9 +8,12 @@ entry by entry with scalar fermionic phases, a trajectory evolved with
 a complex product split into per-time frames, the line-shape and
 Fermi-Dirac fits solved by ``scipy.optimize`` with finite-difference
 Jacobians and Brent root finding, the eigendecomposition checked
-through the full products V^T V and H V, and the mid-spectrum spacing
+through the full products V^T V and H V, the mid-spectrum spacing
 and long-time grid as each was computed on its own before they shared
-one helper.
+one helper, and the amplitudes evaluated directly at every grid time, as
+``evolve_amplitudes`` did before it interpolated from Chebyshev nodes.
+The occupation-term split and the long-time occupation average are
+physics checks that the pipeline does not need.
 """
 
 from __future__ import annotations
@@ -29,7 +32,14 @@ from tbrisim.basis import (
     occupancy_matrix,
     occupied_orbitals,
 )
-from tbrisim.dynamics import UNITARITY_TOL, OccupationTrajectory, TimeGrid
+from tbrisim.dynamics import (
+    UNITARITY_TOL,
+    OccupationTrajectory,
+    TimeGrid,
+    evolve_amplitudes,
+    long_time_grid,
+    occupation_numbers,
+)
 from tbrisim.exceptions import ParameterError, PreconditionError
 from tbrisim.hamiltonian import HamiltonianMatrix, SingleParticleSpectrum, TwoBodyTensor
 from tbrisim.spectral import EigenDecomposition
@@ -255,12 +265,69 @@ def complex_trajectory(
     """
     grid = TimeGrid(np.asarray(times, dtype=float))
     frames = _evolve_frames(decomp, i, grid.points)
+    norms = _probability_matrix(frames).sum(axis=0)
     return OccupationTrajectory(
         grid=grid,
         occupations=_occupation_numbers(frames, basis),
         w0=_survival_probability(decomp, i, grid.points),
         class_populations=_class_populations(frames, partition),
+        unitarity_drift=float(np.abs(norms - 1.0).max()) if norms.size else 0.0,
+        time_nodes=None,
     )
+
+
+def _interleaved_phases(energies: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """(N, 2T) exp(-i E_k t_j) as interleaved columns cos(E_k t_j), -sin(E_k t_j)."""
+    theta = np.outer(-energies, times)
+    out = np.empty(theta.shape + (2,))
+    np.cos(theta, out=out[..., 0])
+    np.sin(theta, out=out[..., 1])
+    return out.reshape(len(energies), -1)
+
+
+def direct_amplitudes(decomp: EigenDecomposition, i: int, grid) -> np.ndarray:
+    """(N, T) amplitudes from the phases at every grid time: one real GEMM of N x N x 2T.
+
+    ``evolve_amplitudes`` as it was before the Chebyshev nodes, byte for byte.
+    """
+    if not 0 <= i < decomp.size:
+        raise PreconditionError(f"basis index {i} outside [0, {decomp.size})")
+    times = np.asarray(getattr(grid, "points", grid), dtype=float)
+    rhs = _interleaved_phases(decomp.energies, times)
+    rhs *= decomp.vectors[i, :, None]
+    parts = decomp.vectors @ rhs
+    norms = np.einsum("ft,ft->t", parts, parts).reshape(-1, 2).sum(axis=1)
+    worst = np.abs(norms - 1.0).max() if times.size else 0.0
+    if worst > UNITARITY_TOL:
+        raise PreconditionError(f"evolution lost unitarity: |sum - 1| = {worst:.3e}")
+    return parts.view(np.complex128)
+
+
+def split_occupation_terms(
+    decomp: EigenDecomposition, i: int, q: int, times
+) -> tuple[float, np.ndarray]:
+    """Diagonal term S_q^(d) and fluctuating series S_q^(fl)(t) of |A_q(t)|^2.
+
+    S_q^(d) = sum_k C_i(k)^2 C_q(k)^2; the fluctuating part is
+    |sum_k C_i(k) C_q(k) exp(-i E_k t)|^2 - S_q^(d), which equals the double
+    eigenstate sum over k != k'.
+    """
+    for idx in (i, q):
+        if not 0 <= idx < decomp.size:
+            raise PreconditionError(f"basis index {idx} outside [0, {decomp.size})")
+    s_diag = float((decomp.vectors[q] ** 2) @ (decomp.vectors[i] ** 2))
+    times = np.asarray(times, dtype=float)
+    amplitude = np.exp(-1j * np.outer(times, decomp.energies)) @ (decomp.vectors[i] * decomp.vectors[q])
+    return s_diag, np.abs(amplitude) ** 2 - s_diag
+
+
+def average_occupations(
+    decomp: EigenDecomposition, basis: Basis, i: int, *, samples: int = 256
+) -> np.ndarray:
+    """Long-time average of n_alpha(t) over the decorrelating sample grid."""
+    times = long_time_grid(decomp, i, samples=samples)
+    prob = np.abs(evolve_amplitudes(decomp, i, times)) ** 2
+    return occupation_numbers(prob, basis).mean(axis=1)
 
 
 def _least_squares(residual, x0) -> np.ndarray:

@@ -126,6 +126,26 @@ def test_manifest_records_eigensolver_and_environment(tmp_path):
     assert threads is None or threads >= 1
 
 
+@pytest.mark.parametrize(
+    "grid, interpolated",
+    [
+        ({"kind": "auto", "points": 120}, True),
+        ({"kind": "linear", "start": 0.0, "stop": 5.0, "points": 12}, False),
+    ],
+)
+def test_manifest_records_trajectory_diagnostics(tmp_path, grid, interpolated):
+    """derived.dynamics: the unitarity drift, and the node count (null on the direct path)."""
+    manifest = cli.run(cli.config_from_dict(small_doc(tmp_path, grid=grid)))
+    saved = json.loads((tmp_path / "out" / "manifest.json").read_text())["derived"]["dynamics"]
+    assert saved == manifest.derived["dynamics"]
+    assert set(saved) == {"unitarity_drift", "time_nodes"}
+    assert 0.0 <= saved["unitarity_drift"] <= tb.dynamics.UNITARITY_TOL
+    if interpolated:
+        assert isinstance(saved["time_nodes"], int) and 1 <= saved["time_nodes"] < grid["points"]
+    else:
+        assert saved["time_nodes"] is None
+
+
 def test_size_guard_refuses_a_dense_matrix_beyond_physical_memory(tmp_path):
     """n=10, m=20 (N=184,756) exits 2 before any enumeration; n=7, m=14 validates."""
     path = tmp_path / "huge.json"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -11,7 +12,14 @@ import tbrisim as tb
 from tbrisim.exceptions import ParameterError, PreconditionError
 
 from conftest import make_system
-from oracles import complex_trajectory, expm_amplitudes, standalone_long_time_grid
+from oracles import (
+    average_occupations,
+    complex_trajectory,
+    direct_amplitudes,
+    expm_amplitudes,
+    split_occupation_terms,
+    standalone_long_time_grid,
+)
 
 ORACLE_PATH_TOL = 1e-13
 
@@ -93,8 +101,123 @@ def test_trajectory_matches_complex_oracle(fixture, request):
             assert a.size == 0 or np.abs(a - b).max() <= ORACLE_PATH_TOL, field
     long_times = tb.dynamics.long_time_grid(s.decomp, s.i, samples=256)
     ref = complex_trajectory(s.decomp, s.basis, s.partition, s.i, long_times)
-    avg = tb.average_occupations(s.decomp, s.basis, s.i, samples=256)
+    avg = average_occupations(s.decomp, s.basis, s.i, samples=256)
     assert np.abs(avg - ref.occupations.mean(axis=1)).max() <= ORACLE_PATH_TOL
+
+
+def _truncation(omega: float, count: int) -> float:
+    """omega^K / (2^(K-1) K!), the Chebyshev remainder of exp(-i a s), |a| <= omega."""
+    return math.exp(count * math.log(omega) - (count - 1) * math.log(2.0) - math.lgamma(count + 1))
+
+
+def _interpolation_bound(decomp, times, count: int) -> float:
+    """``evolve_amplitudes``'s stated bound per amplitude, plus a reference's own rounding.
+
+    sqrt(2) omega^K / (2^(K-1) K!) for truncation; rounding in the node values
+    and the K-term sums times the Lebesgue bound (2/pi) ln(K+1) + 1; and
+    2 eps (3 max|E| t_T + 2N) for the reference evaluated at every time and
+    the phase put back.
+    """
+    eps = np.finfo(float).eps
+    energies, n = decomp.energies, decomp.size
+    half_width = 0.5 * (energies.max() - energies.min())
+    omega = 0.5 * half_width * (times[-1] - times[0])
+    lebesgue = 2.0 / np.pi * np.log(count + 1) + 1.0
+    nodes = lebesgue * eps * (3 * half_width * times[-1] + 2 * n + count)
+    reference = 2 * eps * (3 * np.abs(energies).max() * times[-1] + 2 * n)
+    return math.sqrt(2.0) * _truncation(omega, count) + nodes + reference
+
+
+def _assert_fewest_nodes(decomp, times, count: int) -> None:
+    """K meets omega^K / (2^(K-1) K!) <= eps and K - 1 does not."""
+    eps = np.finfo(float).eps
+    omega = 0.25 * (decomp.energies.max() - decomp.energies.min()) * (times[-1] - times[0])
+    assert _truncation(omega, count) <= eps < _truncation(omega, count - 1)
+
+
+def test_direct_path_is_bitwise_the_oracle(fig1):
+    """fig1's grid needs more nodes than it has points, so it is evaluated at its own times."""
+    s = fig1
+    assert s.trajectory.time_nodes is None
+    assert tb.dynamics._node_count(s.decomp.energies, s.grid.points) >= len(s.grid)
+    reference = direct_amplitudes(s.decomp, s.i, s.grid)
+    got = tb.evolve_amplitudes(s.decomp, s.i, s.grid)
+    assert got.tobytes() == reference.tobytes()
+    prob = reference.real**2 + reference.imag**2
+    assert s.trajectory.occupations.tobytes() == tb.occupation_numbers(prob, s.basis).tobytes()
+    assert s.trajectory.w0.tobytes() == prob[s.i].tobytes()
+    pops = tb.class_populations(prob, s.partition)
+    assert s.trajectory.class_populations.tobytes() == pops.tobytes()
+
+
+def test_fig2_interpolates_within_the_stated_bound(fig2):
+    """fig2 takes K < T nodes; amplitudes within the bound, observables within ORACLE_PATH_TOL."""
+    s, times = fig2, fig2.grid.points
+    count = s.trajectory.time_nodes
+    assert count is not None and count < len(times)
+    _assert_fewest_nodes(s.decomp, times, count)
+    bound = _interpolation_bound(s.decomp, times, count)
+    got = tb.evolve_amplitudes(s.decomp, s.i, times)
+    assert np.abs(got - direct_amplitudes(s.decomp, s.i, times)).max() <= bound
+    # sum_f ||a_f|^2 - |b_f|^2| <= |a - b|_2 (|a|_2 + |b|_2) <= sqrt(N) bound (2 + sqrt(N) bound)
+    ref = complex_trajectory(s.decomp, s.basis, s.partition, s.i, times)
+    for field in ("occupations", "w0", "class_populations"):
+        deviation = np.abs(getattr(s.trajectory, field) - getattr(ref, field)).max()
+        assert deviation <= min(3 * math.sqrt(s.decomp.size) * bound, ORACLE_PATH_TOL), field
+
+
+def _on_node_grid(decomp) -> np.ndarray:
+    """400 points on [0, 5] plus two Chebyshev nodes of that interval, exactly."""
+    base = np.linspace(0.0, 5.0, 400)
+    count = tb.dynamics._node_count(decomp.energies, base)
+    nodes, _ = tb.dynamics._chebyshev_nodes(0.0, 5.0, count)
+    return np.union1d(base, nodes[[0, count // 2]])
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        np.linspace(0.0, 5.0, 400),
+        np.linspace(0.0, 25.0, 400),
+        np.linspace(3.0, 20.0, 300),   # does not start at 0
+        "on-node",
+        np.array([2.5]),
+        np.array([]),
+    ],
+    ids=["0-5", "0-25", "3-20", "on-node", "one-point", "empty"],
+)
+def test_grids_match_matrix_exponential(grid, small_3_6):
+    """Interpolated and direct grids vs scaling-and-squaring expm at every time."""
+    s = small_3_6
+    times = _on_node_grid(s.decomp) if isinstance(grid, str) else grid
+    traj = tb.simulate_trajectory(s.decomp, s.basis, s.partition, s.i, times)
+    amplitudes = tb.evolve_amplitudes(s.decomp, s.i, times)
+    assert amplitudes.shape == (s.decomp.size, len(times))
+    assert traj.occupations.shape == (6, len(times))
+    if len(times) < 2:
+        assert traj.time_nodes is None
+    else:
+        assert traj.time_nodes is not None and traj.time_nodes < len(times)
+        _assert_fewest_nodes(s.decomp, times, traj.time_nodes)
+    assert 0.0 <= traj.unitarity_drift <= tb.dynamics.UNITARITY_TOL
+    occ_matrix = tb.occupancy_matrix(s.basis)
+    for j, t in enumerate(times):
+        ref = expm_amplitudes(s.h.entries, s.i, t)
+        assert np.abs(amplitudes[:, j] - ref).max() < 1e-10, t
+        assert np.abs(traj.occupations[:, j] - occ_matrix @ np.abs(ref) ** 2).max() < 1e-10, t
+
+
+def test_grid_time_on_a_node_takes_the_node_value(small_3_6):
+    times = _on_node_grid(small_3_6.decomp)
+    count = tb.dynamics._node_count(small_3_6.decomp.energies, times)
+    nodes, weights = tb.dynamics._chebyshev_nodes(times[0], times[-1], count)
+    lagrange = tb.dynamics._lagrange_matrix(nodes, weights, times)
+    for k in (0, count // 2):
+        j = int(np.searchsorted(times, nodes[k]))
+        assert times[j] == nodes[k]
+        assert lagrange[:, j].tobytes() == np.eye(count)[k].tobytes()
+    assert np.all(np.isfinite(lagrange))
+    assert np.abs(lagrange.sum(axis=0) - 1.0).max() < 1e-14
 
 
 def test_unitarity_guard_rejects_non_orthonormal_vectors(small_3_6):
@@ -123,15 +246,15 @@ def test_split_terms_reconstruct_probability(fig1):
     times = np.sort(rng.uniform(0.0, 50.0, size=7))
     prob = np.abs(tb.evolve_amplitudes(fig1.decomp, fig1.i, times)) ** 2
     for q in rng.choice(fig1.basis.size, size=5, replace=False):
-        s_d, s_fl = tb.split_occupation_terms(fig1.decomp, fig1.i, int(q), times)
+        s_d, s_fl = split_occupation_terms(fig1.decomp, fig1.i, int(q), times)
         assert np.abs(s_d + s_fl - prob[int(q)]).max() < 1e-10
 
 
 def test_split_terms_at_time_zero(fig1):
-    s_d, s_fl = tb.split_occupation_terms(fig1.decomp, fig1.i, fig1.i, np.array([0.0]))
+    s_d, s_fl = split_occupation_terms(fig1.decomp, fig1.i, fig1.i, np.array([0.0]))
     assert s_d + s_fl[0] == pytest.approx(1.0, abs=1e-10)
     q = (fig1.i + 5) % fig1.basis.size
-    s_d_q, s_fl_q = tb.split_occupation_terms(fig1.decomp, fig1.i, q, np.array([0.0]))
+    s_d_q, s_fl_q = split_occupation_terms(fig1.decomp, fig1.i, q, np.array([0.0]))
     assert s_d_q + s_fl_q[0] == pytest.approx(0.0, abs=1e-10)
 
 
@@ -157,7 +280,7 @@ def test_fluctuating_term_averages_to_zero(fig2):
     tol = 3.0 / np.sqrt(len(times) * n_pc)
     rng = np.random.default_rng(8)
     for q in rng.choice(fig2.basis.size, size=6, replace=False):
-        s_d, s_fl = tb.split_occupation_terms(fig2.decomp, fig2.i, int(q), times)
+        s_d, s_fl = split_occupation_terms(fig2.decomp, fig2.i, int(q), times)
         assert abs(s_fl.mean()) < tol
 
 
@@ -223,7 +346,7 @@ def test_asymptotic_occupations_infinite_temperature(fig2):
 
 def test_long_time_average_matches_diagonal_ensemble(fig2):
     """Time-averaged occupations equal the diagonal-ensemble values."""
-    avg = tb.average_occupations(fig2.decomp, fig2.basis, fig2.i, samples=256)
+    avg = average_occupations(fig2.decomp, fig2.basis, fig2.i, samples=256)
     tol = 3.0 / np.sqrt(fig2.profile.n_pc_ipr())
     assert np.abs(avg - fig2.n_inf).max() < tol
 
