@@ -44,8 +44,6 @@ from .hamiltonian import (
     SingleParticleSpectrum,
     TwoBodyTensor,
     build_hamiltonian,
-    dump_hamiltonian,
-    load_hamiltonian,
     sample_spectrum,
     sample_two_body,
 )
@@ -53,8 +51,6 @@ from .spectral import (
     EigenDecomposition,
     SpectralStats,
     diagonalize,
-    dump_decomposition,
-    load_decomposition,
     spectral_stats,
 )
 from .strength import (
@@ -62,7 +58,6 @@ from .strength import (
     HybridFit,
     SpreadingParams,
     StrengthProfile,
-    compound_occupations,
     energy_variance,
     fit_bw,
     fit_hybrid,
@@ -74,7 +69,6 @@ from .theory import (
     FermiDiracFit,
     SurvivalModelCurves,
     ThermalizationPrediction,
-    convolve_strength,
     convolve_strength_map,
     fit_fermi_dirac,
     n_pc_envelope,

@@ -17,6 +17,7 @@ Exit codes: 0 success, 2 config error, 3 numerical-stage error.
 from __future__ import annotations
 
 import argparse
+import copy
 import hashlib
 import json
 import math
@@ -36,15 +37,15 @@ from .exceptions import (
     PreconditionError,
     StageError,
 )
+from .export import write_json, write_table
 from .hamiltonian import (
     HamiltonianMatrix,
     ModelParams,
     build_hamiltonian,
-    dump_hamiltonian,
     sample_spectrum,
     sample_two_body,
 )
-from .spectral import PROBES, diagonalize, dump_decomposition, spectral_stats
+from .spectral import PROBES, diagonalize, spectral_stats
 
 CONFIG_VERSION = 1
 # Dense N x N float64 arrays alive at the peak of a run: H, the copy eigh
@@ -132,16 +133,6 @@ class RunManifest:
     files: dict = field(default_factory=dict)
     environment: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "config_hash": self.config_hash,
-            "seed": self.seed,
-            "derived": self.derived,
-            "files": self.files,
-            "environment": self.environment,
-        }
-
 
 def _blas_threads() -> int | None:
     """Thread count of the loaded OpenBLAS, read through its getter; None if none is found."""
@@ -219,21 +210,31 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     kind = grid.get("kind", "auto")
     if kind not in ("auto", "log", "linear"):
         raise ParameterError(f"grid kind must be auto|log|linear, got {kind!r}")
-    if kind != "auto" and (grid.get("start") is None or grid.get("stop") is None):
-        raise ParameterError(f"grid kind {kind!r} requires explicit start and stop")
-    if kind == "log" and float(grid.get("start") or 0) <= 0:
-        raise ParameterError("log grid requires start > 0")
+    if kind != "auto":
+        ends = [grid.get("start"), grid.get("stop")]
+        numeric = all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in ends)
+        if not (numeric and all(map(math.isfinite, ends))):
+            raise ParameterError(f"grid kind {kind!r} requires finite start and stop, got {ends}")
+        if kind == "log" and min(ends) <= 0:
+            raise ParameterError("log grid requires start > 0 and stop > 0")
+        if kind == "linear" and min(ends) < 0:
+            raise ParameterError("linear grid requires start >= 0 and stop >= 0")
+    points = grid.get("points", 400)
+    if isinstance(points, bool) or not isinstance(points, int) or points < 0:
+        raise ParameterError(f"grid points must be a non-negative integer, got {points!r}")
+    initial_state = data.get("initial_state", "mid-spectrum")
+    _initial_bitmask(initial_state, model.n, model.m)
     formats = tuple(output.get("formats", ["csv"]))
     for fmt in formats:
         if fmt not in ("csv", "json"):
             raise ParameterError(f"unknown output format {fmt!r}")
     return ExperimentConfig(
         model=model,
-        initial_state=data.get("initial_state", "mid-spectrum"),
+        initial_state=initial_state,
         grid_kind=kind,
         grid_start=grid.get("start"),
         grid_stop=grid.get("stop"),
-        grid_points=int(grid.get("points", 400)),
+        grid_points=points,
         fits=bool(analysis.get("fits", True)),
         fermi_dirac=bool(analysis.get("fermi_dirac", True)),
         convolution_check=bool(analysis.get("convolution_check", False)),
@@ -278,21 +279,29 @@ def select_initial_state(h: HamiltonianMatrix, rule) -> int:
     median diagonal energy (lowest index on ties); an integer (or integer
     string) is treated as an explicit bitmask and validated.
     """
-    basis = h.basis
-    if isinstance(rule, str) and rule.strip().lower() == "mid-spectrum":
+    bitmask = _initial_bitmask(rule, h.basis.n, h.basis.m)
+    if bitmask is None:
         diag = h.diagonal()
         return int(np.argmin(np.abs(diag - np.median(diag))))
+    return h.basis.position(bitmask)
+
+
+def _initial_bitmask(rule, n: int, m: int) -> int | None:
+    """The bitmask an initial-state rule names, None for "mid-spectrum"; ParameterError if
+    it is not a state of n particles in m orbitals."""
+    if isinstance(rule, str) and rule.strip().lower() == "mid-spectrum":
+        return None
     try:
         bitmask = int(rule, 0) if isinstance(rule, str) else int(rule)
     except (TypeError, ValueError) as exc:
         raise ParameterError(f"initial-state rule {rule!r} not understood") from exc
-    if bitmask.bit_count() != basis.n:
+    if bitmask.bit_count() != n:
         raise ParameterError(
-            f"bitmask {bitmask:#x} has {bitmask.bit_count()} particles, expected {basis.n}"
+            f"bitmask {bitmask:#x} has {bitmask.bit_count()} particles, expected {n}"
         )
-    if bitmask < 0 or bitmask >> basis.m:
-        raise ParameterError(f"bitmask {bitmask:#x} uses orbitals beyond m={basis.m}")
-    return basis.position(bitmask)
+    if bitmask < 0 or bitmask >> m:
+        raise ParameterError(f"bitmask {bitmask:#x} uses orbitals beyond m={m}")
+    return bitmask
 
 
 def _build_grid(config: ExperimentConfig, delta_e: float, gamma: float, n_classes: int):
@@ -307,12 +316,6 @@ def _build_grid(config: ExperimentConfig, delta_e: float, gamma: float, n_classe
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _write_json_table(path: Path, columns, rows, header: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump({"header": header, "columns": columns, "rows": rows}, fh, indent=2)
-        fh.write("\n")
 
 
 def emit_plotdata(
@@ -335,35 +338,24 @@ def emit_plotdata(
         raise ParameterError("trajectory and prediction grids differ")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    m = trajectory.occupations.shape[0]
-    n_classes = trajectory.class_populations.shape[0] - 1
-    columns = (
-        ["t"]
-        + [f"n_exact_{a}" for a in range(m)]
-        + [f"n_pred_{a}" for a in range(m)]
-        + ["W0"]
-        + (["W0_model_bw", "W0_model_gaussian", "W0_saturation"] if models else [])
-        + [f"W_{s}" for s in range(1, n_classes + 1)]
+    columns = {
+        "t": times,
+        **{f"n_exact_{a}": row for a, row in enumerate(trajectory.occupations)},
+        **{f"n_pred_{a}": row for a, row in enumerate(prediction.occupations)},
+        "W0": trajectory.w0,
+    }
+    if models:
+        columns.update(
+            W0_model_bw=models.breit_wigner,
+            W0_model_gaussian=models.gaussian,
+            W0_saturation=models.saturation,
+        )
+    columns.update(
+        (f"W_{s}", row) for s, row in enumerate(trajectory.class_populations[1:], start=1)
     )
     path = outdir / "plotdata.csv"
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("# exact occupations vs interpolated prediction; times in 1/energy units\n")
-        fh.write(",".join(columns) + "\n")
-        for j, t in enumerate(times):
-            row = [f"{t:.17g}"]
-            row += [f"{x:.17g}" for x in trajectory.occupations[:, j]]
-            row += [f"{x:.17g}" for x in prediction.occupations[:, j]]
-            row.append(f"{trajectory.w0[j]:.17g}")
-            if models:
-                row += [
-                    f"{models.breit_wigner[j]:.17g}",
-                    f"{models.gaussian[j]:.17g}",
-                    f"{models.saturation:.17g}",
-                ]
-            row += [f"{x:.17g}" for x in trajectory.class_populations[1:, j]]
-            fh.write(",".join(row) + "\n")
+    header = [*header_lines, "exact occupations vs interpolated prediction; times in 1/energy units"]
+    write_table(path, columns, header_lines=header)
     return [path]
 
 
@@ -440,7 +432,6 @@ def run(config: ExperimentConfig) -> RunManifest:
             n_inf,
             trajectory.w0,
             grid,
-            source_w0="exact",
         )
         rms_eq14, max_eq14 = theory.prediction_error(trajectory.occupations, prediction)
         diff = trajectory.occupations - prediction.occupations
@@ -460,80 +451,33 @@ def run(config: ExperimentConfig) -> RunManifest:
             conv_sum = float(conv.sum())
 
     with stage("export"):
-        config_path = outdir / "config.json"
-        with open(config_path, "w") as fh:
-            json.dump(config.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        written.append(config_path)
+        def out(name: str) -> Path:
+            """Path of one output file, listed among the written ones before it is written."""
+            written.append(outdir / name)
+            return written[-1]
 
-        occ_path = outdir / "occupations.csv"
-        dynamics.write_trajectory_csv(trajectory, occ_path, header_lines=header_lines)
-        written.append(occ_path)
-
-        occ_meta = outdir / "occupations.meta.json"
-        dynamics.write_trajectory_sidecar(
-            occ_meta,
-            {
-                "config_hash": cfg_hash,
-                "seed": params.seed,
-                "model": config.to_dict()["model"],
-                "initial_state_index": i,
-                "initial_state_bitmask": int(basis.states[i]),
-                "grid_points": len(grid),
-            },
-        )
-        written.append(occ_meta)
-
-        pred_path = outdir / "prediction.csv"
-        theory.write_prediction_csv(prediction, pred_path, header_lines=header_lines)
-        written.append(pred_path)
-
-        strength_path = outdir / "strength.csv"
-        strength.write_profile_csv(profile, strength_path, header_lines=header_lines)
-        written.append(strength_path)
-
-        spreading_path = outdir / "spreading.json"
-        strength.write_spreading_json(
-            spreading,
-            spreading_path,
-            extra={"config_hash": cfg_hash, "seed": params.seed},
-        )
-        written.append(spreading_path)
-
+        ids = {"config_hash": cfg_hash, "seed": params.seed}
+        write_json(out("config.json"), config.to_dict())
+        dynamics.write_trajectory_csv(trajectory, out("occupations.csv"), header_lines=header_lines)
+        write_json(out("occupations.meta.json"), {
+            **ids,
+            "model": config.to_dict()["model"],
+            "initial_state_index": i,
+            "initial_state_bitmask": int(basis.states[i]),
+            "grid_points": len(grid),
+        })
+        theory.write_prediction_csv(prediction, out("prediction.csv"), header_lines=header_lines)
+        strength.write_profile_csv(profile, out("strength.csv"), header_lines=header_lines)
+        write_json(out("spreading.json"), {**asdict(spreading), **ids})
         written.extend(
-            emit_plotdata(
-                trajectory, prediction, outdir, models=models, header_lines=header_lines
-            )
+            emit_plotdata(trajectory, prediction, outdir, models=models, header_lines=header_lines)
         )
-
         if "json" in config.formats:
-            occ_json = outdir / "occupations.json"
-            m, n_classes = params.m, partition.n_classes
-            columns = (
-                ["t"]
-                + [f"n_{a}" for a in range(m)]
-                + ["W0"]
-                + [f"W_{s}" for s in range(1, n_classes + 1)]
-            )
-            rows = [
-                [float(grid.points[j])]
-                + [float(x) for x in trajectory.occupations[:, j]]
-                + [float(trajectory.w0[j])]
-                + [float(x) for x in trajectory.class_populations[1:, j]]
-                for j in range(len(grid))
-            ]
-            _write_json_table(
-                occ_json, columns, rows, {"config_hash": cfg_hash, "seed": params.seed}
-            )
-            written.append(occ_json)
-
-        if config.binary_dumps:
-            ham_path = outdir / "hamiltonian.bin"
-            dump_hamiltonian(h, params, ham_path)
-            written.append(ham_path)
-            dec_path = outdir / "decomposition.bin"
-            dump_decomposition(decomp, params, dec_path)
-            written.append(dec_path)
+            write_table(out("occupations.json"), trajectory.columns(), header_lines=header_lines)
+        if config.binary_dumps:   # the model they belong to is config.json's
+            np.save(out("hamiltonian.npy"), h.entries)
+            np.save(out("eigenvalues.npy"), decomp.energies)
+            np.save(out("eigenvectors.npy"), decomp.vectors)
 
         derived = {
             "n_states": basis.size,
@@ -574,10 +518,7 @@ def run(config: ExperimentConfig) -> RunManifest:
             environment=_environment(),
         )
         manifest.files = {p.name: _sha256(p) for p in written}
-        manifest_path = outdir / "manifest.json"
-        with open(manifest_path, "w") as fh:
-            json.dump(manifest.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(outdir / "manifest.json", asdict(manifest))
     return manifest
 
 
@@ -702,7 +643,7 @@ def _cmd_sweep(args) -> int:
     root = Path(base_doc.get("output", {}).get("directory", "runs/sweep"))
     summary = []
     for eta in etas:
-        doc = json.loads(json.dumps(base_doc))  # deep copy
+        doc = copy.deepcopy(base_doc)
         doc.setdefault("model", {})["eta"] = eta
         doc.setdefault("output", {})["directory"] = str(root / f"eta={eta:g}")
         manifest = run(config_from_dict(doc))
@@ -719,14 +660,9 @@ def _cmd_sweep(args) -> int:
             }
         )
     root.mkdir(parents=True, exist_ok=True)
-    with open(root / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(root / "summary.csv", "w") as fh:
-        cols = ["eta", "gamma_golden_rule", "gamma_bw_fit", "delta_e", "n_pc_ipr", "rms_eq14"]
-        fh.write(",".join(cols) + "\n")
-        for row in summary:
-            fh.write(",".join("" if row[c] is None else f"{row[c]:.17g}" for c in cols) + "\n")
+    write_json(root / "summary.json", summary)
+    cols = ["eta", "gamma_golden_rule", "gamma_bw_fit", "delta_e", "n_pc_ipr", "rms_eq14"]
+    write_table(root / "summary.csv", {c: [row[c] for row in summary] for c in cols})
     print(f"sweep summary in {root / 'summary.json'}")
     return 0
 
@@ -802,7 +738,9 @@ def _compare_runs(rundir: Path, other: Path, names) -> int:
             status = 3
             continue
         a, b = _fields(mine), _fields(theirs)
-        beyond = sorted(a.keys() ^ b.keys())
+        # A JSON key of one run only (a diagnostic added since) is listed; CSV cells
+        # of one run only mean the tables differ in shape, which fails.
+        beyond = sorted(a.keys() ^ b.keys()) if mine.suffix == ".csv" else []
         worst_abs, worst_rel, worst_key = 0.0, 0.0, None
         for key in sorted(a.keys() & b.keys()):
             x, y = a[key], b[key]
@@ -820,6 +758,10 @@ def _compare_runs(rundir: Path, other: Path, names) -> int:
             if diff > INSPECT_TOL * max(1.0, abs(x), abs(y)):
                 beyond.append(key)
         line = f"{name}: max abs diff {worst_abs:.3g}, max rel diff {worst_rel:.3g} ({worst_key})"
+        if mine.suffix == ".json":
+            for where, keys in ((rundir, a.keys() - b.keys()), (other, b.keys() - a.keys())):
+                if keys:
+                    line += f"; {len(keys)} only in {where}: {', '.join(sorted(keys)[:5])}"
         if beyond:
             line += f"; {len(beyond)} beyond tolerance, e.g. {', '.join(sorted(beyond)[:3])}"
             status = 3

@@ -18,8 +18,6 @@ amplitudes.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 
@@ -27,6 +25,7 @@ import numpy as np
 
 from .basis import Basis, ClassPartition, occupancy_matrix
 from .exceptions import ParameterError, PreconditionError
+from .export import write_table
 from .spectral import EigenDecomposition, _mid_spacing
 
 UNITARITY_TOL = 1e-10
@@ -65,6 +64,15 @@ class OccupationTrajectory:
     class_populations: np.ndarray  # (n_classes + 1, T)
     unitarity_drift: float
     time_nodes: int | None
+
+    def columns(self) -> dict:
+        """Named columns t, n_0..n_{m-1}, W0, W_1..W_{n_c}, one entry per time."""
+        return {
+            "t": self.grid.points,
+            **{f"n_{a}": row for a, row in enumerate(self.occupations)},
+            "W0": self.w0,
+            **{f"W_{s}": row for s, row in enumerate(self.class_populations[1:], start=1)},
+        }
 
 
 def _times(grid) -> np.ndarray:
@@ -360,27 +368,4 @@ def _powers(first, ratio: np.ndarray, count: int) -> np.ndarray:
 
 def write_trajectory_csv(traj: OccupationTrajectory, path, *, header_lines=()) -> None:
     """One row per time: t, n_0..n_{m-1}, W0, W_1..W_{n_c}; 17 significant digits."""
-    m = traj.occupations.shape[0]
-    n_classes = traj.class_populations.shape[0] - 1
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["t"]
-            + [f"n_{a}" for a in range(m)]
-            + ["W0"]
-            + [f"W_{s}" for s in range(1, n_classes + 1)]
-        )
-        for j, t in enumerate(traj.grid.points):
-            row = [f"{t:.17g}"]
-            row += [f"{x:.17g}" for x in traj.occupations[:, j]]
-            row.append(f"{traj.w0[j]:.17g}")
-            row += [f"{x:.17g}" for x in traj.class_populations[1:, j]]
-            writer.writerow(row)
-
-
-def write_trajectory_sidecar(path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_table(path, traj.columns(), header_lines=header_lines)

@@ -13,15 +13,13 @@ strength eta fixes the element variance: var(V) = eta * d0**2.
 from __future__ import annotations
 
 import functools
-import struct
 from dataclasses import dataclass
 from itertools import combinations
-from pathlib import Path
 
 import numpy as np
 
 from .basis import Basis, basis_states, occupation_bits
-from .exceptions import ParameterError, PreconditionError
+from .exceptions import ParameterError
 
 _RNG_ALGORITHM = "numpy PCG64 via default_rng([seed, stream])"
 _SPECTRUM_STREAM = 0
@@ -92,9 +90,6 @@ class TwoBodyTensor:
     def element(self, p: int, q: int, r: int, s: int) -> float:
         """Amplitude V[(p,q),(r,s)]; requires p < q and r < s."""
         return float(self.matrix[self.pair_index[(p, q)], self.pair_index[(r, s)]])
-
-    def scaled(self, c: float) -> "TwoBodyTensor":
-        return TwoBodyTensor(self.m, c * self.matrix)
 
 
 @dataclass(frozen=True)
@@ -284,30 +279,3 @@ def _sign_bit(state, a1, a2, c1, c2) -> np.ndarray:
 def _index_dtype(largest: int) -> type[np.signedinteger]:
     """Narrowest of int16/int32/int64 that holds every index up to ``largest``."""
     return next(t for t in (np.int16, np.int32, np.int64) if largest <= np.iinfo(t).max)
-
-
-_DUMP_MAGIC = b"TBRH"
-_DUMP_VERSION = 1
-_HEADER = struct.Struct("<4sIIIQddQ")  # magic, version, n, m, seed, eta, d0, N
-
-
-def dump_hamiltonian(h: HamiltonianMatrix, params: ModelParams, path) -> None:
-    """Binary dump: fixed header then row-major float64 entries."""
-    header = _HEADER.pack(
-        _DUMP_MAGIC, _DUMP_VERSION, params.n, params.m,
-        params.seed, params.eta, params.d0, h.size,
-    )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(h.entries).tobytes())
-
-
-def load_hamiltonian(path) -> tuple[np.ndarray, dict]:
-    """Read a dump back; returns (entries, header dict), bit-identical payload."""
-    raw = Path(path).read_bytes()
-    magic, version, n, m, seed, eta, d0, size = _HEADER.unpack_from(raw)
-    if magic != _DUMP_MAGIC or version != _DUMP_VERSION:
-        raise PreconditionError(f"not a Hamiltonian dump: {path}")
-    entries = np.frombuffer(raw, dtype=np.float64, offset=_HEADER.size)
-    entries = entries.reshape(size, size).copy()
-    return entries, {"n": n, "m": m, "seed": seed, "eta": eta, "d0": d0, "size": size}

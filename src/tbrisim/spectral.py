@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from .exceptions import EigensolverError, InsufficientStatisticsError, PreconditionError
-from .hamiltonian import HamiltonianMatrix, ModelParams
+from .hamiltonian import HamiltonianMatrix
 
 ORTHONORMALITY_TOL = 1e-10
 RECONSTRUCTION_TOL = 1e-8
@@ -174,35 +172,3 @@ def _mid_spacing(energies: np.ndarray, window: float | None = None) -> tuple[flo
     inside = energies[np.abs(energies - median) <= window]
     spacing = float(inside[-1] - inside[0]) / (len(inside) - 1) if len(inside) > 1 else 0.0
     return spacing, len(inside), float(window)
-
-
-_DUMP_MAGIC = b"TBRD"
-_DUMP_VERSION = 1
-_HEADER = struct.Struct("<4sIQQIIddd")  # magic, version, N, seed, n, m, eta, d0, jitter
-
-
-def dump_decomposition(decomp: EigenDecomposition, params: ModelParams, path) -> None:
-    """Binary dump: header, energies, then column-major eigenvectors."""
-    header = _HEADER.pack(
-        _DUMP_MAGIC, _DUMP_VERSION, decomp.size, params.seed,
-        params.n, params.m, params.eta, params.d0, params.jitter,
-    )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(decomp.energies.tobytes())
-        fh.write(np.asfortranarray(decomp.vectors).tobytes(order="F"))
-
-
-def load_decomposition(path) -> tuple[EigenDecomposition, dict]:
-    """Read a decomposition dump; arrays round-trip bit for bit."""
-    raw = Path(path).read_bytes()
-    magic, version, size, seed, n, m, eta, d0, jitter = _HEADER.unpack_from(raw)
-    if magic != _DUMP_MAGIC or version != _DUMP_VERSION:
-        raise PreconditionError(f"not a decomposition dump: {path}")
-    offset = _HEADER.size
-    energies = np.frombuffer(raw, dtype=np.float64, count=size, offset=offset).copy()
-    offset += size * 8
-    vectors = np.frombuffer(raw, dtype=np.float64, count=size * size, offset=offset)
-    vectors = vectors.reshape((size, size), order="F").copy(order="F")
-    header = {"size": size, "seed": seed, "n": n, "m": m, "eta": eta, "d0": d0, "jitter": jitter}
-    return EigenDecomposition(energies=energies, vectors=vectors), header

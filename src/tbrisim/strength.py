@@ -9,18 +9,17 @@ Breit-Wigner and Gaussian/Lorentzian hybrid line shapes.
 
 from __future__ import annotations
 
-import csv
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import Basis, ClassPartition, occupancy_matrix
+from .basis import ClassPartition
 from .exceptions import (
     FitConvergenceError,
     InsufficientStatisticsError,
     PreconditionError,
 )
+from .export import write_table
 from .hamiltonian import HamiltonianMatrix
 from .spectral import EigenDecomposition, SpectralStats
 
@@ -435,13 +434,6 @@ def fit_hybrid(
     )
 
 
-def compound_occupations(decomp: EigenDecomposition, basis: Basis, k: int) -> np.ndarray:
-    """Orbital occupation numbers inside exact eigenstate k."""
-    if not 0 <= k < decomp.size:
-        raise PreconditionError(f"eigenstate index {k} outside [0, {decomp.size})")
-    return occupancy_matrix(basis) @ (decomp.vectors[:, k] ** 2)
-
-
 def spreading_params(
     profile: StrengthProfile,
     delta_e: float,
@@ -474,19 +466,9 @@ def spreading_params(
 
 def write_profile_csv(profile: StrengthProfile, path, *, header_lines=()) -> None:
     """CSV of (k, E_k, w_k) rows at full float precision."""
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["k", "E_k", "w_k"])
-        for k, (e, w) in enumerate(zip(profile.energies, profile.weights)):
-            writer.writerow([k, f"{e:.17g}", f"{w:.17g}"])
-
-
-def write_spreading_json(params: SpreadingParams, path, extra: dict | None = None) -> None:
-    payload = asdict(params)
-    if extra:
-        payload.update(extra)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    columns = {
+        "k": np.arange(len(profile.energies)),
+        "E_k": profile.energies,
+        "w_k": profile.weights,
+    }
+    write_table(path, columns, header_lines=header_lines)

@@ -13,7 +13,6 @@ toolkit.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -21,9 +20,10 @@ import numpy as np
 
 from .dynamics import TimeGrid, _times
 from .exceptions import ParameterError, PreconditionError
+from .export import write_table
 from .hamiltonian import SingleParticleSpectrum
 from .spectral import EigenDecomposition, SpectralStats
-from .strength import SpreadingParams, StrengthProfile, strength_function
+from .strength import SpreadingParams, StrengthProfile
 
 UNIFORM_TOL = 1e-9
 ENVELOPE_BLOCK = 256
@@ -32,11 +32,10 @@ MU_MAX_STEPS = 200       # bisection alone reaches adjacent floats in ~55 steps 
 
 @dataclass(frozen=True)
 class ThermalizationPrediction:
-    """Predicted occupations on a grid, tagged with the W0 source used."""
+    """Occupations predicted by eq. 14 from the exact W0, on a grid."""
 
     grid: TimeGrid
     occupations: np.ndarray     # (m, T)
-    source_w0: str              # "exact" | "model-bw" | "model-gaussian"
 
 
 @dataclass(frozen=True)
@@ -68,9 +67,7 @@ class FermiDiracFit:
     at_bound: tuple[str, ...]
 
 
-def predict_occupations(
-    n0, ninf, w0, grid=None, *, source_w0: str = "exact"
-) -> ThermalizationPrediction:
+def predict_occupations(n0, ninf, w0, grid=None) -> ThermalizationPrediction:
     """Interpolate between initial and asymptotic occupations with weight W0(t)."""
     n0 = np.asarray(n0, dtype=float)
     ninf = np.asarray(ninf, dtype=float)
@@ -81,7 +78,7 @@ def predict_occupations(
         raise ParameterError("W0 series must lie in [0, 1]")
     occupations = n0[:, None] * w0[None, :] + ninf[:, None] * (1.0 - w0[None, :])
     times = TimeGrid(_times(grid)) if grid is not None else TimeGrid(np.arange(len(w0), dtype=float))
-    return ThermalizationPrediction(grid=times, occupations=occupations, source_w0=source_w0)
+    return ThermalizationPrediction(grid=times, occupations=occupations)
 
 
 def survival_models(params: SpreadingParams, n_pc: float, grid) -> SurvivalModelCurves:
@@ -94,12 +91,6 @@ def survival_models(params: SpreadingParams, n_pc: float, grid) -> SurvivalModel
         gaussian=np.exp(-(params.delta_e**2) * t * t),
         saturation=3.0 / n_pc if n_pc > 0 else 0.0,
     )
-
-
-def _smoothed_weight_density(profile: StrengthProfile, nodes: np.ndarray, bandwidth: float):
-    z = (nodes[:, None] - profile.energies[None, :]) / bandwidth
-    kernel = np.exp(-0.5 * z * z) / (bandwidth * np.sqrt(2 * np.pi))
-    return kernel @ profile.weights
 
 
 def n_pc_envelope(profile: StrengthProfile, stats: SpectralStats) -> float:
@@ -124,33 +115,6 @@ def n_pc_envelope(profile: StrengthProfile, stats: SpectralStats) -> float:
         kernel = np.exp(-0.5 * z * z)
         envelope[lo : lo + len(kernel)] = (kernel @ profile.weights) / kernel.sum(axis=1)
     return float(1.0 / (envelope @ envelope))
-
-
-def convolve_strength(
-    profile_i: StrengthProfile,
-    decomp: EigenDecomposition,
-    rho: SpectralStats,
-    q: int,
-    *,
-    nodes: int = 400,
-) -> float:
-    """Smoothed overlap integral F~(E_i, E_q) = int F_i(E) F_q(E) rho(E) dE.
-
-    Both strength functions are kernel-smoothed into weight densities
-    (F rho); the integrand F_i F_q rho equals their product divided by the
-    level density.  Approximates the average diagonal term S_q^(d).
-    """
-    if nodes < 200:
-        raise ParameterError(f"need >= 200 quadrature nodes, got {nodes}")
-    profile_q = strength_function(decomp, q)
-    bw = rho.bandwidth
-    lo = min(profile_i.energies[0], profile_q.energies[0]) - 5 * bw
-    hi = max(profile_i.energies[-1], profile_q.energies[-1]) + 5 * bw
-    grid = np.linspace(lo, hi, nodes)
-    fi_rho = _smoothed_weight_density(profile_i, grid, bw)
-    fq_rho = _smoothed_weight_density(profile_q, grid, bw)
-    density = np.maximum(rho.rho(grid), 1e-300)
-    return float(np.trapezoid(fi_rho * fq_rho / density, grid))
 
 
 def convolve_strength_map(
@@ -313,15 +277,9 @@ def write_prediction_csv(
     prediction: ThermalizationPrediction, path, *, header_lines=()
 ) -> None:
     """Same row layout as the trajectory export plus a provenance column."""
-    m = prediction.occupations.shape[0]
-    provenance = "eq14-exactW0" if prediction.source_w0 == "exact" else "eq14-modelW0"
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"n_{a}" for a in range(m)] + ["provenance"])
-        for j, t in enumerate(prediction.grid.points):
-            row = [f"{t:.17g}"]
-            row += [f"{x:.17g}" for x in prediction.occupations[:, j]]
-            row.append(provenance)
-            writer.writerow(row)
+    columns = {
+        "t": prediction.grid.points,
+        **{f"n_{a}": row for a, row in enumerate(prediction.occupations)},
+        "provenance": "eq14-exactW0",
+    }
+    write_table(path, columns, header_lines=header_lines)

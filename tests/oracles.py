@@ -12,8 +12,11 @@ through the full products V^T V and H V, the mid-spectrum spacing
 and long-time grid as each was computed on its own before they shared
 one helper, and the amplitudes evaluated directly at every grid time, as
 ``evolve_amplitudes`` did before it interpolated from Chebyshev nodes.
-The occupation-term split and the long-time occupation average are
-physics checks that the pipeline does not need.
+The occupation-term split, the long-time occupation average, the
+occupations inside one eigenstate and the overlap integral of two
+strength functions, one basis state at a time (the reference of the
+vectorized ``convolve_strength_map``), are physics checks that the
+pipeline does not need.
 """
 
 from __future__ import annotations
@@ -42,8 +45,8 @@ from tbrisim.dynamics import (
 )
 from tbrisim.exceptions import ParameterError, PreconditionError
 from tbrisim.hamiltonian import HamiltonianMatrix, SingleParticleSpectrum, TwoBodyTensor
-from tbrisim.spectral import EigenDecomposition
-from tbrisim.strength import MOMENT_NODES, StrengthProfile, _adaptive_bins
+from tbrisim.spectral import EigenDecomposition, SpectralStats
+from tbrisim.strength import MOMENT_NODES, StrengthProfile, _adaptive_bins, strength_function
 
 _SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]])
 _PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -447,3 +450,44 @@ def standalone_long_time_grid(
     width = np.sqrt(max(weights @ (energies - e_mean) ** 2, 0.0))
     t0 = max(dt, 50.0 / width) if width > 0 else dt
     return t0 + dt * np.arange(samples)
+
+
+def compound_occupations(decomp: EigenDecomposition, basis: Basis, k: int) -> np.ndarray:
+    """Orbital occupation numbers inside exact eigenstate k."""
+    if not 0 <= k < decomp.size:
+        raise PreconditionError(f"eigenstate index {k} outside [0, {decomp.size})")
+    return occupancy_matrix(basis) @ (decomp.vectors[:, k] ** 2)
+
+
+def smoothed_weight_density(profile: StrengthProfile, nodes: np.ndarray, bandwidth: float):
+    """Gaussian-kernel smoothing of the weights w_k into a weight density at ``nodes``."""
+    z = (nodes[:, None] - profile.energies[None, :]) / bandwidth
+    kernel = np.exp(-0.5 * z * z) / (bandwidth * np.sqrt(2 * np.pi))
+    return kernel @ profile.weights
+
+
+def convolve_strength(
+    profile_i: StrengthProfile,
+    decomp: EigenDecomposition,
+    rho: SpectralStats,
+    q: int,
+    *,
+    nodes: int = 400,
+) -> float:
+    """Smoothed overlap integral F~(E_i, E_q) = int F_i(E) F_q(E) rho(E) dE.
+
+    Both strength functions are kernel-smoothed into weight densities
+    (F rho); the integrand F_i F_q rho equals their product divided by the
+    level density.  Approximates the average diagonal term S_q^(d).
+    """
+    if nodes < 200:
+        raise ParameterError(f"need >= 200 quadrature nodes, got {nodes}")
+    profile_q = strength_function(decomp, q)
+    bw = rho.bandwidth
+    lo = min(profile_i.energies[0], profile_q.energies[0]) - 5 * bw
+    hi = max(profile_i.energies[-1], profile_q.energies[-1]) + 5 * bw
+    grid = np.linspace(lo, hi, nodes)
+    fi_rho = smoothed_weight_density(profile_i, grid, bw)
+    fq_rho = smoothed_weight_density(profile_q, grid, bw)
+    density = np.maximum(rho.rho(grid), 1e-300)
+    return float(np.trapezoid(fi_rho * fq_rho / density, grid))

@@ -40,18 +40,26 @@ def test_config_defaults_round_trip():
 
 
 def test_config_validation_errors():
-    with pytest.raises(ParameterError):
-        cli.config_from_dict({"grid": {"kind": "cubic"}})
-    with pytest.raises(ParameterError):
-        cli.config_from_dict({"grid": {"kind": "log", "points": 10}})
-    with pytest.raises(ParameterError):
-        cli.config_from_dict({"output": {"formats": ["yaml"]}})
-    with pytest.raises(ParameterError):
-        cli.config_from_dict({"model": {"n": 0}})
-    with pytest.raises(ParameterError):
-        cli.config_from_dict({"config_version": 99})
-    with pytest.raises(ParameterError):
-        cli.config_from_dict([1, 2])
+    """Each bad config is a ParameterError (exit 2) before the basis is enumerated."""
+    small = {"n": 3, "m": 6}
+    for doc in (
+        {"grid": {"kind": "cubic"}},
+        {"grid": {"kind": "log", "points": 10}},
+        {"output": {"formats": ["yaml"]}},
+        {"model": {"n": 0}},
+        {"config_version": 99},
+        [1, 2],
+        {"model": small, "grid": {"points": "many"}},
+        {"model": small, "grid": {"points": 2.5}},
+        {"model": small, "grid": {"points": -5}},
+        {"model": small, "grid": {"kind": "linear", "start": -1.0, "stop": 5.0, "points": 10}},
+        {"model": small, "grid": {"kind": "log", "start": 0.1, "stop": "10", "points": 10}},
+        {"model": small, "initial_state": 0b1111},        # 4 particles, n=3
+        {"model": small, "initial_state": "0b1000011"},   # orbital 6 with m=6
+    ):
+        with pytest.raises(ParameterError):
+            cli.config_from_dict(doc)
+    assert cli.config_from_dict({"model": small, "initial_state": "0b111000"}).initial_state
 
 
 def test_select_initial_state_bitmask(small_2_4):
@@ -89,6 +97,27 @@ def test_run_small_system(tmp_path):
     assert set(manifest.files) >= {"config.json", "occupations.csv", "plotdata.csv"}
     saved = json.loads((outdir / "manifest.json").read_text())
     assert saved["config_hash"] == manifest.config_hash
+    spreading = json.loads((outdir / "spreading.json").read_text())
+    assert spreading["gamma_gr"] == manifest.derived["gamma_golden_rule"]
+    assert spreading["seed"] == 5 and spreading["config_hash"] == manifest.config_hash
+
+
+def test_every_table_has_lf_lines_and_full_rows(tmp_path):
+    """Every CSV of a run and of the sweep summary: no CR, and each data row has as
+    many cells as the column row."""
+    config_path = tmp_path / "config.json"
+    doc = small_doc(tmp_path, output={"directory": str(tmp_path / "sweep")})
+    config_path.write_text(json.dumps(doc))
+    assert cli.main(["sweep", "--eta", "0.1", "--config", str(config_path)]) == 0
+    tables = sorted((tmp_path / "sweep").rglob("*.csv"))
+    assert {path.name for path in tables} == {
+        "occupations.csv", "prediction.csv", "strength.csv", "plotdata.csv", "summary.csv",
+    }
+    for path in tables:
+        data = path.read_bytes()
+        assert b"\r" not in data, path.name
+        rows = [line.split(",") for line in data.decode().split("\n")[:-1] if line[0] != "#"]
+        assert len(rows) > 1 and {len(row) for row in rows} == {len(rows[0])}, path.name
 
 
 def _fitted_doc(tmp_path):
@@ -206,22 +235,35 @@ def test_run_deterministic_outputs(tmp_path):
 
 
 def test_run_json_format_and_binary_dumps(tmp_path):
-    doc = small_doc(
-        tmp_path,
-        output={
-            "directory": str(tmp_path / "out"),
-            "formats": ["csv", "json"],
-            "binary_dumps": True,
-        },
-    )
-    cli.run(cli.config_from_dict(doc))
-    outdir = tmp_path / "out"
+    """occupations.json holds the CSV's columns and values; the .npy dumps are H, E and V
+    rebuilt from the run's config.json, bit for bit, and two runs hash them the same."""
+    manifests = []
+    for tag in ("a", "b"):
+        output = {"directory": str(tmp_path / tag), "formats": ["csv", "json"],
+                  "binary_dumps": True}
+        manifests.append(cli.run(cli.config_from_dict(small_doc(tmp_path, output=output))))
+    outdir = tmp_path / "a"
     table = json.loads((outdir / "occupations.json").read_text())
-    assert table["columns"][0] == "t"
-    entries, header = tb.load_hamiltonian(outdir / "hamiltonian.bin")
-    assert header["n"] == 3 and entries.shape == (20, 20)
-    decomp, _ = tb.load_decomposition(outdir / "decomposition.bin")
-    assert decomp.size == 20
+    with open(outdir / "occupations.csv") as fh:
+        rows = list(csv.reader(line for line in fh if not line.startswith("#")))
+    assert table["columns"] == rows[0]
+    assert table["rows"] == [[float(x) for x in row] for row in rows[1:]]
+    assert table["header"] == [f"config_hash={manifests[0].config_hash}", "seed=5"]
+
+    config = cli.config_from_dict(json.loads((outdir / "config.json").read_text()))
+    params = config.model
+    h = tb.build_hamiltonian(
+        tb.build_basis(params.n, params.m), tb.sample_spectrum(params), tb.sample_two_body(params),
+        one_orbital_terms=config.one_orbital_terms, diagonal_pair_terms=config.diagonal_pair_terms,
+    )
+    decomp = tb.diagonalize(h)
+    dumps = {"hamiltonian.npy": h.entries, "eigenvalues.npy": decomp.energies,
+             "eigenvectors.npy": decomp.vectors}
+    for name, expected in dumps.items():
+        loaded = np.load(outdir / name)
+        assert loaded.dtype == expected.dtype and loaded.shape == expected.shape, name
+        assert loaded.tobytes() == expected.tobytes(), name
+        assert manifests[0].files[name] == manifests[1].files[name], name
 
 
 def test_emit_plotdata_empty_grid(tmp_path, small_3_6):
@@ -306,6 +348,19 @@ def test_main_inspect_against_another_run(tmp_path, capsys):
         assert f"{name}: bytes equal" in out
     assert "config.json: max abs diff 0, max rel diff 0" in out   # only output.directory differs
 
+    manifest_path = Path(outs[1]) / "manifest.json"
+    original = manifest_path.read_text()
+    manifest = json.loads(original)
+    manifest["derived"]["new_diagnostic"] = 1.0   # added since the other run: listed, no failure
+    manifest_path.write_text(json.dumps(manifest))
+    assert cli.main(["inspect", outs[0], "--against", outs[1]]) == 0
+    assert f"1 only in {outs[1]}: derived.new_diagnostic" in capsys.readouterr().out
+    manifest["derived"]["bw_fit"]["status"] = "converged"   # a changed text value fails
+    manifest_path.write_text(json.dumps(manifest))
+    assert cli.main(["inspect", outs[0], "--against", outs[1]]) == 3
+    assert "beyond tolerance, e.g. derived.bw_fit.status" in capsys.readouterr().out
+    manifest_path.write_text(original)
+
     target = Path(outs[1]) / "occupations.csv"
     _scale_cell(target, 1 + 1e-12)
     assert cli.main(["inspect", outs[0], "--against", outs[1]]) == 0
@@ -316,6 +371,12 @@ def test_main_inspect_against_another_run(tmp_path, capsys):
     _scale_cell(target, 1 + 1e-6)
     assert cli.main(["inspect", outs[0], "--against", outs[1]]) == 3
     assert "occupations.csv: max abs diff" in capsys.readouterr().out
+
+    shorter = Path(outs[1]) / "prediction.csv"   # a table of another shape fails
+    shorter.write_text("".join(shorter.read_text().splitlines(keepends=True)[:-1]))
+    assert cli.main(["inspect", outs[0], "--against", outs[1]]) == 3
+    line = [x for x in capsys.readouterr().out.splitlines() if x.startswith("prediction.csv:")][-1]
+    assert "beyond tolerance" in line
 
     target.unlink()
     assert cli.main(["inspect", outs[0], "--against", outs[1]]) == 3

@@ -219,8 +219,8 @@ def test_hamiltonian_linear_in_tensor():
     spectrum = tb.sample_spectrum(params)
     tensor = tb.sample_two_body(params)
     h1 = tb.build_hamiltonian(basis, spectrum, tensor).entries
-    h3 = tb.build_hamiltonian(basis, spectrum, tensor.scaled(3.0)).entries
-    h0 = tb.build_hamiltonian(basis, spectrum, tensor.scaled(0.0)).entries
+    h3 = tb.build_hamiltonian(basis, spectrum, tb.TwoBodyTensor(6, 3.0 * tensor.matrix)).entries
+    h0 = tb.build_hamiltonian(basis, spectrum, tb.TwoBodyTensor(6, 0.0 * tensor.matrix)).entries
     assert np.allclose(h3 - h0, 3.0 * (h1 - h0), atol=1e-12)
 
 
@@ -248,13 +248,3 @@ def test_build_rejects_mismatched_sizes():
     params5 = tb.ModelParams(n=2, m=5, eta=0.1, seed=1)
     with pytest.raises(ParameterError):
         tb.build_hamiltonian(basis, tb.sample_spectrum(params5), tb.sample_two_body(params5))
-
-
-def test_dump_and_load_round_trip(tmp_path, small_3_6):
-    path = tmp_path / "h.bin"
-    tb.dump_hamiltonian(small_3_6.h, small_3_6.params, path)
-    entries, header = tb.load_hamiltonian(path)
-    assert entries.tobytes() == small_3_6.h.entries.tobytes()
-    assert header["n"] == 3 and header["m"] == 6
-    assert header["eta"] == small_3_6.params.eta
-    assert header["seed"] == small_3_6.params.seed

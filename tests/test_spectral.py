@@ -124,16 +124,6 @@ def test_stats_needs_three_levels():
         tb.spectral_stats(decomp)
 
 
-def test_decomposition_dump_round_trip(tmp_path, small_3_6):
-    path = tmp_path / "d.bin"
-    tb.dump_decomposition(small_3_6.decomp, small_3_6.params, path)
-    loaded, header = tb.load_decomposition(path)
-    assert loaded.energies.tobytes() == small_3_6.decomp.energies.tobytes()
-    assert loaded.vectors.tobytes(order="F") == small_3_6.decomp.vectors.tobytes(order="F")
-    assert np.array_equal(loaded.vectors, small_3_6.decomp.vectors)
-    assert header["size"] == 20 and header["seed"] == small_3_6.params.seed
-
-
 @pytest.mark.parametrize("name", FIXTURES)
 def test_probe_and_exact_residuals_within_tolerances(request, name):
     system = request.getfixturevalue(name)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import json
 
 import numpy as np
 import pytest
@@ -13,7 +12,7 @@ from tbrisim import strength
 from tbrisim.exceptions import FitConvergenceError, PreconditionError
 
 from conftest import FIG1_ETA, FIG2_ETA, make_system, realization_fit_inputs
-from oracles import scipy_bw_fit, scipy_hybrid_fit
+from oracles import compound_occupations, scipy_bw_fit, scipy_hybrid_fit
 
 ORACLE_RTOL = 1e-6   # scipy's 3-point finite-difference Jacobian agrees to ~5e-8
 
@@ -108,7 +107,7 @@ def test_golden_rule_scales_linearly_with_eta():
     tensor = tb.sample_two_body(params)
     gammas = []
     for scale in (1.0, np.sqrt(2.0), 2.0):
-        h = tb.build_hamiltonian(basis, spectrum, tensor.scaled(scale))
+        h = tb.build_hamiltonian(basis, spectrum, tb.TwoBodyTensor(12, scale * tensor.matrix))
         diag = h.diagonal()
         i = int(np.argmin(np.abs(diag - np.median(diag))))
         part = tb.classify(basis, int(basis.states[i]))
@@ -261,7 +260,7 @@ def test_fit_reports_parameter_at_bound():
 def test_compound_occupations_free_case():
     s = make_system(3, 6, eta=0.0, seed=3)
     for k in (0, 7, 19):
-        occ = tb.compound_occupations(s.decomp, s.basis, k)
+        occ = compound_occupations(s.decomp, s.basis, k)
         bits = [(int(s.basis.states[k]) >> a) & 1 for a in range(6)]
         assert np.allclose(occ, bits, atol=1e-12)
 
@@ -269,13 +268,13 @@ def test_compound_occupations_free_case():
 def test_compound_occupations_conserve_particle_number(fig2):
     rng = np.random.default_rng(5)
     for k in rng.choice(fig2.basis.size, size=10, replace=False):
-        occ = tb.compound_occupations(fig2.decomp, fig2.basis, int(k))
+        occ = compound_occupations(fig2.decomp, fig2.basis, int(k))
         assert occ.sum() == pytest.approx(6.0, abs=1e-10)
 
 
 def test_compound_occupations_mid_spectrum_plateau(fig2):
     k = fig2.basis.size // 2
-    occ = tb.compound_occupations(fig2.decomp, fig2.basis, k)
+    occ = compound_occupations(fig2.decomp, fig2.basis, k)
     assert np.all(np.abs(occ - 0.5) < 0.1)
 
 
@@ -300,14 +299,3 @@ def test_profile_csv_round_trip(tmp_path, fig1):
     energies = np.array([float(r["E_k"]) for r in rows])
     assert np.array_equal(weights, fig1.profile.weights)
     assert np.array_equal(energies, fig1.profile.energies)
-
-
-def test_spreading_json_sidecar(tmp_path, fig1):
-    sp = tb.spreading_params(
-        fig1.profile, fig1.delta_e, fig1.gamma, fig1.stats.mean_spacing_mid, fit=False
-    )
-    path = tmp_path / "spreading.json"
-    tb.strength.write_spreading_json(sp, path, extra={"seed": 1})
-    data = json.loads(path.read_text())
-    assert data["gamma_gr"] == sp.gamma_gr
-    assert data["seed"] == 1

@@ -13,7 +13,7 @@ from tbrisim import theory
 from tbrisim.exceptions import ParameterError, PreconditionError
 
 from conftest import FIG1_ETA, FIG2_ETA, realization_fit_inputs
-from oracles import scipy_fermi_dirac
+from oracles import convolve_strength, scipy_fermi_dirac, smoothed_weight_density
 
 
 def test_prediction_frozen_when_w0_is_one():
@@ -99,7 +99,7 @@ def test_n_pc_envelope_carries_porter_thomas_factor():
 def test_n_pc_envelope_matches_density_ratio(fig2):
     """One kernel per block equals the smoothed weight density over rho."""
     energies = fig2.profile.energies
-    envelope = tb.theory._smoothed_weight_density(
+    envelope = smoothed_weight_density(
         fig2.profile, energies, fig2.stats.bandwidth
     ) / fig2.stats.rho(energies)
     expected = 1.0 / (envelope @ envelope)
@@ -149,18 +149,18 @@ def test_convolution_matches_analytic_lorentzian():
     """Same-center BW profiles: the overlap equals D * L_{2 Gamma}(0) = D/(pi Gamma)."""
     gamma = 0.5
     decomp, profile, stats, spacing, center = _synthetic_bw_system(gamma=gamma)
-    value = tb.convolve_strength(profile, decomp, stats, q=center, nodes=2001)
+    value = convolve_strength(profile, decomp, stats, q=center, nodes=2001)
     analytic = spacing / (np.pi * gamma)
     assert value == pytest.approx(analytic, rel=0.05)
 
 
 def test_convolution_peaks_at_zero_detuning():
     decomp, profile, stats, _, center = _synthetic_bw_system(spacing=0.05)
-    at_center = tb.convolve_strength(profile, decomp, stats, q=center, nodes=801)
+    at_center = convolve_strength(profile, decomp, stats, q=center, nodes=801)
     n = len(decomp.energies)
     rng = np.random.default_rng(4)
     for q in rng.choice(n, size=8, replace=False):
-        assert at_center >= tb.convolve_strength(profile, decomp, stats, int(q), nodes=801)
+        assert at_center >= convolve_strength(profile, decomp, stats, int(q), nodes=801)
 
 
 def test_convolution_completeness_on_realization(fig2):
@@ -169,13 +169,13 @@ def test_convolution_completeness_on_realization(fig2):
     assert smoothed.sum() == pytest.approx(1.0, rel=0.05)
     rng = np.random.default_rng(9)
     for q in rng.choice(fig2.basis.size, size=4, replace=False):
-        single = tb.convolve_strength(fig2.profile, fig2.decomp, fig2.stats, int(q))
+        single = convolve_strength(fig2.profile, fig2.decomp, fig2.stats, int(q))
         assert single == pytest.approx(smoothed[int(q)], rel=1e-6)
 
 
 def test_convolution_rejects_sparse_quadrature(fig2):
     with pytest.raises(ParameterError):
-        tb.convolve_strength(fig2.profile, fig2.decomp, fig2.stats, 0, nodes=50)
+        convolve_strength(fig2.profile, fig2.decomp, fig2.stats, 0, nodes=50)
 
 
 def test_fermi_dirac_recovers_synthetic_parameters():
