@@ -60,9 +60,10 @@ _BLAS_THREAD_GETTERS = (
 # above one build's rounding (payloads across BLAS thread counts: 4.3e-14 apart,
 # fit parameters <= 3e-13 relative) and far below any change of the physics.
 INSPECT_TOL = 1e-9
-# Manifest and config keys that describe the machine, the hashes or the output
-# routing rather than the result; `inspect --against` does not compare them.
-_UNCOMPARED_KEYS = frozenset({"environment", "files", "output"})
+# Manifest and config keys that describe the machine, the hashes, the output
+# routing or the trajectory's evaluation plan rather than the result;
+# `inspect --against` does not compare them.
+_UNCOMPARED_KEYS = frozenset({"environment", "files", "output", "interpolated_points", "time_nodes"})
 
 _MODEL_DEFAULTS = {"n": 6, "m": 12, "eta": 0.003, "seed": 1, "d0": 1.0, "jitter": 0.0}
 
@@ -167,19 +168,20 @@ def _environment() -> dict:
     }
 
 
-def _check_dense_size(model: ModelParams) -> None:
-    """Refuse a model whose dense H and eigendecomposition exceed physical memory."""
+def _check_dense_size(model: ModelParams, points: int) -> None:
+    """Refuse a run whose dense H, eigendecomposition and (N, points) complex
+    amplitudes exceed physical memory."""
     states = math.comb(model.m, model.n)
-    need = states**2 * 8 * DENSE_COPIES
+    need = states**2 * 8 * DENSE_COPIES + states * points * 16
     try:
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (ValueError, OSError):   # not reported on this platform
         return
     if 0 < physical < need:
         raise ParameterError(
-            f"n={model.n}, m={model.m} has {states} basis states; the dense Hamiltonian and "
-            f"its eigendecomposition need ~{need / 1e9:.3g} GB, more than the "
-            f"{physical / 1e9:.3g} GB of physical memory"
+            f"n={model.n}, m={model.m} has {states} basis states; the dense Hamiltonian, "
+            f"its eigendecomposition and {points} grid points need ~{need / 1e9:.3g} GB, "
+            f"more than the {physical / 1e9:.3g} GB of physical memory"
         )
 
 
@@ -190,23 +192,26 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     version = data.get("config_version", CONFIG_VERSION)
     if version != CONFIG_VERSION:
         raise ParameterError(f"unsupported config_version {version}")
-    model_in = {**_MODEL_DEFAULTS, **data.get("model", {})}
+    blocks = {key: data.get(key, {}) for key in ("model", "hamiltonian", "grid", "analysis", "output")}
+    for key, block in blocks.items():
+        if not isinstance(block, dict):
+            raise ParameterError(f"config block {key!r} must be a JSON object, got {block!r}")
+    model_block, ham, grid, analysis, output = blocks.values()
+    model_in = {**_MODEL_DEFAULTS, **model_block}
+    for key in ("n", "m", "seed"):
+        if isinstance(model_in[key], bool) or not isinstance(model_in[key], int):
+            raise ParameterError(f"model {key} must be an integer, got {model_in[key]!r}")
     try:
         model = ModelParams(
-            n=int(model_in["n"]),
-            m=int(model_in["m"]),
+            n=model_in["n"],
+            m=model_in["m"],
             eta=float(model_in["eta"]),
-            seed=int(model_in["seed"]),
+            seed=model_in["seed"],
             d0=float(model_in["d0"]),
             jitter=float(model_in["jitter"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParameterError(f"bad model block: {exc}") from exc
-    _check_dense_size(model)
-    ham = data.get("hamiltonian", {})
-    grid = data.get("grid", {})
-    analysis = data.get("analysis", {})
-    output = data.get("output", {})
     kind = grid.get("kind", "auto")
     if kind not in ("auto", "log", "linear"):
         raise ParameterError(f"grid kind must be auto|log|linear, got {kind!r}")
@@ -222,6 +227,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     points = grid.get("points", 400)
     if isinstance(points, bool) or not isinstance(points, int) or points < 0:
         raise ParameterError(f"grid points must be a non-negative integer, got {points!r}")
+    _check_dense_size(model, points)
     initial_state = data.get("initial_state", "mid-spectrum")
     _initial_bitmask(initial_state, model.n, model.m)
     formats = tuple(output.get("formats", ["csv"]))
@@ -508,6 +514,7 @@ def run(config: ExperimentConfig) -> RunManifest:
             },
             "dynamics": {
                 "unitarity_drift": trajectory.unitarity_drift,
+                "interpolated_points": trajectory.interpolated_points,
                 "time_nodes": trajectory.time_nodes,
             },
             "convolution_completeness": conv_sum,
@@ -524,18 +531,14 @@ def run(config: ExperimentConfig) -> RunManifest:
 
 def _parse_grid_flag(value: str) -> dict:
     parts = value.split(":")
-    if parts[0] == "auto":
-        spec = {"kind": "auto"}
-        if len(parts) > 1:
-            spec["points"] = int(parts[1])
-        return spec
-    if parts[0] in ("log", "linear") and len(parts) == 4:
-        return {
-            "kind": parts[0],
-            "start": float(parts[1]),
-            "stop": float(parts[2]),
-            "points": int(parts[3]),
-        }
+    try:
+        if parts[0] == "auto":
+            return {"kind": "auto", **({"points": int(parts[1])} if len(parts) > 1 else {})}
+        if parts[0] in ("log", "linear") and len(parts) == 4:
+            start, stop, points = float(parts[1]), float(parts[2]), int(parts[3])
+            return {"kind": parts[0], "start": start, "stop": stop, "points": points}
+    except ValueError as exc:
+        raise ParameterError(f"bad grid spec {value!r}: {exc}") from exc
     raise ParameterError(
         f"bad grid spec {value!r}; use auto[:points] or log:START:STOP:POINTS"
     )

@@ -5,14 +5,14 @@ written as c_k = C_i(k), the amplitude on basis state f at time t is
 
     A_f(t) = sum_k c_k C_f(k) exp(-i E_k t)        (hbar = 1).
 
-On a trajectory grid [t_1, t_T] this sum is an entire function of t of
-bandwidth (W/2)(t_T - t_1)/2 once the energies are centred (W the width of
-the spectrum), so it is evaluated at K first-kind Chebyshev nodes and
-carried to the grid by barycentric interpolation, to within a stated
-a-priori bound of ~eps (see ``evolve_amplitudes``); a grid of at most K
-points is evaluated directly at its own times.  Occupation numbers, the
-survival probability W0, cascade-class populations and the
-diagonal-ensemble (infinite-time) occupations all derive from these
+The centred sum exp(i c t) A_f(t) has real coefficients, so its values at
+-t are the conjugates of those at t.  A prefix [t_1, t_s] of the grid is
+interpolated from K first-kind Chebyshev nodes of [-t_s, t_s], of which only
+the non-negative half is evaluated; the rest of the grid, where a log grid is
+sparse, is evaluated directly.  The split follows from a flop count and K
+from a stated a-priori bound of ~eps (see ``evolve_amplitudes``).
+Occupation numbers, the survival probability W0, cascade-class populations
+and the diagonal-ensemble (infinite-time) occupations all derive from these
 amplitudes.
 """
 
@@ -54,8 +54,9 @@ class OccupationTrajectory:
     """Occupations n_alpha(t), survival W0(t) and class populations W_s(t).
 
     ``unitarity_drift`` is max_t |sum_f |A_f(t)|^2 - 1| on the grid;
-    ``time_nodes`` is the Chebyshev node count K, or None when the grid
-    was evaluated directly.
+    ``interpolated_points`` is the number s of leading times interpolated
+    from Chebyshev nodes, and ``time_nodes`` the node count K, or None when
+    s = 0 and every time was evaluated directly.
     """
 
     grid: TimeGrid
@@ -63,6 +64,7 @@ class OccupationTrajectory:
     w0: np.ndarray               # (T,)
     class_populations: np.ndarray  # (n_classes + 1, T)
     unitarity_drift: float
+    interpolated_points: int
     time_nodes: int | None
 
     def columns(self) -> dict:
@@ -116,29 +118,40 @@ def _spectral_power(weights: np.ndarray, energies: np.ndarray, times: np.ndarray
     return parts[0::2] ** 2 + parts[1::2] ** 2
 
 
-def _node_count(energies: np.ndarray, times: np.ndarray) -> int:
-    """Smallest K with omega^K / (2^(K-1) K!) <= _NODE_EPS, or len(times) if none is smaller.
+def _node_count(omega, most: int) -> np.ndarray:
+    """Smallest K <= most with omega^K / (2^(K-1) K!) <= _NODE_EPS, per omega; most + 1 if none."""
+    counts = np.arange(1, most + 1)   # the largest omega K nodes resolve grows with K
+    log_limits = math.log(_NODE_EPS) + (counts - 1) * math.log(2.0) + np.cumsum(np.log(counts))
+    return np.searchsorted(np.exp(log_limits / counts), omega) + 1
 
-    omega = (W/2)(t_T - t_1)/2, with W = E_max - E_min, is the largest
-    frequency of the centred spectral sum once [t_1, t_T] is mapped to [-1, 1].
+
+def _plan(energies: np.ndarray, times: np.ndarray) -> tuple[int, int]:
+    """(s, K): interpolate times[:s] from K nodes of [-t_s, t_s]; evaluate the rest directly.
+
+    s minimises the predicted flops per row, N (K + 2 (T - s)) + K s (GEMM
+    columns and the carry to the grid), with omega = (W/2) t_s for K; the
+    first minimum is taken, so s = 0 (K = 0, 2 N T) unless a prefix is
+    cheaper.  K >= 2T never is, so no count past 2T is resolved.
     """
     points = len(times)
-    if points < 2:
-        return points
-    omega = 0.25 * (energies.max() - energies.min()) * (times[-1] - times[0])
-    log_omega = math.log(omega) if omega > 0 else -math.inf
-    log_target = math.log(_NODE_EPS)
-    for count in range(1, points):
-        if count * log_omega - (count - 1) * math.log(2.0) - math.lgamma(count + 1) <= log_target:
-            return count
-    return points
+    omega = 0.5 * (energies.max() - energies.min()) * times
+    counts = np.concatenate(([0], _node_count(omega, 2 * points)))
+    split = np.arange(points + 1)
+    best = int(np.argmin(len(energies) * (counts + 2 * (points - split)) + counts * split))
+    return best, int(counts[best])
 
 
-def _chebyshev_nodes(first: float, last: float, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """First-kind Chebyshev nodes on [first, last] and their barycentric weights."""
-    angles = (2 * np.arange(count) + 1) * (np.pi / (2 * count))
-    nodes = 0.5 * (first + last) + 0.5 * (last - first) * np.cos(angles)
-    weights = np.sin(angles)
+def _chebyshev_nodes(radius: float, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """First-kind Chebyshev nodes on [-radius, radius] and their barycentric weights.
+
+    Descending and exactly symmetric: node K-1-j is -node j, an odd K has 0.0
+    in the middle, and mirrored weights differ at most in sign.
+    """
+    angles = (2 * np.arange((count + 1) // 2) + 1) * np.pi / (2 * count)
+    half = radius * np.cos(angles)
+    half[count // 2 :] = 0.0
+    nodes = np.concatenate((half, -half[: count // 2][::-1]))
+    weights = np.concatenate((np.sin(angles), np.sin(angles[: count // 2])[::-1]))
     weights[1::2] *= -1.0
     return nodes, weights
 
@@ -160,33 +173,37 @@ def _lagrange_matrix(nodes: np.ndarray, weights: np.ndarray, times: np.ndarray) 
 
 def _evolve(
     decomp: EigenDecomposition, i: int, times: np.ndarray
-) -> tuple[np.ndarray, float, int | None]:
-    """(N, T, 2) real and imaginary parts of exp(i c t) A_f(t), the centre c, and K.
+) -> tuple[np.ndarray, np.ndarray, float, int, int]:
+    """(N, T) real and imaginary parts, the centre c, s and K (see ``_plan``).
 
-    With K < T nodes the energies are centred at c; on the direct path
-    (K >= T) c = 0 and K is returned as None.
+    The parts are those of exp(i c t) A_f(t) on the first s times and of
+    A_f(t) after them; with s = 0 the GEMM is the direct one over every time.
     """
     if not 0 <= i < decomp.size:
         raise PreconditionError(f"basis index {i} outside [0, {decomp.size})")
-    energies, count = decomp.energies, _node_count(decomp.energies, times)
-    if count < len(times):
-        centre = 0.5 * (energies.max() + energies.min())
-        nodes, weights = _chebyshev_nodes(times[0], times[-1], count)
-    else:
-        centre, nodes, count = 0.0, times, None
-    rhs = _phases(energies - centre, nodes)
+    energies, (split, count) = decomp.energies, _plan(decomp.energies, times)
+    centre, even, odd = 0.5 * (energies.max() + energies.min()), (count + 1) // 2, count // 2
+    nodes, weights = _chebyshev_nodes(times[split - 1] if split else 0.0, count)
+    theta = np.outer(centre - energies, nodes[:even])   # the nodes >= 0
+    tail = _phases(energies, times[split:])
+    rhs = np.concatenate((np.cos(theta), np.sin(theta[:, :odd]), tail), axis=1)
     rhs *= decomp.vectors[i, :, None]
-    parts = (decomp.vectors @ rhs).reshape(decomp.size, len(nodes), 2)
-    if count is not None:   # (2N x K) @ (K x T), read back as (N, T, 2)
-        stacked = parts.transpose(0, 2, 1).reshape(2 * decomp.size, count)
-        parts = stacked @ _lagrange_matrix(nodes, weights, times)
-        parts = parts.reshape(decomp.size, 2, len(times)).transpose(0, 2, 1)
-    return parts, centre, count
+    values = decomp.vectors @ rhs   # cos, sin and tail columns: N x N x (K + 2(T - s))
+    real, imag = np.empty((2, decomp.size, len(times)))
+    real[:, split:], imag[:, split:] = values[:, count::2], values[:, count + 1 :: 2]
+    # A(-x) = conj A(x): the mirror of node j carries the conjugate of its value.
+    lagrange = _lagrange_matrix(nodes, weights, times[:split])
+    mirror = lagrange[::-1]
+    folded = lagrange[:even] + mirror[:even]
+    folded[odd:] *= 0.5   # an odd K's middle node is its own mirror
+    np.matmul(values[:, :even], folded, out=real[:, :split])
+    np.matmul(values[:, even:count], lagrange[:odd] - mirror[:odd], out=imag[:, :split])
+    return real, imag, centre, split, count
 
 
-def _checked_probabilities(parts: np.ndarray) -> tuple[np.ndarray, float]:
+def _checked_probabilities(real: np.ndarray, imag: np.ndarray) -> tuple[np.ndarray, float]:
     """(N, T) |A_f(t)|^2 and the unitarity drift max_t |sum_f |A_f(t)|^2 - 1|."""
-    prob = parts[..., 0] ** 2 + parts[..., 1] ** 2
+    prob = real**2 + imag**2
     drift = float(np.abs(prob.sum(axis=0) - 1.0).max()) if prob.shape[1] else 0.0
     if drift > UNITARITY_TOL:
         raise PreconditionError(f"evolution lost unitarity: |sum - 1| = {drift:.3e}")
@@ -196,33 +213,36 @@ def _checked_probabilities(parts: np.ndarray) -> tuple[np.ndarray, float]:
 def evolve_amplitudes(decomp: EigenDecomposition, i: int, grid) -> np.ndarray:
     """(N, T) amplitudes A_f(t) for an initial basis state i; unitary at every t.
 
-    The grid [t_1, t_T] is mapped to s in [-1, 1].  With the energies centred
-    at c = (E_min + E_max)/2, every term of exp(i c t) A_f(t) is a constant
-    times exp(-i a s) with |a| <= omega = (W/2)(t_T - t_1)/2, W = E_max - E_min.
-    The sum is evaluated at K first-kind Chebyshev nodes, K the smallest count
-    with omega^K / (2^(K-1) K!) <= eps: a real GEMM of N x N x 2K over the
-    interleaved cos/sin columns of ``_phases``.  One real product
-    (2N x K) @ (K x T) with the barycentric Lagrange weights carries the node
-    values to the grid (Berrut & Trefethen, SIAM Rev. 46, 501 (2004)), and the
-    phase exp(-i c t) is multiplied back.  When K >= T the nodes are the grid
-    itself: the energies are not centred and the final product is skipped.
+    With the energies centred at c = (E_min + E_max)/2 and V real,
+    exp(i c t) A_f(t) = sum_k c_k C_f(k) exp(-i (E_k - c) t) has an even real
+    and an odd imaginary part.  The first s grid times are interpolated from
+    K first-kind Chebyshev nodes of [-t_s, t_s], K the smallest count with
+    omega^K / (2^(K-1) K!) <= eps, omega = (W/2) t_s, W = E_max - E_min.  The
+    nodes are exactly symmetric, so only the non-negative ones are evaluated:
+    their cos columns carry the real part and the sin columns of the positive
+    ones the imaginary part, K real columns in all.  The barycentric Lagrange
+    weights (Berrut & Trefethen, SIAM Rev. 46, 501 (2004)), folded as
+    L_j +- L_mirror(j), carry them to the prefix, where exp(-i c t) is
+    multiplied back.  Later times take 2 uncentred columns each from
+    ``_phases``.  One real GEMM of N x N x (K + 2(T - s)) does both; ``_plan``
+    picks s, and s = 0 is the direct GEMM over every time.
 
-    Bound: interpolating exp(-i a s) at K Chebyshev nodes leaves each of its
-    real and imaginary parts off by at most omega^K / (2^(K-1) K!).  Each
-    amplitude is a combination of these with coefficients c_k C_f(k), whose
-    absolute values sum to at most 1 by Cauchy-Schwarz over the unit vectors
-    c and C_f, so it is off by at most sqrt(2) omega^K / (2^(K-1) K!)
-    <= sqrt(2) eps.  Rounding in the node values, eps (3 (W/2) t_T + 2N) as
-    on the direct path, and in the final K-term sums is amplified by at most
-    the Lebesgue constant Lambda_K <= (2/pi) ln(K + 1) + 1 (about 4 at
-    K ~ 100).
+    Bound: interpolating exp(-i a u), u = t / t_s in [-1, 1] and |a| <= omega,
+    at K Chebyshev nodes leaves each of its real and imaginary parts off by
+    at most omega^K / (2^(K-1) K!).  Each amplitude is a combination of these
+    with coefficients c_k C_f(k), whose absolute values sum to at most 1 by
+    Cauchy-Schwarz over the unit vectors c and C_f, so it is off by at most
+    sqrt(2) omega^K / (2^(K-1) K!) <= sqrt(2) eps.  Rounding in the node
+    values, eps (3 (W/2) t_s + 2N) as on the direct path, and in the final
+    K-term sums is amplified by at most the Lebesgue constant
+    Lambda_K <= (2/pi) ln(K + 1) + 1 (about 4 at K ~ 100).
     """
     times = _times(grid)
-    parts, centre, time_nodes = _evolve(decomp, i, times)
-    _checked_probabilities(parts)
-    amplitudes = np.ascontiguousarray(parts).view(np.complex128)[..., 0]
-    if time_nodes is not None:
-        amplitudes *= np.exp(-1j * centre * times)
+    real, imag, centre, split, _ = _evolve(decomp, i, times)
+    _checked_probabilities(real, imag)
+    amplitudes = np.empty(real.shape, dtype=np.complex128)
+    amplitudes.real, amplitudes.imag = real, imag
+    amplitudes[:, :split] *= np.exp(-1j * centre * times[:split])
     return amplitudes
 
 
@@ -268,15 +288,16 @@ def simulate_trajectory(
 ) -> OccupationTrajectory:
     """Full trajectory bundle for one initial state on one grid."""
     times = TimeGrid(_times(grid))
-    parts, _, time_nodes = _evolve(decomp, i, times.points)
-    prob, drift = _checked_probabilities(parts)
+    real, imag, _, split, count = _evolve(decomp, i, times.points)
+    prob, drift = _checked_probabilities(real, imag)
     return OccupationTrajectory(
         grid=times,
         occupations=occupation_numbers(prob, basis),
         w0=prob[i].copy(),
         class_populations=class_populations(prob, partition),
         unitarity_drift=drift,
-        time_nodes=time_nodes,
+        interpolated_points=split,
+        time_nodes=count if split else None,
     )
 
 

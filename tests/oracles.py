@@ -275,6 +275,7 @@ def complex_trajectory(
         w0=_survival_probability(decomp, i, grid.points),
         class_populations=_class_populations(frames, partition),
         unitarity_drift=float(np.abs(norms - 1.0).max()) if norms.size else 0.0,
+        interpolated_points=0,
         time_nodes=None,
     )
 

@@ -56,6 +56,15 @@ def test_config_validation_errors():
         {"model": small, "grid": {"kind": "log", "start": 0.1, "stop": "10", "points": 10}},
         {"model": small, "initial_state": 0b1111},        # 4 particles, n=3
         {"model": small, "initial_state": "0b1000011"},   # orbital 6 with m=6
+        {"model": small, "grid": [1]},
+        {"model": small, "analysis": "x"},
+        {"model": small, "hamiltonian": None},
+        {"model": small, "output": ["csv"]},
+        {"model": []},
+        {"model": {"n": 2.7, "m": 6}},
+        {"model": {"n": 3, "m": "6"}},
+        {"model": {**small, "seed": 1.5}},
+        {"model": {**small, "seed": True}},
     ):
         with pytest.raises(ParameterError):
             cli.config_from_dict(doc)
@@ -159,20 +168,24 @@ def test_manifest_records_eigensolver_and_environment(tmp_path):
     "grid, interpolated",
     [
         ({"kind": "auto", "points": 120}, True),
-        ({"kind": "linear", "start": 0.0, "stop": 5.0, "points": 12}, False),
+        ({"kind": "linear", "start": 1.0, "stop": 5.0, "points": 12}, False),   # no t = 0
     ],
 )
 def test_manifest_records_trajectory_diagnostics(tmp_path, grid, interpolated):
-    """derived.dynamics: the unitarity drift, and the node count (null on the direct path)."""
+    """derived.dynamics: the unitarity drift, the interpolated prefix s and its node count K
+    (s = 0 and K null on the direct path); K + 2 (T - s) < 2 T columns when s > 0."""
     manifest = cli.run(cli.config_from_dict(small_doc(tmp_path, grid=grid)))
     saved = json.loads((tmp_path / "out" / "manifest.json").read_text())["derived"]["dynamics"]
     assert saved == manifest.derived["dynamics"]
-    assert set(saved) == {"unitarity_drift", "time_nodes"}
+    assert set(saved) == {"unitarity_drift", "interpolated_points", "time_nodes"}
     assert 0.0 <= saved["unitarity_drift"] <= tb.dynamics.UNITARITY_TOL
+    split, count = saved["interpolated_points"], saved["time_nodes"]
+    points = json.loads((tmp_path / "out" / "occupations.meta.json").read_text())["grid_points"]
     if interpolated:
-        assert isinstance(saved["time_nodes"], int) and 1 <= saved["time_nodes"] < grid["points"]
+        assert isinstance(count, int) and 1 <= split <= points
+        assert count + 2 * (points - split) < 2 * points
     else:
-        assert saved["time_nodes"] is None
+        assert split == 0 and count is None
 
 
 def test_size_guard_refuses_a_dense_matrix_beyond_physical_memory(tmp_path):
@@ -185,6 +198,14 @@ def test_size_guard_refuses_a_dense_matrix_beyond_physical_memory(tmp_path):
     assert time.perf_counter() - start < 0.5
     assert not (tmp_path / "out").exists()
     assert cli.config_from_dict({"model": {"n": 7, "m": 14}}).model.n == 7
+
+
+def test_size_guard_counts_the_trajectory_grid():
+    """n=6, m=12 validates with 400 points; 10**11 points of (N, points) complex amplitudes
+    exceed physical memory and are refused by validation alone."""
+    assert cli.config_from_dict({"grid": {"points": 400}}).grid_points == 400
+    with pytest.raises(ParameterError, match="grid points"):
+        cli.config_from_dict({"model": {"n": 6, "m": 12}, "grid": {"points": 10**11}})
 
 
 def test_failed_fit_is_recorded_and_the_others_still_run(tmp_path, monkeypatch):
@@ -334,8 +355,8 @@ def _scale_cell(path: Path, factor: float) -> None:
 
 
 def test_main_inspect_against_another_run(tmp_path, capsys):
-    """Two runs of one config: bytes equal, routing ignored; a numeric change is
-    reported with its size and fails above INSPECT_TOL; a missing file fails."""
+    """Two runs of one config: bytes equal, routing and the trajectory plan ignored; a
+    numeric change is reported with its size and fails above INSPECT_TOL; a missing file fails."""
     outs = []
     for tag in ("a", "b"):
         doc = small_doc(tmp_path, output={"directory": str(tmp_path / tag)})
@@ -352,6 +373,7 @@ def test_main_inspect_against_another_run(tmp_path, capsys):
     original = manifest_path.read_text()
     manifest = json.loads(original)
     manifest["derived"]["new_diagnostic"] = 1.0   # added since the other run: listed, no failure
+    manifest["derived"]["dynamics"].update(interpolated_points=0, time_nodes=None)   # another plan
     manifest_path.write_text(json.dumps(manifest))
     assert cli.main(["inspect", outs[0], "--against", outs[1]]) == 0
     assert f"1 only in {outs[1]}: derived.new_diagnostic" in capsys.readouterr().out
@@ -464,8 +486,17 @@ def test_grid_flag_parsing():
     assert cli._parse_grid_flag("log:0.01:10:50") == {
         "kind": "log", "start": 0.01, "stop": 10.0, "points": 50,
     }
-    with pytest.raises(ParameterError):
-        cli._parse_grid_flag("weird:1:2:3")
+    for bad in ("weird:1:2:3", "auto:abc", "log:1:x:10"):
+        with pytest.raises(ParameterError, match=bad):
+            cli._parse_grid_flag(bad)
+
+
+def test_unparsable_grid_flag_exits_2(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(small_doc(tmp_path)))
+    assert cli.main(["run", "--config", str(path), "--grid", "auto:abc"]) == 2
+    assert "auto:abc" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():

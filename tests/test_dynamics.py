@@ -106,57 +106,80 @@ def test_trajectory_matches_complex_oracle(fixture, request):
 
 
 def _truncation(omega: float, count: int) -> float:
-    """omega^K / (2^(K-1) K!), the Chebyshev remainder of exp(-i a s), |a| <= omega."""
+    """omega^K / (2^(K-1) K!), the Chebyshev remainder of exp(-i a u), |a| <= omega."""
+    if omega == 0.0:
+        return 0.0
     return math.exp(count * math.log(omega) - (count - 1) * math.log(2.0) - math.lgamma(count + 1))
 
 
-def _interpolation_bound(decomp, times, count: int) -> float:
+def _prefix_omega(decomp, times, split: int) -> float:
+    """omega = (W/2) t_s of the interval [-t_s, t_s] behind the first ``split`` times."""
+    return 0.5 * (decomp.energies.max() - decomp.energies.min()) * times[split - 1]
+
+
+def _interpolation_bound(decomp, times, split: int, count: int) -> float:
     """``evolve_amplitudes``'s stated bound per amplitude, plus a reference's own rounding.
 
-    sqrt(2) omega^K / (2^(K-1) K!) for truncation; rounding in the node values
-    and the K-term sums times the Lebesgue bound (2/pi) ln(K+1) + 1; and
-    2 eps (3 max|E| t_T + 2N) for the reference evaluated at every time and
-    the phase put back.
+    sqrt(2) omega^K / (2^(K-1) K!) for truncation, omega = (W/2) t_s; rounding
+    in the node values and the K-term sums times the Lebesgue bound
+    (2/pi) ln(K+1) + 1; and 2 eps (3 max|E| t_T + 2N) for the reference
+    evaluated at every time (and for the directly evaluated tail) and the
+    phase put back.
     """
     eps = np.finfo(float).eps
     energies, n = decomp.energies, decomp.size
-    half_width = 0.5 * (energies.max() - energies.min())
-    omega = 0.5 * half_width * (times[-1] - times[0])
+    omega = _prefix_omega(decomp, times, split)
     lebesgue = 2.0 / np.pi * np.log(count + 1) + 1.0
-    nodes = lebesgue * eps * (3 * half_width * times[-1] + 2 * n + count)
+    nodes = lebesgue * eps * (3 * omega + 2 * n + count)
     reference = 2 * eps * (3 * np.abs(energies).max() * times[-1] + 2 * n)
     return math.sqrt(2.0) * _truncation(omega, count) + nodes + reference
 
 
-def _assert_fewest_nodes(decomp, times, count: int) -> None:
-    """K meets omega^K / (2^(K-1) K!) <= eps and K - 1 does not."""
+def _assert_fewest_nodes(decomp, times, split: int, count: int) -> None:
+    """On [-t_s, t_s], K meets omega^K / (2^(K-1) K!) <= eps and K - 1 does not."""
     eps = np.finfo(float).eps
-    omega = 0.25 * (decomp.energies.max() - decomp.energies.min()) * (times[-1] - times[0])
-    assert _truncation(omega, count) <= eps < _truncation(omega, count - 1)
+    omega = _prefix_omega(decomp, times, split)
+    assert _truncation(omega, count) <= eps
+    assert count == 1 or eps < _truncation(omega, count - 1)
+
+
+def _brute_force_plan_cost(decomp, times) -> int:
+    """min over every s of N (K(s) + 2 (T - s)) + K(s) s, K(s) by the scalar criterion."""
+    eps, size, points = np.finfo(float).eps, decomp.size, len(times)
+    costs, count = [2 * size * points], 1
+    for split in range(1, points + 1):
+        omega = _prefix_omega(decomp, times, split)
+        while _truncation(omega, count) > eps:   # K(s) never falls as t_s grows
+            count += 1
+        costs.append(size * (count + 2 * (points - split)) + count * split)
+    return min(costs)
 
 
 def test_direct_path_is_bitwise_the_oracle(fig1):
-    """fig1's grid needs more nodes than it has points, so it is evaluated at its own times."""
+    """fig1's directly evaluated tail, taken alone, is planned with s = 0: bitwise the oracle."""
     s = fig1
-    assert s.trajectory.time_nodes is None
-    assert tb.dynamics._node_count(s.decomp.energies, s.grid.points) >= len(s.grid)
-    reference = direct_amplitudes(s.decomp, s.i, s.grid)
-    got = tb.evolve_amplitudes(s.decomp, s.i, s.grid)
+    times = s.grid.points[s.trajectory.interpolated_points :]
+    assert tb.dynamics._plan(s.decomp.energies, times) == (0, 0)
+    traj = tb.simulate_trajectory(s.decomp, s.basis, s.partition, s.i, times)
+    assert traj.time_nodes is None and traj.interpolated_points == 0
+    reference = direct_amplitudes(s.decomp, s.i, times)
+    got = tb.evolve_amplitudes(s.decomp, s.i, times)
     assert got.tobytes() == reference.tobytes()
     prob = reference.real**2 + reference.imag**2
-    assert s.trajectory.occupations.tobytes() == tb.occupation_numbers(prob, s.basis).tobytes()
-    assert s.trajectory.w0.tobytes() == prob[s.i].tobytes()
+    assert traj.occupations.tobytes() == tb.occupation_numbers(prob, s.basis).tobytes()
+    assert traj.w0.tobytes() == prob[s.i].tobytes()
     pops = tb.class_populations(prob, s.partition)
-    assert s.trajectory.class_populations.tobytes() == pops.tobytes()
+    assert traj.class_populations.tobytes() == pops.tobytes()
 
 
-def test_fig2_interpolates_within_the_stated_bound(fig2):
-    """fig2 takes K < T nodes; amplitudes within the bound, observables within ORACLE_PATH_TOL."""
-    s, times = fig2, fig2.grid.points
-    count = s.trajectory.time_nodes
-    assert count is not None and count < len(times)
-    _assert_fewest_nodes(s.decomp, times, count)
-    bound = _interpolation_bound(s.decomp, times, count)
+def _assert_within_the_stated_bound(s) -> None:
+    """A prefix of s < T times from K nodes, K fewest on [-t_s, t_s]; amplitudes within
+    the bound, observables within ORACLE_PATH_TOL."""
+    times, split, count = s.grid.points, s.trajectory.interpolated_points, s.trajectory.time_nodes
+    assert 0 < split < len(times) and count is not None
+    assert count + 2 * (len(times) - split) < 2 * len(times)
+    _assert_fewest_nodes(s.decomp, times, split, count)
+    bound = _interpolation_bound(s.decomp, times, split, count)
     got = tb.evolve_amplitudes(s.decomp, s.i, times)
     assert np.abs(got - direct_amplitudes(s.decomp, s.i, times)).max() <= bound
     # sum_f ||a_f|^2 - |b_f|^2| <= |a - b|_2 (|a|_2 + |b|_2) <= sqrt(N) bound (2 + sqrt(N) bound)
@@ -166,12 +189,45 @@ def test_fig2_interpolates_within_the_stated_bound(fig2):
         assert deviation <= min(3 * math.sqrt(s.decomp.size) * bound, ORACLE_PATH_TOL), field
 
 
-def _on_node_grid(decomp) -> np.ndarray:
-    """400 points on [0, 5] plus two Chebyshev nodes of that interval, exactly."""
-    base = np.linspace(0.0, 5.0, 400)
-    count = tb.dynamics._node_count(decomp.energies, base)
-    nodes, _ = tb.dynamics._chebyshev_nodes(0.0, 5.0, count)
-    return np.union1d(base, nodes[[0, count // 2]])
+def test_fig1_interpolates_within_the_stated_bound(fig1):
+    _assert_within_the_stated_bound(fig1)
+
+
+def test_fig2_interpolates_within_the_stated_bound(fig2):
+    _assert_within_the_stated_bound(fig2)
+
+
+@pytest.mark.parametrize("grid", ["fig1", "fig2", "uniform"])
+def test_plan_minimises_the_predicted_cost(grid, request, small_3_6):
+    """``_plan``'s (s, K) costs the minimum over every split, and K is K(s)."""
+    s = small_3_6 if grid == "uniform" else request.getfixturevalue(grid)
+    times = np.linspace(0.0, 5.0, 400) if grid == "uniform" else s.grid.points
+    split, count = tb.dynamics._plan(s.decomp.energies, times)
+    size, points = s.decomp.size, len(times)
+    assert size * (count + 2 * (points - split)) + count * split == _brute_force_plan_cost(s.decomp, times)
+    if split:
+        _assert_fewest_nodes(s.decomp, times, split, count)
+    else:
+        assert count == 0
+
+
+def test_chebyshev_nodes_are_exactly_symmetric():
+    """Node K-1-j is exactly -node j, an odd K's middle node is 0.0, mirrored weights match in size."""
+    for count in (1, 2, 7, 80):
+        nodes, weights = tb.dynamics._chebyshev_nodes(3.7, count)
+        half = count // 2
+        assert nodes[:half].tobytes() == (-nodes[::-1][:half]).tobytes()
+        assert np.all(np.diff(nodes) < 0) and np.all(np.abs(nodes) < 3.7)
+        assert np.abs(weights).tobytes() == np.abs(weights[::-1]).tobytes()
+        assert count % 2 == 0 or nodes[half] == 0.0
+
+
+def _on_node_grid(decomp) -> tuple[np.ndarray, int, int]:
+    """200 points on [0, 1], the first s from K nodes, plus two of those nodes exactly."""
+    base = np.linspace(0.0, 1.0, 200)
+    split, count = tb.dynamics._plan(decomp.energies, base)
+    nodes, _ = tb.dynamics._chebyshev_nodes(base[split - 1], count)
+    return np.union1d(base, nodes[[0, count // 4]]), split + 2, count
 
 
 @pytest.mark.parametrize(
@@ -189,16 +245,17 @@ def _on_node_grid(decomp) -> np.ndarray:
 def test_grids_match_matrix_exponential(grid, small_3_6):
     """Interpolated and direct grids vs scaling-and-squaring expm at every time."""
     s = small_3_6
-    times = _on_node_grid(s.decomp) if isinstance(grid, str) else grid
+    times = _on_node_grid(s.decomp)[0] if isinstance(grid, str) else grid
     traj = tb.simulate_trajectory(s.decomp, s.basis, s.partition, s.i, times)
     amplitudes = tb.evolve_amplitudes(s.decomp, s.i, times)
     assert amplitudes.shape == (s.decomp.size, len(times))
     assert traj.occupations.shape == (6, len(times))
-    if len(times) < 2:
-        assert traj.time_nodes is None
+    split = traj.interpolated_points
+    assert (split, traj.time_nodes or 0) == tb.dynamics._plan(s.decomp.energies, times)
+    if split:
+        _assert_fewest_nodes(s.decomp, times, split, traj.time_nodes)
     else:
-        assert traj.time_nodes is not None and traj.time_nodes < len(times)
-        _assert_fewest_nodes(s.decomp, times, traj.time_nodes)
+        assert traj.time_nodes is None
     assert 0.0 <= traj.unitarity_drift <= tb.dynamics.UNITARITY_TOL
     occ_matrix = tb.occupancy_matrix(s.basis)
     for j, t in enumerate(times):
@@ -208,11 +265,11 @@ def test_grids_match_matrix_exponential(grid, small_3_6):
 
 
 def test_grid_time_on_a_node_takes_the_node_value(small_3_6):
-    times = _on_node_grid(small_3_6.decomp)
-    count = tb.dynamics._node_count(small_3_6.decomp.energies, times)
-    nodes, weights = tb.dynamics._chebyshev_nodes(times[0], times[-1], count)
-    lagrange = tb.dynamics._lagrange_matrix(nodes, weights, times)
-    for k in (0, count // 2):
+    times, split, count = _on_node_grid(small_3_6.decomp)
+    assert tb.dynamics._plan(small_3_6.decomp.energies, times) == (split, count)
+    nodes, weights = tb.dynamics._chebyshev_nodes(times[split - 1], count)
+    lagrange = tb.dynamics._lagrange_matrix(nodes, weights, times[:split])
+    for k in (0, count // 4):
         j = int(np.searchsorted(times, nodes[k]))
         assert times[j] == nodes[k]
         assert lagrange[:, j].tobytes() == np.eye(count)[k].tobytes()
