@@ -3,28 +3,18 @@
 Pipeline: enumerate the Fock basis, assemble the dense random two-body
 Hamiltonian, diagonalize exactly, analyze strength functions, evolve an
 initially excited basis state, and compare against the analytic
-interpolation between initial and equilibrium occupations.
+interpolation between initial and equilibrium occupations.  The names
+below are the stages and records of ``tbrisim.pipeline.run``; a config
+document is validated by ``tbrisim.config.config_from_dict``.
 """
 
-from .basis import (
-    Basis,
-    ClassPartition,
-    build_basis,
-    classify,
-    fermionic_phase,
-    occupancy_matrix,
-    occupied_orbitals,
-    orbital_difference,
-    state_from_orbitals,
-)
+from .basis import Basis, ClassPartition, build_basis, classify, occupancy_matrix
 from .dynamics import (
     OccupationTrajectory,
     TimeGrid,
     asymptotic_occupations,
     average_survival,
-    class_populations,
     default_grid,
-    diagonal_weights,
     evolve_amplitudes,
     occupation_numbers,
     simulate_trajectory,

@@ -24,27 +24,6 @@ from .exceptions import ParameterError, PreconditionError
 FockState = int
 
 
-def occupied_orbitals(state: FockState) -> tuple[int, ...]:
-    """Ascending orbital indices set in the bitmask."""
-    orbs = []
-    s = state
-    while s:
-        low = s & -s
-        orbs.append(low.bit_length() - 1)
-        s ^= low
-    return tuple(orbs)
-
-
-def state_from_orbitals(orbitals) -> FockState:
-    mask = 0
-    for s in orbitals:
-        bit = 1 << s
-        if mask & bit:
-            raise PreconditionError(f"orbital {s} listed twice")
-        mask |= bit
-    return mask
-
-
 @dataclass(frozen=True)
 class Basis:
     """All binomial(m, n) states of n fermions on m orbitals.
@@ -106,43 +85,6 @@ def basis_states(n: int, m: int) -> np.ndarray:
     states = np.array(masks, dtype=np.int64)
     assert len(states) == comb(m, n)
     return states
-
-
-def orbital_difference(f: FockState, g: FockState) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Orbitals occupied in f but not g, and in g but not f (both ascending)."""
-    return occupied_orbitals(f & ~g), occupied_orbitals(g & ~f)
-
-
-def fermionic_phase(state: FockState, annihilate, create) -> int:
-    """Sign of <g| a+_{c1} a+_{c2} a_{a2} a_{a1} |f> for f = ``state``.
-
-    The operator pairs are taken in canonical ascending order a1 < a2 and
-    c1 < c2 and applied right to left; each application contributes
-    (-1)^(number of occupied orbitals below the target orbital).
-    """
-    a1, a2 = sorted(annihilate)
-    c1, c2 = sorted(create)
-    if a1 == a2:
-        raise PreconditionError(f"cannot annihilate orbital {a1} twice")
-    if c1 == c2:
-        raise PreconditionError(f"cannot create orbital {c1} twice")
-    sign = 1
-    s = int(state)
-    for orb in (a1, a2):
-        bit = 1 << orb
-        if not s & bit:
-            raise PreconditionError(f"orbital {orb} is empty, cannot annihilate")
-        if (s & (bit - 1)).bit_count() & 1:
-            sign = -sign
-        s &= ~bit
-    for orb in (c2, c1):
-        bit = 1 << orb
-        if s & bit:
-            raise PreconditionError(f"orbital {orb} already occupied, cannot create")
-        if (s & (bit - 1)).bit_count() & 1:
-            sign = -sign
-        s |= bit
-    return sign
 
 
 def classify(basis: Basis, reference: FockState) -> ClassPartition:

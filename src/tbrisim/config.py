@@ -1,0 +1,189 @@
+"""The run config: one document of defaults, its validation and the presets.
+
+``DEFAULTS`` is the complete config document.  A given document is merged
+into it block by block, every leaf is checked against the type of its
+default, and ``ExperimentConfig.to_dict`` writes the same shape back, so a
+default is stated here once.  Every check runs before the run allocates
+anything; a failed one is a ``ParameterError`` (exit 2).
+"""
+
+from __future__ import annotations
+
+import copy
+import hashlib
+import json
+import math
+import os
+from dataclasses import asdict, dataclass
+
+from .exceptions import ParameterError
+from .hamiltonian import ModelParams
+
+# Dense N x N float64 arrays alive at the peak of a run: H, the copy eigh
+# factorizes, its workspace (~2 N^2) and the eigenvectors.
+DENSE_COPIES = 6
+# The documents `tbrisim reproduce-fig1/-fig2` start from.
+PRESETS = {
+    "reproduce-fig1": {"model": {"eta": 0.003}, "output": {"directory": "runs/fig1"}},
+    "reproduce-fig2": {"model": {"eta": 0.083}, "output": {"directory": "runs/fig2"}},
+}
+_FIG1_ETA = PRESETS["reproduce-fig1"]["model"]["eta"]   # the default model is figure 1's
+DEFAULTS = {
+    "config_version": 1,
+    "model": {"n": 6, "m": 12, "eta": _FIG1_ETA, "seed": 1, "d0": 1.0, "jitter": 0.0},
+    "hamiltonian": {"one_orbital_terms": True, "diagonal_pair_terms": True},
+    "initial_state": "mid-spectrum",
+    "grid": {"kind": "auto", "start": None, "stop": None, "points": 400},
+    "analysis": {"fits": True, "fermi_dirac": True, "convolution_check": False},
+    "output": {"directory": "run", "formats": ["csv"], "binary_dumps": False},
+}
+# The values a leaf may take, by the type of its default: a float leaf also
+# takes an integer, a leaf whose default is null (the grid's ends) a number.
+_ACCEPTED = {
+    bool: ((bool,), "a boolean"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+    list: ((list,), "an array"),
+    type(None): ((int, float, type(None)), "a number or null"),
+}
+# ExperimentConfig field -> (block, key) of its value in the config document.
+_FIELDS = {
+    "grid_kind": ("grid", "kind"),
+    "grid_start": ("grid", "start"),
+    "grid_stop": ("grid", "stop"),
+    "grid_points": ("grid", "points"),
+    "fits": ("analysis", "fits"),
+    "fermi_dirac": ("analysis", "fermi_dirac"),
+    "convolution_check": ("analysis", "convolution_check"),
+    "one_orbital_terms": ("hamiltonian", "one_orbital_terms"),
+    "diagonal_pair_terms": ("hamiltonian", "diagonal_pair_terms"),
+    "outdir": ("output", "directory"),
+    "formats": ("output", "formats"),
+    "binary_dumps": ("output", "binary_dumps"),
+}
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """A validated run config; ``to_dict`` gives its document (see README for the fields)."""
+
+    model: ModelParams
+    initial_state: int | str
+    grid_kind: str
+    grid_start: float | None
+    grid_stop: float | None
+    grid_points: int
+    fits: bool
+    fermi_dirac: bool
+    convolution_check: bool
+    one_orbital_terms: bool
+    diagonal_pair_terms: bool
+    outdir: str
+    formats: tuple[str, ...]
+    binary_dumps: bool
+
+    def to_dict(self) -> dict:
+        doc = copy.deepcopy(DEFAULTS)
+        doc.update(model=asdict(self.model), initial_state=self.initial_state)
+        for name, (block, key) in _FIELDS.items():
+            doc[block][key] = getattr(self, name)
+        doc["output"]["formats"] = list(self.formats)
+        return doc
+
+
+def config_from_dict(data: dict) -> ExperimentConfig:
+    """Validate a (possibly partial) parsed JSON document and build its config."""
+    doc = _merge(DEFAULTS, data, "config")
+    if doc["config_version"] != DEFAULTS["config_version"]:
+        raise ParameterError(f"unsupported config_version {doc['config_version']}")
+    model = ModelParams(**doc["model"])
+    grid = doc["grid"]
+    if grid["kind"] not in ("auto", "log", "linear"):
+        raise ParameterError(f"grid kind must be auto|log|linear, got {grid['kind']!r}")
+    if grid["kind"] != "auto":
+        ends = [grid["start"], grid["stop"]]
+        if None in ends or not all(map(math.isfinite, ends)):
+            raise ParameterError(
+                f"grid kind {grid['kind']!r} requires finite start and stop, got {ends}"
+            )
+        if grid["kind"] == "log" and min(ends) <= 0:
+            raise ParameterError("log grid requires start > 0 and stop > 0")
+        if grid["kind"] == "linear" and min(ends) < 0:
+            raise ParameterError("linear grid requires start >= 0 and stop >= 0")
+    if grid["points"] < 0:
+        raise ParameterError(f"grid points must be a non-negative integer, got {grid['points']!r}")
+    _check_dense_size(model, grid["points"])
+    _initial_bitmask(doc["initial_state"], model.n, model.m)
+    for fmt in doc["output"]["formats"]:
+        if fmt not in ("csv", "json"):
+            raise ParameterError(f"unknown output format {fmt!r}")
+    fields = {name: doc[block][key] for name, (block, key) in _FIELDS.items()}
+    fields["formats"] = tuple(fields["formats"])
+    return ExperimentConfig(model=model, initial_state=doc["initial_state"], **fields)
+
+
+def _merge(default, value, where: str):
+    """``value`` merged into ``default``: blocks key by key, a leaf checked against its default.
+
+    Keys that ``default`` lacks are dropped.  ``initial_state`` is a rule or a
+    bitmask, checked by ``_initial_bitmask``.
+    """
+    if isinstance(default, dict):
+        if not isinstance(value, dict):
+            raise ParameterError(f"{where} must be a JSON object, got {value!r}")
+        return {
+            key: _merge(sub, value[key], f"{where}.{key}") if key in value else sub
+            for key, sub in default.items()
+        }
+    if where == "config.initial_state":
+        return value
+    types, name = _ACCEPTED[type(default)]
+    if isinstance(value, bool) != isinstance(default, bool) or not isinstance(value, types):
+        raise ParameterError(f"{where} must be {name}, got {value!r}")
+    return float(value) if isinstance(default, float) else value
+
+
+def config_hash(doc: dict) -> str:
+    """Hash of a config document's physics-defining fields; output routing is excluded,
+    so the same experiment written to two directories carries one hash."""
+    physics = {key: value for key, value in doc.items() if key != "output"}
+    canonical = json.dumps(physics, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def _check_dense_size(model: ModelParams, points: int) -> None:
+    """Refuse a run whose dense H, eigendecomposition and (N, points) complex
+    amplitudes exceed physical memory."""
+    states = math.comb(model.m, model.n)
+    need = states**2 * 8 * DENSE_COPIES + states * points * 16
+    try:
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (ValueError, OSError):   # not reported on this platform
+        return
+    if 0 < physical < need:
+        raise ParameterError(
+            f"n={model.n}, m={model.m} has {states} basis states; the dense Hamiltonian, "
+            f"its eigendecomposition and {points} grid points need ~{need / 1e9:.3g} GB, "
+            f"more than the {physical / 1e9:.3g} GB of physical memory"
+        )
+
+
+def _initial_bitmask(rule, n: int, m: int) -> int | None:
+    """The bitmask an initial-state rule names, None for "mid-spectrum"; ParameterError if
+    it is not a state of n particles in m orbitals."""
+    if isinstance(rule, str) and rule.strip().lower() == "mid-spectrum":
+        return None
+    if isinstance(rule, bool) or not isinstance(rule, (int, str)):
+        raise ParameterError(f"initial-state rule {rule!r} must be an integer bitmask or a string")
+    try:
+        bitmask = int(rule, 0) if isinstance(rule, str) else rule
+    except ValueError as exc:
+        raise ParameterError(f"initial-state rule {rule!r} not understood") from exc
+    if bitmask.bit_count() != n:
+        raise ParameterError(
+            f"bitmask {bitmask:#x} has {bitmask.bit_count()} particles, expected {n}"
+        )
+    if bitmask < 0 or bitmask >> m:
+        raise ParameterError(f"bitmask {bitmask:#x} uses orbitals beyond m={m}")
+    return bitmask

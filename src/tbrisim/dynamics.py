@@ -31,6 +31,7 @@ from .spectral import EigenDecomposition, _mid_spacing
 UNITARITY_TOL = 1e-10
 ROW_BLOCK = 256
 _NODE_EPS = np.finfo(float).eps   # target of the Chebyshev truncation bound
+LONG_TIME_SPACING = 1.137         # long-time sampling step, in pi / (mid-spectrum spacing)
 
 
 @dataclass(frozen=True)
@@ -301,26 +302,18 @@ def simulate_trajectory(
     )
 
 
-def long_time_grid(
-    decomp: EigenDecomposition,
-    i: int,
-    *,
-    samples: int = 256,
-    spacing_factor: float = 1.137,
-) -> np.ndarray:
+def long_time_grid(decomp: EigenDecomposition, i: int, *, samples: int = 256) -> np.ndarray:
     """Equidistant sampling times for infinite-time averages.
 
-    Spacing is ``spacing_factor`` * pi / D with D the central mean level
+    Spacing is ``LONG_TIME_SPACING`` * pi / D with D the central mean level
     spacing, which decorrelates the eigenphases; the first sample starts
     past the decay zone estimated from the strength-function width.
     """
-    t0, dt = _long_time_origin_step(decomp, i, samples, spacing_factor)
+    t0, dt = _long_time_origin_step(decomp, i, samples)
     return t0 + dt * np.arange(samples)
 
 
-def _long_time_origin_step(
-    decomp: EigenDecomposition, i: int, samples: int, spacing_factor: float = 1.137
-) -> tuple[float, float]:
+def _long_time_origin_step(decomp: EigenDecomposition, i: int, samples: int) -> tuple[float, float]:
     """(t0, dt) of ``long_time_grid``; (1, 1) for fewer than three levels."""
     if samples < 200:
         raise ParameterError(f"need >= 200 samples for a stable average, got {samples}")
@@ -330,7 +323,7 @@ def _long_time_origin_step(
     spacing_mid = _mid_spacing(energies)[0]
     if spacing_mid <= 0:
         spacing_mid = max((energies[-1] - energies[0]) / (len(energies) - 1), 1e-12)
-    dt = spacing_factor * np.pi / spacing_mid
+    dt = LONG_TIME_SPACING * np.pi / spacing_mid
     weights = decomp.vectors[i, :] ** 2
     e_mean = weights @ energies
     width = np.sqrt(max(weights @ (energies - e_mean) ** 2, 0.0))

@@ -13,6 +13,7 @@ strength eta fixes the element variance: var(V) = eta * d0**2.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -21,7 +22,6 @@ import numpy as np
 from .basis import Basis, basis_states, occupation_bits
 from .exceptions import ParameterError
 
-_RNG_ALGORITHM = "numpy PCG64 via default_rng([seed, stream])"
 _SPECTRUM_STREAM = 0
 _TENSOR_STREAM = 1
 
@@ -33,6 +33,7 @@ class ModelParams:
     eta is the mean squared two-body element in units of d0**2; jitter
     displaces each single-particle level by jitter*d0*u with u uniform on
     [-1/2, 1/2].  The seed fixes both the level jitter and the tensor.
+    eta and d0 must be finite.
     """
 
     n: int
@@ -45,6 +46,8 @@ class ModelParams:
     def __post_init__(self):
         if self.n <= 0 or self.n > self.m:
             raise ParameterError(f"need 0 < n <= m, got n={self.n}, m={self.m}")
+        if not (math.isfinite(self.eta) and math.isfinite(self.d0)):
+            raise ParameterError(f"eta and d0 must be finite, got eta={self.eta}, d0={self.d0}")
         if self.d0 <= 0:
             raise ParameterError(f"d0 must be positive, got {self.d0}")
         if self.eta < 0:
@@ -266,7 +269,10 @@ def _couplings(n: int, m: int) -> _Couplings:
 
 
 def _sign_bit(state, a1, a2, c1, c2) -> np.ndarray:
-    """1 where ``basis.fermionic_phase(state, (a1, a2), (c1, c2))`` is -1, else 0."""
+    """1 where the sign of <g| a+_c1 a+_c2 a_a2 a_a1 |f>, f = ``state``, is -1, else 0.
+
+    ``fermionic_phase`` in ``tests/oracles.py`` is its one-state reference.
+    """
     parity = 0
     for orb, create in ((a1, False), (a2, False), (c2, True), (c1, True)):
         bit = 1 << orb

@@ -1,0 +1,297 @@
+"""One run: a validated config through every stage to the hashed output files.
+
+``run`` enumerates the basis, assembles and diagonalizes H, analyzes the
+initial state's strength function and widths, evolves it, compares the
+exact occupations with the eq.-14 interpolation, and writes the tables,
+the JSON documents and the manifest.  A stage that fails raises
+``StageError`` with its name and the files written so far.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass
+from pathlib import Path
+
+import numpy as np
+
+from . import dynamics, strength, theory
+from .basis import build_basis, classify
+from .config import ExperimentConfig, _initial_bitmask, config_hash
+from .exceptions import FitConvergenceError, ParameterError, PreconditionError, StageError
+from .export import write_json, write_table
+from .hamiltonian import HamiltonianMatrix, build_hamiltonian, sample_spectrum, sample_two_body
+from .spectral import PROBES, diagonalize, spectral_stats
+
+_BLAS_THREAD_GETTERS = (
+    "scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads",
+)
+
+
+@dataclass
+class RunManifest:
+    """Echo of the config plus derived quantities, output-file hashes and
+    the library environment that produced the bytes (not part of the hash)."""
+
+    config: dict
+    config_hash: str
+    seed: int
+    derived: dict
+    files: dict
+    environment: dict
+
+
+def _blas_threads() -> int | None:
+    """Thread count of the loaded OpenBLAS, read through its getter; None if none is found."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as fh:
+            libraries = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in libraries:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in _BLAS_THREAD_GETTERS:
+            if hasattr(lib, symbol):
+                getter = getattr(lib, symbol)
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return int(getter())
+    return None
+
+
+def _environment() -> dict:
+    """numpy version, BLAS build and BLAS thread count: eigh's last bits depend on them."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "numpy": np.__version__,
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "blas_threads": _blas_threads(),
+    }
+
+
+def select_initial_state(h: HamiltonianMatrix, rule) -> int:
+    """Resolve an initial-state rule to a basis index.
+
+    "mid-spectrum" picks the state whose diagonal energy is closest to the
+    median diagonal energy (lowest index on ties); an integer (or integer
+    string) is treated as an explicit bitmask and validated.
+    """
+    bitmask = _initial_bitmask(rule, h.basis.n, h.basis.m)
+    if bitmask is None:
+        diag = h.diagonal()
+        return int(np.argmin(np.abs(diag - np.median(diag))))
+    return h.basis.position(bitmask)
+
+
+def _build_grid(config: ExperimentConfig, delta_e: float, gamma: float, n_classes: int):
+    if config.grid_kind == "auto":
+        return dynamics.default_grid(delta_e, gamma, n_classes, points=config.grid_points)
+    spaced = np.geomspace if config.grid_kind == "log" else np.linspace
+    points = spaced(config.grid_start, config.grid_stop, config.grid_points)
+    return dynamics.TimeGrid(np.unique(points))
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def emit_plotdata(
+    trajectory: dynamics.OccupationTrajectory,
+    prediction: theory.ThermalizationPrediction,
+    outdir,
+    *,
+    models: theory.SurvivalModelCurves | None = None,
+    header_lines=(),
+) -> list[Path]:
+    """Write the aligned exact-vs-predicted table used to draw the figures.
+
+    Columns: t, exact n_alpha, predicted n_alpha, W0 plus model overlays,
+    then the class populations.  Returns the written paths.
+    """
+    times = trajectory.grid.points
+    if not np.array_equal(prediction.grid.points, times):
+        raise ParameterError("trajectory and prediction grids differ")
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    columns = {
+        "t": times,
+        **{f"n_exact_{a}": row for a, row in enumerate(trajectory.occupations)},
+        **{f"n_pred_{a}": row for a, row in enumerate(prediction.occupations)},
+        "W0": trajectory.w0,
+    }
+    if models:
+        columns.update(
+            W0_model_bw=models.breit_wigner,
+            W0_model_gaussian=models.gaussian,
+            W0_saturation=models.saturation,
+        )
+    columns.update(
+        (f"W_{s}", row) for s, row in enumerate(trajectory.class_populations[1:], start=1)
+    )
+    path = outdir / "plotdata.csv"
+    header = [*header_lines, "exact occupations vs interpolated prediction; times in 1/energy units"]
+    write_table(path, columns, header_lines=header)
+    return [path]
+
+
+def _attempt_fit(enabled: bool, fit, *args, **kwargs):
+    """Run one optional fit: (result, manifest record) or (None, the reason it is unavailable).
+
+    Each fit is tried on its own, so one that cannot run leaves the others
+    and the rest of the pipeline untouched.
+    """
+    if not enabled:
+        return None, {"status": "unavailable", "reason": "disabled in the analysis config"}
+    try:
+        result = fit(*args, **kwargs)
+    except (PreconditionError, FitConvergenceError) as exc:
+        return None, {"status": "unavailable", "reason": str(exc)}
+    return result, {"status": "converged", **asdict(result)}
+
+
+def run(config: ExperimentConfig) -> RunManifest:
+    """Execute the full pipeline for one config and write all outputs."""
+    doc = config.to_dict()
+    cfg_hash = config_hash(doc)
+    outdir = Path(config.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    written: list[Path] = []
+    header_lines = [f"config_hash={cfg_hash}", f"seed={config.model.seed}"]
+
+    @contextmanager
+    def stage(name):
+        try:
+            yield
+        except Exception as exc:
+            raise StageError(name, exc, [str(p) for p in written]) from exc
+
+    params = config.model
+    with stage("basis"):
+        basis = build_basis(params.n, params.m)
+    with stage("hamiltonian"):
+        spectrum = sample_spectrum(params)
+        tensor = sample_two_body(params)
+        h = build_hamiltonian(basis, spectrum, tensor, one_orbital_terms=config.one_orbital_terms,
+                              diagonal_pair_terms=config.diagonal_pair_terms)
+    with stage("diagonalization"):
+        decomp = diagonalize(h)
+        stats = spectral_stats(decomp)
+    with stage("initial-state"):
+        i = select_initial_state(h, config.initial_state)
+        bitmask = int(basis.states[i])
+        partition = classify(basis, bitmask)
+    with stage("strength"):
+        profile = strength.strength_function(decomp, i)
+        delta_e = strength.energy_variance(h, i)
+        gamma_gr = strength.golden_rule_gamma(h, partition, i)
+        _, bw_record = _attempt_fit(config.fits, strength.fit_bw, profile, gamma0=gamma_gr)
+        _, hybrid_record = _attempt_fit(
+            config.fits, strength.fit_hybrid, profile, stats, gamma0=gamma_gr
+        )
+        spreading = strength.spreading_params(
+            profile, delta_e, gamma_gr, stats.mean_spacing_mid, fit=config.fits
+        )
+    with stage("dynamics"):
+        grid = _build_grid(config, delta_e, gamma_gr, partition.n_classes)
+        trajectory = dynamics.simulate_trajectory(decomp, basis, partition, i, grid)
+        n_inf = dynamics.asymptotic_occupations(decomp, i, basis)
+        w0_longtime = dynamics.average_survival(decomp, i)
+    with stage("theory"):
+        prediction = theory.predict_occupations(
+            trajectory.occupations[:, 0] if len(grid) else np.zeros(params.m),
+            n_inf,
+            trajectory.w0,
+            grid,
+        )
+        rms_eq14, max_eq14 = theory.prediction_error(trajectory.occupations, prediction)
+        diff = trajectory.occupations - prediction.occupations
+        rms_eq14_per_point = float(np.sqrt(np.mean(diff**2))) if diff.size else 0.0
+        n_pc_env = theory.n_pc_envelope(profile, stats)
+        models = None
+        if spreading.gamma_gr > 0 and spreading.delta_e > 0:
+            models = theory.survival_models(spreading, n_pc_env, grid)
+        fd, fd_record = _attempt_fit(
+            config.fermi_dirac, theory.fit_fermi_dirac, n_inf, spectrum, params.n
+        )
+        if fd and fd.infinite_temperature:   # JSON has no inf or NaN
+            fd_record.update(temperature="inf", mu=None)
+        conv_sum = None
+        if config.convolution_check:
+            conv_sum = float(theory.convolve_strength_map(profile, decomp, stats).sum())
+
+    with stage("export"):
+        def out(name: str) -> Path:
+            """Path of one output file, listed among the written ones before it is written."""
+            written.append(outdir / name)
+            return written[-1]
+
+        ids = {"config_hash": cfg_hash, "seed": params.seed}
+        write_json(out("config.json"), doc)
+        dynamics.write_trajectory_csv(trajectory, out("occupations.csv"), header_lines=header_lines)
+        write_json(out("occupations.meta.json"), {
+            **ids,
+            "model": doc["model"],
+            "initial_state_index": i,
+            "initial_state_bitmask": bitmask,
+            "grid_points": len(grid),
+        })
+        theory.write_prediction_csv(prediction, out("prediction.csv"), header_lines=header_lines)
+        strength.write_profile_csv(profile, out("strength.csv"), header_lines=header_lines)
+        write_json(out("spreading.json"), {**asdict(spreading), **ids})
+        written.extend(
+            emit_plotdata(trajectory, prediction, outdir, models=models, header_lines=header_lines)
+        )
+        if "json" in config.formats:
+            write_table(out("occupations.json"), trajectory.columns(), header_lines=header_lines)
+        if config.binary_dumps:   # the model they belong to is config.json's
+            np.save(out("hamiltonian.npy"), h.entries)
+            np.save(out("eigenvalues.npy"), decomp.energies)
+            np.save(out("eigenvectors.npy"), decomp.vectors)
+
+        derived = {
+            "n_states": basis.size,
+            "mean_spacing_mid": stats.mean_spacing_mid,
+            "delta_e": delta_e,
+            "gamma_golden_rule": gamma_gr,
+            "bw_fit": bw_record,
+            "hybrid_fit": hybrid_record,
+            "sigma": spreading.sigma,
+            "e_c": spreading.e_c,
+            "n_pc_ratio": spreading.n_pc_ratio,
+            "n_pc_ipr": spreading.n_pc_ipr,
+            "n_pc_envelope": n_pc_env,
+            "initial_state_index": i,
+            "initial_state_bitmask": bitmask,
+            "initial_state_energy": float(h.entries[i, i]),
+            "rms_eq14": rms_eq14,
+            "rms_eq14_per_point": rms_eq14_per_point,
+            "max_eq14": max_eq14,
+            "w0_longtime_average": w0_longtime,
+            "saturation_3_over_npc_envelope": 3.0 / n_pc_env,
+            "asymptotic_occupations": [float(x) for x in n_inf],
+            "fermi_dirac": fd_record,
+            "eigensolver": {
+                "orthonormality_residual": decomp.orthonormality_residual,
+                "reconstruction_residual": decomp.reconstruction_residual,
+                "probes": PROBES,
+            },
+            "dynamics": {
+                "unitarity_drift": trajectory.unitarity_drift,
+                "interpolated_points": trajectory.interpolated_points,
+                "time_nodes": trajectory.time_nodes,
+            },
+            "convolution_completeness": conv_sum,
+            "rng": "PCG64 (numpy default_rng) with per-purpose child streams",
+        }
+        manifest = RunManifest(
+            config=doc, config_hash=cfg_hash, seed=params.seed, derived=derived,
+            files={p.name: _sha256(p) for p in written}, environment=_environment(),
+        )
+        write_json(outdir / "manifest.json", asdict(manifest))
+    return manifest

@@ -15,6 +15,8 @@ RECONSTRUCTION_TOL = 1e-8
 PROBES = 4
 PROBE_SEED = 1977
 PROBE_MARGIN = 10.0
+# Width of the Gaussian kernel of a level density, in mean level spacings.
+BANDWIDTH_SPACINGS = 3.0
 # Columns gauged at a time: abs() and argmax's transposed copy stay N x 64,
 # not N x N (halves the gauge at N=3432, where those copies page-fault).
 GAUGE_BLOCK = 64
@@ -47,7 +49,6 @@ class SpectralStats:
     rho: Callable[[np.ndarray], np.ndarray]
     mean_spacing_mid: float
     bandwidth: float
-    window: float
 
 
 def diagonalize(h: HamiltonianMatrix | np.ndarray) -> EigenDecomposition:
@@ -123,16 +124,11 @@ def _check_decomposition(
     return ortho, recon
 
 
-def spectral_stats(
-    decomp: EigenDecomposition,
-    window: float | None = None,
-    *,
-    bandwidth_spacings: float = 3.0,
-) -> SpectralStats:
+def spectral_stats(decomp: EigenDecomposition, window: float | None = None) -> SpectralStats:
     """Gaussian-kernel density of the spectrum and the central mean spacing.
 
     The density smooths the level staircase with bandwidth equal to
-    ``bandwidth_spacings`` global mean spacings and integrates to the number
+    ``BANDWIDTH_SPACINGS`` global mean spacings and integrates to the number
     of levels.  ``mean_spacing_mid`` averages nearest-neighbour spacings over
     the levels within ``window`` of the median energy (default: the ~51
     central levels).
@@ -142,7 +138,7 @@ def spectral_stats(
     if n_levels < 3:
         raise PreconditionError(f"need at least 3 levels, got {n_levels}")
     mean_spacing = (energies[-1] - energies[0]) / (n_levels - 1)
-    bandwidth = bandwidth_spacings * mean_spacing
+    bandwidth = BANDWIDTH_SPACINGS * mean_spacing
 
     def rho(e, _energies=energies, _bw=bandwidth):
         e = np.asarray(e, dtype=float)
@@ -154,9 +150,7 @@ def spectral_stats(
         raise InsufficientStatisticsError(
             f"only {inside} levels within {window} of the median; need >= 10"
         )
-    return SpectralStats(
-        rho=rho, mean_spacing_mid=spacing_mid, bandwidth=bandwidth, window=window
-    )
+    return SpectralStats(rho=rho, mean_spacing_mid=spacing_mid, bandwidth=bandwidth)
 
 
 def _mid_spacing(energies: np.ndarray, window: float | None = None) -> tuple[float, int, float]:

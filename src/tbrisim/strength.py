@@ -21,7 +21,7 @@ from .exceptions import (
 )
 from .export import write_table
 from .hamiltonian import HamiltonianMatrix
-from .spectral import EigenDecomposition, SpectralStats
+from .spectral import BANDWIDTH_SPACINGS, EigenDecomposition, SpectralStats
 
 MIN_BIN_COUNT = 10
 MIN_FIT_COMPONENTS = 5.0
@@ -106,19 +106,13 @@ def energy_variance(h: HamiltonianMatrix, i: int) -> float:
     return float(np.sqrt(row @ row - row[i] ** 2))
 
 
-def golden_rule_gamma(
-    h: HamiltonianMatrix,
-    partition: ClassPartition,
-    i: int,
-    *,
-    bandwidth_spacings: float = 3.0,
-) -> float:
+def golden_rule_gamma(h: HamiltonianMatrix, partition: ClassPartition, i: int) -> float:
     """Golden-rule spreading width 2*pi * mean(H_if^2) * rho_f(E_i).
 
     The mean square coupling runs over all class-1 states (those reachable
     by one two-body move); rho_f is a Gaussian-kernel density of their
     diagonal energies evaluated at E_i = H_ii, with bandwidth equal to
-    ``bandwidth_spacings`` mean class-1 spacings.
+    ``BANDWIDTH_SPACINGS`` mean class-1 spacings.
     """
     ref = int(h.basis.states[i])
     if partition.reference != ref:
@@ -138,7 +132,7 @@ def golden_rule_gamma(
     spacing = (final_energies[-1] - final_energies[0]) / (len(final_energies) - 1)
     if spacing <= 0:
         raise InsufficientStatisticsError("class-1 energies are degenerate")
-    bandwidth = bandwidth_spacings * spacing
+    bandwidth = BANDWIDTH_SPACINGS * spacing
     z = (final_energies - e_i) / bandwidth
     if np.count_nonzero(np.abs(z) <= 3.0) < 10:
         raise InsufficientStatisticsError(
@@ -148,8 +142,8 @@ def golden_rule_gamma(
     return 2 * np.pi * mean_sq * rho_f
 
 
-def _adaptive_bins(profile: StrengthProfile, min_count: int = MIN_BIN_COUNT):
-    """Bin raw weights into >= min_count levels per bin; heights are weight densities."""
+def _adaptive_bins(profile: StrengthProfile):
+    """Bin raw weights into >= MIN_BIN_COUNT levels per bin; heights are weight densities."""
     energies = profile.energies
     weights = profile.weights
     n = len(energies)
@@ -157,8 +151,8 @@ def _adaptive_bins(profile: StrengthProfile, min_count: int = MIN_BIN_COUNT):
     counts, sums = [], []
     start = 0
     while start < n:
-        stop = min(start + min_count, n)
-        if n - stop < min_count:
+        stop = min(start + MIN_BIN_COUNT, n)
+        if n - stop < MIN_BIN_COUNT:
             stop = n
         right = (
             0.5 * (energies[stop - 1] + energies[stop])

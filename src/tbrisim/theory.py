@@ -27,6 +27,7 @@ from .strength import SpreadingParams, StrengthProfile
 
 UNIFORM_TOL = 1e-9
 ENVELOPE_BLOCK = 256
+CONVOLUTION_NODES = 400   # trapezoid nodes of the smoothed-overlap integral
 MU_MAX_STEPS = 200       # bisection alone reaches adjacent floats in ~55 steps at m=12
 
 
@@ -118,19 +119,12 @@ def n_pc_envelope(profile: StrengthProfile, stats: SpectralStats) -> float:
 
 
 def convolve_strength_map(
-    profile_i: StrengthProfile,
-    decomp: EigenDecomposition,
-    rho: SpectralStats,
-    *,
-    nodes: int = 400,
+    profile_i: StrengthProfile, decomp: EigenDecomposition, rho: SpectralStats
 ) -> np.ndarray:
     """F~(E_i, E_q) for every basis state q at once (vectorized form)."""
-    if nodes < 200:
-        raise ParameterError(f"need >= 200 quadrature nodes, got {nodes}")
     bw = rho.bandwidth
-    lo = profile_i.energies[0] - 5 * bw
-    hi = profile_i.energies[-1] + 5 * bw
-    grid = np.linspace(lo, hi, nodes)
+    grid = np.linspace(profile_i.energies[0] - 5 * bw, profile_i.energies[-1] + 5 * bw,
+                       CONVOLUTION_NODES)
     z = (grid[:, None] - decomp.energies[None, :]) / bw
     kernel = np.exp(-0.5 * z * z) / (bw * np.sqrt(2 * np.pi))   # (nodes, N)
     all_fq_rho = kernel @ (decomp.vectors**2).T                 # (nodes, N_states)

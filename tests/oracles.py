@@ -12,11 +12,13 @@ through the full products V^T V and H V, the mid-spectrum spacing
 and long-time grid as each was computed on its own before they shared
 one helper, and the amplitudes evaluated directly at every grid time, as
 ``evolve_amplitudes`` did before it interpolated from Chebyshev nodes.
-The occupation-term split, the long-time occupation average, the
-occupations inside one eigenstate and the overlap integral of two
-strength functions, one basis state at a time (the reference of the
-vectorized ``convolve_strength_map``), are physics checks that the
-pipeline does not need.
+The bitmask helpers and ``fermionic_phase``, one state and one operator
+at a time, are the reference of the vectorized signs in
+``hamiltonian._sign_bit``.  The occupation-term split, the long-time
+occupation average, the occupations inside one eigenstate and the
+overlap integral of two strength functions, one basis state at a time
+(the reference of the vectorized ``convolve_strength_map``), are physics
+checks that the pipeline does not need.
 """
 
 from __future__ import annotations
@@ -28,13 +30,7 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import brentq, least_squares, minimize_scalar
 
-from tbrisim.basis import (
-    Basis,
-    ClassPartition,
-    fermionic_phase,
-    occupancy_matrix,
-    occupied_orbitals,
-)
+from tbrisim.basis import Basis, ClassPartition, occupancy_matrix
 from tbrisim.dynamics import (
     UNITARITY_TOL,
     OccupationTrajectory,
@@ -116,6 +112,65 @@ def transposition_sign(occupied: tuple[int, ...], annihilate, create):
         sign *= (-1) ** pos
         orbs.insert(pos, x)
     return sign, tuple(orbs)
+
+
+def occupied_orbitals(state: int) -> tuple[int, ...]:
+    """Ascending orbital indices set in the bitmask."""
+    orbs = []
+    s = state
+    while s:
+        low = s & -s
+        orbs.append(low.bit_length() - 1)
+        s ^= low
+    return tuple(orbs)
+
+
+def state_from_orbitals(orbitals) -> int:
+    """Bitmask of the listed orbitals; PreconditionError if one is listed twice."""
+    mask = 0
+    for s in orbitals:
+        bit = 1 << s
+        if mask & bit:
+            raise PreconditionError(f"orbital {s} listed twice")
+        mask |= bit
+    return mask
+
+
+def orbital_difference(f: int, g: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Orbitals occupied in f but not g, and in g but not f (both ascending)."""
+    return occupied_orbitals(f & ~g), occupied_orbitals(g & ~f)
+
+
+def fermionic_phase(state: int, annihilate, create) -> int:
+    """Sign of <g| a+_{c1} a+_{c2} a_{a2} a_{a1} |f> for f = ``state``.
+
+    The operator pairs are taken in canonical ascending order a1 < a2 and
+    c1 < c2 and applied right to left; each application contributes
+    (-1)^(number of occupied orbitals below the target orbital).
+    """
+    a1, a2 = sorted(annihilate)
+    c1, c2 = sorted(create)
+    if a1 == a2:
+        raise PreconditionError(f"cannot annihilate orbital {a1} twice")
+    if c1 == c2:
+        raise PreconditionError(f"cannot create orbital {c1} twice")
+    sign = 1
+    s = int(state)
+    for orb in (a1, a2):
+        bit = 1 << orb
+        if not s & bit:
+            raise PreconditionError(f"orbital {orb} is empty, cannot annihilate")
+        if (s & (bit - 1)).bit_count() & 1:
+            sign = -sign
+        s &= ~bit
+    for orb in (c2, c1):
+        bit = 1 << orb
+        if s & bit:
+            raise PreconditionError(f"orbital {orb} already occupied, cannot create")
+        if (s & (bit - 1)).bit_count() & 1:
+            sign = -sign
+        s |= bit
+    return sign
 
 
 def expm_amplitudes(h_entries: np.ndarray, i: int, t: float) -> np.ndarray:

@@ -11,7 +11,14 @@ import pytest
 import tbrisim as tb
 from tbrisim.exceptions import ParameterError, PreconditionError
 
-from oracles import jw_annihilators, transposition_sign
+from oracles import (
+    fermionic_phase,
+    jw_annihilators,
+    occupied_orbitals,
+    orbital_difference,
+    state_from_orbitals,
+    transposition_sign,
+)
 
 
 def test_basis_size_paper_case():
@@ -47,12 +54,12 @@ def test_basis_canonical_order_and_index():
 
 
 def test_orbital_difference_examples():
-    f = tb.state_from_orbitals([0, 1])
-    assert tb.orbital_difference(f, f) == ((), ())
-    g = tb.state_from_orbitals([0, 2])
-    assert tb.orbital_difference(f, g) == ((1,), (2,))
-    h = tb.state_from_orbitals([2, 3])
-    assert tb.orbital_difference(f, h) == ((0, 1), (2, 3))
+    f = state_from_orbitals([0, 1])
+    assert orbital_difference(f, f) == ((), ())
+    g = state_from_orbitals([0, 2])
+    assert orbital_difference(f, g) == ((1,), (2,))
+    h = state_from_orbitals([2, 3])
+    assert orbital_difference(f, h) == ((0, 1), (2, 3))
 
 
 def test_orbital_difference_is_symmetric():
@@ -60,19 +67,19 @@ def test_orbital_difference_is_symmetric():
     basis = tb.build_basis(3, 6)
     for _ in range(50):
         f, g = (int(s) for s in rng.choice(basis.states, size=2))
-        removed, added = tb.orbital_difference(f, g)
-        assert tb.orbital_difference(g, f) == (added, removed)
+        removed, added = orbital_difference(f, g)
+        assert orbital_difference(g, f) == (added, removed)
         assert len(removed) == len(added)
 
 
 def test_phase_identity_pair():
-    state = tb.state_from_orbitals([0, 1])
-    assert tb.fermionic_phase(state, (0, 1), (0, 1)) == 1
+    state = state_from_orbitals([0, 1])
+    assert fermionic_phase(state, (0, 1), (0, 1)) == 1
 
 
 def test_phase_same_orbital_round_trip():
-    state = tb.state_from_orbitals([0, 1, 2])
-    assert tb.fermionic_phase(state, (0, 2), (0, 2)) == 1
+    state = state_from_orbitals([0, 1, 2])
+    assert fermionic_phase(state, (0, 2), (0, 2)) == 1
 
 
 def test_phase_round_trip_is_positive_for_any_pair():
@@ -80,21 +87,21 @@ def test_phase_round_trip_is_positive_for_any_pair():
     basis = tb.build_basis(3, 7)
     for _ in range(100):
         state = int(rng.choice(basis.states))
-        occ = tb.occupied_orbitals(state)
+        occ = occupied_orbitals(state)
         pair = tuple(rng.choice(occ, size=2, replace=False))
-        assert tb.fermionic_phase(state, pair, pair) == 1
+        assert fermionic_phase(state, pair, pair) == 1
 
 
 def test_phase_occupancy_violations():
-    state = tb.state_from_orbitals([0, 1, 2])
+    state = state_from_orbitals([0, 1, 2])
     with pytest.raises(PreconditionError):
-        tb.fermionic_phase(state, (0, 3), (4, 5))   # 3 not occupied
+        fermionic_phase(state, (0, 3), (4, 5))   # 3 not occupied
     with pytest.raises(PreconditionError):
-        tb.fermionic_phase(state, (0, 1), (2, 4))   # 2 still occupied
+        fermionic_phase(state, (0, 1), (2, 4))   # 2 still occupied
     with pytest.raises(PreconditionError):
-        tb.fermionic_phase(state, (0, 0), (3, 4))   # doubled operator
+        fermionic_phase(state, (0, 0), (3, 4))   # doubled operator
     with pytest.raises(PreconditionError):
-        tb.fermionic_phase(state, (0, 1), (3, 3))
+        fermionic_phase(state, (0, 1), (3, 3))
 
 
 def test_phase_matches_transposition_oracle_m5_n3():
@@ -103,7 +110,7 @@ def test_phase_matches_transposition_oracle_m5_n3():
     checked = 0
     for s in basis.states:
         state = int(s)
-        occ = tb.occupied_orbitals(state)
+        occ = occupied_orbitals(state)
         for ann in combinations(occ, 2):
             middle = state & ~(1 << ann[0]) & ~(1 << ann[1])
             for cre in combinations(range(5), 2):
@@ -111,7 +118,7 @@ def test_phase_matches_transposition_oracle_m5_n3():
                     continue
                 expected = transposition_sign(occ, ann, cre)
                 assert expected is not None
-                assert tb.fermionic_phase(state, ann, cre) == expected[0]
+                assert fermionic_phase(state, ann, cre) == expected[0]
                 checked += 1
     assert checked > 100
 
@@ -124,14 +131,14 @@ def test_phase_matches_jw_matrix_oracle_m5():
     rng = np.random.default_rng(17)
     for _ in range(80):
         state = int(rng.choice(basis.states))
-        occ = tb.occupied_orbitals(state)
+        occ = occupied_orbitals(state)
         ann = tuple(sorted(rng.choice(occ, size=2, replace=False)))
         middle = state & ~(1 << ann[0]) & ~(1 << ann[1])
         free = [o for o in range(5) if not middle >> o & 1]
         cre = tuple(sorted(rng.choice(free, size=2, replace=False)))
         op = adag[cre[0]] @ adag[cre[1]] @ a[ann[1]] @ a[ann[0]]
         target = middle | (1 << cre[0]) | (1 << cre[1])
-        assert op[target, state] == tb.fermionic_phase(state, ann, cre)
+        assert op[target, state] == fermionic_phase(state, ann, cre)
 
 
 def test_classify_reference_is_class_zero(basis_6_12):
@@ -144,7 +151,7 @@ def test_classify_reference_is_class_zero(basis_6_12):
 def test_classify_two_particles_all_reachable_in_one_move():
     """For n=2, m=4 every other state is one two-body move from {0,1}."""
     basis = tb.build_basis(2, 4)
-    part = tb.classify(basis, tb.state_from_orbitals([0, 1]))
+    part = tb.classify(basis, state_from_orbitals([0, 1]))
     assert part.sizes[0] == 1
     assert part.sizes[1] == 5
     assert part.sizes[1:].sum() == 5
@@ -181,7 +188,7 @@ def test_two_body_selection_rule_completeness():
             distance = (int(f) ^ int(g)).bit_count()
             if distance <= 4:
                 continue
-            occ = tb.occupied_orbitals(int(f))
+            occ = occupied_orbitals(int(f))
             for ann in combinations(occ, 2):
                 middle = int(f) & ~(1 << ann[0]) & ~(1 << ann[1])
                 free = [o for o in range(6) if not middle >> o & 1]
@@ -198,4 +205,4 @@ def test_occupancy_matrix_counts_particles():
     # C order keeps the BLAS summation order of ``occ @ weights`` fixed.
     assert occ.dtype == np.float64 and occ.flags.c_contiguous
     for j, state in enumerate(basis.states):
-        assert np.flatnonzero(occ[:, j]).tolist() == list(tb.occupied_orbitals(int(state)))
+        assert np.flatnonzero(occ[:, j]).tolist() == list(occupied_orbitals(int(state)))

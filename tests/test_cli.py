@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import tbrisim as tb
-from tbrisim import cli, spectral, strength, theory
+from tbrisim import cli, config, pipeline, spectral, strength, theory
 from tbrisim.exceptions import FitConvergenceError, ParameterError, PreconditionError
 
 
@@ -30,13 +30,13 @@ def small_doc(tmp_path, eta=0.1, seed=5, **extra):
 
 
 def test_config_defaults_round_trip():
-    config = cli.config_from_dict({})
-    assert config.model.n == 6 and config.model.m == 12
-    assert config.model.eta == 0.003 and config.model.seed == 1
-    assert config.initial_state == "mid-spectrum"
-    again = cli.config_from_dict(config.to_dict())
-    assert again == config
-    assert cli.config_hash(again) == cli.config_hash(config)
+    default = config.config_from_dict({})
+    assert default.model.n == 6 and default.model.m == 12
+    assert default.model.eta == 0.003 and default.model.seed == 1
+    assert default.initial_state == "mid-spectrum"
+    again = config.config_from_dict(default.to_dict())
+    assert again == default
+    assert config.config_hash(again.to_dict()) == config.config_hash(default.to_dict())
 
 
 def test_config_validation_errors():
@@ -65,32 +65,55 @@ def test_config_validation_errors():
         {"model": {"n": 3, "m": "6"}},
         {"model": {**small, "seed": 1.5}},
         {"model": {**small, "seed": True}},
+        {"output": {"formats": 5}},
+        {"analysis": {"fits": "false"}},
+        {"output": {"binary_dumps": "no"}},
+        {"model": {**small, "eta": float("nan")}},
+        {"model": {**small, "d0": float("inf")}},
+        {"initial_state": 63.5},
     ):
         with pytest.raises(ParameterError):
-            cli.config_from_dict(doc)
-    assert cli.config_from_dict({"model": small, "initial_state": "0b111000"}).initial_state
+            config.config_from_dict(doc)
+    assert config.config_from_dict({"model": small, "initial_state": "0b111000"}).initial_state
+
+
+def test_readme_config_block_is_the_default():
+    """The config block README shows as the defaults parses to the default config."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("### Config file", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    shown = config.config_from_dict(json.loads(block))
+    assert shown.to_dict() == config.config_from_dict({}).to_dict()
+
+
+def test_main_rejects_a_non_array_formats_value(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(small_doc(tmp_path, output={"directory": str(tmp_path / "out"),
+                                                           "formats": 5})))
+    assert cli.main(["run", "--config", str(path)]) == 2
+    assert "formats" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_select_initial_state_bitmask(small_2_4):
-    assert cli.select_initial_state(small_2_4.h, 0b0011) == 0
-    assert cli.select_initial_state(small_2_4.h, "0b0011") == 0
+    assert pipeline.select_initial_state(small_2_4.h, 0b0011) == 0
+    assert pipeline.select_initial_state(small_2_4.h, "0b0011") == 0
     with pytest.raises(ParameterError):
-        cli.select_initial_state(small_2_4.h, 0b0111)
+        pipeline.select_initial_state(small_2_4.h, 0b0111)
     with pytest.raises(ParameterError):
-        cli.select_initial_state(small_2_4.h, "nonsense")
+        pipeline.select_initial_state(small_2_4.h, "nonsense")
 
 
 def test_select_initial_state_mid_spectrum_free_fermions():
     params = tb.ModelParams(n=3, m=6, eta=0.0, seed=1)
     basis = tb.build_basis(3, 6)
     h = tb.build_hamiltonian(basis, tb.sample_spectrum(params), tb.sample_two_body(params))
-    i = cli.select_initial_state(h, "mid-spectrum")
+    i = pipeline.select_initial_state(h, "mid-spectrum")
     diag = h.diagonal()
     assert abs(diag[i] - np.median(diag)) <= 1.0
 
 
 def test_run_small_system(tmp_path):
-    manifest = cli.run(cli.config_from_dict(small_doc(tmp_path)))
+    manifest = pipeline.run(config.config_from_dict(small_doc(tmp_path)))
     outdir = tmp_path / "out"
     for name in (
         "config.json",
@@ -138,7 +161,7 @@ def _fitted_doc(tmp_path):
 
 
 def test_manifest_records_each_fit(tmp_path):
-    derived = cli.run(cli.config_from_dict(_fitted_doc(tmp_path))).derived
+    derived = pipeline.run(config.config_from_dict(_fitted_doc(tmp_path))).derived
     for key in ("bw_fit", "hybrid_fit", "fermi_dirac"):
         assert derived[key]["status"] == "converged", key
     for key in ("bw_fit", "hybrid_fit"):
@@ -150,7 +173,7 @@ def test_manifest_records_each_fit(tmp_path):
 
 
 def test_manifest_records_eigensolver_and_environment(tmp_path):
-    cli.run(cli.config_from_dict(_fitted_doc(tmp_path)))
+    pipeline.run(config.config_from_dict(_fitted_doc(tmp_path)))
     saved = json.loads((tmp_path / "out" / "manifest.json").read_text())
     eigensolver = saved["derived"]["eigensolver"]
     assert eigensolver["probes"] == spectral.PROBES
@@ -174,7 +197,7 @@ def test_manifest_records_eigensolver_and_environment(tmp_path):
 def test_manifest_records_trajectory_diagnostics(tmp_path, grid, interpolated):
     """derived.dynamics: the unitarity drift, the interpolated prefix s and its node count K
     (s = 0 and K null on the direct path); K + 2 (T - s) < 2 T columns when s > 0."""
-    manifest = cli.run(cli.config_from_dict(small_doc(tmp_path, grid=grid)))
+    manifest = pipeline.run(config.config_from_dict(small_doc(tmp_path, grid=grid)))
     saved = json.loads((tmp_path / "out" / "manifest.json").read_text())["derived"]["dynamics"]
     assert saved == manifest.derived["dynamics"]
     assert set(saved) == {"unitarity_drift", "interpolated_points", "time_nodes"}
@@ -197,15 +220,15 @@ def test_size_guard_refuses_a_dense_matrix_beyond_physical_memory(tmp_path):
     assert cli.main(["run", "--config", str(path)]) == 2
     assert time.perf_counter() - start < 0.5
     assert not (tmp_path / "out").exists()
-    assert cli.config_from_dict({"model": {"n": 7, "m": 14}}).model.n == 7
+    assert config.config_from_dict({"model": {"n": 7, "m": 14}}).model.n == 7
 
 
 def test_size_guard_counts_the_trajectory_grid():
     """n=6, m=12 validates with 400 points; 10**11 points of (N, points) complex amplitudes
     exceed physical memory and are refused by validation alone."""
-    assert cli.config_from_dict({"grid": {"points": 400}}).grid_points == 400
+    assert config.config_from_dict({"grid": {"points": 400}}).grid_points == 400
     with pytest.raises(ParameterError, match="grid points"):
-        cli.config_from_dict({"model": {"n": 6, "m": 12}, "grid": {"points": 10**11}})
+        config.config_from_dict({"model": {"n": 6, "m": 12}, "grid": {"points": 10**11}})
 
 
 def test_failed_fit_is_recorded_and_the_others_still_run(tmp_path, monkeypatch):
@@ -218,21 +241,21 @@ def test_failed_fit_is_recorded_and_the_others_still_run(tmp_path, monkeypatch):
 
     monkeypatch.setattr(strength, "fit_bw", no_bw)
     monkeypatch.setattr(theory, "fit_fermi_dirac", no_fd)
-    derived = cli.run(cli.config_from_dict(_fitted_doc(tmp_path))).derived
+    derived = pipeline.run(config.config_from_dict(_fitted_doc(tmp_path))).derived
     assert derived["bw_fit"] == {"status": "unavailable", "reason": "forced"}
     assert derived["fermi_dirac"] == {"status": "unavailable", "reason": "forced"}
     assert derived["hybrid_fit"]["status"] == "converged"
 
 
 def test_disabled_fits_are_recorded(tmp_path):
-    derived = cli.run(cli.config_from_dict(small_doc(tmp_path))).derived
+    derived = pipeline.run(config.config_from_dict(small_doc(tmp_path))).derived
     assert derived["bw_fit"]["status"] == derived["hybrid_fit"]["status"] == "unavailable"
     assert derived["sigma"] == derived["delta_e"]
 
 
 def test_run_free_fermions_frozen(tmp_path):
     """eta = 0: occupations never move and W0 stays exactly 1."""
-    manifest = cli.run(cli.config_from_dict(small_doc(tmp_path, eta=0.0)))
+    manifest = pipeline.run(config.config_from_dict(small_doc(tmp_path, eta=0.0)))
     with open(tmp_path / "out" / "occupations.csv") as fh:
         rows = list(csv.DictReader(l for l in fh if not l.startswith("#")))
     first = [float(rows[0][f"n_{a}"]) for a in range(6)]
@@ -242,13 +265,30 @@ def test_run_free_fermions_frozen(tmp_path):
     assert manifest.derived["gamma_golden_rule"] == 0.0
 
 
+def test_convolution_check_records_the_summed_strength_map(tmp_path):
+    """analysis.convolution_check: derived.convolution_completeness is the sum of
+    convolve_strength_map for the run's model and initial state."""
+    doc = small_doc(tmp_path, analysis={"fits": False, "convolution_check": True})
+    manifest = pipeline.run(config.config_from_dict(doc))
+    params = tb.ModelParams(**doc["model"])
+    h = tb.build_hamiltonian(tb.build_basis(params.n, params.m), tb.sample_spectrum(params),
+                             tb.sample_two_body(params))
+    decomp = tb.diagonalize(h)
+    i = manifest.derived["initial_state_index"]
+    expected = tb.convolve_strength_map(tb.strength_function(decomp, i), decomp,
+                                        tb.spectral_stats(decomp)).sum()
+    assert manifest.derived["convolution_completeness"] == pytest.approx(expected, rel=1e-12)
+    assert pipeline.run(config.config_from_dict(small_doc(tmp_path))).derived[
+        "convolution_completeness"] is None
+
+
 def test_run_deterministic_outputs(tmp_path):
     doc1 = small_doc(tmp_path)
     doc1["output"]["directory"] = str(tmp_path / "a")
     doc2 = small_doc(tmp_path)
     doc2["output"]["directory"] = str(tmp_path / "b")
-    m1 = cli.run(cli.config_from_dict(doc1))
-    m2 = cli.run(cli.config_from_dict(doc2))
+    m1 = pipeline.run(config.config_from_dict(doc1))
+    m2 = pipeline.run(config.config_from_dict(doc2))
     for name in ("occupations.csv", "prediction.csv", "strength.csv", "plotdata.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
         assert m1.files[name] == m2.files[name]
@@ -262,7 +302,7 @@ def test_run_json_format_and_binary_dumps(tmp_path):
     for tag in ("a", "b"):
         output = {"directory": str(tmp_path / tag), "formats": ["csv", "json"],
                   "binary_dumps": True}
-        manifests.append(cli.run(cli.config_from_dict(small_doc(tmp_path, output=output))))
+        manifests.append(pipeline.run(config.config_from_dict(small_doc(tmp_path, output=output))))
     outdir = tmp_path / "a"
     table = json.loads((outdir / "occupations.json").read_text())
     with open(outdir / "occupations.csv") as fh:
@@ -271,11 +311,11 @@ def test_run_json_format_and_binary_dumps(tmp_path):
     assert table["rows"] == [[float(x) for x in row] for row in rows[1:]]
     assert table["header"] == [f"config_hash={manifests[0].config_hash}", "seed=5"]
 
-    config = cli.config_from_dict(json.loads((outdir / "config.json").read_text()))
-    params = config.model
+    saved = config.config_from_dict(json.loads((outdir / "config.json").read_text()))
+    params = saved.model
     h = tb.build_hamiltonian(
         tb.build_basis(params.n, params.m), tb.sample_spectrum(params), tb.sample_two_body(params),
-        one_orbital_terms=config.one_orbital_terms, diagonal_pair_terms=config.diagonal_pair_terms,
+        one_orbital_terms=saved.one_orbital_terms, diagonal_pair_terms=saved.diagonal_pair_terms,
     )
     decomp = tb.diagonalize(h)
     dumps = {"hamiltonian.npy": h.entries, "eigenvalues.npy": decomp.energies,
@@ -295,7 +335,7 @@ def test_emit_plotdata_empty_grid(tmp_path, small_3_6):
     pred = tb.predict_occupations(
         np.zeros(6), np.zeros(6), np.array([]), empty
     )
-    paths = cli.emit_plotdata(traj, pred, tmp_path)
+    paths = pipeline.emit_plotdata(traj, pred, tmp_path)
     text = paths[0].read_text().splitlines()
     data_lines = [l for l in text if l and not l.startswith("#")]
     assert len(data_lines) == 1  # header row only
@@ -306,7 +346,7 @@ def test_emit_plotdata_rejects_mismatched_grids(tmp_path, small_3_6):
         np.zeros(6), np.zeros(6), np.array([0.0]), np.array([0.0])
     )
     with pytest.raises(ParameterError):
-        cli.emit_plotdata(small_3_6.trajectory, pred, tmp_path)
+        pipeline.emit_plotdata(small_3_6.trajectory, pred, tmp_path)
 
 
 def test_plotdata_round_trip_conserves_particles(tmp_path, small_3_6):
@@ -316,7 +356,7 @@ def test_plotdata_round_trip_conserves_particles(tmp_path, small_3_6):
         small_3_6.trajectory.w0,
         small_3_6.grid,
     )
-    cli.emit_plotdata(small_3_6.trajectory, pred, tmp_path)
+    pipeline.emit_plotdata(small_3_6.trajectory, pred, tmp_path)
     with open(tmp_path / "plotdata.csv") as fh:
         rows = list(csv.DictReader(l for l in fh if not l.startswith("#")))
     for row in rows[:: max(len(rows) // 8, 1)]:
@@ -360,7 +400,7 @@ def test_main_inspect_against_another_run(tmp_path, capsys):
     outs = []
     for tag in ("a", "b"):
         doc = small_doc(tmp_path, output={"directory": str(tmp_path / tag)})
-        cli.run(cli.config_from_dict(doc))
+        pipeline.run(config.config_from_dict(doc))
         outs.append(str(tmp_path / tag))
     capsys.readouterr()
     assert cli.main(["inspect", outs[0], "--against", outs[1]]) == 0
@@ -411,6 +451,12 @@ def test_main_config_error_exit_code(tmp_path, capsys):
     assert cli.main(["run", "--config", str(bad)]) == 2
     missing = cli.main(["inspect", str(tmp_path / "nowhere")])
     assert missing == 2
+    listed = tmp_path / "list.json"   # a flag cannot write into a config that is not an object
+    listed.write_text("[1, 2]")
+    assert cli.main(["run", "--config", str(listed), "--seed", "3"]) == 2
+    base = tmp_path / "base.json"   # a sweep checks its base config before the first run
+    base.write_text(json.dumps({"output": {"directory": 5}}))
+    assert cli.main(["sweep", "--eta", "0.1", "--config", str(base)]) == 2
 
 
 def test_main_flag_overrides(tmp_path, capsys):
@@ -443,10 +489,13 @@ def test_main_sweep(tmp_path, capsys):
 
 
 def test_preset_configs():
-    c1 = cli.fig1_config(seed=3, outdir="x")
-    c2 = cli.fig2_config()
+    fig1 = config.PRESETS["reproduce-fig1"]
+    c1 = config.config_from_dict({"model": {**fig1["model"], "seed": 3},
+                                  "output": {"directory": "x"}})
+    c2 = config.config_from_dict(config.PRESETS["reproduce-fig2"])
     assert c1.model.eta == 0.003 and c1.model.seed == 3 and c1.outdir == "x"
     assert c2.model.eta == 0.083 and c2.model.n == 6 and c2.model.m == 12
+    assert c2.model.seed == 1 and c2.outdir == "runs/fig2"
 
 
 def test_reproduce_fig1_manifest_values(tmp_path, capsys):

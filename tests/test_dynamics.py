@@ -168,7 +168,7 @@ def test_direct_path_is_bitwise_the_oracle(fig1):
     prob = reference.real**2 + reference.imag**2
     assert traj.occupations.tobytes() == tb.occupation_numbers(prob, s.basis).tobytes()
     assert traj.w0.tobytes() == prob[s.i].tobytes()
-    pops = tb.class_populations(prob, s.partition)
+    pops = tb.dynamics.class_populations(prob, s.partition)
     assert traj.class_populations.tobytes() == pops.tobytes()
 
 
@@ -316,7 +316,7 @@ def test_split_terms_at_time_zero(fig1):
 
 
 def test_diagonal_weights_sum_to_one(fig2):
-    assert tb.diagonal_weights(fig2.decomp, fig2.i).sum() == pytest.approx(1.0, abs=1e-10)
+    assert tb.dynamics.diagonal_weights(fig2.decomp, fig2.i).sum() == pytest.approx(1.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("fixture", ["small_2_4", "fig2"])
@@ -326,7 +326,7 @@ def test_diagonal_weights_match_whole_matrix_product(fixture, request):
     vectors = s.decomp.vectors
     for i in (0, s.i, s.basis.size - 1):
         expected = (vectors**2) @ (vectors[i] ** 2)
-        got = tb.diagonal_weights(s.decomp, i)
+        got = tb.dynamics.diagonal_weights(s.decomp, i)
         assert np.all(np.abs(got - expected) <= 1e-14 * np.abs(expected)), i
 
 

@@ -12,7 +12,7 @@ import tbrisim as tb
 from tbrisim.exceptions import ParameterError
 from tbrisim.hamiltonian import _couplings, _index_dtype
 
-from oracles import loop_hamiltonian, operator_hamiltonian, project_to_basis
+from oracles import loop_hamiltonian, occupied_orbitals, operator_hamiltonian, project_to_basis
 
 
 def test_model_params_validation():
@@ -26,6 +26,10 @@ def test_model_params_validation():
         tb.ModelParams(n=2, m=4, eta=0.1, seed=1, d0=0.0)
     with pytest.raises(ParameterError):
         tb.ModelParams(n=2, m=4, eta=0.1, seed=1, jitter=1.0)
+    nan, inf = float("nan"), float("inf")
+    for eta, d0 in ((nan, 1.0), (inf, 1.0), (0.1, inf), (0.1, nan)):
+        with pytest.raises(ParameterError, match="finite"):
+            tb.ModelParams(n=2, m=4, eta=eta, seed=1, d0=d0)
 
 
 def test_spectrum_equidistant():
@@ -83,7 +87,7 @@ def test_free_hamiltonian_is_diagonal():
     spectrum = tb.sample_spectrum(params)
     h = tb.build_hamiltonian(basis, spectrum, tb.sample_two_body(params))
     expected = [
-        sum(spectrum.epsilon[s] for s in tb.occupied_orbitals(int(f)))
+        sum(spectrum.epsilon[s] for s in occupied_orbitals(int(f)))
         for f in basis.states
     ]
     assert np.allclose(h.diagonal(), expected, atol=1e-14)
@@ -233,7 +237,7 @@ def test_convention_switches():
         basis, spectrum, tensor, one_orbital_terms=False, diagonal_pair_terms=False
     )
     free = [
-        sum(spectrum.epsilon[s] for s in tb.occupied_orbitals(int(f)))
+        sum(spectrum.epsilon[s] for s in occupied_orbitals(int(f)))
         for f in basis.states
     ]
     assert np.allclose(bare.diagonal(), free, atol=1e-14)
