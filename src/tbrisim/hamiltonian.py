@@ -33,7 +33,7 @@ class ModelParams:
     eta is the mean squared two-body element in units of d0**2; jitter
     displaces each single-particle level by jitter*d0*u with u uniform on
     [-1/2, 1/2].  The seed fixes both the level jitter and the tensor.
-    eta and d0 must be finite.
+    eta and d0 must be finite, and the seed non-negative.
     """
 
     n: int
@@ -52,6 +52,8 @@ class ModelParams:
             raise ParameterError(f"d0 must be positive, got {self.d0}")
         if self.eta < 0:
             raise ParameterError(f"eta must be non-negative, got {self.eta}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be non-negative, got {self.seed}")
         if not 0 <= self.jitter < 1:
             raise ParameterError(f"jitter must lie in [0, 1), got {self.jitter}")
 
@@ -66,9 +68,6 @@ class SingleParticleSpectrum:
     def m(self) -> int:
         return len(self.epsilon)
 
-    def mean_spacing(self) -> float:
-        return float(self.epsilon[-1] - self.epsilon[0]) / (self.m - 1)
-
 
 class TwoBodyTensor:
     """Symmetric table of two-body amplitudes indexed by orbital pairs.
@@ -78,21 +77,14 @@ class TwoBodyTensor:
     """
 
     def __init__(self, m: int, matrix: np.ndarray):
-        pairs = list(combinations(range(m), 2))
-        if matrix.shape != (len(pairs), len(pairs)):
-            raise ParameterError(
-                f"tensor for m={m} needs shape {(len(pairs),) * 2}, got {matrix.shape}"
-            )
+        n_pairs = m * (m - 1) // 2
+        if matrix.shape != (n_pairs, n_pairs):
+            raise ParameterError(f"tensor for m={m} needs shape {(n_pairs,) * 2}, "
+                                 f"got {matrix.shape}")
         if not np.array_equal(matrix, matrix.T):
             raise ParameterError("two-body tensor must be symmetric in its pair indices")
         self.m = m
-        self.pairs = pairs
-        self.pair_index = {pq: a for a, pq in enumerate(pairs)}
         self.matrix = matrix
-
-    def element(self, p: int, q: int, r: int, s: int) -> float:
-        """Amplitude V[(p,q),(r,s)]; requires p < q and r < s."""
-        return float(self.matrix[self.pair_index[(p, q)], self.pair_index[(r, s)]])
 
 
 @dataclass(frozen=True)
@@ -120,16 +112,14 @@ def sample_spectrum(params: ModelParams) -> SingleParticleSpectrum:
 
 
 def sample_two_body(params: ModelParams) -> TwoBodyTensor:
-    """Draw the symmetric Gaussian pair-pair table, one draw per canonical element."""
+    """Draw the symmetric Gaussian pair-pair table: elements (a <= b), row-major, then mirrored."""
     n_pairs = params.m * (params.m - 1) // 2
     rng = np.random.default_rng([params.seed, _TENSOR_STREAM])
     scale = np.sqrt(params.eta) * params.d0
+    upper = scale * rng.standard_normal(n_pairs * (n_pairs + 1) // 2)
+    rows, cols = np.triu_indices(n_pairs)
     matrix = np.zeros((n_pairs, n_pairs))
-    # Row-major upper triangle, mirrored: each (a <= b) element is one draw.
-    for a in range(n_pairs):
-        row = scale * rng.standard_normal(n_pairs - a)
-        matrix[a, a:] = row
-        matrix[a:, a] = row
+    matrix[rows, cols] = matrix[cols, rows] = upper
     return TwoBodyTensor(params.m, matrix)
 
 
@@ -152,22 +142,22 @@ def build_hamiltonian(
     Which entries couple, through which tensor element and with which
     fermionic sign depends only on (n, m), not on the seed, eta or the level
     jitter.  That coupling structure is computed once per (n, m) and cached
-    for the two most recent sizes.  For every basis state it holds each term
-    of that state's row, as an index into the table
-    ``concat(V.ravel(), -V.ravel(), epsilon)``, and the column each move
-    reaches: n orbital energies and C(n,2) pair terms on the diagonal, one
-    term per two-orbital move, and n - 1 spectator terms per one-orbital
-    move.  Indices are int16 while N and the table fit, wider beyond: 1.3 MB
-    at N=924 (n=6, m=12), 8.6 MB at N=3432 (n=7, m=14).  With one row per
-    state, assembly is one gather and one row-wise scatter per move kind.
+    for the two most recent sizes.  As indices into the table
+    ``concat(V.ravel(), -V.ravel(), epsilon)`` it holds the n orbital energies
+    and C(n,2) pair terms of each diagonal entry, and for each entry (f, g)
+    above the diagonal the terms of the move from f to g (one for two
+    orbitals, n - 1 spectators for one), with the flat positions of (f, g)
+    and (g, f).  Terms are int16 up to m=16 and positions int32 up to
+    N=46340: 1.38 MB at N=924 (n=6, m=12), 9.4 MB at N=3432 (n=7, m=14).
+    Assembly is one gather per move kind, the spectator adds, and one flat
+    scatter to both triangles.
 
     The terms of an entry are added in a fixed order: orbital energies in
     ascending orbital order, then the pair terms, and the spectators of a
     one-orbital move in ascending orbital order; a two-orbital entry has one
     term and is assigned.  That is the order of a plain loop over states and
-    moves, so H is bitwise what such a loop gives, whatever way the structure
-    was computed, and exactly symmetric, since each triangle is filled from
-    its own row with the same terms.
+    moves that fills both triangles from the upper row, so H is bitwise what
+    such a loop gives, and exactly symmetric.
     """
     if spectrum.m != basis.m or tensor.m != basis.m:
         raise ParameterError(
@@ -178,91 +168,100 @@ def build_hamiltonian(
     v = tensor.matrix.ravel()
     table = np.concatenate((v, -v, spectrum.epsilon))
     n_states = basis.size
-    rows = np.arange(n_states)[:, None]
     entries = np.zeros((n_states, n_states))
+    flat = entries.reshape(-1)   # writable view
 
-    diagonal = entries.reshape(-1)[:: n_states + 1]   # writable view
+    diagonal = flat[:: n_states + 1]
     n_diagonal = len(couplings.diagonal) if diagonal_pair_terms else basis.n
     for terms in couplings.diagonal[:n_diagonal]:
         diagonal += table[terms]
-    entries[rows, couplings.move2_col] = table[couplings.move2_term]
+    flat[couplings.move2_at] = table[couplings.move2_term]   # both rows: entry and mirror
     if one_orbital_terms:
-        summed = np.zeros(couplings.move1_col.shape)   # +0.0 start, as the plain loop
+        summed = np.zeros(couplings.move1_term.shape[1])   # +0.0 start, as the plain loop
         for rank_terms in couplings.move1_term:
             summed += table[rank_terms]
-        entries[rows, couplings.move1_col] = summed
+        flat[couplings.move1_at] = summed
 
     return HamiltonianMatrix(entries=entries, basis=basis)
 
 
 @dataclass(frozen=True)
 class _Couplings:
-    """Coupling structure of H for one (n, m); see ``build_hamiltonian``.
+    """Coupling structure of H for one (n, m); see ``build_hamiltonian``.  Of N = C(m, n)
+    states, K2 = N C(n,2) C(m-n,2) / 2 and K1 = N n (m-n) / 2 entries lie above the diagonal."""
 
-    N = binomial(m, n) basis states; the move arrays have one row per state.
-    A term is an index into ``concat(V.ravel(), -V.ravel(), epsilon)``.
-    """
-
+    move2_at: np.ndarray    # (2, K2): flat positions of the two-orbital moves, then mirrors
+    move1_at: np.ndarray    # (2, K1): the same for the one-orbital moves
     diagonal: np.ndarray    # (n + C(n,2), N): orbital energies, then pair terms
-    move2_col: np.ndarray   # (N, C(n,2) C(m-n,2)): target of each two-orbital move
-    move2_term: np.ndarray  # same shape: its signed tensor element
-    move1_col: np.ndarray   # (N, n (m-n)): target of each one-orbital move
-    move1_term: np.ndarray  # (n - 1, N, n (m-n)): its terms, by spectator rank
+    move2_term: np.ndarray  # (K2,): signed tensor element of each two-orbital move
+    move1_term: np.ndarray  # (n - 1, K1): one-orbital terms, by spectator rank
 
 
 @functools.lru_cache(maxsize=2)
 def _couplings(n: int, m: int) -> _Couplings:
-    """Vectorized over basis states; loops only over orbital-position pairs."""
+    """Axes (state, occupied orbital or pair, free orbital or pair).  A move from f reaches
+    an entry above the diagonal exactly when its target bitmask exceeds f, since the basis
+    is sorted; only those are looked up and kept."""
     states = basis_states(n, m)
     n_states, n_pairs = len(states), m * (m - 1) // 2
     bits = occupation_bits(states, m).T
     occ = np.nonzero(bits)[1].reshape(n_states, n)          # ascending per state
     free = np.nonzero(1 - bits)[1].reshape(n_states, m - n)
-    f = states[:, None]
+    f = states[:, None, None]
 
     def pair(p, q):
-        """Index of (p, q), p < q, in TwoBodyTensor.pairs."""
+        """Index of (p, q), p < q, in the lexicographic pair order of ``TwoBodyTensor.matrix``."""
         return p * (2 * m - p - 1) // 2 + q - p - 1
 
-    def term(a1, a2, c1, c2):
-        """Signed element V[(a1,a2),(c1,c2)] of <g| a+_c1 a+_c2 a_a2 a_a1 |f>."""
-        negative = _sign_bit(f, a1, a2, c1, c2)
-        return negative * n_pairs**2 + pair(a1, a2) * n_pairs + pair(c1, c2)
+    def term(state, a1, a2, c1, c2):
+        """Signed element V[(a1,a2),(c1,c2)] of <g| a+_c1 a+_c2 a_a2 a_a1 |state>."""
+        index = _sign_bit(state, a1, a2, c1, c2)
+        index *= n_pairs**2   # in place: no second full-size temporary
+        index += pair(a1, a2) * n_pairs
+        index += pair(c1, c2)
+        return index
 
-    occ_pairs = list(combinations(range(n), 2))
+    def place(at, targets, upper):
+        """Write the flat positions the flagged moves reach, row-major, then their mirrors."""
+        rows = np.repeat(np.arange(n_states), upper.reshape(n_states, -1).sum(axis=1))
+        cols = np.searchsorted(states, targets[upper])
+        at[0], at[1] = rows * n_states + cols, cols * n_states + rows
+
+    occ_pairs = np.array(list(combinations(range(n), 2)), dtype=np.intp).reshape(-1, 2)
     free_pairs = np.array(list(combinations(range(m - n), 2)), dtype=np.intp).reshape(-1, 2)
-    n_move2, n_move1 = len(occ_pairs) * len(free_pairs), n * (m - n)
-    # One allocation backs every field: five separate arrays measured about
-    # 2 MB more peak RSS in the dense work that follows at N=924.
-    block_rows = np.empty(
-        (n + len(occ_pairs) + 2 * n_move2 + n * n_move1, n_states),
-        _index_dtype(max(n_states - 1, 2 * n_pairs**2 + m - 1)),
-    )
-    diagonal, move2_col, move2_term, move1_col, move1_term = np.split(
-        block_rows, np.cumsum([n + len(occ_pairs), n_move2, n_move2, n_move1])
-    )
-    move2_col, move2_term, move1_col = (
-        a.reshape(n_states, -1) for a in (move2_col, move2_term, move1_col))
-    move1_term = move1_term.reshape(n - 1, n_states, n_move1)
+    n_move2, n_move1 = n_states * len(occ_pairs) * len(free_pairs) // 2, n_states * n * (m - n) // 2
+    # One allocation backs every field: separate arrays measured about 2 MB
+    # more peak RSS in the dense work that follows at N=924.  Positions come
+    # first; a term dtype is never more than twice as wide, so each field is aligned.
+    at_type = np.dtype(_index_dtype(n_states**2 - 1))
+    term_type = np.dtype(_index_dtype(2 * n_pairs**2 + m - 1))
+    layout = {"move2_at": ((2, n_move2), at_type), "move1_at": ((2, n_move1), at_type),
+              "diagonal": ((n + len(occ_pairs), n_states), term_type),
+              "move2_term": ((n_move2,), term_type), "move1_term": ((n - 1, n_move1), term_type)}
+    ends = np.cumsum([math.prod(shape) * dtype.itemsize for shape, dtype in layout.values()])
+    blocks = np.split(np.empty(ends[-1], np.uint8), ends[:-1])
+    structure = _Couplings(**{name: block.view(dtype).reshape(shape)
+                              for (name, (shape, dtype)), block in zip(layout.items(), blocks)})
 
-    diagonal[:n] = 2 * n_pairs**2 + occ.T
-    r, s = free[:, free_pairs[:, 0]], free[:, free_pairs[:, 1]]
-    for c, (j, k) in enumerate(occ_pairs):
-        p, q = occ[:, j:j + 1], occ[:, k:k + 1]
-        diagonal[n + c] = (n_pairs + 1) * pair(p, q)[:, 0]
-        block = slice(c * len(free_pairs), (c + 1) * len(free_pairs))
-        move2_col[:, block] = np.searchsorted(states, f ^ (1 << p) ^ (1 << q) | (1 << r) | (1 << s))
-        move2_term[:, block] = term(p, q, r, s)
+    p, q = occ[:, occ_pairs[:, 0], None], occ[:, occ_pairs[:, 1], None]
+    structure.diagonal[:n] = 2 * n_pairs**2 + occ.T
+    structure.diagonal[n:] = (n_pairs + 1) * pair(p, q)[:, :, 0].T
 
-    for j in range(n):
-        p, block = occ[:, j:j + 1], slice(j * (m - n), (j + 1) * (m - n))
-        move1_col[:, block] = np.searchsorted(states, f ^ (1 << p) ^ (1 << free))
-        for rank, k in enumerate(k for k in range(n) if k != j):
-            s = occ[:, k:k + 1]
-            move1_term[rank, :, block] = term(np.minimum(p, s), np.maximum(p, s),
-                                              np.minimum(free, s), np.maximum(free, s))
+    r, s = free[:, None, free_pairs[:, 0]], free[:, None, free_pairs[:, 1]]
+    targets = f ^ (1 << p) ^ (1 << q) | (1 << r) | (1 << s)
+    upper = targets > f
+    place(structure.move2_at, targets, upper)
+    structure.move2_term[:] = term(f, p, q, r, s)[upper]
 
-    structure = _Couplings(diagonal, move2_col, move2_term, move1_col, move1_term)
+    p, r = occ[:, :, None], free[:, None, :]
+    targets = f ^ (1 << p) ^ (1 << r)
+    upper = targets > f
+    place(structure.move1_at, targets, upper)
+    for rank in range(n - 1):   # spectators in ascending orbital order
+        s = occ[:, rank + (rank >= np.arange(n)), None]
+        structure.move1_term[rank] = term(
+            f, np.minimum(p, s), np.maximum(p, s), np.minimum(r, s), np.maximum(r, s))[upper]
+
     for array in vars(structure).values():
         array.flags.writeable = False   # shared by every caller through the cache
     return structure
@@ -271,13 +270,13 @@ def _couplings(n: int, m: int) -> _Couplings:
 def _sign_bit(state, a1, a2, c1, c2) -> np.ndarray:
     """1 where the sign of <g| a+_c1 a+_c2 a_a2 a_a1 |f>, f = ``state``, is -1, else 0.
 
-    ``fermionic_phase`` in ``tests/oracles.py`` is its one-state reference.
+    For a1 < a2 occupied and c1 < c2 free: each operator counts the occupied orbitals
+    below it, so a_a1 a_a2 count f in [a1, a2) less a1 itself, and a+_c2 a+_c1 count
+    f without a1, a2 in [c1, c2).  ``fermionic_phase`` in ``tests/oracles.py`` is its reference.
     """
-    parity = 0
-    for orb, create in ((a1, False), (a2, False), (c2, True), (c1, True)):
-        bit = 1 << orb
-        parity = parity + np.bitwise_count(state & (bit - 1))
-        state = state | bit if create else state & ~bit
+    removed = state & ~(1 << a1) & ~(1 << a2)
+    parity = (np.bitwise_count(state & ((1 << a1) - 1 ^ (1 << a2) - 1))
+              + np.bitwise_count(removed & ((1 << c1) - 1 ^ (1 << c2) - 1)) + 1)
     # bitwise_count gives uint8: widen before the result is scaled into a term.
     return (parity & 1).astype(np.int64)
 

@@ -209,9 +209,9 @@ def run(config: ExperimentConfig) -> RunManifest:
             trajectory.w0,
             grid,
         )
-        rms_eq14, max_eq14 = theory.prediction_error(trajectory.occupations, prediction)
-        diff = trajectory.occupations - prediction.occupations
-        rms_eq14_per_point = float(np.sqrt(np.mean(diff**2))) if diff.size else 0.0
+        rms_eq14, max_eq14, rms_eq14_per_point = theory.deviation(
+            trajectory.occupations - prediction.occupations, prediction.grid.points
+        )
         n_pc_env = theory.n_pc_envelope(profile, stats)
         models = None
         if spreading.gamma_gr > 0 and spreading.delta_e > 0:

@@ -247,24 +247,24 @@ def fit_fermi_dirac(ninf, spectrum: SingleParticleSpectrum, n: int) -> FermiDira
 
 
 def prediction_error(n_exact: np.ndarray, prediction: ThermalizationPrediction) -> tuple[float, float]:
-    """(RMS, max-abs) deviation between exact and predicted occupations.
-
-    The RMS is taken over orbitals and uniformly over time (trapezoid rule
-    on the grid), so the value does not depend on how densely any time zone
-    was sampled; the max runs over all grid points.
-    """
+    """(RMS, max-abs) deviation between exact and predicted occupations; see ``deviation``."""
     if n_exact.shape != prediction.occupations.shape:
-        raise ParameterError(
-            f"shape mismatch: exact {n_exact.shape} vs predicted {prediction.occupations.shape}"
-        )
-    diff = n_exact - prediction.occupations
-    times = prediction.grid.points
+        raise ParameterError(f"shape mismatch: exact {n_exact.shape} vs predicted "
+                             f"{prediction.occupations.shape}")
+    return deviation(n_exact - prediction.occupations, prediction.grid.points)[:2]
+
+
+def deviation(diff: np.ndarray, times: np.ndarray) -> tuple[float, float, float]:
+    """(RMS, max-abs, per-point RMS) of an (m, T) occupation difference on ``times``.
+
+    The RMS weighs time uniformly (trapezoid rule), so it does not depend on how
+    densely any time zone was sampled; the other two run over all grid points.
+    """
+    squares = diff**2
+    per_point = rms = float(np.sqrt(np.mean(squares))) if diff.size else 0.0
     if len(times) >= 2 and times[-1] > times[0]:
-        msq_t = np.mean(diff**2, axis=0)
-        rms = float(np.sqrt(np.trapezoid(msq_t, times) / (times[-1] - times[0])))
-    else:
-        rms = float(np.sqrt(np.mean(diff**2))) if diff.size else 0.0
-    return rms, float(np.abs(diff).max()) if diff.size else 0.0
+        rms = float(np.sqrt(np.trapezoid(np.mean(squares, axis=0), times) / (times[-1] - times[0])))
+    return rms, float(np.abs(diff).max()) if diff.size else 0.0, per_point
 
 
 def write_prediction_csv(

@@ -14,7 +14,10 @@ one helper, and the amplitudes evaluated directly at every grid time, as
 ``evolve_amplitudes`` did before it interpolated from Chebyshev nodes.
 The bitmask helpers and ``fermionic_phase``, one state and one operator
 at a time, are the reference of the vectorized signs in
-``hamiltonian._sign_bit``.  The occupation-term split, the long-time
+``hamiltonian._sign_bit``; the tensor drawn one row at a time is the
+reference of the single draw in ``sample_two_body``, and the pair
+enumeration, element lookup and mean orbital spacing are helpers the
+package does not need.  The occupation-term split, the long-time
 occupation average, the occupations inside one eigenstate and the
 overlap integral of two strength functions, one basis state at a time
 (the reference of the vectorized ``convolve_strength_map``), are physics
@@ -40,7 +43,13 @@ from tbrisim.dynamics import (
     occupation_numbers,
 )
 from tbrisim.exceptions import ParameterError, PreconditionError
-from tbrisim.hamiltonian import HamiltonianMatrix, SingleParticleSpectrum, TwoBodyTensor
+from tbrisim.hamiltonian import (
+    _TENSOR_STREAM,
+    HamiltonianMatrix,
+    ModelParams,
+    SingleParticleSpectrum,
+    TwoBodyTensor,
+)
 from tbrisim.spectral import EigenDecomposition, SpectralStats
 from tbrisim.strength import MOMENT_NODES, StrengthProfile, _adaptive_bins, strength_function
 
@@ -80,6 +89,40 @@ def operator_hamiltonian(m: int, epsilon, tensor_matrix, pairs) -> np.ndarray:
             if v != 0.0:
                 h += v * (adag[c1] @ adag[c2] @ a[a2] @ a[a1])
     return h
+
+
+def orbital_pairs(m: int) -> list[tuple[int, int]]:
+    """Pairs (p, q), p < q, in lexicographic order: the row order of ``TwoBodyTensor.matrix``."""
+    return list(combinations(range(m), 2))
+
+
+def pair_index(m: int) -> dict[tuple[int, int], int]:
+    """Row of each orbital pair in ``TwoBodyTensor.matrix``."""
+    return {pq: a for a, pq in enumerate(orbital_pairs(m))}
+
+
+def tensor_element(tensor: TwoBodyTensor, p: int, q: int, r: int, s: int) -> float:
+    """Amplitude V[(p,q),(r,s)]; requires p < q and r < s."""
+    index = pair_index(tensor.m)
+    return float(tensor.matrix[index[(p, q)], index[(r, s)]])
+
+
+def mean_spacing(spectrum: SingleParticleSpectrum) -> float:
+    """Mean spacing of the orbital energies, end to end."""
+    return float(spectrum.epsilon[-1] - spectrum.epsilon[0]) / (spectrum.m - 1)
+
+
+def rowwise_two_body(params: ModelParams) -> TwoBodyTensor:
+    """``sample_two_body`` as it was: one draw per upper-triangle row, mirrored row by row."""
+    n_pairs = params.m * (params.m - 1) // 2
+    rng = np.random.default_rng([params.seed, _TENSOR_STREAM])
+    scale = np.sqrt(params.eta) * params.d0
+    matrix = np.zeros((n_pairs, n_pairs))
+    for a in range(n_pairs):
+        row = scale * rng.standard_normal(n_pairs - a)
+        matrix[a, a:] = row
+        matrix[a:, a] = row
+    return TwoBodyTensor(params.m, matrix)
 
 
 def project_to_basis(full_matrix: np.ndarray, states) -> np.ndarray:
@@ -202,7 +245,7 @@ def loop_hamiltonian(
         )
     eps = spectrum.epsilon.tolist()
     v = tensor.matrix.tolist()
-    pair_index = tensor.pair_index
+    pairs = pair_index(basis.m)
     index = basis.index
     n_states = basis.size
     entries = np.zeros((n_states, n_states))
@@ -216,12 +259,12 @@ def loop_hamiltonian(
         diag = sum(eps[s] for s in occ)
         if diagonal_pair_terms:
             for pq in combinations(occ, 2):
-                a = pair_index[pq]
+                a = pairs[pq]
                 diag += v[a][a]
         entries[fi, fi] = diag
 
         for pq in combinations(occ, 2):
-            a = pair_index[pq]
+            a = pairs[pq]
             removed = f ^ (1 << pq[0]) ^ (1 << pq[1])
             for rs in combinations(unocc, 2):
                 g = removed | (1 << rs[0]) | (1 << rs[1])
@@ -229,7 +272,7 @@ def loop_hamiltonian(
                 if gi < fi:
                     continue  # already filled from the partner row
                 sign = fermionic_phase(f, pq, rs)
-                entries[fi, gi] = entries[gi, fi] = sign * v[a][pair_index[rs]]
+                entries[fi, gi] = entries[gi, fi] = sign * v[a][pairs[rs]]
 
         if one_orbital_terms:
             for p in occ:
@@ -244,7 +287,7 @@ def loop_hamiltonian(
                             continue
                         ps = (p, s) if p < s else (s, p)
                         qs = (q, s) if q < s else (s, q)
-                        element += fermionic_phase(f, ps, qs) * v[pair_index[ps]][pair_index[qs]]
+                        element += fermionic_phase(f, ps, qs) * v[pairs[ps]][pairs[qs]]
                     entries[fi, gi] = entries[gi, fi] = element
 
     return HamiltonianMatrix(entries=entries, basis=basis)

@@ -65,6 +65,7 @@ def test_config_validation_errors():
         {"model": {"n": 3, "m": "6"}},
         {"model": {**small, "seed": 1.5}},
         {"model": {**small, "seed": True}},
+        {"model": {**small, "seed": -1}},
         {"output": {"formats": 5}},
         {"analysis": {"fits": "false"}},
         {"output": {"binary_dumps": "no"}},
@@ -457,6 +458,16 @@ def test_main_config_error_exit_code(tmp_path, capsys):
     base = tmp_path / "base.json"   # a sweep checks its base config before the first run
     base.write_text(json.dumps({"output": {"directory": 5}}))
     assert cli.main(["sweep", "--eta", "0.1", "--config", str(base)]) == 2
+
+
+def test_negative_seed_exits_2_before_the_run(tmp_path, capsys):
+    """numpy's generators refuse a negative seed; validation refuses it first."""
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps({"model": {"n": 3, "m": 6, "seed": -1},
+                                "output": {"directory": str(tmp_path / "out")}}))
+    assert cli.main(["run", "--config", str(path)]) == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_main_flag_overrides(tmp_path, capsys):

@@ -12,7 +12,16 @@ import tbrisim as tb
 from tbrisim.exceptions import ParameterError
 from tbrisim.hamiltonian import _couplings, _index_dtype
 
-from oracles import loop_hamiltonian, occupied_orbitals, operator_hamiltonian, project_to_basis
+from oracles import (
+    loop_hamiltonian,
+    mean_spacing,
+    occupied_orbitals,
+    operator_hamiltonian,
+    orbital_pairs,
+    project_to_basis,
+    rowwise_two_body,
+    tensor_element,
+)
 
 
 def test_model_params_validation():
@@ -26,6 +35,8 @@ def test_model_params_validation():
         tb.ModelParams(n=2, m=4, eta=0.1, seed=1, d0=0.0)
     with pytest.raises(ParameterError):
         tb.ModelParams(n=2, m=4, eta=0.1, seed=1, jitter=1.0)
+    with pytest.raises(ParameterError, match="seed"):
+        tb.ModelParams(n=2, m=4, eta=0.1, seed=-1)
     nan, inf = float("nan"), float("inf")
     for eta, d0 in ((nan, 1.0), (inf, 1.0), (0.1, inf), (0.1, nan)):
         with pytest.raises(ParameterError, match="finite"):
@@ -39,7 +50,7 @@ def test_spectrum_equidistant():
 
 def test_spectrum_mean_spacing_is_d0():
     params = tb.ModelParams(n=6, m=12, eta=0.0, seed=4, d0=1.0)
-    assert tb.sample_spectrum(params).mean_spacing() == pytest.approx(1.0, abs=1e-12)
+    assert mean_spacing(tb.sample_spectrum(params)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_spectrum_jitter_deterministic_and_sorted():
@@ -67,7 +78,21 @@ def test_tensor_symmetry_and_element_access():
     params = tb.ModelParams(n=6, m=12, eta=0.05, seed=9)
     tensor = tb.sample_two_body(params)
     assert np.array_equal(tensor.matrix, tensor.matrix.T)
-    assert tensor.element(0, 1, 2, 3) == tensor.element(2, 3, 0, 1)
+    assert tensor_element(tensor, 0, 1, 2, 3) == tensor_element(tensor, 2, 3, 0, 1)
+
+
+@pytest.mark.parametrize("m", [2, 4, 6, 12, 14])
+def test_two_body_draw_bitwise_equals_rowwise_loop(m):
+    """One draw placed by ``triu_indices`` gives the row-by-row loop's bytes.
+
+    eta=0 scales every draw to a signed zero, which ``tobytes`` tells apart.
+    """
+    for eta in (0.0, 0.083):
+        params = tb.ModelParams(n=1, m=m, eta=eta, seed=5)
+        drawn, expected = tb.sample_two_body(params), rowwise_two_body(params)
+        assert drawn.matrix.tobytes() == expected.matrix.tobytes(), eta
+        if eta == 0.0 and m > 2:
+            assert np.signbit(expected.matrix).any()   # signed zeros are compared
 
 
 def test_tensor_variance_matches_eta():
@@ -102,7 +127,7 @@ def test_hamiltonian_matches_operator_algebra_oracle(n, m, eta, seed):
     spectrum = tb.sample_spectrum(params)
     tensor = tb.sample_two_body(params)
     h = tb.build_hamiltonian(basis, spectrum, tensor)
-    full = operator_hamiltonian(m, spectrum.epsilon, tensor.matrix, tensor.pairs)
+    full = operator_hamiltonian(m, spectrum.epsilon, tensor.matrix, orbital_pairs(m))
     expected = project_to_basis(full, basis.states)
     assert np.abs(h.entries - expected).max() < 1e-12
 
@@ -142,32 +167,39 @@ def test_cached_structure_survives_another_size():
     assert np.array_equal(again, first)
 
 
-@pytest.mark.parametrize("n,m", [(2, 4), (4, 8), (6, 12)])
-def test_coupling_structure_layout(n, m):
-    """Row-major, read-only fields of one backing array that holds only column and term indices."""
+@pytest.mark.parametrize("n,m,nbytes", [(2, 4, 126), (4, 8, 14_560), (6, 12, 1_377_684)])
+def test_upper_half_coupling_layout(n, m, nbytes):
+    """Read-only fields of one backing array: above-diagonal entries only, each with its mirror."""
     couplings = _couplings(n, m)
-    size, n_move2, n_move1 = comb(m, n), comb(n, 2) * comb(m - n, 2), n * (m - n)
-    dtype = np.dtype(_index_dtype(max(size - 1, 2 * comb(m, 2) ** 2 + m - 1)))
-    shapes = {
-        "diagonal": (n + comb(n, 2), size),
-        "move2_col": (size, n_move2),
-        "move2_term": (size, n_move2),
-        "move1_col": (size, n_move1),
-        "move1_term": (n - 1, size, n_move1),
+    size = comb(m, n)
+    upper2, upper1 = size * comb(n, 2) * comb(m - n, 2) // 2, size * n * (m - n) // 2
+    at_type = np.dtype(_index_dtype(size * size - 1))
+    term_type = np.dtype(_index_dtype(2 * comb(m, 2) ** 2 + m - 1))
+    fields = {
+        "move2_at": ((2, upper2), at_type),
+        "move1_at": ((2, upper1), at_type),
+        "diagonal": ((n + comb(n, 2), size), term_type),
+        "move2_term": ((upper2,), term_type),
+        "move1_term": ((n - 1, upper1), term_type),
     }
-    backing = couplings.diagonal.base
-    for name, shape in shapes.items():
+    backing = couplings.move2_at.base
+    for name, (shape, dtype) in fields.items():
         array = getattr(couplings, name)
         assert array.shape == shape, name
         assert array.dtype == dtype, name
         assert not array.flags.writeable, name
         assert array.base is backing, name
-    rows = n + comb(n, 2) + 2 * n_move2 + n * n_move1
-    assert backing.nbytes == rows * size * dtype.itemsize   # 1,269,576 B at N=924
+    assert backing.nbytes == sum(getattr(couplings, name).nbytes for name in fields) == nbytes
+    for at in (couplings.move2_at, couplings.move1_at):
+        rows, cols = np.divmod(at[0].astype(np.int64), size)
+        assert np.all(rows < cols)
+        assert np.all(np.diff(rows) >= 0)   # row-major, so both scatters sweep the matrix once
+        assert len(np.unique(at[0])) == len(at[0])
+        assert np.array_equal(at[1], cols * size + rows)
 
 
 def test_index_dtype_holds_largest_index():
-    """Column and term dtypes widen before an index could wrap."""
+    """Position and term dtypes widen before an index could wrap."""
     assert _index_dtype(comb(12, 6) - 1) is np.int16         # N=924 columns
     assert _index_dtype(2 * comb(14, 2) ** 2 + 14 - 1) is np.int16
     assert _index_dtype(np.iinfo(np.int16).max) is np.int16
@@ -175,6 +207,9 @@ def test_index_dtype_holds_largest_index():
     assert _index_dtype(comb(18, 9) - 1) is np.int32         # n=9, m=18: N=48620
     assert _index_dtype(2 * comb(27, 2) ** 2 + 27 - 1) is np.int32
     assert _index_dtype(np.iinfo(np.int32).max + 1) is np.int64
+    assert _index_dtype(comb(12, 6) ** 2 - 1) is np.int32    # flat positions at N=924
+    assert _index_dtype(comb(16, 8) ** 2 - 1) is np.int32    # N=12870
+    assert _index_dtype(comb(18, 9) ** 2 - 1) is np.int64    # N=48620
 
 
 def test_hamiltonian_exactly_symmetric(fig1):

@@ -127,6 +127,19 @@ def test_prediction_error_smaller_in_strong_coupling(fig1, fig2):
     assert errors["strong"][1] < errors["weak"][1]
 
 
+def test_deviation_gives_the_prediction_error_and_the_per_point_rms(fig2):
+    """One difference serves the time-weighted RMS, the max and the plain RMS over all points."""
+    s = fig2
+    pred = tb.predict_occupations(s.trajectory.occupations[:, 0], s.n_inf, s.trajectory.w0, s.grid)
+    diff = s.trajectory.occupations - pred.occupations
+    rms, worst, per_point = theory.deviation(diff, pred.grid.points)
+    assert (rms, worst) == tb.prediction_error(s.trajectory.occupations, pred)
+    assert per_point == float(np.sqrt(np.mean(diff**2))) != rms
+    assert theory.deviation(diff[:, :1], pred.grid.points[:1]) == (
+        float(np.sqrt(np.mean(diff[:, 0] ** 2))), float(np.abs(diff[:, 0]).max()),
+        float(np.sqrt(np.mean(diff[:, 0] ** 2))))
+
+
 def _synthetic_bw_system(gamma=0.5, spacing=0.02, half_span=25.0):
     """Fabricated decomposition where every row q is a BW profile centered at E_q."""
     energies = np.arange(-half_span, half_span + spacing / 2, spacing)
