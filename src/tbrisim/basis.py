@@ -13,6 +13,7 @@ convention.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
@@ -77,13 +78,15 @@ def build_basis(n: int, m: int) -> Basis:
     return Basis(n=n, m=m, states=states, index={v: j for j, v in enumerate(states.tolist())})
 
 
+@functools.lru_cache(maxsize=2)
 def basis_states(n: int, m: int) -> np.ndarray:
-    """The ascending int64 bitmasks of ``build_basis(n, m)``, without the index."""
+    """The ascending int64 bitmasks of ``build_basis(n, m)``, without the index; read-only."""
     masks = sorted(
         sum(1 << s for s in occ) for occ in combinations(range(m), n)
     )
     states = np.array(masks, dtype=np.int64)
     assert len(states) == comb(m, n)
+    states.flags.writeable = False
     return states
 
 

@@ -11,14 +11,15 @@ interpolated from K first-kind Chebyshev nodes of [-t_s, t_s], of which only
 the non-negative half is evaluated; the rest of the grid, where a log grid is
 sparse, is evaluated directly.  The split follows from a flop count and K
 from a stated a-priori bound of ~eps (see ``evolve_amplitudes``).
-Occupation numbers, the survival probability W0, cascade-class populations
-and the diagonal-ensemble (infinite-time) occupations all derive from these
-amplitudes.
+Occupation numbers, the survival probability W0 and cascade-class
+populations derive from these amplitudes; the diagonal-ensemble
+(infinite-time) occupations from the occupations of the eigenstates.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,13 +105,13 @@ def default_grid(
     return TimeGrid(merged)
 
 
-def _phases(energies: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """(N, 2T) exp(-i E_k t_j) as interleaved columns cos(E_k t_j), -sin(E_k t_j)."""
+def _phases(energies: np.ndarray, times: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(N, 2T) exp(-i E_k t_j) as interleaved columns cos(E_k t_j), -sin(E_k t_j), into ``out``."""
     theta = np.outer(-energies, times)
-    out = np.empty(theta.shape + (2,))
-    np.cos(theta, out=out[..., 0])
-    np.sin(theta, out=out[..., 1])
-    return out.reshape(len(energies), -1)
+    out = np.empty((len(energies), 2 * len(times))) if out is None else out
+    np.cos(theta, out=out[:, 0::2])
+    np.sin(theta, out=out[:, 1::2])
+    return out
 
 
 def _spectral_power(weights: np.ndarray, energies: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -173,12 +174,14 @@ def _lagrange_matrix(nodes: np.ndarray, weights: np.ndarray, times: np.ndarray) 
 
 
 def _evolve(
-    decomp: EigenDecomposition, i: int, times: np.ndarray
+    decomp: EigenDecomposition, i: int, times: np.ndarray, reduction: np.ndarray, amplitudes=None
 ) -> tuple[np.ndarray, np.ndarray, float, int, int]:
-    """(N, T) real and imaginary parts, the centre c, s and K (see ``_plan``).
+    """``reduction @ |A(t)|^2`` (r, T), W0 (T,), the unitarity drift, s and K (see ``_plan``).
 
-    The parts are those of exp(i c t) A_f(t) on the first s times and of
-    A_f(t) after them; with s = 0 the GEMM is the direct one over every time.
+    One pass over ``ROW_BLOCK`` basis rows at a time: each block's GEMM against the
+    shared right-hand side, the carry of its node values to the prefix, |A_f(t)|^2 in
+    place, the per-time norm sums and the reduction, with no (N, T) array; A_f(t) also
+    goes into ``amplitudes`` when given.
     """
     if not 0 <= i < decomp.size:
         raise PreconditionError(f"basis index {i} outside [0, {decomp.size})")
@@ -186,29 +189,39 @@ def _evolve(
     centre, even, odd = 0.5 * (energies.max() + energies.min()), (count + 1) // 2, count // 2
     nodes, weights = _chebyshev_nodes(times[split - 1] if split else 0.0, count)
     theta = np.outer(centre - energies, nodes[:even])   # the nodes >= 0
-    tail = _phases(energies, times[split:])
-    rhs = np.concatenate((np.cos(theta), np.sin(theta[:, :odd]), tail), axis=1)
+    rhs = np.empty((decomp.size, count + 2 * (len(times) - split)))   # cos | sin | tail
+    np.cos(theta, out=rhs[:, :even])
+    np.sin(theta[:, :odd], out=rhs[:, even:count])
+    _phases(energies, times[split:], out=rhs[:, count:])
     rhs *= decomp.vectors[i, :, None]
-    values = decomp.vectors @ rhs   # cos, sin and tail columns: N x N x (K + 2(T - s))
-    real, imag = np.empty((2, decomp.size, len(times)))
-    real[:, split:], imag[:, split:] = values[:, count::2], values[:, count + 1 :: 2]
     # A(-x) = conj A(x): the mirror of node j carries the conjugate of its value.
     lagrange = _lagrange_matrix(nodes, weights, times[:split])
     mirror = lagrange[::-1]
-    folded = lagrange[:even] + mirror[:even]
+    folded, odd_part = lagrange[:even] + mirror[:even], lagrange[:odd] - mirror[:odd]
     folded[odd:] *= 0.5   # an odd K's middle node is its own mirror
-    np.matmul(values[:, :even], folded, out=real[:, :split])
-    np.matmul(values[:, even:count], lagrange[:odd] - mirror[:odd], out=imag[:, :split])
-    return real, imag, centre, split, count
-
-
-def _checked_probabilities(real: np.ndarray, imag: np.ndarray) -> tuple[np.ndarray, float]:
-    """(N, T) |A_f(t)|^2 and the unitarity drift max_t |sum_f |A_f(t)|^2 - 1|."""
-    prob = real**2 + imag**2
-    drift = float(np.abs(prob.sum(axis=0) - 1.0).max()) if prob.shape[1] else 0.0
+    back = np.exp(-1j * centre * times[:split])
+    reduced, norms = np.zeros((len(reduction), len(times))), np.zeros(len(times))
+    real, imag = np.empty((2, min(ROW_BLOCK, decomp.size), len(times)))
+    for lo in range(0, decomp.size, ROW_BLOCK):
+        rows = slice(lo, min(lo + ROW_BLOCK, decomp.size))
+        values = decomp.vectors[rows] @ rhs   # rows x N x (K + 2(T - s))
+        re, im = real[: len(values)], imag[: len(values)]
+        re[:, split:], im[:, split:] = values[:, count::2], values[:, count + 1 :: 2]
+        np.matmul(values[:, :even], folded, out=re[:, :split])
+        np.matmul(values[:, even:count], odd_part, out=im[:, :split])
+        if amplitudes is not None:
+            amplitudes[rows].real, amplitudes[rows].imag = re, im
+            amplitudes[rows, :split] *= back
+        re *= re
+        re += np.square(im, out=im)   # |A_f(t)|^2
+        norms += re.sum(axis=0)
+        reduced += reduction[:, rows] @ re
+        if lo <= i < rows.stop:
+            w0 = re[i - lo].copy()
+    drift = float(np.abs(norms - 1.0).max()) if len(times) else 0.0
     if drift > UNITARITY_TOL:
         raise PreconditionError(f"evolution lost unitarity: |sum - 1| = {drift:.3e}")
-    return prob, drift
+    return reduced, w0, drift, split, count
 
 
 def evolve_amplitudes(decomp: EigenDecomposition, i: int, grid) -> np.ndarray:
@@ -225,8 +238,9 @@ def evolve_amplitudes(decomp: EigenDecomposition, i: int, grid) -> np.ndarray:
     weights (Berrut & Trefethen, SIAM Rev. 46, 501 (2004)), folded as
     L_j +- L_mirror(j), carry them to the prefix, where exp(-i c t) is
     multiplied back.  Later times take 2 uncentred columns each from
-    ``_phases``.  One real GEMM of N x N x (K + 2(T - s)) does both; ``_plan``
-    picks s, and s = 0 is the direct GEMM over every time.
+    ``_phases``.  One real GEMM of N x N x (K + 2(T - s)), taken in
+    ``ROW_BLOCK`` rows by ``_evolve``, does both; ``_plan`` picks s, and
+    s = 0 is the direct GEMM over every time.
 
     Bound: interpolating exp(-i a u), u = t / t_s in [-1, 1] and |a| <= omega,
     at K Chebyshev nodes leaves each of its real and imaginary parts off by
@@ -239,11 +253,8 @@ def evolve_amplitudes(decomp: EigenDecomposition, i: int, grid) -> np.ndarray:
     Lambda_K <= (2/pi) ln(K + 1) + 1 (about 4 at K ~ 100).
     """
     times = _times(grid)
-    real, imag, centre, split, _ = _evolve(decomp, i, times)
-    _checked_probabilities(real, imag)
-    amplitudes = np.empty(real.shape, dtype=np.complex128)
-    amplitudes.real, amplitudes.imag = real, imag
-    amplitudes[:, :split] *= np.exp(-1j * centre * times[:split])
+    amplitudes = np.empty((decomp.size, len(times)), dtype=np.complex128)
+    _evolve(decomp, i, times, np.empty((0, decomp.size)), amplitudes)
     return amplitudes
 
 
@@ -259,25 +270,28 @@ def survival_probability(decomp: EigenDecomposition, i: int, grid) -> np.ndarray
     return _spectral_power(decomp.vectors[i, :] ** 2, decomp.energies, _times(grid))
 
 
-def class_populations(prob: np.ndarray, partition: ClassPartition) -> np.ndarray:
-    """(n_classes + 1, T) populations W_s(t) summed over each cascade class."""
-    indicator = np.zeros((partition.n_classes + 1, len(partition.class_of)))
-    indicator[partition.class_of, np.arange(len(partition.class_of))] = 1.0
-    return indicator @ prob
+_COMPOUND_OCCUPATIONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def diagonal_weights(decomp: EigenDecomposition, i: int) -> np.ndarray:
-    """S_q^(d) for every q: the time-independent part of |A_q(t)|^2."""
-    vectors, target = decomp.vectors, decomp.vectors[i] ** 2
-    weights = np.empty(decomp.size)
-    for lo in range(0, decomp.size, ROW_BLOCK):   # no N x N square held at once
-        weights[lo : lo + ROW_BLOCK] = (vectors[lo : lo + ROW_BLOCK] ** 2) @ target
-    return weights
+def compound_occupations(decomp: EigenDecomposition, basis: Basis) -> np.ndarray:
+    """(m, N) read-only n_alpha^(k) = sum_f [alpha in f] C_f(k)^2 of every eigenstate k, summed
+    in ``ROW_BLOCK`` rows (no N x N square) once per decomposition and (n, m), kept while it is."""
+    key, cached = _COMPOUND_OCCUPATIONS.get(decomp, (None, None))
+    if key == (basis.n, basis.m):
+        return cached
+    occupied, table = occupancy_matrix(basis), np.zeros((basis.m, decomp.size))
+    for lo in range(0, decomp.size, ROW_BLOCK):
+        table += occupied[:, lo : lo + ROW_BLOCK] @ decomp.vectors[lo : lo + ROW_BLOCK] ** 2
+    table.flags.writeable = False
+    _COMPOUND_OCCUPATIONS[decomp] = ((basis.n, basis.m), table)
+    return table
 
 
 def asymptotic_occupations(decomp: EigenDecomposition, i: int, basis: Basis) -> np.ndarray:
-    """Diagonal-ensemble occupations n_alpha(inf) = sum_q S_q^(d) [alpha in q]."""
-    return occupancy_matrix(basis) @ diagonal_weights(decomp, i)
+    """Diagonal ensemble n_alpha(inf) = sum_k C_i(k)^2 n_alpha^(k): the compound-state
+    occupations weighted by the strength function of i (Flambaum & Izrailev, PRE 56,
+    5144 (1997)); O(mN) once ``compound_occupations`` holds the decomposition's table."""
+    return compound_occupations(decomp, basis) @ decomp.vectors[i] ** 2
 
 
 def simulate_trajectory(
@@ -287,15 +301,17 @@ def simulate_trajectory(
     i: int,
     grid,
 ) -> OccupationTrajectory:
-    """Full trajectory bundle for one initial state on one grid."""
+    """Full trajectory bundle for one initial state on one grid; occupations and class
+    populations are one reduction of |A_f(t)|^2 by the occupancy over the class rows."""
     times = TimeGrid(_times(grid))
-    real, imag, _, split, count = _evolve(decomp, i, times.points)
-    prob, drift = _checked_probabilities(real, imag)
+    indicator = np.eye(partition.n_classes + 1)[:, partition.class_of]
+    reduction = np.vstack((occupancy_matrix(basis), indicator))
+    reduced, w0, drift, split, count = _evolve(decomp, i, times.points, reduction)
     return OccupationTrajectory(
         grid=times,
-        occupations=occupation_numbers(prob, basis),
-        w0=prob[i].copy(),
-        class_populations=class_populations(prob, partition),
+        occupations=reduced[: basis.m],
+        w0=w0,
+        class_populations=reduced[basis.m :],
         unitarity_drift=drift,
         interpolated_points=split,
         time_nodes=count if split else None,

@@ -22,7 +22,7 @@ BANDWIDTH_SPACINGS = 3.0
 GAUGE_BLOCK = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenDecomposition:
     """Eigenvalues (ascending) and the orthonormal eigenvector matrix.
 
@@ -30,6 +30,7 @@ class EigenDecomposition:
     basis; row f holds the expansion of basis state f over eigenstates.
     ``diagonalize`` also records its two probe residuals (see
     ``_check_decomposition``); a decomposition built another way has None.
+    Equality is identity, so tables derived from it can be kept weakly beside it.
     """
 
     energies: np.ndarray

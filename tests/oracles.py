@@ -33,6 +33,7 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import brentq, least_squares, minimize_scalar
 
+from tbrisim import dynamics
 from tbrisim.basis import Basis, ClassPartition, occupancy_matrix
 from tbrisim.dynamics import (
     UNITARITY_TOL,
@@ -388,16 +389,24 @@ def _interleaved_phases(energies: np.ndarray, times: np.ndarray) -> np.ndarray:
 
 
 def direct_amplitudes(decomp: EigenDecomposition, i: int, grid) -> np.ndarray:
-    """(N, T) amplitudes from the phases at every grid time: one real GEMM of N x N x 2T.
+    """(N, T) amplitudes from the phases at every grid time: a real GEMM of N x N x 2T.
 
-    ``evolve_amplitudes`` as it was before the Chebyshev nodes, byte for byte.
+    ``evolve_amplitudes`` as it was before the Chebyshev nodes, with the GEMM
+    taken in the package's ``ROW_BLOCK`` rows, so that the two compare byte
+    for byte.  A BLAS micro-kernel rounds the rows of a short edge tile
+    differently, and a block's edge tile falls elsewhere than a whole-matrix
+    product's (or, with threads, each thread's share's), so only products of
+    the same row blocks agree bit for bit.
     """
     if not 0 <= i < decomp.size:
         raise PreconditionError(f"basis index {i} outside [0, {decomp.size})")
     times = np.asarray(getattr(grid, "points", grid), dtype=float)
     rhs = _interleaved_phases(decomp.energies, times)
     rhs *= decomp.vectors[i, :, None]
-    parts = decomp.vectors @ rhs
+    block = dynamics.ROW_BLOCK   # read per call: tests may narrow it
+    parts = np.concatenate(
+        [decomp.vectors[lo : lo + block] @ rhs for lo in range(0, decomp.size, block)]
+    )
     norms = np.einsum("ft,ft->t", parts, parts).reshape(-1, 2).sum(axis=1)
     worst = np.abs(norms - 1.0).max() if times.size else 0.0
     if worst > UNITARITY_TOL:

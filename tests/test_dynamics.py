@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import csv
+import gc
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from conftest import make_system
 from oracles import (
     average_occupations,
     complex_trajectory,
+    compound_occupations,
     direct_amplitudes,
     expm_amplitudes,
     split_occupation_terms,
@@ -166,10 +170,13 @@ def test_direct_path_is_bitwise_the_oracle(fig1):
     got = tb.evolve_amplitudes(s.decomp, s.i, times)
     assert got.tobytes() == reference.tobytes()
     prob = reference.real**2 + reference.imag**2
-    assert traj.occupations.tobytes() == tb.occupation_numbers(prob, s.basis).tobytes()
     assert traj.w0.tobytes() == prob[s.i].tobytes()
-    pops = tb.dynamics.class_populations(prob, s.partition)
-    assert traj.class_populations.tobytes() == pops.tobytes()
+    # The blocks sum over f in another order: sums of N non-negative terms <= 1,
+    # each within (N - 1) eps/2 of the exact sum.
+    bound = (s.decomp.size - 1) * np.finfo(float).eps
+    assert np.abs(traj.occupations - tb.occupation_numbers(prob, s.basis)).max() <= bound
+    pops = [prob[s.partition.class_of == c].sum(axis=0) for c in range(s.partition.n_classes + 1)]
+    assert np.abs(traj.class_populations - pops).max() <= bound
 
 
 def _assert_within_the_stated_bound(s) -> None:
@@ -315,19 +322,89 @@ def test_split_terms_at_time_zero(fig1):
     assert s_d_q + s_fl_q[0] == pytest.approx(0.0, abs=1e-10)
 
 
-def test_diagonal_weights_sum_to_one(fig2):
-    assert tb.dynamics.diagonal_weights(fig2.decomp, fig2.i).sum() == pytest.approx(1.0, abs=1e-10)
+def test_asymptotic_occupations_sum_to_n(fig2):
+    assert tb.asymptotic_occupations(fig2.decomp, fig2.i, fig2.basis).sum() == pytest.approx(6.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("fixture", ["small_2_4", "fig2"])
-def test_diagonal_weights_match_whole_matrix_product(fixture, request):
-    """Row blocks give (V**2) @ (V[i]**2): N=6 is below one block, 924 is no multiple of it."""
+def test_asymptotic_occupations_match_whole_matrix_product(fixture, request):
+    """The compound-state table gives occ @ ((V**2) @ V[i]**2): N=6 is below one block,
+    924 is no multiple of it.  Both are sums of N^2 non-negative products in two orders,
+    each within (2N + 1) eps/2 relative of the exact value."""
     s = request.getfixturevalue(fixture)
-    vectors = s.decomp.vectors
+    vectors, eps = s.decomp.vectors, np.finfo(float).eps
     for i in (0, s.i, s.basis.size - 1):
-        expected = (vectors**2) @ (vectors[i] ** 2)
-        got = tb.dynamics.diagonal_weights(s.decomp, i)
-        assert np.all(np.abs(got - expected) <= 1e-14 * np.abs(expected)), i
+        expected = tb.occupancy_matrix(s.basis) @ ((vectors**2) @ (vectors[i] ** 2))
+        got = tb.asymptotic_occupations(s.decomp, i, s.basis)
+        assert np.all(np.abs(got - expected) <= (2 * s.decomp.size + 1) * eps * expected), i
+
+
+@pytest.mark.parametrize("fixture", ["small_3_6", "fig2"])
+def test_compound_occupations_match_the_oracle(fixture, request):
+    """Every column k is the eigenstate-k occupations of the one-column oracle, within
+    (N - 1) eps (two sums of N non-negative terms <= 1), and sums to n."""
+    s = request.getfixturevalue(fixture)
+    table = tb.dynamics.compound_occupations(s.decomp, s.basis)
+    assert table.shape == (s.basis.m, s.decomp.size) and not table.flags.writeable
+    bound = (s.decomp.size - 1) * np.finfo(float).eps
+    for k in range(s.decomp.size):
+        assert np.abs(table[:, k] - compound_occupations(s.decomp, s.basis, k)).max() <= bound, k
+    assert np.abs(table.sum(axis=0) - s.basis.n).max() <= 1e-12
+
+
+def test_compound_occupations_are_kept_per_decomposition(small_2_4, small_3_6):
+    """Two decompositions used alternately keep their own tables; a table does not keep
+    its decomposition alive."""
+    tables = {}
+    for s in (small_2_4, small_3_6, small_2_4, small_3_6):
+        table = tb.dynamics.compound_occupations(s.decomp, s.basis)
+        assert tables.setdefault(id(s), table) is table
+        assert table.shape == (s.basis.m, s.decomp.size)
+    decomp = tb.EigenDecomposition(small_3_6.decomp.energies, small_3_6.decomp.vectors.copy())
+    first = tb.dynamics.compound_occupations(decomp, small_3_6.basis)
+    assert tb.dynamics.compound_occupations(decomp, small_3_6.basis) is first
+    assert first is not tables[id(small_3_6)]
+    ref = weakref.ref(decomp)
+    del decomp
+    gc.collect()
+    assert ref() is None
+
+
+def test_row_blocks_narrower_than_the_basis(small_3_6, monkeypatch):
+    """Blocks of 7 rows over N=20, the initial state in the last, partial block."""
+    s = small_3_6
+    monkeypatch.setattr(tb.dynamics, "ROW_BLOCK", 7)
+    i = 17
+    partition = tb.classify(s.basis, int(s.basis.states[i]))
+    direct = np.linspace(3.0, 20.0, 300)
+    assert tb.dynamics._plan(s.decomp.energies, direct) == (0, 0)
+    for times in (s.grid.points, direct):
+        got = tb.simulate_trajectory(s.decomp, s.basis, partition, i, times)
+        ref = complex_trajectory(s.decomp, s.basis, partition, i, times)
+        for field in ("occupations", "w0", "class_populations"):
+            assert np.abs(getattr(got, field) - getattr(ref, field)).max() <= ORACLE_PATH_TOL, field
+    amplitudes = tb.evolve_amplitudes(s.decomp, i, direct)
+    assert amplitudes.tobytes() == direct_amplitudes(s.decomp, i, direct).tobytes()
+    prob = amplitudes.real**2 + amplitudes.imag**2
+    assert got.w0.tobytes() == prob[i].tobytes()
+
+
+def test_trajectory_and_asymptotic_occupations_stay_small(fig2):
+    """No (N, T) array: the fig2 trajectory peaks at <= 6 MB of Python-visible memory,
+    and n(inf) after its first call at < 0.1 MB."""
+    s = fig2
+    tb.asymptotic_occupations(s.decomp, s.i, s.basis)
+    tracemalloc.start()
+    try:
+        tb.simulate_trajectory(s.decomp, s.basis, s.partition, s.i, s.grid)
+        trajectory_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        tb.asymptotic_occupations(s.decomp, s.i, s.basis)
+        occupations_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trajectory_peak <= 6e6, trajectory_peak
+    assert occupations_peak < 1e5, occupations_peak
 
 
 def test_fluctuating_term_averages_to_zero(fig2):
