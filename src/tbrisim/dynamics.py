@@ -10,7 +10,9 @@ The centred sum exp(i c t) A_f(t) has real coefficients, so its values at
 interpolated from K first-kind Chebyshev nodes of [-t_s, t_s], of which only
 the non-negative half is evaluated; the rest of the grid, where a log grid is
 sparse, is evaluated directly.  The split follows from a flop count and K
-from a stated a-priori bound of ~eps (see ``evolve_amplitudes``).
+from a stated a-priori bound of ~eps (see ``evolve_amplitudes``).  Both
+parts come from one time-major GEMM, phase rows times V^T, whose values are
+carried and reduced in contiguous blocks of times.
 Occupation numbers, the survival probability W0 and cascade-class
 populations derive from these amplitudes; the diagonal-ensemble
 (infinite-time) occupations from the occupations of the eigenstates.
@@ -31,6 +33,7 @@ from .spectral import EigenDecomposition, _mid_spacing
 
 UNITARITY_TOL = 1e-10
 ROW_BLOCK = 256
+TIME_BLOCK = 64                   # grid times carried and reduced together
 _NODE_EPS = np.finfo(float).eps   # target of the Chebyshev truncation bound
 LONG_TIME_SPACING = 1.137         # long-time sampling step, in pi / (mid-spectrum spacing)
 
@@ -105,10 +108,10 @@ def default_grid(
     return TimeGrid(merged)
 
 
-def _phases(energies: np.ndarray, times: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """(N, 2T) exp(-i E_k t_j) as interleaved columns cos(E_k t_j), -sin(E_k t_j), into ``out``."""
+def _phases(energies: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """(N, 2T) exp(-i E_k t_j) as interleaved columns cos(E_k t_j), -sin(E_k t_j)."""
     theta = np.outer(-energies, times)
-    out = np.empty((len(energies), 2 * len(times))) if out is None else out
+    out = np.empty((len(energies), 2 * len(times)))
     np.cos(theta, out=out[:, 0::2])
     np.sin(theta, out=out[:, 1::2])
     return out
@@ -178,50 +181,57 @@ def _evolve(
 ) -> tuple[np.ndarray, np.ndarray, float, int, int]:
     """``reduction @ |A(t)|^2`` (r, T), W0 (T,), the unitarity drift, s and K (see ``_plan``).
 
-    One pass over ``ROW_BLOCK`` basis rows at a time: each block's GEMM against the
-    shared right-hand side, the carry of its node values to the prefix, |A_f(t)|^2 in
-    place, the per-time norm sums and the reduction, with no (N, T) array; A_f(t) also
-    goes into ``amplitudes`` when given.
+    Time-major: the (K + 2(T - s), N) phase rows (node cos | node sin | tail cos, -sin
+    per time), scaled by C_i(k), take one GEMM against V^T and are released.  Then
+    ``TIME_BLOCK`` times at a time: the prefix carried from the node values (the tail
+    rows read in place), |A_f(t)|^2 squared in place, the per-time norm sums, W0 and
+    the reduction, with no (N, T) array; A_f(t) also goes into ``amplitudes`` when given.
     """
     if not 0 <= i < decomp.size:
         raise PreconditionError(f"basis index {i} outside [0, {decomp.size})")
     energies, (split, count) = decomp.energies, _plan(decomp.energies, times)
     centre, even, odd = 0.5 * (energies.max() + energies.min()), (count + 1) // 2, count // 2
     nodes, weights = _chebyshev_nodes(times[split - 1] if split else 0.0, count)
-    theta = np.outer(centre - energies, nodes[:even])   # the nodes >= 0
-    rhs = np.empty((decomp.size, count + 2 * (len(times) - split)))   # cos | sin | tail
-    np.cos(theta, out=rhs[:, :even])
-    np.sin(theta[:, :odd], out=rhs[:, even:count])
-    _phases(energies, times[split:], out=rhs[:, count:])
-    rhs *= decomp.vectors[i, :, None]
+    phases = np.empty((count + 2 * (len(times) - split), decomp.size))
+    theta = np.outer(nodes[:even], centre - energies)   # the nodes >= 0
+    np.cos(theta, out=phases[:even])
+    np.sin(theta[:odd], out=phases[even:count])
+    theta = np.outer(times[split:], -energies)
+    np.cos(theta, out=phases[count::2])
+    np.sin(theta, out=phases[count + 1 :: 2])
+    del theta
+    phases *= decomp.vectors[i]
+    values = phases @ decomp.vectors.T   # (K + 2(T - s)) x N x N
+    del phases
     # A(-x) = conj A(x): the mirror of node j carries the conjugate of its value.
     lagrange = _lagrange_matrix(nodes, weights, times[:split])
     mirror = lagrange[::-1]
     folded, odd_part = lagrange[:even] + mirror[:even], lagrange[:odd] - mirror[:odd]
     folded[odd:] *= 0.5   # an odd K's middle node is its own mirror
-    back = np.exp(-1j * centre * times[:split])
-    reduced, norms = np.zeros((len(reduction), len(times))), np.zeros(len(times))
-    real, imag = np.empty((2, min(ROW_BLOCK, decomp.size), len(times)))
-    for lo in range(0, decomp.size, ROW_BLOCK):
-        rows = slice(lo, min(lo + ROW_BLOCK, decomp.size))
-        values = decomp.vectors[rows] @ rhs   # rows x N x (K + 2(T - s))
-        re, im = real[: len(values)], imag[: len(values)]
-        re[:, split:], im[:, split:] = values[:, count::2], values[:, count + 1 :: 2]
-        np.matmul(values[:, :even], folded, out=re[:, :split])
-        np.matmul(values[:, even:count], odd_part, out=im[:, :split])
+    reduced, (norms, w0) = np.empty((len(times), len(reduction))), np.empty((2, len(times)))
+    carried = np.empty((2, min(TIME_BLOCK, split), decomp.size))
+    for lo in [*range(0, split, TIME_BLOCK), *range(split, len(times), TIME_BLOCK)]:
+        hi = min(lo + TIME_BLOCK, split if lo < split else len(times))
+        if lo < split:
+            re, im = carried[:, : hi - lo]
+            np.matmul(folded[:, lo:hi].T, values[:even], out=re)
+            np.matmul(odd_part[:, lo:hi].T, values[even:count], out=im)
+        else:
+            tail = values[count + 2 * (lo - split) : count + 2 * (hi - split)]
+            re, im = tail[0::2], tail[1::2]
         if amplitudes is not None:
-            amplitudes[rows].real, amplitudes[rows].imag = re, im
-            amplitudes[rows, :split] *= back
+            amplitudes[:, lo:hi].real, amplitudes[:, lo:hi].imag = re.T, im.T
         re *= re
         re += np.square(im, out=im)   # |A_f(t)|^2
-        norms += re.sum(axis=0)
-        reduced += reduction[:, rows] @ re
-        if lo <= i < rows.stop:
-            w0 = re[i - lo].copy()
+        re.sum(axis=1, out=norms[lo:hi])
+        w0[lo:hi] = re[:, i]
+        np.matmul(re, reduction.T, out=reduced[lo:hi])
+    if amplitudes is not None:
+        amplitudes[:, :split] *= np.exp(-1j * centre * times[:split])
     drift = float(np.abs(norms - 1.0).max()) if len(times) else 0.0
     if drift > UNITARITY_TOL:
         raise PreconditionError(f"evolution lost unitarity: |sum - 1| = {drift:.3e}")
-    return reduced, w0, drift, split, count
+    return reduced.T, w0, drift, split, count
 
 
 def evolve_amplitudes(decomp: EigenDecomposition, i: int, grid) -> np.ndarray:
@@ -233,14 +243,15 @@ def evolve_amplitudes(decomp: EigenDecomposition, i: int, grid) -> np.ndarray:
     K first-kind Chebyshev nodes of [-t_s, t_s], K the smallest count with
     omega^K / (2^(K-1) K!) <= eps, omega = (W/2) t_s, W = E_max - E_min.  The
     nodes are exactly symmetric, so only the non-negative ones are evaluated:
-    their cos columns carry the real part and the sin columns of the positive
-    ones the imaginary part, K real columns in all.  The barycentric Lagrange
+    their cos rows carry the real part and the sin rows of the positive ones
+    the imaginary part, K real phase rows in all.  The barycentric Lagrange
     weights (Berrut & Trefethen, SIAM Rev. 46, 501 (2004)), folded as
     L_j +- L_mirror(j), carry them to the prefix, where exp(-i c t) is
-    multiplied back.  Later times take 2 uncentred columns each from
-    ``_phases``.  One real GEMM of N x N x (K + 2(T - s)), taken in
-    ``ROW_BLOCK`` rows by ``_evolve``, does both; ``_plan`` picks s, and
-    s = 0 is the direct GEMM over every time.
+    multiplied back.  Later times take 2 uncentred rows each, cos(E_k t)
+    and -sin(E_k t).  One real time-major GEMM, the (K + 2(T - s), N) phase rows
+    times V^T, does both; ``_evolve`` carries its values ``TIME_BLOCK`` times
+    at a time and writes each block, transposed, into the (N, T) result.
+    ``_plan`` picks s, and s = 0 is the direct GEMM over every time.
 
     Bound: interpolating exp(-i a u), u = t / t_s in [-1, 1] and |a| <= omega,
     at K Chebyshev nodes leaves each of its real and imaginary parts off by

@@ -33,7 +33,6 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import brentq, least_squares, minimize_scalar
 
-from tbrisim import dynamics
 from tbrisim.basis import Basis, ClassPartition, occupancy_matrix
 from tbrisim.dynamics import (
     UNITARITY_TOL,
@@ -389,29 +388,27 @@ def _interleaved_phases(energies: np.ndarray, times: np.ndarray) -> np.ndarray:
 
 
 def direct_amplitudes(decomp: EigenDecomposition, i: int, grid) -> np.ndarray:
-    """(N, T) amplitudes from the phases at every grid time: a real GEMM of N x N x 2T.
+    """(N, T) amplitudes from the phases at every grid time: a real GEMM of 2T x N x N.
 
     ``evolve_amplitudes`` as it was before the Chebyshev nodes, with the GEMM
-    taken in the package's ``ROW_BLOCK`` rows, so that the two compare byte
-    for byte.  A BLAS micro-kernel rounds the rows of a short edge tile
-    differently, and a block's edge tile falls elsewhere than a whole-matrix
-    product's (or, with threads, each thread's share's), so only products of
-    the same row blocks agree bit for bit.
+    taken time-major, phase rows times V^T in one product, as the package
+    takes it, so that the two compare byte for byte.  A BLAS micro-kernel
+    rounds the rows of a short edge tile differently, and a chunk's edge tile
+    falls elsewhere than a whole product's (or, with threads, each thread's
+    share's), and the transposed product ``V @ rhs`` tiles the other way, so
+    only products in the same layout and chunks agree bit for bit.
     """
     if not 0 <= i < decomp.size:
         raise PreconditionError(f"basis index {i} outside [0, {decomp.size})")
     times = np.asarray(getattr(grid, "points", grid), dtype=float)
     rhs = _interleaved_phases(decomp.energies, times)
     rhs *= decomp.vectors[i, :, None]
-    block = dynamics.ROW_BLOCK   # read per call: tests may narrow it
-    parts = np.concatenate(
-        [decomp.vectors[lo : lo + block] @ rhs for lo in range(0, decomp.size, block)]
-    )
-    norms = np.einsum("ft,ft->t", parts, parts).reshape(-1, 2).sum(axis=1)
+    parts = np.ascontiguousarray(rhs.T) @ decomp.vectors.T   # (2T, N)
+    norms = np.einsum("tf,tf->t", parts, parts).reshape(-1, 2).sum(axis=1)
     worst = np.abs(norms - 1.0).max() if times.size else 0.0
     if worst > UNITARITY_TOL:
         raise PreconditionError(f"evolution lost unitarity: |sum - 1| = {worst:.3e}")
-    return parts.view(np.complex128)
+    return np.ascontiguousarray(parts.T).view(np.complex128)
 
 
 def split_occupation_terms(

@@ -370,12 +370,15 @@ def test_compound_occupations_are_kept_per_decomposition(small_2_4, small_3_6):
     assert ref() is None
 
 
-def test_row_blocks_narrower_than_the_basis(small_3_6, monkeypatch):
-    """Blocks of 7 rows over N=20, the initial state in the last, partial block."""
+def test_time_blocks_narrower_than_the_grid(small_3_6, monkeypatch):
+    """Blocks of 7 times over N=20 from the initial state i = 17: a prefix of s = 226
+    times that ends inside a block, and a direct grid of 300 times in 43 tail blocks."""
     s = small_3_6
-    monkeypatch.setattr(tb.dynamics, "ROW_BLOCK", 7)
+    monkeypatch.setattr(tb.dynamics, "TIME_BLOCK", 7)
     i = 17
     partition = tb.classify(s.basis, int(s.basis.states[i]))
+    split, _ = tb.dynamics._plan(s.decomp.energies, s.grid.points)
+    assert 0 < split < len(s.grid) and split % 7
     direct = np.linspace(3.0, 20.0, 300)
     assert tb.dynamics._plan(s.decomp.energies, direct) == (0, 0)
     for times in (s.grid.points, direct):
@@ -389,9 +392,10 @@ def test_row_blocks_narrower_than_the_basis(small_3_6, monkeypatch):
     assert got.w0.tobytes() == prob[i].tobytes()
 
 
-def test_trajectory_and_asymptotic_occupations_stay_small(fig2):
+def test_trajectory_and_asymptotic_occupations_stay_small(fig1, fig2):
     """No (N, T) array: the fig2 trajectory peaks at <= 6 MB of Python-visible memory,
-    and n(inf) after its first call at < 0.1 MB."""
+    fig1's (K = 184 nodes, the widest node set here) at <= 8 MB, and n(inf) after its
+    first call at < 0.1 MB."""
     s = fig2
     tb.asymptotic_occupations(s.decomp, s.i, s.basis)
     tracemalloc.start()
@@ -399,11 +403,15 @@ def test_trajectory_and_asymptotic_occupations_stay_small(fig2):
         tb.simulate_trajectory(s.decomp, s.basis, s.partition, s.i, s.grid)
         trajectory_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
+        tb.simulate_trajectory(fig1.decomp, fig1.basis, fig1.partition, fig1.i, fig1.grid)
+        widest_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
         tb.asymptotic_occupations(s.decomp, s.i, s.basis)
         occupations_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert trajectory_peak <= 6e6, trajectory_peak
+    assert widest_peak <= 8e6, widest_peak
     assert occupations_peak < 1e5, occupations_peak
 
 
