@@ -16,7 +16,6 @@ from .dynamics import (
     average_survival,
     default_grid,
     evolve_amplitudes,
-    occupation_numbers,
     simulate_trajectory,
     survival_probability,
 )
@@ -59,7 +58,6 @@ from .theory import (
     FermiDiracFit,
     SurvivalModelCurves,
     ThermalizationPrediction,
-    convolve_strength_map,
     fit_fermi_dirac,
     n_pc_envelope,
     predict_occupations,

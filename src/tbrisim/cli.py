@@ -39,6 +39,8 @@ INSPECT_TOL = 1e-9
 # routing or the trajectory's evaluation plan rather than the result;
 # `inspect --against` does not compare them.
 _UNCOMPARED_KEYS = frozenset({"environment", "files", "output", "interpolated_points", "time_nodes"})
+# The manifest keys `inspect` prints; a manifest without them is refused (exit 2).
+_MANIFEST_KEYS = ("config_hash", "seed", "derived")
 
 
 def _parse_grid_flag(value: str) -> dict:
@@ -185,8 +187,15 @@ def _cmd_inspect(args) -> int:
     manifest_path = Path(args.rundir) / "manifest.json"
     if not manifest_path.exists():
         raise ParameterError(f"no manifest at {manifest_path}")
-    manifest = json.loads(manifest_path.read_text())
-    print(json.dumps({k: manifest[k] for k in ("config_hash", "seed", "derived")}, indent=2))
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except ValueError as exc:   # not JSON, or not text
+        raise ParameterError(f"manifest {manifest_path} is not valid JSON: {exc}") from exc
+    if not (isinstance(manifest, dict) and all(key in manifest for key in _MANIFEST_KEYS)
+            and isinstance(manifest.get("files", {}), dict)):
+        raise ParameterError(f"manifest {manifest_path} must be an object with "
+                             f"{', '.join(_MANIFEST_KEYS)} and, if any, a files object")
+    print(json.dumps({k: manifest[k] for k in _MANIFEST_KEYS}, indent=2))
     status = 0
     for name, recorded in manifest.get("files", {}).items():
         path = Path(args.rundir) / name

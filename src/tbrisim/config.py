@@ -34,7 +34,6 @@ DEFAULTS = {
     "hamiltonian": {"one_orbital_terms": True, "diagonal_pair_terms": True},
     "initial_state": "mid-spectrum",
     "grid": {"kind": "auto", "start": None, "stop": None, "points": 400},
-    "analysis": {"fits": True, "fermi_dirac": True, "convolution_check": False},
     "output": {"directory": "run", "formats": ["csv"], "binary_dumps": False},
 }
 # The values a leaf may take, by the type of its default: a float leaf also
@@ -53,9 +52,6 @@ _FIELDS = {
     "grid_start": ("grid", "start"),
     "grid_stop": ("grid", "stop"),
     "grid_points": ("grid", "points"),
-    "fits": ("analysis", "fits"),
-    "fermi_dirac": ("analysis", "fermi_dirac"),
-    "convolution_check": ("analysis", "convolution_check"),
     "one_orbital_terms": ("hamiltonian", "one_orbital_terms"),
     "diagonal_pair_terms": ("hamiltonian", "diagonal_pair_terms"),
     "outdir": ("output", "directory"),
@@ -74,9 +70,6 @@ class ExperimentConfig:
     grid_start: float | None
     grid_stop: float | None
     grid_points: int
-    fits: bool
-    fermi_dirac: bool
-    convolution_check: bool
     one_orbital_terms: bool
     diagonal_pair_terms: bool
     outdir: str

@@ -269,11 +269,6 @@ def evolve_amplitudes(decomp: EigenDecomposition, i: int, grid) -> np.ndarray:
     return amplitudes
 
 
-def occupation_numbers(prob: np.ndarray, basis: Basis) -> np.ndarray:
-    """(m, T) occupations n_alpha(t) = sum_f |A_f|^2 [alpha occupied in f]."""
-    return occupancy_matrix(basis) @ prob
-
-
 def survival_probability(decomp: EigenDecomposition, i: int, grid) -> np.ndarray:
     """W0(t) = |sum_k w_k exp(-i E_k t)|^2 with w_k the strength weights of i."""
     if not 0 <= i < decomp.size:

@@ -140,14 +140,12 @@ def emit_plotdata(
     return [path]
 
 
-def _attempt_fit(enabled: bool, fit, *args, **kwargs):
+def _attempt_fit(fit, *args, **kwargs):
     """Run one optional fit: (result, manifest record) or (None, the reason it is unavailable).
 
     Each fit is tried on its own, so one that cannot run leaves the others
     and the rest of the pipeline untouched.
     """
-    if not enabled:
-        return None, {"status": "unavailable", "reason": "disabled in the analysis config"}
     try:
         result = fit(*args, **kwargs)
     except (PreconditionError, FitConvergenceError) as exc:
@@ -190,13 +188,9 @@ def run(config: ExperimentConfig) -> RunManifest:
         profile = strength.strength_function(decomp, i)
         delta_e = strength.energy_variance(h, i)
         gamma_gr = strength.golden_rule_gamma(h, partition, i)
-        _, bw_record = _attempt_fit(config.fits, strength.fit_bw, profile, gamma0=gamma_gr)
-        _, hybrid_record = _attempt_fit(
-            config.fits, strength.fit_hybrid, profile, stats, gamma0=gamma_gr
-        )
-        spreading = strength.spreading_params(
-            profile, delta_e, gamma_gr, stats.mean_spacing_mid, fit=config.fits
-        )
+        _, bw_record = _attempt_fit(strength.fit_bw, profile, gamma0=gamma_gr)
+        _, hybrid_record = _attempt_fit(strength.fit_hybrid, profile, stats, gamma0=gamma_gr)
+        spreading = strength.spreading_params(profile, delta_e, gamma_gr, stats.mean_spacing_mid)
     with stage("dynamics"):
         grid = _build_grid(config, delta_e, gamma_gr, partition.n_classes)
         trajectory = dynamics.simulate_trajectory(decomp, basis, partition, i, grid)
@@ -216,14 +210,9 @@ def run(config: ExperimentConfig) -> RunManifest:
         models = None
         if spreading.gamma_gr > 0 and spreading.delta_e > 0:
             models = theory.survival_models(spreading, n_pc_env, grid)
-        fd, fd_record = _attempt_fit(
-            config.fermi_dirac, theory.fit_fermi_dirac, n_inf, spectrum, params.n
-        )
+        fd, fd_record = _attempt_fit(theory.fit_fermi_dirac, n_inf, spectrum, params.n)
         if fd and fd.infinite_temperature:   # JSON has no inf or NaN
             fd_record.update(temperature="inf", mu=None)
-        conv_sum = None
-        if config.convolution_check:
-            conv_sum = float(theory.convolve_strength_map(profile, decomp, stats).sum())
 
     with stage("export"):
         def out(name: str) -> Path:
@@ -286,7 +275,6 @@ def run(config: ExperimentConfig) -> RunManifest:
                 "interpolated_points": trajectory.interpolated_points,
                 "time_nodes": trajectory.time_nodes,
             },
-            "convolution_completeness": conv_sum,
             "rng": "PCG64 (numpy default_rng) with per-purpose child streams",
         }
         manifest = RunManifest(

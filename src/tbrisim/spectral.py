@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -45,9 +44,8 @@ class EigenDecomposition:
 
 @dataclass(frozen=True)
 class SpectralStats:
-    """Smoothed level density and the mean level spacing at mid-spectrum."""
+    """The mean level spacing at mid-spectrum and the bandwidth of a smoothed level density."""
 
-    rho: Callable[[np.ndarray], np.ndarray]
     mean_spacing_mid: float
     bandwidth: float
 
@@ -125,45 +123,33 @@ def _check_decomposition(
     return ortho, recon
 
 
-def spectral_stats(decomp: EigenDecomposition, window: float | None = None) -> SpectralStats:
-    """Gaussian-kernel density of the spectrum and the central mean spacing.
+def spectral_stats(decomp: EigenDecomposition) -> SpectralStats:
+    """The central mean spacing and the Gaussian-kernel bandwidth of the level density.
 
-    The density smooths the level staircase with bandwidth equal to
-    ``BANDWIDTH_SPACINGS`` global mean spacings and integrates to the number
-    of levels.  ``mean_spacing_mid`` averages nearest-neighbour spacings over
-    the levels within ``window`` of the median energy (default: the ~51
-    central levels).
+    The bandwidth is ``BANDWIDTH_SPACINGS`` global mean spacings.
+    ``mean_spacing_mid`` averages nearest-neighbour spacings over the ~51
+    levels nearest the median energy, and needs at least 10 of them.
     """
     energies = decomp.energies
     n_levels = len(energies)
     if n_levels < 3:
         raise PreconditionError(f"need at least 3 levels, got {n_levels}")
     mean_spacing = (energies[-1] - energies[0]) / (n_levels - 1)
-    bandwidth = BANDWIDTH_SPACINGS * mean_spacing
-
-    def rho(e, _energies=energies, _bw=bandwidth):
-        e = np.asarray(e, dtype=float)
-        z = (e[..., None] - _energies) / _bw
-        return np.exp(-0.5 * z * z).sum(axis=-1) / (_bw * np.sqrt(2 * np.pi))
-
-    spacing_mid, inside, window = _mid_spacing(energies, window)
+    spacing_mid, inside = _mid_spacing(energies)
     if inside < 10:
-        raise InsufficientStatisticsError(
-            f"only {inside} levels within {window} of the median; need >= 10"
-        )
-    return SpectralStats(rho=rho, mean_spacing_mid=spacing_mid, bandwidth=bandwidth)
+        raise InsufficientStatisticsError(f"only {inside} levels near the median; need >= 10")
+    return SpectralStats(mean_spacing_mid=spacing_mid, bandwidth=BANDWIDTH_SPACINGS * mean_spacing)
 
 
-def _mid_spacing(energies: np.ndarray, window: float | None = None) -> tuple[float, int, float]:
-    """(mean spacing, level count, window) of the levels within ``window`` of the median.
+def _mid_spacing(energies: np.ndarray) -> tuple[float, int]:
+    """(mean spacing, level count) of the ~51 levels nearest the median.
 
-    The default window holds the ~51 central levels.  The spacing is the
-    span of those levels over their count minus one, 0 for fewer than two.
+    The spacing is the span of those levels over their count minus one, 0
+    for fewer than two.
     """
     median = float(np.median(energies))
-    if window is None:
-        count = min(51, len(energies))
-        window = float(np.sort(np.abs(energies - median))[count - 1]) * (1 + 1e-12)
+    count = min(51, len(energies))
+    window = float(np.sort(np.abs(energies - median))[count - 1]) * (1 + 1e-12)
     inside = energies[np.abs(energies - median) <= window]
     spacing = float(inside[-1] - inside[0]) / (len(inside) - 1) if len(inside) > 1 else 0.0
-    return spacing, len(inside), float(window)
+    return spacing, len(inside)

@@ -433,8 +433,6 @@ def spreading_params(
     delta_e: float,
     gamma_gr: float,
     mean_spacing: float,
-    *,
-    fit: bool = True,
 ) -> SpreadingParams:
     """Bundle the width estimates of one initial state from its computed profile and widths.
 
@@ -442,12 +440,10 @@ def spreading_params(
     Delta_E otherwise; E_c is the profile's first moment, where the hybrid
     shape is centred.
     """
-    sigma = delta_e
-    if fit:
-        try:
-            sigma = fit_hybrid(profile, gamma0=gamma_gr).sigma
-        except (PreconditionError, FitConvergenceError):
-            pass
+    try:
+        sigma = fit_hybrid(profile, gamma0=gamma_gr).sigma
+    except (PreconditionError, FitConvergenceError):
+        sigma = delta_e
     return SpreadingParams(
         gamma_gr=gamma_gr,
         delta_e=delta_e,

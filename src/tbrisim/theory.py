@@ -6,9 +6,9 @@ The central relation is the two-reservoir interpolation
 
 which assumes every escape from the initial state lands in the already
 thermalized remainder.  Model survival curves (exponential, Gaussian,
-saturation floor), the smoothed strength-function overlap, and a
-Fermi-Dirac fit of the asymptotic occupations complete the comparison
-toolkit.
+saturation floor), the principal-component count of the smoothed
+strength-function envelope, and a Fermi-Dirac fit of the asymptotic
+occupations complete the comparison toolkit.
 """
 
 from __future__ import annotations
@@ -22,12 +22,11 @@ from .dynamics import TimeGrid, _times
 from .exceptions import ParameterError, PreconditionError
 from .export import write_table
 from .hamiltonian import SingleParticleSpectrum
-from .spectral import EigenDecomposition, SpectralStats
+from .spectral import SpectralStats
 from .strength import SpreadingParams, StrengthProfile
 
 UNIFORM_TOL = 1e-9
 ENVELOPE_BLOCK = 256
-CONVOLUTION_NODES = 400   # trapezoid nodes of the smoothed-overlap integral
 MU_MAX_STEPS = 200       # bisection alone reaches adjacent floats in ~55 steps at m=12
 
 
@@ -116,22 +115,6 @@ def n_pc_envelope(profile: StrengthProfile, stats: SpectralStats) -> float:
         kernel = np.exp(-0.5 * z * z)
         envelope[lo : lo + len(kernel)] = (kernel @ profile.weights) / kernel.sum(axis=1)
     return float(1.0 / (envelope @ envelope))
-
-
-def convolve_strength_map(
-    profile_i: StrengthProfile, decomp: EigenDecomposition, rho: SpectralStats
-) -> np.ndarray:
-    """F~(E_i, E_q) for every basis state q at once (vectorized form)."""
-    bw = rho.bandwidth
-    grid = np.linspace(profile_i.energies[0] - 5 * bw, profile_i.energies[-1] + 5 * bw,
-                       CONVOLUTION_NODES)
-    z = (grid[:, None] - decomp.energies[None, :]) / bw
-    kernel = np.exp(-0.5 * z * z) / (bw * np.sqrt(2 * np.pi))   # (nodes, N)
-    all_fq_rho = kernel @ (decomp.vectors**2).T                 # (nodes, N_states)
-    fi_rho = kernel @ profile_i.weights
-    density = np.maximum(rho.rho(grid), 1e-300)
-    integrand = all_fq_rho * (fi_rho / density)[:, None]
-    return np.trapezoid(integrand, grid, axis=0)
 
 
 def _fermi_dirac(eps: np.ndarray, mu: float, temperature: float) -> np.ndarray:

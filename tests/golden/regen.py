@@ -34,7 +34,6 @@ DIGITS = 10
 SMALL_CONFIG = {
     "model": {"n": 3, "m": 6, "eta": 0.1, "seed": 5},
     "grid": {"kind": "auto", "points": 120},
-    "analysis": {"convolution_check": True},
     "output": {"formats": ["csv", "json"], "binary_dumps": True},
 }
 CASES = {

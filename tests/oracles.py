@@ -17,11 +17,10 @@ at a time, are the reference of the vectorized signs in
 ``hamiltonian._sign_bit``; the tensor drawn one row at a time is the
 reference of the single draw in ``sample_two_body``, and the pair
 enumeration, element lookup and mean orbital spacing are helpers the
-package does not need.  The occupation-term split, the long-time
-occupation average, the occupations inside one eigenstate and the
-overlap integral of two strength functions, one basis state at a time
-(the reference of the vectorized ``convolve_strength_map``), are physics
-checks that the pipeline does not need.
+package does not need.  The occupation numbers of a probability array,
+the occupation-term split, the long-time occupation average, the
+occupations inside one eigenstate and the kernel-smoothed weight and
+level densities are physics checks that the pipeline does not need.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ from tbrisim.dynamics import (
     TimeGrid,
     evolve_amplitudes,
     long_time_grid,
-    occupation_numbers,
 )
 from tbrisim.exceptions import ParameterError, PreconditionError
 from tbrisim.hamiltonian import (
@@ -50,8 +48,8 @@ from tbrisim.hamiltonian import (
     SingleParticleSpectrum,
     TwoBodyTensor,
 )
-from tbrisim.spectral import EigenDecomposition, SpectralStats
-from tbrisim.strength import MOMENT_NODES, StrengthProfile, _adaptive_bins, strength_function
+from tbrisim.spectral import EigenDecomposition
+from tbrisim.strength import MOMENT_NODES, StrengthProfile, _adaptive_bins
 
 _SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]])
 _PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -429,6 +427,11 @@ def split_occupation_terms(
     return s_diag, np.abs(amplitude) ** 2 - s_diag
 
 
+def occupation_numbers(prob: np.ndarray, basis: Basis) -> np.ndarray:
+    """(m, T) occupations n_alpha(t) = sum_f |A_f|^2 [alpha occupied in f]."""
+    return occupancy_matrix(basis) @ prob
+
+
 def average_occupations(
     decomp: EigenDecomposition, basis: Basis, i: int, *, samples: int = 256
 ) -> np.ndarray:
@@ -571,28 +574,7 @@ def smoothed_weight_density(profile: StrengthProfile, nodes: np.ndarray, bandwid
     return kernel @ profile.weights
 
 
-def convolve_strength(
-    profile_i: StrengthProfile,
-    decomp: EigenDecomposition,
-    rho: SpectralStats,
-    q: int,
-    *,
-    nodes: int = 400,
-) -> float:
-    """Smoothed overlap integral F~(E_i, E_q) = int F_i(E) F_q(E) rho(E) dE.
-
-    Both strength functions are kernel-smoothed into weight densities
-    (F rho); the integrand F_i F_q rho equals their product divided by the
-    level density.  Approximates the average diagonal term S_q^(d).
-    """
-    if nodes < 200:
-        raise ParameterError(f"need >= 200 quadrature nodes, got {nodes}")
-    profile_q = strength_function(decomp, q)
-    bw = rho.bandwidth
-    lo = min(profile_i.energies[0], profile_q.energies[0]) - 5 * bw
-    hi = max(profile_i.energies[-1], profile_q.energies[-1]) + 5 * bw
-    grid = np.linspace(lo, hi, nodes)
-    fi_rho = smoothed_weight_density(profile_i, grid, bw)
-    fq_rho = smoothed_weight_density(profile_q, grid, bw)
-    density = np.maximum(rho.rho(grid), 1e-300)
-    return float(np.trapezoid(fi_rho * fq_rho / density, grid))
+def kernel_density(energies: np.ndarray, nodes: np.ndarray, bandwidth: float) -> np.ndarray:
+    """Gaussian-kernel level density of ``energies`` at ``nodes``; it integrates to their count."""
+    z = (nodes[:, None] - energies[None, :]) / bandwidth
+    return np.exp(-0.5 * z * z).sum(axis=1) / (bandwidth * np.sqrt(2 * np.pi))

@@ -23,7 +23,6 @@ def small_doc(tmp_path, eta=0.1, seed=5, **extra):
         "model": {"n": 3, "m": 6, "eta": eta, "seed": seed},
         "grid": {"kind": "auto", "points": 120},
         "output": {"directory": str(tmp_path / "out")},
-        "analysis": {"fits": False, "fermi_dirac": True},
     }
     doc.update(extra)
     return doc
@@ -57,7 +56,7 @@ def test_config_validation_errors():
         {"model": small, "initial_state": 0b1111},        # 4 particles, n=3
         {"model": small, "initial_state": "0b1000011"},   # orbital 6 with m=6
         {"model": small, "grid": [1]},
-        {"model": small, "analysis": "x"},
+        {"model": small, "grid": "x"},
         {"model": small, "hamiltonian": None},
         {"model": small, "output": ["csv"]},
         {"model": []},
@@ -67,7 +66,7 @@ def test_config_validation_errors():
         {"model": {**small, "seed": True}},
         {"model": {**small, "seed": -1}},
         {"output": {"formats": 5}},
-        {"analysis": {"fits": "false"}},
+        {"hamiltonian": {"one_orbital_terms": "false"}},
         {"output": {"binary_dumps": "no"}},
         {"model": {**small, "eta": float("nan")}},
         {"model": {**small, "d0": float("inf")}},
@@ -78,12 +77,36 @@ def test_config_validation_errors():
     assert config.config_from_dict({"model": small, "initial_state": "0b111000"}).initial_state
 
 
+def _key_paths(doc, prefix=""):
+    """Dotted path of every key in a nested JSON object."""
+    for key, value in doc.items():
+        yield f"{prefix}{key}"
+        if isinstance(value, dict):
+            yield from _key_paths(value, f"{prefix}{key}.")
+
+
 def test_readme_config_block_is_the_default():
-    """The config block README shows as the defaults parses to the default config."""
+    """The config block README shows as the defaults parses to the default config and holds
+    no key that DEFAULTS lacks (validation would drop such a key unseen)."""
     readme = (Path(__file__).parents[1] / "README.md").read_text()
-    block = readme.split("### Config file", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
-    shown = config.config_from_dict(json.loads(block))
+    block = json.loads(
+        readme.split("### Config file", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    )
+    assert set(_key_paths(block)) <= set(_key_paths(config.DEFAULTS))
+    shown = config.config_from_dict(block)
     assert shown.to_dict() == config.config_from_dict({}).to_dict()
+
+
+def test_a_retired_analysis_block_is_ignored(tmp_path):
+    """An older document's analysis block validates and changes neither the config nor its
+    hash: every run tries all three fits."""
+    with_block = small_doc(tmp_path, analysis={"fits": False, "convolution_check": True})
+    parsed, plain = (config.config_from_dict(doc) for doc in (with_block, small_doc(tmp_path)))
+    assert parsed == plain and "analysis" not in parsed.to_dict()
+    assert config.config_hash(parsed.to_dict()) == config.config_hash(plain.to_dict())
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(with_block))
+    assert cli.main(["run", "--config", str(path)]) == 0
 
 
 def test_main_rejects_a_non_array_formats_value(tmp_path, capsys):
@@ -248,9 +271,15 @@ def test_failed_fit_is_recorded_and_the_others_still_run(tmp_path, monkeypatch):
     assert derived["hybrid_fit"]["status"] == "converged"
 
 
-def test_disabled_fits_are_recorded(tmp_path):
-    derived = pipeline.run(config.config_from_dict(small_doc(tmp_path))).derived
-    assert derived["bw_fit"]["status"] == derived["hybrid_fit"]["status"] == "unavailable"
+def test_failed_hybrid_fit_falls_back_to_delta_e(tmp_path, monkeypatch):
+    """A hybrid fit that cannot run is recorded as unavailable, and sigma falls back to Delta_E."""
+    def no_hybrid(*args, **kwargs):
+        raise FitConvergenceError("forced")
+
+    monkeypatch.setattr(strength, "fit_hybrid", no_hybrid)
+    derived = pipeline.run(config.config_from_dict(_fitted_doc(tmp_path))).derived
+    assert derived["hybrid_fit"] == {"status": "unavailable", "reason": "forced"}
+    assert derived["bw_fit"]["status"] == "converged"
     assert derived["sigma"] == derived["delta_e"]
 
 
@@ -264,23 +293,6 @@ def test_run_free_fermions_frozen(tmp_path):
     assert last == pytest.approx(first, abs=1e-12)
     assert all(abs(float(r["W0"]) - 1.0) < 1e-12 for r in rows)
     assert manifest.derived["gamma_golden_rule"] == 0.0
-
-
-def test_convolution_check_records_the_summed_strength_map(tmp_path):
-    """analysis.convolution_check: derived.convolution_completeness is the sum of
-    convolve_strength_map for the run's model and initial state."""
-    doc = small_doc(tmp_path, analysis={"fits": False, "convolution_check": True})
-    manifest = pipeline.run(config.config_from_dict(doc))
-    params = tb.ModelParams(**doc["model"])
-    h = tb.build_hamiltonian(tb.build_basis(params.n, params.m), tb.sample_spectrum(params),
-                             tb.sample_two_body(params))
-    decomp = tb.diagonalize(h)
-    i = manifest.derived["initial_state_index"]
-    expected = tb.convolve_strength_map(tb.strength_function(decomp, i), decomp,
-                                        tb.spectral_stats(decomp)).sum()
-    assert manifest.derived["convolution_completeness"] == pytest.approx(expected, rel=1e-12)
-    assert pipeline.run(config.config_from_dict(small_doc(tmp_path))).derived[
-        "convolution_completeness"] is None
 
 
 def test_run_deterministic_outputs(tmp_path):
@@ -458,6 +470,18 @@ def test_main_config_error_exit_code(tmp_path, capsys):
     base = tmp_path / "base.json"   # a sweep checks its base config before the first run
     base.write_text(json.dumps({"output": {"directory": 5}}))
     assert cli.main(["sweep", "--eta", "0.1", "--config", str(base)]) == 2
+
+
+@pytest.mark.parametrize("text", [
+    "not json", "[1, 2]", '{"files": {}}',
+    '{"config_hash": "x", "seed": 1, "derived": {}, "files": []}',
+])
+def test_inspect_refuses_a_malformed_manifest(tmp_path, capsys, text):
+    """A manifest that is not JSON, not an object, lacks config_hash/seed/derived or holds
+    files that are not an object exits 2."""
+    (tmp_path / "manifest.json").write_text(text)
+    assert cli.main(["inspect", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: manifest ")
 
 
 def test_negative_seed_exits_2_before_the_run(tmp_path, capsys):

@@ -21,6 +21,7 @@ from oracles import (
     compound_occupations,
     direct_amplitudes,
     expm_amplitudes,
+    occupation_numbers,
     split_occupation_terms,
     standalone_long_time_grid,
 )
@@ -72,7 +73,7 @@ def test_amplitudes_match_matrix_exponential(fixture, request):
     rng = np.random.default_rng(12)
     times = np.sort(rng.uniform(0.05, 30.0, size=20))
     amplitudes = tb.evolve_amplitudes(s.decomp, s.i, times)
-    occ = tb.occupation_numbers(np.abs(amplitudes) ** 2, s.basis)
+    occ = occupation_numbers(np.abs(amplitudes) ** 2, s.basis)
     w0 = tb.survival_probability(s.decomp, s.i, times)
     occ_matrix = tb.occupancy_matrix(s.basis)
     for j, t in enumerate(times):
@@ -174,7 +175,7 @@ def test_direct_path_is_bitwise_the_oracle(fig1):
     # The blocks sum over f in another order: sums of N non-negative terms <= 1,
     # each within (N - 1) eps/2 of the exact sum.
     bound = (s.decomp.size - 1) * np.finfo(float).eps
-    assert np.abs(traj.occupations - tb.occupation_numbers(prob, s.basis)).max() <= bound
+    assert np.abs(traj.occupations - occupation_numbers(prob, s.basis)).max() <= bound
     pops = [prob[s.partition.class_of == c].sum(axis=0) for c in range(s.partition.n_classes + 1)]
     assert np.abs(traj.class_populations - pops).max() <= bound
 

@@ -83,14 +83,6 @@ def test_stats_equidistant_spectrum():
     assert stats.mean_spacing_mid == pytest.approx(0.5, rel=1e-12)
 
 
-def test_stats_density_integrates_to_n(fig1):
-    stats = fig1.stats
-    e = fig1.decomp.energies
-    grid = np.linspace(e[0] - 10 * stats.bandwidth, e[-1] + 10 * stats.bandwidth, 20001)
-    total = np.trapezoid(stats.rho(grid), grid)
-    assert abs(total - len(e)) < 1e-6 * len(e)
-
-
 def test_stats_mid_spacing_matches_central_average(fig1):
     """Windowed estimate vs a from-scratch spacing average over the 51 central levels."""
     e = np.sort(fig1.decomp.energies)
@@ -111,11 +103,6 @@ def test_mid_spacing_bytes_unchanged_by_the_shared_helper(request, name):
         return
     got = tb.spectral_stats(decomp).mean_spacing_mid
     assert np.float64(got).tobytes() == np.float64(windowed_mid_spacing(decomp.energies)).tobytes()
-
-
-def test_stats_window_too_small(fig1):
-    with pytest.raises(InsufficientStatisticsError):
-        tb.spectral_stats(fig1.decomp, window=1e-9)
 
 
 def test_stats_needs_three_levels():

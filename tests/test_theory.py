@@ -1,4 +1,4 @@
-"""Interpolation prediction, model survival curves, smoothed overlap, FD fit."""
+"""Interpolation prediction, model survival curves, envelope N_pc, FD fit."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from tbrisim import theory
 from tbrisim.exceptions import ParameterError, PreconditionError
 
 from conftest import FIG1_ETA, FIG2_ETA, realization_fit_inputs
-from oracles import convolve_strength, scipy_fermi_dirac, smoothed_weight_density
+from oracles import kernel_density, scipy_fermi_dirac, smoothed_weight_density
 
 
 def test_prediction_frozen_when_w0_is_one():
@@ -97,11 +97,11 @@ def test_n_pc_envelope_carries_porter_thomas_factor():
 
 
 def test_n_pc_envelope_matches_density_ratio(fig2):
-    """One kernel per block equals the smoothed weight density over rho."""
-    energies = fig2.profile.energies
-    envelope = smoothed_weight_density(
-        fig2.profile, energies, fig2.stats.bandwidth
-    ) / fig2.stats.rho(energies)
+    """One kernel per block equals the smoothed weight density over the level density."""
+    energies, bandwidth = fig2.profile.energies, fig2.stats.bandwidth
+    envelope = smoothed_weight_density(fig2.profile, energies, bandwidth) / kernel_density(
+        energies, energies, bandwidth
+    )
     expected = 1.0 / (envelope @ envelope)
     assert tb.n_pc_envelope(fig2.profile, fig2.stats) == pytest.approx(expected, rel=1e-12)
 
@@ -138,57 +138,6 @@ def test_deviation_gives_the_prediction_error_and_the_per_point_rms(fig2):
     assert theory.deviation(diff[:, :1], pred.grid.points[:1]) == (
         float(np.sqrt(np.mean(diff[:, 0] ** 2))), float(np.abs(diff[:, 0]).max()),
         float(np.sqrt(np.mean(diff[:, 0] ** 2))))
-
-
-def _synthetic_bw_system(gamma=0.5, spacing=0.02, half_span=25.0):
-    """Fabricated decomposition where every row q is a BW profile centered at E_q."""
-    energies = np.arange(-half_span, half_span + spacing / 2, spacing)
-    detuning = energies[:, None] - energies[None, :]
-    w = (gamma / (2 * np.pi)) / (detuning**2 + gamma**2 / 4)
-    w /= w.sum(axis=1, keepdims=True)
-    decomp = tb.EigenDecomposition(energies=energies, vectors=np.sqrt(w))
-    center = len(energies) // 2
-    profile = tb.StrengthProfile(
-        i=center,
-        energies=energies,
-        weights=w[center],
-        e_i=float(w[center] @ energies),
-    )
-    stats = tb.spectral_stats(decomp)
-    return decomp, profile, stats, spacing, center
-
-
-def test_convolution_matches_analytic_lorentzian():
-    """Same-center BW profiles: the overlap equals D * L_{2 Gamma}(0) = D/(pi Gamma)."""
-    gamma = 0.5
-    decomp, profile, stats, spacing, center = _synthetic_bw_system(gamma=gamma)
-    value = convolve_strength(profile, decomp, stats, q=center, nodes=2001)
-    analytic = spacing / (np.pi * gamma)
-    assert value == pytest.approx(analytic, rel=0.05)
-
-
-def test_convolution_peaks_at_zero_detuning():
-    decomp, profile, stats, _, center = _synthetic_bw_system(spacing=0.05)
-    at_center = convolve_strength(profile, decomp, stats, q=center, nodes=801)
-    n = len(decomp.energies)
-    rng = np.random.default_rng(4)
-    for q in rng.choice(n, size=8, replace=False):
-        assert at_center >= convolve_strength(profile, decomp, stats, int(q), nodes=801)
-
-
-def test_convolution_completeness_on_realization(fig2):
-    """Sum over q of the smoothed overlap approximates sum_q S_q^(d) = 1."""
-    smoothed = tb.convolve_strength_map(fig2.profile, fig2.decomp, fig2.stats)
-    assert smoothed.sum() == pytest.approx(1.0, rel=0.05)
-    rng = np.random.default_rng(9)
-    for q in rng.choice(fig2.basis.size, size=4, replace=False):
-        single = convolve_strength(fig2.profile, fig2.decomp, fig2.stats, int(q))
-        assert single == pytest.approx(smoothed[int(q)], rel=1e-6)
-
-
-def test_convolution_rejects_sparse_quadrature(fig2):
-    with pytest.raises(ParameterError):
-        convolve_strength(fig2.profile, fig2.decomp, fig2.stats, 0, nodes=50)
 
 
 def test_fermi_dirac_recovers_synthetic_parameters():
