@@ -235,11 +235,15 @@ def _csv_cell(cell: str):
 
 def _fields(path: Path) -> dict:
     """JSON leaves by key path, or CSV cells by line:column (numbers parsed)."""
-    if path.suffix == ".json":
-        return dict(_json_leaves(json.loads(path.read_text())))
+    try:
+        text = path.read_text()
+        if path.suffix == ".json":
+            return dict(_json_leaves(json.loads(text)))
+    except ValueError as exc:   # not JSON, or not text
+        raise ParameterError(f"{path} is not valid {path.suffix[1:].upper()}: {exc}") from exc
     return {
         f"{r}:{c}": _csv_cell(cell)
-        for r, line in enumerate(path.read_text().splitlines())
+        for r, line in enumerate(text.splitlines())
         for c, cell in enumerate(line.split(","))
     }
 

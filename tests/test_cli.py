@@ -484,6 +484,21 @@ def test_inspect_refuses_a_malformed_manifest(tmp_path, capsys, text):
     assert capsys.readouterr().err.startswith("config error: manifest ")
 
 
+@pytest.mark.parametrize("name,content", [
+    ("manifest.json", b"not json"), ("occupations.csv", b"\xff\xfe not text"),
+])
+def test_inspect_against_refuses_a_malformed_file(tmp_path, capsys, name, content):
+    """A file of the other run that is not JSON, or not text, exits 2 with a config error."""
+    doc = small_doc(tmp_path, output={"directory": str(tmp_path / "a")})
+    pipeline.run(config.config_from_dict(doc))
+    other = tmp_path / "b"
+    other.mkdir()
+    (other / name).write_bytes(content)
+    capsys.readouterr()
+    assert cli.main(["inspect", str(tmp_path / "a"), "--against", str(other)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {other / name} is not valid ")
+
+
 def test_negative_seed_exits_2_before_the_run(tmp_path, capsys):
     """numpy's generators refuse a negative seed; validation refuses it first."""
     path = tmp_path / "negative.json"

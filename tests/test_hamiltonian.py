@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import tracemalloc
 from itertools import combinations, product
 from math import comb
 
@@ -9,8 +11,9 @@ import numpy as np
 import pytest
 
 import tbrisim as tb
+from tbrisim import hamiltonian
 from tbrisim.exceptions import ParameterError
-from tbrisim.hamiltonian import _couplings, _index_dtype
+from tbrisim.hamiltonian import _couplings, _index_dtype, _scatter
 
 from oracles import (
     loop_hamiltonian,
@@ -148,6 +151,89 @@ def test_hamiltonian_bitwise_equal_to_loop_oracle(n, m):
             expected = loop_hamiltonian(basis, spectrum, tensor, **switches)
             assert np.array_equal(h.entries, expected.entries), (eta, jitter, switches)
             assert h.entries.tobytes() == expected.entries.tobytes(), (eta, jitter, switches)
+
+
+@pytest.mark.parametrize("n,m", [(4, 8), (6, 12)])
+@pytest.mark.parametrize("block", [1, 7, 1000, 10**6])
+def test_index_blocks_keep_structure_and_h_bitwise(n, m, block, monkeypatch):
+    """Any ``INDEX_BLOCK`` gives the default structure's bytes and the default H's.
+
+    1 and 7 divide every move count here; 1000 leaves a partial last block of
+    moves at both sizes and of states at (4, 8); 10**6 exceeds K2, so each
+    kind is one partial block.  The structure is rebuilt with the patched blocks.
+    """
+    params = tb.ModelParams(n=n, m=m, eta=0.083, seed=3, jitter=0.3)
+    basis = tb.build_basis(n, m)
+    spectrum, tensor = tb.sample_spectrum(params), tb.sample_two_body(params)
+    settings = [{"one_orbital_terms": a, "diagonal_pair_terms": b}
+                for a, b in product((True, False), repeat=2)]
+    structure = _couplings(n, m).move2_at.base.tobytes()
+    expected = [tb.build_hamiltonian(basis, spectrum, tensor, **switches).entries.tobytes()
+                for switches in settings]
+    monkeypatch.setattr(hamiltonian, "INDEX_BLOCK", block)
+    _couplings.cache_clear()
+    try:
+        assert _couplings(n, m).move2_at.base.tobytes() == structure
+        for switches, entries in zip(settings, expected):
+            h = tb.build_hamiltonian(basis, spectrum, tensor, **switches)
+            assert h.entries.tobytes() == entries, switches
+    finally:
+        _couplings.cache_clear()   # later tests build the structure with the default blocks
+
+
+def test_scatter_indexes_with_contiguous_intp_rows():
+    """Both rows of a narrow position block reach numpy as 1-D contiguous intp arrays."""
+    indices = []
+
+    class Recording(np.ndarray):
+        def __setitem__(self, index, value):
+            indices.append(index)
+            super().__setitem__(index, value)
+
+    flat = np.zeros(16).view(Recording)
+    at = np.array([[1, 2, 7], [4, 8, 13]], dtype=np.int32)
+    _scatter(flat, at, np.array([1.0, 2.0, 3.0]))
+    assert len(indices) == 2
+    for index, row in zip(indices, at):
+        assert index.dtype == np.intp and index.ndim == 1 and index.flags.c_contiguous
+        assert np.array_equal(index, row)
+    assert np.array_equal(np.nonzero(np.asarray(flat))[0], [1, 2, 4, 7, 8, 13])
+
+
+def test_hamiltonian_digest_at_n3432():
+    """n=7, m=14 (N=3432): K2 = 756,756 two-orbital moves take 12 index blocks, the last
+    one partial, and H keeps the SHA-256 that the assembly without blocks gave."""
+    params = tb.ModelParams(n=7, m=14, eta=0.083, seed=1)
+    h = tb.build_hamiltonian(tb.build_basis(7, 14), tb.sample_spectrum(params),
+                             tb.sample_two_body(params))
+    assert len(range(0, _couplings(7, 14).move2_term.shape[0], hamiltonian.INDEX_BLOCK)) == 12
+    assert hashlib.sha256(h.entries.tobytes()).hexdigest() == (
+        "b01a2246ad81f9fdf6af92db213b107389b6ba38dc8681e4536e48ef1c524a40")
+
+
+def test_assembly_and_structure_stay_small():
+    """A warm build at N=924 allocates at most 1.5 MB beside H; a cold structure peaks at
+    4 MB at N=924 and 13 MB at N=3432 (of which 1.38 MB and 9.4 MB are kept)."""
+    params = tb.ModelParams(n=6, m=12, eta=0.083, seed=2)
+    basis = tb.build_basis(6, 12)
+    spectrum, tensor = tb.sample_spectrum(params), tb.sample_two_body(params)
+    tb.build_hamiltonian(basis, spectrum, tensor)   # the structure is cached before tracing
+    tracemalloc.start()
+    try:
+        h = tb.build_hamiltonian(basis, spectrum, tensor)
+        build_peak = tracemalloc.get_traced_memory()[1]
+        del h
+        peaks = {}
+        for n, m in ((6, 12), (7, 14)):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            _couplings.__wrapped__(n, m)   # cold, and outside the cache
+            peaks[n, m] = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert build_peak <= 924 * 924 * 8 + 1.5e6, build_peak
+    assert peaks[6, 12] <= 4e6, peaks
+    assert peaks[7, 14] <= 13e6, peaks
 
 
 def test_cached_structure_survives_another_size():
