@@ -168,7 +168,7 @@ def _cmd_sweep(args) -> int:
     for eta in etas:
         doc = copy.deepcopy(base_doc)
         _block(doc, "model")["eta"] = eta
-        _block(doc, "output")["directory"] = str(root / f"eta={eta:g}")
+        _block(doc, "output")["directory"] = str(root / f"eta={eta!r}")
         manifest = run(config_from_dict(doc))
         d = manifest.derived
         summary.append({"eta": eta, "gamma_golden_rule": d["gamma_golden_rule"],

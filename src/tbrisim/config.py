@@ -31,7 +31,6 @@ _FIG1_ETA = PRESETS["reproduce-fig1"]["model"]["eta"]   # the default model is f
 DEFAULTS = {
     "config_version": 1,
     "model": {"n": 6, "m": 12, "eta": _FIG1_ETA, "seed": 1, "d0": 1.0, "jitter": 0.0},
-    "hamiltonian": {"one_orbital_terms": True, "diagonal_pair_terms": True},
     "initial_state": "mid-spectrum",
     "grid": {"kind": "auto", "start": None, "stop": None, "points": 400},
     "output": {"directory": "run", "formats": ["csv"], "binary_dumps": False},
@@ -52,8 +51,6 @@ _FIELDS = {
     "grid_start": ("grid", "start"),
     "grid_stop": ("grid", "stop"),
     "grid_points": ("grid", "points"),
-    "one_orbital_terms": ("hamiltonian", "one_orbital_terms"),
-    "diagonal_pair_terms": ("hamiltonian", "diagonal_pair_terms"),
     "outdir": ("output", "directory"),
     "formats": ("output", "formats"),
     "binary_dumps": ("output", "binary_dumps"),
@@ -70,8 +67,6 @@ class ExperimentConfig:
     grid_start: float | None
     grid_stop: float | None
     grid_points: int
-    one_orbital_terms: bool
-    diagonal_pair_terms: bool
     outdir: str
     formats: tuple[str, ...]
     binary_dumps: bool
@@ -87,6 +82,14 @@ class ExperimentConfig:
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Validate a (possibly partial) parsed JSON document and build its config."""
+    # Older documents carry the retired hamiltonian switches; only their values
+    # of the one Hamiltonian (both terms on) may be dropped unread.
+    retired = data.get("hamiltonian", {}) if isinstance(data, dict) else {}
+    if not isinstance(retired, dict) or any(value is not True for value in retired.values()):
+        raise ParameterError(
+            f"config.hamiltonian {retired!r}: the one-orbital-term and diagonal-pair-term "
+            "switches are retired; H always has both terms, so only true is accepted"
+        )
     doc = _merge(DEFAULTS, data, "config")
     if doc["config_version"] != DEFAULTS["config_version"]:
         raise ParameterError(f"unsupported config_version {doc['config_version']}")

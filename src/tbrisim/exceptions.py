@@ -25,11 +25,7 @@ class EigensolverError(RuntimeError):
 
 
 class FitConvergenceError(RuntimeError):
-    """A least-squares fit did not converge; ``last_params`` holds the final iterate."""
-
-    def __init__(self, message: str, last_params=None):
-        super().__init__(message)
-        self.last_params = last_params
+    """A least-squares fit did not converge."""
 
 
 class StageError(RuntimeError):

@@ -34,7 +34,8 @@ class ModelParams:
     eta is the mean squared two-body element in units of d0**2; jitter
     displaces each single-particle level by jitter*d0*u with u uniform on
     [-1/2, 1/2].  The seed fixes both the level jitter and the tensor.
-    eta and d0 must be finite, and the seed non-negative.
+    eta and d0 must be finite, and the seed non-negative; m is at most 63,
+    since a basis state is an int64 bitmask.
     """
 
     n: int
@@ -47,6 +48,8 @@ class ModelParams:
     def __post_init__(self):
         if self.n <= 0 or self.n > self.m:
             raise ParameterError(f"need 0 < n <= m, got n={self.n}, m={self.m}")
+        if self.m > 63:
+            raise ParameterError(f"m must be at most 63 (an int64 bitmask), got m={self.m}")
         if not (math.isfinite(self.eta) and math.isfinite(self.d0)):
             raise ParameterError(f"eta and d0 must be finite, got eta={self.eta}, d0={self.d0}")
         if self.d0 <= 0:
@@ -125,20 +128,13 @@ def sample_two_body(params: ModelParams) -> TwoBodyTensor:
 
 
 def build_hamiltonian(
-    basis: Basis,
-    spectrum: SingleParticleSpectrum,
-    tensor: TwoBodyTensor,
-    *,
-    one_orbital_terms: bool = True,
-    diagonal_pair_terms: bool = True,
+    basis: Basis, spectrum: SingleParticleSpectrum, tensor: TwoBodyTensor
 ) -> HamiltonianMatrix:
     """Assemble the dense symmetric matrix of H0 + V on the basis.
 
     Matrix elements follow the two-body selection rule: states differing in
-    more than two orbitals are not connected.  ``one_orbital_terms`` and
-    ``diagonal_pair_terms`` switch off the spectator-summed single-move
-    elements and the V contribution to the diagonal, for comparing
-    conventions of the random-interaction ensemble.
+    more than two orbitals are not connected.  A one-orbital move sums its
+    spectators' two-body elements, and the diagonal holds the pair energies.
 
     Which entries couple, through which tensor element and with which
     fermionic sign depends only on (n, m), not on the seed, eta or the level
@@ -180,21 +176,19 @@ def build_hamiltonian(
     flat = entries.reshape(-1)   # writable view
 
     diagonal = flat[:: n_states + 1]
-    n_diagonal = len(couplings.diagonal) if diagonal_pair_terms else basis.n
-    for terms in couplings.diagonal[:n_diagonal]:
+    for terms in couplings.diagonal:
         diagonal += table[terms.astype(np.intp)]
     for lo in range(0, couplings.move2_term.shape[0], INDEX_BLOCK):
         block = slice(lo, lo + INDEX_BLOCK)
         values = table[couplings.move2_term[block].astype(np.intp)]
         _scatter(flat, couplings.move2_at[:, block], values)
-    if one_orbital_terms:
-        for lo in range(0, couplings.move1_term.shape[1], INDEX_BLOCK):
-            block = slice(lo, lo + INDEX_BLOCK)
-            terms = couplings.move1_term[:, block]
-            summed = np.zeros(terms.shape[1])   # +0.0 start, as the plain loop
-            for rank_terms in terms:
-                summed += table[rank_terms.astype(np.intp)]
-            _scatter(flat, couplings.move1_at[:, block], summed)
+    for lo in range(0, couplings.move1_term.shape[1], INDEX_BLOCK):
+        block = slice(lo, lo + INDEX_BLOCK)
+        terms = couplings.move1_term[:, block]
+        summed = np.zeros(terms.shape[1])   # +0.0 start, as the plain loop
+        for rank_terms in terms:
+            summed += table[rank_terms.astype(np.intp)]
+        _scatter(flat, couplings.move1_at[:, block], summed)
 
     return HamiltonianMatrix(entries=entries, basis=basis)
 

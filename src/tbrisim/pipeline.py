@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dynamics, strength, theory
-from .basis import build_basis, classify
+from .basis import build_basis, classify, occupation_bits
 from .config import ExperimentConfig, _initial_bitmask, config_hash
 from .exceptions import FitConvergenceError, ParameterError, PreconditionError, StageError
 from .export import write_json, write_table
@@ -175,8 +175,7 @@ def run(config: ExperimentConfig) -> RunManifest:
     with stage("hamiltonian"):
         spectrum = sample_spectrum(params)
         tensor = sample_two_body(params)
-        h = build_hamiltonian(basis, spectrum, tensor, one_orbital_terms=config.one_orbital_terms,
-                              diagonal_pair_terms=config.diagonal_pair_terms)
+        h = build_hamiltonian(basis, spectrum, tensor)
     with stage("diagonalization"):
         decomp = diagonalize(h)
         stats = spectral_stats(decomp)
@@ -197,12 +196,8 @@ def run(config: ExperimentConfig) -> RunManifest:
         n_inf = dynamics.asymptotic_occupations(decomp, i, basis)
         w0_longtime = dynamics.average_survival(decomp, i)
     with stage("theory"):
-        prediction = theory.predict_occupations(
-            trajectory.occupations[:, 0] if len(grid) else np.zeros(params.m),
-            n_inf,
-            trajectory.w0,
-            grid,
-        )
+        n0 = occupation_bits(basis.states[i:i + 1], params.m)[:, 0]   # the initial bitmask
+        prediction = theory.predict_occupations(n0, n_inf, trajectory.w0, grid)
         rms_eq14, max_eq14, rms_eq14_per_point = theory.deviation(
             trajectory.occupations - prediction.occupations, prediction.grid.points
         )

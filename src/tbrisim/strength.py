@@ -233,7 +233,7 @@ def _levenberg_marquardt(fun, x0, lower, upper):
                 return x, r, jac, iteration
             step = _box_step(normal, grad, lam * scale, x, lower, upper)
         except np.linalg.LinAlgError as exc:
-            raise FitConvergenceError(f"singular normal equations: {exc}", last_params=x) from exc
+            raise FitConvergenceError(f"singular normal equations: {exc}") from exc
         predicted = 2 * grad @ step + step @ normal @ step   # cost change, linear model
         with np.errstate(over="ignore", invalid="ignore"):   # an overflowing trial is rejected
             r_new, jac_new = fun(x + step)
@@ -246,10 +246,8 @@ def _levenberg_marquardt(fun, x0, lower, upper):
         else:
             lam *= 10.0
             if lam > MAX_DAMPING:
-                raise FitConvergenceError("line-shape fit stalled: no step lowers the cost",
-                                          last_params=x)
-    raise FitConvergenceError(f"line-shape fit did not converge in {FIT_MAX_ITER} steps",
-                              last_params=x)
+                raise FitConvergenceError("line-shape fit stalled: no step lowers the cost")
+    raise FitConvergenceError(f"line-shape fit did not converge in {FIT_MAX_ITER} steps")
 
 
 def _fit_diagnostics(names, x, r, jac, lower, upper, log_params):

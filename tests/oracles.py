@@ -224,17 +224,11 @@ def loop_hamiltonian(
     basis: Basis,
     spectrum: SingleParticleSpectrum,
     tensor: TwoBodyTensor,
-    *,
-    one_orbital_terms: bool = True,
-    diagonal_pair_terms: bool = True,
 ) -> HamiltonianMatrix:
     """Assemble the dense symmetric matrix of H0 + V on the basis.
 
     Matrix elements follow the two-body selection rule: states differing in
-    more than two orbitals are not connected.  ``one_orbital_terms`` and
-    ``diagonal_pair_terms`` switch off the spectator-summed single-move
-    elements and the V contribution to the diagonal, for comparing
-    conventions of the random-interaction ensemble.
+    more than two orbitals are not connected.
     """
     if spectrum.m != basis.m or tensor.m != basis.m:
         raise ParameterError(
@@ -255,10 +249,9 @@ def loop_hamiltonian(
         unocc = tuple(s for s in all_orbitals if not f >> s & 1)
 
         diag = sum(eps[s] for s in occ)
-        if diagonal_pair_terms:
-            for pq in combinations(occ, 2):
-                a = pairs[pq]
-                diag += v[a][a]
+        for pq in combinations(occ, 2):
+            a = pairs[pq]
+            diag += v[a][a]
         entries[fi, fi] = diag
 
         for pq in combinations(occ, 2):
@@ -272,21 +265,20 @@ def loop_hamiltonian(
                 sign = fermionic_phase(f, pq, rs)
                 entries[fi, gi] = entries[gi, fi] = sign * v[a][pairs[rs]]
 
-        if one_orbital_terms:
-            for p in occ:
-                removed = f ^ (1 << p)
-                for q in unocc:
-                    gi = index[removed | (1 << q)]
-                    if gi < fi:
+        for p in occ:
+            removed = f ^ (1 << p)
+            for q in unocc:
+                gi = index[removed | (1 << q)]
+                if gi < fi:
+                    continue
+                element = 0.0
+                for s in occ:
+                    if s == p:
                         continue
-                    element = 0.0
-                    for s in occ:
-                        if s == p:
-                            continue
-                        ps = (p, s) if p < s else (s, p)
-                        qs = (q, s) if q < s else (s, q)
-                        element += fermionic_phase(f, ps, qs) * v[pairs[ps]][pairs[qs]]
-                    entries[fi, gi] = entries[gi, fi] = element
+                    ps = (p, s) if p < s else (s, p)
+                    qs = (q, s) if q < s else (s, q)
+                    element += fermionic_phase(f, ps, qs) * v[pairs[ps]][pairs[qs]]
+                entries[fi, gi] = entries[gi, fi] = element
 
     return HamiltonianMatrix(entries=entries, basis=basis)
 

@@ -109,6 +109,39 @@ def test_a_retired_analysis_block_is_ignored(tmp_path):
     assert cli.main(["run", "--config", str(path)]) == 0
 
 
+def test_a_retired_hamiltonian_block_must_hold_true(tmp_path, capsys):
+    """Both switches on is the one Hamiltonian: such a block is dropped like the analysis
+    block.  A false, or a value that is not true, exits 2 before the run and names them."""
+    on = small_doc(tmp_path, hamiltonian={"one_orbital_terms": True, "diagonal_pair_terms": True})
+    parsed, plain = (config.config_from_dict(doc) for doc in (on, small_doc(tmp_path)))
+    assert parsed == plain and "hamiltonian" not in parsed.to_dict()
+    assert config.config_hash(parsed.to_dict()) == config.config_hash(plain.to_dict())
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(on))
+    assert cli.main(["run", "--config", str(path)]) == 0
+    for block in ({"one_orbital_terms": False}, {"diagonal_pair_terms": "false"}):
+        doc = small_doc(tmp_path, hamiltonian=block)
+        doc["output"]["directory"] = str(tmp_path / "refused")
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli.main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config.hamiltonian")
+        assert "one-orbital-term and diagonal-pair-term switches are retired" in err
+        assert not (tmp_path / "refused").exists()
+
+
+def test_orbitals_beyond_a_64_bit_bitmask_exit_2(tmp_path, capsys):
+    """A state is an int64 bitmask: m=64 is refused before the basis, m=63 validates."""
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"model": {"n": 1, "m": 64},
+                                "output": {"directory": str(tmp_path / "out")}}))
+    assert cli.main(["run", "--config", str(path)]) == 2
+    assert "m must be at most 63" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert config.config_from_dict({"model": {"n": 1, "m": 63}}).model.m == 63
+
+
 def test_main_rejects_a_non_array_formats_value(tmp_path, capsys):
     path = tmp_path / "c.json"
     path.write_text(json.dumps(small_doc(tmp_path, output={"directory": str(tmp_path / "out"),
@@ -308,6 +341,25 @@ def test_run_deterministic_outputs(tmp_path):
     assert m1.config_hash == m2.config_hash
 
 
+def test_eq14_starts_from_the_initial_bitmask_on_a_late_grid(tmp_path):
+    """On a grid that starts after t=0, eq. 14 still interpolates from the initial state:
+    n_pred(t) = n(0) W0(t) + n(inf) (1 - W0(t)), with n(0) the bits of the initial bitmask."""
+    doc = small_doc(tmp_path, grid={"kind": "linear", "start": 2.0, "stop": 20.0, "points": 10})
+    derived = pipeline.run(config.config_from_dict(doc)).derived
+    table = {}
+    for name in ("occupations.csv", "prediction.csv"):
+        with open(tmp_path / "out" / name) as fh:
+            rows = list(csv.reader(line for line in fh if not line.startswith("#")))
+        table[name] = {col: np.array(values) for col, values in zip(rows[0], zip(*rows[1:]))}
+    w0 = table["occupations.csv"]["W0"].astype(float)
+    assert w0.min() < 0.99   # the first time is past the initial state
+    n0 = (derived["initial_state_bitmask"] >> np.arange(6)) & 1
+    for a, n_inf in enumerate(derived["asymptotic_occupations"]):
+        expected = n0[a] * w0 + n_inf * (1.0 - w0)
+        predicted = table["prediction.csv"][f"n_{a}"].astype(float)
+        assert np.abs(predicted - expected).max() <= 1e-15, a
+
+
 def test_run_json_format_and_binary_dumps(tmp_path):
     """occupations.json holds the CSV's columns and values; the .npy dumps are H, E and V
     rebuilt from the run's config.json, bit for bit, and two runs hash them the same."""
@@ -327,8 +379,7 @@ def test_run_json_format_and_binary_dumps(tmp_path):
     saved = config.config_from_dict(json.loads((outdir / "config.json").read_text()))
     params = saved.model
     h = tb.build_hamiltonian(
-        tb.build_basis(params.n, params.m), tb.sample_spectrum(params), tb.sample_two_body(params),
-        one_orbital_terms=saved.one_orbital_terms, diagonal_pair_terms=saved.diagonal_pair_terms,
+        tb.build_basis(params.n, params.m), tb.sample_spectrum(params), tb.sample_two_body(params)
     )
     decomp = tb.diagonalize(h)
     dumps = {"hamiltonian.npy": h.entries, "eigenvalues.npy": decomp.energies,
@@ -536,6 +587,18 @@ def test_main_sweep(tmp_path, capsys):
     assert [row["eta"] for row in summary] == [0.02, 0.05]
     assert (tmp_path / "sweep" / "eta=0.02" / "manifest.json").exists()
     assert (tmp_path / "sweep" / "summary.csv").exists()
+
+
+def test_sweep_gives_each_eta_its_own_directory(tmp_path, capsys):
+    """Two etas that agree to six digits still get two run directories, each intact."""
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(small_doc(tmp_path, output={
+        "directory": str(tmp_path / "sweep")})))
+    assert cli.main(["sweep", "--eta", "0.1,0.1000001", "--config", str(config_path)]) == 0
+    runs = sorted(path.name for path in (tmp_path / "sweep").iterdir() if path.is_dir())
+    assert runs == ["eta=0.1", "eta=0.1000001"]
+    for name in runs:
+        assert cli.main(["inspect", str(tmp_path / "sweep" / name)]) == 0
 
 
 def test_preset_configs():

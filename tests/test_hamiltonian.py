@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import tracemalloc
-from itertools import combinations, product
 from math import comb
 
 import numpy as np
@@ -145,12 +144,10 @@ def test_hamiltonian_bitwise_equal_to_loop_oracle(n, m):
     for eta, jitter in ((0.083, 0.0), (0.083, 0.3), (0.0, 0.0)):
         params = tb.ModelParams(n=n, m=m, eta=eta, seed=7, jitter=jitter)
         spectrum, tensor = tb.sample_spectrum(params), tb.sample_two_body(params)
-        for one_orbital, diagonal_pair in product((True, False), repeat=2):
-            switches = {"one_orbital_terms": one_orbital, "diagonal_pair_terms": diagonal_pair}
-            h = tb.build_hamiltonian(basis, spectrum, tensor, **switches)
-            expected = loop_hamiltonian(basis, spectrum, tensor, **switches)
-            assert np.array_equal(h.entries, expected.entries), (eta, jitter, switches)
-            assert h.entries.tobytes() == expected.entries.tobytes(), (eta, jitter, switches)
+        h = tb.build_hamiltonian(basis, spectrum, tensor)
+        expected = loop_hamiltonian(basis, spectrum, tensor)
+        assert np.array_equal(h.entries, expected.entries), (eta, jitter)
+        assert h.entries.tobytes() == expected.entries.tobytes(), (eta, jitter)
 
 
 @pytest.mark.parametrize("n,m", [(4, 8), (6, 12)])
@@ -165,18 +162,13 @@ def test_index_blocks_keep_structure_and_h_bitwise(n, m, block, monkeypatch):
     params = tb.ModelParams(n=n, m=m, eta=0.083, seed=3, jitter=0.3)
     basis = tb.build_basis(n, m)
     spectrum, tensor = tb.sample_spectrum(params), tb.sample_two_body(params)
-    settings = [{"one_orbital_terms": a, "diagonal_pair_terms": b}
-                for a, b in product((True, False), repeat=2)]
     structure = _couplings(n, m).move2_at.base.tobytes()
-    expected = [tb.build_hamiltonian(basis, spectrum, tensor, **switches).entries.tobytes()
-                for switches in settings]
+    expected = tb.build_hamiltonian(basis, spectrum, tensor).entries.tobytes()
     monkeypatch.setattr(hamiltonian, "INDEX_BLOCK", block)
     _couplings.cache_clear()
     try:
         assert _couplings(n, m).move2_at.base.tobytes() == structure
-        for switches, entries in zip(settings, expected):
-            h = tb.build_hamiltonian(basis, spectrum, tensor, **switches)
-            assert h.entries.tobytes() == entries, switches
+        assert tb.build_hamiltonian(basis, spectrum, tensor).entries.tobytes() == expected
     finally:
         _couplings.cache_clear()   # later tests build the structure with the default blocks
 
@@ -347,25 +339,6 @@ def test_hamiltonian_linear_in_tensor():
     h3 = tb.build_hamiltonian(basis, spectrum, tb.TwoBodyTensor(6, 3.0 * tensor.matrix)).entries
     h0 = tb.build_hamiltonian(basis, spectrum, tb.TwoBodyTensor(6, 0.0 * tensor.matrix)).entries
     assert np.allclose(h3 - h0, 3.0 * (h1 - h0), atol=1e-12)
-
-
-def test_convention_switches():
-    params = tb.ModelParams(n=3, m=6, eta=0.3, seed=2)
-    basis = tb.build_basis(3, 6)
-    spectrum = tb.sample_spectrum(params)
-    tensor = tb.sample_two_body(params)
-    bare = tb.build_hamiltonian(
-        basis, spectrum, tensor, one_orbital_terms=False, diagonal_pair_terms=False
-    )
-    free = [
-        sum(spectrum.epsilon[s] for s in occupied_orbitals(int(f)))
-        for f in basis.states
-    ]
-    assert np.allclose(bare.diagonal(), free, atol=1e-14)
-    for fi, f in enumerate(basis.states):
-        for gi, g in enumerate(basis.states):
-            if (int(f) ^ int(g)).bit_count() == 2:
-                assert bare.entries[fi, gi] == 0.0
 
 
 def test_build_rejects_mismatched_sizes():
