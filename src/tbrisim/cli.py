@@ -73,8 +73,6 @@ def _apply_overrides(doc: dict, args) -> dict:
         _block(doc, "model")["eta"] = args.eta
     if getattr(args, "out", None) is not None:
         _block(doc, "output")["directory"] = args.out
-    if getattr(args, "format", None) is not None:
-        _block(doc, "output")["formats"] = sorted({"csv", args.format})
     if getattr(args, "grid", None) is not None:
         doc["grid"] = _parse_grid_flag(args.grid)
     if getattr(args, "initial_state", None) is not None:
@@ -93,7 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="override the RNG seed")
         p.add_argument("--out", help="output directory")
         p.add_argument("--grid", help="time grid: auto[:points] or log:START:STOP:POINTS")
-        p.add_argument("--format", choices=["csv", "json"], help="additional export format")
 
     p_run = sub.add_parser("run", help="run a config file")
     p_run.add_argument("--config", required=True, help="path to a JSON config")

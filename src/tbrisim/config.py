@@ -33,16 +33,35 @@ DEFAULTS = {
     "model": {"n": 6, "m": 12, "eta": _FIG1_ETA, "seed": 1, "d0": 1.0, "jitter": 0.0},
     "initial_state": "mid-spectrum",
     "grid": {"kind": "auto", "start": None, "stop": None, "points": 400},
-    "output": {"directory": "run", "formats": ["csv"], "binary_dumps": False},
+    "output": {"directory": "run"},
 }
+# Keys that older documents carry and DEFAULTS no longer has, by dotted path:
+# (is the value a no-op, why the key went).  A no-op value is dropped unread,
+# so the config and its hash are those without the key; any other value is
+# refused, since dropping it would give another run than the document asks for.
+RETIRED = {
+    "config.analysis": (lambda value: True, "every run tries all three fits"),
+    "config.hamiltonian": (
+        lambda block: isinstance(block, dict) and all(v is True for v in block.values()),
+        "the one-orbital-term and diagonal-pair-term switches are retired; only true is accepted",
+    ),
+    "config.output.formats": (
+        lambda value: isinstance(value, list) and all(fmt == "csv" for fmt in value),
+        'the formats are retired; occupations.csv holds the table, so only ["csv"] is accepted',
+    ),
+    "config.output.binary_dumps": (
+        lambda value: value is False,
+        "the .npy dumps are retired; numpy.save on h.entries, decomp.energies or decomp.vectors "
+        '(README "Library use") replaces them, so only false is accepted',
+    ),
+}
+_UNKNOWN = (lambda value: False, 'unknown key; README "Config file" lists the keys')
 # The values a leaf may take, by the type of its default: a float leaf also
 # takes an integer, a leaf whose default is null (the grid's ends) a number.
 _ACCEPTED = {
-    bool: ((bool,), "a boolean"),
     int: ((int,), "an integer"),
     float: ((int, float), "a number"),
     str: ((str,), "a string"),
-    list: ((list,), "an array"),
     type(None): ((int, float, type(None)), "a number or null"),
 }
 # ExperimentConfig field -> (block, key) of its value in the config document.
@@ -52,8 +71,6 @@ _FIELDS = {
     "grid_stop": ("grid", "stop"),
     "grid_points": ("grid", "points"),
     "outdir": ("output", "directory"),
-    "formats": ("output", "formats"),
-    "binary_dumps": ("output", "binary_dumps"),
 }
 
 
@@ -68,28 +85,17 @@ class ExperimentConfig:
     grid_stop: float | None
     grid_points: int
     outdir: str
-    formats: tuple[str, ...]
-    binary_dumps: bool
 
     def to_dict(self) -> dict:
         doc = copy.deepcopy(DEFAULTS)
         doc.update(model=asdict(self.model), initial_state=self.initial_state)
         for name, (block, key) in _FIELDS.items():
             doc[block][key] = getattr(self, name)
-        doc["output"]["formats"] = list(self.formats)
         return doc
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Validate a (possibly partial) parsed JSON document and build its config."""
-    # Older documents carry the retired hamiltonian switches; only their values
-    # of the one Hamiltonian (both terms on) may be dropped unread.
-    retired = data.get("hamiltonian", {}) if isinstance(data, dict) else {}
-    if not isinstance(retired, dict) or any(value is not True for value in retired.values()):
-        raise ParameterError(
-            f"config.hamiltonian {retired!r}: the one-orbital-term and diagonal-pair-term "
-            "switches are retired; H always has both terms, so only true is accepted"
-        )
     doc = _merge(DEFAULTS, data, "config")
     if doc["config_version"] != DEFAULTS["config_version"]:
         raise ParameterError(f"unsupported config_version {doc['config_version']}")
@@ -111,23 +117,24 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ParameterError(f"grid points must be a non-negative integer, got {grid['points']!r}")
     _check_dense_size(model, grid["points"])
     _initial_bitmask(doc["initial_state"], model.n, model.m)
-    for fmt in doc["output"]["formats"]:
-        if fmt not in ("csv", "json"):
-            raise ParameterError(f"unknown output format {fmt!r}")
     fields = {name: doc[block][key] for name, (block, key) in _FIELDS.items()}
-    fields["formats"] = tuple(fields["formats"])
     return ExperimentConfig(model=model, initial_state=doc["initial_state"], **fields)
 
 
 def _merge(default, value, where: str):
     """``value`` merged into ``default``: blocks key by key, a leaf checked against its default.
 
-    Keys that ``default`` lacks are dropped.  ``initial_state`` is a rule or a
-    bitmask, checked by ``_initial_bitmask``.
+    A key that ``default`` lacks is dropped if ``RETIRED`` names it and its
+    value is a no-op, and refused otherwise.  ``initial_state`` is a rule or
+    a bitmask, checked by ``_initial_bitmask``.
     """
     if isinstance(default, dict):
         if not isinstance(value, dict):
             raise ParameterError(f"{where} must be a JSON object, got {value!r}")
+        for key in value:
+            no_op, why = RETIRED.get(f"{where}.{key}", _UNKNOWN)
+            if key not in default and not no_op(value[key]):
+                raise ParameterError(f"{where}.{key} {value[key]!r}: {why}")
         return {
             key: _merge(sub, value[key], f"{where}.{key}") if key in value else sub
             for key, sub in default.items()
@@ -135,7 +142,7 @@ def _merge(default, value, where: str):
     if where == "config.initial_state":
         return value
     types, name = _ACCEPTED[type(default)]
-    if isinstance(value, bool) != isinstance(default, bool) or not isinstance(value, types):
+    if isinstance(value, bool) or not isinstance(value, types):
         raise ParameterError(f"{where} must be {name}, got {value!r}")
     return float(value) if isinstance(default, float) else value
 

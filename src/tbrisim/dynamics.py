@@ -72,15 +72,6 @@ class OccupationTrajectory:
     interpolated_points: int
     time_nodes: int | None
 
-    def columns(self) -> dict:
-        """Named columns t, n_0..n_{m-1}, W0, W_1..W_{n_c}, one entry per time."""
-        return {
-            "t": self.grid.points,
-            **{f"n_{a}": row for a, row in enumerate(self.occupations)},
-            "W0": self.w0,
-            **{f"W_{s}": row for s, row in enumerate(self.class_populations[1:], start=1)},
-        }
-
 
 def _times(grid) -> np.ndarray:
     return np.asarray(getattr(grid, "points", grid), dtype=float)
@@ -104,8 +95,13 @@ def default_grid(
     n_lin = points // 5
     log_part = np.geomspace(start, stop, points - n_lin)
     lin_part = np.linspace(0.2 / gamma, min(3.0 / gamma, stop), n_lin)
-    merged = np.unique(np.concatenate(([0.0], log_part, lin_part)))
-    return TimeGrid(merged)
+    return TimeGrid(_sorted_unique(np.concatenate(([0.0], log_part, lin_part))))
+
+
+def _sorted_unique(times: np.ndarray) -> np.ndarray:
+    """``np.unique`` of finite times, without the numpy.ma import it makes."""
+    times = np.sort(times)
+    return times[np.diff(times, prepend=-np.inf) > 0]
 
 
 def _phases(energies: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -404,4 +400,10 @@ def _powers(first, ratio: np.ndarray, count: int) -> np.ndarray:
 
 def write_trajectory_csv(traj: OccupationTrajectory, path, *, header_lines=()) -> None:
     """One row per time: t, n_0..n_{m-1}, W0, W_1..W_{n_c}; 17 significant digits."""
-    write_table(path, traj.columns(), header_lines=header_lines)
+    columns = {
+        "t": traj.grid.points,
+        **{f"n_{a}": row for a, row in enumerate(traj.occupations)},
+        "W0": traj.w0,
+        **{f"W_{s}": row for s, row in enumerate(traj.class_populations[1:], start=1)},
+    }
+    write_table(path, columns, header_lines=header_lines)

@@ -2,22 +2,20 @@
 
 A table is a few ``# `` header lines, one row of column names and one row
 per record, numbers at 17 significant digits, every line ended by LF
-alone.  The same table goes to JSON as ``{"header", "columns", "rows"}``
-when its path ends in ``.json``.  A JSON document is written with indent 2,
-sorted keys and a trailing newline, so equal documents give equal bytes.
+alone.  A JSON document is written with indent 2, sorted keys and a
+trailing newline, so equal documents give equal bytes.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from pathlib import Path
 
 import numpy as np
 
 
 def write_table(path, columns: dict, *, header_lines=()) -> None:
-    """Write named columns as CSV, or as JSON when ``path`` ends in ``.json``.
+    """Write named columns as CSV.
 
     ``columns`` maps each column name, in order, to a sequence with one
     cell per row, or to one value repeated on every row.  Numbers are
@@ -32,10 +30,6 @@ def write_table(path, columns: dict, *, header_lines=()) -> None:
         np.asarray(value).tolist() if np.ndim(value) == 1 else itertools.repeat(value, n_rows)
         for value in columns.values()
     ]
-    if Path(path).suffix == ".json":
-        rows = [list(row) for row in zip(*cells)]
-        write_json(path, {"header": list(header_lines), "columns": list(columns), "rows": rows})
-        return
     with open(path, "w", newline="\n") as fh:   # LF on every platform
         fh.writelines(f"# {line}\n" for line in header_lines)
         fh.write(",".join(columns) + "\n")

@@ -22,7 +22,7 @@ from .config import ExperimentConfig, _initial_bitmask, config_hash
 from .exceptions import FitConvergenceError, ParameterError, PreconditionError, StageError
 from .export import write_json, write_table
 from .hamiltonian import HamiltonianMatrix, build_hamiltonian, sample_spectrum, sample_two_body
-from .spectral import PROBES, diagonalize, spectral_stats
+from .spectral import PROBES, _sorted_median, diagonalize, spectral_stats
 
 _BLAS_THREAD_GETTERS = (
     "scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads",
@@ -85,7 +85,7 @@ def select_initial_state(h: HamiltonianMatrix, rule) -> int:
     bitmask = _initial_bitmask(rule, h.basis.n, h.basis.m)
     if bitmask is None:
         diag = h.diagonal()
-        return int(np.argmin(np.abs(diag - np.median(diag))))
+        return int(np.argmin(np.abs(diag - _sorted_median(np.sort(diag)))))
     return h.basis.position(bitmask)
 
 
@@ -94,7 +94,7 @@ def _build_grid(config: ExperimentConfig, delta_e: float, gamma: float, n_classe
         return dynamics.default_grid(delta_e, gamma, n_classes, points=config.grid_points)
     spaced = np.geomspace if config.grid_kind == "log" else np.linspace
     points = spaced(config.grid_start, config.grid_stop, config.grid_points)
-    return dynamics.TimeGrid(np.unique(points))
+    return dynamics.TimeGrid(dynamics._sorted_unique(points))
 
 
 def _sha256(path: Path) -> str:
@@ -231,12 +231,6 @@ def run(config: ExperimentConfig) -> RunManifest:
         written.extend(
             emit_plotdata(trajectory, prediction, outdir, models=models, header_lines=header_lines)
         )
-        if "json" in config.formats:
-            write_table(out("occupations.json"), trajectory.columns(), header_lines=header_lines)
-        if config.binary_dumps:   # the model they belong to is config.json's
-            np.save(out("hamiltonian.npy"), h.entries)
-            np.save(out("eigenvalues.npy"), decomp.energies)
-            np.save(out("eigenvectors.npy"), decomp.vectors)
 
         derived = {
             "n_states": basis.size,

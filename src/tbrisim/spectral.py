@@ -147,9 +147,14 @@ def _mid_spacing(energies: np.ndarray) -> tuple[float, int]:
     The spacing is the span of those levels over their count minus one, 0
     for fewer than two.
     """
-    median = float(np.median(energies))
+    median = _sorted_median(energies)
     count = min(51, len(energies))
     window = float(np.sort(np.abs(energies - median))[count - 1]) * (1 + 1e-12)
     inside = energies[np.abs(energies - median) <= window]
     spacing = float(inside[-1] - inside[0]) / (len(inside) - 1) if len(inside) > 1 else 0.0
     return spacing, len(inside)
+
+
+def _sorted_median(values: np.ndarray) -> float:
+    """``np.median`` of ascending ``values``, without the numpy.ma import it makes."""
+    return float(values[(len(values) - 1) // 2] + values[len(values) // 2]) / 2

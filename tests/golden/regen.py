@@ -1,12 +1,14 @@
 """Golden digests: a committed numeric reference for three runs.
 
 A digest holds a run's config hash, its config echo and the manifest's
-``derived`` block and, for every table the run writes (CSV, a JSON table
-and the ``.npy`` dumps), its shape, its column names, the per-column sums
-and sums of squares, and ``ROWS`` fixed rows: the first, the last and rows
-evenly spaced between.  Table numbers are kept to ``DIGITS`` significant
-digits: that rounding, 5e-11 relative, sits far below the comparison's
-tolerance of 1e-9 and keeps the three files under 60 KB.
+``derived`` block and, for every CSV table the run writes, its shape, its
+column names, the per-column sums and sums of squares, and ``ROWS`` fixed
+rows: the first, the last and rows evenly spaced between.  For the
+``MATRICES`` case it holds the same for H, E and V, rebuilt from the run's
+``config.json`` through the library, one matrix row per table row.
+Table numbers are kept to ``DIGITS`` significant digits: that rounding,
+5e-11 relative, sits far below the comparison's tolerance of 1e-9 and
+keeps the three files under 60 KB.
 ``tests/test_golden.py`` digests fresh runs and compares them with the
 files here through ``tbrisim inspect --against``'s comparison.
 
@@ -26,7 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from tbrisim import cli
+import tbrisim as tb
+from tbrisim import cli, config
 
 GOLDEN = Path(__file__).resolve().parent
 ROWS = 12
@@ -34,13 +37,15 @@ DIGITS = 10
 SMALL_CONFIG = {
     "model": {"n": 3, "m": 6, "eta": 0.1, "seed": 5},
     "grid": {"kind": "auto", "points": 120},
-    "output": {"formats": ["csv", "json"], "binary_dumps": True},
 }
 CASES = {
     "fig1_seed1": ["reproduce-fig1", "--seed", "1"],
     "fig2_seed1": ["reproduce-fig2", "--seed", "1"],
     "n3_m6_seed5": ["run", "--config"],
 }
+# The case whose H, E and V are pinned too, under the names of the .npy files
+# that runs wrote before the library alone handed them back.
+MATRICES = "n3_m6_seed5"
 
 
 def produce(name: str, workdir: Path) -> Path:
@@ -57,28 +62,40 @@ def produce(name: str, workdir: Path) -> Path:
     return rundir
 
 
-def digest(rundir: Path) -> dict:
-    """The digest of one run directory; see the module docstring."""
+def digest(rundir: Path, *, matrices: bool = False) -> dict:
+    """The digest of one run directory, H, E and V included if ``matrices``; see the
+    module docstring."""
     manifest = json.loads((rundir / "manifest.json").read_text())
     tables = {}
     for name in sorted(manifest["files"]):
         table = _read_table(rundir / name)
         if table is not None:
             tables[name] = _table_digest(*table)
+    if matrices:
+        tables.update(_matrix_digests(json.loads((rundir / "config.json").read_text())))
     config = {key: value for key, value in manifest["config"].items() if key != "output"}
     return {"config_hash": manifest["config_hash"], "config": config,
             "derived": manifest["derived"], "tables": tables}
 
 
-def _read_table(path: Path):
-    """(column names, rows) of a table file, or None for a JSON document that is not a table."""
-    if path.suffix == ".npy":
-        values = np.load(path)
+def _matrix_digests(doc: dict) -> dict:
+    """Digests of H, E and V built from a run's config document, each row a table row."""
+    params = config.config_from_dict(doc).model
+    basis = tb.build_basis(params.n, params.m)
+    h = tb.build_hamiltonian(basis, tb.sample_spectrum(params), tb.sample_two_body(params))
+    decomp = tb.diagonalize(h)
+    out = {}
+    for name, values in (("hamiltonian.npy", h.entries), ("eigenvalues.npy", decomp.energies),
+                         ("eigenvectors.npy", decomp.vectors)):
         values = values.reshape(len(values), -1)
-        return [str(j) for j in range(values.shape[1])], values.tolist()
+        out[name] = _table_digest([str(j) for j in range(values.shape[1])], values.tolist())
+    return out
+
+
+def _read_table(path: Path):
+    """(column names, rows) of a CSV table, or None for a JSON document."""
     if path.suffix == ".json":
-        doc = json.loads(path.read_text())
-        return (doc["columns"], doc["rows"]) if set(doc) == {"header", "columns", "rows"} else None
+        return None
     lines = [line.split(",") for line in path.read_text().splitlines() if not line.startswith("#")]
     return lines[0], [[_cell(cell) for cell in line] for line in lines[1:]]
 
@@ -124,7 +141,8 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for name in CASES:
             path = GOLDEN / f"{name}.json"
-            path.write_text(render(digest(produce(name, Path(tmp)))) + "\n")
+            doc = digest(produce(name, Path(tmp)), matrices=name == MATRICES)
+            path.write_text(render(doc) + "\n")
             print(f"wrote {path} ({path.stat().st_size} bytes)")
     return 0
 

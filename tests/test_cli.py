@@ -71,6 +71,8 @@ def test_config_validation_errors():
         {"model": {**small, "eta": float("nan")}},
         {"model": {**small, "d0": float("inf")}},
         {"initial_state": 63.5},
+        {"model": {"eta": 0.083, "sed": 7}, "gird": {"points": 50}},   # misspelt keys
+        {"output": {"binary_dump": True}},
     ):
         with pytest.raises(ParameterError):
             config.config_from_dict(doc)
@@ -87,7 +89,7 @@ def _key_paths(doc, prefix=""):
 
 def test_readme_config_block_is_the_default():
     """The config block README shows as the defaults parses to the default config and holds
-    no key that DEFAULTS lacks (validation would drop such a key unseen)."""
+    no key that DEFAULTS lacks."""
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     block = json.loads(
         readme.split("### Config file", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
@@ -131,6 +133,40 @@ def test_a_retired_hamiltonian_block_must_hold_true(tmp_path, capsys):
         assert not (tmp_path / "refused").exists()
 
 
+@pytest.mark.parametrize("output", [
+    {"formats": ["csv"]}, {"formats": []}, {"binary_dumps": False},
+    {"formats": ["csv"], "binary_dumps": False},
+])
+def test_retired_output_keys_at_their_no_op_are_dropped(tmp_path, output):
+    """A CSV-only formats list and binary_dumps false ask for the files every run writes:
+    the keys are dropped, so the config and its hash are those without them."""
+    doc = small_doc(tmp_path)
+    doc["output"].update(output)
+    parsed, plain = (config.config_from_dict(d) for d in (doc, small_doc(tmp_path)))
+    assert parsed == plain and parsed.to_dict()["output"] == {"directory": str(tmp_path / "out")}
+    assert config.config_hash(parsed.to_dict()) == config.config_hash(plain.to_dict())
+
+
+@pytest.mark.parametrize("block, extra, named", [
+    ("output", {"formats": ["csv", "json"]}, "occupations.csv holds the table"),
+    ("output", {"formats": "csv"}, "occupations.csv holds the table"),
+    ("output", {"binary_dumps": True}, "numpy.save on h.entries, decomp.energies"),
+    ("output", {"binary_dump": True}, "unknown key"),
+    ("model", {"sed": 7}, "unknown key"),
+])
+def test_retired_values_and_unknown_keys_exit_2(tmp_path, capsys, block, extra, named):
+    """Any other value of a retired key, and a key no config has, exits 2 before any output;
+    the message names the key's dotted path and, for a retired one, what replaces it."""
+    doc = small_doc(tmp_path)
+    doc[block].update(extra)
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config.{block}.{next(iter(extra))} ") and named in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_orbitals_beyond_a_64_bit_bitmask_exit_2(tmp_path, capsys):
     """A state is an int64 bitmask: m=64 is refused before the basis, m=63 validates."""
     path = tmp_path / "wide.json"
@@ -140,15 +176,6 @@ def test_orbitals_beyond_a_64_bit_bitmask_exit_2(tmp_path, capsys):
     assert "m must be at most 63" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
     assert config.config_from_dict({"model": {"n": 1, "m": 63}}).model.m == 63
-
-
-def test_main_rejects_a_non_array_formats_value(tmp_path, capsys):
-    path = tmp_path / "c.json"
-    path.write_text(json.dumps(small_doc(tmp_path, output={"directory": str(tmp_path / "out"),
-                                                           "formats": 5})))
-    assert cli.main(["run", "--config", str(path)]) == 2
-    assert "formats" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
 
 
 def test_select_initial_state_bitmask(small_2_4):
@@ -358,37 +385,6 @@ def test_eq14_starts_from_the_initial_bitmask_on_a_late_grid(tmp_path):
         expected = n0[a] * w0 + n_inf * (1.0 - w0)
         predicted = table["prediction.csv"][f"n_{a}"].astype(float)
         assert np.abs(predicted - expected).max() <= 1e-15, a
-
-
-def test_run_json_format_and_binary_dumps(tmp_path):
-    """occupations.json holds the CSV's columns and values; the .npy dumps are H, E and V
-    rebuilt from the run's config.json, bit for bit, and two runs hash them the same."""
-    manifests = []
-    for tag in ("a", "b"):
-        output = {"directory": str(tmp_path / tag), "formats": ["csv", "json"],
-                  "binary_dumps": True}
-        manifests.append(pipeline.run(config.config_from_dict(small_doc(tmp_path, output=output))))
-    outdir = tmp_path / "a"
-    table = json.loads((outdir / "occupations.json").read_text())
-    with open(outdir / "occupations.csv") as fh:
-        rows = list(csv.reader(line for line in fh if not line.startswith("#")))
-    assert table["columns"] == rows[0]
-    assert table["rows"] == [[float(x) for x in row] for row in rows[1:]]
-    assert table["header"] == [f"config_hash={manifests[0].config_hash}", "seed=5"]
-
-    saved = config.config_from_dict(json.loads((outdir / "config.json").read_text()))
-    params = saved.model
-    h = tb.build_hamiltonian(
-        tb.build_basis(params.n, params.m), tb.sample_spectrum(params), tb.sample_two_body(params)
-    )
-    decomp = tb.diagonalize(h)
-    dumps = {"hamiltonian.npy": h.entries, "eigenvalues.npy": decomp.energies,
-             "eigenvectors.npy": decomp.vectors}
-    for name, expected in dumps.items():
-        loaded = np.load(outdir / name)
-        assert loaded.dtype == expected.dtype and loaded.shape == expected.shape, name
-        assert loaded.tobytes() == expected.tobytes(), name
-        assert manifests[0].files[name] == manifests[1].files[name], name
 
 
 def test_emit_plotdata_empty_grid(tmp_path, small_3_6):
@@ -671,12 +667,14 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
 
 
 def test_reproduce_fig2_loads_no_scipy(tmp_path):
-    """numpy is the only runtime dependency: a whole fig2 run, fits included, imports no scipy."""
+    """numpy is the only runtime dependency: a whole fig2 run, fits included, imports no scipy,
+    nor numpy.ma (~15 ms), which np.median and np.unique import."""
     env = dict(os.environ, PYTHONPATH=str(Path(tb.__file__).parents[1]))
     code = (
         "import sys, tbrisim.cli\n"
         f"assert tbrisim.cli.main(['reproduce-fig2', '--out', {str(tmp_path / 'fig2')!r}]) == 0\n"
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+        "             or m.split('.')[:2] == ['numpy', 'ma']))"
     )
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=300)

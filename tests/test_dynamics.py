@@ -51,6 +51,19 @@ def test_default_grid_free_fermion_fallback():
     assert grid.points[-1] == 30.0
 
 
+def test_sort_dedupe_and_sorted_median_equal_numpy_bit_for_bit():
+    """The numpy.ma-free stand-ins give np.unique's and np.median's bytes, empty input and
+    repeated or descending times included."""
+    rng = np.random.default_rng(0)
+    repeated = rng.choice(rng.random(7), 40)
+    for times in (np.array([]), np.linspace(2.0, 2.0, 5), np.geomspace(9.0, 0.1, 30), repeated):
+        assert tb.dynamics._sorted_unique(times).tobytes() == np.unique(times).tobytes()
+    for size in (1, 2, 924, 925):
+        values = np.sort(rng.normal(size=size))
+        median = np.float64(tb.spectral._sorted_median(values))
+        assert median.tobytes() == np.median(values).tobytes()
+
+
 def test_initial_frame_is_delta(small_3_6):
     a0 = tb.evolve_amplitudes(small_3_6.decomp, small_3_6.i, np.array([0.0]))[:, 0]
     expected = np.zeros(20)

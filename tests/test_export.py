@@ -1,8 +1,7 @@
-"""The run-file writers: one table layout in CSV and JSON, canonical JSON documents."""
+"""The run-file writers: CSV tables and canonical JSON documents."""
 
 from __future__ import annotations
 
-import json
 
 import numpy as np
 import pytest
@@ -18,7 +17,7 @@ COLUMNS = {
 }
 
 
-def test_write_table_csv_and_json_carry_the_same_cells(tmp_path):
+def test_write_table_csv_cells(tmp_path):
     write_table(tmp_path / "t.csv", COLUMNS, header_lines=["seed=1", "note"])
     assert (tmp_path / "t.csv").read_bytes() == (
         b"# seed=1\n# note\n"
@@ -27,16 +26,6 @@ def test_write_table_csv_and_json_carry_the_same_cells(tmp_path):
         b"1,-2.5e-300,0.33333333333333331,eq14,2\n"
         b"2,inf,0.33333333333333331,eq14,\n"
     )
-    write_table(tmp_path / "t.json", COLUMNS, header_lines=["seed=1", "note"])
-    assert json.loads((tmp_path / "t.json").read_text()) == {
-        "header": ["seed=1", "note"],
-        "columns": ["k", "x", "floor", "tag", "fit"],
-        "rows": [
-            [0, 0.1, 1 / 3, "eq14", None],
-            [1, -2.5e-300, 1 / 3, "eq14", 2.0],
-            [2, float("inf"), 1 / 3, "eq14", None],
-        ],
-    }
 
 
 def test_write_table_rejects_columns_of_unequal_length(tmp_path):
