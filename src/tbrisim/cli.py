@@ -5,7 +5,7 @@ executed by ``tbrisim.pipeline.run``; every output file embeds the config
 hash and seed, and the manifest records content hashes so that a repeated
 run can be verified byte for byte.  Subcommands:
 
-    run             execute a config (flags can override single fields)
+    run             execute a config (--seed and --out override its seed and directory)
     reproduce-fig1  run the preset of the paper's figure 1 or 2
     reproduce-fig2  (``config.PRESETS``)
     sweep           run a list of eta values and tabulate the widths
@@ -43,21 +43,6 @@ _UNCOMPARED_KEYS = frozenset({"environment", "files", "output", "interpolated_po
 _MANIFEST_KEYS = ("config_hash", "seed", "derived")
 
 
-def _parse_grid_flag(value: str) -> dict:
-    parts = value.split(":")
-    try:
-        if parts[0] == "auto":
-            return {"kind": "auto", **({"points": int(parts[1])} if len(parts) > 1 else {})}
-        if parts[0] in ("log", "linear") and len(parts) == 4:
-            start, stop, points = float(parts[1]), float(parts[2]), int(parts[3])
-            return {"kind": parts[0], "start": start, "stop": stop, "points": points}
-    except ValueError as exc:
-        raise ParameterError(f"bad grid spec {value!r}: {exc}") from exc
-    raise ParameterError(
-        f"bad grid spec {value!r}; use auto[:points] or log:START:STOP:POINTS"
-    )
-
-
 def _block(doc: dict, name: str) -> dict:
     """The config block ``name`` of ``doc``, added empty if it is absent."""
     block = doc.setdefault(name, {})
@@ -67,16 +52,10 @@ def _block(doc: dict, name: str) -> dict:
 
 
 def _apply_overrides(doc: dict, args) -> dict:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         _block(doc, "model")["seed"] = args.seed
-    if getattr(args, "eta", None) is not None:
-        _block(doc, "model")["eta"] = args.eta
-    if getattr(args, "out", None) is not None:
+    if args.out is not None:
         _block(doc, "output")["directory"] = args.out
-    if getattr(args, "grid", None) is not None:
-        doc["grid"] = _parse_grid_flag(args.grid)
-    if getattr(args, "initial_state", None) is not None:
-        doc["initial_state"] = args.initial_state
     return doc
 
 
@@ -90,12 +69,9 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--seed", type=int, help="override the RNG seed")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--grid", help="time grid: auto[:points] or log:START:STOP:POINTS")
 
     p_run = sub.add_parser("run", help="run a config file")
     p_run.add_argument("--config", required=True, help="path to a JSON config")
-    p_run.add_argument("--eta", type=float, help="override interaction strength")
-    p_run.add_argument("--initial-state", dest="initial_state", help="mid-spectrum or bitmask")
     add_common(p_run)
 
     for name, preset in PRESETS.items():

@@ -103,8 +103,10 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     grid = doc["grid"]
     if grid["kind"] not in ("auto", "log", "linear"):
         raise ParameterError(f"grid kind must be auto|log|linear, got {grid['kind']!r}")
+    ends = [grid["start"], grid["stop"]]
+    if grid["kind"] == "auto" and ends != [None, None]:
+        raise ParameterError(f"grid kind 'auto' sets its own start and stop; got {ends}, not null")
     if grid["kind"] != "auto":
-        ends = [grid["start"], grid["stop"]]
         if None in ends or not all(map(math.isfinite, ends)):
             raise ParameterError(
                 f"grid kind {grid['kind']!r} requires finite start and stop, got {ends}"
@@ -116,9 +118,11 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if grid["points"] < 0:
         raise ParameterError(f"grid points must be a non-negative integer, got {grid['points']!r}")
     _check_dense_size(model, grid["points"])
-    _initial_bitmask(doc["initial_state"], model.n, model.m)
+    bitmask = _initial_bitmask(doc["initial_state"], model.n, model.m)
     fields = {name: doc[block][key] for name, (block, key) in _FIELDS.items()}
-    return ExperimentConfig(model=model, initial_state=doc["initial_state"], **fields)
+    # One spelling per initial state, so one experiment has one config hash.
+    initial_state = "mid-spectrum" if bitmask is None else bitmask
+    return ExperimentConfig(model=model, initial_state=initial_state, **fields)
 
 
 def _merge(default, value, where: str):

@@ -3,7 +3,7 @@
 ``run`` enumerates the basis, assembles and diagonalizes H, analyzes the
 initial state's strength function and widths, evolves it, compares the
 exact occupations with the eq.-14 interpolation, and writes the tables,
-the JSON documents and the manifest.  A stage that fails raises
+the config echo and the manifest.  A stage that fails raises
 ``StageError`` with its name and the files written so far.
 """
 
@@ -104,21 +104,19 @@ def _sha256(path: Path) -> str:
 def emit_plotdata(
     trajectory: dynamics.OccupationTrajectory,
     prediction: theory.ThermalizationPrediction,
-    outdir,
+    path,
     *,
     models: theory.SurvivalModelCurves | None = None,
     header_lines=(),
-) -> list[Path]:
+) -> None:
     """Write the aligned exact-vs-predicted table used to draw the figures.
 
     Columns: t, exact n_alpha, predicted n_alpha, W0 plus model overlays,
-    then the class populations.  Returns the written paths.
+    then the class populations.
     """
     times = trajectory.grid.points
     if not np.array_equal(prediction.grid.points, times):
         raise ParameterError("trajectory and prediction grids differ")
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     columns = {
         "t": times,
         **{f"n_exact_{a}": row for a, row in enumerate(trajectory.occupations)},
@@ -134,10 +132,8 @@ def emit_plotdata(
     columns.update(
         (f"W_{s}", row) for s, row in enumerate(trajectory.class_populations[1:], start=1)
     )
-    path = outdir / "plotdata.csv"
     header = [*header_lines, "exact occupations vs interpolated prediction; times in 1/energy units"]
     write_table(path, columns, header_lines=header)
-    return [path]
 
 
 def _attempt_fit(fit, *args, **kwargs):
@@ -188,7 +184,7 @@ def run(config: ExperimentConfig) -> RunManifest:
         delta_e = strength.energy_variance(h, i)
         gamma_gr = strength.golden_rule_gamma(h, partition, i)
         _, bw_record = _attempt_fit(strength.fit_bw, profile, gamma0=gamma_gr)
-        _, hybrid_record = _attempt_fit(strength.fit_hybrid, profile, stats, gamma0=gamma_gr)
+        _, hybrid_record = _attempt_fit(strength.fit_hybrid, profile, gamma0=gamma_gr)
         spreading = strength.spreading_params(profile, delta_e, gamma_gr, stats.mean_spacing_mid)
     with stage("dynamics"):
         grid = _build_grid(config, delta_e, gamma_gr, partition.n_classes)
@@ -215,21 +211,12 @@ def run(config: ExperimentConfig) -> RunManifest:
             written.append(outdir / name)
             return written[-1]
 
-        ids = {"config_hash": cfg_hash, "seed": params.seed}
         write_json(out("config.json"), doc)
         dynamics.write_trajectory_csv(trajectory, out("occupations.csv"), header_lines=header_lines)
-        write_json(out("occupations.meta.json"), {
-            **ids,
-            "model": doc["model"],
-            "initial_state_index": i,
-            "initial_state_bitmask": bitmask,
-            "grid_points": len(grid),
-        })
         theory.write_prediction_csv(prediction, out("prediction.csv"), header_lines=header_lines)
         strength.write_profile_csv(profile, out("strength.csv"), header_lines=header_lines)
-        write_json(out("spreading.json"), {**asdict(spreading), **ids})
-        written.extend(
-            emit_plotdata(trajectory, prediction, outdir, models=models, header_lines=header_lines)
+        emit_plotdata(
+            trajectory, prediction, out("plotdata.csv"), models=models, header_lines=header_lines
         )
 
         derived = {

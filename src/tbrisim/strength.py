@@ -21,7 +21,7 @@ from .exceptions import (
 )
 from .export import write_table
 from .hamiltonian import HamiltonianMatrix
-from .spectral import BANDWIDTH_SPACINGS, EigenDecomposition, SpectralStats
+from .spectral import BANDWIDTH_SPACINGS, EigenDecomposition
 
 MIN_BIN_COUNT = 10
 MIN_FIT_COMPONENTS = 5.0
@@ -148,7 +148,7 @@ def _adaptive_bins(profile: StrengthProfile):
     weights = profile.weights
     n = len(energies)
     edges = [energies[0] - 0.5 * (energies[1] - energies[0])]
-    counts, sums = [], []
+    sums = []
     start = 0
     while start < n:
         stop = min(start + MIN_BIN_COUNT, n)
@@ -160,13 +160,11 @@ def _adaptive_bins(profile: StrengthProfile):
             else energies[-1] + 0.5 * (energies[-1] - energies[-2])
         )
         edges.append(right)
-        counts.append(stop - start)
         sums.append(float(weights[start:stop].sum()))
         start = stop
     edges = np.array(edges)
-    widths = np.diff(edges)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    return centers, np.array(sums) / widths, widths
+    return centers, np.array(sums) / np.diff(edges)
 
 
 def _check_fit_precondition(profile: StrengthProfile) -> None:
@@ -273,7 +271,7 @@ def fit_bw(profile: StrengthProfile, *, gamma0: float | None = None) -> BWFit:
     center with the RMS residual relative to the peak height.
     """
     _check_fit_precondition(profile)
-    centers, heights, _ = _adaptive_bins(profile)
+    centers, heights = _adaptive_bins(profile)
     g0 = gamma0 if gamma0 and gamma0 > 0 else _quartile_width(profile)
     span = profile.energies[-1] - profile.energies[0]
 
@@ -351,12 +349,7 @@ def _moment_sigma(u, weights, gamma, target, bounds):
     return float(np.exp(t)), float(-slope(dlog_shape_dlg) / dm_dt), False
 
 
-def fit_hybrid(
-    profile: StrengthProfile,
-    rho: SpectralStats | None = None,
-    *,
-    gamma0: float | None = None,
-) -> HybridFit:
+def fit_hybrid(profile: StrengthProfile, *, gamma0: float | None = None) -> HybridFit:
     """Fit the Gaussian-band / Lorentzian-core hybrid line shape.
 
     Model for the weight density:
@@ -372,7 +365,7 @@ def fit_hybrid(
     re-derived from unit normalization of the shape.
     """
     _check_fit_precondition(profile)
-    centers, heights, _ = _adaptive_bins(profile)
+    centers, heights = _adaptive_bins(profile)
     g0 = gamma0 if gamma0 and gamma0 > 0 else _quartile_width(profile)
     e_i = profile.e_i
     target = profile.second_central_moment()
@@ -409,8 +402,10 @@ def fit_hybrid(
     if sigma_at_bound:
         at_bound += ("sigma",)
 
-    # Unit normalization of the fitted shape fixes B independently.
-    margin = 0.5 * span if rho is None else 3 * rho.bandwidth + 0.5 * span
+    # Unit normalization of the fitted shape fixes B independently; the integral runs
+    # three level-density bandwidths (as in ``spectral_stats``) past half the span.
+    bandwidth = BANDWIDTH_SPACINGS * (span / (len(profile.energies) - 1))
+    margin = 3 * bandwidth + 0.5 * span
     grid = np.linspace(profile.energies[0] - margin, profile.energies[-1] + margin, 4001)
     b_derived = float(1.0 / np.trapezoid(_hybrid_shape((grid - e_i) ** 2, sigma, gamma)[0], grid))
     return HybridFit(

@@ -441,7 +441,7 @@ def _least_squares(residual, x0) -> np.ndarray:
 
 def scipy_bw_fit(profile: StrengthProfile, gamma0: float) -> tuple[float, float]:
     """(Gamma, E0) of the binned Breit-Wigner least-squares fit."""
-    centers, heights, _ = _adaptive_bins(profile)
+    centers, heights = _adaptive_bins(profile)
 
     def residual(x):
         gamma = np.exp(x[0])
@@ -453,7 +453,7 @@ def scipy_bw_fit(profile: StrengthProfile, gamma0: float) -> tuple[float, float]
 
 def scipy_hybrid_fit(profile: StrengthProfile, gamma0: float) -> tuple[float, float, float]:
     """(B, sigma, Gamma) of the hybrid fit, sigma from the second moment about E_i by brentq."""
-    centers, heights, _ = _adaptive_bins(profile)
+    centers, heights = _adaptive_bins(profile)
     e_i, target = profile.e_i, profile.second_central_moment()
     span = profile.energies[-1] - profile.energies[0]
     nodes = np.linspace(profile.energies[0], profile.energies[-1], MOMENT_NODES)

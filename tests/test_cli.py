@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -53,6 +54,8 @@ def test_config_validation_errors():
         {"model": small, "grid": {"points": -5}},
         {"model": small, "grid": {"kind": "linear", "start": -1.0, "stop": 5.0, "points": 10}},
         {"model": small, "grid": {"kind": "log", "start": 0.1, "stop": "10", "points": 10}},
+        {"model": small, "grid": {"kind": "auto", "start": 3.0, "stop": 9.0}},   # ends unused
+        {"model": small, "grid": {"start": 0.0}},
         {"model": small, "initial_state": 0b1111},        # 4 particles, n=3
         {"model": small, "initial_state": "0b1000011"},   # orbital 6 with m=6
         {"model": small, "grid": [1]},
@@ -79,6 +82,31 @@ def test_config_validation_errors():
     assert config.config_from_dict({"model": small, "initial_state": "0b111000"}).initial_state
 
 
+@pytest.mark.parametrize("stored, spellings", [
+    ("mid-spectrum", ["mid-spectrum", " Mid-Spectrum ", "MID-SPECTRUM"]),
+    (7, [7, "7", "0b111", "0x7", " 0b111 "]),
+])
+def test_one_initial_state_has_one_config_hash(stored, spellings):
+    """Every spelling of one initial state gives one config: "mid-spectrum" or the integer
+    bitmask, so the same experiment carries one config hash."""
+    small = {"n": 3, "m": 6}
+    parsed = [config.config_from_dict({"model": small, "initial_state": s}) for s in spellings]
+    assert {p.initial_state for p in parsed} == {stored}
+    assert len({config.config_hash(p.to_dict()) for p in parsed}) == 1
+
+
+def test_auto_grid_accepts_only_null_ends(tmp_path, capsys):
+    """An auto grid picks its own ends: null ends give the default config and hash, and
+    numbers exit 2 before any output, since the run would ignore them."""
+    null_ends = config.config_from_dict({"grid": {"kind": "auto", "start": None, "stop": None}})
+    assert null_ends == config.config_from_dict({})
+    path = tmp_path / "auto.json"
+    path.write_text(json.dumps(small_doc(tmp_path, grid={"kind": "auto", "start": 3.0, "stop": 9.0})))
+    assert cli.main(["run", "--config", str(path)]) == 2
+    assert "grid kind 'auto' sets its own start and stop" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def _key_paths(doc, prefix=""):
     """Dotted path of every key in a nested JSON object."""
     for key, value in doc.items():
@@ -97,6 +125,25 @@ def test_readme_config_block_is_the_default():
     assert set(_key_paths(block)) <= set(_key_paths(config.DEFAULTS))
     shown = config.config_from_dict(block)
     assert shown.to_dict() == config.config_from_dict({}).to_dict()
+
+
+def test_readme_synopsis_lists_each_subcommands_flags():
+    """README's "Command line" block names every subcommand with exactly the --flags that
+    its parser accepts."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```\n", 1)[1].split("```", 1)[0]
+    documented = {}
+    for line in block.splitlines():
+        if line.startswith("tbrisim "):
+            command = documented.setdefault(line.split()[1], set())
+        command.update(re.findall(r"--[a-z][a-z-]*", line))
+    subparsers = next(a for a in cli._build_parser()._actions if a.dest == "command")
+    accepted = {
+        name: {opt for a in sub._actions for opt in a.option_strings if opt.startswith("--")}
+        - {"--help"}
+        for name, sub in subparsers.choices.items()
+    }
+    assert documented == accepted
 
 
 def test_a_retired_analysis_block_is_ignored(tmp_path):
@@ -197,25 +244,16 @@ def test_select_initial_state_mid_spectrum_free_fermions():
 
 
 def test_run_small_system(tmp_path):
+    """A run writes the manifest and exactly the files it lists."""
     manifest = pipeline.run(config.config_from_dict(small_doc(tmp_path)))
     outdir = tmp_path / "out"
-    for name in (
-        "config.json",
-        "occupations.csv",
-        "prediction.csv",
-        "strength.csv",
-        "spreading.json",
-        "plotdata.csv",
+    assert {path.name for path in outdir.iterdir()} == {*manifest.files, "manifest.json"} == {
+        "config.json", "occupations.csv", "prediction.csv", "strength.csv", "plotdata.csv",
         "manifest.json",
-    ):
-        assert (outdir / name).exists(), name
+    }
     assert manifest.derived["n_states"] == 20
-    assert set(manifest.files) >= {"config.json", "occupations.csv", "plotdata.csv"}
     saved = json.loads((outdir / "manifest.json").read_text())
-    assert saved["config_hash"] == manifest.config_hash
-    spreading = json.loads((outdir / "spreading.json").read_text())
-    assert spreading["gamma_gr"] == manifest.derived["gamma_golden_rule"]
-    assert spreading["seed"] == 5 and spreading["config_hash"] == manifest.config_hash
+    assert saved["config_hash"] == manifest.config_hash and saved["seed"] == 5
 
 
 def test_every_table_has_lf_lines_and_full_rows(tmp_path):
@@ -287,7 +325,8 @@ def test_manifest_records_trajectory_diagnostics(tmp_path, grid, interpolated):
     assert set(saved) == {"unitarity_drift", "interpolated_points", "time_nodes"}
     assert 0.0 <= saved["unitarity_drift"] <= tb.dynamics.UNITARITY_TOL
     split, count = saved["interpolated_points"], saved["time_nodes"]
-    points = json.loads((tmp_path / "out" / "occupations.meta.json").read_text())["grid_points"]
+    lines = (tmp_path / "out" / "occupations.csv").read_text().splitlines()
+    points = len([line for line in lines if not line.startswith("#")]) - 1   # less the column row
     if interpolated:
         assert isinstance(count, int) and 1 <= split <= points
         assert count + 2 * (points - split) < 2 * points
@@ -395,8 +434,8 @@ def test_emit_plotdata_empty_grid(tmp_path, small_3_6):
     pred = tb.predict_occupations(
         np.zeros(6), np.zeros(6), np.array([]), empty
     )
-    paths = pipeline.emit_plotdata(traj, pred, tmp_path)
-    text = paths[0].read_text().splitlines()
+    pipeline.emit_plotdata(traj, pred, tmp_path / "plotdata.csv")
+    text = (tmp_path / "plotdata.csv").read_text().splitlines()
     data_lines = [l for l in text if l and not l.startswith("#")]
     assert len(data_lines) == 1  # header row only
 
@@ -406,7 +445,8 @@ def test_emit_plotdata_rejects_mismatched_grids(tmp_path, small_3_6):
         np.zeros(6), np.zeros(6), np.array([0.0]), np.array([0.0])
     )
     with pytest.raises(ParameterError):
-        pipeline.emit_plotdata(small_3_6.trajectory, pred, tmp_path)
+        pipeline.emit_plotdata(small_3_6.trajectory, pred, tmp_path / "plotdata.csv")
+    assert not any(tmp_path.iterdir())
 
 
 def test_plotdata_round_trip_conserves_particles(tmp_path, small_3_6):
@@ -416,7 +456,7 @@ def test_plotdata_round_trip_conserves_particles(tmp_path, small_3_6):
         small_3_6.trajectory.w0,
         small_3_6.grid,
     )
-    pipeline.emit_plotdata(small_3_6.trajectory, pred, tmp_path)
+    pipeline.emit_plotdata(small_3_6.trajectory, pred, tmp_path / "plotdata.csv")
     with open(tmp_path / "plotdata.csv") as fh:
         rows = list(csv.DictReader(l for l in fh if not l.startswith("#")))
     for row in rows[:: max(len(rows) // 8, 1)]:
@@ -465,7 +505,7 @@ def test_main_inspect_against_another_run(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["inspect", outs[0], "--against", outs[1]]) == 0
     out = capsys.readouterr().out
-    for name in ("occupations.csv", "prediction.csv", "strength.csv", "spreading.json"):
+    for name in ("occupations.csv", "prediction.csv", "strength.csv", "plotdata.csv"):
         assert f"{name}: bytes equal" in out
     assert "config.json: max abs diff 0, max rel diff 0" in out   # only output.directory differs
 
@@ -557,17 +597,36 @@ def test_negative_seed_exits_2_before_the_run(tmp_path, capsys):
 
 
 def test_main_flag_overrides(tmp_path, capsys):
+    """--seed and --out override the document's seed and directory; the rest is the document's."""
+    grid = {"kind": "linear", "start": 0.0, "stop": 5.0, "points": 40}
     config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps(small_doc(tmp_path)))
+    config_path.write_text(json.dumps(small_doc(tmp_path, grid=grid)))
     out2 = tmp_path / "other"
-    code = cli.main(
-        ["run", "--config", str(config_path), "--seed", "9", "--out", str(out2),
-         "--grid", "linear:0:5:40"]
-    )
+    code = cli.main(["run", "--config", str(config_path), "--seed", "9", "--out", str(out2)])
     assert code == 0
     saved = json.loads((out2 / "config.json").read_text())
-    assert saved["model"]["seed"] == 9
-    assert saved["grid"]["kind"] == "linear" and saved["grid"]["points"] == 40
+    assert saved["model"]["seed"] == 9 and saved["output"]["directory"] == str(out2)
+    assert saved["grid"] == grid and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--config", "c.json", "--grid", "auto"],
+    ["run", "--config", "c.json", "--eta", "0.2"],
+    ["run", "--config", "c.json", "--initial-state", "0b111"],
+    ["reproduce-fig1", "--grid", "auto"],
+    ["reproduce-fig2", "--grid", "log:0.01:10:50"],
+    ["sweep", "--eta", "0.1", "--grid", "auto"],
+])
+def test_retired_flags_exit_2_before_any_output(tmp_path, capsys, argv):
+    """The grid, eta and initial state have one way in, the config document: a flag for one
+    of them is a usage error (exit 2) before any file is written."""
+    (tmp_path / "c.json").write_text(json.dumps(small_doc(tmp_path)))
+    argv = [str(tmp_path / arg) if arg == "c.json" else arg for arg in argv]
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([*argv, "--out", str(tmp_path / "out")])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_main_sweep(tmp_path, capsys):
@@ -616,8 +675,7 @@ def test_reproduce_fig1_manifest_values(tmp_path, capsys):
     assert abs(derived["gamma_golden_rule"] / 0.50 - 1) < 0.30
     assert abs(derived["delta_e"] / 1.16 - 1) < 0.15
     assert derived["n_states"] == 924
-    meta = json.loads((tmp_path / "fig1" / "occupations.meta.json").read_text())
-    assert meta["seed"] == 1 and meta["model"]["eta"] == 0.003
+    assert manifest["seed"] == 1 and manifest["config"]["model"]["eta"] == 0.003
     lines = (tmp_path / "fig1" / "plotdata.csv").read_text().splitlines()
     rows = [line.split(",") for line in lines if not line.startswith("#")]
     column = rows[0].index("W0_saturation")
@@ -636,25 +694,6 @@ def test_main_numerical_stage_error_exit_code(tmp_path, capsys):
     assert cli.main(["run", "--config", str(config_path)]) == 3
     err = capsys.readouterr().err
     assert "diagonalization" in err
-
-
-def test_grid_flag_parsing():
-    assert cli._parse_grid_flag("auto") == {"kind": "auto"}
-    assert cli._parse_grid_flag("auto:200") == {"kind": "auto", "points": 200}
-    assert cli._parse_grid_flag("log:0.01:10:50") == {
-        "kind": "log", "start": 0.01, "stop": 10.0, "points": 50,
-    }
-    for bad in ("weird:1:2:3", "auto:abc", "log:1:x:10"):
-        with pytest.raises(ParameterError, match=bad):
-            cli._parse_grid_flag(bad)
-
-
-def test_unparsable_grid_flag_exits_2(tmp_path, capsys):
-    path = tmp_path / "c.json"
-    path.write_text(json.dumps(small_doc(tmp_path)))
-    assert cli.main(["run", "--config", str(path), "--grid", "auto:abc"]) == 2
-    assert "auto:abc" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():

@@ -156,7 +156,7 @@ def test_fit_hybrid_wide_band_limit_matches_bw():
 
 
 def test_fit_hybrid_normalization_self_consistent(fig2):
-    fit = tb.fit_hybrid(fig2.profile, fig2.stats, gamma0=fig2.gamma)
+    fit = tb.fit_hybrid(fig2.profile, gamma0=fig2.gamma)
     assert fit.b_derived == pytest.approx(fit.b_fitted, rel=0.10)
 
 
@@ -230,7 +230,7 @@ def test_flipped_jacobian_column_fails_the_oracle(monkeypatch):
 
 def test_fit_hybrid_sigma_meets_the_moment_identity(fig2):
     """The fitted shape's second moment about E_i is the profile's, Delta_E^2."""
-    fit = tb.fit_hybrid(fig2.profile, fig2.stats, gamma0=fig2.gamma)
+    fit = tb.fit_hybrid(fig2.profile, gamma0=fig2.gamma)
     e = np.linspace(fig2.profile.energies[0], fig2.profile.energies[-1], strength.MOMENT_NODES)
     shape = hybrid_shape(1.0, fit.e_c, fit.sigma, fit.gamma, e_i=fig2.profile.e_i)(e)
     moment = np.trapezoid(shape * (e - fig2.profile.e_i) ** 2, e) / np.trapezoid(shape, e)
@@ -241,7 +241,7 @@ def test_fit_hybrid_sigma_meets_the_moment_identity(fig2):
 def test_fit_diagnostics(fig2):
     """Iterations, standard errors and bound flags come with every fit."""
     bw = tb.fit_bw(fig2.profile, gamma0=fig2.gamma)
-    hybrid = tb.fit_hybrid(fig2.profile, fig2.stats, gamma0=fig2.gamma)
+    hybrid = tb.fit_hybrid(fig2.profile, gamma0=fig2.gamma)
     assert bw.iterations > 0 and hybrid.iterations > 0
     assert set(bw.stderr) == {"gamma", "center"}
     assert set(hybrid.stderr) == {"b_fitted", "gamma"}
