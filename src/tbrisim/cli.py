@@ -26,7 +26,7 @@ from pathlib import Path
 
 from .config import PRESETS, config_from_dict
 from .exceptions import ParameterError, StageError
-from .export import write_json, write_table
+from .export import write_table
 # The benchmark (perfbench/) looks up run, emit_plotdata and config_from_dict in this module.
 from .pipeline import _sha256, emit_plotdata, run  # noqa: F401
 
@@ -137,22 +137,23 @@ def _cmd_sweep(args) -> int:
     base_doc = _apply_overrides(_load_config_doc(args.config), args)
     base = config_from_dict(base_doc)   # a bad base config exits 2 before any run
     root = Path(base.outdir if "directory" in _block(base_doc, "output") else "runs/sweep")
-    summary = []
-    for eta in etas:
+    configs = []
+    for eta in etas:   # every eta's config is checked before the first run
         doc = copy.deepcopy(base_doc)
         _block(doc, "model")["eta"] = eta
         _block(doc, "output")["directory"] = str(root / f"eta={eta!r}")
-        manifest = run(config_from_dict(doc))
+        configs.append(config_from_dict(doc))
+    summary = []
+    for eta, config in zip(etas, configs):
+        manifest = run(config)
         d = manifest.derived
         summary.append({"eta": eta, "gamma_golden_rule": d["gamma_golden_rule"],
                         "gamma_bw_fit": d["bw_fit"].get("gamma"), "delta_e": d["delta_e"],
                         "n_pc_ipr": d["n_pc_ipr"], "rms_eq14": d["rms_eq14"],
                         "config_hash": manifest.config_hash})
     root.mkdir(parents=True, exist_ok=True)
-    write_json(root / "summary.json", summary)
-    cols = [c for c in summary[0] if c != "config_hash"]
-    write_table(root / "summary.csv", {c: [row[c] for row in summary] for c in cols})
-    print(f"sweep summary in {root / 'summary.json'}")
+    write_table(root / "summary.csv", {c: [row[c] for row in summary] for c in summary[0]})
+    print(f"sweep summary in {root / 'summary.csv'}")
     return 0
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from . import dynamics, strength, theory
 from .basis import build_basis, classify, occupation_bits
 from .config import ExperimentConfig, _initial_bitmask, config_hash
-from .exceptions import FitConvergenceError, ParameterError, PreconditionError, StageError
+from .exceptions import FitConvergenceError, PreconditionError, StageError
 from .export import write_json, write_table
 from .hamiltonian import HamiltonianMatrix, build_hamiltonian, sample_spectrum, sample_two_body
 from .spectral import PROBES, _sorted_median, diagonalize, spectral_stats
@@ -102,37 +102,19 @@ def _sha256(path: Path) -> str:
 
 
 def emit_plotdata(
-    trajectory: dynamics.OccupationTrajectory,
-    prediction: theory.ThermalizationPrediction,
-    path,
-    *,
-    models: theory.SurvivalModelCurves | None = None,
-    header_lines=(),
+    grid: dynamics.TimeGrid, models: theory.SurvivalModelCurves, path, *, header_lines=()
 ) -> None:
-    """Write the aligned exact-vs-predicted table used to draw the figures.
+    """Write the model W0 curves that the figures overlay: t, W0_model_bw, W0_model_gaussian.
 
-    Columns: t, exact n_alpha, predicted n_alpha, W0 plus model overlays,
-    then the class populations.
+    The exact and interpolated series drawn against them are in occupations.csv
+    and prediction.csv, row for row on the same t.
     """
-    times = trajectory.grid.points
-    if not np.array_equal(prediction.grid.points, times):
-        raise ParameterError("trajectory and prediction grids differ")
     columns = {
-        "t": times,
-        **{f"n_exact_{a}": row for a, row in enumerate(trajectory.occupations)},
-        **{f"n_pred_{a}": row for a, row in enumerate(prediction.occupations)},
-        "W0": trajectory.w0,
+        "t": grid.points,
+        "W0_model_bw": models.breit_wigner,
+        "W0_model_gaussian": models.gaussian,
     }
-    if models:
-        columns.update(
-            W0_model_bw=models.breit_wigner,
-            W0_model_gaussian=models.gaussian,
-            W0_saturation=models.saturation,
-        )
-    columns.update(
-        (f"W_{s}", row) for s, row in enumerate(trajectory.class_populations[1:], start=1)
-    )
-    header = [*header_lines, "exact occupations vs interpolated prediction; times in 1/energy units"]
+    header = [*header_lines, "model survival curves; times in 1/energy units"]
     write_table(path, columns, header_lines=header)
 
 
@@ -198,9 +180,7 @@ def run(config: ExperimentConfig) -> RunManifest:
             trajectory.occupations - prediction.occupations, prediction.grid.points
         )
         n_pc_env = theory.n_pc_envelope(profile, stats)
-        models = None
-        if spreading.gamma_gr > 0 and spreading.delta_e > 0:
-            models = theory.survival_models(spreading, n_pc_env, grid)
+        models = theory.survival_models(gamma_gr, delta_e, grid)
         fd, fd_record = _attempt_fit(theory.fit_fermi_dirac, n_inf, spectrum, params.n)
         if fd and fd.infinite_temperature:   # JSON has no inf or NaN
             fd_record.update(temperature="inf", mu=None)
@@ -215,9 +195,7 @@ def run(config: ExperimentConfig) -> RunManifest:
         dynamics.write_trajectory_csv(trajectory, out("occupations.csv"), header_lines=header_lines)
         theory.write_prediction_csv(prediction, out("prediction.csv"), header_lines=header_lines)
         strength.write_profile_csv(profile, out("strength.csv"), header_lines=header_lines)
-        emit_plotdata(
-            trajectory, prediction, out("plotdata.csv"), models=models, header_lines=header_lines
-        )
+        emit_plotdata(grid, models, out("plotdata.csv"), header_lines=header_lines)
 
         derived = {
             "n_states": basis.size,

@@ -5,10 +5,10 @@ The central relation is the two-reservoir interpolation
     n_alpha(t) = n_alpha(0) * W0(t) + n_alpha(inf) * (1 - W0(t)),
 
 which assumes every escape from the initial state lands in the already
-thermalized remainder.  Model survival curves (exponential, Gaussian,
-saturation floor), the principal-component count of the smoothed
-strength-function envelope, and a Fermi-Dirac fit of the asymptotic
-occupations complete the comparison toolkit.
+thermalized remainder.  Model survival curves (exponential, Gaussian),
+the principal-component count of the smoothed strength-function envelope,
+and a Fermi-Dirac fit of the asymptotic occupations complete the
+comparison toolkit.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .exceptions import ParameterError, PreconditionError
 from .export import write_table
 from .hamiltonian import SingleParticleSpectrum
 from .spectral import SpectralStats
-from .strength import SpreadingParams, StrengthProfile
+from .strength import StrengthProfile
 
 UNIFORM_TOL = 1e-9
 ENVELOPE_BLOCK = 256
@@ -40,11 +40,10 @@ class ThermalizationPrediction:
 
 @dataclass(frozen=True)
 class SurvivalModelCurves:
-    """Model W0 curves: exponential, Gaussian and the saturation floor."""
+    """Model W0 curves: exponential and Gaussian."""
 
     breit_wigner: np.ndarray
     gaussian: np.ndarray
-    saturation: float
 
 
 @dataclass(frozen=True)
@@ -81,15 +80,14 @@ def predict_occupations(n0, ninf, w0, grid=None) -> ThermalizationPrediction:
     return ThermalizationPrediction(grid=times, occupations=occupations)
 
 
-def survival_models(params: SpreadingParams, n_pc: float, grid) -> SurvivalModelCurves:
-    """Comparison curves exp(-Gamma t), exp(-Delta_E^2 t^2) and the 3/N_pc floor."""
-    if params.gamma_gr <= 0 or params.delta_e <= 0:
-        raise ParameterError("survival models need positive Gamma and Delta_E")
+def survival_models(gamma: float, delta_e: float, grid) -> SurvivalModelCurves:
+    """Comparison curves exp(-Gamma t) and exp(-Delta_E^2 t^2); a zero width gives ones."""
+    if not (gamma >= 0 and delta_e >= 0):   # NaN fails both
+        raise ParameterError(f"survival models need widths >= 0, got {gamma!r}, {delta_e!r}")
     t = _times(grid)
     return SurvivalModelCurves(
-        breit_wigner=np.exp(-params.gamma_gr * t),
-        gaussian=np.exp(-(params.delta_e**2) * t * t),
-        saturation=3.0 / n_pc if n_pc > 0 else 0.0,
+        breit_wigner=np.exp(-gamma * t),
+        gaussian=np.exp(-(delta_e**2) * t * t),
     )
 
 

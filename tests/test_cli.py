@@ -392,6 +392,10 @@ def test_run_free_fermions_frozen(tmp_path):
     assert last == pytest.approx(first, abs=1e-12)
     assert all(abs(float(r["W0"]) - 1.0) < 1e-12 for r in rows)
     assert manifest.derived["gamma_golden_rule"] == 0.0
+    with open(tmp_path / "out" / "plotdata.csv") as fh:   # zero widths: both model curves are 1
+        models = list(csv.DictReader(l for l in fh if not l.startswith("#")))
+    assert len(models) == len(rows)
+    assert {(r["W0_model_bw"], r["W0_model_gaussian"]) for r in models} == {("1", "1")}
 
 
 def test_run_deterministic_outputs(tmp_path):
@@ -426,44 +430,41 @@ def test_eq14_starts_from_the_initial_bitmask_on_a_late_grid(tmp_path):
         assert np.abs(predicted - expected).max() <= 1e-15, a
 
 
-def test_emit_plotdata_empty_grid(tmp_path, small_3_6):
+def test_emit_plotdata_empty_grid(tmp_path):
     empty = tb.TimeGrid(np.array([]))
-    traj = tb.simulate_trajectory(
-        small_3_6.decomp, small_3_6.basis, small_3_6.partition, small_3_6.i, empty
-    )
-    pred = tb.predict_occupations(
-        np.zeros(6), np.zeros(6), np.array([]), empty
-    )
-    pipeline.emit_plotdata(traj, pred, tmp_path / "plotdata.csv")
+    pipeline.emit_plotdata(empty, tb.survival_models(1.0, 1.0, empty), tmp_path / "plotdata.csv")
     text = (tmp_path / "plotdata.csv").read_text().splitlines()
     data_lines = [l for l in text if l and not l.startswith("#")]
-    assert len(data_lines) == 1  # header row only
+    assert data_lines == ["t,W0_model_bw,W0_model_gaussian"]  # column row only
 
 
-def test_emit_plotdata_rejects_mismatched_grids(tmp_path, small_3_6):
-    pred = tb.predict_occupations(
-        np.zeros(6), np.zeros(6), np.array([0.0]), np.array([0.0])
-    )
-    with pytest.raises(ParameterError):
-        pipeline.emit_plotdata(small_3_6.trajectory, pred, tmp_path / "plotdata.csv")
-    assert not any(tmp_path.iterdir())
+def test_trajectory_tables_join_row_by_row(tmp_path):
+    """fig2 seed 1: occupations.csv, prediction.csv and plotdata.csv have the same rows on
+    byte-identical t cells, so each series is written once and the tables join losslessly.
 
-
-def test_plotdata_round_trip_conserves_particles(tmp_path, small_3_6):
-    pred = tb.predict_occupations(
-        small_3_6.trajectory.occupations[:, 0],
-        small_3_6.n_inf,
-        small_3_6.trajectory.w0,
-        small_3_6.grid,
-    )
-    pipeline.emit_plotdata(small_3_6.trajectory, pred, tmp_path / "plotdata.csv")
-    with open(tmp_path / "plotdata.csv") as fh:
-        rows = list(csv.DictReader(l for l in fh if not l.startswith("#")))
-    for row in rows[:: max(len(rows) // 8, 1)]:
-        exact = sum(float(row[f"n_exact_{a}"]) for a in range(6))
-        pred_sum = sum(float(row[f"n_pred_{a}"]) for a in range(6))
-        assert exact == pytest.approx(3.0, abs=1e-10)
-        assert pred_sum == pytest.approx(3.0, abs=1e-10)
+    The model cells are exp(-Gamma t) and exp(-Delta_E^2 t^2) of the manifest's widths bit
+    for bit, and every row of the exact and of the eq.-14 occupations holds the n = 6
+    particles.
+    """
+    out = tmp_path / "fig2"
+    assert cli.main(["reproduce-fig2", "--seed", "1", "--out", str(out)]) == 0
+    derived = json.loads((out / "manifest.json").read_text())["derived"]
+    tables = []
+    for name in ("occupations.csv", "prediction.csv", "plotdata.csv"):
+        with open(out / name) as fh:
+            tables.append(list(csv.DictReader(l for l in fh if not l.startswith("#"))))
+    exact, predicted, models = tables
+    assert len(exact) == len(predicted) == len(models) > 1
+    assert [r["t"] for r in exact] == [r["t"] for r in predicted] == [r["t"] for r in models]
+    t = np.array([float(r["t"]) for r in models])
+    gamma, delta_e = derived["gamma_golden_rule"], derived["delta_e"]
+    bw = np.array([float(r["W0_model_bw"]) for r in models])
+    gaussian = np.array([float(r["W0_model_gaussian"]) for r in models])
+    assert np.array_equal(bw, np.exp(-gamma * t))
+    assert np.array_equal(gaussian, np.exp(-(delta_e**2) * t * t))
+    for rows in (exact, predicted):
+        sums = [sum(float(r[f"n_{a}"]) for a in range(12)) for r in rows]
+        assert np.abs(np.array(sums) - 6.0).max() <= 1e-10
 
 
 def test_main_run_and_inspect(tmp_path, capsys):
@@ -638,10 +639,23 @@ def test_main_sweep(tmp_path, capsys):
         ["sweep", "--eta", "0.02,0.05", "--config", str(config_path)]
     )
     assert code == 0
-    summary = json.loads((tmp_path / "sweep" / "summary.json").read_text())
-    assert [row["eta"] for row in summary] == [0.02, 0.05]
-    assert (tmp_path / "sweep" / "eta=0.02" / "manifest.json").exists()
-    assert (tmp_path / "sweep" / "summary.csv").exists()
+    with open(tmp_path / "sweep" / "summary.csv") as fh:
+        summary = list(csv.DictReader(fh))
+    assert [float(row["eta"]) for row in summary] == [0.02, 0.05]
+    for row in summary:   # one summary, whose rows name their runs by config hash
+        manifest = tmp_path / "sweep" / f"eta={float(row['eta'])!r}" / "manifest.json"
+        assert row["config_hash"] == json.loads(manifest.read_text())["config_hash"]
+    assert not (tmp_path / "sweep" / "summary.json").exists()
+
+
+def test_sweep_checks_every_eta_before_the_first_run(tmp_path, capsys):
+    """One invalid eta exits 2 before any run: the sweep creates no directory."""
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(small_doc(tmp_path, output={
+        "directory": str(tmp_path / "sweep")})))
+    assert cli.main(["sweep", "--eta", "0.1,nan", "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "sweep").exists()
 
 
 def test_sweep_gives_each_eta_its_own_directory(tmp_path, capsys):
@@ -676,11 +690,8 @@ def test_reproduce_fig1_manifest_values(tmp_path, capsys):
     assert abs(derived["delta_e"] / 1.16 - 1) < 0.15
     assert derived["n_states"] == 924
     assert manifest["seed"] == 1 and manifest["config"]["model"]["eta"] == 0.003
-    lines = (tmp_path / "fig1" / "plotdata.csv").read_text().splitlines()
-    rows = [line.split(",") for line in lines if not line.startswith("#")]
-    column = rows[0].index("W0_saturation")
-    floor = 3.0 / derived["n_pc_envelope"]
-    assert {float(row[column]) for row in rows[1:]} == {floor}
+    floor = derived["saturation_3_over_npc_envelope"]
+    assert floor == 3.0 / derived["n_pc_envelope"]
     assert floor / 2 <= derived["w0_longtime_average"] <= 2 * floor
 
 

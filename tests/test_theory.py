@@ -51,22 +51,21 @@ def test_prediction_rejects_mismatched_lengths():
 
 
 def test_survival_models_at_zero():
-    params = tb.SpreadingParams(
-        gamma_gr=0.5, delta_e=1.2, sigma=1.2, e_c=0.0, n_pc_ratio=30.0, n_pc_ipr=30.0
-    )
-    curves = tb.survival_models(params, 30.0, np.array([0.0, 2.0]))
+    """At t = 0 both curves are 1; a zero width gives the constant curve 1."""
+    curves = tb.survival_models(0.5, 1.2, np.array([0.0, 2.0]))
     assert curves.breit_wigner[0] == 1.0
     assert curves.gaussian[0] == 1.0
     assert curves.breit_wigner[1] == pytest.approx(math.exp(-1.0))
-    assert curves.saturation == pytest.approx(0.1)
+    frozen = tb.survival_models(0.0, 0.0, np.array([0.0, 2.0, 1e6]))
+    assert np.array_equal(frozen.breit_wigner, np.ones(3))
+    assert np.array_equal(frozen.gaussian, np.ones(3))
 
 
 def test_survival_models_require_positive_widths():
-    params = tb.SpreadingParams(
-        gamma_gr=0.0, delta_e=1.0, sigma=1.0, e_c=0.0, n_pc_ratio=1.0, n_pc_ipr=1.0
-    )
-    with pytest.raises(ParameterError):
-        tb.survival_models(params, 10.0, np.array([0.0]))
+    """A negative or NaN width is refused; a zero width is not (see above)."""
+    for gamma, delta_e in [(-0.1, 1.0), (1.0, -0.1), (math.nan, 1.0), (1.0, math.nan)]:
+        with pytest.raises(ParameterError):
+            tb.survival_models(gamma, delta_e, np.array([0.0]))
 
 
 def _ladder_profile(weights):
