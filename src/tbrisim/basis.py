@@ -14,7 +14,7 @@ convention.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
@@ -29,26 +29,28 @@ FockState = int
 class Basis:
     """All binomial(m, n) states of n fermions on m orbitals.
 
-    States are sorted by ascending bitmask value; ``index`` maps a bitmask
-    back to its position and is the exact inverse of ``states``.
+    States are sorted by ascending bitmask value, so ``position`` finds a
+    bitmask by binary search.
     """
 
     n: int
     m: int
     states: np.ndarray                       # int64, ascending bitmasks
-    index: dict[int, int] = field(repr=False)
 
     @property
     def size(self) -> int:
         return len(self.states)
 
     def position(self, state: FockState) -> int:
-        try:
-            return self.index[int(state)]
-        except KeyError:
+        """Index of ``state`` in ``states``; PreconditionError if it is not a basis state."""
+        state = int(state)
+        # outside [0, 2^m) a bitmask is no state, and may not fit an int64
+        j = int(np.searchsorted(self.states, state)) if 0 <= state < 1 << self.m else self.size
+        if j == self.size or self.states[j] != state:
             raise PreconditionError(
                 f"state {state:#x} is not an {self.n}-particle state on {self.m} orbitals"
-            ) from None
+            )
+        return j
 
 
 @dataclass(frozen=True)
@@ -74,13 +76,12 @@ def build_basis(n: int, m: int) -> Basis:
     """Enumerate all n-of-m occupation bitmasks in ascending order."""
     if n <= 0 or n > m:
         raise ParameterError(f"need 0 < n <= m, got n={n}, m={m}")
-    states = basis_states(n, m)
-    return Basis(n=n, m=m, states=states, index={v: j for j, v in enumerate(states.tolist())})
+    return Basis(n=n, m=m, states=basis_states(n, m))
 
 
 @functools.lru_cache(maxsize=2)
 def basis_states(n: int, m: int) -> np.ndarray:
-    """The ascending int64 bitmasks of ``build_basis(n, m)``, without the index; read-only."""
+    """The ascending int64 bitmasks of ``build_basis(n, m)``; read-only, shared through the cache."""
     masks = sorted(
         sum(1 << s for s in occ) for occ in combinations(range(m), n)
     )

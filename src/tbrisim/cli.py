@@ -147,7 +147,8 @@ def _cmd_sweep(args) -> int:
     for eta, config in zip(etas, configs):
         manifest = run(config)
         d = manifest.derived
-        summary.append({"eta": eta, "gamma_golden_rule": d["gamma_golden_rule"],
+        # eta as its repr, the text of its run directory's name
+        summary.append({"eta": repr(eta), "gamma_golden_rule": d["gamma_golden_rule"],
                         "gamma_bw_fit": d["bw_fit"].get("gamma"), "delta_e": d["delta_e"],
                         "n_pc_ipr": d["n_pc_ipr"], "rms_eq14": d["rms_eq14"],
                         "config_hash": manifest.config_hash})

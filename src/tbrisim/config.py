@@ -30,7 +30,7 @@ PRESETS = {
 _FIG1_ETA = PRESETS["reproduce-fig1"]["model"]["eta"]   # the default model is figure 1's
 DEFAULTS = {
     "config_version": 1,
-    "model": {"n": 6, "m": 12, "eta": _FIG1_ETA, "seed": 1, "d0": 1.0, "jitter": 0.0},
+    "model": {"n": 6, "m": 12, "eta": _FIG1_ETA, "seed": 1, "jitter": 0.0},
     "initial_state": "mid-spectrum",
     "grid": {"kind": "auto", "start": None, "stop": None, "points": 400},
     "output": {"directory": "run"},
@@ -44,6 +44,11 @@ RETIRED = {
     "config.hamiltonian": (
         lambda block: isinstance(block, dict) and all(v is True for v in block.values()),
         "the one-orbital-term and diagonal-pair-term switches are retired; only true is accepted",
+    ),
+    "config.model.d0": (
+        lambda value: value == 1 and not isinstance(value, bool),
+        "energies are in units of the ladder spacing, so only 1 is accepted; "
+        "another spacing d0 gives d0 times the run at 1",
     ),
     "config.output.formats": (
         lambda value: isinstance(value, list) and all(fmt == "csv" for fmt in value),

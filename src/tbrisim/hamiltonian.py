@@ -1,13 +1,14 @@
 """Random two-body interaction Hamiltonian H = H0 + V on the Fock basis.
 
-H0 is a fixed single-particle ladder (mean spacing d0, optional uniform
-jitter); V is a Gaussian random two-body operator
+H0 is a fixed single-particle ladder of unit mean spacing (optional
+uniform jitter); V is a Gaussian random two-body operator
 
     V = sum_{p<q, r<s} V[(p,q),(r,s)] a+_p a+_q a_s a_r,
 
 with one independent draw per unordered pair of index pairs and
 V[(p,q),(r,s)] = V[(r,s),(p,q)], so V is real symmetric.  The dimensionless
-strength eta fixes the element variance: var(V) = eta * d0**2.
+strength eta fixes the element variance: var(V) = eta.  Energies are in
+units of the ladder spacing d0: a ladder of spacing d0 gives d0 times this H.
 """
 
 from __future__ import annotations
@@ -31,18 +32,17 @@ _TENSOR_STREAM = 1
 class ModelParams:
     """Defining parameters of one disorder realization.
 
-    eta is the mean squared two-body element in units of d0**2; jitter
-    displaces each single-particle level by jitter*d0*u with u uniform on
-    [-1/2, 1/2].  The seed fixes both the level jitter and the tensor.
-    eta and d0 must be finite, and the seed non-negative; m is at most 63,
-    since a basis state is an int64 bitmask.
+    eta is the mean squared two-body element in units of the squared
+    ladder spacing; jitter displaces each single-particle level by jitter*u
+    spacings with u uniform on [-1/2, 1/2].  The seed fixes both the level
+    jitter and the tensor.  eta must be finite, and the seed non-negative;
+    m is at most 63, since a basis state is an int64 bitmask.
     """
 
     n: int
     m: int
     eta: float
     seed: int
-    d0: float = 1.0
     jitter: float = 0.0
 
     def __post_init__(self):
@@ -50,10 +50,8 @@ class ModelParams:
             raise ParameterError(f"need 0 < n <= m, got n={self.n}, m={self.m}")
         if self.m > 63:
             raise ParameterError(f"m must be at most 63 (an int64 bitmask), got m={self.m}")
-        if not (math.isfinite(self.eta) and math.isfinite(self.d0)):
-            raise ParameterError(f"eta and d0 must be finite, got eta={self.eta}, d0={self.d0}")
-        if self.d0 <= 0:
-            raise ParameterError(f"d0 must be positive, got {self.d0}")
+        if not math.isfinite(self.eta):
+            raise ParameterError(f"eta must be finite, got {self.eta}")
         if self.eta < 0:
             raise ParameterError(f"eta must be non-negative, got {self.eta}")
         if self.seed < 0:
@@ -107,11 +105,11 @@ class HamiltonianMatrix:
 
 
 def sample_spectrum(params: ModelParams) -> SingleParticleSpectrum:
-    """Equidistant ladder eps_s = d0*s with optional seeded uniform jitter."""
-    rng = np.random.default_rng([params.seed, _SPECTRUM_STREAM])
-    eps = params.d0 * np.arange(params.m, dtype=float)
+    """Equidistant ladder eps_s = s with optional seeded uniform jitter."""
+    eps = np.arange(params.m, dtype=float)
     if params.jitter > 0:
-        eps = eps + params.jitter * params.d0 * (rng.random(params.m) - 0.5)
+        rng = np.random.default_rng([params.seed, _SPECTRUM_STREAM])
+        eps = eps + params.jitter * (rng.random(params.m) - 0.5)
     return SingleParticleSpectrum(epsilon=np.sort(eps))
 
 
@@ -119,8 +117,7 @@ def sample_two_body(params: ModelParams) -> TwoBodyTensor:
     """Draw the symmetric Gaussian pair-pair table: elements (a <= b), row-major, then mirrored."""
     n_pairs = params.m * (params.m - 1) // 2
     rng = np.random.default_rng([params.seed, _TENSOR_STREAM])
-    scale = np.sqrt(params.eta) * params.d0
-    upper = scale * rng.standard_normal(n_pairs * (n_pairs + 1) // 2)
+    upper = np.sqrt(params.eta) * rng.standard_normal(n_pairs * (n_pairs + 1) // 2)
     rows, cols = np.triu_indices(n_pairs)
     matrix = np.zeros((n_pairs, n_pairs))
     matrix[rows, cols] = matrix[cols, rows] = upper

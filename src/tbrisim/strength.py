@@ -58,7 +58,7 @@ class SpreadingParams:
     delta_e: float
     sigma: float
     e_c: float
-    n_pc_ratio: float
+    n_pc_ratio: float | None     # Gamma over the mid-spectrum spacing; None if that is 0
     n_pc_ipr: float
 
 
@@ -167,20 +167,14 @@ def _adaptive_bins(profile: StrengthProfile):
     return centers, np.array(sums) / np.diff(edges)
 
 
-def _check_fit_precondition(profile: StrengthProfile) -> None:
+def _check_fit_precondition(profile: StrengthProfile, gamma0: float) -> None:
     if profile.n_pc_ipr() < MIN_FIT_COMPONENTS:
         raise PreconditionError(
             f"too few principal components ({profile.n_pc_ipr():.2f} < "
             f"{MIN_FIT_COMPONENTS}) to define a line shape"
         )
-
-
-def _quartile_width(profile: StrengthProfile) -> float:
-    """Interquartile width of the weight distribution; equals Gamma for a pure BW."""
-    cum = np.cumsum(profile.weights)
-    lo = float(np.interp(0.25, cum, profile.energies))
-    hi = float(np.interp(0.75, cum, profile.energies))
-    return max(hi - lo, 1e-12)
+    if not (gamma0 > 0 and np.isfinite(gamma0)):   # NaN fails the first test
+        raise PreconditionError(f"the fit's start width must be positive and finite, got {gamma0}")
 
 
 def _box_step(normal, grad, damping, x, lower, upper):
@@ -263,16 +257,15 @@ def _fit_diagnostics(names, x, r, jac, lower, upper, log_params):
     return stderr, at_bound
 
 
-def fit_bw(profile: StrengthProfile, *, gamma0: float | None = None) -> BWFit:
-    """Least-squares Breit-Wigner fit of the binned weight density.
+def fit_bw(profile: StrengthProfile, *, gamma0: float) -> BWFit:
+    """Least-squares Breit-Wigner fit of the binned weight density, started at width ``gamma0``.
 
     Model: (Gamma/2pi) / ((E - E0)^2 + Gamma^2/4), the unit-normalized
     Lorentzian, fitted in (log Gamma, E0).  Returns the fitted width and
     center with the RMS residual relative to the peak height.
     """
-    _check_fit_precondition(profile)
+    _check_fit_precondition(profile, gamma0)
     centers, heights = _adaptive_bins(profile)
-    g0 = gamma0 if gamma0 and gamma0 > 0 else _quartile_width(profile)
     span = profile.energies[-1] - profile.energies[0]
 
     def residual(x):
@@ -286,7 +279,7 @@ def fit_bw(profile: StrengthProfile, *, gamma0: float | None = None) -> BWFit:
     lower = np.array([np.log(1e-9), profile.energies[0] - span])
     upper = np.array([np.log(10 * span), profile.energies[-1] + span])
     x, r, jac, iterations = _levenberg_marquardt(
-        residual, [np.log(g0), profile.e_i], lower, upper
+        residual, [np.log(gamma0), profile.e_i], lower, upper
     )
     stderr, at_bound = _fit_diagnostics(
         ("gamma", "center"), x, r, jac, lower, upper, np.array([True, False])
@@ -349,8 +342,8 @@ def _moment_sigma(u, weights, gamma, target, bounds):
     return float(np.exp(t)), float(-slope(dlog_shape_dlg) / dm_dt), False
 
 
-def fit_hybrid(profile: StrengthProfile, *, gamma0: float | None = None) -> HybridFit:
-    """Fit the Gaussian-band / Lorentzian-core hybrid line shape.
+def fit_hybrid(profile: StrengthProfile, *, gamma0: float) -> HybridFit:
+    """Fit the Gaussian-band / Lorentzian-core hybrid line shape, started at width ``gamma0``.
 
     Model for the weight density:
         B * exp(-(E - E_c)^2 / (2 sigma^2)) / ((E - E_i)^2 + Gamma^2/4)
@@ -364,9 +357,8 @@ def fit_hybrid(profile: StrengthProfile, *, gamma0: float | None = None) -> Hybr
     root on weak-coupling profiles.  B is reported both as fitted and as
     re-derived from unit normalization of the shape.
     """
-    _check_fit_precondition(profile)
+    _check_fit_precondition(profile, gamma0)
     centers, heights = _adaptive_bins(profile)
-    g0 = gamma0 if gamma0 and gamma0 > 0 else _quartile_width(profile)
     e_i = profile.e_i
     target = profile.second_central_moment()
     span = profile.energies[-1] - profile.energies[0]
@@ -387,12 +379,12 @@ def fit_hybrid(profile: StrengthProfile, *, gamma0: float | None = None) -> Hybr
         model = np.exp(x[0]) * unit
         return model - heights, np.column_stack([model, model * dlog_dlg])
 
-    unit = shape(g0)[0]   # B enters linearly: start from its least-squares value
+    unit = shape(gamma0)[0]   # B enters linearly: start from its least-squares value
     b0 = max(float(unit @ heights) / float(unit @ unit), 1e-300)
     lower = np.array([-np.inf, np.log(1e-9)])
     upper = np.array([np.inf, np.log(10 * span)])
     x, r, jac, iterations = _levenberg_marquardt(
-        residual, [np.log(b0), np.log(g0)], lower, upper
+        residual, [np.log(b0), np.log(gamma0)], lower, upper
     )
     stderr, at_bound = _fit_diagnostics(
         ("b_fitted", "gamma"), x, r, jac, lower, upper, np.array([True, True])
@@ -442,7 +434,7 @@ def spreading_params(
         delta_e=delta_e,
         sigma=sigma,
         e_c=profile.e_i,
-        n_pc_ratio=gamma_gr / mean_spacing if mean_spacing > 0 else np.inf,
+        n_pc_ratio=gamma_gr / mean_spacing if mean_spacing > 0 else None,
         n_pc_ipr=profile.n_pc_ipr(),
     )
 

@@ -53,7 +53,7 @@ class FermiDiracFit:
     ``infinite_temperature`` flags the degenerate uniform profile n/m, where
     T diverges and mu is fixed only by symmetry; ``mu`` is NaN there.
     ``at_bound`` holds "temperature" when T ends within one scan step of
-    either end of the scanned range [1e-3 d0, 1e6 d0], or when the misfit
+    either end of the scanned range [1e-3, 1e6] level spacings, or when the misfit
     at the scan's end on the optimum's side is within rounding (4 eps) of
     its minimum: either way the minimum lies at or beyond the end of the
     scan, and T is only bounded from one side.
@@ -66,8 +66,8 @@ class FermiDiracFit:
     at_bound: tuple[str, ...]
 
 
-def predict_occupations(n0, ninf, w0, grid=None) -> ThermalizationPrediction:
-    """Interpolate between initial and asymptotic occupations with weight W0(t)."""
+def predict_occupations(n0, ninf, w0, grid) -> ThermalizationPrediction:
+    """Interpolate between initial and asymptotic occupations with weight W0(t) on ``grid``."""
     n0 = np.asarray(n0, dtype=float)
     ninf = np.asarray(ninf, dtype=float)
     w0 = np.asarray(w0, dtype=float)
@@ -76,7 +76,9 @@ def predict_occupations(n0, ninf, w0, grid=None) -> ThermalizationPrediction:
     if np.any(w0 < -1e-12) or np.any(w0 > 1 + 1e-12):
         raise ParameterError("W0 series must lie in [0, 1]")
     occupations = n0[:, None] * w0[None, :] + ninf[:, None] * (1.0 - w0[None, :])
-    times = TimeGrid(_times(grid)) if grid is not None else TimeGrid(np.arange(len(w0), dtype=float))
+    times = TimeGrid(_times(grid))
+    if len(times) != len(w0):
+        raise ParameterError(f"W0 has {len(w0)} points, the grid {len(times)}")
     return ThermalizationPrediction(grid=times, occupations=occupations)
 
 

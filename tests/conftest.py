@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -13,6 +14,13 @@ import tbrisim as tb
 FIG1_ETA = 0.003
 FIG2_ETA = 0.083
 MEDIAN_SEEDS = tuple(range(1, 11))
+
+
+def strict_json(text: str):
+    """Parse JSON as a strict parser does: NaN, Infinity and -Infinity are refused."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
 
 
 @dataclass

@@ -114,7 +114,7 @@ def rowwise_two_body(params: ModelParams) -> TwoBodyTensor:
     """``sample_two_body`` as it was: one draw per upper-triangle row, mirrored row by row."""
     n_pairs = params.m * (params.m - 1) // 2
     rng = np.random.default_rng([params.seed, _TENSOR_STREAM])
-    scale = np.sqrt(params.eta) * params.d0
+    scale = np.sqrt(params.eta)
     matrix = np.zeros((n_pairs, n_pairs))
     for a in range(n_pairs):
         row = scale * rng.standard_normal(n_pairs - a)
@@ -238,7 +238,7 @@ def loop_hamiltonian(
     eps = spectrum.epsilon.tolist()
     v = tensor.matrix.tolist()
     pairs = pair_index(basis.m)
-    index = basis.index
+    index = {state: j for j, state in enumerate(basis.states.tolist())}
     n_states = basis.size
     entries = np.zeros((n_states, n_states))
     all_orbitals = range(basis.m)

@@ -7,7 +7,6 @@ seeds 1..10; everything else runs on the documented default seed 1.
 
 from __future__ import annotations
 
-import json
 import os
 import subprocess
 import sys
@@ -20,7 +19,7 @@ import pytest
 import tbrisim as tb
 from tbrisim import cli
 
-from conftest import MEDIAN_SEEDS, realization_widths
+from conftest import MEDIAN_SEEDS, realization_widths, strict_json
 from oracles import expm_amplitudes, occupation_numbers
 
 FIG1_GAMMA_WINDOW = (0.35, 0.65)
@@ -270,7 +269,7 @@ def test_payloads_and_fits_agree_across_blas_thread_counts(tmp_path):
                 if a != b:
                     worst = max(worst, abs(float(a) - float(b)))
     assert worst <= 1e-12
-    manifests = [json.loads((outs[t] / "manifest.json").read_text()) for t in ("1", "2")]
+    manifests = [strict_json((outs[t] / "manifest.json").read_text()) for t in ("1", "2")]
     assert [m["environment"]["blas_threads"] for m in manifests] == [1, 2]
     derived = [m["derived"] for m in manifests]
     w0_avg = [d["w0_longtime_average"] for d in derived]

@@ -53,6 +53,22 @@ def test_basis_canonical_order_and_index():
         basis.position(0b1)  # wrong particle number
 
 
+@pytest.mark.parametrize("state", [
+    0b1,                 # one particle, not three
+    0b10000011,          # three particles, one at orbital 7 = m
+    1 << 9 | 0b11,       # three particles, one above m
+    -0b111,              # negative, with three set bits
+    -1,
+    1 << 63 | 0b11,      # beyond int64
+    1 << 100 | 0b11,
+])
+def test_position_refuses_a_bitmask_that_is_not_a_basis_state(state):
+    """A bitmask with the wrong particle count, a bit at or above m, a negative int or one
+    of 2^63 or more is a PreconditionError, never an OverflowError."""
+    with pytest.raises(PreconditionError):
+        tb.build_basis(3, 7).position(state)
+
+
 def test_orbital_difference_examples():
     f = state_from_orbitals([0, 1])
     assert orbital_difference(f, f) == ((), ())

@@ -18,6 +18,8 @@ import tbrisim as tb
 from tbrisim import cli, config, pipeline, spectral, strength, theory
 from tbrisim.exceptions import FitConvergenceError, ParameterError, PreconditionError
 
+from conftest import strict_json
+
 
 def small_doc(tmp_path, eta=0.1, seed=5, **extra):
     doc = {
@@ -73,6 +75,8 @@ def test_config_validation_errors():
         {"output": {"binary_dumps": "no"}},
         {"model": {**small, "eta": float("nan")}},
         {"model": {**small, "d0": float("inf")}},
+        {"model": {"d0": 2.0}},
+        {"model": {"d0": True}},
         {"initial_state": 63.5},
         {"model": {"eta": 0.083, "sed": 7}, "gird": {"points": 50}},   # misspelt keys
         {"output": {"binary_dump": True}},
@@ -194,12 +198,22 @@ def test_retired_output_keys_at_their_no_op_are_dropped(tmp_path, output):
     assert config.config_hash(parsed.to_dict()) == config.config_hash(plain.to_dict())
 
 
+@pytest.mark.parametrize("d0", [1, 1.0])
+def test_a_unit_ladder_spacing_is_the_default_config(d0):
+    """d0 = 1 is the unit every energy is given in: the key is dropped, so the config and
+    its hash are those of the empty document."""
+    parsed, plain = config.config_from_dict({"model": {"d0": d0}}), config.config_from_dict({})
+    assert parsed == plain and "d0" not in parsed.to_dict()["model"]
+    assert config.config_hash(parsed.to_dict()) == config.config_hash(plain.to_dict())
+
+
 @pytest.mark.parametrize("block, extra, named", [
     ("output", {"formats": ["csv", "json"]}, "occupations.csv holds the table"),
     ("output", {"formats": "csv"}, "occupations.csv holds the table"),
     ("output", {"binary_dumps": True}, "numpy.save on h.entries, decomp.energies"),
     ("output", {"binary_dump": True}, "unknown key"),
     ("model", {"sed": 7}, "unknown key"),
+    ("model", {"d0": 2.0}, "units of the ladder spacing"),
 ])
 def test_retired_values_and_unknown_keys_exit_2(tmp_path, capsys, block, extra, named):
     """Any other value of a retired key, and a key no config has, exits 2 before any output;
@@ -385,6 +399,8 @@ def test_failed_hybrid_fit_falls_back_to_delta_e(tmp_path, monkeypatch):
 def test_run_free_fermions_frozen(tmp_path):
     """eta = 0: occupations never move and W0 stays exactly 1."""
     manifest = pipeline.run(config.config_from_dict(small_doc(tmp_path, eta=0.0)))
+    saved = strict_json((tmp_path / "out" / "manifest.json").read_text())
+    assert saved["derived"]["n_pc_ratio"] == manifest.derived["n_pc_ratio"] == 0.0
     with open(tmp_path / "out" / "occupations.csv") as fh:
         rows = list(csv.DictReader(l for l in fh if not l.startswith("#")))
     first = [float(rows[0][f"n_{a}"]) for a in range(6)]
@@ -396,6 +412,16 @@ def test_run_free_fermions_frozen(tmp_path):
         models = list(csv.DictReader(l for l in fh if not l.startswith("#")))
     assert len(models) == len(rows)
     assert {(r["W0_model_bw"], r["W0_model_gaussian"]) for r in models} == {("1", "1")}
+
+
+def test_free_fermion_manifest_records_the_undefined_n_pc_ratio_as_null(tmp_path):
+    """The default free-fermion model has a mid-spectrum spacing of 0 (the degenerate ladder
+    sums), so Gamma_GR / spacing has no value: n_pc_ratio is null, and the manifest is JSON."""
+    doc = {"model": {"eta": 0.0}, "output": {"directory": str(tmp_path / "out")}}
+    pipeline.run(config.config_from_dict(doc))
+    derived = strict_json((tmp_path / "out" / "manifest.json").read_text())["derived"]
+    assert derived["mean_spacing_mid"] == 0.0 and derived["gamma_golden_rule"] == 0.0
+    assert derived["n_pc_ratio"] is None
 
 
 def test_run_deterministic_outputs(tmp_path):
@@ -641,9 +667,9 @@ def test_main_sweep(tmp_path, capsys):
     assert code == 0
     with open(tmp_path / "sweep" / "summary.csv") as fh:
         summary = list(csv.DictReader(fh))
-    assert [float(row["eta"]) for row in summary] == [0.02, 0.05]
-    for row in summary:   # one summary, whose rows name their runs by config hash
-        manifest = tmp_path / "sweep" / f"eta={float(row['eta'])!r}" / "manifest.json"
+    assert [row["eta"] for row in summary] == ["0.02", "0.05"]   # not 0.050000000000000003
+    for row in summary:   # one summary, whose rows name their run directories and config hashes
+        manifest = tmp_path / "sweep" / f"eta={row['eta']}" / "manifest.json"
         assert row["config_hash"] == json.loads(manifest.read_text())["config_hash"]
     assert not (tmp_path / "sweep" / "summary.json").exists()
 
@@ -684,7 +710,7 @@ def test_reproduce_fig1_manifest_values(tmp_path, capsys):
     """Preset run lands near the reported weak-coupling widths."""
     code = cli.main(["reproduce-fig1", "--out", str(tmp_path / "fig1"), "--seed", "1"])
     assert code == 0
-    manifest = json.loads((tmp_path / "fig1" / "manifest.json").read_text())
+    manifest = strict_json((tmp_path / "fig1" / "manifest.json").read_text())
     derived = manifest["derived"]
     assert abs(derived["gamma_golden_rule"] / 0.50 - 1) < 0.30
     assert abs(derived["delta_e"] / 1.16 - 1) < 0.15

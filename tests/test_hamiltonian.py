@@ -34,15 +34,13 @@ def test_model_params_validation():
     with pytest.raises(ParameterError):
         tb.ModelParams(n=2, m=4, eta=-0.1, seed=1)
     with pytest.raises(ParameterError):
-        tb.ModelParams(n=2, m=4, eta=0.1, seed=1, d0=0.0)
-    with pytest.raises(ParameterError):
         tb.ModelParams(n=2, m=4, eta=0.1, seed=1, jitter=1.0)
     with pytest.raises(ParameterError, match="seed"):
         tb.ModelParams(n=2, m=4, eta=0.1, seed=-1)
     nan, inf = float("nan"), float("inf")
-    for eta, d0 in ((nan, 1.0), (inf, 1.0), (0.1, inf), (0.1, nan)):
+    for eta in (nan, inf):
         with pytest.raises(ParameterError, match="finite"):
-            tb.ModelParams(n=2, m=4, eta=eta, seed=1, d0=d0)
+            tb.ModelParams(n=2, m=4, eta=eta, seed=1)
 
 
 def test_spectrum_equidistant():
@@ -51,7 +49,7 @@ def test_spectrum_equidistant():
 
 
 def test_spectrum_mean_spacing_is_d0():
-    params = tb.ModelParams(n=6, m=12, eta=0.0, seed=4, d0=1.0)
+    params = tb.ModelParams(n=6, m=12, eta=0.0, seed=4)
     assert mean_spacing(tb.sample_spectrum(params)) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -98,7 +96,7 @@ def test_two_body_draw_bitwise_equals_rowwise_loop(m):
 
 
 def test_tensor_variance_matches_eta():
-    """Sample mean of V^2/d0^2 over canonical elements is eta to 5 sigma."""
+    """Sample mean of V^2 over canonical elements is eta to 5 sigma."""
     eta = 0.02
     params = tb.ModelParams(n=6, m=12, eta=eta, seed=21)
     tensor = tb.sample_two_body(params)

@@ -26,6 +26,12 @@ def synthetic_profile(shape_fn, spacing=0.02, half_span=30.0, center=0.0):
     return tb.StrengthProfile(i=0, energies=energies, weights=weights, e_i=e_i)
 
 
+def rms_width(profile):
+    """The profile's second-moment width about E_i: a start for the fits that does not
+    know the answer (the pipeline starts them at Gamma_GR)."""
+    return float(np.sqrt(profile.second_central_moment()))
+
+
 def breit_wigner(gamma, center=0.0):
     return lambda e: (gamma / (2 * np.pi)) / ((e - center) ** 2 + gamma**2 / 4)
 
@@ -118,7 +124,7 @@ def test_golden_rule_scales_linearly_with_eta():
 
 def test_fit_bw_recovers_synthetic_width():
     profile = synthetic_profile(breit_wigner(0.5), spacing=0.005)
-    fit = tb.fit_bw(profile)
+    fit = tb.fit_bw(profile, gamma0=rms_width(profile))
     assert fit.gamma == pytest.approx(0.5, rel=0.05)
     assert fit.center == pytest.approx(0.0, abs=0.05)
 
@@ -127,7 +133,15 @@ def test_fit_bw_rejects_single_component():
     s = make_system(3, 6, eta=0.0, seed=1, initial=4)
     profile = tb.strength_function(s.decomp, 4)
     with pytest.raises(PreconditionError):
-        tb.fit_bw(profile)
+        tb.fit_bw(profile, gamma0=1.0)
+
+
+@pytest.mark.parametrize("gamma0", [0.0, -1.0, float("nan"), float("inf")])
+def test_fits_refuse_a_start_width_that_is_not_positive_and_finite(fig2, gamma0):
+    """Gamma_GR is 0 only without class-1 coupling, and then N_pc < 5 refuses first."""
+    for fit in (tb.fit_bw, tb.fit_hybrid):
+        with pytest.raises(PreconditionError, match="start width"):
+            fit(fig2.profile, gamma0=gamma0)
 
 
 def test_fit_bw_consistent_with_golden_rule(fig1):
@@ -139,7 +153,7 @@ def test_fit_hybrid_recovers_synthetic_parameters():
     profile = synthetic_profile(
         hybrid_shape(1.0, 0.0, 5.8, 10.5), spacing=0.05, half_span=40.0
     )
-    fit = tb.fit_hybrid(profile)
+    fit = tb.fit_hybrid(profile, gamma0=rms_width(profile))
     assert fit.sigma == pytest.approx(5.8, rel=0.10)
     assert fit.gamma == pytest.approx(10.5, rel=0.10)
     assert abs(fit.e_c) < 0.5
@@ -150,8 +164,8 @@ def test_fit_hybrid_wide_band_limit_matches_bw():
     profile = synthetic_profile(
         hybrid_shape(1.0, 0.0, 20.0, 0.5), spacing=0.005, half_span=30.0
     )
-    bw = tb.fit_bw(profile)
-    hybrid = tb.fit_hybrid(profile)
+    bw = tb.fit_bw(profile, gamma0=rms_width(profile))
+    hybrid = tb.fit_hybrid(profile, gamma0=rms_width(profile))
     assert hybrid.gamma == pytest.approx(bw.gamma, rel=0.10)
 
 

@@ -19,19 +19,19 @@ from oracles import kernel_density, scipy_fermi_dirac, smoothed_weight_density
 def test_prediction_frozen_when_w0_is_one():
     n0 = np.array([1.0, 0.0, 1.0])
     ninf = np.array([0.5, 0.5, 0.5])
-    pred = tb.predict_occupations(n0, ninf, np.ones(4))
+    pred = tb.predict_occupations(n0, ninf, np.ones(4), np.arange(4.0))
     assert np.allclose(pred.occupations, n0[:, None])
 
 
 def test_prediction_thermal_when_w0_is_zero():
     n0 = np.array([1.0, 0.0])
     ninf = np.array([0.6, 0.4])
-    pred = tb.predict_occupations(n0, ninf, np.zeros(3))
+    pred = tb.predict_occupations(n0, ninf, np.zeros(3), np.arange(3.0))
     assert np.allclose(pred.occupations, ninf[:, None])
 
 
 def test_prediction_direct_arithmetic():
-    pred = tb.predict_occupations(np.array([1.0]), np.array([0.5]), np.array([0.4]))
+    pred = tb.predict_occupations(np.array([1.0]), np.array([0.5]), np.array([0.4]), [2.0])
     assert pred.occupations[0, 0] == pytest.approx(0.7, abs=1e-15)
 
 
@@ -41,13 +41,15 @@ def test_prediction_conserves_particle_number():
     total = n0.sum()
     ninf = np.full(12, total / 12)
     w0 = rng.random(50)
-    pred = tb.predict_occupations(n0, ninf, w0)
+    pred = tb.predict_occupations(n0, ninf, w0, np.arange(50.0))
     assert np.abs(pred.occupations.sum(axis=0) - total).max() < 1e-12
 
 
 def test_prediction_rejects_mismatched_lengths():
     with pytest.raises(ParameterError):
-        tb.predict_occupations(np.ones(3), np.ones(4), np.ones(5))
+        tb.predict_occupations(np.ones(3), np.ones(4), np.ones(5), np.arange(5.0))
+    with pytest.raises(ParameterError, match="grid"):
+        tb.predict_occupations(np.ones(3), np.ones(3), np.ones(5), np.arange(4.0))
 
 
 def test_survival_models_at_zero():
