@@ -38,7 +38,6 @@ from .hamiltonian import (
 )
 from .spectral import (
     EigenDecomposition,
-    SpectralStats,
     diagonalize,
     spectral_stats,
 )

@@ -79,6 +79,12 @@ def build_basis(n: int, m: int) -> Basis:
     return Basis(n=n, m=m, states=basis_states(n, m))
 
 
+def check_index(i: int, size: int) -> None:
+    """PreconditionError unless 0 <= i < size: a negative basis index is refused too."""
+    if not 0 <= i < size:
+        raise PreconditionError(f"basis index {i} outside [0, {size})")
+
+
 @functools.lru_cache(maxsize=2)
 def basis_states(n: int, m: int) -> np.ndarray:
     """The ascending int64 bitmasks of ``build_basis(n, m)``; read-only, shared through the cache."""

@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass
 
 from .exceptions import ParameterError
 from .hamiltonian import ModelParams
+from .spectral import MIN_WINDOW_LEVELS
 
 # Dense N x N float64 arrays alive at the peak of a run: H, the copy eigh
 # factorizes, its workspace (~2 N^2) and the eigenvectors.
@@ -122,7 +123,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             raise ParameterError("linear grid requires start >= 0 and stop >= 0")
     if grid["points"] < 0:
         raise ParameterError(f"grid points must be a non-negative integer, got {grid['points']!r}")
-    _check_dense_size(model, grid["points"])
+    _check_size(model, grid["points"])
     bitmask = _initial_bitmask(doc["initial_state"], model.n, model.m)
     fields = {name: doc[block][key] for name, (block, key) in _FIELDS.items()}
     # One spelling per initial state, so one experiment has one config hash.
@@ -164,10 +165,24 @@ def config_hash(doc: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _check_dense_size(model: ModelParams, points: int) -> None:
-    """Refuse a run whose dense H, eigendecomposition and (N, points) complex
-    amplitudes exceed physical memory."""
-    states = math.comb(model.m, model.n)
+def _check_size(model: ModelParams, points: int) -> None:
+    """Refuse a model too small for a run's spectral windows or too large for memory.
+
+    A run needs ``MIN_WINDOW_LEVELS`` basis states for the mid-spectrum
+    spacing and, when eta > 0, as many class-1 states, n (m - n) +
+    C(n, 2) C(m - n, 2), for the golden-rule density.  Its dense H,
+    eigendecomposition and (N, points) complex amplitudes must fit in
+    physical memory.
+    """
+    n, m = model.n, model.m
+    states = math.comb(m, n)
+    class1 = n * (m - n) + math.comb(n, 2) * math.comb(m - n, 2)
+    if states < MIN_WINDOW_LEVELS:
+        raise ParameterError(f"n={n}, m={m} has {states} basis states; the mid-spectrum "
+                             f"spacing needs at least {MIN_WINDOW_LEVELS}")
+    if model.eta > 0 and class1 < MIN_WINDOW_LEVELS:
+        raise ParameterError(f"n={n}, m={m} couples {class1} class-1 states; the golden-rule "
+                             f"density needs at least {MIN_WINDOW_LEVELS} when eta > 0")
     need = states**2 * 8 * DENSE_COPIES + states * points * 16
     try:
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -175,7 +190,7 @@ def _check_dense_size(model: ModelParams, points: int) -> None:
         return
     if 0 < physical < need:
         raise ParameterError(
-            f"n={model.n}, m={model.m} has {states} basis states; the dense Hamiltonian, "
+            f"n={n}, m={m} has {states} basis states; the dense Hamiltonian, "
             f"its eigendecomposition and {points} grid points need ~{need / 1e9:.3g} GB, "
             f"more than the {physical / 1e9:.3g} GB of physical memory"
         )

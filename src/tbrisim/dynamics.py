@@ -26,10 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import Basis, ClassPartition, occupancy_matrix
+from .basis import Basis, ClassPartition, check_index, occupancy_matrix
 from .exceptions import ParameterError, PreconditionError
 from .export import write_table
-from .spectral import EigenDecomposition, _mid_spacing
+from .spectral import EigenDecomposition, _mid_spacing, mean_spacing
+from .strength import strength_function
 
 UNITARITY_TOL = 1e-10
 ROW_BLOCK = 256
@@ -113,12 +114,6 @@ def _phases(energies: np.ndarray, times: np.ndarray) -> np.ndarray:
     return out
 
 
-def _spectral_power(weights: np.ndarray, energies: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """|sum_k weights_k exp(-i E_k t)|^2 at every t."""
-    parts = weights @ _phases(energies, times)
-    return parts[0::2] ** 2 + parts[1::2] ** 2
-
-
 def _node_count(omega, most: int) -> np.ndarray:
     """Smallest K <= most with omega^K / (2^(K-1) K!) <= _NODE_EPS, per omega; most + 1 if none."""
     counts = np.arange(1, most + 1)   # the largest omega K nodes resolve grows with K
@@ -183,8 +178,7 @@ def _evolve(
     rows read in place), |A_f(t)|^2 squared in place, the per-time norm sums, W0 and
     the reduction, with no (N, T) array; A_f(t) also goes into ``amplitudes`` when given.
     """
-    if not 0 <= i < decomp.size:
-        raise PreconditionError(f"basis index {i} outside [0, {decomp.size})")
+    check_index(i, decomp.size)
     energies, (split, count) = decomp.energies, _plan(decomp.energies, times)
     centre, even, odd = 0.5 * (energies.max() + energies.min()), (count + 1) // 2, count // 2
     nodes, weights = _chebyshev_nodes(times[split - 1] if split else 0.0, count)
@@ -267,9 +261,9 @@ def evolve_amplitudes(decomp: EigenDecomposition, i: int, grid) -> np.ndarray:
 
 def survival_probability(decomp: EigenDecomposition, i: int, grid) -> np.ndarray:
     """W0(t) = |sum_k w_k exp(-i E_k t)|^2 with w_k the strength weights of i."""
-    if not 0 <= i < decomp.size:
-        raise PreconditionError(f"basis index {i} outside [0, {decomp.size})")
-    return _spectral_power(decomp.vectors[i, :] ** 2, decomp.energies, _times(grid))
+    check_index(i, decomp.size)
+    parts = decomp.vectors[i, :] ** 2 @ _phases(decomp.energies, _times(grid))
+    return parts[0::2] ** 2 + parts[1::2] ** 2
 
 
 _COMPOUND_OCCUPATIONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -293,6 +287,7 @@ def asymptotic_occupations(decomp: EigenDecomposition, i: int, basis: Basis) -> 
     """Diagonal ensemble n_alpha(inf) = sum_k C_i(k)^2 n_alpha^(k): the compound-state
     occupations weighted by the strength function of i (Flambaum & Izrailev, PRE 56,
     5144 (1997)); O(mN) once ``compound_occupations`` holds the decomposition's table."""
+    check_index(i, decomp.size)
     return compound_occupations(decomp, basis) @ decomp.vectors[i] ** 2
 
 
@@ -320,41 +315,18 @@ def simulate_trajectory(
     )
 
 
-def long_time_grid(decomp: EigenDecomposition, i: int, *, samples: int = 256) -> np.ndarray:
-    """Equidistant sampling times for infinite-time averages.
-
-    Spacing is ``LONG_TIME_SPACING`` * pi / D with D the central mean level
-    spacing, which decorrelates the eigenphases; the first sample starts
-    past the decay zone estimated from the strength-function width.
-    """
-    t0, dt = _long_time_origin_step(decomp, i, samples)
-    return t0 + dt * np.arange(samples)
-
-
-def _long_time_origin_step(decomp: EigenDecomposition, i: int, samples: int) -> tuple[float, float]:
-    """(t0, dt) of ``long_time_grid``; (1, 1) for fewer than three levels."""
-    if samples < 200:
-        raise ParameterError(f"need >= 200 samples for a stable average, got {samples}")
-    energies = decomp.energies
-    if len(energies) < 3:
-        return 1.0, 1.0
-    spacing_mid = _mid_spacing(energies)[0]
-    if spacing_mid <= 0:
-        spacing_mid = max((energies[-1] - energies[0]) / (len(energies) - 1), 1e-12)
-    dt = LONG_TIME_SPACING * np.pi / spacing_mid
-    weights = decomp.vectors[i, :] ** 2
-    e_mean = weights @ energies
-    width = np.sqrt(max(weights @ (energies - e_mean) ** 2, 0.0))
-    t0 = max(dt, 50.0 / width) if width > 0 else dt
-    return float(t0), float(dt)
-
-
 def average_survival(decomp: EigenDecomposition, i: int, *, samples: int = 256) -> float:
-    """Long-time average of W0 over the ``samples`` times of ``long_time_grid``.
+    """Long-time average of W0 over ``samples`` equidistant times t_j = t0 + dt j.
 
-    The grid is equidistant, t_j = t0 + dt j, so with j = B a + b,
-    B = ceil(sqrt(samples)) and A = ceil(samples / B) rows, angle addition
-    splits every amplitude into a coarse and a fine phase:
+    dt is ``LONG_TIME_SPACING`` * pi / D, D the mid-spectrum spacing (the
+    global ``mean_spacing`` where that is 0), which decorrelates the
+    eigenphases; t0 = max(dt, 50 / width) starts past the decay zone, width
+    the second-moment width of the strength function of i.  Below three
+    levels t0 = dt = 1.
+
+    With j = B a + b, B = ceil(sqrt(samples)) and A = ceil(samples / B)
+    rows, angle addition splits every amplitude into a coarse and a fine
+    phase:
 
         sum_k w_k exp(-i E_k t_j) = sum_k C[k, a] F[k, b],
         C[k, a] = w_k exp(-i E_k t0) z_k^(B a),   F[k, b] = z_k^b,   z_k = exp(-i E_k dt).
@@ -365,7 +337,7 @@ def average_survival(decomp: EigenDecomposition, i: int, *, samples: int = 256) 
     A x B amplitudes are then one complex product C^T F, and the mean runs
     over its first ``samples`` entries in row-major order.
 
-    Agreement with ``survival_probability(decomp, i, long_time_grid(...)).mean()``:
+    Agreement with ``survival_probability(decomp, i, t).mean()`` on the same times t:
     that path rounds each phase E_k t_j to within 3 eps |E_k| t_j; this one
     rounds the three generating phases to within 2 eps |E_k| t and adds at
     most 5 eps per power (the complex product, and |z_k| off 1 by 2 eps).
@@ -379,11 +351,21 @@ def average_survival(decomp: EigenDecomposition, i: int, *, samples: int = 256) 
     At N=924, max|E_k| t_max reaches ~2e6, so the bound is ~7e-9; the
     phase errors are not aligned, and the measured difference is <= 8e-13.
     """
-    t0, dt = _long_time_origin_step(decomp, i, samples)
+    if samples < 200:
+        raise ParameterError(f"need >= 200 samples for a stable average, got {samples}")
+    profile, energies = strength_function(decomp, i), decomp.energies
+    t0 = dt = 1.0
+    if len(energies) >= 3:
+        spacing_mid = _mid_spacing(energies)[0]
+        if spacing_mid <= 0:
+            spacing_mid = max(mean_spacing(energies), 1e-12)
+        dt = LONG_TIME_SPACING * np.pi / spacing_mid
+        width = math.sqrt(profile.second_central_moment())
+        t0 = max(dt, 50.0 / width) if width > 0 else dt
     fine = math.isqrt(samples - 1) + 1          # B = ceil(sqrt(samples))
     coarse = -(-samples // fine)                # A = ceil(samples / B)
-    base = _phases(decomp.energies, np.array([t0, dt, dt * fine])).view(np.complex128)
-    rows = _powers(base[:, 0] * decomp.vectors[i] ** 2, base[:, 2], coarse)   # C^T
+    base = _phases(energies, np.array([t0, dt, dt * fine])).view(np.complex128)
+    rows = _powers(base[:, 0] * profile.weights, base[:, 2], coarse)           # C^T
     cols = _powers(1.0, base[:, 1], fine)                                      # F^T
     amplitudes = (rows @ cols.T).ravel()[:samples]
     return float(np.mean(amplitudes.real**2 + amplitudes.imag**2))

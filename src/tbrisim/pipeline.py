@@ -156,7 +156,7 @@ def run(config: ExperimentConfig) -> RunManifest:
         h = build_hamiltonian(basis, spectrum, tensor)
     with stage("diagonalization"):
         decomp = diagonalize(h)
-        stats = spectral_stats(decomp)
+        spacing_mid = spectral_stats(decomp)
     with stage("initial-state"):
         i = select_initial_state(h, config.initial_state)
         bitmask = int(basis.states[i])
@@ -167,7 +167,7 @@ def run(config: ExperimentConfig) -> RunManifest:
         gamma_gr = strength.golden_rule_gamma(h, partition, i)
         _, bw_record = _attempt_fit(strength.fit_bw, profile, gamma0=gamma_gr)
         _, hybrid_record = _attempt_fit(strength.fit_hybrid, profile, gamma0=gamma_gr)
-        spreading = strength.spreading_params(profile, delta_e, gamma_gr, stats.mean_spacing_mid)
+        spreading = strength.spreading_params(profile, delta_e, gamma_gr, spacing_mid)
     with stage("dynamics"):
         grid = _build_grid(config, delta_e, gamma_gr, partition.n_classes)
         trajectory = dynamics.simulate_trajectory(decomp, basis, partition, i, grid)
@@ -179,7 +179,7 @@ def run(config: ExperimentConfig) -> RunManifest:
         rms_eq14, max_eq14, rms_eq14_per_point = theory.deviation(
             trajectory.occupations - prediction.occupations, prediction.grid.points
         )
-        n_pc_env = theory.n_pc_envelope(profile, stats)
+        n_pc_env = theory.n_pc_envelope(profile)
         models = theory.survival_models(gamma_gr, delta_e, grid)
         fd, fd_record = _attempt_fit(theory.fit_fermi_dirac, n_inf, spectrum, params.n)
         if fd and fd.infinite_temperature:   # JSON has no inf or NaN
@@ -199,7 +199,7 @@ def run(config: ExperimentConfig) -> RunManifest:
 
         derived = {
             "n_states": basis.size,
-            "mean_spacing_mid": stats.mean_spacing_mid,
+            "mean_spacing_mid": spacing_mid,
             "delta_e": delta_e,
             "gamma_golden_rule": gamma_gr,
             "bw_fit": bw_record,

@@ -16,6 +16,8 @@ PROBE_SEED = 1977
 PROBE_MARGIN = 10.0
 # Width of the Gaussian kernel of a level density, in mean level spacings.
 BANDWIDTH_SPACINGS = 3.0
+# Levels a spectral window must hold: the mid-spectrum spacing's and the golden-rule density's.
+MIN_WINDOW_LEVELS = 10
 # Columns gauged at a time: abs() and argmax's transposed copy stay N x 64,
 # not N x N (halves the gauge at N=3432, where those copies page-fault).
 GAUGE_BLOCK = 64
@@ -40,14 +42,6 @@ class EigenDecomposition:
     @property
     def size(self) -> int:
         return len(self.energies)
-
-
-@dataclass(frozen=True)
-class SpectralStats:
-    """The mean level spacing at mid-spectrum and the bandwidth of a smoothed level density."""
-
-    mean_spacing_mid: float
-    bandwidth: float
 
 
 def diagonalize(h: HamiltonianMatrix | np.ndarray) -> EigenDecomposition:
@@ -123,36 +117,40 @@ def _check_decomposition(
     return ortho, recon
 
 
-def spectral_stats(decomp: EigenDecomposition) -> SpectralStats:
-    """The central mean spacing and the Gaussian-kernel bandwidth of the level density.
+def mean_spacing(levels: np.ndarray) -> float:
+    """Mean nearest-neighbour spacing of ascending ``levels``: their span over their count - 1."""
+    if len(levels) < 2:
+        raise InsufficientStatisticsError(f"a spacing needs at least 2 levels, got {len(levels)}")
+    return float(levels[-1] - levels[0]) / (len(levels) - 1)
 
-    The bandwidth is ``BANDWIDTH_SPACINGS`` global mean spacings.
-    ``mean_spacing_mid`` averages nearest-neighbour spacings over the ~51
-    levels nearest the median energy, and needs at least 10 of them.
+
+def kernel_bandwidth(levels: np.ndarray) -> float:
+    """Width of the Gaussian kernel of a level density: ``BANDWIDTH_SPACINGS`` mean spacings."""
+    return BANDWIDTH_SPACINGS * mean_spacing(levels)
+
+
+def spectral_stats(decomp: EigenDecomposition) -> float:
+    """The mean level spacing at mid-spectrum, over the ~51 levels nearest the median energy.
+
+    It needs at least ``MIN_WINDOW_LEVELS`` of them.
     """
     energies = decomp.energies
-    n_levels = len(energies)
-    if n_levels < 3:
-        raise PreconditionError(f"need at least 3 levels, got {n_levels}")
-    mean_spacing = (energies[-1] - energies[0]) / (n_levels - 1)
+    if len(energies) < 3:
+        raise PreconditionError(f"need at least 3 levels, got {len(energies)}")
     spacing_mid, inside = _mid_spacing(energies)
-    if inside < 10:
-        raise InsufficientStatisticsError(f"only {inside} levels near the median; need >= 10")
-    return SpectralStats(mean_spacing_mid=spacing_mid, bandwidth=BANDWIDTH_SPACINGS * mean_spacing)
+    if inside < MIN_WINDOW_LEVELS:
+        raise InsufficientStatisticsError(f"only {inside} levels near the median; "
+                                          f"need >= {MIN_WINDOW_LEVELS}")
+    return spacing_mid
 
 
 def _mid_spacing(energies: np.ndarray) -> tuple[float, int]:
-    """(mean spacing, level count) of the ~51 levels nearest the median.
-
-    The spacing is the span of those levels over their count minus one, 0
-    for fewer than two.
-    """
+    """(``mean_spacing``, level count) of the ~51 levels nearest the median."""
     median = _sorted_median(energies)
     count = min(51, len(energies))
     window = float(np.sort(np.abs(energies - median))[count - 1]) * (1 + 1e-12)
     inside = energies[np.abs(energies - median) <= window]
-    spacing = float(inside[-1] - inside[0]) / (len(inside) - 1) if len(inside) > 1 else 0.0
-    return spacing, len(inside)
+    return mean_spacing(inside), len(inside)
 
 
 def _sorted_median(values: np.ndarray) -> float:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import ClassPartition
+from .basis import ClassPartition, check_index
 from .exceptions import (
     FitConvergenceError,
     InsufficientStatisticsError,
@@ -21,7 +21,7 @@ from .exceptions import (
 )
 from .export import write_table
 from .hamiltonian import HamiltonianMatrix
-from .spectral import BANDWIDTH_SPACINGS, EigenDecomposition
+from .spectral import MIN_WINDOW_LEVELS, EigenDecomposition, kernel_bandwidth
 
 MIN_BIN_COUNT = 10
 MIN_FIT_COMPONENTS = 5.0
@@ -89,8 +89,7 @@ class HybridFit:
 
 def strength_function(decomp: EigenDecomposition, i: int) -> StrengthProfile:
     """Squared components of basis state i over all eigenstates."""
-    if not 0 <= i < decomp.size:
-        raise PreconditionError(f"basis index {i} outside [0, {decomp.size})")
+    check_index(i, decomp.size)
     weights = decomp.vectors[i, :] ** 2
     e_i = float(weights @ decomp.energies)
     return StrengthProfile(i=i, energies=decomp.energies, weights=weights, e_i=e_i)
@@ -102,6 +101,7 @@ def energy_variance(h: HamiltonianMatrix, i: int) -> float:
     This equals the exact second central moment of the strength function of
     state i, by the operator identity <i|H^2|i> - H_ii^2 = sum_f H_if^2.
     """
+    check_index(i, h.basis.size)
     row = h.entries[i]
     return float(np.sqrt(row @ row - row[i] ** 2))
 
@@ -111,9 +111,10 @@ def golden_rule_gamma(h: HamiltonianMatrix, partition: ClassPartition, i: int) -
 
     The mean square coupling runs over all class-1 states (those reachable
     by one two-body move); rho_f is a Gaussian-kernel density of their
-    diagonal energies evaluated at E_i = H_ii, with bandwidth equal to
-    ``BANDWIDTH_SPACINGS`` mean class-1 spacings.
+    diagonal energies evaluated at E_i = H_ii, with the bandwidth
+    ``kernel_bandwidth`` of those energies.
     """
+    check_index(i, h.basis.size)
     ref = int(h.basis.states[i])
     if partition.reference != ref:
         raise PreconditionError(
@@ -129,14 +130,13 @@ def golden_rule_gamma(h: HamiltonianMatrix, partition: ClassPartition, i: int) -
 
     e_i = h.entries[i, i]
     final_energies = np.sort(h.entries[class1, class1])
-    spacing = (final_energies[-1] - final_energies[0]) / (len(final_energies) - 1)
-    if spacing <= 0:
+    bandwidth = kernel_bandwidth(final_energies)
+    if bandwidth <= 0:
         raise InsufficientStatisticsError("class-1 energies are degenerate")
-    bandwidth = BANDWIDTH_SPACINGS * spacing
     z = (final_energies - e_i) / bandwidth
-    if np.count_nonzero(np.abs(z) <= 3.0) < 10:
+    if np.count_nonzero(np.abs(z) <= 3.0) < MIN_WINDOW_LEVELS:
         raise InsufficientStatisticsError(
-            "fewer than 10 class-1 states within the density window around E_i"
+            f"fewer than {MIN_WINDOW_LEVELS} class-1 states within the density window around E_i"
         )
     rho_f = float(np.exp(-0.5 * z * z).sum() / (bandwidth * np.sqrt(2 * np.pi)))
     return 2 * np.pi * mean_sq * rho_f
@@ -395,9 +395,8 @@ def fit_hybrid(profile: StrengthProfile, *, gamma0: float) -> HybridFit:
         at_bound += ("sigma",)
 
     # Unit normalization of the fitted shape fixes B independently; the integral runs
-    # three level-density bandwidths (as in ``spectral_stats``) past half the span.
-    bandwidth = BANDWIDTH_SPACINGS * (span / (len(profile.energies) - 1))
-    margin = 3 * bandwidth + 0.5 * span
+    # three level-density bandwidths (``kernel_bandwidth``) past half the span.
+    margin = 3 * kernel_bandwidth(profile.energies) + 0.5 * span
     grid = np.linspace(profile.energies[0] - margin, profile.energies[-1] + margin, 4001)
     b_derived = float(1.0 / np.trapezoid(_hybrid_shape((grid - e_i) ** 2, sigma, gamma)[0], grid))
     return HybridFit(

@@ -22,7 +22,7 @@ from .dynamics import TimeGrid, _times
 from .exceptions import ParameterError, PreconditionError
 from .export import write_table
 from .hamiltonian import SingleParticleSpectrum
-from .spectral import SpectralStats
+from .spectral import kernel_bandwidth, mean_spacing
 from .strength import StrengthProfile
 
 UNIFORM_TOL = 1e-9
@@ -93,25 +93,25 @@ def survival_models(gamma: float, delta_e: float, grid) -> SurvivalModelCurves:
     )
 
 
-def n_pc_envelope(profile: StrengthProfile, stats: SpectralStats) -> float:
+def n_pc_envelope(profile: StrengthProfile) -> float:
     """Principal components of the smooth envelope of w_k: 1 / sum_k (F~/rho)(E_k)^2.
 
     F~(E_k) / rho(E_k) is the kernel-weighted local mean of the weights over
-    the density bandwidth (about 3 mean spacings), so it keeps the envelope
-    of w_k and averages away the Porter-Thomas fluctuation of single
-    components.  For Gaussian components <w^2> = 3 <w>^2, hence the raw
+    the density bandwidth (``kernel_bandwidth``: 3 mean spacings), so it keeps
+    the envelope of w_k and averages away the Porter-Thomas fluctuation of
+    single components.  For Gaussian components <w^2> = 3 <w>^2, hence the raw
     inverse participation ratio is about a third of this count and the
     long-time W0 floor sum_k w_k^2 is about 3 / n_pc_envelope (Flambaum &
     Izrailev, PRE 56, 5144 (1997)).
 
-    rho is the kernel density of the same levels at the bandwidth of
-    ``stats``, so one kernel block K gives F~/rho = (K @ w) / K.sum(axis=1);
-    the kernel normalisation cancels.
+    rho is the kernel density of the same levels at the same bandwidth, so
+    one kernel block K gives F~/rho = (K @ w) / K.sum(axis=1); the kernel
+    normalisation cancels.
     """
-    energies = profile.energies
+    energies, bandwidth = profile.energies, kernel_bandwidth(profile.energies)
     envelope = np.empty_like(energies)
     for lo in range(0, len(energies), ENVELOPE_BLOCK):   # no N x N kernel held at once
-        z = (energies[lo : lo + ENVELOPE_BLOCK, None] - energies[None, :]) / stats.bandwidth
+        z = (energies[lo : lo + ENVELOPE_BLOCK, None] - energies[None, :]) / bandwidth
         kernel = np.exp(-0.5 * z * z)
         envelope[lo : lo + len(kernel)] = (kernel @ profile.weights) / kernel.sum(axis=1)
     return float(1.0 / (envelope @ envelope))
@@ -196,7 +196,7 @@ def fit_fermi_dirac(ninf, spectrum: SingleParticleSpectrum, n: int) -> FermiDira
     if not 0 < n < len(eps):
         raise ParameterError(f"particle number {n} leaves no partly filled level")
 
-    d0 = (eps[-1] - eps[0]) / (len(eps) - 1)
+    d0 = mean_spacing(eps)
 
     def rms(log_t):
         temperatures = np.exp(np.atleast_1d(log_t))

@@ -33,7 +33,7 @@ class System:
     tensor: tb.TwoBodyTensor
     h: tb.HamiltonianMatrix
     decomp: tb.EigenDecomposition
-    stats: tb.SpectralStats | None
+    spacing_mid: float | None
     i: int
     partition: tb.ClassPartition
     profile: tb.StrengthProfile
@@ -51,7 +51,7 @@ def make_system(n: int, m: int, eta: float, seed: int, initial="mid-spectrum") -
     tensor = tb.sample_two_body(params)
     h = tb.build_hamiltonian(basis, spectrum, tensor)
     decomp = tb.diagonalize(h)
-    stats = tb.spectral_stats(decomp) if basis.size >= 10 else None
+    spacing_mid = tb.spectral_stats(decomp) if basis.size >= 10 else None
     diag = h.diagonal()
     if initial == "mid-spectrum":
         i = int(np.argmin(np.abs(diag - np.median(diag))))
@@ -69,7 +69,7 @@ def make_system(n: int, m: int, eta: float, seed: int, initial="mid-spectrum") -
     n_inf = tb.asymptotic_occupations(decomp, i, basis)
     return System(
         params=params, basis=basis, spectrum=spectrum, tensor=tensor, h=h,
-        decomp=decomp, stats=stats, i=i, partition=partition, profile=profile,
+        decomp=decomp, spacing_mid=spacing_mid, i=i, partition=partition, profile=profile,
         gamma=gamma, delta_e=delta_e, grid=grid, trajectory=trajectory, n_inf=n_inf,
     )
 

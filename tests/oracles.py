@@ -38,7 +38,6 @@ from tbrisim.dynamics import (
     OccupationTrajectory,
     TimeGrid,
     evolve_amplitudes,
-    long_time_grid,
 )
 from tbrisim.exceptions import ParameterError, PreconditionError
 from tbrisim.hamiltonian import (
@@ -428,7 +427,7 @@ def average_occupations(
     decomp: EigenDecomposition, basis: Basis, i: int, *, samples: int = 256
 ) -> np.ndarray:
     """Long-time average of n_alpha(t) over the decorrelating sample grid."""
-    times = long_time_grid(decomp, i, samples=samples)
+    times = standalone_long_time_grid(decomp, i, samples)
     prob = np.abs(evolve_amplitudes(decomp, i, times)) ** 2
     return occupation_numbers(prob, basis).mean(axis=1)
 
@@ -533,7 +532,8 @@ def windowed_mid_spacing(energies: np.ndarray) -> float:
 def standalone_long_time_grid(
     decomp: EigenDecomposition, i: int, samples: int = 256, spacing_factor: float = 1.137
 ) -> np.ndarray:
-    """``dynamics.long_time_grid`` as it was, with its own copy of the spacing logic."""
+    """The equidistant times ``dynamics.average_survival`` averages W0 over, with its own
+    copy of the spacing and width logic."""
     energies = decomp.energies
     if len(energies) < 3:
         return np.arange(1, samples + 1, dtype=float)

@@ -165,7 +165,7 @@ def test_criterion_09_saturation(fig2):
     """
     avg = tb.average_survival(fig2.decomp, fig2.i, samples=256)
     n_ipr = fig2.profile.n_pc_ipr()
-    n_env = tb.n_pc_envelope(fig2.profile, fig2.stats)
+    n_env = tb.n_pc_envelope(fig2.profile)
     target = 3.0 / n_env
     ratio = avg / target
     ok = 0.5 <= ratio <= 2.0

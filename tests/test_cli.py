@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import re
 import subprocess
@@ -16,7 +17,12 @@ import pytest
 
 import tbrisim as tb
 from tbrisim import cli, config, pipeline, spectral, strength, theory
-from tbrisim.exceptions import FitConvergenceError, ParameterError, PreconditionError
+from tbrisim.exceptions import (
+    FitConvergenceError,
+    InsufficientStatisticsError,
+    ParameterError,
+    PreconditionError,
+)
 
 from conftest import strict_json
 
@@ -49,6 +55,9 @@ def test_config_validation_errors():
         {"grid": {"kind": "log", "points": 10}},
         {"output": {"formats": ["yaml"]}},
         {"model": {"n": 0}},
+        {"model": {"n": 2, "m": 4}},   # 6 levels: too few for the mid-spectrum spacing
+        {"model": {"n": 4, "m": 4}},   # one state
+        {"model": {"n": 2, "m": 5, "eta": 0.083}},   # 9 class-1 states under the golden rule
         {"config_version": 99},
         [1, 2],
         {"model": small, "grid": {"points": "many"}},
@@ -721,16 +730,36 @@ def test_reproduce_fig1_manifest_values(tmp_path, capsys):
     assert floor / 2 <= derived["w0_longtime_average"] <= 2 * floor
 
 
-def test_main_numerical_stage_error_exit_code(tmp_path, capsys):
-    """Too few levels for spectral statistics surfaces as a stage error (exit 3)."""
-    config_path = tmp_path / "tiny.json"
-    config_path.write_text(json.dumps({
-        "model": {"n": 2, "m": 4, "eta": 0.1, "seed": 1},
-        "output": {"directory": str(tmp_path / "tiny-out")},
-    }))
+def test_main_numerical_stage_error_exit_code(tmp_path, capsys, monkeypatch):
+    """A stage that fails surfaces as a stage error (exit 3) that names the stage."""
+    def too_few(decomp):
+        raise InsufficientStatisticsError("only 6 levels near the median; need >= 10")
+
+    monkeypatch.setattr(pipeline, "spectral_stats", too_few)
+    config_path = tmp_path / "small.json"
+    config_path.write_text(json.dumps(small_doc(tmp_path)))
     assert cli.main(["run", "--config", str(config_path)]) == 3
     err = capsys.readouterr().err
     assert "diagonalization" in err
+
+
+@pytest.mark.parametrize("jitter", [0.0, 0.3])
+@pytest.mark.parametrize("eta", [0.0, 0.083])
+def test_every_small_config_runs_or_exits_2(tmp_path, eta, jitter):
+    """Every 1 <= n <= m <= 8 either runs (exit 0) or is refused before the run (exit 2):
+    none fails in a stage for want of levels.  The refused ones are exactly those with fewer
+    than 10 basis states, or, when eta > 0, fewer than 10 class-1 states; the rest run."""
+    for m in range(1, 9):
+        for n in range(1, m + 1):
+            out = tmp_path / f"{n}_{m}"
+            doc = {"model": {"n": n, "m": m, "eta": eta, "jitter": jitter},
+                   "grid": {"kind": "auto", "points": 40}, "output": {"directory": str(out)}}
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(doc))
+            class1 = n * (m - n) + math.comb(n, 2) * math.comb(m - n, 2)
+            small = math.comb(m, n) < 10 or (eta > 0 and class1 < 10)
+            assert cli.main(["run", "--config", str(path)]) == (2 if small else 0), (n, m)
+            assert out.exists() != small
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():

@@ -117,7 +117,7 @@ def test_trajectory_matches_complex_oracle(fixture, request):
             a, b = getattr(got, field), getattr(ref, field)
             assert a.shape == b.shape
             assert a.size == 0 or np.abs(a - b).max() <= ORACLE_PATH_TOL, field
-    long_times = tb.dynamics.long_time_grid(s.decomp, s.i, samples=256)
+    long_times = standalone_long_time_grid(s.decomp, s.i, 256)
     ref = complex_trajectory(s.decomp, s.basis, s.partition, s.i, long_times)
     avg = average_occupations(s.decomp, s.basis, s.i, samples=256)
     assert np.abs(avg - ref.occupations.mean(axis=1)).max() <= ORACLE_PATH_TOL
@@ -431,7 +431,7 @@ def test_trajectory_and_asymptotic_occupations_stay_small(fig1, fig2):
 
 def test_fluctuating_term_averages_to_zero(fig2):
     """Long-window mean of S_q^(fl) vanishes within the statistical scale."""
-    times = tb.dynamics.long_time_grid(fig2.decomp, fig2.i, samples=256)
+    times = standalone_long_time_grid(fig2.decomp, fig2.i, 256)
     n_pc = fig2.profile.n_pc_ipr()
     tol = 3.0 / np.sqrt(len(times) * n_pc)
     rng = np.random.default_rng(8)
@@ -508,13 +508,12 @@ def test_long_time_average_matches_diagonal_ensemble(fig2):
 
 
 def test_long_time_grid_contract(fig2):
-    times = tb.dynamics.long_time_grid(fig2.decomp, fig2.i, samples=256)
-    spacing = np.diff(times)
-    d_mid = fig2.stats.mean_spacing_mid
-    assert np.all(spacing >= np.pi / d_mid * 0.99)
+    """The averaged times lie pi / D_mid or more apart, and fewer than 200 are refused."""
+    times = standalone_long_time_grid(fig2.decomp, fig2.i, 256)
+    assert np.all(np.diff(times) >= np.pi / fig2.spacing_mid * 0.99)
     assert len(times) == 256
-    with pytest.raises(ParameterError):
-        tb.dynamics.long_time_grid(fig2.decomp, fig2.i, samples=100)
+    with pytest.raises(ParameterError, match="need >= 200 samples"):
+        tb.average_survival(fig2.decomp, fig2.i, samples=100)
 
 
 def _long_time_bound(decomp, times) -> float:
@@ -528,7 +527,7 @@ def _long_time_bound(decomp, times) -> float:
 def test_separable_average_matches_sampled_mean(fixture, samples, request):
     """Coarse x fine phase product vs W0 sampled on every time of the long-time grid."""
     s = request.getfixturevalue(fixture)
-    times = tb.dynamics.long_time_grid(s.decomp, s.i, samples=samples)
+    times = standalone_long_time_grid(s.decomp, s.i, samples)
     sampled = tb.survival_probability(s.decomp, s.i, times).mean()
     got = tb.average_survival(s.decomp, s.i, samples=samples)
     assert abs(got - sampled) <= _long_time_bound(s.decomp, times)
@@ -538,8 +537,7 @@ def test_separable_average_on_the_two_level_grid():
     """Below three levels the grid is t = 1..samples; W0 = 1 - 2 w0 w1 (1 - cos(E1 - E0) t)."""
     decomp = tb.diagonalize(np.array([[0.3, 0.4], [0.4, -0.2]]))
     for samples in (200, 257):
-        times = tb.dynamics.long_time_grid(decomp, 0, samples=samples)
-        assert times.tobytes() == np.arange(1, samples + 1, dtype=float).tobytes()
+        times = np.arange(1, samples + 1, dtype=float)
         w = decomp.vectors[0] ** 2
         exact = np.mean(1 - 2 * w[0] * w[1] * (1 - np.cos(np.diff(decomp.energies)[0] * times)))
         got = tb.average_survival(decomp, 0, samples=samples)
@@ -548,20 +546,41 @@ def test_separable_average_on_the_two_level_grid():
         assert abs(got - sampled) <= _long_time_bound(decomp, times)
 
 
-@pytest.mark.parametrize("fixture", ["small_2_4", "small_3_6", "fig1", "fig2"])
-def test_long_time_grid_bytes_unchanged_by_the_shared_spacing(fixture, request):
-    s = request.getfixturevalue(fixture)
-    for i in (0, s.i, s.basis.size - 1):
-        for samples in (200, 256):
-            got = tb.dynamics.long_time_grid(s.decomp, i, samples=samples)
-            assert got.tobytes() == standalone_long_time_grid(s.decomp, i, samples).tobytes()
-
-
 def test_evolve_rejects_bad_index(fig1):
     with pytest.raises(PreconditionError):
         tb.evolve_amplitudes(fig1.decomp, -1, np.array([0.0]))
     with pytest.raises(PreconditionError):
         tb.survival_probability(fig1.decomp, 924, np.array([0.0]))
+
+
+def _golden_rule_at(s, i):
+    """Gamma_GR of state i, with the partition of the state index i would wrap to."""
+    partition = tb.classify(s.basis, int(s.basis.states[i % s.basis.size]))
+    return tb.golden_rule_gamma(s.h, partition, i)
+
+
+INDEXED = {
+    "strength_function": lambda s, i: tb.strength_function(s.decomp, i),
+    "energy_variance": lambda s, i: tb.energy_variance(s.h, i),
+    "golden_rule_gamma": _golden_rule_at,
+    "evolve_amplitudes": lambda s, i: tb.evolve_amplitudes(s.decomp, i, np.array([0.0])),
+    "simulate_trajectory": lambda s, i: tb.simulate_trajectory(
+        s.decomp, s.basis, s.partition, i, np.array([0.0])),
+    "survival_probability": lambda s, i: tb.survival_probability(s.decomp, i, np.array([0.0])),
+    "asymptotic_occupations": lambda s, i: tb.asymptotic_occupations(s.decomp, i, s.basis),
+    "average_survival": lambda s, i: tb.average_survival(s.decomp, i),
+}
+
+
+@pytest.mark.parametrize("where", ["negative", "size"])
+@pytest.mark.parametrize("name", sorted(INDEXED))
+def test_every_basis_index_check_is_one_rule(small_3_6, name, where):
+    """0 <= i < N everywhere: -1 does not wrap to the last state, and N raises
+    PreconditionError, not a bare IndexError."""
+    size = small_3_6.basis.size
+    i = -1 if where == "negative" else size
+    with pytest.raises(PreconditionError, match=rf"basis index {i} outside \[0, {size}\)"):
+        INDEXED[name](small_3_6, i)
 
 
 def test_trajectory_csv_round_trip(tmp_path, small_3_6):

@@ -294,12 +294,12 @@ def test_compound_occupations_mid_spectrum_plateau(fig2):
 
 def test_spreading_params_bundle(fig2):
     sp = tb.spreading_params(
-        fig2.profile, fig2.delta_e, fig2.gamma, fig2.stats.mean_spacing_mid
+        fig2.profile, fig2.delta_e, fig2.gamma, fig2.spacing_mid
     )
     assert sp.gamma_gr == pytest.approx(fig2.gamma, rel=1e-12)
     assert sp.delta_e == pytest.approx(fig2.delta_e, rel=1e-12)
     assert sp.n_pc_ipr == pytest.approx(fig2.profile.n_pc_ipr(), rel=1e-12)
-    assert sp.n_pc_ratio == pytest.approx(fig2.gamma / fig2.stats.mean_spacing_mid)
+    assert sp.n_pc_ratio == pytest.approx(fig2.gamma / fig2.spacing_mid)
     assert sp.sigma > 0
 
 

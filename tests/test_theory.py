@@ -71,18 +71,16 @@ def test_survival_models_require_positive_widths():
 
 
 def _ladder_profile(weights):
-    """Profile on unit-spaced levels 0..N-1 with the spectral stats of that ladder."""
+    """Profile on unit-spaced levels 0..N-1."""
     energies = np.arange(len(weights), dtype=float)
-    profile = tb.StrengthProfile(i=0, energies=energies, weights=weights, e_i=float(weights @ energies))
-    stats = tb.spectral_stats(tb.EigenDecomposition(energies=energies, vectors=np.eye(len(energies))))
-    return profile, stats
+    return tb.StrengthProfile(i=0, energies=energies, weights=weights, e_i=float(weights @ energies))
 
 
 def test_n_pc_envelope_of_flat_weights_is_n():
     """The kernel mean of a constant is that constant, so 1/N everywhere gives N."""
     n = 300
-    profile, stats = _ladder_profile(np.full(n, 1.0 / n))
-    assert tb.n_pc_envelope(profile, stats) == pytest.approx(n, rel=1e-12)
+    profile = _ladder_profile(np.full(n, 1.0 / n))
+    assert tb.n_pc_envelope(profile) == pytest.approx(n, rel=1e-12)
 
 
 def test_n_pc_envelope_carries_porter_thomas_factor():
@@ -92,19 +90,20 @@ def test_n_pc_envelope_carries_porter_thomas_factor():
     levels = np.arange(n) - (n - 1) / 2
     weights = np.exp(-0.5 * (levels / (n / 12)) ** 2) * rng.standard_normal(n) ** 2
     weights /= weights.sum()
-    profile, stats = _ladder_profile(weights)
-    ratio = (weights @ weights) * tb.n_pc_envelope(profile, stats) / 3.0
+    ratio = (weights @ weights) * tb.n_pc_envelope(_ladder_profile(weights)) / 3.0
     assert 0.5 <= ratio <= 2.0
 
 
 def test_n_pc_envelope_matches_density_ratio(fig2):
-    """One kernel per block equals the smoothed weight density over the level density."""
-    energies, bandwidth = fig2.profile.energies, fig2.stats.bandwidth
+    """One kernel per block equals the smoothed weight density over the level density, both
+    at a bandwidth of three mean level spacings."""
+    energies = fig2.profile.energies
+    bandwidth = 3.0 * np.diff(energies).mean()
     envelope = smoothed_weight_density(fig2.profile, energies, bandwidth) / kernel_density(
         energies, energies, bandwidth
     )
     expected = 1.0 / (envelope @ envelope)
-    assert tb.n_pc_envelope(fig2.profile, fig2.stats) == pytest.approx(expected, rel=1e-12)
+    assert tb.n_pc_envelope(fig2.profile) == pytest.approx(expected, rel=1e-12)
 
 
 def test_gaussian_model_tracks_exact_survival(fig2):
