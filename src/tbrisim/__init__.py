@@ -30,7 +30,6 @@ from .exceptions import (
 from .hamiltonian import (
     HamiltonianMatrix,
     ModelParams,
-    SingleParticleSpectrum,
     TwoBodyTensor,
     build_hamiltonian,
     sample_spectrum,
@@ -55,7 +54,6 @@ from .strength import (
 )
 from .theory import (
     FermiDiracFit,
-    SurvivalModelCurves,
     ThermalizationPrediction,
     fit_fermi_dirac,
     n_pc_envelope,

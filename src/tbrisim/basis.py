@@ -66,7 +66,6 @@ class ClassPartition:
     reference: FockState
     class_of: np.ndarray    # int64, one entry per basis state
     n_classes: int          # class-index bound, min(n, m - n)
-    sizes: np.ndarray       # occupancy count per class, length n_classes + 1
 
     def members(self, cls: int) -> np.ndarray:
         return np.nonzero(self.class_of == cls)[0]
@@ -83,6 +82,12 @@ def check_index(i: int, size: int) -> None:
     """PreconditionError unless 0 <= i < size: a negative basis index is refused too."""
     if not 0 <= i < size:
         raise PreconditionError(f"basis index {i} outside [0, {size})")
+
+
+def check_reference(partition: ClassPartition, basis: Basis, i: int) -> None:
+    """PreconditionError unless ``partition`` was classified from basis state i."""
+    if partition.reference != int(basis.states[i]):
+        raise PreconditionError("partition reference does not match the requested basis state")
 
 
 @functools.lru_cache(maxsize=2)
@@ -102,18 +107,14 @@ def classify(basis: Basis, reference: FockState) -> ClassPartition:
 
     A state whose occupancy differs in j particles (Hamming distance 2j) is
     ceil(j/2) moves away, because each two-body move relocates at most two
-    particles.  Class sizes are reported up to the bound min(n, m - n);
-    classes above the largest reachable move count are empty.
+    particles.  Classes run up to the bound min(n, m - n); classes above the
+    largest reachable move count are empty.
     """
     ref = int(reference)
     basis.position(ref)
     n_classes = min(basis.n, basis.m - basis.n)
     moved = np.bitwise_count(basis.states ^ ref).astype(np.int64) // 2
-    class_of = (moved + 1) // 2
-    sizes = np.bincount(class_of, minlength=n_classes + 1)
-    return ClassPartition(
-        reference=ref, class_of=class_of, n_classes=n_classes, sizes=sizes
-    )
+    return ClassPartition(reference=ref, class_of=(moved + 1) // 2, n_classes=n_classes)
 
 
 def occupancy_matrix(basis: Basis) -> np.ndarray:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import Basis, ClassPartition, check_index, occupancy_matrix
+from .basis import Basis, ClassPartition, check_index, check_reference, occupancy_matrix
 from .exceptions import ParameterError, PreconditionError
 from .export import write_table
 from .spectral import EigenDecomposition, _mid_spacing, mean_spacing
@@ -169,16 +169,15 @@ def _lagrange_matrix(nodes: np.ndarray, weights: np.ndarray, times: np.ndarray) 
 
 def _evolve(
     decomp: EigenDecomposition, i: int, times: np.ndarray, reduction: np.ndarray, amplitudes=None
-) -> tuple[np.ndarray, np.ndarray, float, int, int]:
-    """``reduction @ |A(t)|^2`` (r, T), W0 (T,), the unitarity drift, s and K (see ``_plan``).
+) -> tuple[np.ndarray, float, int, int]:
+    """``reduction @ |A(t)|^2`` (r, T), the unitarity drift, s and K (see ``_plan``).
 
     Time-major: the (K + 2(T - s), N) phase rows (node cos | node sin | tail cos, -sin
     per time), scaled by C_i(k), take one GEMM against V^T and are released.  Then
     ``TIME_BLOCK`` times at a time: the prefix carried from the node values (the tail
-    rows read in place), |A_f(t)|^2 squared in place, the per-time norm sums, W0 and
-    the reduction, with no (N, T) array; A_f(t) also goes into ``amplitudes`` when given.
+    rows read in place), |A_f(t)|^2 squared in place, the per-time norm sums and the
+    reduction, with no (N, T) array; A_f(t) also goes into ``amplitudes`` when given.
     """
-    check_index(i, decomp.size)
     energies, (split, count) = decomp.energies, _plan(decomp.energies, times)
     centre, even, odd = 0.5 * (energies.max() + energies.min()), (count + 1) // 2, count // 2
     nodes, weights = _chebyshev_nodes(times[split - 1] if split else 0.0, count)
@@ -198,7 +197,7 @@ def _evolve(
     mirror = lagrange[::-1]
     folded, odd_part = lagrange[:even] + mirror[:even], lagrange[:odd] - mirror[:odd]
     folded[odd:] *= 0.5   # an odd K's middle node is its own mirror
-    reduced, (norms, w0) = np.empty((len(times), len(reduction))), np.empty((2, len(times)))
+    reduced, norms = np.empty((len(times), len(reduction))), np.empty(len(times))
     carried = np.empty((2, min(TIME_BLOCK, split), decomp.size))
     for lo in [*range(0, split, TIME_BLOCK), *range(split, len(times), TIME_BLOCK)]:
         hi = min(lo + TIME_BLOCK, split if lo < split else len(times))
@@ -214,18 +213,20 @@ def _evolve(
         re *= re
         re += np.square(im, out=im)   # |A_f(t)|^2
         re.sum(axis=1, out=norms[lo:hi])
-        w0[lo:hi] = re[:, i]
         np.matmul(re, reduction.T, out=reduced[lo:hi])
     if amplitudes is not None:
         amplitudes[:, :split] *= np.exp(-1j * centre * times[:split])
     drift = float(np.abs(norms - 1.0).max()) if len(times) else 0.0
     if drift > UNITARITY_TOL:
         raise PreconditionError(f"evolution lost unitarity: |sum - 1| = {drift:.3e}")
-    return reduced.T, w0, drift, split, count
+    return reduced.T, drift, split, count
 
 
 def evolve_amplitudes(decomp: EigenDecomposition, i: int, grid) -> np.ndarray:
     """(N, T) amplitudes A_f(t) for an initial basis state i; unitary at every t.
+
+    The times are read as a ``TimeGrid``: non-negative and strictly increasing,
+    so descending, unordered, negative or repeated times raise ParameterError.
 
     With the energies centred at c = (E_min + E_max)/2 and V real,
     exp(i c t) A_f(t) = sum_k c_k C_f(k) exp(-i (E_k - c) t) has an even real
@@ -253,7 +254,8 @@ def evolve_amplitudes(decomp: EigenDecomposition, i: int, grid) -> np.ndarray:
     K-term sums is amplified by at most the Lebesgue constant
     Lambda_K <= (2/pi) ln(K + 1) + 1 (about 4 at K ~ 100).
     """
-    times = _times(grid)
+    check_index(i, decomp.size)
+    times = TimeGrid(_times(grid)).points
     amplitudes = np.empty((decomp.size, len(times)), dtype=np.complex128)
     _evolve(decomp, i, times, np.empty((0, decomp.size)), amplitudes)
     return amplitudes
@@ -299,15 +301,18 @@ def simulate_trajectory(
     grid,
 ) -> OccupationTrajectory:
     """Full trajectory bundle for one initial state on one grid; occupations and class
-    populations are one reduction of |A_f(t)|^2 by the occupancy over the class rows."""
+    populations are one reduction of |A_f(t)|^2 by the occupancy over the class rows.
+    ``partition`` must be classified from state i: its class 0, state i alone, is W0."""
+    check_index(i, decomp.size)
+    check_reference(partition, basis, i)
     times = TimeGrid(_times(grid))
     indicator = np.eye(partition.n_classes + 1)[:, partition.class_of]
     reduction = np.vstack((occupancy_matrix(basis), indicator))
-    reduced, w0, drift, split, count = _evolve(decomp, i, times.points, reduction)
+    reduced, drift, split, count = _evolve(decomp, i, times.points, reduction)
     return OccupationTrajectory(
         grid=times,
         occupations=reduced[: basis.m],
-        w0=w0,
+        w0=reduced[basis.m],
         class_populations=reduced[basis.m :],
         unitarity_drift=drift,
         interpolated_points=split,

@@ -60,17 +60,6 @@ class ModelParams:
             raise ParameterError(f"jitter must lie in [0, 1), got {self.jitter}")
 
 
-@dataclass(frozen=True)
-class SingleParticleSpectrum:
-    """Ascending orbital energies eps_s."""
-
-    epsilon: np.ndarray
-
-    @property
-    def m(self) -> int:
-        return len(self.epsilon)
-
-
 class TwoBodyTensor:
     """Symmetric table of two-body amplitudes indexed by orbital pairs.
 
@@ -96,21 +85,17 @@ class HamiltonianMatrix:
     entries: np.ndarray
     basis: Basis
 
-    @property
-    def size(self) -> int:
-        return self.entries.shape[0]
-
     def diagonal(self) -> np.ndarray:
         return np.diag(self.entries)
 
 
-def sample_spectrum(params: ModelParams) -> SingleParticleSpectrum:
-    """Equidistant ladder eps_s = s with optional seeded uniform jitter."""
+def sample_spectrum(params: ModelParams) -> np.ndarray:
+    """Ascending orbital energies: the ladder eps_s = s with optional seeded uniform jitter."""
     eps = np.arange(params.m, dtype=float)
     if params.jitter > 0:
         rng = np.random.default_rng([params.seed, _SPECTRUM_STREAM])
         eps = eps + params.jitter * (rng.random(params.m) - 0.5)
-    return SingleParticleSpectrum(epsilon=np.sort(eps))
+    return np.sort(eps)
 
 
 def sample_two_body(params: ModelParams) -> TwoBodyTensor:
@@ -124,10 +109,8 @@ def sample_two_body(params: ModelParams) -> TwoBodyTensor:
     return TwoBodyTensor(params.m, matrix)
 
 
-def build_hamiltonian(
-    basis: Basis, spectrum: SingleParticleSpectrum, tensor: TwoBodyTensor
-) -> HamiltonianMatrix:
-    """Assemble the dense symmetric matrix of H0 + V on the basis.
+def build_hamiltonian(basis: Basis, epsilon: np.ndarray, tensor: TwoBodyTensor) -> HamiltonianMatrix:
+    """Assemble the dense symmetric matrix of H0 + V on the basis from the orbital energies.
 
     Matrix elements follow the two-body selection rule: states differing in
     more than two orbitals are not connected.  A one-orbital move sums its
@@ -160,14 +143,14 @@ def build_hamiltonian(
     moves that fills both triangles from the upper row, so H is bitwise what
     such a loop gives, and exactly symmetric.
     """
-    if spectrum.m != basis.m or tensor.m != basis.m:
+    if len(epsilon) != basis.m or tensor.m != basis.m:
         raise ParameterError(
             f"inconsistent orbital counts: basis m={basis.m}, "
-            f"spectrum m={spectrum.m}, tensor m={tensor.m}"
+            f"spectrum m={len(epsilon)}, tensor m={tensor.m}"
         )
     couplings = _couplings(basis.n, basis.m)
     v = tensor.matrix.ravel()
-    table = np.concatenate((v, -v, spectrum.epsilon))
+    table = np.concatenate((v, -v, epsilon))
     n_states = basis.size
     entries = np.zeros((n_states, n_states))
     flat = entries.reshape(-1)   # writable view

@@ -101,19 +101,15 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def emit_plotdata(
-    grid: dynamics.TimeGrid, models: theory.SurvivalModelCurves, path, *, header_lines=()
-) -> None:
+def emit_plotdata(grid: dynamics.TimeGrid, models, path, *, header_lines=()) -> None:
     """Write the model W0 curves that the figures overlay: t, W0_model_bw, W0_model_gaussian.
+
+    ``models`` is the pair (exp(-Gamma t), exp(-Delta_E^2 t^2)) of ``theory.survival_models``.
 
     The exact and interpolated series drawn against them are in occupations.csv
     and prediction.csv, row for row on the same t.
     """
-    columns = {
-        "t": grid.points,
-        "W0_model_bw": models.breit_wigner,
-        "W0_model_gaussian": models.gaussian,
-    }
+    columns = {"t": grid.points, "W0_model_bw": models[0], "W0_model_gaussian": models[1]}
     header = [*header_lines, "model survival curves; times in 1/energy units"]
     write_table(path, columns, header_lines=header)
 
@@ -151,9 +147,8 @@ def run(config: ExperimentConfig) -> RunManifest:
     with stage("basis"):
         basis = build_basis(params.n, params.m)
     with stage("hamiltonian"):
-        spectrum = sample_spectrum(params)
-        tensor = sample_two_body(params)
-        h = build_hamiltonian(basis, spectrum, tensor)
+        epsilon = sample_spectrum(params)
+        h = build_hamiltonian(basis, epsilon, sample_two_body(params))
     with stage("diagonalization"):
         decomp = diagonalize(h)
         spacing_mid = spectral_stats(decomp)
@@ -181,7 +176,7 @@ def run(config: ExperimentConfig) -> RunManifest:
         )
         n_pc_env = theory.n_pc_envelope(profile)
         models = theory.survival_models(gamma_gr, delta_e, grid)
-        fd, fd_record = _attempt_fit(theory.fit_fermi_dirac, n_inf, spectrum, params.n)
+        fd, fd_record = _attempt_fit(theory.fit_fermi_dirac, n_inf, epsilon, params.n)
         if fd and fd.infinite_temperature:   # JSON has no inf or NaN
             fd_record.update(temperature="inf", mu=None)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import ClassPartition, check_index
+from .basis import ClassPartition, check_index, check_reference
 from .exceptions import (
     FitConvergenceError,
     InsufficientStatisticsError,
@@ -36,7 +36,6 @@ MOMENT_NODES = 2001     # trapezoid nodes for the hybrid shape's second moment
 class StrengthProfile:
     """Weights w_k = C_i(k)^2 of basis state i over eigenstates, with E_i = <i|H|i>."""
 
-    i: int
     energies: np.ndarray
     weights: np.ndarray
     e_i: float
@@ -54,8 +53,6 @@ class StrengthProfile:
 class SpreadingParams:
     """Width and band parameters extracted for one initial basis state."""
 
-    gamma_gr: float
-    delta_e: float
     sigma: float
     e_c: float
     n_pc_ratio: float | None     # Gamma over the mid-spectrum spacing; None if that is 0
@@ -92,7 +89,7 @@ def strength_function(decomp: EigenDecomposition, i: int) -> StrengthProfile:
     check_index(i, decomp.size)
     weights = decomp.vectors[i, :] ** 2
     e_i = float(weights @ decomp.energies)
-    return StrengthProfile(i=i, energies=decomp.energies, weights=weights, e_i=e_i)
+    return StrengthProfile(energies=decomp.energies, weights=weights, e_i=e_i)
 
 
 def energy_variance(h: HamiltonianMatrix, i: int) -> float:
@@ -115,11 +112,7 @@ def golden_rule_gamma(h: HamiltonianMatrix, partition: ClassPartition, i: int) -
     ``kernel_bandwidth`` of those energies.
     """
     check_index(i, h.basis.size)
-    ref = int(h.basis.states[i])
-    if partition.reference != ref:
-        raise PreconditionError(
-            "partition reference does not match the requested basis state"
-        )
+    check_reference(partition, h.basis, i)
     class1 = partition.members(1)
     if len(class1) == 0:
         raise PreconditionError("class 1 is empty; no states coupled to i")
@@ -429,8 +422,6 @@ def spreading_params(
     except (PreconditionError, FitConvergenceError):
         sigma = delta_e
     return SpreadingParams(
-        gamma_gr=gamma_gr,
-        delta_e=delta_e,
         sigma=sigma,
         e_c=profile.e_i,
         n_pc_ratio=gamma_gr / mean_spacing if mean_spacing > 0 else None,

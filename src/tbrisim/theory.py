@@ -21,7 +21,6 @@ import numpy as np
 from .dynamics import TimeGrid, _times
 from .exceptions import ParameterError, PreconditionError
 from .export import write_table
-from .hamiltonian import SingleParticleSpectrum
 from .spectral import kernel_bandwidth, mean_spacing
 from .strength import StrengthProfile
 
@@ -36,14 +35,6 @@ class ThermalizationPrediction:
 
     grid: TimeGrid
     occupations: np.ndarray     # (m, T)
-
-
-@dataclass(frozen=True)
-class SurvivalModelCurves:
-    """Model W0 curves: exponential and Gaussian."""
-
-    breit_wigner: np.ndarray
-    gaussian: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -82,15 +73,12 @@ def predict_occupations(n0, ninf, w0, grid) -> ThermalizationPrediction:
     return ThermalizationPrediction(grid=times, occupations=occupations)
 
 
-def survival_models(gamma: float, delta_e: float, grid) -> SurvivalModelCurves:
-    """Comparison curves exp(-Gamma t) and exp(-Delta_E^2 t^2); a zero width gives ones."""
+def survival_models(gamma: float, delta_e: float, grid) -> tuple[np.ndarray, np.ndarray]:
+    """Model W0 curves (exp(-Gamma t), exp(-Delta_E^2 t^2)); a zero width gives ones."""
     if not (gamma >= 0 and delta_e >= 0):   # NaN fails both
         raise ParameterError(f"survival models need widths >= 0, got {gamma!r}, {delta_e!r}")
     t = _times(grid)
-    return SurvivalModelCurves(
-        breit_wigner=np.exp(-gamma * t),
-        gaussian=np.exp(-(delta_e**2) * t * t),
-    )
+    return np.exp(-gamma * t), np.exp(-(delta_e**2) * t * t)
 
 
 def n_pc_envelope(profile: StrengthProfile) -> float:
@@ -170,8 +158,9 @@ def _misfit_slope(eps: np.ndarray, ninf: np.ndarray, log_t: float, n: int) -> fl
     return float((filled - ninf) @ (w * (z - (w @ z) / w.sum())))
 
 
-def fit_fermi_dirac(ninf, spectrum: SingleParticleSpectrum, n: int) -> FermiDiracFit:
-    """Constrained (T, mu) fit: sum of occupations pinned to n, RMS minimized.
+def fit_fermi_dirac(ninf, epsilon, n: int) -> FermiDiracFit:
+    """Constrained (T, mu) fit to the orbital energies ``epsilon``: sum of occupations
+    pinned to n, RMS minimized.
 
     The chemical potential is eliminated by the particle-number constraint
     at every trial temperature; the remaining 1-D problem is scanned over
@@ -181,7 +170,7 @@ def fit_fermi_dirac(ninf, spectrum: SingleParticleSpectrum, n: int) -> FermiDira
     returned as the infinite-temperature case.
     """
     ninf = np.asarray(ninf, dtype=float)
-    eps = np.asarray(spectrum.epsilon, dtype=float)
+    eps = np.asarray(epsilon, dtype=float)
     if ninf.shape != eps.shape:
         raise ParameterError(
             f"occupation list length {ninf.shape} does not match spectrum {eps.shape}"

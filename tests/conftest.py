@@ -29,7 +29,7 @@ class System:
 
     params: tb.ModelParams
     basis: tb.Basis
-    spectrum: tb.SingleParticleSpectrum
+    spectrum: np.ndarray         # ascending orbital energies
     tensor: tb.TwoBodyTensor
     h: tb.HamiltonianMatrix
     decomp: tb.EigenDecomposition

@@ -44,7 +44,6 @@ from tbrisim.hamiltonian import (
     _TENSOR_STREAM,
     HamiltonianMatrix,
     ModelParams,
-    SingleParticleSpectrum,
     TwoBodyTensor,
 )
 from tbrisim.spectral import EigenDecomposition
@@ -104,9 +103,9 @@ def tensor_element(tensor: TwoBodyTensor, p: int, q: int, r: int, s: int) -> flo
     return float(tensor.matrix[index[(p, q)], index[(r, s)]])
 
 
-def mean_spacing(spectrum: SingleParticleSpectrum) -> float:
-    """Mean spacing of the orbital energies, end to end."""
-    return float(spectrum.epsilon[-1] - spectrum.epsilon[0]) / (spectrum.m - 1)
+def mean_spacing(epsilon: np.ndarray) -> float:
+    """Mean spacing of the ascending orbital energies, end to end."""
+    return float(epsilon[-1] - epsilon[0]) / (len(epsilon) - 1)
 
 
 def rowwise_two_body(params: ModelParams) -> TwoBodyTensor:
@@ -221,7 +220,7 @@ def expm_amplitudes(h_entries: np.ndarray, i: int, t: float) -> np.ndarray:
 
 def loop_hamiltonian(
     basis: Basis,
-    spectrum: SingleParticleSpectrum,
+    epsilon: np.ndarray,
     tensor: TwoBodyTensor,
 ) -> HamiltonianMatrix:
     """Assemble the dense symmetric matrix of H0 + V on the basis.
@@ -229,12 +228,12 @@ def loop_hamiltonian(
     Matrix elements follow the two-body selection rule: states differing in
     more than two orbitals are not connected.
     """
-    if spectrum.m != basis.m or tensor.m != basis.m:
+    if len(epsilon) != basis.m or tensor.m != basis.m:
         raise ParameterError(
             f"inconsistent orbital counts: basis m={basis.m}, "
-            f"spectrum m={spectrum.m}, tensor m={tensor.m}"
+            f"spectrum m={len(epsilon)}, tensor m={tensor.m}"
         )
-    eps = spectrum.epsilon.tolist()
+    eps = epsilon.tolist()
     v = tensor.matrix.tolist()
     pairs = pair_index(basis.m)
     index = {state: j for j, state in enumerate(basis.states.tolist())}

@@ -140,6 +140,20 @@ def test_readme_config_block_is_the_default():
     assert shown.to_dict() == config.config_from_dict({}).to_dict()
 
 
+def test_readme_library_use_runs(tmp_path, monkeypatch):
+    """README's "Library use" examples run as shown: the step-by-step analysis, then the
+    whole run, whose output directory lands under a temporary working directory."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1].split("\n## ", 1)[0]
+    steps, whole = (part.split("```", 1)[0] for part in section.split("```python\n")[1:3])
+    namespace = {}
+    exec(compile(steps, "README.md", "exec"), namespace)
+    assert math.isfinite(namespace["rms"]) and namespace["worst"] >= namespace["rms"] >= 0
+    monkeypatch.chdir(tmp_path)
+    exec(compile(whole, "README.md", "exec"), {})
+    assert (tmp_path / "runs" / "x" / "manifest.json").is_file()
+
+
 def test_readme_synopsis_lists_each_subcommands_flags():
     """README's "Command line" block names every subcommand with exactly the --flags that
     its parser accepts."""

@@ -475,7 +475,11 @@ def test_class_populations_sum_to_one(fixture, request):
 
 
 def test_class_zero_equals_survival(fig1):
-    assert np.abs(fig1.trajectory.class_populations[0] - fig1.trajectory.w0).max() < 1e-12
+    """``trajectory.w0`` is the class-0 row itself, so class 0 is checked against the
+    direct sum of ``survival_probability``."""
+    pop = fig1.trajectory.class_populations
+    assert fig1.trajectory.w0.tobytes() == pop[0].tobytes()
+    assert np.abs(pop[0] - tb.survival_probability(fig1.decomp, fig1.i, fig1.grid)).max() < 1e-12
 
 
 def test_first_class_rises_on_golden_rule_timescale(fig1):
@@ -581,6 +585,32 @@ def test_every_basis_index_check_is_one_rule(small_3_6, name, where):
     i = -1 if where == "negative" else size
     with pytest.raises(PreconditionError, match=rf"basis index {i} outside \[0, {size}\)"):
         INDEXED[name](small_3_6, i)
+
+
+@pytest.mark.parametrize("order", ["descending", "shuffled", "negative", "repeated"])
+def test_evolve_amplitudes_refuses_times_that_are_no_grid(small_3_6, order):
+    """The times are read as a ``TimeGrid``: the Chebyshev plan takes t_s as the half-width
+    of its node interval, which holds only for ascending, non-negative times, so any other
+    times are refused rather than evaluated wrongly."""
+    times = np.linspace(0.0, 3.0, 40)
+    bad = {"descending": times[::-1], "shuffled": np.random.default_rng(3).permutation(times),
+           "negative": -times[::-1], "repeated": np.repeat(times, 2)}[order]
+    with pytest.raises(ParameterError):
+        tb.evolve_amplitudes(small_3_6.decomp, small_3_6.i, bad)
+
+
+@pytest.mark.parametrize("name", ["golden_rule_gamma", "simulate_trajectory"])
+def test_partition_of_another_state_is_refused(small_3_6, name):
+    """A partition must be classified from state i: its class 0 is then i alone, so the
+    class populations are the reference's and class 0 is W0."""
+    s = small_3_6
+    other = tb.classify(s.basis, int(s.basis.states[(s.i + 1) % s.basis.size]))
+    call = {
+        "golden_rule_gamma": lambda: tb.golden_rule_gamma(s.h, other, s.i),
+        "simulate_trajectory": lambda: tb.simulate_trajectory(s.decomp, s.basis, other, s.i, s.grid),
+    }[name]
+    with pytest.raises(PreconditionError, match="partition reference does not match"):
+        call()
 
 
 def test_trajectory_csv_round_trip(tmp_path, small_3_6):

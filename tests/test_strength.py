@@ -23,7 +23,7 @@ def synthetic_profile(shape_fn, spacing=0.02, half_span=30.0, center=0.0):
     weights = shape_fn(energies)
     weights = weights / weights.sum()
     e_i = float(weights @ energies)
-    return tb.StrengthProfile(i=0, energies=energies, weights=weights, e_i=e_i)
+    return tb.StrengthProfile(energies=energies, weights=weights, e_i=e_i)
 
 
 def rms_width(profile):
@@ -296,8 +296,6 @@ def test_spreading_params_bundle(fig2):
     sp = tb.spreading_params(
         fig2.profile, fig2.delta_e, fig2.gamma, fig2.spacing_mid
     )
-    assert sp.gamma_gr == pytest.approx(fig2.gamma, rel=1e-12)
-    assert sp.delta_e == pytest.approx(fig2.delta_e, rel=1e-12)
     assert sp.n_pc_ipr == pytest.approx(fig2.profile.n_pc_ipr(), rel=1e-12)
     assert sp.n_pc_ratio == pytest.approx(fig2.gamma / fig2.spacing_mid)
     assert sp.sigma > 0

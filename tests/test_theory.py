@@ -54,13 +54,12 @@ def test_prediction_rejects_mismatched_lengths():
 
 def test_survival_models_at_zero():
     """At t = 0 both curves are 1; a zero width gives the constant curve 1."""
-    curves = tb.survival_models(0.5, 1.2, np.array([0.0, 2.0]))
-    assert curves.breit_wigner[0] == 1.0
-    assert curves.gaussian[0] == 1.0
-    assert curves.breit_wigner[1] == pytest.approx(math.exp(-1.0))
-    frozen = tb.survival_models(0.0, 0.0, np.array([0.0, 2.0, 1e6]))
-    assert np.array_equal(frozen.breit_wigner, np.ones(3))
-    assert np.array_equal(frozen.gaussian, np.ones(3))
+    breit_wigner, gaussian = tb.survival_models(0.5, 1.2, np.array([0.0, 2.0]))
+    assert breit_wigner[0] == 1.0
+    assert gaussian[0] == 1.0
+    assert breit_wigner[1] == pytest.approx(math.exp(-1.0))
+    for frozen in tb.survival_models(0.0, 0.0, np.array([0.0, 2.0, 1e6])):
+        assert np.array_equal(frozen, np.ones(3))
 
 
 def test_survival_models_require_positive_widths():
@@ -73,7 +72,7 @@ def test_survival_models_require_positive_widths():
 def _ladder_profile(weights):
     """Profile on unit-spaced levels 0..N-1."""
     energies = np.arange(len(weights), dtype=float)
-    return tb.StrengthProfile(i=0, energies=energies, weights=weights, e_i=float(weights @ energies))
+    return tb.StrengthProfile(energies=energies, weights=weights, e_i=float(weights @ energies))
 
 
 def test_n_pc_envelope_of_flat_weights_is_n():
@@ -141,9 +140,9 @@ def test_deviation_gives_the_prediction_error_and_the_per_point_rms(fig2):
 
 
 def test_fermi_dirac_recovers_synthetic_parameters():
-    eps = tb.SingleParticleSpectrum(epsilon=np.arange(12.0))
+    eps = np.arange(12.0)
     t_true, mu_true = 2.0, 5.5
-    ninf = 1.0 / (np.exp((eps.epsilon - mu_true) / t_true) + 1.0)
+    ninf = 1.0 / (np.exp((eps - mu_true) / t_true) + 1.0)
     fit = tb.fit_fermi_dirac(ninf, eps, n=6)
     assert not fit.infinite_temperature
     assert fit.temperature == pytest.approx(t_true, rel=0.01)
@@ -152,17 +151,17 @@ def test_fermi_dirac_recovers_synthetic_parameters():
 
 
 def test_fermi_dirac_constraint_holds():
-    eps = tb.SingleParticleSpectrum(epsilon=np.arange(12.0))
+    eps = np.arange(12.0)
     rng = np.random.default_rng(1)
     ninf = np.clip(0.5 + 0.2 * rng.standard_normal(12), 0.05, 0.95)
     ninf *= 6.0 / ninf.sum()
     fit = tb.fit_fermi_dirac(ninf, eps, n=6)
-    filled = 1.0 / (np.exp((eps.epsilon - fit.mu) / fit.temperature) + 1.0)
+    filled = 1.0 / (np.exp((eps - fit.mu) / fit.temperature) + 1.0)
     assert filled.sum() == pytest.approx(6.0, abs=1e-8)
 
 
 def test_fermi_dirac_uniform_is_infinite_temperature():
-    eps = tb.SingleParticleSpectrum(epsilon=np.arange(12.0))
+    eps = np.arange(12.0)
     fit = tb.fit_fermi_dirac(np.full(12, 0.5), eps, n=6)
     assert fit.infinite_temperature
     assert fit.temperature == math.inf
@@ -170,7 +169,7 @@ def test_fermi_dirac_uniform_is_infinite_temperature():
 
 
 def test_fermi_dirac_step_function_is_cold():
-    eps = tb.SingleParticleSpectrum(epsilon=np.arange(12.0))
+    eps = np.arange(12.0)
     ninf = np.array([1.0] * 6 + [0.0] * 6)
     fit = tb.fit_fermi_dirac(ninf, eps, n=6)
     assert fit.temperature < 0.05
@@ -183,7 +182,7 @@ def test_fermi_dirac_flags_a_temperature_at_the_scan_edge():
         _, _, ninf, spectrum = realization_fit_inputs(eta, seed)
         fit = tb.fit_fermi_dirac(ninf, spectrum, n=6)
         assert fit.at_bound == expected, (eta, seed, fit.temperature)
-    eps = tb.SingleParticleSpectrum(epsilon=np.arange(12.0))
+    eps = np.arange(12.0)
     assert tb.fit_fermi_dirac(np.full(12, 0.5), eps, n=6).at_bound == ()
 
 
@@ -193,20 +192,20 @@ def test_fermi_dirac_flags_a_misfit_flat_to_the_scan_edge():
     The slope bisection stops two scan steps above that end, so the distance
     rule alone leaves the temperature unflagged; the flat misfit flags it.
     """
-    eps = tb.SingleParticleSpectrum(epsilon=np.arange(12.0))
+    eps = np.arange(12.0)
     fit = tb.fit_fermi_dirac(np.array([1.0] * 6 + [0.0] * 6), eps, n=6)
     assert fit.residual < 1e-100
     assert fit.at_bound == ("temperature",)
 
 
 def test_fermi_dirac_rejects_length_mismatch():
-    eps = tb.SingleParticleSpectrum(epsilon=np.arange(12.0))
+    eps = np.arange(12.0)
     with pytest.raises(ParameterError):
         tb.fit_fermi_dirac(np.full(6, 0.5), eps, n=6)
 
 
 def test_fermi_dirac_rejects_out_of_range():
-    eps = tb.SingleParticleSpectrum(epsilon=np.arange(12.0))
+    eps = np.arange(12.0)
     bad = np.full(12, 0.5)
     bad[0] = 1.2
     with pytest.raises(PreconditionError):
@@ -231,9 +230,9 @@ def test_mu_for_filling_matches_brentq():
 
 def _fermi_dirac_case(case):
     """(occupations, spectrum) of a synthetic profile or of fig1/fig2 seeds 1-3."""
-    eps = tb.SingleParticleSpectrum(epsilon=np.arange(12.0))
+    eps = np.arange(12.0)
     if case == "thermal":
-        return 1.0 / (np.exp((eps.epsilon - 5.5) / 2.0) + 1.0), eps
+        return 1.0 / (np.exp((eps - 5.5) / 2.0) + 1.0), eps
     if case == "noisy":
         rng = np.random.default_rng(1)
         ninf = np.clip(0.5 + 0.2 * rng.standard_normal(12), 0.05, 0.95)
@@ -257,7 +256,7 @@ def test_fermi_dirac_matches_scipy(case):
     """
     ninf, spectrum = _fermi_dirac_case(case)
     fit = tb.fit_fermi_dirac(ninf, spectrum, n=6)
-    temperature, mu, residual = scipy_fermi_dirac(ninf, spectrum.epsilon, 6)
+    temperature, mu, residual = scipy_fermi_dirac(ninf, spectrum, 6)
     assert fit.residual <= residual + 1e-14
     assert fit.temperature == pytest.approx(temperature, rel=1e-5)
     assert fit.mu == pytest.approx(mu, abs=1e-8)
