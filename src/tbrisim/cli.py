@@ -110,13 +110,13 @@ def _load_config_doc(path: str | None) -> dict:
 def _cmd_run(args) -> int:
     doc = _apply_overrides(_load_config_doc(args.config), args)
     manifest = run(config_from_dict(doc))
-    print(json.dumps(manifest.derived, indent=2, sort_keys=True, default=str))
+    print(json.dumps(manifest["derived"], indent=2, sort_keys=True, default=str))
     return 0
 
 
 def _cmd_reproduce(args) -> int:
     config = config_from_dict(_apply_overrides(copy.deepcopy(PRESETS[args.command]), args))
-    d = run(config).derived
+    d = run(config)["derived"]
     print(
         f"N={d['n_states']}  Gamma_GR={d['gamma_golden_rule']:.4g}  "
         f"Delta_E={d['delta_e']:.4g}  N_pc(ipr)={d['n_pc_ipr']:.4g}  "
@@ -146,12 +146,12 @@ def _cmd_sweep(args) -> int:
     summary = []
     for eta, config in zip(etas, configs):
         manifest = run(config)
-        d = manifest.derived
+        d = manifest["derived"]
         # eta as its repr, the text of its run directory's name
         summary.append({"eta": repr(eta), "gamma_golden_rule": d["gamma_golden_rule"],
                         "gamma_bw_fit": d["bw_fit"].get("gamma"), "delta_e": d["delta_e"],
                         "n_pc_ipr": d["n_pc_ipr"], "rms_eq14": d["rms_eq14"],
-                        "config_hash": manifest.config_hash})
+                        "config_hash": manifest["config_hash"]})
     root.mkdir(parents=True, exist_ok=True)
     write_table(root / "summary.csv", {c: [row[c] for row in summary] for c in summary[0]})
     print(f"sweep summary in {root / 'summary.csv'}")

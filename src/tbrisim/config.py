@@ -1,10 +1,10 @@
 """The run config: one document of defaults, its validation and the presets.
 
 ``DEFAULTS`` is the complete config document.  A given document is merged
-into it block by block, every leaf is checked against the type of its
-default, and ``ExperimentConfig.to_dict`` writes the same shape back, so a
-default is stated here once.  Every check runs before the run allocates
-anything; a failed one is a ``ParameterError`` (exit 2).
+into it block by block and every leaf is checked against the type of its
+default; the merged document is the config, which ``ExperimentConfig``
+keeps whole, so a default is stated here once.  Every check runs before
+the run allocates anything; a failed one is a ``ParameterError`` (exit 2).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .exceptions import ParameterError
 from .hamiltonian import ModelParams
@@ -70,34 +70,21 @@ _ACCEPTED = {
     str: ((str,), "a string"),
     type(None): ((int, float, type(None)), "a number or null"),
 }
-# ExperimentConfig field -> (block, key) of its value in the config document.
-_FIELDS = {
-    "grid_kind": ("grid", "kind"),
-    "grid_start": ("grid", "start"),
-    "grid_stop": ("grid", "stop"),
-    "grid_points": ("grid", "points"),
-    "outdir": ("output", "directory"),
-}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A validated run config; ``to_dict`` gives its document (see README for the fields)."""
+    """A validated run config: its merged document (see README for the fields) and model."""
 
+    document: dict
     model: ModelParams
-    initial_state: int | str
-    grid_kind: str
-    grid_start: float | None
-    grid_stop: float | None
-    grid_points: int
-    outdir: str
+
+    @property
+    def outdir(self) -> str:
+        return self.document["output"]["directory"]
 
     def to_dict(self) -> dict:
-        doc = copy.deepcopy(DEFAULTS)
-        doc.update(model=asdict(self.model), initial_state=self.initial_state)
-        for name, (block, key) in _FIELDS.items():
-            doc[block][key] = getattr(self, name)
-        return doc
+        return copy.deepcopy(self.document)
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -125,10 +112,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ParameterError(f"grid points must be a non-negative integer, got {grid['points']!r}")
     _check_size(model, grid["points"])
     bitmask = _initial_bitmask(doc["initial_state"], model.n, model.m)
-    fields = {name: doc[block][key] for name, (block, key) in _FIELDS.items()}
     # One spelling per initial state, so one experiment has one config hash.
-    initial_state = "mid-spectrum" if bitmask is None else bitmask
-    return ExperimentConfig(model=model, initial_state=initial_state, **fields)
+    doc["initial_state"] = "mid-spectrum" if bitmask is None else bitmask
+    return ExperimentConfig(document=doc, model=model)
 
 
 def _merge(default, value, where: str):
@@ -146,7 +132,7 @@ def _merge(default, value, where: str):
             if key not in default and not no_op(value[key]):
                 raise ParameterError(f"{where}.{key} {value[key]!r}: {why}")
         return {
-            key: _merge(sub, value[key], f"{where}.{key}") if key in value else sub
+            key: _merge(sub, value[key], f"{where}.{key}") if key in value else copy.deepcopy(sub)
             for key, sub in default.items()
         }
     if where == "config.initial_state":

@@ -37,19 +37,20 @@ ROW_BLOCK = 256
 TIME_BLOCK = 64                   # grid times carried and reduced together
 _NODE_EPS = np.finfo(float).eps   # target of the Chebyshev truncation bound
 LONG_TIME_SPACING = 1.137         # long-time sampling step, in pi / (mid-spectrum spacing)
+LONG_TIME_SIDE = 16               # the long-time average samples LONG_TIME_SIDE**2 times
 
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Ascending, non-negative times in units of inverse energy."""
+    """Ascending, finite, non-negative times in units of inverse energy."""
 
     points: np.ndarray
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
         object.__setattr__(self, "points", pts)
-        if pts.size and (pts[0] < 0 or np.any(np.diff(pts) <= 0)):
-            raise ParameterError("time grid must be non-negative and strictly increasing")
+        if not np.all(np.isfinite(pts)) or pts.size and (pts[0] < 0 or np.any(np.diff(pts) <= 0)):
+            raise ParameterError("time grid must be finite, non-negative and strictly increasing")
 
     def __len__(self) -> int:
         return len(self.points)
@@ -217,7 +218,7 @@ def _evolve(
     if amplitudes is not None:
         amplitudes[:, :split] *= np.exp(-1j * centre * times[:split])
     drift = float(np.abs(norms - 1.0).max()) if len(times) else 0.0
-    if drift > UNITARITY_TOL:
+    if not drift <= UNITARITY_TOL:   # NaN fails too
         raise PreconditionError(f"evolution lost unitarity: |sum - 1| = {drift:.3e}")
     return reduced.T, drift, split, count
 
@@ -225,8 +226,8 @@ def _evolve(
 def evolve_amplitudes(decomp: EigenDecomposition, i: int, grid) -> np.ndarray:
     """(N, T) amplitudes A_f(t) for an initial basis state i; unitary at every t.
 
-    The times are read as a ``TimeGrid``: non-negative and strictly increasing,
-    so descending, unordered, negative or repeated times raise ParameterError.
+    The times are read as a ``TimeGrid``: finite, non-negative and strictly increasing,
+    so NaN, infinite, descending, unordered, negative or repeated times raise ParameterError.
 
     With the energies centred at c = (E_min + E_max)/2 and V real,
     exp(i c t) A_f(t) = sum_k c_k C_f(k) exp(-i (E_k - c) t) has an even real
@@ -320,8 +321,8 @@ def simulate_trajectory(
     )
 
 
-def average_survival(decomp: EigenDecomposition, i: int, *, samples: int = 256) -> float:
-    """Long-time average of W0 over ``samples`` equidistant times t_j = t0 + dt j.
+def average_survival(decomp: EigenDecomposition, i: int) -> float:
+    """Long-time average of W0 over 256 equidistant times t_j = t0 + dt j.
 
     dt is ``LONG_TIME_SPACING`` * pi / D, D the mid-spectrum spacing (the
     global ``mean_spacing`` where that is 0), which decorrelates the
@@ -329,18 +330,17 @@ def average_survival(decomp: EigenDecomposition, i: int, *, samples: int = 256) 
     the second-moment width of the strength function of i.  Below three
     levels t0 = dt = 1.
 
-    With j = B a + b, B = ceil(sqrt(samples)) and A = ceil(samples / B)
-    rows, angle addition splits every amplitude into a coarse and a fine
-    phase:
+    With j = B a + b and A = B = ``LONG_TIME_SIDE`` = 16, angle addition
+    splits every amplitude into a coarse and a fine phase:
 
         sum_k w_k exp(-i E_k t_j) = sum_k C[k, a] F[k, b],
         C[k, a] = w_k exp(-i E_k t0) z_k^(B a),   F[k, b] = z_k^b,   z_k = exp(-i E_k dt).
 
     The tables are built as powers from three ``_phases`` columns (t0, dt
     and B dt), each power one elementwise complex product from the last:
-    6 N sin/cos instead of 2 N samples, and no N x samples array.  All
-    A x B amplitudes are then one complex product C^T F, and the mean runs
-    over its first ``samples`` entries in row-major order.
+    6 N sin/cos instead of 512 N, and no N x 256 array.  All A x B
+    amplitudes are then one complex product C^T F, and the mean runs over
+    all of them.
 
     Agreement with ``survival_probability(decomp, i, t).mean()`` on the same times t:
     that path rounds each phase E_k t_j to within 3 eps |E_k| t_j; this one
@@ -351,13 +351,11 @@ def average_survival(decomp: EigenDecomposition, i: int, *, samples: int = 256) 
     eps (3 max|E_k| t_max + 2 N + 5 (A + B) + 8) of the exact one, and
     W0 <= 1 within twice that.  The two averages therefore differ by at most
 
-        16 eps (max_k |E_k| t_max + N + samples),   t_max = t0 + dt (samples - 1).
+        16 eps (max_k |E_k| t_max + N + 256),   t_max = t0 + 255 dt.
 
     At N=924, max|E_k| t_max reaches ~2e6, so the bound is ~7e-9; the
     phase errors are not aligned, and the measured difference is <= 8e-13.
     """
-    if samples < 200:
-        raise ParameterError(f"need >= 200 samples for a stable average, got {samples}")
     profile, energies = strength_function(decomp, i), decomp.energies
     t0 = dt = 1.0
     if len(energies) >= 3:
@@ -367,12 +365,11 @@ def average_survival(decomp: EigenDecomposition, i: int, *, samples: int = 256) 
         dt = LONG_TIME_SPACING * np.pi / spacing_mid
         width = math.sqrt(profile.second_central_moment())
         t0 = max(dt, 50.0 / width) if width > 0 else dt
-    fine = math.isqrt(samples - 1) + 1          # B = ceil(sqrt(samples))
-    coarse = -(-samples // fine)                # A = ceil(samples / B)
-    base = _phases(energies, np.array([t0, dt, dt * fine])).view(np.complex128)
-    rows = _powers(base[:, 0] * profile.weights, base[:, 2], coarse)           # C^T
-    cols = _powers(1.0, base[:, 1], fine)                                      # F^T
-    amplitudes = (rows @ cols.T).ravel()[:samples]
+    side = LONG_TIME_SIDE
+    base = _phases(energies, np.array([t0, dt, dt * side])).view(np.complex128)
+    rows = _powers(base[:, 0] * profile.weights, base[:, 2], side)             # C^T
+    cols = _powers(1.0, base[:, 1], side)                                      # F^T
+    amplitudes = (rows @ cols.T).ravel()
     return float(np.mean(amplitudes.real**2 + amplitudes.imag**2))
 
 

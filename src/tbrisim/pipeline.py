@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import hashlib
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import dynamics, strength, theory
 from .basis import build_basis, classify, occupation_bits
-from .config import ExperimentConfig, _initial_bitmask, config_hash
+from .config import ExperimentConfig, config_hash
 from .exceptions import FitConvergenceError, PreconditionError, StageError
 from .export import write_json, write_table
 from .hamiltonian import HamiltonianMatrix, build_hamiltonian, sample_spectrum, sample_two_body
@@ -27,19 +27,6 @@ from .spectral import PROBES, _sorted_median, diagonalize, spectral_stats
 _BLAS_THREAD_GETTERS = (
     "scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads",
 )
-
-
-@dataclass
-class RunManifest:
-    """Echo of the config plus derived quantities, output-file hashes and
-    the library environment that produced the bytes (not part of the hash)."""
-
-    config: dict
-    config_hash: str
-    seed: int
-    derived: dict
-    files: dict
-    environment: dict
 
 
 def _blas_threads() -> int | None:
@@ -75,25 +62,25 @@ def _environment() -> dict:
     }
 
 
-def select_initial_state(h: HamiltonianMatrix, rule) -> int:
-    """Resolve an initial-state rule to a basis index.
+def select_initial_state(h: HamiltonianMatrix, rule: int | str) -> int:
+    """The basis index of a config's initial-state rule: "mid-spectrum" or a bitmask.
 
     "mid-spectrum" picks the state whose diagonal energy is closest to the
-    median diagonal energy (lowest index on ties); an integer (or integer
-    string) is treated as an explicit bitmask and validated.
+    median diagonal energy (lowest index on ties); a bitmask that is not a
+    basis state raises PreconditionError.
     """
-    bitmask = _initial_bitmask(rule, h.basis.n, h.basis.m)
-    if bitmask is None:
+    if rule == "mid-spectrum":
         diag = h.diagonal()
         return int(np.argmin(np.abs(diag - _sorted_median(np.sort(diag)))))
-    return h.basis.position(bitmask)
+    return h.basis.position(rule)
 
 
 def _build_grid(config: ExperimentConfig, delta_e: float, gamma: float, n_classes: int):
-    if config.grid_kind == "auto":
-        return dynamics.default_grid(delta_e, gamma, n_classes, points=config.grid_points)
-    spaced = np.geomspace if config.grid_kind == "log" else np.linspace
-    points = spaced(config.grid_start, config.grid_stop, config.grid_points)
+    grid = config.document["grid"]
+    if grid["kind"] == "auto":
+        return dynamics.default_grid(delta_e, gamma, n_classes, points=grid["points"])
+    spaced = np.geomspace if grid["kind"] == "log" else np.linspace
+    points = spaced(grid["start"], grid["stop"], grid["points"])
     return dynamics.TimeGrid(dynamics._sorted_unique(points))
 
 
@@ -127,8 +114,10 @@ def _attempt_fit(fit, *args, **kwargs):
     return result, {"status": "converged", **asdict(result)}
 
 
-def run(config: ExperimentConfig) -> RunManifest:
-    """Execute the full pipeline for one config and write all outputs."""
+def run(config: ExperimentConfig) -> dict:
+    """Execute the full pipeline for one config and write all outputs; return the manifest,
+    the dict written to manifest.json: the config echo, its hash and seed, the derived
+    values, the file hashes and the library environment that produced the bytes."""
     doc = config.to_dict()
     cfg_hash = config_hash(doc)
     outdir = Path(config.outdir)
@@ -153,7 +142,7 @@ def run(config: ExperimentConfig) -> RunManifest:
         decomp = diagonalize(h)
         spacing_mid = spectral_stats(decomp)
     with stage("initial-state"):
-        i = select_initial_state(h, config.initial_state)
+        i = select_initial_state(h, doc["initial_state"])
         bitmask = int(basis.states[i])
         partition = classify(basis, bitmask)
     with stage("strength"):
@@ -171,8 +160,8 @@ def run(config: ExperimentConfig) -> RunManifest:
     with stage("theory"):
         n0 = occupation_bits(basis.states[i:i + 1], params.m)[:, 0]   # the initial bitmask
         prediction = theory.predict_occupations(n0, n_inf, trajectory.w0, grid)
-        rms_eq14, max_eq14, rms_eq14_per_point = theory.deviation(
-            trajectory.occupations - prediction.occupations, prediction.grid.points
+        rms_eq14, max_eq14, rms_eq14_per_point = theory.prediction_error(
+            trajectory.occupations, prediction
         )
         n_pc_env = theory.n_pc_envelope(profile)
         models = theory.survival_models(gamma_gr, delta_e, grid)
@@ -226,9 +215,9 @@ def run(config: ExperimentConfig) -> RunManifest:
             },
             "rng": "PCG64 (numpy default_rng) with per-purpose child streams",
         }
-        manifest = RunManifest(
-            config=doc, config_hash=cfg_hash, seed=params.seed, derived=derived,
-            files={p.name: _sha256(p) for p in written}, environment=_environment(),
-        )
-        write_json(outdir / "manifest.json", asdict(manifest))
+        manifest = {
+            "config": doc, "config_hash": cfg_hash, "seed": params.seed, "derived": derived,
+            "files": {p.name: _sha256(p) for p in written}, "environment": _environment(),
+        }
+        write_json(outdir / "manifest.json", manifest)
     return manifest

@@ -64,7 +64,7 @@ def predict_occupations(n0, ninf, w0, grid) -> ThermalizationPrediction:
     w0 = np.asarray(w0, dtype=float)
     if n0.shape != ninf.shape:
         raise ParameterError(f"length mismatch: n0 has {n0.shape}, ninf has {ninf.shape}")
-    if np.any(w0 < -1e-12) or np.any(w0 > 1 + 1e-12):
+    if not np.all((w0 >= -1e-12) & (w0 <= 1 + 1e-12)):   # NaN fails too
         raise ParameterError("W0 series must lie in [0, 1]")
     occupations = n0[:, None] * w0[None, :] + ninf[:, None] * (1.0 - w0[None, :])
     times = TimeGrid(_times(grid))
@@ -218,20 +218,16 @@ def fit_fermi_dirac(ninf, epsilon, n: int) -> FermiDiracFit:
     )
 
 
-def prediction_error(n_exact: np.ndarray, prediction: ThermalizationPrediction) -> tuple[float, float]:
-    """(RMS, max-abs) deviation between exact and predicted occupations; see ``deviation``."""
-    if n_exact.shape != prediction.occupations.shape:
-        raise ParameterError(f"shape mismatch: exact {n_exact.shape} vs predicted "
-                             f"{prediction.occupations.shape}")
-    return deviation(n_exact - prediction.occupations, prediction.grid.points)[:2]
-
-
-def deviation(diff: np.ndarray, times: np.ndarray) -> tuple[float, float, float]:
-    """(RMS, max-abs, per-point RMS) of an (m, T) occupation difference on ``times``.
+def prediction_error(n_exact, prediction: ThermalizationPrediction) -> tuple[float, float, float]:
+    """(RMS, max-abs, per-point RMS) deviation of exact from predicted (m, T) occupations.
 
     The RMS weighs time uniformly (trapezoid rule), so it does not depend on how
     densely any time zone was sampled; the other two run over all grid points.
     """
+    if n_exact.shape != prediction.occupations.shape:
+        raise ParameterError(f"shape mismatch: exact {n_exact.shape} vs predicted "
+                             f"{prediction.occupations.shape}")
+    diff, times = n_exact - prediction.occupations, prediction.grid.points
     squares = diff**2
     per_point = rms = float(np.sqrt(np.mean(squares))) if diff.size else 0.0
     if len(times) >= 2 and times[-1] > times[0]:

@@ -129,7 +129,7 @@ def test_criterion_07_eq14_agreement(fig1, fig2):
         pred = tb.predict_occupations(
             s.trajectory.occupations[:, 0], s.n_inf, s.trajectory.w0, s.grid
         )
-        rms, mx = tb.prediction_error(s.trajectory.occupations, pred)
+        rms, mx, _ = tb.prediction_error(s.trajectory.occupations, pred)
         ok &= rms <= limit
         detail.append(f"{tag}: rms={rms:.4f} (<= {limit}), max={mx:.3f}")
     report(7, "eq14-agreement", ok, "; ".join(detail))
@@ -138,9 +138,11 @@ def test_criterion_07_eq14_agreement(fig1, fig2):
 
 @pytest.mark.parametrize("fixture", ["fig1", "fig2"])
 def test_criterion_08_short_time_law(fixture, request):
+    """W0 = 1 - Delta_E^2 t^2 at Delta_E t <= 0.1, with W0 from ``simulate_trajectory``,
+    the path a run takes."""
     s = request.getfixturevalue(fixture)
     times = np.array([0.01, 0.02, 0.05, 0.1]) / s.delta_e
-    w0 = tb.survival_probability(s.decomp, s.i, times)
+    w0 = tb.simulate_trajectory(s.decomp, s.basis, s.partition, s.i, times).w0
     quad = (s.delta_e * times) ** 2
     worst = float(np.max(np.abs(w0 - (1 - quad)) / quad))
     ok = worst <= 0.1
@@ -163,7 +165,7 @@ def test_criterion_09_saturation(fig2):
     fails if the average, the weights or the Gaussian statistics of the
     components are off by a factor of order 3.
     """
-    avg = tb.average_survival(fig2.decomp, fig2.i, samples=256)
+    avg = tb.average_survival(fig2.decomp, fig2.i)
     n_ipr = fig2.profile.n_pc_ipr()
     n_env = tb.n_pc_envelope(fig2.profile)
     target = 3.0 / n_env
@@ -179,16 +181,28 @@ def test_criterion_09_saturation(fig2):
 
 @pytest.mark.parametrize("fixture", ["fig1", "fig2"])
 def test_criterion_10_conservation(fixture, request):
+    """Particle number, class sum and norm hold to ``CONSERVATION_TOL``; the unitarity drift
+    the trajectory records (and a run writes to its manifest) agrees with a recount.
+
+    The recount sums |A_f(t)|^2 of ``evolve_amplitudes`` over f.  Both sums add the
+    same N terms, each rounded differently by at most ~10 eps relative (the recount's
+    exp(-i c t) product, modulus and square against the in-place squares), and a sum
+    of N positive terms near 1 is off by at most (N - 1) eps.  So the recorded drift
+    and the recount differ by at most 2 (N + 10) eps, 4.1e-13 at N=924.
+    """
     s = request.getfixturevalue(fixture)
     n_err = float(np.abs(s.trajectory.occupations.sum(axis=0) - 6.0).max())
     w_err = float(np.abs(s.trajectory.class_populations.sum(axis=0) - 1.0).max())
     prob = np.abs(tb.evolve_amplitudes(s.decomp, s.i, s.grid)) ** 2
     u_err = float(np.abs(prob.sum(axis=0) - 1.0).max())
-    worst = max(n_err, w_err, u_err)
-    ok = worst <= CONSERVATION_TOL
+    recorded = s.trajectory.unitarity_drift
+    bound = 2 * (s.decomp.size + 10) * np.finfo(float).eps
+    worst = max(n_err, w_err, u_err, recorded)
+    ok = worst <= CONSERVATION_TOL and abs(recorded - u_err) <= bound
     report(
         10, f"conservation[{fixture}]", ok,
-        f"particle {n_err:.1e}, class-sum {w_err:.1e}, unitarity {u_err:.1e}",
+        f"particle {n_err:.1e}, class-sum {w_err:.1e}, unitarity {u_err:.1e}, "
+        f"recorded drift {recorded:.1e} (within {bound:.1e} of the recount)",
     )
     assert ok
 

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -41,7 +43,7 @@ def test_config_defaults_round_trip():
     default = config.config_from_dict({})
     assert default.model.n == 6 and default.model.m == 12
     assert default.model.eta == 0.003 and default.model.seed == 1
-    assert default.initial_state == "mid-spectrum"
+    assert default.document["initial_state"] == "mid-spectrum"
     again = config.config_from_dict(default.to_dict())
     assert again == default
     assert config.config_hash(again.to_dict()) == config.config_hash(default.to_dict())
@@ -92,7 +94,8 @@ def test_config_validation_errors():
     ):
         with pytest.raises(ParameterError):
             config.config_from_dict(doc)
-    assert config.config_from_dict({"model": small, "initial_state": "0b111000"}).initial_state
+    parsed = config.config_from_dict({"model": small, "initial_state": "0b111000"})
+    assert parsed.document["initial_state"] == 0b111000
 
 
 @pytest.mark.parametrize("stored, spellings", [
@@ -104,7 +107,7 @@ def test_one_initial_state_has_one_config_hash(stored, spellings):
     bitmask, so the same experiment carries one config hash."""
     small = {"n": 3, "m": 6}
     parsed = [config.config_from_dict({"model": small, "initial_state": s}) for s in spellings]
-    assert {p.initial_state for p in parsed} == {stored}
+    assert {p.document["initial_state"] for p in parsed} == {stored}
     assert len({config.config_hash(p.to_dict()) for p in parsed}) == 1
 
 
@@ -264,11 +267,8 @@ def test_orbitals_beyond_a_64_bit_bitmask_exit_2(tmp_path, capsys):
 
 def test_select_initial_state_bitmask(small_2_4):
     assert pipeline.select_initial_state(small_2_4.h, 0b0011) == 0
-    assert pipeline.select_initial_state(small_2_4.h, "0b0011") == 0
-    with pytest.raises(ParameterError):
+    with pytest.raises(PreconditionError):
         pipeline.select_initial_state(small_2_4.h, 0b0111)
-    with pytest.raises(ParameterError):
-        pipeline.select_initial_state(small_2_4.h, "nonsense")
 
 
 def test_select_initial_state_mid_spectrum_free_fermions():
@@ -284,13 +284,13 @@ def test_run_small_system(tmp_path):
     """A run writes the manifest and exactly the files it lists."""
     manifest = pipeline.run(config.config_from_dict(small_doc(tmp_path)))
     outdir = tmp_path / "out"
-    assert {path.name for path in outdir.iterdir()} == {*manifest.files, "manifest.json"} == {
+    assert {path.name for path in outdir.iterdir()} == {*manifest["files"], "manifest.json"} == {
         "config.json", "occupations.csv", "prediction.csv", "strength.csv", "plotdata.csv",
         "manifest.json",
     }
-    assert manifest.derived["n_states"] == 20
+    assert manifest["derived"]["n_states"] == 20
     saved = json.loads((outdir / "manifest.json").read_text())
-    assert saved["config_hash"] == manifest.config_hash and saved["seed"] == 5
+    assert saved["config_hash"] == manifest["config_hash"] and saved["seed"] == 5
 
 
 def test_every_table_has_lf_lines_and_full_rows(tmp_path):
@@ -320,7 +320,7 @@ def _fitted_doc(tmp_path):
 
 
 def test_manifest_records_each_fit(tmp_path):
-    derived = pipeline.run(config.config_from_dict(_fitted_doc(tmp_path))).derived
+    derived = pipeline.run(config.config_from_dict(_fitted_doc(tmp_path)))["derived"]
     for key in ("bw_fit", "hybrid_fit", "fermi_dirac"):
         assert derived[key]["status"] == "converged", key
     for key in ("bw_fit", "hybrid_fit"):
@@ -358,7 +358,7 @@ def test_manifest_records_trajectory_diagnostics(tmp_path, grid, interpolated):
     (s = 0 and K null on the direct path); K + 2 (T - s) < 2 T columns when s > 0."""
     manifest = pipeline.run(config.config_from_dict(small_doc(tmp_path, grid=grid)))
     saved = json.loads((tmp_path / "out" / "manifest.json").read_text())["derived"]["dynamics"]
-    assert saved == manifest.derived["dynamics"]
+    assert saved == manifest["derived"]["dynamics"]
     assert set(saved) == {"unitarity_drift", "interpolated_points", "time_nodes"}
     assert 0.0 <= saved["unitarity_drift"] <= tb.dynamics.UNITARITY_TOL
     split, count = saved["interpolated_points"], saved["time_nodes"]
@@ -386,7 +386,7 @@ def test_size_guard_refuses_a_dense_matrix_beyond_physical_memory(tmp_path):
 def test_size_guard_counts_the_trajectory_grid():
     """n=6, m=12 validates with 400 points; 10**11 points of (N, points) complex amplitudes
     exceed physical memory and are refused by validation alone."""
-    assert config.config_from_dict({"grid": {"points": 400}}).grid_points == 400
+    assert config.config_from_dict({"grid": {"points": 400}}).document["grid"]["points"] == 400
     with pytest.raises(ParameterError, match="grid points"):
         config.config_from_dict({"model": {"n": 6, "m": 12}, "grid": {"points": 10**11}})
 
@@ -401,7 +401,7 @@ def test_failed_fit_is_recorded_and_the_others_still_run(tmp_path, monkeypatch):
 
     monkeypatch.setattr(strength, "fit_bw", no_bw)
     monkeypatch.setattr(theory, "fit_fermi_dirac", no_fd)
-    derived = pipeline.run(config.config_from_dict(_fitted_doc(tmp_path))).derived
+    derived = pipeline.run(config.config_from_dict(_fitted_doc(tmp_path)))["derived"]
     assert derived["bw_fit"] == {"status": "unavailable", "reason": "forced"}
     assert derived["fermi_dirac"] == {"status": "unavailable", "reason": "forced"}
     assert derived["hybrid_fit"]["status"] == "converged"
@@ -413,7 +413,7 @@ def test_failed_hybrid_fit_falls_back_to_delta_e(tmp_path, monkeypatch):
         raise FitConvergenceError("forced")
 
     monkeypatch.setattr(strength, "fit_hybrid", no_hybrid)
-    derived = pipeline.run(config.config_from_dict(_fitted_doc(tmp_path))).derived
+    derived = pipeline.run(config.config_from_dict(_fitted_doc(tmp_path)))["derived"]
     assert derived["hybrid_fit"] == {"status": "unavailable", "reason": "forced"}
     assert derived["bw_fit"]["status"] == "converged"
     assert derived["sigma"] == derived["delta_e"]
@@ -423,14 +423,14 @@ def test_run_free_fermions_frozen(tmp_path):
     """eta = 0: occupations never move and W0 stays exactly 1."""
     manifest = pipeline.run(config.config_from_dict(small_doc(tmp_path, eta=0.0)))
     saved = strict_json((tmp_path / "out" / "manifest.json").read_text())
-    assert saved["derived"]["n_pc_ratio"] == manifest.derived["n_pc_ratio"] == 0.0
+    assert saved["derived"]["n_pc_ratio"] == manifest["derived"]["n_pc_ratio"] == 0.0
     with open(tmp_path / "out" / "occupations.csv") as fh:
         rows = list(csv.DictReader(l for l in fh if not l.startswith("#")))
     first = [float(rows[0][f"n_{a}"]) for a in range(6)]
     last = [float(rows[-1][f"n_{a}"]) for a in range(6)]
     assert last == pytest.approx(first, abs=1e-12)
     assert all(abs(float(r["W0"]) - 1.0) < 1e-12 for r in rows)
-    assert manifest.derived["gamma_golden_rule"] == 0.0
+    assert manifest["derived"]["gamma_golden_rule"] == 0.0
     with open(tmp_path / "out" / "plotdata.csv") as fh:   # zero widths: both model curves are 1
         models = list(csv.DictReader(l for l in fh if not l.startswith("#")))
     assert len(models) == len(rows)
@@ -456,15 +456,15 @@ def test_run_deterministic_outputs(tmp_path):
     m2 = pipeline.run(config.config_from_dict(doc2))
     for name in ("occupations.csv", "prediction.csv", "strength.csv", "plotdata.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-        assert m1.files[name] == m2.files[name]
-    assert m1.config_hash == m2.config_hash
+        assert m1["files"][name] == m2["files"][name]
+    assert m1["config_hash"] == m2["config_hash"]
 
 
 def test_eq14_starts_from_the_initial_bitmask_on_a_late_grid(tmp_path):
     """On a grid that starts after t=0, eq. 14 still interpolates from the initial state:
     n_pred(t) = n(0) W0(t) + n(inf) (1 - W0(t)), with n(0) the bits of the initial bitmask."""
     doc = small_doc(tmp_path, grid={"kind": "linear", "start": 2.0, "stop": 20.0, "points": 10})
-    derived = pipeline.run(config.config_from_dict(doc)).derived
+    derived = pipeline.run(config.config_from_dict(doc))["derived"]
     table = {}
     for name in ("occupations.csv", "prediction.csv"):
         with open(tmp_path / "out" / name) as fh:
@@ -774,6 +774,82 @@ def test_every_small_config_runs_or_exits_2(tmp_path, eta, jitter):
             small = math.comb(m, n) < 10 or (eta > 0 and class1 < 10)
             assert cli.main(["run", "--config", str(path)]) == (2 if small else 0), (n, m)
             assert out.exists() != small
+
+
+# Values the config fuzzer puts at each leaf: right and wrong types, edge values, and
+# NaN/inf.  No valid (n, m) exceeds C(10, 5) = 252 states: m is 10 at most where it is
+# valid, and the model block, n and m are never deleted (their defaults give 924).  No
+# valid grid exceeds 40 points: the large integers go only where a check refuses them.
+_FUZZ_ODD = (None, True, "x", "", [], {}, -1, 0, 2.5, math.nan, math.inf)
+_FUZZ_LEAVES = {
+    ("config_version",): (1, 2, "1", 1.0),
+    ("model", "n"): (1, 2, 3, 5, 6, 11, "3", 3.0),
+    ("model", "m"): (1, 3, 5, 6, 8, 10, 64, "6", 6.0),
+    ("model", "eta"): (0.0, 0.003, 0.083, 0.5, 1, -0.1, "0.1", -math.inf),
+    ("model", "seed"): (1, 7, 2**64, 1.5, "1", -5),
+    ("model", "jitter"): (0.0, 0.3, 0.99, 1.0, -0.1, "0.3"),
+    ("model", "d0"): (1, 1.0, 2.0, "1"),
+    ("initial_state",): ("mid-spectrum", " MID-spectrum ", "0b111", "0x38", 0b101010, 0b1011,
+                         0b1111, 7.0, -7, 2**70, "nonsense", [7], "0b111111"),
+    ("grid", "kind"): ("auto", "log", "linear", "cubic", "AUTO"),
+    ("grid", "start"): (0.0, 0.5, 1.0, 20.0, -1.0, "1"),
+    ("grid", "stop"): (0.0, 0.5, 1.0, 20.0, -1.0, "20"),
+    ("grid", "points"): (1, 2, 3, 17, 40, "40", 40.0),
+    ("output", "formats"): (["csv"], ["npy"], "csv"),
+    ("output", "binary_dumps"): (False, True, "no"),
+    ("analysis",): ({"fits": False}, 5),
+    ("hamiltonian",): ({"one_orbital_terms": True}, {"one_orbital_terms": False}),
+    ("model",): ([3, 6], "n=3"),
+    ("grid",): ([], "auto"),
+    ("unknown",): (1,),
+}
+
+
+def _fuzzed_doc(rng, outdir: str) -> dict:
+    """The n=3, m=6 document with one to three leaves set, deleted or given a stray type."""
+    doc = {"config_version": 1, "model": {"n": 3, "m": 6, "eta": 0.083, "seed": 1, "jitter": 0.0},
+           "initial_state": "mid-spectrum",
+           "grid": {"kind": "auto", "start": None, "stop": None, "points": 40}}
+    for _ in range(rng.randint(1, 3)):
+        path = rng.choice(sorted(_FUZZ_LEAVES))
+        block = doc
+        for key in path[:-1]:
+            block = block.setdefault(key, {}) if isinstance(block, dict) else {}
+        if not isinstance(block, dict):
+            continue
+        draw = rng.random()
+        if draw < 0.15 and path[-1] not in ("model", "n", "m"):
+            block.pop(path[-1], None)
+        else:
+            pool = _FUZZ_ODD if draw < 0.35 else _FUZZ_LEAVES[path]
+            block[path[-1]] = copy.deepcopy(rng.choice(pool))
+    doc["output"] = {"directory": outdir}
+    return doc
+
+
+def test_config_fuzzer_runs_or_exits_2(tmp_path, capsys):
+    """400 mutated documents through ``main``: each runs (0) or is refused (2), and none
+    raises.  The one exit 3 left is an explicit initial state near a spectrum edge, too few
+    class-1 states for the golden-rule density window, which no check before H can see."""
+    rng, codes, edge = random.Random(0), {}, []
+    for k in range(400):
+        out = tmp_path / f"run{k}"
+        doc = _fuzzed_doc(rng, str(out))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main(["run", "--config", str(path)])
+        err = capsys.readouterr().err
+        codes[code] = codes.get(code, 0) + 1
+        assert code in (0, 2, 3), (code, doc)
+        assert out.exists() == (code != 2), (code, doc)
+        if code == 3:
+            assert "stage 'strength'" in err and "class-1 states" in err, (doc, err)
+            assert doc["initial_state"] != "mid-spectrum", doc
+            edge.append((doc["model"], doc["initial_state"]))
+    with capsys.disabled():
+        print(f"config fuzzer: exit codes {dict(sorted(codes.items()))}, "
+              f"edge initial states (model, state) {edge}")
+    assert codes.get(0, 0) > 0 and codes.get(2, 0) > 0
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():

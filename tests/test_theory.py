@@ -131,10 +131,12 @@ def test_deviation_gives_the_prediction_error_and_the_per_point_rms(fig2):
     s = fig2
     pred = tb.predict_occupations(s.trajectory.occupations[:, 0], s.n_inf, s.trajectory.w0, s.grid)
     diff = s.trajectory.occupations - pred.occupations
-    rms, worst, per_point = theory.deviation(diff, pred.grid.points)
-    assert (rms, worst) == tb.prediction_error(s.trajectory.occupations, pred)
+    rms, worst, per_point = tb.prediction_error(s.trajectory.occupations, pred)
+    assert worst == float(np.abs(diff).max())
     assert per_point == float(np.sqrt(np.mean(diff**2))) != rms
-    assert theory.deviation(diff[:, :1], pred.grid.points[:1]) == (
+    first = tb.ThermalizationPrediction(grid=tb.TimeGrid(pred.grid.points[:1]),
+                                        occupations=pred.occupations[:, :1])
+    assert tb.prediction_error(s.trajectory.occupations[:, :1], first) == (
         float(np.sqrt(np.mean(diff[:, 0] ** 2))), float(np.abs(diff[:, 0]).max()),
         float(np.sqrt(np.mean(diff[:, 0] ** 2))))
 
