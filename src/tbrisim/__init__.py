@@ -8,7 +8,7 @@ below are the stages and records of ``tbrisim.pipeline.run``; a config
 document is validated by ``tbrisim.config.config_from_dict``.
 """
 
-from .basis import Basis, ClassPartition, build_basis, classify, occupancy_matrix
+from .basis import Basis, ClassPartition, build_basis, classify
 from .dynamics import (
     OccupationTrajectory,
     TimeGrid,
@@ -17,7 +17,6 @@ from .dynamics import (
     default_grid,
     evolve_amplitudes,
     simulate_trajectory,
-    survival_probability,
 )
 from .exceptions import (
     EigensolverError,
@@ -41,9 +40,6 @@ from .spectral import (
     spectral_stats,
 )
 from .strength import (
-    BWFit,
-    HybridFit,
-    SpreadingParams,
     StrengthProfile,
     energy_variance,
     fit_bw,
@@ -53,7 +49,6 @@ from .strength import (
     strength_function,
 )
 from .theory import (
-    FermiDiracFit,
     ThermalizationPrediction,
     fit_fermi_dirac,
     n_pc_envelope,

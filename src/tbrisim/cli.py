@@ -110,7 +110,7 @@ def _load_config_doc(path: str | None) -> dict:
 def _cmd_run(args) -> int:
     doc = _apply_overrides(_load_config_doc(args.config), args)
     manifest = run(config_from_dict(doc))
-    print(json.dumps(manifest["derived"], indent=2, sort_keys=True, default=str))
+    print(json.dumps(manifest["derived"], indent=2, sort_keys=True))
     return 0
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 from contextlib import contextmanager
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -102,16 +101,15 @@ def emit_plotdata(grid: dynamics.TimeGrid, models, path, *, header_lines=()) -> 
 
 
 def _attempt_fit(fit, *args, **kwargs):
-    """Run one optional fit: (result, manifest record) or (None, the reason it is unavailable).
+    """Run one optional fit: its manifest record, converged or unavailable with the reason.
 
     Each fit is tried on its own, so one that cannot run leaves the others
     and the rest of the pipeline untouched.
     """
     try:
-        result = fit(*args, **kwargs)
+        return {"status": "converged", **fit(*args, **kwargs)}
     except (PreconditionError, FitConvergenceError) as exc:
-        return None, {"status": "unavailable", "reason": str(exc)}
-    return result, {"status": "converged", **asdict(result)}
+        return {"status": "unavailable", "reason": str(exc)}
 
 
 def run(config: ExperimentConfig) -> dict:
@@ -149,8 +147,8 @@ def run(config: ExperimentConfig) -> dict:
         profile = strength.strength_function(decomp, i)
         delta_e = strength.energy_variance(h, i)
         gamma_gr = strength.golden_rule_gamma(h, partition, i)
-        _, bw_record = _attempt_fit(strength.fit_bw, profile, gamma0=gamma_gr)
-        _, hybrid_record = _attempt_fit(strength.fit_hybrid, profile, gamma0=gamma_gr)
+        bw_record = _attempt_fit(strength.fit_bw, profile, gamma0=gamma_gr)
+        hybrid_record = _attempt_fit(strength.fit_hybrid, profile, gamma0=gamma_gr)
         spreading = strength.spreading_params(profile, delta_e, gamma_gr, spacing_mid)
     with stage("dynamics"):
         grid = _build_grid(config, delta_e, gamma_gr, partition.n_classes)
@@ -165,9 +163,7 @@ def run(config: ExperimentConfig) -> dict:
         )
         n_pc_env = theory.n_pc_envelope(profile)
         models = theory.survival_models(gamma_gr, delta_e, grid)
-        fd, fd_record = _attempt_fit(theory.fit_fermi_dirac, n_inf, epsilon, params.n)
-        if fd and fd.infinite_temperature:   # JSON has no inf or NaN
-            fd_record.update(temperature="inf", mu=None)
+        fd_record = _attempt_fit(theory.fit_fermi_dirac, n_inf, epsilon, params.n)
 
     with stage("export"):
         def out(name: str) -> Path:
@@ -188,10 +184,7 @@ def run(config: ExperimentConfig) -> dict:
             "gamma_golden_rule": gamma_gr,
             "bw_fit": bw_record,
             "hybrid_fit": hybrid_record,
-            "sigma": spreading.sigma,
-            "e_c": spreading.e_c,
-            "n_pc_ratio": spreading.n_pc_ratio,
-            "n_pc_ipr": spreading.n_pc_ipr,
+            **spreading,
             "n_pc_envelope": n_pc_env,
             "initial_state_index": i,
             "initial_state_bitmask": bitmask,

@@ -49,41 +49,6 @@ class StrengthProfile:
         return float(1.0 / (self.weights @ self.weights))
 
 
-@dataclass(frozen=True)
-class SpreadingParams:
-    """Width and band parameters extracted for one initial basis state."""
-
-    sigma: float
-    e_c: float
-    n_pc_ratio: float | None     # Gamma over the mid-spectrum spacing; None if that is 0
-    n_pc_ipr: float
-
-
-@dataclass(frozen=True)
-class BWFit:
-    gamma: float
-    center: float
-    residual: float
-    iterations: int
-    stderr: dict
-    at_bound: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class HybridFit:
-    """Hybrid line shape: B and Gamma fitted, sigma solved from the second moment, E_c = E_i."""
-
-    b_fitted: float
-    e_c: float
-    sigma: float
-    gamma: float
-    b_derived: float
-    residual: float
-    iterations: int
-    stderr: dict
-    at_bound: tuple[str, ...]
-
-
 def strength_function(decomp: EigenDecomposition, i: int) -> StrengthProfile:
     """Squared components of basis state i over all eigenstates."""
     check_index(i, decomp.size)
@@ -250,12 +215,14 @@ def _fit_diagnostics(names, x, r, jac, lower, upper, log_params):
     return stderr, at_bound
 
 
-def fit_bw(profile: StrengthProfile, *, gamma0: float) -> BWFit:
+def fit_bw(profile: StrengthProfile, *, gamma0: float) -> dict:
     """Least-squares Breit-Wigner fit of the binned weight density, started at width ``gamma0``.
 
     Model: (Gamma/2pi) / ((E - E0)^2 + Gamma^2/4), the unit-normalized
-    Lorentzian, fitted in (log Gamma, E0).  Returns the fitted width and
-    center with the RMS residual relative to the peak height.
+    Lorentzian, fitted in (log Gamma, E0).  Returns the manifest's
+    ``bw_fit`` record: the fitted width ``gamma`` and ``center``, the RMS
+    ``residual`` relative to the peak height, the ``iterations`` taken, the
+    ``stderr`` of each parameter and the names of those ``at_bound``.
     """
     _check_fit_precondition(profile, gamma0)
     centers, heights = _adaptive_bins(profile)
@@ -277,14 +244,14 @@ def fit_bw(profile: StrengthProfile, *, gamma0: float) -> BWFit:
     stderr, at_bound = _fit_diagnostics(
         ("gamma", "center"), x, r, jac, lower, upper, np.array([True, False])
     )
-    return BWFit(
-        gamma=float(np.exp(x[0])),
-        center=float(x[1]),
-        residual=float(np.sqrt(np.mean(r**2)) / heights.max()),
-        iterations=iterations,
-        stderr=stderr,
-        at_bound=at_bound,
-    )
+    return {
+        "gamma": float(np.exp(x[0])),
+        "center": float(x[1]),
+        "residual": float(np.sqrt(np.mean(r**2)) / heights.max()),
+        "iterations": iterations,
+        "stderr": stderr,
+        "at_bound": at_bound,
+    }
 
 
 def _hybrid_shape(u, sigma, gamma):
@@ -335,7 +302,7 @@ def _moment_sigma(u, weights, gamma, target, bounds):
     return float(np.exp(t)), float(-slope(dlog_shape_dlg) / dm_dt), False
 
 
-def fit_hybrid(profile: StrengthProfile, *, gamma0: float) -> HybridFit:
+def fit_hybrid(profile: StrengthProfile, *, gamma0: float) -> dict:
     """Fit the Gaussian-band / Lorentzian-core hybrid line shape, started at width ``gamma0``.
 
     Model for the weight density:
@@ -349,6 +316,11 @@ def fit_hybrid(profile: StrengthProfile, *, gamma0: float) -> HybridFit:
     next; with E_c free, E_c runs off to where the moment equation has no
     root on weak-coupling profiles.  B is reported both as fitted and as
     re-derived from unit normalization of the shape.
+
+    Returns the manifest's ``hybrid_fit`` record: ``b_fitted``, ``e_c``
+    (= E_i), ``sigma``, ``gamma``, ``b_derived``, the RMS ``residual``
+    relative to the peak height, the ``iterations`` taken, the ``stderr``
+    of B and Gamma and the names of the parameters ``at_bound``.
     """
     _check_fit_precondition(profile, gamma0)
     centers, heights = _adaptive_bins(profile)
@@ -392,17 +364,17 @@ def fit_hybrid(profile: StrengthProfile, *, gamma0: float) -> HybridFit:
     margin = 3 * kernel_bandwidth(profile.energies) + 0.5 * span
     grid = np.linspace(profile.energies[0] - margin, profile.energies[-1] + margin, 4001)
     b_derived = float(1.0 / np.trapezoid(_hybrid_shape((grid - e_i) ** 2, sigma, gamma)[0], grid))
-    return HybridFit(
-        b_fitted=b_fit,
-        e_c=e_i,
-        sigma=sigma,
-        gamma=gamma,
-        b_derived=b_derived,
-        residual=float(np.sqrt(np.mean(r**2)) / heights.max()),
-        iterations=iterations,
-        stderr=stderr,
-        at_bound=at_bound,
-    )
+    return {
+        "b_fitted": b_fit,
+        "e_c": e_i,
+        "sigma": sigma,
+        "gamma": gamma,
+        "b_derived": b_derived,
+        "residual": float(np.sqrt(np.mean(r**2)) / heights.max()),
+        "iterations": iterations,
+        "stderr": stderr,
+        "at_bound": at_bound,
+    }
 
 
 def spreading_params(
@@ -410,23 +382,25 @@ def spreading_params(
     delta_e: float,
     gamma_gr: float,
     mean_spacing: float,
-) -> SpreadingParams:
-    """Bundle the width estimates of one initial state from its computed profile and widths.
+) -> dict:
+    """The width and band parameters of one initial state, from its profile and widths.
 
-    sigma comes from the hybrid fit when it is feasible and falls back to
-    Delta_E otherwise; E_c is the profile's first moment, where the hybrid
-    shape is centred.
+    Returns the manifest's ``sigma``, ``e_c``, ``n_pc_ratio`` and
+    ``n_pc_ipr``.  sigma comes from the hybrid fit when it is feasible and
+    falls back to Delta_E otherwise; E_c is the profile's first moment,
+    where the hybrid shape is centred; n_pc_ratio is Gamma over the
+    mid-spectrum spacing, None if that is 0.
     """
     try:
-        sigma = fit_hybrid(profile, gamma0=gamma_gr).sigma
+        sigma = fit_hybrid(profile, gamma0=gamma_gr)["sigma"]
     except (PreconditionError, FitConvergenceError):
         sigma = delta_e
-    return SpreadingParams(
-        sigma=sigma,
-        e_c=profile.e_i,
-        n_pc_ratio=gamma_gr / mean_spacing if mean_spacing > 0 else None,
-        n_pc_ipr=profile.n_pc_ipr(),
-    )
+    return {
+        "sigma": sigma,
+        "e_c": profile.e_i,
+        "n_pc_ratio": gamma_gr / mean_spacing if mean_spacing > 0 else None,
+        "n_pc_ipr": profile.n_pc_ipr(),
+    }
 
 
 def write_profile_csv(profile: StrengthProfile, path, *, header_lines=()) -> None:

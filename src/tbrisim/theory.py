@@ -37,26 +37,6 @@ class ThermalizationPrediction:
     occupations: np.ndarray     # (m, T)
 
 
-@dataclass(frozen=True)
-class FermiDiracFit:
-    """Temperature/chemical-potential fit of an occupation profile.
-
-    ``infinite_temperature`` flags the degenerate uniform profile n/m, where
-    T diverges and mu is fixed only by symmetry; ``mu`` is NaN there.
-    ``at_bound`` holds "temperature" when T ends within one scan step of
-    either end of the scanned range [1e-3, 1e6] level spacings, or when the misfit
-    at the scan's end on the optimum's side is within rounding (4 eps) of
-    its minimum: either way the minimum lies at or beyond the end of the
-    scan, and T is only bounded from one side.
-    """
-
-    temperature: float
-    mu: float
-    residual: float
-    infinite_temperature: bool
-    at_bound: tuple[str, ...]
-
-
 def predict_occupations(n0, ninf, w0, grid) -> ThermalizationPrediction:
     """Interpolate between initial and asymptotic occupations with weight W0(t) on ``grid``."""
     n0 = np.asarray(n0, dtype=float)
@@ -158,7 +138,7 @@ def _misfit_slope(eps: np.ndarray, ninf: np.ndarray, log_t: float, n: int) -> fl
     return float((filled - ninf) @ (w * (z - (w @ z) / w.sum())))
 
 
-def fit_fermi_dirac(ninf, epsilon, n: int) -> FermiDiracFit:
+def fit_fermi_dirac(ninf, epsilon, n: int) -> dict:
     """Constrained (T, mu) fit to the orbital energies ``epsilon``: sum of occupations
     pinned to n, RMS minimized.
 
@@ -166,8 +146,17 @@ def fit_fermi_dirac(ninf, epsilon, n: int) -> FermiDiracFit:
     at every trial temperature; the remaining 1-D problem is scanned over
     120 log T points (one vectorized solve for all of them) and refined by
     bisection on the sign of its slope within two scan steps of the best.
-    A profile uniformly equal to n/m has no finite-T solution and is
-    returned as the infinite-temperature case.
+
+    Returns the manifest's ``fermi_dirac`` record: ``temperature``, ``mu``,
+    the RMS ``residual``, ``infinite_temperature`` and ``at_bound``.  A
+    profile uniformly equal to n/m has no finite-T solution: T diverges and
+    mu is fixed only by symmetry, so it is returned as the
+    infinite-temperature case, with temperature "inf" and mu None (JSON has
+    no inf or NaN).  ``at_bound`` holds "temperature" when T ends within
+    one scan step of either end of the scanned range [1e-3, 1e6] level
+    spacings, or when the misfit at the scan's end on the optimum's side is
+    within rounding (4 eps) of its minimum: either way the minimum lies at
+    or beyond the end of the scan, and T is only bounded from one side.
     """
     ninf = np.asarray(ninf, dtype=float)
     eps = np.asarray(epsilon, dtype=float)
@@ -176,10 +165,10 @@ def fit_fermi_dirac(ninf, epsilon, n: int) -> FermiDiracFit:
             f"occupation list length {ninf.shape} does not match spectrum {eps.shape}"
         )
     if np.abs(ninf - n / len(eps)).max() < UNIFORM_TOL:
-        return FermiDiracFit(
-            temperature=math.inf, mu=math.nan, residual=0.0, infinite_temperature=True,
-            at_bound=(),
-        )
+        return {
+            "temperature": "inf", "mu": None, "residual": 0.0, "infinite_temperature": True,
+            "at_bound": (),
+        }
     if np.any(ninf < 0) or np.any(ninf > 1):
         raise PreconditionError("occupations must lie in [0, 1]")
     if not 0 < n < len(eps):
@@ -211,11 +200,11 @@ def fit_fermi_dirac(ninf, epsilon, n: int) -> FermiDiracFit:
         else:
             a = mid
     (residual,), (mu,) = rms(a)
-    return FermiDiracFit(
-        temperature=math.exp(a), mu=float(mu), residual=float(residual),
-        infinite_temperature=False,
-        at_bound=("temperature",) if flat_to_edge or min(a - lo, hi - a) <= width else (),
-    )
+    return {
+        "temperature": math.exp(a), "mu": float(mu), "residual": float(residual),
+        "infinite_temperature": False,
+        "at_bound": ("temperature",) if flat_to_edge or min(a - lo, hi - a) <= width else (),
+    }
 
 
 def prediction_error(n_exact, prediction: ThermalizationPrediction) -> tuple[float, float, float]:

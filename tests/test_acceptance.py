@@ -18,6 +18,8 @@ import pytest
 
 import tbrisim as tb
 from tbrisim import cli
+from tbrisim.basis import occupancy_matrix
+from tbrisim.dynamics import survival_probability
 
 from conftest import MEDIAN_SEEDS, realization_widths, strict_json
 from oracles import expm_amplitudes, occupation_numbers
@@ -54,8 +56,8 @@ def test_criterion_02_oracle_equivalence(fixture, request):
     start = time.perf_counter()
     amplitudes = tb.evolve_amplitudes(s.decomp, s.i, times)
     occ = occupation_numbers(np.abs(amplitudes) ** 2, s.basis)
-    w0 = tb.survival_probability(s.decomp, s.i, times)
-    occ_matrix = tb.occupancy_matrix(s.basis)
+    w0 = survival_probability(s.decomp, s.i, times)
+    occ_matrix = occupancy_matrix(s.basis)
     worst = 0.0
     for j, t in enumerate(times):
         ref = expm_amplitudes(s.h.entries, s.i, t)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import tbrisim as tb
+from tbrisim.basis import occupancy_matrix
 from tbrisim.exceptions import ParameterError, PreconditionError
 
 from oracles import (
@@ -216,7 +217,7 @@ def test_two_body_selection_rule_completeness():
 
 def test_occupancy_matrix_counts_particles():
     basis = tb.build_basis(3, 6)
-    occ = tb.occupancy_matrix(basis)
+    occ = occupancy_matrix(basis)
     assert occ.shape == (6, 20)
     assert np.all(occ.sum(axis=0) == 3)
     # C order keeps the BLAS summation order of ``occ @ weights`` fixed.

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 import tbrisim as tb
+from tbrisim.basis import occupancy_matrix
+from tbrisim.dynamics import survival_probability
 from tbrisim.exceptions import ParameterError, PreconditionError
 
 from conftest import make_system
@@ -103,8 +105,8 @@ def test_amplitudes_match_matrix_exponential(fixture, request):
     times = np.sort(rng.uniform(0.05, 30.0, size=20))
     amplitudes = tb.evolve_amplitudes(s.decomp, s.i, times)
     occ = occupation_numbers(np.abs(amplitudes) ** 2, s.basis)
-    w0 = tb.survival_probability(s.decomp, s.i, times)
-    occ_matrix = tb.occupancy_matrix(s.basis)
+    w0 = survival_probability(s.decomp, s.i, times)
+    occ_matrix = occupancy_matrix(s.basis)
     for j, t in enumerate(times):
         ref = expm_amplitudes(s.h.entries, s.i, t)
         assert np.abs(amplitudes[:, j] - ref).max() < 1e-10
@@ -294,7 +296,7 @@ def test_grids_match_matrix_exponential(grid, small_3_6):
     else:
         assert traj.time_nodes is None
     assert 0.0 <= traj.unitarity_drift <= tb.dynamics.UNITARITY_TOL
-    occ_matrix = tb.occupancy_matrix(s.basis)
+    occ_matrix = occupancy_matrix(s.basis)
     for j, t in enumerate(times):
         ref = expm_amplitudes(s.h.entries, s.i, t)
         assert np.abs(amplitudes[:, j] - ref).max() < 1e-10, t
@@ -364,7 +366,7 @@ def test_asymptotic_occupations_match_whole_matrix_product(fixture, request):
     s = request.getfixturevalue(fixture)
     vectors, eps = s.decomp.vectors, np.finfo(float).eps
     for i in (0, s.i, s.basis.size - 1):
-        expected = tb.occupancy_matrix(s.basis) @ ((vectors**2) @ (vectors[i] ** 2))
+        expected = occupancy_matrix(s.basis) @ ((vectors**2) @ (vectors[i] ** 2))
         got = tb.asymptotic_occupations(s.decomp, i, s.basis)
         assert np.all(np.abs(got - expected) <= (2 * s.decomp.size + 1) * eps * expected), i
 
@@ -465,15 +467,15 @@ def test_survival_short_time_quadratic(fixture, request):
     """W0 = 1 - Delta_E^2 t^2 to 10% of the quadratic term for Delta*t <= 0.1."""
     s = request.getfixturevalue(fixture)
     times = np.array([0.01, 0.03, 0.1]) / s.delta_e
-    w0 = tb.survival_probability(s.decomp, s.i, times)
+    w0 = survival_probability(s.decomp, s.i, times)
     quad = (s.delta_e * times) ** 2
     assert np.all(np.abs(w0 - (1 - quad)) <= 0.1 * quad)
 
 
 def test_survival_time_reversal(fig1):
     times = np.array([0.3, 1.7, 4.0])
-    forward = tb.survival_probability(fig1.decomp, fig1.i, times)
-    backward = tb.survival_probability(fig1.decomp, fig1.i, -times[::-1])
+    forward = survival_probability(fig1.decomp, fig1.i, times)
+    backward = survival_probability(fig1.decomp, fig1.i, -times[::-1])
     assert np.abs(forward - backward[::-1]).max() < 1e-12
 
 
@@ -495,7 +497,7 @@ def test_class_zero_equals_survival(fig1):
     direct sum of ``survival_probability``."""
     pop = fig1.trajectory.class_populations
     assert fig1.trajectory.w0.tobytes() == pop[0].tobytes()
-    assert np.abs(pop[0] - tb.survival_probability(fig1.decomp, fig1.i, fig1.grid)).max() < 1e-12
+    assert np.abs(pop[0] - survival_probability(fig1.decomp, fig1.i, fig1.grid)).max() < 1e-12
 
 
 def test_first_class_rises_on_golden_rule_timescale(fig1):
@@ -546,7 +548,7 @@ def test_separable_average_matches_sampled_mean(fixture, samples, request):
     """Coarse x fine phase product vs W0 sampled on every time of the long-time grid."""
     s = request.getfixturevalue(fixture)
     times = standalone_long_time_grid(s.decomp, s.i, samples)
-    sampled = tb.survival_probability(s.decomp, s.i, times).mean()
+    sampled = survival_probability(s.decomp, s.i, times).mean()
     got = tb.average_survival(s.decomp, s.i)
     assert abs(got - sampled) <= _long_time_bound(s.decomp, times)
 
@@ -559,7 +561,7 @@ def test_separable_average_on_the_two_level_grid():
     exact = np.mean(1 - 2 * w[0] * w[1] * (1 - np.cos(np.diff(decomp.energies)[0] * times)))
     got = tb.average_survival(decomp, 0)
     assert abs(got - exact) <= _long_time_bound(decomp, times)
-    sampled = tb.survival_probability(decomp, 0, times).mean()
+    sampled = survival_probability(decomp, 0, times).mean()
     assert abs(got - sampled) <= _long_time_bound(decomp, times)
 
 
@@ -567,7 +569,7 @@ def test_evolve_rejects_bad_index(fig1):
     with pytest.raises(PreconditionError):
         tb.evolve_amplitudes(fig1.decomp, -1, np.array([0.0]))
     with pytest.raises(PreconditionError):
-        tb.survival_probability(fig1.decomp, 924, np.array([0.0]))
+        survival_probability(fig1.decomp, 924, np.array([0.0]))
 
 
 def _golden_rule_at(s, i):
@@ -583,7 +585,7 @@ INDEXED = {
     "evolve_amplitudes": lambda s, i: tb.evolve_amplitudes(s.decomp, i, np.array([0.0])),
     "simulate_trajectory": lambda s, i: tb.simulate_trajectory(
         s.decomp, s.basis, s.partition, i, np.array([0.0])),
-    "survival_probability": lambda s, i: tb.survival_probability(s.decomp, i, np.array([0.0])),
+    "survival_probability": lambda s, i: survival_probability(s.decomp, i, np.array([0.0])),
     "asymptotic_occupations": lambda s, i: tb.asymptotic_occupations(s.decomp, i, s.basis),
     "average_survival": lambda s, i: tb.average_survival(s.decomp, i),
 }

@@ -125,8 +125,8 @@ def test_golden_rule_scales_linearly_with_eta():
 def test_fit_bw_recovers_synthetic_width():
     profile = synthetic_profile(breit_wigner(0.5), spacing=0.005)
     fit = tb.fit_bw(profile, gamma0=rms_width(profile))
-    assert fit.gamma == pytest.approx(0.5, rel=0.05)
-    assert fit.center == pytest.approx(0.0, abs=0.05)
+    assert fit["gamma"] == pytest.approx(0.5, rel=0.05)
+    assert fit["center"] == pytest.approx(0.0, abs=0.05)
 
 
 def test_fit_bw_rejects_single_component():
@@ -146,7 +146,7 @@ def test_fits_refuse_a_start_width_that_is_not_positive_and_finite(fig2, gamma0)
 
 def test_fit_bw_consistent_with_golden_rule(fig1):
     fit = tb.fit_bw(fig1.profile, gamma0=fig1.gamma)
-    assert abs(fit.gamma / fig1.gamma - 1) < 0.40
+    assert abs(fit["gamma"] / fig1.gamma - 1) < 0.40
 
 
 def test_fit_hybrid_recovers_synthetic_parameters():
@@ -154,9 +154,9 @@ def test_fit_hybrid_recovers_synthetic_parameters():
         hybrid_shape(1.0, 0.0, 5.8, 10.5), spacing=0.05, half_span=40.0
     )
     fit = tb.fit_hybrid(profile, gamma0=rms_width(profile))
-    assert fit.sigma == pytest.approx(5.8, rel=0.10)
-    assert fit.gamma == pytest.approx(10.5, rel=0.10)
-    assert abs(fit.e_c) < 0.5
+    assert fit["sigma"] == pytest.approx(5.8, rel=0.10)
+    assert fit["gamma"] == pytest.approx(10.5, rel=0.10)
+    assert abs(fit["e_c"]) < 0.5
 
 
 def test_fit_hybrid_wide_band_limit_matches_bw():
@@ -166,12 +166,12 @@ def test_fit_hybrid_wide_band_limit_matches_bw():
     )
     bw = tb.fit_bw(profile, gamma0=rms_width(profile))
     hybrid = tb.fit_hybrid(profile, gamma0=rms_width(profile))
-    assert hybrid.gamma == pytest.approx(bw.gamma, rel=0.10)
+    assert hybrid["gamma"] == pytest.approx(bw["gamma"], rel=0.10)
 
 
 def test_fit_hybrid_normalization_self_consistent(fig2):
     fit = tb.fit_hybrid(fig2.profile, gamma0=fig2.gamma)
-    assert fit.b_derived == pytest.approx(fit.b_fitted, rel=0.10)
+    assert fit["b_derived"] == pytest.approx(fit["b_fitted"], rel=0.10)
 
 
 FIT_CASES = ["bw-shape", "hybrid-shape"] + [
@@ -199,8 +199,8 @@ def _bw_agrees_with_scipy(profile, gamma0) -> bool:
         return False
     gamma, center = scipy_bw_fit(profile, gamma0)
     return bool(
-        np.isclose(fit.gamma, gamma, rtol=ORACLE_RTOL, atol=0)
-        and abs(fit.center - center) <= ORACLE_RTOL * (1 + abs(center))
+        np.isclose(fit["gamma"], gamma, rtol=ORACLE_RTOL, atol=0)
+        and abs(fit["center"] - center) <= ORACLE_RTOL * (1 + abs(center))
     )
 
 
@@ -210,7 +210,7 @@ def _hybrid_agrees_with_scipy(profile, gamma0) -> bool:
     except FitConvergenceError:
         return False
     return bool(np.allclose(
-        [fit.b_fitted, fit.sigma, fit.gamma], scipy_hybrid_fit(profile, gamma0),
+        [fit["b_fitted"], fit["sigma"], fit["gamma"]], scipy_hybrid_fit(profile, gamma0),
         rtol=ORACLE_RTOL, atol=0,
     ))
 
@@ -246,29 +246,29 @@ def test_fit_hybrid_sigma_meets_the_moment_identity(fig2):
     """The fitted shape's second moment about E_i is the profile's, Delta_E^2."""
     fit = tb.fit_hybrid(fig2.profile, gamma0=fig2.gamma)
     e = np.linspace(fig2.profile.energies[0], fig2.profile.energies[-1], strength.MOMENT_NODES)
-    shape = hybrid_shape(1.0, fit.e_c, fit.sigma, fit.gamma, e_i=fig2.profile.e_i)(e)
+    shape = hybrid_shape(1.0, fit["e_c"], fit["sigma"], fit["gamma"], e_i=fig2.profile.e_i)(e)
     moment = np.trapezoid(shape * (e - fig2.profile.e_i) ** 2, e) / np.trapezoid(shape, e)
     assert moment == pytest.approx(fig2.delta_e**2, rel=1e-8)
-    assert fit.sigma >= fig2.delta_e
+    assert fit["sigma"] >= fig2.delta_e
 
 
 def test_fit_diagnostics(fig2):
     """Iterations, standard errors and bound flags come with every fit."""
     bw = tb.fit_bw(fig2.profile, gamma0=fig2.gamma)
     hybrid = tb.fit_hybrid(fig2.profile, gamma0=fig2.gamma)
-    assert bw.iterations > 0 and hybrid.iterations > 0
-    assert set(bw.stderr) == {"gamma", "center"}
-    assert set(hybrid.stderr) == {"b_fitted", "gamma"}
-    assert all(v > 0 for v in [*bw.stderr.values(), *hybrid.stderr.values()])
-    assert bw.at_bound == () and hybrid.at_bound == ()
+    assert bw["iterations"] > 0 and hybrid["iterations"] > 0
+    assert set(bw["stderr"]) == {"gamma", "center"}
+    assert set(hybrid["stderr"]) == {"b_fitted", "gamma"}
+    assert all(v > 0 for v in [*bw["stderr"].values(), *hybrid["stderr"].values()])
+    assert bw["at_bound"] == () and hybrid["at_bound"] == ()
 
 
 def test_fit_reports_parameter_at_bound():
     """A pure Gaussian drives Gamma to its upper bound, which the fit reports."""
     profile = synthetic_profile(lambda e: np.exp(-e * e / 2), spacing=0.01, half_span=8.0)
     fit = tb.fit_hybrid(profile, gamma0=1.0)
-    assert "gamma" in fit.at_bound
-    assert fit.sigma == pytest.approx(1.0, rel=1e-3)
+    assert "gamma" in fit["at_bound"]
+    assert fit["sigma"] == pytest.approx(1.0, rel=1e-3)
 
 
 def test_compound_occupations_free_case():
@@ -296,9 +296,9 @@ def test_spreading_params_bundle(fig2):
     sp = tb.spreading_params(
         fig2.profile, fig2.delta_e, fig2.gamma, fig2.spacing_mid
     )
-    assert sp.n_pc_ipr == pytest.approx(fig2.profile.n_pc_ipr(), rel=1e-12)
-    assert sp.n_pc_ratio == pytest.approx(fig2.gamma / fig2.spacing_mid)
-    assert sp.sigma > 0
+    assert sp["n_pc_ipr"] == pytest.approx(fig2.profile.n_pc_ipr(), rel=1e-12)
+    assert sp["n_pc_ratio"] == pytest.approx(fig2.gamma / fig2.spacing_mid)
+    assert sp["sigma"] > 0
 
 
 def test_profile_csv_round_trip(tmp_path, fig1):
