@@ -8,7 +8,6 @@ trailing newline, so equal documents give equal bytes.
 
 from __future__ import annotations
 
-import itertools
 import json
 
 import numpy as np
@@ -18,18 +17,15 @@ def write_table(path, columns: dict, *, header_lines=()) -> None:
     """Write named columns as CSV.
 
     ``columns`` maps each column name, in order, to a sequence with one
-    cell per row, or to one value repeated on every row.  Numbers are
-    written with ``.17g``, text as it is and None as an empty cell.  CSV
-    rows are formatted one at a time, so no table of strings is held.
+    cell per row.  Numbers are written with ``.17g``, text as it is and
+    None as an empty cell.  CSV rows are formatted one at a time, so no
+    table of strings is held.
     """
-    lengths = {len(value) for value in columns.values() if np.ndim(value) == 1}
-    if len(lengths) != 1:
-        raise ValueError(f"table columns need one common length, got {sorted(lengths)}")
-    n_rows = lengths.pop()
-    cells = [
-        np.asarray(value).tolist() if np.ndim(value) == 1 else itertools.repeat(value, n_rows)
-        for value in columns.values()
-    ]
+    cells = [np.asarray(value) for value in columns.values()]
+    shapes = sorted({column.shape for column in cells})
+    if len(shapes) != 1 or len(shapes[0]) != 1:   # a lone value or text has shape ()
+        raise ValueError(f"table columns need one common length, got shapes {shapes}")
+    cells = [column.tolist() for column in cells]
     with open(path, "w", newline="\n") as fh:   # LF on every platform
         fh.writelines(f"# {line}\n" for line in header_lines)
         fh.write(",".join(columns) + "\n")

@@ -18,7 +18,7 @@ import numpy as np
 from . import dynamics, strength, theory
 from .basis import build_basis, classify, occupation_bits
 from .config import ExperimentConfig, config_hash
-from .exceptions import FitConvergenceError, PreconditionError, StageError
+from .exceptions import StageError
 from .export import write_json, write_table
 from .hamiltonian import HamiltonianMatrix, build_hamiltonian, sample_spectrum, sample_two_body
 from .spectral import PROBES, _sorted_median, diagonalize, spectral_stats
@@ -100,18 +100,6 @@ def emit_plotdata(grid: dynamics.TimeGrid, models, path, *, header_lines=()) -> 
     write_table(path, columns, header_lines=header)
 
 
-def _attempt_fit(fit, *args, **kwargs):
-    """Run one optional fit: its manifest record, converged or unavailable with the reason.
-
-    Each fit is tried on its own, so one that cannot run leaves the others
-    and the rest of the pipeline untouched.
-    """
-    try:
-        return {"status": "converged", **fit(*args, **kwargs)}
-    except (PreconditionError, FitConvergenceError) as exc:
-        return {"status": "unavailable", "reason": str(exc)}
-
-
 def run(config: ExperimentConfig) -> dict:
     """Execute the full pipeline for one config and write all outputs; return the manifest,
     the dict written to manifest.json: the config echo, its hash and seed, the derived
@@ -147,8 +135,8 @@ def run(config: ExperimentConfig) -> dict:
         profile = strength.strength_function(decomp, i)
         delta_e = strength.energy_variance(h, i)
         gamma_gr = strength.golden_rule_gamma(h, partition, i)
-        bw_record = _attempt_fit(strength.fit_bw, profile, gamma0=gamma_gr)
-        hybrid_record = _attempt_fit(strength.fit_hybrid, profile, gamma0=gamma_gr)
+        bw_record = strength.attempt_fit(strength.fit_bw, profile, gamma0=gamma_gr)
+        hybrid_record = strength.attempt_fit(strength.fit_hybrid, profile, gamma0=gamma_gr)
         spreading = strength.spreading_params(profile, delta_e, gamma_gr, spacing_mid)
     with stage("dynamics"):
         grid = _build_grid(config, delta_e, gamma_gr, partition.n_classes)
@@ -163,7 +151,7 @@ def run(config: ExperimentConfig) -> dict:
         )
         n_pc_env = theory.n_pc_envelope(profile)
         models = theory.survival_models(gamma_gr, delta_e, grid)
-        fd_record = _attempt_fit(theory.fit_fermi_dirac, n_inf, epsilon, params.n)
+        fd_record = strength.attempt_fit(theory.fit_fermi_dirac, n_inf, epsilon, params.n)
 
     with stage("export"):
         def out(name: str) -> Path:

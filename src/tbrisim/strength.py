@@ -101,28 +101,17 @@ def golden_rule_gamma(h: HamiltonianMatrix, partition: ClassPartition, i: int) -
 
 
 def _adaptive_bins(profile: StrengthProfile):
-    """Bin raw weights into >= MIN_BIN_COUNT levels per bin; heights are weight densities."""
-    energies = profile.energies
-    weights = profile.weights
-    n = len(energies)
-    edges = [energies[0] - 0.5 * (energies[1] - energies[0])]
-    sums = []
-    start = 0
-    while start < n:
-        stop = min(start + MIN_BIN_COUNT, n)
-        if n - stop < MIN_BIN_COUNT:
-            stop = n
-        right = (
-            0.5 * (energies[stop - 1] + energies[stop])
-            if stop < n
-            else energies[-1] + 0.5 * (energies[-1] - energies[-2])
-        )
-        edges.append(right)
-        sums.append(float(weights[start:stop].sum()))
-        start = stop
-    edges = np.array(edges)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    return centers, np.array(sums) / np.diff(edges)
+    """Weights binned in runs of MIN_BIN_COUNT levels, the last run taking the remainder.
+
+    Inner edges sit at level midpoints, the outer ones half a spacing past the
+    end levels; heights are weight densities.
+    """
+    e, w = profile.energies, profile.weights
+    cuts = MIN_BIN_COUNT * np.arange(1, max(len(e) // MIN_BIN_COUNT, 1))   # first level of bins 2..
+    first, last = e[0] - 0.5 * (e[1] - e[0]), e[-1] + 0.5 * (e[-1] - e[-2])
+    edges = np.concatenate(([first], 0.5 * (e[cuts - 1] + e[cuts]), [last]))
+    sums = [w[a:b].sum() for a, b in zip([0, *cuts], [*cuts, len(e)])]
+    return 0.5 * (edges[:-1] + edges[1:]), np.array(sums) / np.diff(edges)
 
 
 def _check_fit_precondition(profile: StrengthProfile, gamma0: float) -> None:
@@ -200,19 +189,25 @@ def _levenberg_marquardt(fun, x0, lower, upper):
     raise FitConvergenceError(f"line-shape fit did not converge in {FIT_MAX_ITER} steps")
 
 
-def _fit_diagnostics(names, x, r, jac, lower, upper, log_params):
-    """Standard errors from s^2 (J^T J)^-1 and the names of parameters on a bound.
+def _fit(residual, x0, lower, upper, names, log_params, peak):
+    """Fit ``residual`` in the box: x and the keys every fit record carries.
 
-    Errors of log-parametrised values are carried to the values themselves
-    (delta method: se(v) = v se(log v)).
+    They are the RMS ``residual`` relative to ``peak``, the ``iterations``
+    taken, each parameter's ``stderr`` from s^2 (J^T J)^-1 (of the value
+    itself for log-parametrised ones: se(v) = v se(log v)) and ``at_bound``,
+    the names of the parameters on a bound.
     """
+    x, r, jac, iterations = _levenberg_marquardt(residual, x0, lower, upper)
     dof = max(len(r) - len(x), 1)
     cov = (r @ r) / dof * np.linalg.pinv(jac.T @ jac)
     se = np.sqrt(np.maximum(np.diag(cov), 0.0))
     se = np.where(log_params, np.exp(x) * se, se)
-    stderr = {name: float(v) for name, v in zip(names, se)}
-    at_bound = tuple(n for n, v, lo, hi in zip(names, x, lower, upper) if v <= lo or v >= hi)
-    return stderr, at_bound
+    return x, {
+        "residual": float(np.sqrt(np.mean(r**2)) / peak),
+        "iterations": iterations,
+        "stderr": {name: float(v) for name, v in zip(names, se)},
+        "at_bound": tuple(n for n, v, lo, hi in zip(names, x, lower, upper) if v <= lo or v >= hi),
+    }
 
 
 def fit_bw(profile: StrengthProfile, *, gamma0: float) -> dict:
@@ -220,9 +215,8 @@ def fit_bw(profile: StrengthProfile, *, gamma0: float) -> dict:
 
     Model: (Gamma/2pi) / ((E - E0)^2 + Gamma^2/4), the unit-normalized
     Lorentzian, fitted in (log Gamma, E0).  Returns the manifest's
-    ``bw_fit`` record: the fitted width ``gamma`` and ``center``, the RMS
-    ``residual`` relative to the peak height, the ``iterations`` taken, the
-    ``stderr`` of each parameter and the names of those ``at_bound``.
+    ``bw_fit`` record: the fitted width ``gamma`` and ``center``, then the
+    keys of ``_fit``.
     """
     _check_fit_precondition(profile, gamma0)
     centers, heights = _adaptive_bins(profile)
@@ -238,20 +232,11 @@ def fit_bw(profile: StrengthProfile, *, gamma0: float) -> dict:
 
     lower = np.array([np.log(1e-9), profile.energies[0] - span])
     upper = np.array([np.log(10 * span), profile.energies[-1] + span])
-    x, r, jac, iterations = _levenberg_marquardt(
-        residual, [np.log(gamma0), profile.e_i], lower, upper
+    x, diagnostics = _fit(
+        residual, [np.log(gamma0), profile.e_i], lower, upper,
+        ("gamma", "center"), (True, False), heights.max(),
     )
-    stderr, at_bound = _fit_diagnostics(
-        ("gamma", "center"), x, r, jac, lower, upper, np.array([True, False])
-    )
-    return {
-        "gamma": float(np.exp(x[0])),
-        "center": float(x[1]),
-        "residual": float(np.sqrt(np.mean(r**2)) / heights.max()),
-        "iterations": iterations,
-        "stderr": stderr,
-        "at_bound": at_bound,
-    }
+    return {"gamma": float(np.exp(x[0])), "center": float(x[1]), **diagnostics}
 
 
 def _hybrid_shape(u, sigma, gamma):
@@ -318,9 +303,8 @@ def fit_hybrid(profile: StrengthProfile, *, gamma0: float) -> dict:
     re-derived from unit normalization of the shape.
 
     Returns the manifest's ``hybrid_fit`` record: ``b_fitted``, ``e_c``
-    (= E_i), ``sigma``, ``gamma``, ``b_derived``, the RMS ``residual``
-    relative to the peak height, the ``iterations`` taken, the ``stderr``
-    of B and Gamma and the names of the parameters ``at_bound``.
+    (= E_i), ``sigma``, ``gamma``, ``b_derived``, then the keys of ``_fit``,
+    whose ``at_bound`` also names sigma when it sits on a bound.
     """
     _check_fit_precondition(profile, gamma0)
     centers, heights = _adaptive_bins(profile)
@@ -348,33 +332,34 @@ def fit_hybrid(profile: StrengthProfile, *, gamma0: float) -> dict:
     b0 = max(float(unit @ heights) / float(unit @ unit), 1e-300)
     lower = np.array([-np.inf, np.log(1e-9)])
     upper = np.array([np.inf, np.log(10 * span)])
-    x, r, jac, iterations = _levenberg_marquardt(
-        residual, [np.log(b0), np.log(gamma0)], lower, upper
-    )
-    stderr, at_bound = _fit_diagnostics(
-        ("b_fitted", "gamma"), x, r, jac, lower, upper, np.array([True, True])
+    x, diagnostics = _fit(
+        residual, [np.log(b0), np.log(gamma0)], lower, upper,
+        ("b_fitted", "gamma"), (True, True), heights.max(),
     )
     b_fit, gamma = (float(v) for v in np.exp(x))
     sigma, _, sigma_at_bound = _moment_sigma(u_nodes, weights, gamma, target, sigma_bounds)
     if sigma_at_bound:
-        at_bound += ("sigma",)
+        diagnostics["at_bound"] += ("sigma",)
 
     # Unit normalization of the fitted shape fixes B independently; the integral runs
     # three level-density bandwidths (``kernel_bandwidth``) past half the span.
     margin = 3 * kernel_bandwidth(profile.energies) + 0.5 * span
     grid = np.linspace(profile.energies[0] - margin, profile.energies[-1] + margin, 4001)
     b_derived = float(1.0 / np.trapezoid(_hybrid_shape((grid - e_i) ** 2, sigma, gamma)[0], grid))
-    return {
-        "b_fitted": b_fit,
-        "e_c": e_i,
-        "sigma": sigma,
-        "gamma": gamma,
-        "b_derived": b_derived,
-        "residual": float(np.sqrt(np.mean(r**2)) / heights.max()),
-        "iterations": iterations,
-        "stderr": stderr,
-        "at_bound": at_bound,
-    }
+    return {"b_fitted": b_fit, "e_c": e_i, "sigma": sigma, "gamma": gamma,
+            "b_derived": b_derived, **diagnostics}
+
+
+def attempt_fit(fit, *args, **kwargs) -> dict:
+    """Run one optional fit: its manifest record, converged or unavailable with the reason.
+
+    A PreconditionError or FitConvergenceError makes the fit unavailable and
+    leaves the other fits and the rest of the run untouched.
+    """
+    try:
+        return {"status": "converged", **fit(*args, **kwargs)}
+    except (PreconditionError, FitConvergenceError) as exc:
+        return {"status": "unavailable", "reason": str(exc)}
 
 
 def spreading_params(
@@ -386,17 +371,13 @@ def spreading_params(
     """The width and band parameters of one initial state, from its profile and widths.
 
     Returns the manifest's ``sigma``, ``e_c``, ``n_pc_ratio`` and
-    ``n_pc_ipr``.  sigma comes from the hybrid fit when it is feasible and
-    falls back to Delta_E otherwise; E_c is the profile's first moment,
-    where the hybrid shape is centred; n_pc_ratio is Gamma over the
-    mid-spectrum spacing, None if that is 0.
+    ``n_pc_ipr``.  sigma comes from the hybrid fit and falls back to
+    Delta_E when ``attempt_fit`` finds that fit unavailable; E_c is the
+    profile's first moment, where the hybrid shape is centred; n_pc_ratio
+    is Gamma over the mid-spectrum spacing, None if that is 0.
     """
-    try:
-        sigma = fit_hybrid(profile, gamma0=gamma_gr)["sigma"]
-    except (PreconditionError, FitConvergenceError):
-        sigma = delta_e
     return {
-        "sigma": sigma,
+        "sigma": attempt_fit(fit_hybrid, profile, gamma0=gamma_gr).get("sigma", delta_e),
         "e_c": profile.e_i,
         "n_pc_ratio": gamma_gr / mean_spacing if mean_spacing > 0 else None,
         "n_pc_ipr": profile.n_pc_ipr(),

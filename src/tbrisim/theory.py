@@ -231,6 +231,6 @@ def write_prediction_csv(
     columns = {
         "t": prediction.grid.points,
         **{f"n_{a}": row for a, row in enumerate(prediction.occupations)},
-        "provenance": "eq14-exactW0",
+        "provenance": ["eq14-exactW0"] * len(prediction.grid.points),
     }
     write_table(path, columns, header_lines=header_lines)

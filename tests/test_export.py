@@ -11,8 +11,8 @@ from tbrisim.export import write_json, write_table
 COLUMNS = {
     "k": np.arange(3),
     "x": np.array([0.1, -2.5e-300, np.inf]),
-    "floor": 1 / 3,             # one value, repeated on every row
-    "tag": "eq14",              # text
+    "floor": [1 / 3] * 3,
+    "tag": ["eq14"] * 3,        # text
     "fit": [None, 2.0, None],   # None: an empty cell
 }
 
@@ -31,8 +31,11 @@ def test_write_table_csv_cells(tmp_path):
 def test_write_table_rejects_columns_of_unequal_length(tmp_path):
     with pytest.raises(ValueError, match="common length"):
         write_table(tmp_path / "t.csv", {"a": [1.0, 2.0], "b": [1.0]})
+    # a lone value is refused, not repeated on every row; so is text standing for a column
     with pytest.raises(ValueError, match="common length"):
         write_table(tmp_path / "t.csv", {"only_repeated": 1.0})
+    with pytest.raises(ValueError, match="common length"):
+        write_table(tmp_path / "t.csv", {"a": [1.0, 2.0], "tag": "eq"})
     assert not (tmp_path / "t.csv").exists()
 
 

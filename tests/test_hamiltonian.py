@@ -81,6 +81,20 @@ def test_tensor_symmetry_and_element_access():
     assert tensor_element(tensor, 0, 1, 2, 3) == tensor_element(tensor, 2, 3, 0, 1)
 
 
+def test_tensor_refuses_an_asymmetric_or_misshapen_matrix():
+    """An asymmetric V would build H from one half of the table; a wrong shape has no pair order."""
+    matrix = tb.sample_two_body(tb.ModelParams(n=2, m=4, eta=0.05, seed=9)).matrix.copy()
+    assert tb.TwoBodyTensor(4, matrix).matrix is matrix
+    asymmetric = matrix.copy()
+    asymmetric[0, 1] += 1e-12
+    with pytest.raises(ParameterError, match="symmetric"):
+        tb.TwoBodyTensor(4, asymmetric)
+    with pytest.raises(ParameterError, match=r"needs shape \(6, 6\)"):
+        tb.TwoBodyTensor(4, matrix[:5, :5])
+    with pytest.raises(ParameterError, match=r"needs shape \(10, 10\)"):
+        tb.TwoBodyTensor(5, matrix)
+
+
 @pytest.mark.parametrize("m", [2, 4, 6, 12, 14])
 def test_two_body_draw_bitwise_equals_rowwise_loop(m):
     """One draw placed by ``triu_indices`` gives the row-by-row loop's bytes.

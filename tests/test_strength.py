@@ -42,6 +42,27 @@ def hybrid_shape(b, e_c, sigma, gamma, e_i=0.0):
     )
 
 
+@pytest.mark.parametrize(
+    "n, bins", [(7, [(0, 7)]), (25, [(0, 10), (10, 25)]), (30, [(0, 10), (10, 20), (20, 30)])]
+)
+def test_adaptive_bins_take_runs_of_ten_levels(n, bins):
+    """Runs of MIN_BIN_COUNT levels, the last taking the remainder; edges at level midpoints
+    and half a spacing past the end levels; the heights integrate to the total weight 1."""
+    energies = np.arange(n, dtype=float) ** 2 / n   # unequal spacings, so each midpoint is its own
+    weights = np.arange(1.0, n + 1) / (n * (n + 1) / 2)
+    profile = tb.StrengthProfile(energies=energies, weights=weights, e_i=float(weights @ energies))
+    inner = [0.5 * (energies[a - 1] + energies[a]) for a, _ in bins[1:]]
+    edges = np.array([
+        energies[0] - 0.5 * (energies[1] - energies[0]), *inner,
+        energies[-1] + 0.5 * (energies[-1] - energies[-2]),
+    ])
+    centers, heights = strength._adaptive_bins(profile)
+    np.testing.assert_allclose(centers, 0.5 * (edges[:-1] + edges[1:]), rtol=0, atol=1e-14)
+    sums = [weights[a:b].sum() for a, b in bins]
+    np.testing.assert_allclose(heights, np.array(sums) / np.diff(edges), rtol=1e-14)
+    assert heights @ np.diff(edges) == pytest.approx(1.0, abs=1e-14)
+
+
 def test_free_fermion_profile_is_delta():
     s = make_system(3, 6, eta=0.0, seed=1, initial=4)
     profile = tb.strength_function(s.decomp, 4)
