@@ -18,18 +18,22 @@ def write_table(path, columns: dict, *, header_lines=()) -> None:
 
     ``columns`` maps each column name, in order, to a sequence with one
     cell per row.  Numbers are written with ``.17g``, text as it is and
-    None as an empty cell.  CSV rows are formatted one at a time, so no
-    table of strings is held.
+    None as an empty cell.  CSV rows are formatted one at a time, each by
+    one ``%`` over its cells, so no table of strings is held; only a
+    column holding text or None is turned into strings first.
     """
-    cells = [np.asarray(value) for value in columns.values()]
-    shapes = sorted({column.shape for column in cells})
+    arrays = [np.asarray(value) for value in columns.values()]
+    shapes = sorted({column.shape for column in arrays})
     if len(shapes) != 1 or len(shapes[0]) != 1:   # a lone value or text has shape ()
         raise ValueError(f"table columns need one common length, got shapes {shapes}")
-    cells = [column.tolist() for column in cells]
+    numeric = [column.dtype.kind in "biuf" for column in arrays]
+    cells = [column.tolist() if number else list(map(_cell, column.tolist()))
+             for column, number in zip(arrays, numeric)]
+    row_format = ",".join("%.17g" if number else "%s" for number in numeric) + "\n"
     with open(path, "w", newline="\n") as fh:   # LF on every platform
         fh.writelines(f"# {line}\n" for line in header_lines)
         fh.write(",".join(columns) + "\n")
-        fh.writelines(",".join(map(_cell, row)) + "\n" for row in zip(*cells))
+        fh.writelines(row_format % row for row in zip(*cells))
 
 
 def write_json(path, document) -> None:

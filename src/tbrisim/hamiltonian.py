@@ -23,7 +23,8 @@ import numpy as np
 from .basis import Basis, basis_states, occupation_bits
 from .exceptions import ParameterError
 
-INDEX_BLOCK = 2**16   # entries of a move kind indexed together
+INDEX_BLOCK = 2**15   # moves of a kind generated together: 2**16 cost 0.9 MB ensemble peak RSS
+BAND_BYTES = 2**18    # bytes of H filled together: positions in a band stay int16
 _SPECTRUM_STREAM = 0
 _TENSOR_STREAM = 1
 
@@ -119,22 +120,23 @@ def build_hamiltonian(basis: Basis, epsilon: np.ndarray, tensor: TwoBodyTensor) 
     Which entries couple, through which tensor element and with which
     fermionic sign depends only on (n, m), not on the seed, eta or the level
     jitter.  That coupling structure is computed once per (n, m) and cached
-    for the two most recent sizes.  As indices into the table
-    ``concat(V.ravel(), -V.ravel(), epsilon)`` it holds the n orbital energies
-    and C(n,2) pair terms of each diagonal entry, and for each entry (f, g)
-    above the diagonal the terms of the move from f to g (one for two
-    orbitals, n - 1 spectators for one), with the flat positions of (f, g)
-    and (g, f).  Terms are int16 up to m=16 and positions int32 up to
-    N=46340: 1.38 MB at N=924 (n=6, m=12), 9.4 MB at N=3432 (n=7, m=14).
+    for the two most recent sizes.  It lists every entry off the diagonal,
+    row by row, each with its position and the index of its value in
+    ``ext = concat(V.ravel(), -V.ravel(), epsilon, sums)``.  The sums are
+    those of the K1 one-orbital entries above the diagonal, each over its
+    n - 1 spectator terms, and an entry below takes its upper partner's
+    sum.  A two-orbital entry takes its own row's signed element, which is
+    its partner's, since V is symmetric and a move's sign is its reverse's.
+    Terms are int16 up to m=16, and so are positions up to N=32768, since
+    they count from the first element of their band: 1.17 MB at N=924
+    (n=6, m=12), 8.3 MB at N=3432 (n=7, m=14).
 
-    Assembly walks each move kind in blocks of ``INDEX_BLOCK`` entries: it
-    gathers a block's values from the table (summing the spectators of a
-    one-orbital move), then scatters them to the upper row and to the mirror
-    row.  numpy's fancy indexing is fast only with contiguous intp indices,
-    so every gather and scatter index is cast from the stored narrow field
-    one block at a time, never kept.  Those casts, the values and the
-    spectator sum are at most four 8-byte arrays of one block, 2 MB beside H
-    and its table (tracemalloc: +1.1 MB at N=924, +1.7 MB at N=3432).
+    H is filled in bands of ``_band_rows(N)`` rows, at most ``BAND_BYTES``,
+    which stay in L2 while written: a band is zeroed, gathers its entries'
+    values from ``ext``, scatters them and takes its diagonal.  numpy's
+    fancy indexing is fast only with contiguous intp indices, so a band's
+    positions and sources are cast into two reused intp buffers.  With
+    ``ext`` they take 0.4 MB beside H at N=924, 0.9 MB at N=3432.
 
     The terms of an entry are added in a fixed order: orbital energies in
     ascending orbital order, then the pair terms, and the spectators of a
@@ -150,56 +152,59 @@ def build_hamiltonian(basis: Basis, epsilon: np.ndarray, tensor: TwoBodyTensor) 
         )
     couplings = _couplings(basis.n, basis.m)
     v = tensor.matrix.ravel()
-    table = np.concatenate((v, -v, epsilon))
-    n_states = basis.size
-    entries = np.zeros((n_states, n_states))
-    flat = entries.reshape(-1)   # writable view
-
-    diagonal = flat[:: n_states + 1]
+    ext = np.concatenate((v, -v, epsilon, np.zeros(couplings.move1_term.shape[1])))
+    sums = ext[2 * v.size + len(epsilon):]   # +0.0 start, as the plain loop
+    for rank_terms in couplings.move1_term:
+        sums += ext[rank_terms.astype(np.intp)]
+    n_states, rows = basis.size, _band_rows(basis.size)
+    diagonal = np.zeros(n_states)
     for terms in couplings.diagonal:
-        diagonal += table[terms.astype(np.intp)]
-    for lo in range(0, couplings.move2_term.shape[0], INDEX_BLOCK):
-        block = slice(lo, lo + INDEX_BLOCK)
-        values = table[couplings.move2_term[block].astype(np.intp)]
-        _scatter(flat, couplings.move2_at[:, block], values)
-    for lo in range(0, couplings.move1_term.shape[1], INDEX_BLOCK):
-        block = slice(lo, lo + INDEX_BLOCK)
-        terms = couplings.move1_term[:, block]
-        summed = np.zeros(terms.shape[1])   # +0.0 start, as the plain loop
-        for rank_terms in terms:
-            summed += table[rank_terms.astype(np.intp)]
-        _scatter(flat, couplings.move1_at[:, block], summed)
+        diagonal += ext[terms.astype(np.intp)]
+
+    split, width = couplings.move2_source.shape[1], couplings.at.shape[1]
+    at, source = np.empty((rows, width), np.intp), np.empty((rows, width), np.intp)
+    entries = np.empty((n_states, n_states))
+    flat = entries.reshape(-1)   # writable view
+    for first in range(0, n_states, rows):
+        band = slice(first, first + rows)
+        count = len(couplings.at[band])
+        at[:count] = couplings.at[band]
+        source[:count, :split] = couplings.move2_source[band]
+        source[:count, split:] = couplings.move1_source[band]
+        block = flat[first * n_states:(first + count) * n_states]
+        block.fill(0.0)
+        block[at[:count].reshape(-1)] = ext[source[:count].reshape(-1)]
+        block[first::n_states + 1] = diagonal[band]
 
     return HamiltonianMatrix(entries=entries, basis=basis)
 
 
-def _scatter(flat: np.ndarray, at: np.ndarray, values: np.ndarray) -> None:
-    """Write ``values`` at the flat positions ``at[0]`` above the diagonal, then at their
-    mirrors ``at[1]``, each row cast to one contiguous intp index."""
-    for positions in at:
-        flat[positions.astype(np.intp)] = values
+def _band_rows(n_states: int) -> int:
+    """Rows of ``BAND_BYTES`` of H, at least one: 35 at N=924, where 17 and 70 were slower."""
+    return max(1, BAND_BYTES // (8 * n_states))
 
 
 @dataclass(frozen=True)
 class _Couplings:
-    """Coupling structure of H for one (n, m); see ``build_hamiltonian``.  Of N = C(m, n)
-    states, K2 = N C(n,2) C(m-n,2) / 2 and K1 = N n (m-n) / 2 entries lie above the diagonal."""
+    """Coupling structure of H for one (n, m); see ``build_hamiltonian``.  Each of the
+    N = C(m, n) states has M2 = C(n,2) C(m-n,2) two-orbital and M1 = n (m-n) one-orbital
+    moves, and K1 = N M1 / 2 one-orbital entries lie above the diagonal."""
 
-    move2_at: np.ndarray    # (2, K2): flat positions of the two-orbital moves, then mirrors
-    move1_at: np.ndarray    # (2, K1): the same for the one-orbital moves
-    diagonal: np.ndarray    # (n + C(n,2), N): orbital energies, then pair terms
-    move2_term: np.ndarray  # (K2,): signed tensor element of each two-orbital move
-    move1_term: np.ndarray  # (n - 1, K1): one-orbital terms, by spectator rank
+    at: np.ndarray            # (N, M2 + M1): position of each entry, from its band's first element
+    move2_source: np.ndarray  # (N, M2): ext index of each two-orbital entry's signed element
+    move1_source: np.ndarray  # (N, M1): ext index of each one-orbital entry's sum
+    diagonal: np.ndarray      # (n + C(n,2), N): orbital energies, then pair terms
+    move1_term: np.ndarray    # (n - 1, K1): upper one-orbital terms, by spectator rank
 
 
 @functools.lru_cache(maxsize=2)
 def _couplings(n: int, m: int) -> _Couplings:
-    """Axes (state, occupied orbital or pair, free orbital or pair).  A move from f reaches
-    an entry above the diagonal exactly when its target bitmask exceeds f, since the basis
-    is sorted; only those are looked up and kept.  The moves are generated for blocks of
-    consecutive states, at most ``INDEX_BLOCK // 2`` moves of a kind per block (or one
-    state), so the int64 temporaries stay bounded: a cold build peaks at 2.8 MB at N=924
-    and 11.6 MB at N=3432 under tracemalloc, the structure itself included."""
+    """Axes (state, occupied orbital or pair, free orbital or pair).  The moves are generated
+    for blocks of consecutive states, at most ``INDEX_BLOCK`` moves of a kind per block (or one
+    state), so the int64 temporaries stay bounded: a cold build peaks at 2.9 MB at N=924 and
+    11.8 MB at N=3432 under tracemalloc, the structure itself included.  A move from f is above
+    the diagonal exactly when its target exceeds f, as the basis is sorted.  Only one-orbital
+    targets are searched for: a two-orbital move is two one-orbital ones, each found by ``move``."""
     states = basis_states(n, m)
     n_states, n_pairs = len(states), m * (m - 1) // 2
     bits = occupation_bits(states, m).T.astype(bool)
@@ -210,6 +215,11 @@ def _couplings(n: int, m: int) -> _Couplings:
         """Index of (p, q), p < q, in the lexicographic pair order of ``TwoBodyTensor.matrix``."""
         return p * (2 * m - p - 1) // 2 + q - p - 1
 
+    def move(state, p, r):
+        """Index among the one-orbital moves of ``state`` of the move from occupied p to free r."""
+        return (np.bitwise_count(state & (1 << p) - 1).astype(np.intp) * (m - n)
+                + r - np.bitwise_count(state & (1 << r) - 1))
+
     def term(state, a1, a2, c1, c2):
         """Signed element V[(a1,a2),(c1,c2)] of <g| a+_c1 a+_c2 a_a2 a_a1 |state>."""
         index = _sign_bit(state, a1, a2, c1, c2)
@@ -218,61 +228,61 @@ def _couplings(n: int, m: int) -> _Couplings:
         index += pair(c1, c2)
         return index
 
-    def place(at, done, first, targets, upper):
-        """Write the flat positions the flagged moves of states ``first``, ... reach, row-major,
-        then their mirrors, from entry ``done`` on; return the entry after the last."""
-        rows = np.repeat(np.arange(first, first + len(targets)),
-                         upper.reshape(len(targets), -1).sum(axis=1))
-        cols = np.searchsorted(states, targets[upper])
-        end = done + len(cols)
-        at[0, done:end] = rows * n_states + cols
-        at[1, done:end] = cols * n_states + rows
-        return end
-
     occ_pairs = np.array(list(combinations(range(n), 2)), dtype=np.intp).reshape(-1, 2)
     free_pairs = np.array(list(combinations(range(m - n), 2)), dtype=np.intp).reshape(-1, 2)
-    n_move2, n_move1 = n_states * len(occ_pairs) * len(free_pairs) // 2, n_states * n * (m - n) // 2
+    n_move2, n_move1 = len(occ_pairs) * len(free_pairs), n * (m - n)
+    band, first_sum = _band_rows(n_states), 2 * n_pairs**2 + m   # ext index of the first sum
     # One allocation backs every field: separate arrays measured about 2 MB
-    # more peak RSS in the dense work that follows at N=924.  Positions come
-    # first; a term dtype is never more than twice as wide, so each field is aligned.
-    at_type = np.dtype(_index_dtype(n_states**2 - 1))
-    term_type = np.dtype(_index_dtype(2 * n_pairs**2 + m - 1))
-    layout = {"move2_at": ((2, n_move2), at_type), "move1_at": ((2, n_move1), at_type),
+    # more peak RSS in the dense work that follows at N=924.  Wider fields
+    # come first, so each is aligned.
+    term_type = np.dtype(_index_dtype(first_sum - 1))
+    layout = {"at": ((n_states, n_move2 + n_move1), np.dtype(_index_dtype(band * n_states - 1))),
+              "move2_source": ((n_states, n_move2), term_type),
+              "move1_source": ((n_states, n_move1),
+                               np.dtype(_index_dtype(first_sum + n_states * n_move1 // 2 - 1))),
               "diagonal": ((n + len(occ_pairs), n_states), term_type),
-              "move2_term": ((n_move2,), term_type), "move1_term": ((n - 1, n_move1), term_type)}
-    ends = np.cumsum([math.prod(shape) * dtype.itemsize for shape, dtype in layout.values()])
+              "move1_term": ((n - 1, n_states * n_move1 // 2), term_type)}
+    fields = sorted(layout.items(), key=lambda field: -field[1][1].itemsize)
+    ends = np.cumsum([math.prod(shape) * dtype.itemsize for _, (shape, dtype) in fields])
     blocks = np.split(np.empty(ends[-1], np.uint8), ends[:-1])
     structure = _Couplings(**{name: block.view(dtype).reshape(shape)
-                              for (name, (shape, dtype)), block in zip(layout.items(), blocks)})
+                              for (name, (shape, dtype)), block in zip(fields, blocks)})
 
     structure.diagonal[:n] = 2 * n_pairs**2 + occ.T
     for row, (a1, a2) in zip(structure.diagonal[n:], occ_pairs):
         row[:] = (n_pairs + 1) * pair(occ[:, a1], occ[:, a2])
 
-    # Half-size blocks here: with INDEX_BLOCK moves per block the ensemble workload's
-    # peak RSS measured 0.9 MB higher (65.4 against 64.5 MB; numpy 2.4.6, glibc), and
-    # the build no faster.
-    step = max(1, INDEX_BLOCK // 2 // max(len(occ_pairs) * len(free_pairs), n * (m - n), 1))
-    end2 = end1 = 0
+    one_move = np.searchsorted(states, states[:, None, None] ^ (1 << occ[:, :, None])
+                               ^ (1 << free[:, None, :])).reshape(n_states, -1)
+    step = max(1, INDEX_BLOCK // max(n_move2, n_move1, 1))
+    end = 0
     for first in range(0, n_states, step):
-        f = states[first:first + step, None, None]
-        occ_f, free_f = occ[first:first + step], free[first:first + step]
+        block = slice(first, first + step)
+        f = states[block, None, None]
+        occ_f, free_f = occ[block], free[block]
+        at, count = structure.at[block], len(f)
+        row_start = np.arange(first, first + count)[:, None] % band * n_states
 
         p, q = occ_f[:, occ_pairs[:, 0], None], occ_f[:, occ_pairs[:, 1], None]
         r, s = free_f[:, None, free_pairs[:, 0]], free_f[:, None, free_pairs[:, 1]]
-        targets = f ^ (1 << p) ^ (1 << q) | (1 << r) | (1 << s)
-        upper = targets > f
-        start, end2 = end2, place(structure.move2_at, end2, first, targets, upper)
-        structure.move2_term[start:end2] = term(f, p, q, r, s)[upper]
+        via = one_move[block][:, occ_pairs[:, 0, None] * (m - n) + free_pairs[:, 0]]   # p to r
+        cols = one_move[via, move(f ^ (1 << p) | (1 << r), q, s)]                     # q to s
+        at[:, :n_move2] = row_start + cols.reshape(count, -1)
+        structure.move2_source[block] = term(f, p, q, r, s).reshape(count, -1)
 
         p, r = occ_f[:, :, None], free_f[:, None, :]
-        targets = f ^ (1 << p) ^ (1 << r)
+        targets, cols = f ^ (1 << p) ^ (1 << r), one_move[block]
+        at[:, n_move2:] = row_start + cols
         upper = targets > f
-        start, end1 = end1, place(structure.move1_at, end1, first, targets, upper)
+        start, end = end, end + np.count_nonzero(upper)
         for rank in range(n - 1):   # spectators in ascending orbital order
             s = occ_f[:, rank + (rank >= np.arange(n)), None]
-            structure.move1_term[rank, start:end1] = term(
+            structure.move1_term[rank, start:end] = term(
                 f, np.minimum(p, s), np.maximum(p, s), np.minimum(r, s), np.maximum(r, s))[upper]
+        source, upper = structure.move1_source[block], upper.reshape(count, -1)
+        source[upper] = np.arange(first_sum + start, first_sum + end)
+        reverse = move(targets, r, p).reshape(count, -1)   # the move back, from g to f
+        source[~upper] = structure.move1_source[cols[~upper], reverse[~upper]]
 
     for array in vars(structure).values():
         array.flags.writeable = False   # shared by every caller through the cache

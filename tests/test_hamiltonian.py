@@ -12,7 +12,7 @@ import pytest
 import tbrisim as tb
 from tbrisim import hamiltonian
 from tbrisim.exceptions import ParameterError
-from tbrisim.hamiltonian import _couplings, _index_dtype, _scatter
+from tbrisim.hamiltonian import _couplings, _index_dtype
 
 from oracles import (
     loop_hamiltonian,
@@ -146,11 +146,12 @@ def test_hamiltonian_matches_operator_algebra_oracle(n, m, eta, seed):
     assert np.abs(h.entries - expected).max() < 1e-12
 
 
-@pytest.mark.parametrize("n,m", [(1, 4), (2, 4), (2, 5), (4, 4), (3, 7), (4, 8), (6, 12)])
+@pytest.mark.parametrize("n,m", [(1, 4), (2, 4), (2, 5), (4, 4), (3, 7), (4, 8), (6, 12), (2, 45)])
 def test_hamiltonian_bitwise_equal_to_loop_oracle(n, m):
     """The cached-structure builder reproduces the entry-by-entry loop exactly.
 
     ``tobytes`` also tells -0.0 from +0.0; eta=0 makes every move term a signed zero.
+    Every lower one-orbital entry reads its upper partner's sum.
     """
     basis = tb.build_basis(n, m)
     for eta, jitter in ((0.083, 0.0), (0.083, 0.3), (0.0, 0.0)):
@@ -160,6 +161,21 @@ def test_hamiltonian_bitwise_equal_to_loop_oracle(n, m):
         expected = loop_hamiltonian(basis, spectrum, tensor)
         assert np.array_equal(h.entries, expected.entries), (eta, jitter)
         assert h.entries.tobytes() == expected.entries.tobytes(), (eta, jitter)
+    couplings = _couplings(n, m)
+    cols = couplings.at[:, couplings.move2_source.shape[1]:] % basis.size
+    rows = np.arange(basis.size)[:, None].repeat(cols.shape[1], axis=1)
+    upper, lower = cols > rows, cols < rows
+    slot = np.full((basis.size, basis.size), -1)
+    slot[rows[upper], cols[upper]] = couplings.move1_source[upper]
+    assert np.array_equal(couplings.move1_source[lower], slot[cols[lower], rows[lower]])
+
+
+def test_oracle_sizes_cover_band_edges():
+    """The loop-oracle sizes fill H in one band (N <= 70), in whole bands (N=990: 30 of
+    33 rows) and with a partial last band (N=924: 26 of 35 rows, then 14)."""
+    for size, bands, last in ((70, 1, 70), (990, 30, 33), (924, 27, 14)):
+        rows = hamiltonian._band_rows(size)
+        assert (-(-size // rows), size - (bands - 1) * rows) == (bands, last), size
 
 
 @pytest.mark.parametrize("n,m", [(4, 8), (6, 12)])
@@ -167,57 +183,67 @@ def test_hamiltonian_bitwise_equal_to_loop_oracle(n, m):
 def test_index_blocks_keep_structure_and_h_bitwise(n, m, block, monkeypatch):
     """Any ``INDEX_BLOCK`` gives the default structure's bytes and the default H's.
 
-    1 and 7 divide every move count here; 1000 leaves a partial last block of
-    moves at both sizes and of states at (4, 8); 10**6 exceeds K2, so each
-    kind is one partial block.  The structure is rebuilt with the patched blocks.
+    1 and 7 give blocks of one state; 1000 gives blocks of 27 states at (4, 8),
+    the last one partial, and of 4 at (6, 12); 10**6 makes each size one block.
+    The structure is rebuilt with the patched blocks.
     """
     params = tb.ModelParams(n=n, m=m, eta=0.083, seed=3, jitter=0.3)
     basis = tb.build_basis(n, m)
     spectrum, tensor = tb.sample_spectrum(params), tb.sample_two_body(params)
-    structure = _couplings(n, m).move2_at.base.tobytes()
+    structure = _couplings(n, m).at.base.tobytes()
     expected = tb.build_hamiltonian(basis, spectrum, tensor).entries.tobytes()
     monkeypatch.setattr(hamiltonian, "INDEX_BLOCK", block)
     _couplings.cache_clear()
     try:
-        assert _couplings(n, m).move2_at.base.tobytes() == structure
+        assert _couplings(n, m).at.base.tobytes() == structure
         assert tb.build_hamiltonian(basis, spectrum, tensor).entries.tobytes() == expected
     finally:
         _couplings.cache_clear()   # later tests build the structure with the default blocks
 
 
-def test_scatter_indexes_with_contiguous_intp_rows():
-    """Both rows of a narrow position block reach numpy as 1-D contiguous intp arrays."""
+def test_bands_index_with_contiguous_intp_arrays(monkeypatch):
+    """Each band's positions reach numpy as one 1-D contiguous intp array: at N=924,
+    27 bands of 35 rows, the last one of 14."""
     indices = []
 
     class Recording(np.ndarray):
         def __setitem__(self, index, value):
-            indices.append(index)
+            if isinstance(index, np.ndarray):   # a copy: the buffer is reused
+                indices.append(((index.dtype, index.ndim, index.flags.c_contiguous), index.copy()))
             super().__setitem__(index, value)
 
-    flat = np.zeros(16).view(Recording)
-    at = np.array([[1, 2, 7], [4, 8, 13]], dtype=np.int32)
-    _scatter(flat, at, np.array([1.0, 2.0, 3.0]))
-    assert len(indices) == 2
-    for index, row in zip(indices, at):
-        assert index.dtype == np.intp and index.ndim == 1 and index.flags.c_contiguous
-        assert np.array_equal(index, row)
-    assert np.array_equal(np.nonzero(np.asarray(flat))[0], [1, 2, 4, 7, 8, 13])
+    class RecordingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def empty(self, *args, **kwargs):
+            return np.empty(*args, **kwargs).view(Recording)
+
+    params = tb.ModelParams(n=6, m=12, eta=0.083, seed=5)
+    basis = tb.build_basis(6, 12)
+    spectrum, tensor = tb.sample_spectrum(params), tb.sample_two_body(params)
+    expected = tb.build_hamiltonian(basis, spectrum, tensor).entries   # the structure is cached
+    monkeypatch.setattr(hamiltonian, "np", RecordingNumpy())
+    h = tb.build_hamiltonian(basis, spectrum, tensor)
+    assert np.asarray(h.entries).tobytes() == expected.tobytes()
+    assert [len(index) for _, index in indices] == [35 * 261] * 26 + [14 * 261]
+    assert {attributes for attributes, _ in indices} == {(np.dtype(np.intp), 1, True)}
+    assert np.array_equal(np.concatenate([index for _, index in indices]),
+                          _couplings(6, 12).at.ravel())
 
 
 def test_hamiltonian_digest_at_n3432():
-    """n=7, m=14 (N=3432): K2 = 756,756 two-orbital moves take 12 index blocks, the last
-    one partial, and H keeps the SHA-256 that the assembly without blocks gave."""
+    """n=7, m=14 (N=3432): H keeps the SHA-256 that the assembly without blocks gave."""
     params = tb.ModelParams(n=7, m=14, eta=0.083, seed=1)
     h = tb.build_hamiltonian(tb.build_basis(7, 14), tb.sample_spectrum(params),
                              tb.sample_two_body(params))
-    assert len(range(0, _couplings(7, 14).move2_term.shape[0], hamiltonian.INDEX_BLOCK)) == 12
     assert hashlib.sha256(h.entries.tobytes()).hexdigest() == (
         "b01a2246ad81f9fdf6af92db213b107389b6ba38dc8681e4536e48ef1c524a40")
 
 
 def test_assembly_and_structure_stay_small():
     """A warm build at N=924 allocates at most 1.5 MB beside H; a cold structure peaks at
-    4 MB at N=924 and 13 MB at N=3432 (of which 1.38 MB and 9.4 MB are kept)."""
+    4 MB at N=924 and 13 MB at N=3432 (of which 1.17 MB and 8.3 MB are kept)."""
     params = tb.ModelParams(n=6, m=12, eta=0.083, seed=2)
     basis = tb.build_basis(6, 12)
     spectrum, tensor = tb.sample_spectrum(params), tb.sample_two_body(params)
@@ -257,22 +283,24 @@ def test_cached_structure_survives_another_size():
     assert np.array_equal(again, first)
 
 
-@pytest.mark.parametrize("n,m,nbytes", [(2, 4, 126), (4, 8, 14_560), (6, 12, 1_377_684)])
-def test_upper_half_coupling_layout(n, m, nbytes):
-    """Read-only fields of one backing array: above-diagonal entries only, each with its mirror."""
+@pytest.mark.parametrize("n,m,nbytes", [(2, 4, 180), (4, 8, 19_320), (6, 12, 1_169_784)])
+def test_row_grouped_coupling_layout(n, m, nbytes):
+    """Read-only fields of one backing array: every entry off the diagonal once, row by row,
+    each row's two-orbital moves first, with positions counted from the band's first row."""
     couplings = _couplings(n, m)
-    size = comb(m, n)
-    upper2, upper1 = size * comb(n, 2) * comb(m - n, 2) // 2, size * n * (m - n) // 2
-    at_type = np.dtype(_index_dtype(size * size - 1))
-    term_type = np.dtype(_index_dtype(2 * comb(m, 2) ** 2 + m - 1))
+    size, pairs = comb(m, n), comb(m, 2)
+    move2, move1 = comb(n, 2) * comb(m - n, 2), n * (m - n)
+    rows = hamiltonian._band_rows(size)
+    term_type = np.dtype(_index_dtype(2 * pairs**2 + m - 1))
     fields = {
-        "move2_at": ((2, upper2), at_type),
-        "move1_at": ((2, upper1), at_type),
+        "at": ((size, move2 + move1), np.dtype(_index_dtype(rows * size - 1))),
+        "move2_source": ((size, move2), term_type),
+        "move1_source": ((size, move1),
+                         np.dtype(_index_dtype(2 * pairs**2 + m + size * move1 // 2 - 1))),
         "diagonal": ((n + comb(n, 2), size), term_type),
-        "move2_term": ((upper2,), term_type),
-        "move1_term": ((n - 1, upper1), term_type),
+        "move1_term": ((n - 1, size * move1 // 2), term_type),
     }
-    backing = couplings.move2_at.base
+    backing = couplings.at.base
     for name, (shape, dtype) in fields.items():
         array = getattr(couplings, name)
         assert array.shape == shape, name
@@ -280,12 +308,16 @@ def test_upper_half_coupling_layout(n, m, nbytes):
         assert not array.flags.writeable, name
         assert array.base is backing, name
     assert backing.nbytes == sum(getattr(couplings, name).nbytes for name in fields) == nbytes
-    for at in (couplings.move2_at, couplings.move1_at):
-        rows, cols = np.divmod(at[0].astype(np.int64), size)
-        assert np.all(rows < cols)
-        assert np.all(np.diff(rows) >= 0)   # row-major, so both scatters sweep the matrix once
-        assert len(np.unique(at[0])) == len(at[0])
-        assert np.array_equal(at[1], cols * size + rows)
+    band_row, cols = np.divmod(couplings.at.astype(np.int64), size)
+    row = np.arange(size)[:, None]
+    assert np.all(band_row == row % rows)
+    assert np.all(cols != row)
+    flat = (row * size + cols).ravel()
+    assert len(np.unique(flat)) == len(flat)
+    assert np.array_equal(np.sort(flat), np.sort((cols * size + row).ravel()))   # both triangles
+    states = tb.build_basis(n, m).states
+    flipped = np.bitwise_count(states[row] ^ states[cols])   # 4 for a two-orbital move
+    assert np.all(flipped[:, :move2] == 4) and np.all(flipped[:, move2:] == 2)
 
 
 def test_index_dtype_holds_largest_index():
