@@ -104,10 +104,18 @@ def sample_two_body(params: ModelParams) -> TwoBodyTensor:
     n_pairs = params.m * (params.m - 1) // 2
     rng = np.random.default_rng([params.seed, _TENSOR_STREAM])
     upper = np.sqrt(params.eta) * rng.standard_normal(n_pairs * (n_pairs + 1) // 2)
-    rows, cols = np.triu_indices(n_pairs)
+    rows, cols = _upper_triangle(n_pairs)
     matrix = np.zeros((n_pairs, n_pairs))
     matrix[rows, cols] = matrix[cols, rows] = upper
     return TwoBodyTensor(params.m, matrix)
+
+
+@functools.lru_cache(maxsize=2)
+def _upper_triangle(n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n_pairs)``; read-only, shared by every draw through the cache."""
+    rows, cols = np.triu_indices(n_pairs)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
 
 
 def build_hamiltonian(basis: Basis, epsilon: np.ndarray, tensor: TwoBodyTensor) -> HamiltonianMatrix:
@@ -120,23 +128,27 @@ def build_hamiltonian(basis: Basis, epsilon: np.ndarray, tensor: TwoBodyTensor) 
     Which entries couple, through which tensor element and with which
     fermionic sign depends only on (n, m), not on the seed, eta or the level
     jitter.  That coupling structure is computed once per (n, m) and cached
-    for the two most recent sizes.  It lists every entry off the diagonal,
-    row by row, each with its position and the index of its value in
-    ``ext = concat(V.ravel(), -V.ravel(), epsilon, sums)``.  The sums are
-    those of the K1 one-orbital entries above the diagonal, each over its
-    n - 1 spectator terms, and an entry below takes its upper partner's
-    sum.  A two-orbital entry takes its own row's signed element, which is
-    its partner's, since V is symmetric and a move's sign is its reverse's.
-    Terms are int16 up to m=16, and so are positions up to N=32768, since
-    they count from the first element of their band: 1.17 MB at N=924
-    (n=6, m=12), 8.3 MB at N=3432 (n=7, m=14).
+    for the two most recent sizes.  It points each element of H at its value
+    in ``ext = concat(V.ravel(), -V.ravel(), epsilon, sums, [0.0], diagonal)``:
+    the sums of the K1 one-orbital entries above the diagonal, each over its
+    n - 1 spectator terms, which an entry below shares with its upper partner.
+    A two-orbital entry takes its own row's signed element, which is its
+    partner's, since V is symmetric and a move's sign is its reverse's.
 
     H is filled in bands of ``_band_rows(N)`` rows, at most ``BAND_BYTES``,
-    which stay in L2 while written: a band is zeroed, gathers its entries'
-    values from ``ext``, scatters them and takes its diagonal.  numpy's
-    fancy indexing is fast only with contiguous intp indices, so a band's
-    positions and sources are cast into two reused intp buffers.  With
-    ``ext`` they take 0.4 MB beside H at N=924, 0.9 MB at N=3432.
+    which stay in L2 while written, and a band's indices are cast into a
+    reused intp buffer: numpy indexes fast only with contiguous intp arrays.
+    The structure's layout is chosen by size.  It is dense exactly when every
+    ext index fits int16, as up to N=924 (n=6, m=12; ext has 26,281 entries):
+    an (N, N) int16 ``template`` of 1.91 MB holds every element's ext index,
+    and a band is one ``np.take`` into a fresh H.  Its ``mode="clip"`` skips
+    take's per-element bounds check, which measured slower than the sparse
+    layout; it would clamp a bad index silently, so ``_couplings`` checks
+    every index once.  Beyond that the structure is sparse: each entry off
+    the diagonal, row by row, with its position from its band's first
+    element (int16 up to N=32768) and its ext index, 8.3 MB at N=3432
+    (n=7, m=14; an int32 template would take 47 MB).  H is allocated zeroed,
+    and a band scatters its entries and takes its diagonal.
 
     The terms of an entry are added in a fixed order: orbital energies in
     ascending orbital order, then the pair terms, and the spectators of a
@@ -152,18 +164,28 @@ def build_hamiltonian(basis: Basis, epsilon: np.ndarray, tensor: TwoBodyTensor) 
         )
     couplings = _couplings(basis.n, basis.m)
     v = tensor.matrix.ravel()
-    ext = np.concatenate((v, -v, epsilon, np.zeros(couplings.move1_term.shape[1])))
-    sums = ext[2 * v.size + len(epsilon):]   # +0.0 start, as the plain loop
+    n_states, n_sums, first_sum = basis.size, couplings.move1_term.shape[1], 2 * v.size + basis.m
+    ext = np.concatenate((v, -v, epsilon, np.zeros(n_sums + 1 + n_states)))
+    sums = ext[first_sum:first_sum + n_sums]   # +0.0 start, as the plain loop
     for rank_terms in couplings.move1_term:
         sums += ext[rank_terms.astype(np.intp)]
-    n_states, rows = basis.size, _band_rows(basis.size)
-    diagonal = np.zeros(n_states)
+    diagonal = ext[first_sum + n_sums + 1:]
     for terms in couplings.diagonal:
         diagonal += ext[terms.astype(np.intp)]
 
+    rows = _band_rows(n_states)
+    if couplings.template is not None:
+        entries = np.empty((n_states, n_states))
+        flat, index = entries.reshape(-1), np.empty(rows * n_states, np.intp)
+        for first in range(0, n_states * n_states, rows * n_states):
+            band = couplings.template.reshape(-1)[first:first + rows * n_states]
+            index[:band.size] = band
+            np.take(ext, index[:band.size], out=flat[first:first + band.size], mode="clip")
+        return HamiltonianMatrix(entries=entries, basis=basis)
+
     split, width = couplings.move2_source.shape[1], couplings.at.shape[1]
     at, source = np.empty((rows, width), np.intp), np.empty((rows, width), np.intp)
-    entries = np.empty((n_states, n_states))
+    entries = np.zeros((n_states, n_states))   # zeroed once, by calloc or the kernel
     flat = entries.reshape(-1)   # writable view
     for first in range(0, n_states, rows):
         band = slice(first, first + rows)
@@ -172,7 +194,6 @@ def build_hamiltonian(basis: Basis, epsilon: np.ndarray, tensor: TwoBodyTensor) 
         source[:count, :split] = couplings.move2_source[band]
         source[:count, split:] = couplings.move1_source[band]
         block = flat[first * n_states:(first + count) * n_states]
-        block.fill(0.0)
         block[at[:count].reshape(-1)] = ext[source[:count].reshape(-1)]
         block[first::n_states + 1] = diagonal[band]
 
@@ -190,21 +211,24 @@ class _Couplings:
     N = C(m, n) states has M2 = C(n,2) C(m-n,2) two-orbital and M1 = n (m-n) one-orbital
     moves, and K1 = N M1 / 2 one-orbital entries lie above the diagonal."""
 
-    at: np.ndarray            # (N, M2 + M1): position of each entry, from its band's first element
-    move2_source: np.ndarray  # (N, M2): ext index of each two-orbital entry's signed element
-    move1_source: np.ndarray  # (N, M1): ext index of each one-orbital entry's sum
     diagonal: np.ndarray      # (n + C(n,2), N): orbital energies, then pair terms
     move1_term: np.ndarray    # (n - 1, K1): upper one-orbital terms, by spectator rank
+    template: np.ndarray | None = None      # dense (N, N) int16: ext index of each element of H
+    at: np.ndarray | None = None            # sparse (N, M2 + M1): each entry's offset in its band
+    move2_source: np.ndarray | None = None  # (N, M2): ext index of each two-orbital signed element
+    move1_source: np.ndarray | None = None  # (N, M1): ext index of each one-orbital entry's sum
 
 
 @functools.lru_cache(maxsize=2)
 def _couplings(n: int, m: int) -> _Couplings:
-    """Axes (state, occupied orbital or pair, free orbital or pair).  The moves are generated
-    for blocks of consecutive states, at most ``INDEX_BLOCK`` moves of a kind per block (or one
-    state), so the int64 temporaries stay bounded: a cold build peaks at 2.9 MB at N=924 and
-    11.8 MB at N=3432 under tracemalloc, the structure itself included.  A move from f is above
-    the diagonal exactly when its target exceeds f, as the basis is sorted.  Only one-orbital
-    targets are searched for: a two-orbital move is two one-orbital ones, each found by ``move``."""
+    """Axes (state, occupied orbital or pair, free orbital or pair).  The layout is dense exactly
+    when the largest ext index, 2P^2 + m + K1 + N, fits int16 (the largest such N is 924), and the
+    template's range is checked once here, so ``np.take(mode="clip")`` has nothing to clamp.  One
+    loop writes either layout, over blocks of consecutive states, at most ``INDEX_BLOCK`` moves of
+    a kind per block (or one state), so the int64 temporaries stay bounded: a cold build peaks at
+    3.7 MB at N=924 and 11.8 MB at N=3432 under tracemalloc, of which 1.91 and 8.3 MB are kept.
+    A move from f is above the diagonal exactly when its target exceeds f, as the basis is sorted.
+    Only one-orbital targets are searched for: a two-orbital move is two one-orbital ones."""
     states = basis_states(n, m)
     n_states, n_pairs = len(states), m * (m - 1) // 2
     bits = occupation_bits(states, m).T.astype(bool)
@@ -231,26 +255,35 @@ def _couplings(n: int, m: int) -> _Couplings:
     occ_pairs = np.array(list(combinations(range(n), 2)), dtype=np.intp).reshape(-1, 2)
     free_pairs = np.array(list(combinations(range(m - n), 2)), dtype=np.intp).reshape(-1, 2)
     n_move2, n_move1 = len(occ_pairs) * len(free_pairs), n * (m - n)
-    band, first_sum = _band_rows(n_states), 2 * n_pairs**2 + m   # ext index of the first sum
+    n_sums, band, first_sum = n_states * n_move1 // 2, _band_rows(n_states), 2 * n_pairs**2 + m
+    zero = first_sum + n_sums   # ext index of the 0.0; the diagonal's slots follow it
+    dense = _index_dtype(zero + n_states) is np.int16
     # One allocation backs every field: separate arrays measured about 2 MB
     # more peak RSS in the dense work that follows at N=924.  Wider fields
     # come first, so each is aligned.
     term_type = np.dtype(_index_dtype(first_sum - 1))
-    layout = {"at": ((n_states, n_move2 + n_move1), np.dtype(_index_dtype(band * n_states - 1))),
-              "move2_source": ((n_states, n_move2), term_type),
-              "move1_source": ((n_states, n_move1),
-                               np.dtype(_index_dtype(first_sum + n_states * n_move1 // 2 - 1))),
-              "diagonal": ((n + len(occ_pairs), n_states), term_type),
-              "move1_term": ((n - 1, n_states * n_move1 // 2), term_type)}
+    layout = {"diagonal": ((n + len(occ_pairs), n_states), term_type),
+              "move1_term": ((n - 1, n_sums), term_type)}
+    if dense:
+        layout["template"] = ((n_states, n_states), np.dtype(np.int16))
+    else:
+        layout |= {"at": ((n_states, n_move2 + n_move1),
+                          np.dtype(_index_dtype(band * n_states - 1))),
+                   "move2_source": ((n_states, n_move2), term_type),
+                   "move1_source": ((n_states, n_move1), np.dtype(_index_dtype(zero - 1)))}
     fields = sorted(layout.items(), key=lambda field: -field[1][1].itemsize)
     ends = np.cumsum([math.prod(shape) * dtype.itemsize for _, (shape, dtype) in fields])
     blocks = np.split(np.empty(ends[-1], np.uint8), ends[:-1])
     structure = _Couplings(**{name: block.view(dtype).reshape(shape)
                               for (name, (shape, dtype)), block in zip(fields, blocks)})
+    template = structure.template
 
     structure.diagonal[:n] = 2 * n_pairs**2 + occ.T
     for row, (a1, a2) in zip(structure.diagonal[n:], occ_pairs):
         row[:] = (n_pairs + 1) * pair(occ[:, a1], occ[:, a2])
+    if dense:
+        template.fill(zero)
+        np.fill_diagonal(template, np.arange(zero + 1, zero + 1 + n_states))
 
     one_move = np.searchsorted(states, states[:, None, None] ^ (1 << occ[:, :, None])
                                ^ (1 << free[:, None, :])).reshape(n_states, -1)
@@ -259,34 +292,51 @@ def _couplings(n: int, m: int) -> _Couplings:
     for first in range(0, n_states, step):
         block = slice(first, first + step)
         f = states[block, None, None]
-        occ_f, free_f = occ[block], free[block]
-        at, count = structure.at[block], len(f)
-        row_start = np.arange(first, first + count)[:, None] % band * n_states
+        occ_f, free_f, count = occ[block], free[block], len(f)
+        row = np.arange(first, first + count)[:, None]
 
         p, q = occ_f[:, occ_pairs[:, 0], None], occ_f[:, occ_pairs[:, 1], None]
         r, s = free_f[:, None, free_pairs[:, 0]], free_f[:, None, free_pairs[:, 1]]
         via = one_move[block][:, occ_pairs[:, 0, None] * (m - n) + free_pairs[:, 0]]   # p to r
-        cols = one_move[via, move(f ^ (1 << p) | (1 << r), q, s)]                     # q to s
-        at[:, :n_move2] = row_start + cols.reshape(count, -1)
-        structure.move2_source[block] = term(f, p, q, r, s).reshape(count, -1)
+        move2_cols = one_move[via, move(f ^ (1 << p) | (1 << r), q, s)].reshape(count, -1)  # q to s
+        move2_terms = term(f, p, q, r, s).reshape(count, -1)
 
         p, r = occ_f[:, :, None], free_f[:, None, :]
         targets, cols = f ^ (1 << p) ^ (1 << r), one_move[block]
-        at[:, n_move2:] = row_start + cols
         upper = targets > f
         start, end = end, end + np.count_nonzero(upper)
         for rank in range(n - 1):   # spectators in ascending orbital order
             s = occ_f[:, rank + (rank >= np.arange(n)), None]
             structure.move1_term[rank, start:end] = term(
                 f, np.minimum(p, s), np.maximum(p, s), np.minimum(r, s), np.maximum(r, s))[upper]
-        source, upper = structure.move1_source[block], upper.reshape(count, -1)
-        source[upper] = np.arange(first_sum + start, first_sum + end)
-        reverse = move(targets, r, p).reshape(count, -1)   # the move back, from g to f
-        source[~upper] = structure.move1_source[cols[~upper], reverse[~upper]]
+        upper, sums = upper.reshape(count, -1), np.arange(first_sum + start, first_sum + end)
+        if dense:   # a lower entry's upper partner, in an earlier row, is written
+            template[row, move2_cols] = move2_terms
+            rows = np.broadcast_to(row, cols.shape)
+            template[rows[upper], cols[upper]] = sums
+            template[rows[~upper], cols[~upper]] = template[cols[~upper], rows[~upper]]
+        else:
+            structure.at[block, :n_move2] = row % band * n_states + move2_cols
+            structure.at[block, n_move2:] = row % band * n_states + cols
+            structure.move2_source[block] = move2_terms
+            source = structure.move1_source[block]
+            source[upper] = sums
+            reverse = move(targets, r, p).reshape(count, -1)   # the move back, from g to f
+            source[~upper] = structure.move1_source[cols[~upper], reverse[~upper]]
+        del move2_cols, move2_terms   # kept into the next block, they cost 0.5 MB cold peak
 
+    if dense:
+        _check_template(template, zero + 1 + n_states)
     for array in vars(structure).values():
-        array.flags.writeable = False   # shared by every caller through the cache
+        if array is not None:
+            array.flags.writeable = False   # shared by every caller through the cache
     return structure
+
+
+def _check_template(template: np.ndarray, n_ext: int) -> None:
+    """Refuse an index outside ``ext`` (a bare assert would go under ``python -O``)."""
+    if template.min() < 0 or template.max() >= n_ext:
+        raise AssertionError(f"a template index lies outside ext[0:{n_ext}]")
 
 
 def _sign_bit(state, a1, a2, c1, c2) -> np.ndarray:

@@ -109,6 +109,18 @@ def test_two_body_draw_bitwise_equals_rowwise_loop(m):
             assert np.signbit(expected.matrix).any()   # signed zeros are compared
 
 
+def test_two_body_draws_share_one_read_only_index_pair():
+    """Draws of one pair count place their elements through one cached, read-only
+    ``triu_indices`` pair instead of computing it per draw."""
+    hamiltonian._upper_triangle.cache_clear()
+    for seed in (1, 2):
+        tb.sample_two_body(tb.ModelParams(n=6, m=12, eta=0.083, seed=seed))
+    assert hamiltonian._upper_triangle.cache_info()[:2] == (1, 1)   # hits, misses
+    rows, cols = hamiltonian._upper_triangle(66)
+    assert not rows.flags.writeable and not cols.flags.writeable
+    assert all(np.array_equal(x, y) for x, y in zip((rows, cols), np.triu_indices(66)))
+
+
 def test_tensor_variance_matches_eta():
     """Sample mean of V^2 over canonical elements is eta to 5 sigma."""
     eta = 0.02
@@ -146,12 +158,13 @@ def test_hamiltonian_matches_operator_algebra_oracle(n, m, eta, seed):
     assert np.abs(h.entries - expected).max() < 1e-12
 
 
-@pytest.mark.parametrize("n,m", [(1, 4), (2, 4), (2, 5), (4, 4), (3, 7), (4, 8), (6, 12), (2, 45)])
+@pytest.mark.parametrize("n,m", [(1, 4), (2, 4), (2, 5), (4, 4), (3, 7), (4, 8), (6, 12),
+                                 (1, 17), (2, 45), (3, 20)])
 def test_hamiltonian_bitwise_equal_to_loop_oracle(n, m):
     """The cached-structure builder reproduces the entry-by-entry loop exactly.
 
     ``tobytes`` also tells -0.0 from +0.0; eta=0 makes every move term a signed zero.
-    Every lower one-orbital entry reads its upper partner's sum.
+    Every lower one-orbital entry reads its upper partner's sum, in either layout.
     """
     basis = tb.build_basis(n, m)
     for eta, jitter in ((0.083, 0.0), (0.083, 0.3), (0.0, 0.0)):
@@ -162,6 +175,10 @@ def test_hamiltonian_bitwise_equal_to_loop_oracle(n, m):
         assert np.array_equal(h.entries, expected.entries), (eta, jitter)
         assert h.entries.tobytes() == expected.entries.tobytes(), (eta, jitter)
     couplings = _couplings(n, m)
+    if couplings.template is not None:
+        one = np.bitwise_count(basis.states[:, None] ^ basis.states) == 2
+        assert np.array_equal(couplings.template[one], couplings.template.T[one])
+        return
     cols = couplings.at[:, couplings.move2_source.shape[1]:] % basis.size
     rows = np.arange(basis.size)[:, None].repeat(cols.shape[1], axis=1)
     upper, lower = cols > rows, cols < rows
@@ -171,46 +188,83 @@ def test_hamiltonian_bitwise_equal_to_loop_oracle(n, m):
 
 
 def test_oracle_sizes_cover_band_edges():
-    """The loop-oracle sizes fill H in one band (N <= 70), in whole bands (N=990: 30 of
-    33 rows) and with a partial last band (N=924: 26 of 35 rows, then 14)."""
-    for size, bands, last in ((70, 1, 70), (990, 30, 33), (924, 27, 14)):
-        rows = hamiltonian._band_rows(size)
+    """The loop-oracle sizes fill H in each layout in one band (dense N <= 70, sparse
+    N=17), and with a partial last band (dense N=924: 26 of 35 rows, then 14; sparse
+    N=1140: 40 of 28, then 20); sparse N=990 fills 30 whole bands of 33 rows."""
+    cases = (((4, 8), True, 1, 70), ((6, 12), True, 27, 14), ((1, 17), False, 1, 17),
+             ((3, 20), False, 41, 20), ((2, 45), False, 30, 33))
+    for (n, m), dense, bands, last in cases:
+        size, rows = comb(m, n), hamiltonian._band_rows(comb(m, n))
         assert (-(-size // rows), size - (bands - 1) * rows) == (bands, last), size
+        assert (_couplings(n, m).template is not None) == dense, (n, m)
 
 
-@pytest.mark.parametrize("n,m", [(4, 8), (6, 12)])
+@pytest.mark.parametrize("n,m", [(4, 8), (6, 12), (3, 20)])
 @pytest.mark.parametrize("block", [1, 7, 1000, 10**6])
 def test_index_blocks_keep_structure_and_h_bitwise(n, m, block, monkeypatch):
     """Any ``INDEX_BLOCK`` gives the default structure's bytes and the default H's.
 
     1 and 7 give blocks of one state; 1000 gives blocks of 27 states at (4, 8),
-    the last one partial, and of 4 at (6, 12); 10**6 makes each size one block.
-    The structure is rebuilt with the patched blocks.
+    the last one partial, of 4 at (6, 12) and of 2 at (3, 20); 10**6 makes each
+    size one block.  (4, 8) and (6, 12) take the dense layout, (3, 20) the sparse
+    one.  The structure is rebuilt with the patched blocks.
     """
     params = tb.ModelParams(n=n, m=m, eta=0.083, seed=3, jitter=0.3)
     basis = tb.build_basis(n, m)
     spectrum, tensor = tb.sample_spectrum(params), tb.sample_two_body(params)
-    structure = _couplings(n, m).at.base.tobytes()
+    structure = _couplings(n, m).diagonal.base.tobytes()   # every field, either layout
     expected = tb.build_hamiltonian(basis, spectrum, tensor).entries.tobytes()
     monkeypatch.setattr(hamiltonian, "INDEX_BLOCK", block)
     _couplings.cache_clear()
     try:
-        assert _couplings(n, m).at.base.tobytes() == structure
+        assert _couplings(n, m).diagonal.base.tobytes() == structure
         assert tb.build_hamiltonian(basis, spectrum, tensor).entries.tobytes() == expected
     finally:
         _couplings.cache_clear()   # later tests build the structure with the default blocks
 
 
 def test_bands_index_with_contiguous_intp_arrays(monkeypatch):
-    """Each band's positions reach numpy as one 1-D contiguous intp array: at N=924,
-    27 bands of 35 rows, the last one of 14."""
+    """Each band's template rows reach ``np.take`` as one 1-D contiguous intp array: at
+    N=924, 27 bands of 35 rows, the last one of 14."""
     indices = []
+
+    class RecordingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def take(self, a, index, out=None, mode="raise"):
+            attributes = (index.dtype, index.ndim, index.flags.c_contiguous, mode)
+            indices.append((attributes, index.copy()))   # a copy: the buffer is reused
+            return np.take(a, index, out=out, mode=mode)
+
+    params = tb.ModelParams(n=6, m=12, eta=0.083, seed=5)
+    basis = tb.build_basis(6, 12)
+    spectrum, tensor = tb.sample_spectrum(params), tb.sample_two_body(params)
+    expected = tb.build_hamiltonian(basis, spectrum, tensor).entries   # the structure is cached
+    monkeypatch.setattr(hamiltonian, "np", RecordingNumpy())
+    h = tb.build_hamiltonian(basis, spectrum, tensor)
+    assert h.entries.tobytes() == expected.tobytes()
+    assert [len(index) for _, index in indices] == [35 * 924] * 26 + [14 * 924]
+    assert {attributes for attributes, _ in indices} == {(np.dtype(np.intp), 1, True, "clip")}
+    assert np.array_equal(np.concatenate([index for _, index in indices]),
+                          _couplings(6, 12).template.ravel())
+
+
+def test_band_scatter_indexes_with_contiguous_intp_arrays(monkeypatch):
+    """In the sparse layout each band's positions reach numpy as one 1-D contiguous intp
+    array, at N=1140 40 bands of 28 rows, the last one of 20, into an H allocated zeroed
+    and never filled again."""
+    indices, fills, zeroed = [], [], []
 
     class Recording(np.ndarray):
         def __setitem__(self, index, value):
             if isinstance(index, np.ndarray):   # a copy: the buffer is reused
                 indices.append(((index.dtype, index.ndim, index.flags.c_contiguous), index.copy()))
             super().__setitem__(index, value)
+
+        def fill(self, value):
+            fills.append(value)
+            super().fill(value)
 
     class RecordingNumpy:
         def __getattr__(self, name):
@@ -219,17 +273,23 @@ def test_bands_index_with_contiguous_intp_arrays(monkeypatch):
         def empty(self, *args, **kwargs):
             return np.empty(*args, **kwargs).view(Recording)
 
-    params = tb.ModelParams(n=6, m=12, eta=0.083, seed=5)
-    basis = tb.build_basis(6, 12)
+        def zeros(self, shape, *args, **kwargs):
+            zeroed.append(shape)
+            return np.zeros(shape, *args, **kwargs).view(Recording)
+
+    params = tb.ModelParams(n=3, m=20, eta=0.083, seed=5)
+    basis = tb.build_basis(3, 20)
     spectrum, tensor = tb.sample_spectrum(params), tb.sample_two_body(params)
     expected = tb.build_hamiltonian(basis, spectrum, tensor).entries   # the structure is cached
     monkeypatch.setattr(hamiltonian, "np", RecordingNumpy())
     h = tb.build_hamiltonian(basis, spectrum, tensor)
     assert np.asarray(h.entries).tobytes() == expected.tobytes()
-    assert [len(index) for _, index in indices] == [35 * 261] * 26 + [14 * 261]
+    assert (zeroed[-1], fills) == ((1140, 1140), [])   # after ext's tail
+    width = 3 * comb(17, 2) + 3 * 17
+    assert [len(index) for _, index in indices] == [28 * width] * 40 + [20 * width]
     assert {attributes for attributes, _ in indices} == {(np.dtype(np.intp), 1, True)}
     assert np.array_equal(np.concatenate([index for _, index in indices]),
-                          _couplings(6, 12).at.ravel())
+                          _couplings(3, 20).at.ravel())
 
 
 def test_hamiltonian_digest_at_n3432():
@@ -243,7 +303,7 @@ def test_hamiltonian_digest_at_n3432():
 
 def test_assembly_and_structure_stay_small():
     """A warm build at N=924 allocates at most 1.5 MB beside H; a cold structure peaks at
-    4 MB at N=924 and 13 MB at N=3432 (of which 1.17 MB and 8.3 MB are kept)."""
+    4 MB at N=924 and 13 MB at N=3432 (of which 1.91 MB and 8.3 MB are kept)."""
     params = tb.ModelParams(n=6, m=12, eta=0.083, seed=2)
     basis = tb.build_basis(6, 12)
     spectrum, tensor = tb.sample_spectrum(params), tb.sample_two_body(params)
@@ -283,11 +343,57 @@ def test_cached_structure_survives_another_size():
     assert np.array_equal(again, first)
 
 
-@pytest.mark.parametrize("n,m,nbytes", [(2, 4, 180), (4, 8, 19_320), (6, 12, 1_169_784)])
+@pytest.mark.parametrize("n,m,nbytes", [(2, 4, 132), (4, 8, 14_560), (6, 12, 1_912_680)])
+def test_dense_coupling_template(n, m, nbytes):
+    """Read-only fields of one backing array; the (N, N) int16 template points every element
+    of H at its value in ext: zeros at the one 0.0 slot, the diagonal at its own slots, and
+    per row M2 two-orbital entries at signed elements and M1 one-orbital ones at sums."""
+    couplings = _couplings(n, m)
+    size, pairs = comb(m, n), comb(m, 2)
+    move2, move1 = comb(n, 2) * comb(m - n, 2), n * (m - n)
+    first_sum = 2 * pairs**2 + m
+    zero = first_sum + size * move1 // 2
+    template = couplings.template
+    assert (template.shape, template.dtype) == ((size, size), np.dtype(np.int16))
+    assert couplings.at is couplings.move2_source is couplings.move1_source is None
+    for array in (template, couplings.diagonal, couplings.move1_term):
+        assert not array.flags.writeable
+        assert array.base is template.base
+    assert template.base.nbytes == nbytes
+    assert np.array_equal(np.diag(template), np.arange(zero + 1, zero + 1 + size))
+    states = tb.build_basis(n, m).states
+    flipped = np.bitwise_count(states[:, None] ^ states)   # 4 for a two-orbital move
+    assert np.all((template == zero) == (flipped > 4))
+    assert np.all(template[flipped == 4] < 2 * pairs**2)
+    assert np.all((template[flipped == 2] >= first_sum) & (template[flipped == 2] < zero))
+    assert np.all(np.count_nonzero((template != zero) & (flipped > 0), axis=1) == move2 + move1)
+
+
+def test_template_check_refuses_an_index_outside_ext(monkeypatch):
+    """``np.take(mode="clip")`` would clamp a bad index, so the structure's build checks every
+    template index once against len(ext), and raises even under ``python -O``."""
+    checked = []
+    monkeypatch.setattr(hamiltonian, "_check_template",
+                        lambda template, n_ext: checked.append((template.copy(), n_ext)))
+    template = _couplings.__wrapped__(2, 4).template
+    n_ext = 2 * 6**2 + 4 + 6 * 4 // 2 + 1 + 6
+    assert len(checked) == 1
+    assert np.array_equal(checked[0][0], template) and checked[0][1] == n_ext
+    monkeypatch.undo()
+    hamiltonian._check_template(template, n_ext)
+    for bad in (-1, n_ext, np.iinfo(np.int16).max):
+        corrupt = template.copy()
+        corrupt[0, 1] = bad
+        with pytest.raises(AssertionError, match=r"outside ext\[0:95\]"):
+            hamiltonian._check_template(corrupt, n_ext)
+
+
+@pytest.mark.parametrize("n,m,nbytes", [(1, 17, 1_700), (3, 20, 3_399_480), (2, 45, 6_056_820)])
 def test_row_grouped_coupling_layout(n, m, nbytes):
     """Read-only fields of one backing array: every entry off the diagonal once, row by row,
     each row's two-orbital moves first, with positions counted from the band's first row."""
     couplings = _couplings(n, m)
+    assert couplings.template is None
     size, pairs = comb(m, n), comb(m, 2)
     move2, move1 = comb(n, 2) * comb(m - n, 2), n * (m - n)
     rows = hamiltonian._band_rows(size)
