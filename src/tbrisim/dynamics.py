@@ -12,7 +12,9 @@ the non-negative half is evaluated; the rest of the grid, where a log grid is
 sparse, is evaluated directly.  The split follows from a flop count and K
 from a stated a-priori bound of ~eps (see ``evolve_amplitudes``).  Both
 parts come from one time-major GEMM, phase rows times V^T, whose values are
-carried and reduced in contiguous blocks of times.
+carried and reduced in contiguous blocks of times.  Every phase row, cos and
+sin alike, comes from one tangent of the half angle (``_sincos``), within a
+stated few eps of the exact values.
 Occupation numbers, the survival probability W0 and cascade-class
 populations derive from these amplitudes; the diagonal-ensemble
 (infinite-time) occupations from the occupations of the eigenstates.
@@ -106,12 +108,37 @@ def _sorted_unique(times: np.ndarray) -> np.ndarray:
     return times[np.diff(times, prepend=-np.inf) > 0]
 
 
+def _sincos(half: np.ndarray, cos_out: np.ndarray, sin_out: np.ndarray) -> None:
+    """cos and sin of the angles 2 ``half``, from t = tan(half): cos = r - 1, sin = t r,
+    r = 2 / (1 + t^2).  ``half`` is overwritten with t; ``sin_out`` takes the sines of
+    its first ``len(sin_out)`` rows, so it may cover fewer rows than ``cos_out``.
+
+    numpy's float64 ``tan`` is SIMD on AVX-512 CPUs, several times the speed of its
+    libm ``cos`` and ``sin``.  Halving is exact, so an angle formed as 0.5 x is half
+    of the angle formed as x, with the same rounding.
+
+    Bound, per entry, with t within 1 ULP (relative eps) of tan(half): t^2 is within
+    2 eps and its rounding adds eps/2, 1 + t^2 another eps/2 and the division
+    another, so r in (0, 2] is within 3.5 eps relative.  Hence, to first order in
+    eps, cos is within 2 * 3.5 eps + eps/2 = 7.5 eps of cos(2 half) (the subtraction
+    rounds by at most eps/2), and sin within (eps + 3.5 eps + eps/2) |t r| <= 5 eps
+    of sin(2 half), as |t r| ~ |sin(2 half)| <= 1.  tan(0) = 0 gives exactly (1, 0).
+    Nothing overflows: no double lies within 4e-19 of a pole of tan, so |t| < 1e19,
+    t^2 is finite and 1 + t^2 >= 1.
+    """
+    t = np.tan(half, out=half)
+    rows = len(sin_out)
+    np.multiply(t, t, out=cos_out)
+    cos_out += 1.0
+    np.divide(2.0, cos_out, out=cos_out)   # r
+    np.multiply(t[:rows], cos_out[:rows], out=sin_out)
+    cos_out -= 1.0
+
+
 def _phases(energies: np.ndarray, times: np.ndarray) -> np.ndarray:
     """(N, 2T) exp(-i E_k t_j) as interleaved columns cos(E_k t_j), -sin(E_k t_j)."""
-    theta = np.outer(-energies, times)
     out = np.empty((len(energies), 2 * len(times)))
-    np.cos(theta, out=out[:, 0::2])
-    np.sin(theta, out=out[:, 1::2])
+    _sincos(np.outer(-0.5 * energies, times), out[:, 0::2], out[:, 1::2])
     return out
 
 
@@ -174,7 +201,8 @@ def _evolve(
     """``reduction @ |A(t)|^2`` (r, T), the unitarity drift, s and K (see ``_plan``).
 
     Time-major: the (K + 2(T - s), N) phase rows (node cos | node sin | tail cos, -sin
-    per time), scaled by C_i(k), take one GEMM against V^T and are released.  Then
+    per time), each pair from one ``_sincos`` of the half angles of the nodes >= 0 or
+    of the tail, scaled by C_i(k), take one GEMM against V^T and are released.  Then
     ``TIME_BLOCK`` times at a time: the prefix carried from the node values (the tail
     rows read in place), |A_f(t)|^2 squared in place, the per-time norm sums and the
     reduction, with no (N, T) array; A_f(t) also goes into ``amplitudes`` when given.
@@ -183,13 +211,8 @@ def _evolve(
     centre, even, odd = 0.5 * (energies.max() + energies.min()), (count + 1) // 2, count // 2
     nodes, weights = _chebyshev_nodes(times[split - 1] if split else 0.0, count)
     phases = np.empty((count + 2 * (len(times) - split), decomp.size))
-    theta = np.outer(nodes[:even], centre - energies)   # the nodes >= 0
-    np.cos(theta, out=phases[:even])
-    np.sin(theta[:odd], out=phases[even:count])
-    theta = np.outer(times[split:], -energies)
-    np.cos(theta, out=phases[count::2])
-    np.sin(theta, out=phases[count + 1 :: 2])
-    del theta
+    _sincos(np.outer(0.5 * nodes[:even], centre - energies), phases[:even], phases[even:count])
+    _sincos(np.outer(0.5 * times[split:], -energies), phases[count::2], phases[count + 1 :: 2])
     phases *= decomp.vectors[i]
     values = phases @ decomp.vectors.T   # (K + 2(T - s)) x N x N
     del phases
@@ -240,7 +263,8 @@ def evolve_amplitudes(decomp: EigenDecomposition, i: int, grid) -> np.ndarray:
     weights (Berrut & Trefethen, SIAM Rev. 46, 501 (2004)), folded as
     L_j +- L_mirror(j), carry them to the prefix, where exp(-i c t) is
     multiplied back.  Later times take 2 uncentred rows each, cos(E_k t)
-    and -sin(E_k t).  One real time-major GEMM, the (K + 2(T - s), N) phase rows
+    and -sin(E_k t).  Every row is formed by ``_sincos`` from the tangent of
+    the half angle.  One real time-major GEMM, the (K + 2(T - s), N) phase rows
     times V^T, does both; ``_evolve`` carries its values ``TIME_BLOCK`` times
     at a time and writes each block, transposed, into the (N, T) result.
     ``_plan`` picks s, and s = 0 is the direct GEMM over every time.
@@ -251,7 +275,8 @@ def evolve_amplitudes(decomp: EigenDecomposition, i: int, grid) -> np.ndarray:
     with coefficients c_k C_f(k), whose absolute values sum to at most 1 by
     Cauchy-Schwarz over the unit vectors c and C_f, so it is off by at most
     sqrt(2) omega^K / (2^(K-1) K!) <= sqrt(2) eps.  Rounding in the node
-    values, eps (3 (W/2) t_s + 2N) as on the direct path, and in the final
+    values, eps (3 (W/2) t_s + 2N + 7.5) as on the direct path (the 7.5 eps
+    is the most ``_sincos`` moves a cos, 5 eps a sin), and in the final
     K-term sums is amplified by at most the Lebesgue constant
     Lambda_K <= (2/pi) ln(K + 1) + 1 (about 4 at K ~ 100).
     """
@@ -338,20 +363,25 @@ def average_survival(decomp: EigenDecomposition, i: int) -> float:
 
     The tables are built as powers from three ``_phases`` columns (t0, dt
     and B dt), each power one elementwise complex product from the last:
-    6 N sin/cos instead of 512 N, and no N x 256 array.  All A x B
+    3 N tangents instead of 512 N sin/cos, and no N x 256 array.  All A x B
     amplitudes are then one complex product C^T F, and the mean runs over
     all of them.
 
     Agreement with ``survival_probability(decomp, i, t).mean()`` on the same times t:
     that path rounds each phase E_k t_j to within 3 eps |E_k| t_j; this one
     rounds the three generating phases to within 2 eps |E_k| t and adds at
-    most 5 eps per power (the complex product, and |z_k| off 1 by 2 eps).
-    The weights are positive and sum to one and the sum over k adds 2 N eps,
-    so each path leaves every amplitude within
-    eps (3 max|E_k| t_max + 2 N + 5 (A + B) + 8) of the exact one, and
-    W0 <= 1 within twice that.  The two averages therefore differ by at most
+    most 3 eps per power for the complex product.  Both take every phase
+    factor from ``_sincos``, which puts it within s = 9.1 eps of
+    exp(-i theta) at its rounded angle theta (7.5 eps on the cos and 5 eps on
+    the sin, in modulus; this covers |z_k| - 1 too): that path once per
+    amplitude, this one once per generating factor, and a power z^a carries a
+    such errors, so a table product C[k, a] F[k, b] at most A + B - 1.  The
+    weights are positive and sum to one and the sum over k adds 2 N eps, so
+    each path leaves every amplitude within
+    eps (3 max|E_k| t_max + 2 N + 3 (A + B) + 8) + s (A + B) of the exact one,
+    and W0 <= 1 within twice that.  The two averages therefore differ by at most
 
-        16 eps (max_k |E_k| t_max + N + 256),   t_max = t0 + 255 dt.
+        16 eps (max_k |E_k| t_max + N + 256) + 4 s (A + B),   t_max = t0 + 255 dt.
 
     At N=924, max|E_k| t_max reaches ~2e6, so the bound is ~7e-9; the
     phase errors are not aligned, and the measured difference is <= 8e-13.

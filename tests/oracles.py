@@ -7,7 +7,8 @@ scaling-and-squaring matrix exponential, the Hamiltonian assembled
 entry by entry with scalar fermionic phases, a trajectory evolved with
 a complex product split into per-time frames, the line-shape and
 Fermi-Dirac fits solved by ``scipy.optimize`` with finite-difference
-Jacobians and Brent root finding, the eigendecomposition checked
+Jacobians and Brent root finding, the phase rows as libm's cos and sin
+rather than from the half-angle tangent, the eigendecomposition checked
 through the full products V^T V and H V, the mid-spectrum spacing
 and long-time grid as each was computed on its own before they shared
 one helper, and the amplitudes evaluated directly at every grid time, as
@@ -373,6 +374,17 @@ def _interleaved_phases(energies: np.ndarray, times: np.ndarray) -> np.ndarray:
     np.cos(theta, out=out[..., 0])
     np.sin(theta, out=out[..., 1])
     return out.reshape(len(energies), -1)
+
+
+def libm_sincos(half: np.ndarray, cos_out: np.ndarray, sin_out: np.ndarray) -> None:
+    """``dynamics._sincos`` through libm: ``np.cos`` and ``np.sin`` of the doubled angle.
+
+    half + half is exactly the angle ``direct_amplitudes`` forms, so with this in
+    place of ``_sincos`` the package's phase rows are the oracle's, bit for bit.
+    """
+    angle = half + half
+    np.cos(angle, out=cos_out)
+    np.sin(angle[: len(sin_out)], out=sin_out)
 
 
 def direct_amplitudes(decomp: EigenDecomposition, i: int, grid) -> np.ndarray:

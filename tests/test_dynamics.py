@@ -23,12 +23,15 @@ from oracles import (
     compound_occupations,
     direct_amplitudes,
     expm_amplitudes,
+    libm_sincos,
     occupation_numbers,
     split_occupation_terms,
     standalone_long_time_grid,
 )
 
 ORACLE_PATH_TOL = 1e-13
+SINCOS_COS, SINCOS_SIN = 7.5, 5.0   # ``dynamics._sincos``'s stated bound, in eps
+SINCOS = math.hypot(SINCOS_COS, SINCOS_SIN)   # on a phase factor, in modulus: < 9.1 eps
 
 
 def test_time_grid_validation():
@@ -141,6 +144,45 @@ def test_trajectory_matches_complex_oracle(fixture, request):
     assert np.abs(avg - ref.occupations.mean(axis=1)).max() <= ORACLE_PATH_TOL
 
 
+def _fig2_phase_angles(s) -> tuple[np.ndarray, np.ndarray]:
+    """The angles of fig2's node rows (the nodes >= 0) and tail rows, as ``_evolve`` forms them."""
+    energies, times = s.decomp.energies, s.grid.points
+    split, count = tb.dynamics._plan(energies, times)
+    nodes, _ = tb.dynamics._chebyshev_nodes(times[split - 1], count)
+    centre = 0.5 * (energies.max() + energies.min())
+    node_angles = np.outer(nodes[: (count + 1) // 2], centre - energies)
+    return node_angles, np.outer(times[split:], -energies)
+
+
+def test_sincos_matches_libm(fig2):
+    """``_sincos`` is within its stated 7.5 eps (cos) and 5 eps (sin) of libm at the doubled
+    angle, plus libm's own 1 ULP: on 0, +-pi/2 and +-pi with their neighbours, multiples of
+    pi up to |theta| ~ 1e4 and fig2's node and tail angles, into contiguous rows with fewer
+    sine rows, interleaved rows and interleaved columns.  0 gives exactly (1, 0), and no
+    step warns (tier-1 raises a RuntimeWarning)."""
+    eps = np.finfo(float).eps
+    edges = [(np.nextafter(x, 0.0), x, np.nextafter(x, 4.0)) for x in (np.pi / 2, np.pi)]
+    edges = np.ravel(edges)
+    edges = np.concatenate(([0.0], edges, -edges, np.pi * np.arange(-3200, 3201)))
+    for angles in (np.vstack((edges, edges[::-1])), *_fig2_phase_angles(fig2)):
+        rows, cols = angles.shape
+        interleaved_rows, interleaved_cols = np.empty((2 * rows, cols)), np.empty((rows, 2 * cols))
+        layouts = [
+            (np.empty((rows, cols)), np.empty((rows - 1, cols))),
+            (interleaved_rows[0::2], interleaved_rows[1::2]),
+            (interleaved_cols[:, 0::2], interleaved_cols[:, 1::2]),
+        ]
+        for cos_out, sin_out in layouts:
+            half = 0.5 * angles
+            doubled = half + half
+            tb.dynamics._sincos(half, cos_out, sin_out)
+            assert np.abs(cos_out - np.cos(doubled)).max() <= (SINCOS_COS + 1) * eps
+            sines = np.sin(doubled[: len(sin_out)])
+            assert np.abs(sin_out - sines).max() <= (SINCOS_SIN + 1) * eps
+            zero = doubled == 0.0
+            assert np.all(cos_out[zero] == 1.0) and np.all(sin_out[zero[: len(sin_out)]] == 0.0)
+
+
 def _truncation(omega: float, count: int) -> float:
     """omega^K / (2^(K-1) K!), the Chebyshev remainder of exp(-i a u), |a| <= omega."""
     if omega == 0.0:
@@ -157,17 +199,20 @@ def _interpolation_bound(decomp, times, split: int, count: int) -> float:
     """``evolve_amplitudes``'s stated bound per amplitude, plus a reference's own rounding.
 
     sqrt(2) omega^K / (2^(K-1) K!) for truncation, omega = (W/2) t_s; rounding
-    in the node values and the K-term sums times the Lebesgue bound
-    (2/pi) ln(K+1) + 1; and 2 eps (3 max|E| t_T + 2N) for the reference
-    evaluated at every time (and for the directly evaluated tail) and the
-    phase put back.
+    in the node values, ``_sincos``'s 7.5 eps included, and the K-term sums
+    times the Lebesgue bound (2/pi) ln(K+1) + 1; and 2 eps (3 max|E| t_T + 2N)
+    for the reference evaluated at every time (and for the directly evaluated
+    tail) and the phase put back, plus the tail's ``SINCOS`` eps.  With s = 0
+    only the last term is left.
     """
     eps = np.finfo(float).eps
     energies, n = decomp.energies, decomp.size
+    reference = eps * (2 * (3 * np.abs(energies).max() * times[-1] + 2 * n) + SINCOS)
+    if split == 0:
+        return reference
     omega = _prefix_omega(decomp, times, split)
     lebesgue = 2.0 / np.pi * np.log(count + 1) + 1.0
-    nodes = lebesgue * eps * (3 * omega + 2 * n + count)
-    reference = 2 * eps * (3 * np.abs(energies).max() * times[-1] + 2 * n)
+    nodes = lebesgue * eps * (3 * omega + 2 * n + SINCOS_COS + count)
     return math.sqrt(2.0) * _truncation(omega, count) + nodes + reference
 
 
@@ -191,14 +236,18 @@ def _brute_force_plan_cost(decomp, times) -> int:
     return min(costs)
 
 
-def test_direct_path_is_bitwise_the_oracle(fig1):
-    """fig1's directly evaluated tail, taken alone, is planned with s = 0: bitwise the oracle."""
+def test_direct_path_is_bitwise_the_oracle(fig1, monkeypatch):
+    """fig1's directly evaluated tail, taken alone, is planned with s = 0: within the stated
+    bound of the oracle, and bitwise the oracle given the oracle's libm phase rows."""
     s = fig1
     times = s.grid.points[s.trajectory.interpolated_points :]
     assert tb.dynamics._plan(s.decomp.energies, times) == (0, 0)
+    reference = direct_amplitudes(s.decomp, s.i, times)
+    got = tb.evolve_amplitudes(s.decomp, s.i, times)
+    assert np.abs(got - reference).max() <= _interpolation_bound(s.decomp, times, 0, 0)
+    monkeypatch.setattr(tb.dynamics, "_sincos", libm_sincos)
     traj = tb.simulate_trajectory(s.decomp, s.basis, s.partition, s.i, times)
     assert traj.time_nodes is None and traj.interpolated_points == 0
-    reference = direct_amplitudes(s.decomp, s.i, times)
     got = tb.evolve_amplitudes(s.decomp, s.i, times)
     assert got.tobytes() == reference.tobytes()
     prob = reference.real**2 + reference.imag**2
@@ -418,8 +467,13 @@ def test_time_blocks_narrower_than_the_grid(small_3_6, monkeypatch):
         ref = complex_trajectory(s.decomp, s.basis, partition, i, times)
         for field in ("occupations", "w0", "class_populations"):
             assert np.abs(getattr(got, field) - getattr(ref, field)).max() <= ORACLE_PATH_TOL, field
+    reference = direct_amplitudes(s.decomp, i, direct)
+    bound = _interpolation_bound(s.decomp, direct, 0, 0)
+    assert np.abs(tb.evolve_amplitudes(s.decomp, i, direct) - reference).max() <= bound
+    monkeypatch.setattr(tb.dynamics, "_sincos", libm_sincos)
+    got = tb.simulate_trajectory(s.decomp, s.basis, partition, i, direct)
     amplitudes = tb.evolve_amplitudes(s.decomp, i, direct)
-    assert amplitudes.tobytes() == direct_amplitudes(s.decomp, i, direct).tobytes()
+    assert amplitudes.tobytes() == reference.tobytes()
     prob = amplitudes.real**2 + amplitudes.imag**2
     assert got.w0.tobytes() == prob[i].tobytes()
 
@@ -539,7 +593,8 @@ def test_long_time_grid_contract(fig2):
 def _long_time_bound(decomp, times) -> float:
     """``average_survival``'s a-priori bound on its distance from the sampled mean."""
     scale = np.abs(decomp.energies).max() * times[-1] + decomp.size + len(times)
-    return 16 * np.finfo(float).eps * scale
+    sincos = 4 * SINCOS * 2 * tb.dynamics.LONG_TIME_SIDE   # 4 s (A + B)
+    return np.finfo(float).eps * (16 * scale + sincos)
 
 
 @pytest.mark.parametrize("samples", [tb.dynamics.LONG_TIME_SIDE**2])   # the 16 x 16 table
