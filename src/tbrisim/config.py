@@ -15,6 +15,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from pathlib import Path
 
 from .exceptions import ParameterError
 from .hamiltonian import ModelParams
@@ -23,6 +24,8 @@ from .spectral import MIN_WINDOW_LEVELS
 # Dense N x N float64 arrays alive at the peak of a run: H, the copy eigh
 # factorizes, its workspace (~2 N^2) and the eigenvectors.
 DENSE_COPIES = 6
+# Bytes per state and grid point at the trajectory's peak: its phase rows and their product.
+POINT_BYTES = 32
 # The documents `tbrisim reproduce-fig1/-fig2` start from.
 PRESETS = {
     "reproduce-fig1": {"model": {"eta": 0.003}, "output": {"directory": "runs/fig1"}},
@@ -117,6 +120,17 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     return ExperimentConfig(document=doc, model=model)
 
 
+def sweep_configs(base: dict, etas) -> tuple[Path, list[ExperimentConfig]]:
+    """A sweep's root, the base's output directory or runs/sweep, and per eta the base with
+    that eta in ``root/eta=<repr(eta)>``, validated, the base first, before any run."""
+    outdir = config_from_dict(base).outdir   # first, so that every block below is an object
+    model, output = base.get("model", {}), base.get("output", {})
+    root = Path(outdir if "directory" in output else "runs/sweep")
+    return root, [config_from_dict({**base, "model": {**model, "eta": eta},
+                                    "output": {**output, "directory": str(root / f"eta={eta!r}")}})
+                  for eta in etas]
+
+
 def _merge(default, value, where: str):
     """``value`` merged into ``default``: blocks key by key, a leaf checked against its default.
 
@@ -156,9 +170,9 @@ def _check_size(model: ModelParams, points: int) -> None:
 
     A run needs ``MIN_WINDOW_LEVELS`` basis states for the mid-spectrum
     spacing and, when eta > 0, as many class-1 states, n (m - n) +
-    C(n, 2) C(m - n, 2), for the golden-rule density.  Its dense H,
-    eigendecomposition and (N, points) complex amplitudes must fit in
-    physical memory.
+    C(n, 2) C(m - n, 2), for the golden-rule density.  Its dense H and
+    eigendecomposition (``DENSE_COPIES``) and its trajectory (``POINT_BYTES``)
+    must fit in physical memory.
     """
     n, m = model.n, model.m
     states = math.comb(m, n)
@@ -169,7 +183,7 @@ def _check_size(model: ModelParams, points: int) -> None:
     if model.eta > 0 and class1 < MIN_WINDOW_LEVELS:
         raise ParameterError(f"n={n}, m={m} couples {class1} class-1 states; the golden-rule "
                              f"density needs at least {MIN_WINDOW_LEVELS} when eta > 0")
-    need = states**2 * 8 * DENSE_COPIES + states * points * 16
+    need = states**2 * 8 * DENSE_COPIES + states * points * POINT_BYTES
     try:
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (ValueError, OSError):   # not reported on this platform

@@ -9,7 +9,6 @@ the config echo and the manifest.  A stage that fails raises
 
 from __future__ import annotations
 
-import hashlib
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -19,7 +18,7 @@ from . import dynamics, strength, theory
 from .basis import build_basis, classify, occupation_bits
 from .config import ExperimentConfig, config_hash
 from .exceptions import StageError
-from .export import write_json, write_table
+from .export import sha256, write_json, write_table
 from .hamiltonian import HamiltonianMatrix, build_hamiltonian, sample_spectrum, sample_two_body
 from .spectral import PROBES, _sorted_median, diagonalize, spectral_stats
 
@@ -81,10 +80,6 @@ def _build_grid(config: ExperimentConfig, delta_e: float, gamma: float, n_classe
     spaced = np.geomspace if grid["kind"] == "log" else np.linspace
     points = spaced(grid["start"], grid["stop"], grid["points"])
     return dynamics.TimeGrid(dynamics._sorted_unique(points))
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def emit_plotdata(grid: dynamics.TimeGrid, models, path, *, header_lines=()) -> None:
@@ -198,7 +193,7 @@ def run(config: ExperimentConfig) -> dict:
         }
         manifest = {
             "config": doc, "config_hash": cfg_hash, "seed": params.seed, "derived": derived,
-            "files": {p.name: _sha256(p) for p in written}, "environment": _environment(),
+            "files": {p.name: sha256(p) for p in written}, "environment": _environment(),
         }
         write_json(outdir / "manifest.json", manifest)
     return manifest

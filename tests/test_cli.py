@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import hashlib
 import json
 import math
 import os
@@ -12,6 +13,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +28,7 @@ from tbrisim.exceptions import (
     PreconditionError,
 )
 
-from conftest import strict_json
+from conftest import make_system, strict_json
 
 
 def small_doc(tmp_path, eta=0.1, seed=5, **extra):
@@ -404,11 +406,33 @@ def test_size_guard_refuses_a_dense_matrix_beyond_physical_memory(tmp_path):
 
 
 def test_size_guard_counts_the_trajectory_grid():
-    """n=6, m=12 validates with 400 points; 10**11 points of (N, points) complex amplitudes
-    exceed physical memory and are refused by validation alone."""
+    """n=6, m=12 validates with 400 points; 10**11 points, each holding POINT_BYTES per
+    state of phase rows and their product, exceed physical memory and are refused by
+    validation alone."""
     assert config.config_from_dict({"grid": {"points": 400}}).document["grid"]["points"] == 400
     with pytest.raises(ParameterError, match="grid points"):
         config.config_from_dict({"model": {"n": 6, "m": 12}, "grid": {"points": 10**11}})
+
+
+def test_size_guard_budgets_the_trajectory_peak():
+    """A grid point adds at most POINT_BYTES per basis state to the trajectory's peak, and
+    more than half of that: the phase rows and their GEMM product are alive together, two
+    rows of N float64 per time each when every time is evaluated directly (a log grid from
+    t = 10, where no Chebyshev prefix pays).  Measured by tracemalloc as the growth of the
+    peak from 2N + 1 to 10N points; the fixed part, O(N) rows, is within the dense term."""
+    s = make_system(4, 8, 0.083, 1)
+    size, peaks = s.basis.size, []
+    for points in (2 * size + 1, 10 * size):
+        tracemalloc.start()
+        try:
+            trajectory = tb.simulate_trajectory(s.decomp, s.basis, s.partition, s.i,
+                                                np.geomspace(10.0, 1e6, points))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert trajectory.interpolated_points == 0
+    per_state_point = (peaks[1] - peaks[0]) / (size * (8 * size - 1))
+    assert config.POINT_BYTES / 2 < per_state_point <= config.POINT_BYTES, per_state_point
 
 
 def test_failed_fit_is_recorded_and_the_others_still_run(tmp_path, monkeypatch):
@@ -613,6 +637,61 @@ def test_main_inspect_against_another_run(tmp_path, capsys):
     target.unlink()
     assert cli.main(["inspect", outs[0], "--against", outs[1]]) == 3
     assert "occupations.csv: MISSING" in capsys.readouterr().out
+
+
+def test_inspect_against_and_sweep_output_is_pinned(tmp_path, capsys):
+    """Every line `inspect A --against B` prints, in order, with its exit code, for two n=4,
+    m=8 runs of one config where B has one CSV cell scaled by 1 + 1e-6, one manifest leaf
+    added and one text leaf changed; and the bytes of a two-eta sweep's summary.csv.
+
+    The literal parts pin the format; the digits that depend on the host's BLAS (derived
+    values, file hashes) are read from the run's own files."""
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(_fitted_doc(tmp_path)))
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out in (a, b):
+        assert cli.main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+    _scale_cell(b / "plotdata.csv", 1 + 1e-6)   # W0_model_bw at t = 0, exactly 1
+    changed = json.loads((b / "manifest.json").read_text())
+    changed["derived"]["added_leaf"] = 1.0
+    changed["derived"]["rng"] = "another generator"
+    (b / "manifest.json").write_text(json.dumps(changed))
+    capsys.readouterr()
+    assert cli.main(["inspect", str(a), "--against", str(b)]) == 3
+    manifest = json.loads((a / "manifest.json").read_text())
+    names = ["config.json", "occupations.csv", "plotdata.csv", "prediction.csv", "strength.csv"]
+    assert list(manifest["files"]) == names
+    summary = json.dumps({k: manifest[k] for k in ("config_hash", "seed", "derived")}, indent=2)
+    run_hash = "24de6fc1ba52004d4e42b991f0e5633bf9b3697b7de10d0afbfa24197ad1d780"
+    assert summary.splitlines()[:4] == ["{", f'  "config_hash": "{run_hash}",', '  "seed": 1,',
+                                        '  "derived": {']
+    assert capsys.readouterr().out.splitlines() == [
+        *summary.splitlines(),
+        *(f"{name}: ok {hashlib.sha256((a / name).read_bytes()).hexdigest()[:12]}"
+          for name in names),
+        "config.json: max abs diff 0, max rel diff 0 (None)",
+        "occupations.csv: bytes equal",
+        "plotdata.csv: max abs diff 1e-06, max rel diff 1e-06 (4:1); "
+        "1 beyond tolerance, e.g. 4:1",
+        "prediction.csv: bytes equal",
+        "strength.csv: bytes equal",
+        f"manifest.json: max abs diff 0, max rel diff 0 (None); 1 only in {b}: "
+        "derived.added_leaf; 1 beyond tolerance, e.g. derived.rng",
+    ]
+
+    sweep = tmp_path / "sweep"
+    argv = ["sweep", "--eta", "0.05,0.083", "--config", str(config_path), "--out", str(sweep)]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == f"sweep summary in {sweep / 'summary.csv'}\n"
+    rows = ["eta,gamma_golden_rule,gamma_bw_fit,delta_e,n_pc_ipr,rms_eq14,config_hash"]
+    eta_hashes = {"0.05": "0a8758da592a63c10e5d015d477efa9242126cfae4b78b0be751fee80affc24a",
+                  "0.083": run_hash}
+    for eta, eta_hash in eta_hashes.items():
+        d = json.loads((sweep / f"eta={eta}" / "manifest.json").read_text())["derived"]
+        values = [d["gamma_golden_rule"], d["bw_fit"]["gamma"], d["delta_e"], d["n_pc_ipr"],
+                  d["rms_eq14"]]
+        rows.append(",".join([eta, *(f"{v:.17g}" for v in values), eta_hash]))
+    assert (sweep / "summary.csv").read_bytes() == "".join(f"{row}\n" for row in rows).encode()
 
 
 def test_main_config_error_exit_code(tmp_path, capsys):
