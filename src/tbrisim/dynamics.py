@@ -12,12 +12,15 @@ the non-negative half is evaluated; the rest of the grid, where a log grid is
 sparse, is evaluated directly.  The split follows from a flop count and K
 from a stated a-priori bound of ~eps (see ``evolve_amplitudes``).  Both
 parts come from one time-major GEMM, phase rows times V^T, whose values are
-carried and reduced in contiguous blocks of times.  Every phase row, cos and
-sin alike, comes from one tangent of the half angle (``_sincos``), within a
-stated few eps of the exact values.
+carried in contiguous blocks of times.  Every phase row, cos and sin alike,
+comes from one tangent of the half angle (``_sincos``), within a stated few
+eps of the exact values.
 Occupation numbers, the survival probability W0 and cascade-class
-populations derive from these amplitudes; the diagonal-ensemble
-(infinite-time) occupations from the occupations of the eigenstates.
+populations are reductions of |A_f(t)|^2, real and even in t: on the prefix
+they are formed at K2 nodes of twice the bandwidth and interpolated after the
+reduction (``_reduce``), not from amplitudes carried to every prefix time.
+The diagonal-ensemble (infinite-time) occupations derive from the
+occupations of the eigenstates.
 """
 
 from __future__ import annotations
@@ -62,10 +65,12 @@ class TimeGrid:
 class OccupationTrajectory:
     """Occupations n_alpha(t), survival W0(t) and class populations W_s(t).
 
-    ``unitarity_drift`` is max_t |sum_f |A_f(t)|^2 - 1| on the grid;
+    ``unitarity_drift`` is the largest |sum_f |A_f(t)|^2 - 1| over the directly
+    evaluated times, the ceil(K2/2) Chebyshev nodes >= 0 where the prefix is
+    reduced and the prefix times the norm is interpolated to (see ``_reduce``);
     ``interpolated_points`` is the number s of leading times interpolated
-    from Chebyshev nodes, and ``time_nodes`` the node count K, or None when
-    s = 0 and every time was evaluated directly.
+    from Chebyshev nodes, and ``time_nodes`` the node count K of the phase rows,
+    or None when s = 0 and every time was evaluated directly.
     """
 
     grid: TimeGrid
@@ -152,10 +157,14 @@ def _node_count(omega, most: int) -> np.ndarray:
 def _plan(energies: np.ndarray, times: np.ndarray) -> tuple[int, int]:
     """(s, K): interpolate times[:s] from K nodes of [-t_s, t_s]; evaluate the rest directly.
 
-    s minimises the predicted flops per row, N (K + 2 (T - s)) + K s (GEMM
-    columns and the carry to the grid), with omega = (W/2) t_s for K; the
-    first minimum is taken, so s = 0 (K = 0, 2 N T) unless a prefix is
-    cheaper.  K >= 2T never is, so no count past 2T is resolved.
+    s minimises the predicted flops per row, N (K + 2 (T - s)) + K s, with
+    omega = (W/2) t_s for K; the first minimum is taken, so s = 0 (K = 0,
+    2 N T) unless a prefix is cheaper.  N (K + 2 (T - s)) counts the GEMM's
+    columns.  K s is the carry of ``evolve_amplitudes``, the amplitudes taken
+    from the nodes to every prefix time; ``simulate_trajectory`` carries them
+    to ceil(K2/2) nodes instead (see ``_reduce``), but keeps this plan, so
+    both share one (s, K) and one GEMM.  K >= 2T is never cheaper, so no
+    count past 2T is resolved.
     """
     points = len(times)
     omega = 0.5 * (energies.max() - energies.min()) * times
@@ -195,55 +204,113 @@ def _lagrange_matrix(nodes: np.ndarray, weights: np.ndarray, times: np.ndarray) 
     return lagrange
 
 
-def _evolve(
-    decomp: EigenDecomposition, i: int, times: np.ndarray, reduction: np.ndarray, amplitudes=None
-) -> tuple[np.ndarray, float, int, int]:
-    """``reduction @ |A(t)|^2`` (r, T), the unitarity drift, s and K (see ``_plan``).
+def _folded(nodes: np.ndarray, weights: np.ndarray, times: np.ndarray):
+    """(ceil(K/2), T) and (K//2, T) weights L_j + L_mirror(j) and L_j - L_mirror(j): they
+    carry an even and an odd function from its values at the nodes >= 0 to ``times``.
 
-    Time-major: the (K + 2(T - s), N) phase rows (node cos | node sin | tail cos, -sin
-    per time), each pair from one ``_sincos`` of the half angles of the nodes >= 0 or
-    of the tail, scaled by C_i(k), take one GEMM against V^T and are released.  Then
-    ``TIME_BLOCK`` times at a time: the prefix carried from the node values (the tail
-    rows read in place), |A_f(t)|^2 squared in place, the per-time norm sums and the
-    reduction, with no (N, T) array; A_f(t) also goes into ``amplitudes`` when given.
+    A time on a node keeps that node's unit column: the middle node of an odd K is
+    its own mirror, so its column is 2 L_j halved, exactly.
+    """
+    even, odd = (len(nodes) + 1) // 2, len(nodes) // 2
+    lagrange = _lagrange_matrix(nodes, weights, times)
+    mirror = lagrange[::-1]
+    folded, odd_part = lagrange[:even] + mirror[:even], lagrange[:odd] - mirror[:odd]
+    folded[odd:] *= 0.5
+    return folded, odd_part
+
+
+def _node_values(decomp: EigenDecomposition, i: int, times: np.ndarray):
+    """The one GEMM: (values, s, nodes, weights, c), ``values`` the (K + 2(T - s), N)
+    rows of node cos | node sin | tail cos, -sin per time, times V^T (see ``_plan``).
+
+    Each pair of row sets is one ``_sincos`` of the half angles of the nodes >= 0 (with
+    the energies centred at c) or of the tail; the rows are scaled by C_i(k) and
+    released after the product.
     """
     energies, (split, count) = decomp.energies, _plan(decomp.energies, times)
-    centre, even, odd = 0.5 * (energies.max() + energies.min()), (count + 1) // 2, count // 2
+    centre, even = 0.5 * (energies.max() + energies.min()), (count + 1) // 2
     nodes, weights = _chebyshev_nodes(times[split - 1] if split else 0.0, count)
     phases = np.empty((count + 2 * (len(times) - split), decomp.size))
     _sincos(np.outer(0.5 * nodes[:even], centre - energies), phases[:even], phases[even:count])
     _sincos(np.outer(0.5 * times[split:], -energies), phases[count::2], phases[count + 1 :: 2])
     phases *= decomp.vectors[i]
-    values = phases @ decomp.vectors.T   # (K + 2(T - s)) x N x N
-    del phases
-    # A(-x) = conj A(x): the mirror of node j carries the conjugate of its value.
-    lagrange = _lagrange_matrix(nodes, weights, times[:split])
-    mirror = lagrange[::-1]
-    folded, odd_part = lagrange[:even] + mirror[:even], lagrange[:odd] - mirror[:odd]
-    folded[odd:] *= 0.5   # an odd K's middle node is its own mirror
-    reduced, norms = np.empty((len(times), len(reduction))), np.empty(len(times))
-    carried = np.empty((2, min(TIME_BLOCK, split), decomp.size))
-    for lo in [*range(0, split, TIME_BLOCK), *range(split, len(times), TIME_BLOCK)]:
-        hi = min(lo + TIME_BLOCK, split if lo < split else len(times))
-        if lo < split:
-            re, im = carried[:, : hi - lo]
+    return phases @ decomp.vectors.T, split, nodes, weights, centre   # (K + 2(T - s)) x N x N
+
+
+def _blocks(values: np.ndarray, folded: np.ndarray, odd_part: np.ndarray):
+    """Yield (lo, hi, re, im), the real and imaginary parts of A_f at ``TIME_BLOCK`` times
+    at a time, each (hi - lo, N): first the times ``folded`` carries the node values to
+    (with exp(i c t) left on), then the tail, read in place from its rows of ``values``.
+    A(-x) = conj A(x) after centring, so the mirror of node j carries its conjugate."""
+    even, count, carried = len(folded), len(folded) + len(odd_part), folded.shape[1]
+    end = carried + (len(values) - count) // 2
+    buffer = np.empty((2, min(TIME_BLOCK, carried), values.shape[1]))
+    for lo in [*range(0, carried, TIME_BLOCK), *range(carried, end, TIME_BLOCK)]:
+        hi = min(lo + TIME_BLOCK, carried if lo < carried else end)
+        if lo < carried:
+            re, im = buffer[:, : hi - lo]
             np.matmul(folded[:, lo:hi].T, values[:even], out=re)
             np.matmul(odd_part[:, lo:hi].T, values[even:count], out=im)
         else:
-            tail = values[count + 2 * (lo - split) : count + 2 * (hi - split)]
+            tail = values[count + 2 * (lo - carried) : count + 2 * (hi - carried)]
             re, im = tail[0::2], tail[1::2]
-        if amplitudes is not None:
-            amplitudes[:, lo:hi].real, amplitudes[:, lo:hi].imag = re.T, im.T
-        re *= re
-        re += np.square(im, out=im)   # |A_f(t)|^2
-        re.sum(axis=1, out=norms[lo:hi])
-        np.matmul(re, reduction.T, out=reduced[lo:hi])
-    if amplitudes is not None:
-        amplitudes[:, :split] *= np.exp(-1j * centre * times[:split])
-    drift = float(np.abs(norms - 1.0).max()) if len(times) else 0.0
+        yield lo, hi, re, im
+
+
+def _squared(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """|A_f(t)|^2 = re^2 + im^2, squared in place into ``re``."""
+    re *= re
+    re += np.square(im, out=im)
+    return re
+
+
+def _checked_drift(norms: np.ndarray) -> float:
+    """max |sum_f |A_f|^2 - 1| over ``norms``; PreconditionError beyond UNITARITY_TOL."""
+    drift = float(np.abs(norms - 1.0).max()) if len(norms) else 0.0
     if not drift <= UNITARITY_TOL:   # NaN fails too
         raise PreconditionError(f"evolution lost unitarity: |sum - 1| = {drift:.3e}")
-    return reduced.T, drift, split, count
+    return drift
+
+
+def _reduce(
+    decomp: EigenDecomposition, i: int, times: np.ndarray, reduction: np.ndarray
+) -> tuple[np.ndarray, float, int, int]:
+    """``reduction @ |A(t)|^2`` (r, T), the unitarity drift, s and K (see ``_plan``).
+
+    Every reduced row, sum_f R_af |A_f(t)|^2, and the norm sum_f |A_f(t)|^2 are real,
+    even in t (A_f(-t) = conj A_f(t)) and band-limited to [-W, W], W = E_max - E_min.
+    So on the prefix they are interpolated after the reduction, on K2 first-kind
+    Chebyshev nodes of [-t_s, t_s], K2 from the criterion of ``_node_count`` at
+    omega' = W t_s: the K node values are carried to the ceil(K2/2) nodes >= 0
+    (``_folded``), squared, summed and reduced there, and the r reduced rows and
+    the norms are carried to the s prefix times by the folded weights of the K2
+    nodes.  The tail is squared, summed and reduced ``TIME_BLOCK`` times at a time,
+    read in place.  No (N, T) array is formed.  The drift is the largest over the
+    K2 node norms, the tail and the interpolated prefix norms.
+
+    Bound: each node value of sum_f R_af |A_f|^2 (R a 0/1 row) is within
+    3 sqrt(N) b of the exact one, b the bound of ``evolve_amplitudes`` per
+    amplitude (sum_f ||a_f|^2 - |b_f|^2| <= |a - b|_2 (|a|_2 + |b|_2)).
+    Interpolation amplifies that by at most the Lebesgue constant
+    Lambda_K2 <= (2/pi) ln(K2 + 1) + 1 and adds N omega'^K2 / (2^(K2-1) K2!)
+    <= N eps for truncation: each |A_f|^2 is a combination of cos((E_k - E_l) t)
+    with coefficients of absolute sum (sum_k |c_k C_f(k)|)^2 <= 1.
+    """
+    values, split, nodes, weights, _ = _node_values(decomp, i, times)
+    radius, width = times[split - 1] if split else 0.0, np.ptp(decomp.energies)
+    count2 = int(_node_count(width * radius, 2 * len(nodes))) if split else 0   # K2 <= 2K
+    nodes2, weights2 = _chebyshev_nodes(radius, count2)
+    half = (count2 + 1) // 2   # the K2 nodes >= 0 lead the rows, the tail follows
+    norms = np.empty(half + len(times) - split)
+    rows = np.empty((len(norms), len(reduction)))
+    for lo, hi, re, im in _blocks(values, *_folded(nodes, weights, nodes2[:half])):
+        probabilities = _squared(re, im)
+        probabilities.sum(axis=1, out=norms[lo:hi])
+        np.matmul(probabilities, reduction.T, out=rows[lo:hi])
+    carry = _folded(nodes2, weights2, times[:split])[0].T
+    drift = _checked_drift(np.concatenate((norms, carry @ norms[:half])))
+    reduced = np.concatenate((carry @ rows[:half], rows[half:]))
+    return reduced.T, drift, split, len(nodes)
 
 
 def evolve_amplitudes(decomp: EigenDecomposition, i: int, grid) -> np.ndarray:
@@ -265,9 +332,9 @@ def evolve_amplitudes(decomp: EigenDecomposition, i: int, grid) -> np.ndarray:
     multiplied back.  Later times take 2 uncentred rows each, cos(E_k t)
     and -sin(E_k t).  Every row is formed by ``_sincos`` from the tangent of
     the half angle.  One real time-major GEMM, the (K + 2(T - s), N) phase rows
-    times V^T, does both; ``_evolve`` carries its values ``TIME_BLOCK`` times
-    at a time and writes each block, transposed, into the (N, T) result.
-    ``_plan`` picks s, and s = 0 is the direct GEMM over every time.
+    times V^T, does both (``_node_values``); ``_blocks`` carries its values
+    ``TIME_BLOCK`` times at a time, each block written, transposed, into the
+    (N, T) result.  ``_plan`` picks s, and s = 0 is the direct GEMM over every time.
 
     Bound: interpolating exp(-i a u), u = t / t_s in [-1, 1] and |a| <= omega,
     at K Chebyshev nodes leaves each of its real and imaginary parts off by
@@ -282,8 +349,14 @@ def evolve_amplitudes(decomp: EigenDecomposition, i: int, grid) -> np.ndarray:
     """
     check_index(i, decomp.size)
     times = TimeGrid(_times(grid)).points
+    values, split, nodes, weights, centre = _node_values(decomp, i, times)
     amplitudes = np.empty((decomp.size, len(times)), dtype=np.complex128)
-    _evolve(decomp, i, times, np.empty((0, decomp.size)), amplitudes)
+    norms = np.empty(len(times))
+    for lo, hi, re, im in _blocks(values, *_folded(nodes, weights, times[:split])):
+        amplitudes[:, lo:hi].real, amplitudes[:, lo:hi].imag = re.T, im.T
+        _squared(re, im).sum(axis=1, out=norms[lo:hi])
+    amplitudes[:, :split] *= np.exp(-1j * centre * times[:split])
+    _checked_drift(norms)
     return amplitudes
 
 
@@ -327,14 +400,15 @@ def simulate_trajectory(
     grid,
 ) -> OccupationTrajectory:
     """Full trajectory bundle for one initial state on one grid; occupations and class
-    populations are one reduction of |A_f(t)|^2 by the occupancy over the class rows.
+    populations are one reduction of |A_f(t)|^2 by the occupancy over the class rows,
+    interpolated on the prefix after the reduction (``_reduce``).
     ``partition`` must be classified from state i: its class 0, state i alone, is W0."""
     check_index(i, decomp.size)
     check_reference(partition, basis, i)
     times = TimeGrid(_times(grid))
     indicator = np.eye(partition.n_classes + 1)[:, partition.class_of]
     reduction = np.vstack((occupancy_matrix(basis), indicator))
-    reduced, drift, split, count = _evolve(decomp, i, times.points, reduction)
+    reduced, drift, split, count = _reduce(decomp, i, times.points, reduction)
     return OccupationTrajectory(
         grid=times,
         occupations=reduced[: basis.m],

@@ -132,12 +132,12 @@ def _fields(path: Path) -> dict:
 def compare_runs(rundir, other, names):
     """Yield (line, status) one at a time per file name: "bytes equal", or the largest
     differences over the CSV cells and JSON leaves.  Status 3 if the file is missing in
-    ``other``, is not a table and differs, or has a field beyond INSPECT_TOL; else 0."""
+    either run, is not a table and differs, or has a field beyond INSPECT_TOL; else 0."""
     rundir, other = Path(rundir), Path(other)
     for name in names:
         mine, theirs = rundir / name, other / name
-        if not theirs.exists():
-            yield f"{name}: MISSING in {other}", 3
+        if not (mine.exists() and theirs.exists()):
+            yield f"{name}: MISSING in {other if mine.exists() else rundir}", 3
             continue
         if mine.read_bytes() == theirs.read_bytes():
             yield f"{name}: bytes equal", 0

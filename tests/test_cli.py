@@ -10,6 +10,7 @@ import math
 import os
 import random
 import re
+import shutil
 import subprocess
 import sys
 import time
@@ -733,6 +734,23 @@ def test_inspect_against_refuses_a_malformed_file(tmp_path, capsys, name, conten
     capsys.readouterr()
     assert cli.main(["inspect", str(tmp_path / "a"), "--against", str(other)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {other / name} is not valid ")
+
+
+def test_inspect_against_reports_a_file_missing_in_the_run(tmp_path, capsys):
+    """A file the run's manifest lists but the run lacks is MISSING in that run, exit 3,
+    alone and against another run that has it, and each other file is still compared."""
+    doc = small_doc(tmp_path, output={"directory": str(tmp_path / "a")})
+    pipeline.run(config.config_from_dict(doc))
+    lacking = tmp_path / "lacking"
+    shutil.copytree(tmp_path / "a", lacking)
+    (lacking / "strength.csv").unlink()
+    capsys.readouterr()
+    assert cli.main(["inspect", str(lacking)]) == 3
+    assert "strength.csv: MISSING" in capsys.readouterr().out.splitlines()
+    assert cli.main(["inspect", str(lacking), "--against", str(tmp_path / "a")]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert f"strength.csv: MISSING in {lacking}" in lines
+    assert "occupations.csv: bytes equal" in lines and "manifest.json: bytes equal" in lines
 
 
 def test_negative_seed_exits_2_before_the_run(tmp_path, capsys):

@@ -145,7 +145,7 @@ def test_trajectory_matches_complex_oracle(fixture, request):
 
 
 def _fig2_phase_angles(s) -> tuple[np.ndarray, np.ndarray]:
-    """The angles of fig2's node rows (the nodes >= 0) and tail rows, as ``_evolve`` forms them."""
+    """The angles of fig2's node rows (the nodes >= 0) and tail rows, as ``_node_values`` forms them."""
     energies, times = s.decomp.energies, s.grid.points
     split, count = tb.dynamics._plan(energies, times)
     nodes, _ = tb.dynamics._chebyshev_nodes(times[split - 1], count)
@@ -260,9 +260,35 @@ def test_direct_path_is_bitwise_the_oracle(fig1, monkeypatch):
     assert np.abs(traj.class_populations - pops).max() <= bound
 
 
-def _assert_within_the_stated_bound(s) -> None:
+def _reduced_nodes(decomp, times, split: int, count: int) -> int:
+    """K2, the fewest nodes of [-t_s, t_s] for omega' = W t_s: the reduced rows' band is [-W, W]."""
+    width = decomp.energies.max() - decomp.energies.min()
+    return int(tb.dynamics._node_count(width * times[split - 1], 2 * count))
+
+
+def _reduced_bound(decomp, times, split: int, count: int) -> float:
+    """``_reduce``'s stated bound on each reduced row, sum_f R_af |A_f(t)|^2 (R a 0/1 row).
+
+    Lambda_K2 (3 sqrt(N) b) + N omega'^K2 / (2^(K2-1) K2!), omega' = W t_s: at each K2 node
+    the row is within sum_f ||a_f|^2 - |b_f|^2| <= |a - b|_2 (|a|_2 + |b|_2) <= 3 sqrt(N) b
+    of the exact one, b the amplitudes' ``_interpolation_bound``; interpolation amplifies
+    that by the Lebesgue bound (2/pi) ln(K2 + 1) + 1 and adds truncation, each |A_f|^2 a
+    combination of cos((E_k - E_l) t) with coefficients of absolute sum <= 1, over N rows.
+    """
+    amplitudes = 3 * math.sqrt(decomp.size) * _interpolation_bound(decomp, times, split, count)
+    count2 = _reduced_nodes(decomp, times, split, count)
+    lebesgue = 2.0 / np.pi * np.log(count2 + 1) + 1.0
+    omega = 2 * _prefix_omega(decomp, times, split)
+    return lebesgue * amplitudes + decomp.size * _truncation(omega, count2)
+
+
+def _assert_within_the_stated_bound(s) -> tuple[int, int]:
     """A prefix of s < T times from K nodes, K fewest on [-t_s, t_s]; amplitudes within
-    the bound, observables within ORACLE_PATH_TOL."""
+    ``_interpolation_bound``, the reduced rows within ``_reduced_bound`` and ORACLE_PATH_TOL.
+    Returns (K, K2).
+
+    When K and K2 are both odd, the two node sets share 0.0: the K2 node 0.0 takes the
+    K node 0.0's value through a unit column, with nothing from the odd part."""
     times, split, count = s.grid.points, s.trajectory.interpolated_points, s.trajectory.time_nodes
     assert 0 < split < len(times) and count is not None
     assert count + 2 * (len(times) - split) < 2 * len(times)
@@ -270,11 +296,20 @@ def _assert_within_the_stated_bound(s) -> None:
     bound = _interpolation_bound(s.decomp, times, split, count)
     got = tb.evolve_amplitudes(s.decomp, s.i, times)
     assert np.abs(got - direct_amplitudes(s.decomp, s.i, times)).max() <= bound
-    # sum_f ||a_f|^2 - |b_f|^2| <= |a - b|_2 (|a|_2 + |b|_2) <= sqrt(N) bound (2 + sqrt(N) bound)
     ref = complex_trajectory(s.decomp, s.basis, s.partition, s.i, times)
+    reduced_bound = _reduced_bound(s.decomp, times, split, count)
     for field in ("occupations", "w0", "class_populations"):
         deviation = np.abs(getattr(s.trajectory, field) - getattr(ref, field)).max()
-        assert deviation <= min(3 * math.sqrt(s.decomp.size) * bound, ORACLE_PATH_TOL), field
+        assert deviation <= min(reduced_bound, ORACLE_PATH_TOL), field
+    count2 = _reduced_nodes(s.decomp, times, split, count)
+    if count % 2 and count2 % 2:
+        nodes, weights = tb.dynamics._chebyshev_nodes(times[split - 1], count)
+        nodes2, _ = tb.dynamics._chebyshev_nodes(times[split - 1], count2)
+        folded, odd_part = tb.dynamics._folded(nodes, weights, nodes2[: (count2 + 1) // 2])
+        assert nodes2[count2 // 2] == nodes[count // 2] == 0.0
+        assert folded[:, -1].tobytes() == np.eye(len(folded))[-1].tobytes()
+        assert not odd_part[:, -1].any()
+    return count, count2
 
 
 def test_fig1_interpolates_within_the_stated_bound(fig1):
@@ -282,7 +317,15 @@ def test_fig1_interpolates_within_the_stated_bound(fig1):
 
 
 def test_fig2_interpolates_within_the_stated_bound(fig2):
-    _assert_within_the_stated_bound(fig2)
+    """K = 79 and K2 = 133, both odd."""
+    count, count2 = _assert_within_the_stated_bound(fig2)
+    assert count % 2 and count2 % 2
+
+
+def test_small_3_6_interpolates_within_the_stated_bound(small_3_6):
+    """N = 20 with K = 19 and K2 = 25, both odd."""
+    count, count2 = _assert_within_the_stated_bound(small_3_6)
+    assert count % 2 and count2 % 2
 
 
 @pytest.mark.parametrize("grid", ["fig1", "fig2", "uniform"])
@@ -372,6 +415,21 @@ def test_unitarity_guard_rejects_non_orthonormal_vectors(small_3_6):
         tb.evolve_amplitudes(bad, s.i, s.grid)
     with pytest.raises(PreconditionError, match="unitarity"):
         tb.simulate_trajectory(bad, s.basis, s.partition, s.i, s.grid)
+
+
+def test_unitarity_guard_sees_a_small_drift_on_an_interpolated_prefix(small_3_6):
+    """Vectors scaled by 1 + 1e-9 put every norm 4e-9 off, 40 x UNITARITY_TOL: a trajectory
+    whose prefix is reduced at the K2 nodes and interpolated still refuses them, on the
+    fixture grid (s > 0 and a tail) and on one interpolated whole (s = T, no tail)."""
+    s = small_3_6
+    bad = tb.EigenDecomposition(energies=s.decomp.energies, vectors=s.decomp.vectors * (1 + 1e-9))
+    whole = np.linspace(0.0, 1.0, 400)
+    assert 0 < s.trajectory.interpolated_points < len(s.grid)
+    assert tb.dynamics._plan(s.decomp.energies, whole)[0] == len(whole)
+    for times in (s.grid.points, whole):
+        assert tb.simulate_trajectory(s.decomp, s.basis, s.partition, s.i, times).unitarity_drift < 1e-13
+        with pytest.raises(PreconditionError, match="unitarity"):
+            tb.simulate_trajectory(bad, s.basis, s.partition, s.i, times)
 
 
 def test_occupations_start_on_bits(fig1):
