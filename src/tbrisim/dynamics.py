@@ -20,7 +20,8 @@ populations are reductions of |A_f(t)|^2, real and even in t: on the prefix
 they are formed at K2 nodes of twice the bandwidth and interpolated after the
 reduction (``_reduce``), not from amplitudes carried to every prefix time.
 The diagonal-ensemble (infinite-time) occupations derive from the
-occupations of the eigenstates.
+occupations of the eigenstates, and the infinite-time mean of W0 is
+sum_k w_k^2.
 """
 
 from __future__ import annotations
@@ -34,15 +35,13 @@ import numpy as np
 from .basis import Basis, ClassPartition, check_index, check_reference, occupancy_matrix
 from .exceptions import ParameterError, PreconditionError
 from .export import write_table
-from .spectral import EigenDecomposition, _mid_spacing, mean_spacing
+from .spectral import EigenDecomposition
 from .strength import strength_function
 
 UNITARITY_TOL = 1e-10
 ROW_BLOCK = 256
 TIME_BLOCK = 64                   # grid times carried and reduced together
 _NODE_EPS = np.finfo(float).eps   # target of the Chebyshev truncation bound
-LONG_TIME_SPACING = 1.137         # long-time sampling step, in pi / (mid-spectrum spacing)
-LONG_TIME_SIDE = 16               # the long-time average samples LONG_TIME_SIDE**2 times
 
 
 @dataclass(frozen=True)
@@ -138,13 +137,6 @@ def _sincos(half: np.ndarray, cos_out: np.ndarray, sin_out: np.ndarray) -> None:
     np.divide(2.0, cos_out, out=cos_out)   # r
     np.multiply(t[:rows], cos_out[:rows], out=sin_out)
     cos_out -= 1.0
-
-
-def _phases(energies: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """(N, 2T) exp(-i E_k t_j) as interleaved columns cos(E_k t_j), -sin(E_k t_j)."""
-    out = np.empty((len(energies), 2 * len(times)))
-    _sincos(np.outer(-0.5 * energies, times), out[:, 0::2], out[:, 1::2])
-    return out
 
 
 def _node_count(omega, most: int) -> np.ndarray:
@@ -363,7 +355,10 @@ def evolve_amplitudes(decomp: EigenDecomposition, i: int, grid) -> np.ndarray:
 def survival_probability(decomp: EigenDecomposition, i: int, grid) -> np.ndarray:
     """W0(t) = |sum_k w_k exp(-i E_k t)|^2 with w_k the strength weights of i."""
     check_index(i, decomp.size)
-    parts = decomp.vectors[i, :] ** 2 @ _phases(decomp.energies, _times(grid))
+    times = _times(grid)
+    phases = np.empty((decomp.size, 2 * len(times)))   # cos(E_k t_j), -sin(E_k t_j) interleaved
+    _sincos(np.outer(-0.5 * decomp.energies, times), phases[:, 0::2], phases[:, 1::2])
+    parts = decomp.vectors[i, :] ** 2 @ phases
     return parts[0::2] ** 2 + parts[1::2] ** 2
 
 
@@ -421,69 +416,11 @@ def simulate_trajectory(
 
 
 def average_survival(decomp: EigenDecomposition, i: int) -> float:
-    """Long-time average of W0 over 256 equidistant times t_j = t0 + dt j.
-
-    dt is ``LONG_TIME_SPACING`` * pi / D, D the mid-spectrum spacing (the
-    global ``mean_spacing`` where that is 0), which decorrelates the
-    eigenphases; t0 = max(dt, 50 / width) starts past the decay zone, width
-    the second-moment width of the strength function of i.  Below three
-    levels t0 = dt = 1.
-
-    With j = B a + b and A = B = ``LONG_TIME_SIDE`` = 16, angle addition
-    splits every amplitude into a coarse and a fine phase:
-
-        sum_k w_k exp(-i E_k t_j) = sum_k C[k, a] F[k, b],
-        C[k, a] = w_k exp(-i E_k t0) z_k^(B a),   F[k, b] = z_k^b,   z_k = exp(-i E_k dt).
-
-    The tables are built as powers from three ``_phases`` columns (t0, dt
-    and B dt), each power one elementwise complex product from the last:
-    3 N tangents instead of 512 N sin/cos, and no N x 256 array.  All A x B
-    amplitudes are then one complex product C^T F, and the mean runs over
-    all of them.
-
-    Agreement with ``survival_probability(decomp, i, t).mean()`` on the same times t:
-    that path rounds each phase E_k t_j to within 3 eps |E_k| t_j; this one
-    rounds the three generating phases to within 2 eps |E_k| t and adds at
-    most 3 eps per power for the complex product.  Both take every phase
-    factor from ``_sincos``, which puts it within s = 9.1 eps of
-    exp(-i theta) at its rounded angle theta (7.5 eps on the cos and 5 eps on
-    the sin, in modulus; this covers |z_k| - 1 too): that path once per
-    amplitude, this one once per generating factor, and a power z^a carries a
-    such errors, so a table product C[k, a] F[k, b] at most A + B - 1.  The
-    weights are positive and sum to one and the sum over k adds 2 N eps, so
-    each path leaves every amplitude within
-    eps (3 max|E_k| t_max + 2 N + 3 (A + B) + 8) + s (A + B) of the exact one,
-    and W0 <= 1 within twice that.  The two averages therefore differ by at most
-
-        16 eps (max_k |E_k| t_max + N + 256) + 4 s (A + B),   t_max = t0 + 255 dt.
-
-    At N=924, max|E_k| t_max reaches ~2e6, so the bound is ~7e-9; the
-    phase errors are not aligned, and the measured difference is <= 8e-13.
-    """
-    profile, energies = strength_function(decomp, i), decomp.energies
-    t0 = dt = 1.0
-    if len(energies) >= 3:
-        spacing_mid = _mid_spacing(energies)[0]
-        if spacing_mid <= 0:
-            spacing_mid = max(mean_spacing(energies), 1e-12)
-        dt = LONG_TIME_SPACING * np.pi / spacing_mid
-        width = math.sqrt(profile.second_central_moment())
-        t0 = max(dt, 50.0 / width) if width > 0 else dt
-    side = LONG_TIME_SIDE
-    base = _phases(energies, np.array([t0, dt, dt * side])).view(np.complex128)
-    rows = _powers(base[:, 0] * profile.weights, base[:, 2], side)             # C^T
-    cols = _powers(1.0, base[:, 1], side)                                      # F^T
-    amplitudes = (rows @ cols.T).ravel()
-    return float(np.mean(amplitudes.real**2 + amplitudes.imag**2))
-
-
-def _powers(first, ratio: np.ndarray, count: int) -> np.ndarray:
-    """(count, N) rows first * ratio**r, each one complex product from the row before."""
-    out = np.empty((count, len(ratio)), dtype=np.complex128)
-    out[0] = first
-    for r in range(1, count):
-        np.multiply(out[r - 1], ratio, out=out[r])
-    return out
+    """Infinite-time mean of W0, sum_k w_k^2 = 1 / ``n_pc_ipr`` (Flambaum & Izrailev, PRE 56,
+    5144 (1997)): exact when no level repeats, and where one does no validated config mixes
+    its eigenvectors (at eta = 0 H is diagonal and eigh returns unit vectors).  The name is
+    kept for the benchmark's ``quench`` op and its tracer, which call it."""
+    return strength_function(decomp, i).ipr()
 
 
 def write_trajectory_csv(traj: OccupationTrajectory, path, *, header_lines=()) -> None:

@@ -137,7 +137,6 @@ def run(config: ExperimentConfig) -> dict:
         grid = _build_grid(config, delta_e, gamma_gr, partition.n_classes)
         trajectory = dynamics.simulate_trajectory(decomp, basis, partition, i, grid)
         n_inf = dynamics.asymptotic_occupations(decomp, i, basis)
-        w0_longtime = dynamics.average_survival(decomp, i)
     with stage("theory"):
         n0 = occupation_bits(basis.states[i:i + 1], params.m)[:, 0]   # the initial bitmask
         prediction = theory.predict_occupations(n0, n_inf, trajectory.w0, grid)
@@ -175,7 +174,6 @@ def run(config: ExperimentConfig) -> dict:
             "rms_eq14": rms_eq14,
             "rms_eq14_per_point": rms_eq14_per_point,
             "max_eq14": max_eq14,
-            "w0_longtime_average": w0_longtime,
             "saturation_3_over_npc_envelope": 3.0 / n_pc_env,
             "asymptotic_occupations": [float(x) for x in n_inf],
             "fermi_dirac": fd_record,

@@ -137,20 +137,14 @@ def spectral_stats(decomp: EigenDecomposition) -> float:
     energies = decomp.energies
     if len(energies) < 3:
         raise PreconditionError(f"need at least 3 levels, got {len(energies)}")
-    spacing_mid, inside = _mid_spacing(energies)
-    if inside < MIN_WINDOW_LEVELS:
-        raise InsufficientStatisticsError(f"only {inside} levels near the median; "
-                                          f"need >= {MIN_WINDOW_LEVELS}")
-    return spacing_mid
-
-
-def _mid_spacing(energies: np.ndarray) -> tuple[float, int]:
-    """(``mean_spacing``, level count) of the ~51 levels nearest the median."""
     median = _sorted_median(energies)
     count = min(51, len(energies))
     window = float(np.sort(np.abs(energies - median))[count - 1]) * (1 + 1e-12)
     inside = energies[np.abs(energies - median) <= window]
-    return mean_spacing(inside), len(inside)
+    if len(inside) < MIN_WINDOW_LEVELS:
+        raise InsufficientStatisticsError(f"only {len(inside)} levels near the median; "
+                                          f"need >= {MIN_WINDOW_LEVELS}")
+    return mean_spacing(inside)
 
 
 def _sorted_median(values: np.ndarray) -> float:

@@ -44,9 +44,13 @@ class StrengthProfile:
         d = self.energies - self.e_i
         return float(self.weights @ (d * d))
 
+    def ipr(self) -> float:
+        """Inverse participation ratio sum w^2: the infinite-time mean of W0."""
+        return float(self.weights @ self.weights)
+
     def n_pc_ipr(self) -> float:
-        """Inverse participation ratio 1 / sum w^2."""
-        return float(1.0 / (self.weights @ self.weights))
+        """Number of principal components 1 / sum w^2."""
+        return 1.0 / self.ipr()
 
 
 def strength_function(decomp: EigenDecomposition, i: int) -> StrengthProfile:

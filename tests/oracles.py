@@ -543,8 +543,9 @@ def windowed_mid_spacing(energies: np.ndarray) -> float:
 def standalone_long_time_grid(
     decomp: EigenDecomposition, i: int, samples: int = 256, spacing_factor: float = 1.137
 ) -> np.ndarray:
-    """The equidistant times ``dynamics.average_survival`` averages W0 over, with its own
-    copy of the spacing and width logic."""
+    """Equidistant late times pi / D_mid or more apart, D_mid the mid-spectrum spacing,
+    starting past the decay: the averaging grid of ``average_occupations`` and of the
+    fluctuating-term check."""
     energies = decomp.energies
     if len(energies) < 3:
         return np.arange(1, samples + 1, dtype=float)

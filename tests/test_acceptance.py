@@ -158,25 +158,23 @@ def test_criterion_08_short_time_law(fixture, request):
 def test_criterion_09_saturation(fig2):
     """Long-time W0 floor vs 3/N_pc, with N_pc counted on the smooth envelope.
 
-    The decorrelated long-time average of W0 equals sum_k w_k^2 = 1/N_ipr.
-    The components of a chaotic eigenstate fluctuate like Gaussians
-    (Porter-Thomas), so <w^2> = 3 <w>^2 and the floor is 3/N_pc when N_pc
-    counts the principal components of the smoothed envelope of w_k
-    (Flambaum & Izrailev, PRE 56, 5144 (1997)).  The raw IPR already holds
-    that factor 3, so the check uses the envelope count N_env; the ratio
-    fails if the average, the weights or the Gaussian statistics of the
-    components are off by a factor of order 3.
+    The infinite-time mean of W0 is exactly sum_k w_k^2 = 1/N_ipr when no
+    level repeats, and ``average_survival`` returns that sum.  The components
+    of a chaotic eigenstate fluctuate like Gaussians (Porter-Thomas), so
+    <w^2> = 3 <w>^2 and the floor is 3/N_pc when N_pc counts the principal
+    components of the smoothed envelope of w_k (Flambaum & Izrailev, PRE 56,
+    5144 (1997)).  The raw IPR already holds that factor 3, so the check uses
+    the envelope count N_env; the ratio fails if the weights or their
+    Gaussian statistics are off by a factor of order 3.
     """
-    avg = tb.average_survival(fig2.decomp, fig2.i)
-    n_ipr = fig2.profile.n_pc_ipr()
+    floor = tb.average_survival(fig2.decomp, fig2.i)
     n_env = tb.n_pc_envelope(fig2.profile)
-    target = 3.0 / n_env
-    ratio = avg / target
+    ratio = floor / (3.0 / n_env)
     ok = 0.5 <= ratio <= 2.0
     report(
         9, "saturation", ok,
-        f"longtime avg={avg:.3e}, N_ipr={n_ipr:.1f}, N_env={n_env:.1f}, "
-        f"avg/(3/N_env)={ratio:.3f} in [0.5, 2], avg/(3/N_ipr)={avg * n_ipr / 3:.3f}",
+        f"floor sum w^2={floor:.3e}, N_ipr={1 / floor:.1f}, N_env={n_env:.1f}, "
+        f"floor/(3/N_env)={ratio:.3f} in [0.5, 2]",
     )
     assert ok
 
@@ -288,8 +286,8 @@ def test_payloads_and_fits_agree_across_blas_thread_counts(tmp_path):
     manifests = [strict_json((outs[t] / "manifest.json").read_text()) for t in ("1", "2")]
     assert [m["environment"]["blas_threads"] for m in manifests] == [1, 2]
     derived = [m["derived"] for m in manifests]
-    w0_avg = [d["w0_longtime_average"] for d in derived]
-    assert w0_avg[0] == pytest.approx(w0_avg[1], rel=1e-11)
+    n_ipr = [d["n_pc_ipr"] for d in derived]
+    assert n_ipr[0] == pytest.approx(n_ipr[1], rel=1e-11)
     for fit, fields in FIT_FIELDS.items():
         assert derived[0][fit]["status"] == derived[1][fit]["status"] == "converged", fit
         for field in fields:

@@ -858,7 +858,7 @@ def test_reproduce_fig1_manifest_values(tmp_path, capsys):
     assert manifest["seed"] == 1 and manifest["config"]["model"]["eta"] == 0.003
     floor = derived["saturation_3_over_npc_envelope"]
     assert floor == 3.0 / derived["n_pc_envelope"]
-    assert floor / 2 <= derived["w0_longtime_average"] <= 2 * floor
+    assert floor / 2 <= 1.0 / derived["n_pc_ipr"] <= 2 * floor
 
 
 def test_main_numerical_stage_error_exit_code(tmp_path, capsys, monkeypatch):

@@ -648,34 +648,52 @@ def test_long_time_grid_contract(fig2):
     assert len(times) == 256
 
 
-def _long_time_bound(decomp, times) -> float:
-    """``average_survival``'s a-priori bound on its distance from the sampled mean."""
-    scale = np.abs(decomp.energies).max() * times[-1] + decomp.size + len(times)
-    sincos = 4 * SINCOS * 2 * tb.dynamics.LONG_TIME_SIDE   # 4 s (A + B)
-    return np.finfo(float).eps * (16 * scale + sincos)
+LATE_TIMES = 4096        # M
+LATE_TIME_CHUNK = 256    # times per survival_probability call: (N, 512) phases at a time
+LATE_TIME_SDS = 5.0      # k
 
 
-@pytest.mark.parametrize("samples", [tb.dynamics.LONG_TIME_SIDE**2])   # the 16 x 16 table
-@pytest.mark.parametrize("fixture", ["small_2_4", "small_3_6", "fig1", "fig2"])
-def test_separable_average_matches_sampled_mean(fixture, samples, request):
-    """Coarse x fine phase product vs W0 sampled on every time of the long-time grid."""
+@pytest.mark.parametrize("fixture", ["fig1", "fig2"])
+def test_late_time_mean_of_w0_is_the_exact_floor(fixture, request):
+    """W0 at M = 4096 uniform times in [t_H, 100 t_H], t_H = 2 pi / D_min the Heisenberg
+    time of the closest pair of levels, averages to ``average_survival``'s sum_k w_k^2.
+
+    Bound, stated before the run: with independent uniform phases E_k t,
+    E_t W0 = sum w^2 and Var_t W0 = (sum w^2)^2 - sum w^4 <= (sum w^2)^2, so the mean of
+    M independent samples has relative SD at most 1 / sqrt(M), and k = 5 SD at M = 4096
+    allows 5 / 64 = 7.8%.  The window starts far past the decay (t_H Gamma > 1e3) and
+    the slowest phase difference, D_min t, turns 99 times across it.
+    """
     s = request.getfixturevalue(fixture)
-    times = standalone_long_time_grid(s.decomp, s.i, samples)
-    sampled = survival_probability(s.decomp, s.i, times).mean()
-    got = tb.average_survival(s.decomp, s.i)
-    assert abs(got - sampled) <= _long_time_bound(s.decomp, times)
+    heisenberg = 2 * np.pi / np.diff(s.decomp.energies).min()
+    assert heisenberg * min(s.gamma, s.delta_e) > 1e3
+    times = np.random.default_rng(LATE_TIMES).uniform(heisenberg, 100 * heisenberg, LATE_TIMES)
+    total = sum(survival_probability(s.decomp, s.i, times[lo : lo + LATE_TIME_CHUNK]).sum()
+                for lo in range(0, LATE_TIMES, LATE_TIME_CHUNK))
+    floor = tb.average_survival(s.decomp, s.i)
+    assert abs(total / LATE_TIMES - floor) <= LATE_TIME_SDS * floor / math.sqrt(LATE_TIMES)
 
 
-def test_separable_average_on_the_two_level_grid():
-    """Below three levels the grid is t = 1..256; W0 = 1 - 2 w0 w1 (1 - cos(E1 - E0) t)."""
+def test_average_survival_on_a_two_level_matrix():
+    """W0 = 1 - 2 w0 w1 (1 - cos((E1 - E0) t)) has mean w0^2 + w1^2, to the rounding of
+    the two-term sum."""
     decomp = tb.diagonalize(np.array([[0.3, 0.4], [0.4, -0.2]]))
-    times = np.arange(1, 257, dtype=float)
     w = decomp.vectors[0] ** 2
-    exact = np.mean(1 - 2 * w[0] * w[1] * (1 - np.cos(np.diff(decomp.energies)[0] * times)))
-    got = tb.average_survival(decomp, 0)
-    assert abs(got - exact) <= _long_time_bound(decomp, times)
-    sampled = survival_probability(decomp, 0, times).mean()
-    assert abs(got - sampled) <= _long_time_bound(decomp, times)
+    exact = w[0] ** 2 + w[1] ** 2
+    assert abs(tb.average_survival(decomp, 0) - exact) <= np.finfo(float).eps * exact
+
+
+@pytest.mark.parametrize(("n", "m", "seed"), [(3, 6, 4), (6, 12, 1)])
+def test_average_survival_of_free_fermions_is_one(n, m, seed):
+    """At eta = 0 H is diagonal with repeated levels, and eigh returns unit vectors, so
+    every basis state is an eigenstate and its floor is exactly 1: the repeated levels
+    need no grouping of their weights."""
+    params = tb.ModelParams(n=n, m=m, eta=0.0, seed=seed)
+    basis = tb.build_basis(n, m)
+    h = tb.build_hamiltonian(basis, tb.sample_spectrum(params), tb.sample_two_body(params))
+    decomp = tb.diagonalize(h)
+    assert len(np.unique(decomp.energies)) < decomp.size
+    assert all(tb.average_survival(decomp, i) == 1.0 for i in range(decomp.size))
 
 
 def test_evolve_rejects_bad_index(fig1):

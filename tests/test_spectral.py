@@ -93,7 +93,8 @@ def test_stats_mid_spacing_matches_central_average(fig1):
 
 @pytest.mark.parametrize("name", FIXTURES)
 def test_mid_spacing_bytes_unchanged_by_the_shared_helper(request, name):
-    """small_2_4 has 6 levels, too few for spectral_stats; the other three compare bytes."""
+    """``spectral_stats`` forms the window itself, once the shared helper of this test's
+    name; small_2_4 has 6 levels, too few for it; the other three compare bytes."""
     decomp = request.getfixturevalue(name).decomp
     if decomp.size < 10:
         with pytest.raises(InsufficientStatisticsError):
