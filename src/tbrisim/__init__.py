@@ -13,7 +13,6 @@ from .dynamics import (
     OccupationTrajectory,
     TimeGrid,
     asymptotic_occupations,
-    average_survival,
     default_grid,
     evolve_amplitudes,
     simulate_trajectory,

@@ -5,20 +5,19 @@ written as c_k = C_i(k), the amplitude on basis state f at time t is
 
     A_f(t) = sum_k c_k C_f(k) exp(-i E_k t)        (hbar = 1).
 
-The centred sum exp(i c t) A_f(t) has real coefficients, so its values at
--t are the conjugates of those at t.  A prefix [t_1, t_s] of the grid is
-interpolated from K first-kind Chebyshev nodes of [-t_s, t_s], of which only
-the non-negative half is evaluated; the rest of the grid, where a log grid is
-sparse, is evaluated directly.  The split follows from a flop count and K
-from a stated a-priori bound of ~eps (see ``evolve_amplitudes``).  Both
-parts come from one time-major GEMM, phase rows times V^T, whose values are
-carried in contiguous blocks of times.  Every phase row, cos and sin alike,
-comes from one tangent of the half angle (``_sincos``), within a stated few
-eps of the exact values.
+``evolve_amplitudes`` evaluates every grid time directly, in one time-major
+GEMM, phase rows times V^T.  Every phase row, cos and sin alike, comes from
+one tangent of the half angle (``_sincos``), within a stated few eps of the
+exact values.
 Occupation numbers, the survival probability W0 and cascade-class
-populations are reductions of |A_f(t)|^2, real and even in t: on the prefix
-they are formed at K2 nodes of twice the bandwidth and interpolated after the
-reduction (``_reduce``), not from amplitudes carried to every prefix time.
+populations are reductions of |A_f(t)|^2, real and even in t.  On a prefix
+[t_1, t_s] of the grid ``simulate_trajectory`` evaluates the centred sum
+exp(i c t) A_f(t), whose values at -t are the conjugates of those at t, at
+the non-negative half of K first-kind Chebyshev nodes of [-t_s, t_s], carries
+it to K2 nodes of twice the bandwidth, reduces there and interpolates the
+reduced rows (``_reduce``); the rest of the grid, where a log grid is sparse,
+is evaluated directly in the same GEMM.  The split follows from a cost estimate
+(``_plan``), K and K2 from stated a-priori bounds of ~eps.
 The diagonal-ensemble (infinite-time) occupations derive from the
 occupations of the eigenstates, and the infinite-time mean of W0 is
 sum_k w_k^2.
@@ -149,14 +148,14 @@ def _node_count(omega, most: int) -> np.ndarray:
 def _plan(energies: np.ndarray, times: np.ndarray) -> tuple[int, int]:
     """(s, K): interpolate times[:s] from K nodes of [-t_s, t_s]; evaluate the rest directly.
 
-    s minimises the predicted flops per row, N (K + 2 (T - s)) + K s, with
-    omega = (W/2) t_s for K; the first minimum is taken, so s = 0 (K = 0,
-    2 N T) unless a prefix is cheaper.  N (K + 2 (T - s)) counts the GEMM's
-    columns.  K s is the carry of ``evolve_amplitudes``, the amplitudes taken
-    from the nodes to every prefix time; ``simulate_trajectory`` carries them
-    to ceil(K2/2) nodes instead (see ``_reduce``), but keeps this plan, so
-    both share one (s, K) and one GEMM.  K >= 2T is never cheaper, so no
-    count past 2T is resolved.
+    s minimises N (K + 2 (T - s)) + K s per row, with omega = (W/2) t_s for K;
+    the first minimum is taken, so s = 0 (K = 0, 2 N T) unless a prefix is
+    cheaper.  N (K + 2 (T - s)) counts the GEMM's columns, and K s stands in
+    for the rest of ``_reduce``: the carry of the K node values to ceil(K2/2)
+    nodes, the K2 weights built for the s prefix times and the carry of the
+    reduced rows.  It is a proxy, kept because it measured faster than pricing
+    the node carry alone, ceil(K2/2) K, which picks a wider prefix and a larger
+    K2.  K >= 2T is never cheaper, so no count past 2T is resolved.
     """
     points = len(times)
     omega = 0.5 * (energies.max() - energies.min()) * times
@@ -211,49 +210,22 @@ def _folded(nodes: np.ndarray, weights: np.ndarray, times: np.ndarray):
     return folded, odd_part
 
 
-def _node_values(decomp: EigenDecomposition, i: int, times: np.ndarray):
-    """The one GEMM: (values, s, nodes, weights, c), ``values`` the (K + 2(T - s), N)
-    rows of node cos | node sin | tail cos, -sin per time, times V^T (see ``_plan``).
+def _node_values(decomp: EigenDecomposition, i: int, times: np.ndarray, split: int, count: int):
+    """The one GEMM: (values, nodes, weights), ``values`` the (K + 2(T - s), N) rows of
+    node cos | node sin | tail cos, -sin per time, times V^T, for the plan (s, K).
 
     Each pair of row sets is one ``_sincos`` of the half angles of the nodes >= 0 (with
     the energies centred at c) or of the tail; the rows are scaled by C_i(k) and
-    released after the product.
+    released after the product.  With (s, K) = (0, 0) every time is a tail time.
     """
-    energies, (split, count) = decomp.energies, _plan(decomp.energies, times)
+    energies = decomp.energies
     centre, even = 0.5 * (energies.max() + energies.min()), (count + 1) // 2
     nodes, weights = _chebyshev_nodes(times[split - 1] if split else 0.0, count)
     phases = np.empty((count + 2 * (len(times) - split), decomp.size))
     _sincos(np.outer(0.5 * nodes[:even], centre - energies), phases[:even], phases[even:count])
     _sincos(np.outer(0.5 * times[split:], -energies), phases[count::2], phases[count + 1 :: 2])
     phases *= decomp.vectors[i]
-    return phases @ decomp.vectors.T, split, nodes, weights, centre   # (K + 2(T - s)) x N x N
-
-
-def _blocks(values: np.ndarray, folded: np.ndarray, odd_part: np.ndarray):
-    """Yield (lo, hi, re, im), the real and imaginary parts of A_f at ``TIME_BLOCK`` times
-    at a time, each (hi - lo, N): first the times ``folded`` carries the node values to
-    (with exp(i c t) left on), then the tail, read in place from its rows of ``values``.
-    A(-x) = conj A(x) after centring, so the mirror of node j carries its conjugate."""
-    even, count, carried = len(folded), len(folded) + len(odd_part), folded.shape[1]
-    end = carried + (len(values) - count) // 2
-    buffer = np.empty((2, min(TIME_BLOCK, carried), values.shape[1]))
-    for lo in [*range(0, carried, TIME_BLOCK), *range(carried, end, TIME_BLOCK)]:
-        hi = min(lo + TIME_BLOCK, carried if lo < carried else end)
-        if lo < carried:
-            re, im = buffer[:, : hi - lo]
-            np.matmul(folded[:, lo:hi].T, values[:even], out=re)
-            np.matmul(odd_part[:, lo:hi].T, values[even:count], out=im)
-        else:
-            tail = values[count + 2 * (lo - carried) : count + 2 * (hi - carried)]
-            re, im = tail[0::2], tail[1::2]
-        yield lo, hi, re, im
-
-
-def _squared(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """|A_f(t)|^2 = re^2 + im^2, squared in place into ``re``."""
-    re *= re
-    re += np.square(im, out=im)
-    return re
+    return phases @ decomp.vectors.T, nodes, weights   # (K + 2(T - s)) x N x N
 
 
 def _checked_drift(norms: np.ndarray) -> float:
@@ -273,36 +245,57 @@ def _reduce(
     even in t (A_f(-t) = conj A_f(t)) and band-limited to [-W, W], W = E_max - E_min.
     So on the prefix they are interpolated after the reduction, on K2 first-kind
     Chebyshev nodes of [-t_s, t_s], K2 from the criterion of ``_node_count`` at
-    omega' = W t_s: the K node values are carried to the ceil(K2/2) nodes >= 0
-    (``_folded``), squared, summed and reduced there, and the r reduced rows and
-    the norms are carried to the s prefix times by the folded weights of the K2
-    nodes.  The tail is squared, summed and reduced ``TIME_BLOCK`` times at a time,
-    read in place.  No (N, T) array is formed.  The drift is the largest over the
-    K2 node norms, the tail and the interpolated prefix norms.
+    omega' = W t_s.  The barycentric Lagrange weights of the K nodes (Berrut &
+    Trefethen, SIAM Rev. 46, 501 (2004)), folded as L_j +- L_mirror(j) (``_folded``),
+    carry their cos rows (the even real part of exp(i c t) A_f) and sin rows (the odd
+    imaginary part) to the ceil(K2/2) nodes >= 0.  There, and on the tail read in
+    place, ``TIME_BLOCK`` times at a time, the amplitudes are squared, summed and
+    reduced, with no phase to put back; the folded weights of the K2 nodes carry the
+    r reduced rows and the norms to the s prefix times.  No (N, T) array is formed.
+    The drift is the largest over the K2 node norms, the tail and the interpolated
+    prefix norms.
 
-    Bound: each node value of sum_f R_af |A_f|^2 (R a 0/1 row) is within
-    3 sqrt(N) b of the exact one, b the bound of ``evolve_amplitudes`` per
-    amplitude (sum_f ||a_f|^2 - |b_f|^2| <= |a - b|_2 (|a|_2 + |b|_2)).
-    Interpolation amplifies that by at most the Lebesgue constant
-    Lambda_K2 <= (2/pi) ln(K2 + 1) + 1 and adds N omega'^K2 / (2^(K2-1) K2!)
+    Bound: at K nodes, each of the real and imaginary parts of exp(-i a u),
+    u = t / t_s and |a| <= omega = (W/2) t_s, is off by at most
+    omega^K / (2^(K-1) K!) <= eps; an amplitude combines these with coefficients
+    c_k C_f(k) of absolute sum <= 1 (Cauchy-Schwarz), so it is off by sqrt(2) eps
+    at most.  Rounding in the node values, eps (3 omega + 2N + 7.5) as on the direct
+    path, and in the K-term sums is amplified by at most the Lebesgue constant
+    Lambda_K <= (2/pi) ln(K + 1) + 1: b per amplitude in all.  Each node value of
+    sum_f R_af |A_f|^2 (R a 0/1 row) is then within 3 sqrt(N) b of the exact one
+    (sum_f ||a_f|^2 - |b_f|^2| <= |a - b|_2 (|a|_2 + |b|_2)).  Interpolation
+    amplifies that by at most Lambda_K2 and adds N omega'^K2 / (2^(K2-1) K2!)
     <= N eps for truncation: each |A_f|^2 is a combination of cos((E_k - E_l) t)
     with coefficients of absolute sum (sum_k |c_k C_f(k)|)^2 <= 1.
     """
-    values, split, nodes, weights, _ = _node_values(decomp, i, times)
+    split, count = _plan(decomp.energies, times)
+    values, nodes, weights = _node_values(decomp, i, times, split, count)
     radius, width = times[split - 1] if split else 0.0, np.ptp(decomp.energies)
-    count2 = int(_node_count(width * radius, 2 * len(nodes))) if split else 0   # K2 <= 2K
+    even = (count + 1) // 2
+    count2 = int(_node_count(width * radius, 2 * count)) if split else 0   # K2 <= 2K
     nodes2, weights2 = _chebyshev_nodes(radius, count2)
     half = (count2 + 1) // 2   # the K2 nodes >= 0 lead the rows, the tail follows
+    folded, odd_part = _folded(nodes, weights, nodes2[:half])
     norms = np.empty(half + len(times) - split)
     rows = np.empty((len(norms), len(reduction)))
-    for lo, hi, re, im in _blocks(values, *_folded(nodes, weights, nodes2[:half])):
-        probabilities = _squared(re, im)
-        probabilities.sum(axis=1, out=norms[lo:hi])
-        np.matmul(probabilities, reduction.T, out=rows[lo:hi])
+    buffer = np.empty((2, min(TIME_BLOCK, half), decomp.size))
+    for lo in [*range(0, half, TIME_BLOCK), *range(half, len(norms), TIME_BLOCK)]:
+        hi = min(lo + TIME_BLOCK, half if lo < half else len(norms))
+        if lo < half:
+            re, im = buffer[:, : hi - lo]
+            np.matmul(folded[:, lo:hi].T, values[:even], out=re)
+            np.matmul(odd_part[:, lo:hi].T, values[even:count], out=im)
+        else:
+            tail = values[count + 2 * (lo - half) : count + 2 * (hi - half)]
+            re, im = tail[0::2], tail[1::2]
+        re *= re   # |A_f|^2, in place
+        re += np.square(im, out=im)
+        re.sum(axis=1, out=norms[lo:hi])
+        np.matmul(re, reduction.T, out=rows[lo:hi])
     carry = _folded(nodes2, weights2, times[:split])[0].T
     drift = _checked_drift(np.concatenate((norms, carry @ norms[:half])))
     reduced = np.concatenate((carry @ rows[:half], rows[half:]))
-    return reduced.T, drift, split, len(nodes)
+    return reduced.T, drift, split, count
 
 
 def evolve_amplitudes(decomp: EigenDecomposition, i: int, grid) -> np.ndarray:
@@ -311,51 +304,27 @@ def evolve_amplitudes(decomp: EigenDecomposition, i: int, grid) -> np.ndarray:
     The times are read as a ``TimeGrid``: finite, non-negative and strictly increasing,
     so NaN, infinite, descending, unordered, negative or repeated times raise ParameterError.
 
-    With the energies centred at c = (E_min + E_max)/2 and V real,
-    exp(i c t) A_f(t) = sum_k c_k C_f(k) exp(-i (E_k - c) t) has an even real
-    and an odd imaginary part.  The first s grid times are interpolated from
-    K first-kind Chebyshev nodes of [-t_s, t_s], K the smallest count with
-    omega^K / (2^(K-1) K!) <= eps, omega = (W/2) t_s, W = E_max - E_min.  The
-    nodes are exactly symmetric, so only the non-negative ones are evaluated:
-    their cos rows carry the real part and the sin rows of the positive ones
-    the imaginary part, K real phase rows in all.  The barycentric Lagrange
-    weights (Berrut & Trefethen, SIAM Rev. 46, 501 (2004)), folded as
-    L_j +- L_mirror(j), carry them to the prefix, where exp(-i c t) is
-    multiplied back.  Later times take 2 uncentred rows each, cos(E_k t)
-    and -sin(E_k t).  Every row is formed by ``_sincos`` from the tangent of
-    the half angle.  One real time-major GEMM, the (K + 2(T - s), N) phase rows
-    times V^T, does both (``_node_values``); ``_blocks`` carries its values
-    ``TIME_BLOCK`` times at a time, each block written, transposed, into the
-    (N, T) result.  ``_plan`` picks s, and s = 0 is the direct GEMM over every time.
+    Every time is evaluated directly: the 2T phase rows cos(E_k t), -sin(E_k t),
+    interleaved per time and formed by ``_sincos`` from the tangent of the half
+    angle, are scaled by C_i(k) and multiplied by V^T in one real time-major GEMM,
+    2T x N x N.  Only ``simulate_trajectory`` interpolates a prefix (``_reduce``).
 
-    Bound: interpolating exp(-i a u), u = t / t_s in [-1, 1] and |a| <= omega,
-    at K Chebyshev nodes leaves each of its real and imaginary parts off by
-    at most omega^K / (2^(K-1) K!).  Each amplitude is a combination of these
-    with coefficients c_k C_f(k), whose absolute values sum to at most 1 by
-    Cauchy-Schwarz over the unit vectors c and C_f, so it is off by at most
-    sqrt(2) omega^K / (2^(K-1) K!) <= sqrt(2) eps.  Rounding in the node
-    values, eps (3 (W/2) t_s + 2N + 7.5) as on the direct path (the 7.5 eps
-    is the most ``_sincos`` moves a cos, 5 eps a sin), and in the final
-    K-term sums is amplified by at most the Lebesgue constant
-    Lambda_K <= (2/pi) ln(K + 1) + 1 (about 4 at K ~ 100).
+    Bound: each amplitude is within eps (3 max_k |E_k| t + 2N) of the exact one for
+    the rounding of the angles and of the N-term sums, plus the most ``_sincos``
+    moves a phase factor, 7.5 eps on its cos and 5 eps on its sin.
     """
     check_index(i, decomp.size)
     times = TimeGrid(_times(grid)).points
-    values, split, nodes, weights, centre = _node_values(decomp, i, times)
-    amplitudes = np.empty((decomp.size, len(times)), dtype=np.complex128)
-    norms = np.empty(len(times))
-    for lo, hi, re, im in _blocks(values, *_folded(nodes, weights, times[:split])):
-        amplitudes[:, lo:hi].real, amplitudes[:, lo:hi].imag = re.T, im.T
-        _squared(re, im).sum(axis=1, out=norms[lo:hi])
-    amplitudes[:, :split] *= np.exp(-1j * centre * times[:split])
-    _checked_drift(norms)
-    return amplitudes
+    values = _node_values(decomp, i, times, 0, 0)[0]   # 2T x N x N
+    _checked_drift(np.einsum("tf,tf->t", values, values).reshape(-1, 2).sum(axis=1))
+    return np.ascontiguousarray(values.T).view(np.complex128)
 
 
 def survival_probability(decomp: EigenDecomposition, i: int, grid) -> np.ndarray:
-    """W0(t) = |sum_k w_k exp(-i E_k t)|^2 with w_k the strength weights of i."""
+    """W0(t) = |sum_k w_k exp(-i E_k t)|^2 with w_k the strength weights of i, on the times
+    of ``grid`` read as a ``TimeGrid``."""
     check_index(i, decomp.size)
-    times = _times(grid)
+    times = TimeGrid(_times(grid)).points
     phases = np.empty((decomp.size, 2 * len(times)))   # cos(E_k t_j), -sin(E_k t_j) interleaved
     _sincos(np.outer(-0.5 * decomp.energies, times), phases[:, 0::2], phases[:, 1::2])
     parts = decomp.vectors[i, :] ** 2 @ phases

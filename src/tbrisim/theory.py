@@ -54,10 +54,11 @@ def predict_occupations(n0, ninf, w0, grid) -> ThermalizationPrediction:
 
 
 def survival_models(gamma: float, delta_e: float, grid) -> tuple[np.ndarray, np.ndarray]:
-    """Model W0 curves (exp(-Gamma t), exp(-Delta_E^2 t^2)); a zero width gives ones."""
+    """Model W0 curves (exp(-Gamma t), exp(-Delta_E^2 t^2)) on the times of ``grid``, read
+    as a ``TimeGrid``; a zero width gives ones."""
     if not (gamma >= 0 and delta_e >= 0):   # NaN fails both
         raise ParameterError(f"survival models need widths >= 0, got {gamma!r}, {delta_e!r}")
-    t = _times(grid)
+    t = TimeGrid(_times(grid)).points
     return np.exp(-gamma * t), np.exp(-(delta_e**2) * t * t)
 
 

@@ -11,8 +11,9 @@ Jacobians and Brent root finding, the phase rows as libm's cos and sin
 rather than from the half-angle tangent, the eigendecomposition checked
 through the full products V^T V and H V, the mid-spectrum spacing
 and long-time grid as each was computed on its own before they shared
-one helper, and the amplitudes evaluated directly at every grid time, as
-``evolve_amplitudes`` did before it interpolated from Chebyshev nodes.
+one helper, and the amplitudes evaluated directly at every grid time from
+libm phases in the transposed layout, the reference of ``evolve_amplitudes``
+and of the trajectory's directly evaluated tail.
 The bitmask helpers and ``fermionic_phase``, one state and one operator
 at a time, are the reference of the vectorized signs in
 ``hamiltonian._sign_bit``; the tensor drawn one row at a time is the
@@ -390,9 +391,10 @@ def libm_sincos(half: np.ndarray, cos_out: np.ndarray, sin_out: np.ndarray) -> N
 def direct_amplitudes(decomp: EigenDecomposition, i: int, grid) -> np.ndarray:
     """(N, T) amplitudes from the phases at every grid time: a real GEMM of 2T x N x N.
 
-    ``evolve_amplitudes`` as it was before the Chebyshev nodes, with the GEMM
-    taken time-major, phase rows times V^T in one product, as the package
-    takes it, so that the two compare byte for byte.  A BLAS micro-kernel
+    The phases are libm's cos and sin, formed as (N, 2T) columns and scaled
+    there, and the GEMM is taken time-major, phase rows times V^T in one
+    product, as ``evolve_amplitudes`` takes it, so that the two compare byte
+    for byte given the same phase rows.  A BLAS micro-kernel
     rounds the rows of a short edge tile differently, and a chunk's edge tile
     falls elsewhere than a whole product's (or, with threads, each thread's
     share's), and the transposed product ``V @ rhs`` tiles the other way, so

@@ -43,17 +43,23 @@ def test_time_grid_validation():
 
 
 def test_non_finite_times_and_w0_raise():
-    """A NaN or infinite time is refused by the evolution and by eq. 14, and so is a NaN W0,
-    rather than returned as a NaN W0 with a NaN unitarity drift."""
+    """A NaN, infinite, negative, descending or repeated time is refused by the evolution,
+    the survival probability, the model curves and eq. 14, and so is a NaN W0, rather
+    than returned as a NaN W0 with a NaN unitarity drift or as exp(-Gamma t) > 1."""
     s = make_system(4, 8, 0.083, 3, initial=10)
     n0 = s.trajectory.occupations[:, 0]
-    for times in ([0.0, math.nan], [0.0, 1.0, math.inf]):
-        with pytest.raises(ParameterError, match="finite"):
-            tb.simulate_trajectory(s.decomp, s.basis, s.partition, s.i, times)
-        with pytest.raises(ParameterError, match="finite"):
-            tb.evolve_amplitudes(s.decomp, s.i, times)
-        with pytest.raises(ParameterError, match="finite"):
-            tb.predict_occupations(n0, s.n_inf, np.linspace(1.0, 0.5, len(times)), times)
+    bad = ([0.0, math.nan], [0.0, 1.0, math.inf], [-1.0, 0.0], [0.0, 2.0, 1.0], [0.0, 1.0, 1.0])
+    for times in bad:
+        calls = (
+            lambda: tb.simulate_trajectory(s.decomp, s.basis, s.partition, s.i, times),
+            lambda: tb.evolve_amplitudes(s.decomp, s.i, times),
+            lambda: survival_probability(s.decomp, s.i, times),
+            lambda: tb.survival_models(1.0, 1.0, times),
+            lambda: tb.predict_occupations(n0, s.n_inf, np.linspace(1.0, 0.5, len(times)), times),
+        )
+        for call in calls:
+            with pytest.raises(ParameterError, match="finite"):
+                call()
     with pytest.raises(ParameterError, match="W0"):
         tb.predict_occupations(n0, s.n_inf, [1.0, math.nan], [0.0, 1.0])
 
@@ -196,14 +202,16 @@ def _prefix_omega(decomp, times, split: int) -> float:
 
 
 def _interpolation_bound(decomp, times, split: int, count: int) -> float:
-    """``evolve_amplitudes``'s stated bound per amplitude, plus a reference's own rounding.
+    """The stated bound per interpolated amplitude (see ``_reduce``), plus a reference's own
+    rounding.
 
     sqrt(2) omega^K / (2^(K-1) K!) for truncation, omega = (W/2) t_s; rounding
     in the node values, ``_sincos``'s 7.5 eps included, and the K-term sums
     times the Lebesgue bound (2/pi) ln(K+1) + 1; and 2 eps (3 max|E| t_T + 2N)
     for the reference evaluated at every time (and for the directly evaluated
-    tail) and the phase put back, plus the tail's ``SINCOS`` eps.  With s = 0
-    only the last term is left.
+    tail), plus the tail's ``SINCOS`` eps.  With s = 0
+    only the last term is left: ``evolve_amplitudes``'s own bound, plus the
+    reference's rounding.
     """
     eps = np.finfo(float).eps
     energies, n = decomp.energies, decomp.size
@@ -237,19 +245,16 @@ def _brute_force_plan_cost(decomp, times) -> int:
 
 
 def test_direct_path_is_bitwise_the_oracle(fig1, monkeypatch):
-    """fig1's directly evaluated tail, taken alone, is planned with s = 0: within the stated
-    bound of the oracle, and bitwise the oracle given the oracle's libm phase rows."""
+    """fig1's directly evaluated tail, taken alone, is planned with s = 0: given the oracle's
+    libm phase rows the trajectory's W0 is bitwise the oracle's, and its other rows are
+    within the rounding of another order of summation."""
     s = fig1
     times = s.grid.points[s.trajectory.interpolated_points :]
     assert tb.dynamics._plan(s.decomp.energies, times) == (0, 0)
     reference = direct_amplitudes(s.decomp, s.i, times)
-    got = tb.evolve_amplitudes(s.decomp, s.i, times)
-    assert np.abs(got - reference).max() <= _interpolation_bound(s.decomp, times, 0, 0)
     monkeypatch.setattr(tb.dynamics, "_sincos", libm_sincos)
     traj = tb.simulate_trajectory(s.decomp, s.basis, s.partition, s.i, times)
     assert traj.time_nodes is None and traj.interpolated_points == 0
-    got = tb.evolve_amplitudes(s.decomp, s.i, times)
-    assert got.tobytes() == reference.tobytes()
     prob = reference.real**2 + reference.imag**2
     assert traj.w0.tobytes() == prob[s.i].tobytes()
     # The blocks sum over f in another order: sums of N non-negative terms <= 1,
@@ -258,6 +263,20 @@ def test_direct_path_is_bitwise_the_oracle(fig1, monkeypatch):
     assert np.abs(traj.occupations - occupation_numbers(prob, s.basis)).max() <= bound
     pops = [prob[s.partition.class_of == c].sum(axis=0) for c in range(s.partition.n_classes + 1)]
     assert np.abs(traj.class_populations - pops).max() <= bound
+
+
+@pytest.mark.parametrize("fixture", ["fig1", "fig2", "small_3_6"])
+def test_evolve_amplitudes_is_bitwise_the_direct_oracle(fixture, request, monkeypatch):
+    """Every time of the full grid is evaluated directly: within the direct
+    path's stated bound of the oracle, and bitwise the oracle given its libm phase rows."""
+    s = request.getfixturevalue(fixture)
+    times = s.grid.points
+    reference = direct_amplitudes(s.decomp, s.i, times)
+    got = tb.evolve_amplitudes(s.decomp, s.i, times)
+    assert got.shape == (s.decomp.size, len(times)) and got.dtype == np.complex128
+    assert np.abs(got - reference).max() <= _interpolation_bound(s.decomp, times, 0, 0)
+    monkeypatch.setattr(tb.dynamics, "_sincos", libm_sincos)
+    assert tb.evolve_amplitudes(s.decomp, s.i, times).tobytes() == reference.tobytes()
 
 
 def _reduced_nodes(decomp, times, split: int, count: int) -> int:
@@ -282,34 +301,18 @@ def _reduced_bound(decomp, times, split: int, count: int) -> float:
     return lebesgue * amplitudes + decomp.size * _truncation(omega, count2)
 
 
-def _assert_within_the_stated_bound(s) -> tuple[int, int]:
-    """A prefix of s < T times from K nodes, K fewest on [-t_s, t_s]; amplitudes within
-    ``_interpolation_bound``, the reduced rows within ``_reduced_bound`` and ORACLE_PATH_TOL.
-    Returns (K, K2).
-
-    When K and K2 are both odd, the two node sets share 0.0: the K2 node 0.0 takes the
-    K node 0.0's value through a unit column, with nothing from the odd part."""
+def _assert_within_the_stated_bound(s) -> None:
+    """A prefix of s < T times from K nodes, K fewest on [-t_s, t_s]; the reduced rows
+    within ``_reduced_bound`` and ORACLE_PATH_TOL."""
     times, split, count = s.grid.points, s.trajectory.interpolated_points, s.trajectory.time_nodes
     assert 0 < split < len(times) and count is not None
     assert count + 2 * (len(times) - split) < 2 * len(times)
     _assert_fewest_nodes(s.decomp, times, split, count)
-    bound = _interpolation_bound(s.decomp, times, split, count)
-    got = tb.evolve_amplitudes(s.decomp, s.i, times)
-    assert np.abs(got - direct_amplitudes(s.decomp, s.i, times)).max() <= bound
     ref = complex_trajectory(s.decomp, s.basis, s.partition, s.i, times)
     reduced_bound = _reduced_bound(s.decomp, times, split, count)
     for field in ("occupations", "w0", "class_populations"):
         deviation = np.abs(getattr(s.trajectory, field) - getattr(ref, field)).max()
         assert deviation <= min(reduced_bound, ORACLE_PATH_TOL), field
-    count2 = _reduced_nodes(s.decomp, times, split, count)
-    if count % 2 and count2 % 2:
-        nodes, weights = tb.dynamics._chebyshev_nodes(times[split - 1], count)
-        nodes2, _ = tb.dynamics._chebyshev_nodes(times[split - 1], count2)
-        folded, odd_part = tb.dynamics._folded(nodes, weights, nodes2[: (count2 + 1) // 2])
-        assert nodes2[count2 // 2] == nodes[count // 2] == 0.0
-        assert folded[:, -1].tobytes() == np.eye(len(folded))[-1].tobytes()
-        assert not odd_part[:, -1].any()
-    return count, count2
 
 
 def test_fig1_interpolates_within_the_stated_bound(fig1):
@@ -317,15 +320,29 @@ def test_fig1_interpolates_within_the_stated_bound(fig1):
 
 
 def test_fig2_interpolates_within_the_stated_bound(fig2):
-    """K = 79 and K2 = 133, both odd."""
-    count, count2 = _assert_within_the_stated_bound(fig2)
-    assert count % 2 and count2 % 2
+    """K = 79 and K2 = 133."""
+    _assert_within_the_stated_bound(fig2)
 
 
 def test_small_3_6_interpolates_within_the_stated_bound(small_3_6):
-    """N = 20 with K = 19 and K2 = 25, both odd."""
-    count, count2 = _assert_within_the_stated_bound(small_3_6)
-    assert count % 2 and count2 % 2
+    """N = 20 with K = 19 and K2 = 25."""
+    _assert_within_the_stated_bound(small_3_6)
+
+
+def test_odd_node_sets_share_zero_through_a_unit_column():
+    """K = 19 and K2 = 25, both odd, share the node 0.0: folded onto the K2 nodes >= 0, the
+    K node 0.0 passes its value to the K2 node 0.0 through an exact unit column, with
+    nothing from the odd part.  The folded weights carry an even and an odd function
+    of band 1 on [-1, 1] to the K2 nodes within 1e-13."""
+    nodes, weights = tb.dynamics._chebyshev_nodes(1.0, 19)
+    nodes2, _ = tb.dynamics._chebyshev_nodes(1.0, 25)
+    folded, odd_part = tb.dynamics._folded(nodes, weights, nodes2[:13])
+    assert folded.shape == (10, 13) and odd_part.shape == (9, 13)
+    assert nodes2[12] == nodes[9] == 0.0
+    assert folded[:, -1].tobytes() == np.eye(10)[-1].tobytes()
+    assert not odd_part[:, -1].any()
+    assert np.abs(folded.T @ np.cos(nodes[:10]) - np.cos(nodes2[:13])).max() <= 1e-13
+    assert np.abs(odd_part.T @ np.sin(nodes[:9]) - np.sin(nodes2[:13])).max() <= 1e-13
 
 
 @pytest.mark.parametrize("grid", ["fig1", "fig2", "uniform"])
@@ -585,10 +602,12 @@ def test_survival_short_time_quadratic(fixture, request):
 
 
 def test_survival_time_reversal(fig1):
+    """W0(-t) = W0(t): W0 at -t is W0 of the mirrored spectrum -E at t."""
     times = np.array([0.3, 1.7, 4.0])
     forward = survival_probability(fig1.decomp, fig1.i, times)
-    backward = survival_probability(fig1.decomp, fig1.i, -times[::-1])
-    assert np.abs(forward - backward[::-1]).max() < 1e-12
+    mirrored = tb.EigenDecomposition(-fig1.decomp.energies[::-1], fig1.decomp.vectors[:, ::-1])
+    backward = survival_probability(mirrored, fig1.i, times)
+    assert np.abs(forward - backward).max() < 1e-12
 
 
 def test_class_populations_start_in_class_zero(fig1):
@@ -667,10 +686,10 @@ def test_late_time_mean_of_w0_is_the_exact_floor(fixture, request):
     s = request.getfixturevalue(fixture)
     heisenberg = 2 * np.pi / np.diff(s.decomp.energies).min()
     assert heisenberg * min(s.gamma, s.delta_e) > 1e3
-    times = np.random.default_rng(LATE_TIMES).uniform(heisenberg, 100 * heisenberg, LATE_TIMES)
+    times = np.sort(np.random.default_rng(LATE_TIMES).uniform(heisenberg, 100 * heisenberg, LATE_TIMES))
     total = sum(survival_probability(s.decomp, s.i, times[lo : lo + LATE_TIME_CHUNK]).sum()
                 for lo in range(0, LATE_TIMES, LATE_TIME_CHUNK))
-    floor = tb.average_survival(s.decomp, s.i)
+    floor = tb.dynamics.average_survival(s.decomp, s.i)
     assert abs(total / LATE_TIMES - floor) <= LATE_TIME_SDS * floor / math.sqrt(LATE_TIMES)
 
 
@@ -680,7 +699,7 @@ def test_average_survival_on_a_two_level_matrix():
     decomp = tb.diagonalize(np.array([[0.3, 0.4], [0.4, -0.2]]))
     w = decomp.vectors[0] ** 2
     exact = w[0] ** 2 + w[1] ** 2
-    assert abs(tb.average_survival(decomp, 0) - exact) <= np.finfo(float).eps * exact
+    assert abs(tb.dynamics.average_survival(decomp, 0) - exact) <= np.finfo(float).eps * exact
 
 
 @pytest.mark.parametrize(("n", "m", "seed"), [(3, 6, 4), (6, 12, 1)])
@@ -693,7 +712,7 @@ def test_average_survival_of_free_fermions_is_one(n, m, seed):
     h = tb.build_hamiltonian(basis, tb.sample_spectrum(params), tb.sample_two_body(params))
     decomp = tb.diagonalize(h)
     assert len(np.unique(decomp.energies)) < decomp.size
-    assert all(tb.average_survival(decomp, i) == 1.0 for i in range(decomp.size))
+    assert all(tb.dynamics.average_survival(decomp, i) == 1.0 for i in range(decomp.size))
 
 
 def test_evolve_rejects_bad_index(fig1):
@@ -718,7 +737,7 @@ INDEXED = {
         s.decomp, s.basis, s.partition, i, np.array([0.0])),
     "survival_probability": lambda s, i: survival_probability(s.decomp, i, np.array([0.0])),
     "asymptotic_occupations": lambda s, i: tb.asymptotic_occupations(s.decomp, i, s.basis),
-    "average_survival": lambda s, i: tb.average_survival(s.decomp, i),
+    "average_survival": lambda s, i: tb.dynamics.average_survival(s.decomp, i),
 }
 
 
@@ -735,9 +754,9 @@ def test_every_basis_index_check_is_one_rule(small_3_6, name, where):
 
 @pytest.mark.parametrize("order", ["descending", "shuffled", "negative", "repeated"])
 def test_evolve_amplitudes_refuses_times_that_are_no_grid(small_3_6, order):
-    """The times are read as a ``TimeGrid``: the Chebyshev plan takes t_s as the half-width
-    of its node interval, which holds only for ascending, non-negative times, so any other
-    times are refused rather than evaluated wrongly."""
+    """The times are read as a ``TimeGrid``, as the trajectory reads them, whose Chebyshev
+    plan takes t_s as the half-width of its node interval: any times but ascending,
+    non-negative ones are refused."""
     times = np.linspace(0.0, 3.0, 40)
     bad = {"descending": times[::-1], "shuffled": np.random.default_rng(3).permutation(times),
            "negative": -times[::-1], "repeated": np.repeat(times, 2)}[order]
