@@ -7,8 +7,8 @@ The central relation is the two-reservoir interpolation
 which assumes every escape from the initial state lands in the already
 thermalized remainder.  Model survival curves (exponential, Gaussian),
 the principal-component count of the smoothed strength-function envelope,
-and a Fermi-Dirac fit of the asymptotic occupations complete the
-comparison toolkit.
+and a Fermi-Dirac fit of the asymptotic occupations in the signed inverse
+temperature complete the comparison toolkit.
 """
 
 from __future__ import annotations
@@ -21,12 +21,11 @@ import numpy as np
 from .dynamics import TimeGrid, _times
 from .exceptions import ParameterError, PreconditionError
 from .export import write_table
-from .spectral import kernel_bandwidth, mean_spacing
+from .spectral import kernel_bandwidth
 from .strength import StrengthProfile
 
-UNIFORM_TOL = 1e-9
 ENVELOPE_BLOCK = 256
-MU_MAX_STEPS = 200       # bisection alone reaches adjacent floats in ~55 steps at m=12
+ALPHA_MAX_STEPS = 200    # bisection alone reaches adjacent floats in ~55 steps at m=12
 
 
 @dataclass(frozen=True)
@@ -86,78 +85,79 @@ def n_pc_envelope(profile: StrengthProfile) -> float:
     return float(1.0 / (envelope @ envelope))
 
 
-def _fermi_dirac(eps: np.ndarray, mu: float, temperature: float) -> np.ndarray:
-    x = np.clip((eps - mu) / temperature, -500, 500)
+def _fermi_dirac(eps: np.ndarray, alpha, beta) -> np.ndarray:
+    x = np.clip(beta * eps - alpha, -500, 500)
     return 1.0 / (np.exp(x) + 1.0)
 
 
-def _mu_for_filling(eps: np.ndarray, temperatures, n: int) -> np.ndarray:
-    """Chemical potential that holds n particles, at each temperature.
+def _alpha_for_filling(eps: np.ndarray, betas, n: int) -> np.ndarray:
+    """The alpha that holds n particles, at each inverse temperature beta.
 
-    The filling sum S(mu) rises monotonically, and S = n has its root in
-    [min eps, max eps] + T ln(n / (m - n)): at the lower end no level holds
-    more than n/m, at the upper end none holds less.  Each step halves that
-    bracket or, where the Newton step on S lands inside it, takes that step;
-    the bracket shrinks by the sign of S - n either way.  All temperatures
-    are solved at once, to the precision that rounding of S allows.
+    The filling sum S(alpha) rises monotonically, and S = n has its root in
+    [min beta eps, max beta eps] + ln(n / (m - n)): at the lower end no level
+    holds more than n/m, at the upper end none holds less; at beta = 0 the
+    bracket is the one point ln(n / (m - n)).  Each step halves that bracket
+    or, where the Newton step on S lands inside it, takes that step; the
+    bracket shrinks by the sign of S - n either way.  All betas are solved
+    at once, to the precision that rounding of S allows.
     """
-    t = np.asarray(temperatures, dtype=float)[:, None]
-    shift = t * math.log(n / (len(eps) - n))
-    lo, hi = eps.min() + shift, eps.max() + shift
-    mu = 0.5 * (lo + hi)
+    beta = np.asarray(betas, dtype=float)[:, None]
+    shift = math.log(n / (len(eps) - n))
+    lo = (beta * eps).min(axis=1, keepdims=True) + shift
+    hi = (beta * eps).max(axis=1, keepdims=True) + shift
+    alpha = 0.5 * (lo + hi)
     tiny = 4 * np.finfo(float).eps
-    for _ in range(MU_MAX_STEPS):
-        filled = _fermi_dirac(eps, mu, t)
+    for _ in range(ALPHA_MAX_STEPS):
+        filled = _fermi_dirac(eps, alpha, beta)
         excess = filled.sum(axis=1, keepdims=True) - n
-        hi = np.where(excess > 0, mu, hi)
-        lo = np.where(excess > 0, lo, mu)
-        slope = (filled * (1 - filled)).sum(axis=1, keepdims=True) / t
+        hi = np.where(excess > 0, alpha, hi)
+        lo = np.where(excess > 0, lo, alpha)
+        slope = (filled * (1 - filled)).sum(axis=1, keepdims=True)
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = mu - excess / slope
+            step = alpha - excess / slope
         step = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
-        # done once a step is below rounding of mu, or S - n is below rounding of the sum
-        done = np.all((np.abs(step - mu) <= tiny * (1 + np.abs(mu))) | (np.abs(excess) <= tiny * n))
-        mu = step
+        # done once a step is below rounding of alpha, or S - n is below rounding of the sum
+        done = np.all((np.abs(step - alpha) <= tiny * (1 + np.abs(alpha)))
+                      | (np.abs(excess) <= tiny * n))
+        alpha = step
         if done:
             break
-    return mu[:, 0]
+    return alpha[:, 0]
 
 
-def _misfit_slope(eps: np.ndarray, ninf: np.ndarray, log_t: float, n: int) -> float:
-    """Sign of d/d(log T) of the squared Fermi-Dirac misfit, mu held by the constraint.
+def _misfit_slope(eps: np.ndarray, ninf: np.ndarray, beta: float, n: int) -> float:
+    """Sign of d/d(beta) of the squared Fermi-Dirac misfit, alpha held by the constraint.
 
-    With z = (eps - mu)/T and w = f (1 - f), the constraint sum f = n gives
-    df/d(log T) = w (z - zbar), zbar the w-weighted mean of z.
+    With w = f (1 - f), the constraint sum f = n gives df/d(beta) =
+    -w (eps - epsbar), epsbar the w-weighted mean of eps.
     """
-    temperature = math.exp(log_t)
-    mu = _mu_for_filling(eps, [temperature], n)[0]
-    filled = _fermi_dirac(eps, mu, temperature)
+    alpha = _alpha_for_filling(eps, [beta], n)[0]
+    filled = _fermi_dirac(eps, alpha, beta)
     w = filled * (1 - filled)
     if not w.sum() > 0:   # every level frozen at 0 or 1: the misfit is flat here
         return 0.0
-    z = (eps - mu) / temperature
-    return float((filled - ninf) @ (w * (z - (w @ z) / w.sum())))
+    return float((filled - ninf) @ (w * ((w @ eps) / w.sum() - eps)))
 
 
 def fit_fermi_dirac(ninf, epsilon, n: int) -> dict:
-    """Constrained (T, mu) fit to the orbital energies ``epsilon``: sum of occupations
-    pinned to n, RMS minimized.
+    """Constrained fit of n(eps) = 1 / (1 + exp(beta eps - alpha)) to the orbital
+    energies ``epsilon``: sum of occupations pinned to n, RMS minimized.
 
-    The chemical potential is eliminated by the particle-number constraint
-    at every trial temperature; the remaining 1-D problem is scanned over
-    120 log T points (one vectorized solve for all of them) and refined by
+    alpha is eliminated by the particle-number constraint at every trial
+    beta; the remaining 1-D problem is scanned over beta = 0 and 120
+    log-spaced |beta| of either sign, from 1e-6 to 1e3 inverse level
+    spacings (one vectorized solve for all of them), and refined by
     bisection on the sign of its slope within two scan steps of the best.
+    Infinite temperature (n(eps) = n/m) is the interior point beta = 0, and
+    occupations that rise with eps give beta < 0; T = 1/beta and the
+    chemical potential mu = alpha/beta wherever beta != 0.
 
-    Returns the manifest's ``fermi_dirac`` record: ``temperature``, ``mu``,
-    the RMS ``residual``, ``infinite_temperature`` and ``at_bound``.  A
-    profile uniformly equal to n/m has no finite-T solution: T diverges and
-    mu is fixed only by symmetry, so it is returned as the
-    infinite-temperature case, with temperature "inf" and mu None (JSON has
-    no inf or NaN).  ``at_bound`` holds "temperature" when T ends within
-    one scan step of either end of the scanned range [1e-3, 1e6] level
-    spacings, or when the misfit at the scan's end on the optimum's side is
-    within rounding (4 eps) of its minimum: either way the minimum lies at
-    or beyond the end of the scan, and T is only bounded from one side.
+    Returns the manifest's ``fermi_dirac`` record: ``beta``, ``alpha``, the
+    RMS ``residual`` and ``at_bound``, which holds "beta" when beta ends
+    within one scan step of either end of the scan, or when the misfit at
+    the scan's end on the optimum's side is within rounding (4 eps) of its
+    minimum: either way the minimum lies at or beyond the end of the scan,
+    and beta is only bounded from one side.
     """
     ninf = np.asarray(ninf, dtype=float)
     eps = np.asarray(epsilon, dtype=float)
@@ -165,46 +165,41 @@ def fit_fermi_dirac(ninf, epsilon, n: int) -> dict:
         raise ParameterError(
             f"occupation list length {ninf.shape} does not match spectrum {eps.shape}"
         )
-    if np.abs(ninf - n / len(eps)).max() < UNIFORM_TOL:
-        return {
-            "temperature": "inf", "mu": None, "residual": 0.0, "infinite_temperature": True,
-            "at_bound": (),
-        }
-    if np.any(ninf < 0) or np.any(ninf > 1):
-        raise PreconditionError("occupations must lie in [0, 1]")
     if not 0 < n < len(eps):
         raise ParameterError(f"particle number {n} leaves no partly filled level")
+    if not np.all((ninf >= 0) & (ninf <= 1)):   # NaN fails too
+        raise PreconditionError("occupations must lie in [0, 1]")
+    d0 = np.ptp(eps) / (len(eps) - 1)
+    if not d0 > 0:
+        raise PreconditionError("orbital energies must not all be equal")
 
-    d0 = mean_spacing(eps)
+    def rms(beta):
+        beta = np.atleast_1d(beta)
+        alpha = _alpha_for_filling(eps, beta, n)
+        filled = _fermi_dirac(eps, alpha[:, None], beta[:, None])
+        return np.sqrt(np.mean((filled - ninf) ** 2, axis=1)), alpha
 
-    def rms(log_t):
-        temperatures = np.exp(np.atleast_1d(log_t))
-        mu = _mu_for_filling(eps, temperatures, n)
-        filled = _fermi_dirac(eps, mu[:, None], temperatures[:, None])
-        return np.sqrt(np.mean((filled - ninf) ** 2, axis=1)), mu
-
-    lo, hi = math.log(1e-3 * d0), math.log(1e6 * d0)
-    coarse = np.linspace(lo, hi, 120)
+    steps = np.geomspace(1e-6, 1e3, 120) / d0
+    coarse = np.concatenate((-steps[::-1], [0.0], steps))
     misfit = rms(coarse)[0]
     k = int(np.argmin(misfit))
-    best, width = coarse[k], coarse[1] - coarse[0]
-    # flat to rounding out to the scan's end on the optimum's side: T is not identified
+    # flat to rounding out to the scan's end on the optimum's side: beta is not identified
     edge = misfit[0] if 2 * k < len(coarse) else misfit[-1]
     flat_to_edge = edge - misfit[k] <= 4 * np.finfo(float).eps
     # Bisect the sign of the slope, not the misfit: near its minimum the misfit
-    # is flat to rounding over ~1e-7 in log T, its slope is not.
-    a, b = max(lo, best - 2 * width), min(hi, best + 2 * width)
-    while a < 0.5 * (a + b) < b:
+    # is flat to rounding over ~1e-7 relative in beta, its slope is not.  Near
+    # beta = 0 the bisection stops at rounding of the smallest scanned |beta|.
+    a, b = coarse[max(k - 2, 0)], coarse[min(k + 2, len(coarse) - 1)]
+    while a < 0.5 * (a + b) < b and b - a > np.finfo(float).eps * steps[0]:
         mid = 0.5 * (a + b)
         if _misfit_slope(eps, ninf, mid, n) > 0:
             b = mid
         else:
             a = mid
-    (residual,), (mu,) = rms(a)
+    (residual,), (alpha,) = rms(a)
     return {
-        "temperature": math.exp(a), "mu": float(mu), "residual": float(residual),
-        "infinite_temperature": False,
-        "at_bound": ("temperature",) if flat_to_edge or min(a - lo, hi - a) <= width else (),
+        "beta": float(a), "alpha": float(alpha), "residual": float(residual),
+        "at_bound": ("beta",) if flat_to_edge or not coarse[1] < a < coarse[-2] else (),
     }
 
 

@@ -86,14 +86,19 @@ def realization_widths(eta: float, seed: int) -> tuple[float, float]:
     return tb.golden_rule_gamma(h, partition, i), tb.energy_variance(h, i)
 
 
-@lru_cache(maxsize=None)
-def realization_fit_inputs(eta: float, seed: int):
-    """(profile, golden-rule Gamma, asymptotic occupations, spectrum) of the mid-spectrum state."""
+def _realization(eta: float, seed: int):
+    """(basis, spectrum, H, decomposition) of the n=6, m=12 realization."""
     params = tb.ModelParams(n=6, m=12, eta=eta, seed=seed)
     basis = _basis_6_12()
     spectrum = tb.sample_spectrum(params)
     h = tb.build_hamiltonian(basis, spectrum, tb.sample_two_body(params))
-    decomp = tb.diagonalize(h)
+    return basis, spectrum, h, tb.diagonalize(h)
+
+
+@lru_cache(maxsize=None)
+def realization_fit_inputs(eta: float, seed: int):
+    """(profile, golden-rule Gamma, asymptotic occupations, spectrum) of the mid-spectrum state."""
+    basis, spectrum, h, decomp = _realization(eta, seed)
     diag = h.diagonal()
     i = int(np.argmin(np.abs(diag - np.median(diag))))
     partition = tb.classify(basis, int(basis.states[i]))
@@ -103,6 +108,15 @@ def realization_fit_inputs(eta: float, seed: int):
         tb.asymptotic_occupations(decomp, i, basis),
         spectrum,
     )
+
+
+def percentile_occupations(eta: float, seed: int, percentiles):
+    """(asymptotic occupations of the state nearest each percentile of the diagonal
+    energies, spectrum)."""
+    basis, spectrum, h, decomp = _realization(eta, seed)
+    diag = h.diagonal()
+    states = [int(np.argmin(np.abs(diag - np.percentile(diag, q)))) for q in percentiles]
+    return [tb.asymptotic_occupations(decomp, i, basis) for i in states], spectrum
 
 
 @lru_cache(maxsize=1)

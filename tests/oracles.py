@@ -492,31 +492,29 @@ def scipy_hybrid_fit(profile: StrengthProfile, gamma0: float) -> tuple[float, fl
 
 
 def scipy_fermi_dirac(ninf, eps, n: int) -> tuple[float, float, float]:
-    """(T, mu, RMS misfit): mu by brentq per trial T, log T by bounded Brent after a scan."""
+    """(beta, alpha, RMS misfit): alpha by brentq per trial beta, beta by bounded Brent
+    after a scan of beta = 0 and 120 log-spaced |beta| of either sign."""
     ninf, eps = np.asarray(ninf, dtype=float), np.asarray(eps, dtype=float)
 
-    def filled(mu, temperature):
-        return 1.0 / (np.exp(np.clip((eps - mu) / temperature, -500, 500)) + 1.0)
+    def filled(alpha, beta):
+        return 1.0 / (np.exp(np.clip(beta * eps - alpha, -500, 500)) + 1.0)
 
-    def mu_at(temperature):
-        span = eps[-1] - eps[0] + 1.0
-        return brentq(lambda mu: filled(mu, temperature).sum() - n,
-                      eps[0] - span - 50 * temperature, eps[-1] + span + 50 * temperature,
-                      xtol=1e-14)
+    def alpha_at(beta):
+        return brentq(lambda alpha: filled(alpha, beta).sum() - n,
+                      min(beta * eps) - 50, max(beta * eps) + 50, xtol=1e-14)
 
-    def rms(log_t):
-        temperature = np.exp(log_t)
-        return float(np.sqrt(np.mean((filled(mu_at(temperature), temperature) - ninf) ** 2)))
+    def rms(beta):
+        return float(np.sqrt(np.mean((filled(alpha_at(beta), beta) - ninf) ** 2)))
 
     d0 = (eps[-1] - eps[0]) / (len(eps) - 1)
-    lo, hi = np.log(1e-3 * d0), np.log(1e6 * d0)
-    coarse = np.linspace(lo, hi, 120)
-    best = min(coarse, key=rms)
-    width = coarse[1] - coarse[0]
-    fit = minimize_scalar(rms, bounds=(max(lo, best - 2 * width), min(hi, best + 2 * width)),
-                          method="bounded", options={"xatol": 1e-12})
-    temperature = float(np.exp(fit.x))
-    return temperature, mu_at(temperature), float(fit.fun)
+    steps = np.geomspace(1e-6 / d0, 1e3 / d0, 120)
+    coarse = np.concatenate((-steps[::-1], [0.0], steps))
+    k = min(range(len(coarse)), key=lambda j: rms(coarse[j]))
+    lo, hi = coarse[max(k - 2, 0)], coarse[min(k + 2, len(coarse) - 1)]
+    fit = minimize_scalar(rms, bounds=(lo, hi), method="bounded",
+                          options={"xatol": 1e-12 * max(abs(lo), abs(hi))})
+    beta = float(fit.x)
+    return beta, alpha_at(beta), float(fit.fun)
 
 
 def exact_eigen_residuals(h, decomp: EigenDecomposition) -> tuple[float, float]:

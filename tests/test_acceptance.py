@@ -252,7 +252,7 @@ def test_criterion_12_determinism(tmp_path):
 FIT_FIELDS = {
     "bw_fit": ("gamma", "center"),
     "hybrid_fit": ("b_fitted", "b_derived", "e_c", "sigma", "gamma"),
-    "fermi_dirac": ("temperature", "mu"),
+    "fermi_dirac": ("beta", "alpha"),
 }
 
 

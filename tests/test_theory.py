@@ -12,7 +12,7 @@ from scipy.optimize import brentq
 from tbrisim import theory
 from tbrisim.exceptions import ParameterError, PreconditionError
 
-from conftest import FIG1_ETA, FIG2_ETA, realization_fit_inputs
+from conftest import FIG1_ETA, FIG2_ETA, percentile_occupations, realization_fit_inputs
 from oracles import kernel_density, scipy_fermi_dirac, smoothed_weight_density
 
 
@@ -143,12 +143,11 @@ def test_deviation_gives_the_prediction_error_and_the_per_point_rms(fig2):
 
 def test_fermi_dirac_recovers_synthetic_parameters():
     eps = np.arange(12.0)
-    t_true, mu_true = 2.0, 5.5
-    ninf = 1.0 / (np.exp((eps - mu_true) / t_true) + 1.0)
+    beta_true, alpha_true = 0.5, 2.75
+    ninf = 1.0 / (np.exp(beta_true * eps - alpha_true) + 1.0)
     fit = tb.fit_fermi_dirac(ninf, eps, n=6)
-    assert not fit["infinite_temperature"]
-    assert fit["temperature"] == pytest.approx(t_true, rel=0.01)
-    assert fit["mu"] == pytest.approx(mu_true, rel=0.01)
+    assert fit["beta"] == pytest.approx(beta_true, rel=0.01)
+    assert fit["alpha"] == pytest.approx(alpha_true, rel=0.01)
     assert fit["residual"] < 1e-8
 
 
@@ -158,46 +157,58 @@ def test_fermi_dirac_constraint_holds():
     ninf = np.clip(0.5 + 0.2 * rng.standard_normal(12), 0.05, 0.95)
     ninf *= 6.0 / ninf.sum()
     fit = tb.fit_fermi_dirac(ninf, eps, n=6)
-    filled = 1.0 / (np.exp((eps - fit["mu"]) / fit["temperature"]) + 1.0)
+    filled = 1.0 / (np.exp(fit["beta"] * eps - fit["alpha"]) + 1.0)
     assert filled.sum() == pytest.approx(6.0, abs=1e-8)
 
 
 def test_fermi_dirac_uniform_is_infinite_temperature():
+    """n/m on every level is the interior point beta = 0, alpha = ln(n / (m - n))."""
     eps = np.arange(12.0)
-    fit = tb.fit_fermi_dirac(np.full(12, 0.5), eps, n=6)
-    assert fit["infinite_temperature"]
-    assert fit["temperature"] == "inf"
-    assert fit["mu"] is None
+    for n in (6, 3):
+        fit = tb.fit_fermi_dirac(np.full(12, n / 12), eps, n=n)
+        assert set(fit) == {"beta", "alpha", "residual", "at_bound"}
+        assert abs(fit["beta"]) <= 1e-12   # |beta| d0, with d0 = 1
+        assert fit["alpha"] == pytest.approx(math.log(n / (12 - n)), abs=1e-12)
+        assert fit["residual"] == 0.0
+        assert fit["at_bound"] == ()
 
 
 def test_fermi_dirac_step_function_is_cold():
     eps = np.arange(12.0)
     ninf = np.array([1.0] * 6 + [0.0] * 6)
     fit = tb.fit_fermi_dirac(ninf, eps, n=6)
-    assert fit["temperature"] < 0.05
+    assert fit["beta"] > 20
     assert fit["residual"] < 1e-6
 
 
 def test_fermi_dirac_flags_a_temperature_at_the_scan_edge():
-    """fig1 seed 2 ends at T = 1e6 d0, the top of the scan; fig2 seed 1 inside it."""
-    for eta, seed, expected in ((FIG1_ETA, 2, ("temperature",)), (FIG2_ETA, 1, ())):
+    """A step ends at beta = +1e3 / d0, the top of the scan; fig1 seed 2, whose
+    occupations rise with eps, and fig2 seed 1 end inside it, fig1 seed 2 at beta < 0."""
+    eps = np.arange(12.0)
+    step = tb.fit_fermi_dirac(np.array([1.0] * 6 + [0.0] * 6), eps, n=6)
+    assert step["beta"] == pytest.approx(1e3, rel=1e-12)
+    assert step["at_bound"] == ("beta",)
+    for eta, seed, sign in ((FIG1_ETA, 2, -1), (FIG2_ETA, 1, 1)):
         _, _, ninf, spectrum = realization_fit_inputs(eta, seed)
         fit = tb.fit_fermi_dirac(ninf, spectrum, n=6)
-        assert fit["at_bound"] == expected, (eta, seed, fit["temperature"])
-    eps = np.arange(12.0)
+        assert fit["at_bound"] == () and np.sign(fit["beta"]) == sign, (eta, seed, fit)
     assert tb.fit_fermi_dirac(np.full(12, 0.5), eps, n=6)["at_bound"] == ()
 
 
 def test_fermi_dirac_flags_a_misfit_flat_to_the_scan_edge():
-    """A step fits to rounding at every T below ~0.05 d0, down to the scan's lower end.
+    """A reversed step fits to rounding at every beta below ~ -700 / d0, down to the scan's
+    lower end -1e3 / d0.
 
-    The slope bisection stops two scan steps above that end, so the distance
-    rule alone leaves the temperature unflagged; the flat misfit flags it.
+    Where every level is frozen the slope is flat, so the bisection stops two
+    scan steps above that end, and the distance rule alone leaves beta
+    unflagged; the flat misfit flags it.
     """
     eps = np.arange(12.0)
-    fit = tb.fit_fermi_dirac(np.array([1.0] * 6 + [0.0] * 6), eps, n=6)
+    fit = tb.fit_fermi_dirac(np.array([0.0] * 6 + [1.0] * 6), eps, n=6)
+    one_step = 10 ** (9 / 119)   # ratio of adjacent |beta| in the scan
+    assert -1e3 / one_step < fit["beta"] < -1e2
     assert fit["residual"] < 1e-100
-    assert fit["at_bound"] == ("temperature",)
+    assert fit["at_bound"] == ("beta",)
 
 
 def test_fermi_dirac_rejects_length_mismatch():
@@ -208,26 +219,68 @@ def test_fermi_dirac_rejects_length_mismatch():
 
 def test_fermi_dirac_rejects_out_of_range():
     eps = np.arange(12.0)
-    bad = np.full(12, 0.5)
-    bad[0] = 1.2
+    for value in (1.2, np.nan):
+        bad = np.full(12, 0.5)
+        bad[0] = value
+        with pytest.raises(PreconditionError):
+            tb.fit_fermi_dirac(bad, eps, n=6)
+
+
+def test_fermi_dirac_rejects_equal_energies():
+    """Equal orbital energies have no level spacing to scale beta by."""
     with pytest.raises(PreconditionError):
-        tb.fit_fermi_dirac(bad, eps, n=6)
+        tb.fit_fermi_dirac(np.full(12, 0.5), np.full(12, 2.0), n=6)
 
 
-def test_mu_for_filling_matches_brentq():
-    """One vectorized solve gives every temperature's chemical potential."""
+@pytest.mark.parametrize("case", ["noisy", "fig2-seed1"])
+def test_fermi_dirac_does_not_depend_on_the_order_of_the_levels(case):
+    """Permuting (occupations, energies) together, or reversing both, gives the same record."""
+    ninf, eps = _fermi_dirac_case(case)
+    fit = tb.fit_fermi_dirac(ninf, eps, n=6)
+    for order in (np.random.default_rng(0).permutation(12), np.arange(12)[::-1]):
+        other = tb.fit_fermi_dirac(ninf[order], eps[order], n=6)
+        assert other["beta"] == pytest.approx(fit["beta"], rel=1e-12)
+        assert other["alpha"] == pytest.approx(fit["alpha"], rel=1e-12)
+        assert other["residual"] == pytest.approx(fit["residual"], rel=1e-12)
+        assert other["at_bound"] == fit["at_bound"]
+
+
+@pytest.mark.parametrize("eta", [FIG1_ETA, FIG2_ETA], ids=["fig1", "fig2"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_fermi_dirac_fits_occupations_rising_with_energy(eta, seed):
+    """States at the 75th and 90th percentile of the diagonal energies relax to
+    occupations that rise with eps: beta < 0, inside the scan.
+
+    The ladder is symmetric at jitter 0, so the profile mirrored in eps is
+    the same fit at -beta with the same misfit.
+    """
+    occupations, spectrum = percentile_occupations(eta, seed, (75, 90))
+    for ninf in occupations:
+        fit = tb.fit_fermi_dirac(ninf, spectrum, n=6)
+        mirrored = tb.fit_fermi_dirac(ninf[::-1], spectrum, n=6)
+        assert fit["beta"] < 0 and fit["at_bound"] == ()
+        assert mirrored["beta"] == pytest.approx(-fit["beta"], rel=1e-9)
+        assert abs(mirrored["residual"] - fit["residual"]) <= 1e-15
+        assert mirrored["at_bound"] == ()
+
+
+def test_alpha_for_filling_matches_brentq():
+    """One vectorized solve gives alpha at every beta of either sign, beta = 0 included."""
     eps = np.array([0.0, 0.3, 1.1, 1.2, 2.0, 3.5, 3.6, 5.0])
-    temperatures = np.geomspace(1e-3, 1e6, 25)
-    mus = theory._mu_for_filling(eps, temperatures, 3)
-    for temperature, mu in zip(temperatures, mus):
+    steps = np.geomspace(1e-6, 1e3, 12)
+    betas = np.concatenate((-steps[::-1], [0.0], steps))
+    alphas = theory._alpha_for_filling(eps, betas, 3)
+    assert alphas[len(steps)] == math.log(3 / 5)
+    for beta, alpha in zip(betas, alphas):
         def excess(x):
-            return theory._fermi_dirac(eps, x, temperature).sum() - 3
+            return theory._fermi_dirac(eps, x, beta).sum() - 3
 
-        assert abs(excess(mu)) <= 1e-12
-        filled = theory._fermi_dirac(eps, mu, temperature)
-        if (filled * (1 - filled)).sum() / temperature > 1e-6:   # else S is flat: mu not unique
-            expected = brentq(excess, -100 * temperature - 10, 100 * temperature + 10, xtol=1e-14)
-            assert mu == pytest.approx(expected, abs=1e-9 * (1 + temperature))
+        assert abs(excess(alpha)) <= 1e-12
+        filled = theory._fermi_dirac(eps, alpha, beta)
+        if (filled * (1 - filled)).sum() > 1e-6:   # else S is flat: alpha not unique
+            span = beta * eps
+            expected = brentq(excess, span.min() - 10, span.max() + 10, xtol=1e-14)
+            assert alpha == pytest.approx(expected, abs=1e-9 * (1 + abs(beta)))
 
 
 def _fermi_dirac_case(case):
@@ -251,17 +304,21 @@ def _fermi_dirac_case(case):
     ["thermal", "noisy"] + [f"{fig}-seed{seed}" for fig in ("fig1", "fig2") for seed in (1, 2, 3)],
 )
 def test_fermi_dirac_matches_scipy(case):
-    """Same minimum as brentq + bounded Brent: a misfit no larger, T within the flatness.
+    """Same minimum as brentq + bounded Brent: a misfit no larger, beta within the flatness.
 
-    Near its minimum the misfit is flat to rounding over ~1e-7 relative in T,
-    so Brent's T is only that good; the misfit values are compared tightly.
+    Near its minimum the misfit is flat to rounding over ~1e-7 relative in
+    beta, so Brent's beta is only that good; the misfit values are compared
+    tightly.  alpha = mu beta carries beta's error, and mu = alpha / beta
+    hardly depends on beta, so mu is compared tightly.  fig1 seeds 2 and 3
+    have their minimum at beta < 0.
     """
     ninf, spectrum = _fermi_dirac_case(case)
     fit = tb.fit_fermi_dirac(ninf, spectrum, n=6)
-    temperature, mu, residual = scipy_fermi_dirac(ninf, spectrum, 6)
+    beta, alpha, residual = scipy_fermi_dirac(ninf, spectrum, 6)
     assert fit["residual"] <= residual + 1e-14
-    assert fit["temperature"] == pytest.approx(temperature, rel=1e-5)
-    assert fit["mu"] == pytest.approx(mu, abs=1e-8)
+    assert fit["beta"] == pytest.approx(beta, rel=1e-5)
+    assert fit["alpha"] == pytest.approx(alpha, rel=1e-5)
+    assert fit["alpha"] / fit["beta"] == pytest.approx(alpha / beta, abs=1e-8)
 
 
 def test_prediction_csv_provenance(tmp_path, small_3_6):
