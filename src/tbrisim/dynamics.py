@@ -39,18 +39,18 @@ from .strength import strength_function
 
 UNITARITY_TOL = 1e-10
 ROW_BLOCK = 256
-TIME_BLOCK = 64                   # grid times carried and reduced together
 _NODE_EPS = np.finfo(float).eps   # target of the Chebyshev truncation bound
 
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Ascending, finite, non-negative times in units of inverse energy."""
+    """Ascending, finite, non-negative times in units of inverse energy; ``TimeGrid(grid)``
+    takes a ``TimeGrid`` or an array."""
 
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        pts = np.asarray(getattr(self.points, "points", self.points), dtype=float)
         object.__setattr__(self, "points", pts)
         if not np.all(np.isfinite(pts)) or pts.size and (pts[0] < 0 or np.any(np.diff(pts) <= 0)):
             raise ParameterError("time grid must be finite, non-negative and strictly increasing")
@@ -78,10 +78,6 @@ class OccupationTrajectory:
     unitarity_drift: float
     interpolated_points: int
     time_nodes: int | None
-
-
-def _times(grid) -> np.ndarray:
-    return np.asarray(getattr(grid, "points", grid), dtype=float)
 
 
 def default_grid(
@@ -210,22 +206,21 @@ def _folded(nodes: np.ndarray, weights: np.ndarray, times: np.ndarray):
     return folded, odd_part
 
 
-def _node_values(decomp: EigenDecomposition, i: int, times: np.ndarray, split: int, count: int):
-    """The one GEMM: (values, nodes, weights), ``values`` the (K + 2(T - s), N) rows of
-    node cos | node sin | tail cos, -sin per time, times V^T, for the plan (s, K).
+def _node_values(decomp: EigenDecomposition, i: int, nodes: np.ndarray, tail_times: np.ndarray):
+    """The one GEMM: the (K + 2T', N) rows of node cos | node sin | tail cos, -sin per time,
+    times V^T, for the K ``nodes`` and the T' ``tail_times``.
 
     Each pair of row sets is one ``_sincos`` of the half angles of the nodes >= 0 (with
     the energies centred at c) or of the tail; the rows are scaled by C_i(k) and
-    released after the product.  With (s, K) = (0, 0) every time is a tail time.
+    released after the product.  With no nodes every time is a tail time.
     """
-    energies = decomp.energies
+    energies, count = decomp.energies, len(nodes)
     centre, even = 0.5 * (energies.max() + energies.min()), (count + 1) // 2
-    nodes, weights = _chebyshev_nodes(times[split - 1] if split else 0.0, count)
-    phases = np.empty((count + 2 * (len(times) - split), decomp.size))
+    phases = np.empty((count + 2 * len(tail_times), decomp.size))
     _sincos(np.outer(0.5 * nodes[:even], centre - energies), phases[:even], phases[even:count])
-    _sincos(np.outer(0.5 * times[split:], -energies), phases[count::2], phases[count + 1 :: 2])
+    _sincos(np.outer(0.5 * tail_times, -energies), phases[count::2], phases[count + 1 :: 2])
     phases *= decomp.vectors[i]
-    return phases @ decomp.vectors.T, nodes, weights   # (K + 2(T - s)) x N x N
+    return phases @ decomp.vectors.T   # (K + 2T') x N x N
 
 
 def _checked_drift(norms: np.ndarray) -> float:
@@ -248,12 +243,12 @@ def _reduce(
     omega' = W t_s.  The barycentric Lagrange weights of the K nodes (Berrut &
     Trefethen, SIAM Rev. 46, 501 (2004)), folded as L_j +- L_mirror(j) (``_folded``),
     carry their cos rows (the even real part of exp(i c t) A_f) and sin rows (the odd
-    imaginary part) to the ceil(K2/2) nodes >= 0.  There, and on the tail read in
-    place, ``TIME_BLOCK`` times at a time, the amplitudes are squared, summed and
-    reduced, with no phase to put back; the folded weights of the K2 nodes carry the
-    r reduced rows and the norms to the s prefix times.  No (N, T) array is formed.
-    The drift is the largest over the K2 node norms, the tail and the interpolated
-    prefix norms.
+    imaginary part) to the ceil(K2/2) nodes >= 0, in one pair of GEMMs.  |A_f|^2 there
+    and on the tail (squared in place) fills one array of ceil(K2/2) + T - s rows, with
+    no phase to put back, whose rows are summed and reduced in one pass; the folded
+    weights of the K2 nodes carry the r reduced rows and the norms to the s prefix
+    times, which get no N-wide row.  The drift is the largest over the K2 node norms,
+    the tail and the interpolated prefix norms.
 
     Bound: at K nodes, each of the real and imaginary parts of exp(-i a u),
     u = t / t_s and |a| <= omega = (W/2) t_s, is off by at most
@@ -269,30 +264,22 @@ def _reduce(
     with coefficients of absolute sum (sum_k |c_k C_f(k)|)^2 <= 1.
     """
     split, count = _plan(decomp.energies, times)
-    values, nodes, weights = _node_values(decomp, i, times, split, count)
     radius, width = times[split - 1] if split else 0.0, np.ptp(decomp.energies)
-    even = (count + 1) // 2
     count2 = int(_node_count(width * radius, 2 * count)) if split else 0   # K2 <= 2K
+    nodes, weights = _chebyshev_nodes(radius, count)
     nodes2, weights2 = _chebyshev_nodes(radius, count2)
-    half = (count2 + 1) // 2   # the K2 nodes >= 0 lead the rows, the tail follows
+    even, half = (count + 1) // 2, (count2 + 1) // 2
     folded, odd_part = _folded(nodes, weights, nodes2[:half])
-    norms = np.empty(half + len(times) - split)
-    rows = np.empty((len(norms), len(reduction)))
-    buffer = np.empty((2, min(TIME_BLOCK, half), decomp.size))
-    for lo in [*range(0, half, TIME_BLOCK), *range(half, len(norms), TIME_BLOCK)]:
-        hi = min(lo + TIME_BLOCK, half if lo < half else len(norms))
-        if lo < half:
-            re, im = buffer[:, : hi - lo]
-            np.matmul(folded[:, lo:hi].T, values[:even], out=re)
-            np.matmul(odd_part[:, lo:hi].T, values[even:count], out=im)
-        else:
-            tail = values[count + 2 * (lo - half) : count + 2 * (hi - half)]
-            re, im = tail[0::2], tail[1::2]
-        re *= re   # |A_f|^2, in place
-        re += np.square(im, out=im)
-        re.sum(axis=1, out=norms[lo:hi])
-        np.matmul(re, reduction.T, out=rows[lo:hi])
     carry = _folded(nodes2, weights2, times[:split])[0].T
+    values = _node_values(decomp, i, nodes, times[split:])
+    squares = np.empty((half + len(times) - split, decomp.size))   # K2 nodes >= 0, then tail
+    re, im = squares[:half], odd_part.T @ values[even:count]
+    np.matmul(folded.T, values[:even], out=re)
+    tail = np.square(values[count:], out=values[count:])
+    np.add(tail[0::2], tail[1::2], out=squares[half:])
+    re *= re   # |A_f|^2, in place
+    re += np.square(im, out=im)
+    norms, rows = squares.sum(axis=1), squares @ reduction.T
     drift = _checked_drift(np.concatenate((norms, carry @ norms[:half])))
     reduced = np.concatenate((carry @ rows[:half], rows[half:]))
     return reduced.T, drift, split, count
@@ -314,8 +301,8 @@ def evolve_amplitudes(decomp: EigenDecomposition, i: int, grid) -> np.ndarray:
     moves a phase factor, 7.5 eps on its cos and 5 eps on its sin.
     """
     check_index(i, decomp.size)
-    times = TimeGrid(_times(grid)).points
-    values = _node_values(decomp, i, times, 0, 0)[0]   # 2T x N x N
+    times = TimeGrid(grid).points
+    values = _node_values(decomp, i, np.empty(0), times)   # 2T x N x N
     _checked_drift(np.einsum("tf,tf->t", values, values).reshape(-1, 2).sum(axis=1))
     return np.ascontiguousarray(values.T).view(np.complex128)
 
@@ -324,7 +311,7 @@ def survival_probability(decomp: EigenDecomposition, i: int, grid) -> np.ndarray
     """W0(t) = |sum_k w_k exp(-i E_k t)|^2 with w_k the strength weights of i, on the times
     of ``grid`` read as a ``TimeGrid``."""
     check_index(i, decomp.size)
-    times = TimeGrid(_times(grid)).points
+    times = TimeGrid(grid).points
     phases = np.empty((decomp.size, 2 * len(times)))   # cos(E_k t_j), -sin(E_k t_j) interleaved
     _sincos(np.outer(-0.5 * decomp.energies, times), phases[:, 0::2], phases[:, 1::2])
     parts = decomp.vectors[i, :] ** 2 @ phases
@@ -369,7 +356,7 @@ def simulate_trajectory(
     ``partition`` must be classified from state i: its class 0, state i alone, is W0."""
     check_index(i, decomp.size)
     check_reference(partition, basis, i)
-    times = TimeGrid(_times(grid))
+    times = TimeGrid(grid)
     indicator = np.eye(partition.n_classes + 1)[:, partition.class_of]
     reduction = np.vstack((occupancy_matrix(basis), indicator))
     reduced, drift, split, count = _reduce(decomp, i, times.points, reduction)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import TimeGrid, _times
+from .dynamics import TimeGrid
 from .exceptions import ParameterError, PreconditionError
 from .export import write_table
 from .spectral import kernel_bandwidth
@@ -46,7 +46,7 @@ def predict_occupations(n0, ninf, w0, grid) -> ThermalizationPrediction:
     if not np.all((w0 >= -1e-12) & (w0 <= 1 + 1e-12)):   # NaN fails too
         raise ParameterError("W0 series must lie in [0, 1]")
     occupations = n0[:, None] * w0[None, :] + ninf[:, None] * (1.0 - w0[None, :])
-    times = TimeGrid(_times(grid))
+    times = TimeGrid(grid)
     if len(times) != len(w0):
         raise ParameterError(f"W0 has {len(w0)} points, the grid {len(times)}")
     return ThermalizationPrediction(grid=times, occupations=occupations)
@@ -57,7 +57,7 @@ def survival_models(gamma: float, delta_e: float, grid) -> tuple[np.ndarray, np.
     as a ``TimeGrid``; a zero width gives ones."""
     if not (gamma >= 0 and delta_e >= 0):   # NaN fails both
         raise ParameterError(f"survival models need widths >= 0, got {gamma!r}, {delta_e!r}")
-    t = TimeGrid(_times(grid)).points
+    t = TimeGrid(grid).points
     return np.exp(-gamma * t), np.exp(-(delta_e**2) * t * t)
 
 

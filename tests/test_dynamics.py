@@ -257,7 +257,7 @@ def test_direct_path_is_bitwise_the_oracle(fig1, monkeypatch):
     assert traj.time_nodes is None and traj.interpolated_points == 0
     prob = reference.real**2 + reference.imag**2
     assert traj.w0.tobytes() == prob[s.i].tobytes()
-    # The blocks sum over f in another order: sums of N non-negative terms <= 1,
+    # The reduction sums over f in another order: sums of N non-negative terms <= 1,
     # each within (N - 1) eps/2 of the exact sum.
     bound = (s.decomp.size - 1) * np.finfo(float).eps
     assert np.abs(traj.occupations - occupation_numbers(prob, s.basis)).max() <= bound
@@ -391,7 +391,8 @@ def _on_node_grid(decomp) -> tuple[np.ndarray, int, int]:
     ids=["0-5", "0-25", "3-20", "on-node", "one-point", "empty"],
 )
 def test_grids_match_matrix_exponential(grid, small_3_6):
-    """Interpolated and direct grids vs scaling-and-squaring expm at every time."""
+    """Interpolated and direct grids vs scaling-and-squaring expm at every time: amplitudes,
+    occupations, W0 and class populations (class sums of the squared expm amplitudes)."""
     s = small_3_6
     times = _on_node_grid(s.decomp)[0] if isinstance(grid, str) else grid
     traj = tb.simulate_trajectory(s.decomp, s.basis, s.partition, s.i, times)
@@ -406,10 +407,14 @@ def test_grids_match_matrix_exponential(grid, small_3_6):
         assert traj.time_nodes is None
     assert 0.0 <= traj.unitarity_drift <= tb.dynamics.UNITARITY_TOL
     occ_matrix = occupancy_matrix(s.basis)
+    indicator = np.eye(s.partition.n_classes + 1)[:, s.partition.class_of]
     for j, t in enumerate(times):
         ref = expm_amplitudes(s.h.entries, s.i, t)
+        prob = np.abs(ref) ** 2
         assert np.abs(amplitudes[:, j] - ref).max() < 1e-10, t
-        assert np.abs(traj.occupations[:, j] - occ_matrix @ np.abs(ref) ** 2).max() < 1e-10, t
+        assert np.abs(traj.occupations[:, j] - occ_matrix @ prob).max() < 1e-10, t
+        assert abs(traj.w0[j] - prob[s.i]) < 1e-10, t
+        assert np.abs(traj.class_populations[:, j] - indicator @ prob).max() < 1e-10, t
 
 
 def test_grid_time_on_a_node_takes_the_node_value(small_3_6):
@@ -526,15 +531,15 @@ def test_compound_occupations_are_kept_per_decomposition(small_2_4, small_3_6):
     assert ref() is None
 
 
-def test_time_blocks_narrower_than_the_grid(small_3_6, monkeypatch):
-    """Blocks of 7 times over N=20 from the initial state i = 17: a prefix of s = 226
-    times that ends inside a block, and a direct grid of 300 times in 43 tail blocks."""
+def test_mid_grid_prefix_and_direct_grid_match_the_oracles(small_3_6, monkeypatch):
+    """N=20 from the initial state i = 17: a prefix that ends inside the grid, and a
+    direct grid of 300 times, against the complex oracle; given libm phase rows the
+    direct grid's amplitudes and W0 are bitwise the oracle's."""
     s = small_3_6
-    monkeypatch.setattr(tb.dynamics, "TIME_BLOCK", 7)
     i = 17
     partition = tb.classify(s.basis, int(s.basis.states[i]))
     split, _ = tb.dynamics._plan(s.decomp.energies, s.grid.points)
-    assert 0 < split < len(s.grid) and split % 7
+    assert 0 < split < len(s.grid)
     direct = np.linspace(3.0, 20.0, 300)
     assert tb.dynamics._plan(s.decomp.energies, direct) == (0, 0)
     for times in (s.grid.points, direct):
