@@ -4,13 +4,14 @@ Pipeline: enumerate the Fock basis, assemble the dense random two-body
 Hamiltonian, diagonalize exactly, analyze strength functions, evolve an
 initially excited basis state, and compare against the analytic
 interpolation between initial and equilibrium occupations.  The names
-below are the stages and records of ``tbrisim.pipeline.run``; a config
-document is validated by ``tbrisim.config.config_from_dict``.
+below are the ones README's "Library use" runs and documents, and the
+exceptions every stage raises; the records and the other stages are read
+from their modules.  ``tbrisim.pipeline.run`` runs a whole config, and a
+config document is validated by ``tbrisim.config.config_from_dict``.
 """
 
-from .basis import Basis, ClassPartition, build_basis, classify
+from .basis import build_basis, classify
 from .dynamics import (
-    OccupationTrajectory,
     TimeGrid,
     asymptotic_occupations,
     default_grid,
@@ -26,34 +27,13 @@ from .exceptions import (
     StageError,
 )
 from .hamiltonian import (
-    HamiltonianMatrix,
     ModelParams,
-    TwoBodyTensor,
     build_hamiltonian,
     sample_spectrum,
     sample_two_body,
 )
-from .spectral import (
-    EigenDecomposition,
-    diagonalize,
-    spectral_stats,
-)
-from .strength import (
-    StrengthProfile,
-    energy_variance,
-    fit_bw,
-    fit_hybrid,
-    golden_rule_gamma,
-    spreading_params,
-    strength_function,
-)
-from .theory import (
-    ThermalizationPrediction,
-    fit_fermi_dirac,
-    n_pc_envelope,
-    predict_occupations,
-    prediction_error,
-    survival_models,
-)
+from .spectral import diagonalize
+from .strength import energy_variance, golden_rule_gamma
+from .theory import predict_occupations, prediction_error, survival_models
 
 __version__ = "0.1.0"

@@ -79,7 +79,10 @@ def build_basis(n: int, m: int) -> Basis:
 
 
 def check_index(i: int, size: int) -> None:
-    """PreconditionError unless 0 <= i < size: a negative basis index is refused too."""
+    """PreconditionError unless i is an integer, a numpy one too, with 0 <= i < size: a
+    negative basis index is refused, and so are a bool and a float such as 3.0."""
+    if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+        raise PreconditionError(f"basis index {i!r} is not an integer")
     if not 0 <= i < size:
         raise PreconditionError(f"basis index {i} outside [0, {size})")
 

@@ -87,8 +87,12 @@ def default_grid(
 
     Runs from 0.01/Delta_E to 10*n_classes/Gamma with a linear refinement
     around 1/Gamma, plus t = 0.  Degenerate widths (free fermions) fall back
-    to a linear grid on [0, 10*n_classes].
+    to a linear grid on [0, 10*n_classes].  A NaN or infinite width, or a
+    negative point count, raises ParameterError.
     """
+    if not (math.isfinite(delta_e) and math.isfinite(gamma)) or points < 0:
+        raise ParameterError(f"grid needs finite widths and points >= 0, got Delta_E={delta_e}, "
+                             f"Gamma={gamma}, points={points}")
     if delta_e <= 0 or gamma <= 0:
         return TimeGrid(np.linspace(0.0, 10.0 * max(n_classes, 1), points))
     start = 0.01 / delta_e
@@ -102,9 +106,12 @@ def default_grid(
 
 
 def _sorted_unique(times: np.ndarray) -> np.ndarray:
-    """``np.unique`` of finite times, without the numpy.ma import it makes."""
+    """``np.unique`` of times, without the numpy.ma import it makes; a NaN or infinite time
+    is kept, for ``TimeGrid`` to refuse."""
     times = np.sort(times)
-    return times[np.diff(times, prepend=-np.inf) > 0]
+    keep = np.ones(len(times), dtype=bool)
+    keep[1:] = times[1:] != times[:-1]   # no subtraction: inf - inf would warn
+    return times[keep]
 
 
 def _sincos(half: np.ndarray, cos_out: np.ndarray, sin_out: np.ndarray) -> None:
@@ -335,11 +342,20 @@ def compound_occupations(decomp: EigenDecomposition, basis: Basis) -> np.ndarray
     return table
 
 
+def _check_state(decomp: EigenDecomposition, basis: Basis, i: int) -> None:
+    """``check_index``, and PreconditionError unless ``basis`` has the decomposition's N
+    states (of another (n, m) with as many, it is not caught: the decomposition keeps none)."""
+    check_index(i, decomp.size)
+    if basis.size != decomp.size:
+        raise PreconditionError(
+            f"basis of {basis.size} states for a decomposition of {decomp.size}")
+
+
 def asymptotic_occupations(decomp: EigenDecomposition, i: int, basis: Basis) -> np.ndarray:
     """Diagonal ensemble n_alpha(inf) = sum_k C_i(k)^2 n_alpha^(k): the compound-state
     occupations weighted by the strength function of i (Flambaum & Izrailev, PRE 56,
     5144 (1997)); O(mN) once ``compound_occupations`` holds the decomposition's table."""
-    check_index(i, decomp.size)
+    _check_state(decomp, basis, i)
     return compound_occupations(decomp, basis) @ decomp.vectors[i] ** 2
 
 
@@ -354,7 +370,7 @@ def simulate_trajectory(
     populations are one reduction of |A_f(t)|^2 by the occupancy over the class rows,
     interpolated on the prefix after the reduction (``_reduce``).
     ``partition`` must be classified from state i: its class 0, state i alone, is W0."""
-    check_index(i, decomp.size)
+    _check_state(decomp, basis, i)
     check_reference(partition, basis, i)
     times = TimeGrid(grid)
     indicator = np.eye(partition.n_classes + 1)[:, partition.class_of]

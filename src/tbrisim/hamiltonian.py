@@ -61,24 +61,6 @@ class ModelParams:
             raise ParameterError(f"jitter must lie in [0, 1), got {self.jitter}")
 
 
-class TwoBodyTensor:
-    """Symmetric table of two-body amplitudes indexed by orbital pairs.
-
-    Pairs (p, q) with p < q are enumerated lexicographically; ``matrix`` is
-    the (P, P) symmetric array of amplitudes between pair indices.
-    """
-
-    def __init__(self, m: int, matrix: np.ndarray):
-        n_pairs = m * (m - 1) // 2
-        if matrix.shape != (n_pairs, n_pairs):
-            raise ParameterError(f"tensor for m={m} needs shape {(n_pairs,) * 2}, "
-                                 f"got {matrix.shape}")
-        if not np.array_equal(matrix, matrix.T):
-            raise ParameterError("two-body tensor must be symmetric in its pair indices")
-        self.m = m
-        self.matrix = matrix
-
-
 @dataclass(frozen=True)
 class HamiltonianMatrix:
     """Dense symmetric many-body matrix together with its basis."""
@@ -99,15 +81,16 @@ def sample_spectrum(params: ModelParams) -> np.ndarray:
     return np.sort(eps)
 
 
-def sample_two_body(params: ModelParams) -> TwoBodyTensor:
-    """Draw the symmetric Gaussian pair-pair table: elements (a <= b), row-major, then mirrored."""
+def sample_two_body(params: ModelParams) -> np.ndarray:
+    """Draw the symmetric Gaussian (P, P) pair-pair table, P = m(m-1)/2, its rows and columns
+    the pairs (p, q), p < q, in lexicographic order: elements (a <= b), row-major, then mirrored."""
     n_pairs = params.m * (params.m - 1) // 2
     rng = np.random.default_rng([params.seed, _TENSOR_STREAM])
     upper = np.sqrt(params.eta) * rng.standard_normal(n_pairs * (n_pairs + 1) // 2)
     rows, cols = _upper_triangle(n_pairs)
     matrix = np.zeros((n_pairs, n_pairs))
     matrix[rows, cols] = matrix[cols, rows] = upper
-    return TwoBodyTensor(params.m, matrix)
+    return matrix
 
 
 @functools.lru_cache(maxsize=2)
@@ -118,8 +101,10 @@ def _upper_triangle(n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
-def build_hamiltonian(basis: Basis, epsilon: np.ndarray, tensor: TwoBodyTensor) -> HamiltonianMatrix:
-    """Assemble the dense symmetric matrix of H0 + V on the basis from the orbital energies.
+def build_hamiltonian(basis: Basis, epsilon: np.ndarray, tensor: np.ndarray) -> HamiltonianMatrix:
+    """Assemble the dense symmetric matrix of H0 + V on the basis from the orbital energies
+    and the pair-pair table of ``sample_two_body``, which must be (P, P) for the basis's m
+    and exactly symmetric: an asymmetric V would build H from one half of the table.
 
     Matrix elements follow the two-body selection rule: states differing in
     more than two orbitals are not connected.  A one-orbital move sums its
@@ -157,13 +142,18 @@ def build_hamiltonian(basis: Basis, epsilon: np.ndarray, tensor: TwoBodyTensor) 
     moves that fills both triangles from the upper row, so H is bitwise what
     such a loop gives, and exactly symmetric.
     """
-    if len(epsilon) != basis.m or tensor.m != basis.m:
+    if len(epsilon) != basis.m:
         raise ParameterError(
-            f"inconsistent orbital counts: basis m={basis.m}, "
-            f"spectrum m={len(epsilon)}, tensor m={tensor.m}"
+            f"inconsistent orbital counts: basis m={basis.m}, spectrum m={len(epsilon)}"
         )
+    n_pairs = basis.m * (basis.m - 1) // 2
+    if tensor.shape != (n_pairs, n_pairs):
+        raise ParameterError(f"tensor for m={basis.m} needs shape {(n_pairs,) * 2}, "
+                             f"got {tensor.shape}")
+    if not np.array_equal(tensor, tensor.T):
+        raise ParameterError("two-body tensor must be symmetric in its pair indices")
     couplings = _couplings(basis.n, basis.m)
-    v = tensor.matrix.ravel()
+    v = tensor.ravel()
     n_states, n_sums, first_sum = basis.size, couplings.move1_term.shape[1], 2 * v.size + basis.m
     ext = np.concatenate((v, -v, epsilon, np.zeros(n_sums + 1 + n_states)))
     sums = ext[first_sum:first_sum + n_sums]   # +0.0 start, as the plain loop
@@ -236,7 +226,7 @@ def _couplings(n: int, m: int) -> _Couplings:
     free = np.nonzero(~bits)[1].reshape(n_states, m - n)
 
     def pair(p, q):
-        """Index of (p, q), p < q, in the lexicographic pair order of ``TwoBodyTensor.matrix``."""
+        """Index of (p, q), p < q, in the lexicographic pair order of the tensor."""
         return p * (2 * m - p - 1) // 2 + q - p - 1
 
     def move(state, p, r):

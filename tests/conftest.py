@@ -10,6 +10,11 @@ import numpy as np
 import pytest
 
 import tbrisim as tb
+from tbrisim.basis import Basis, ClassPartition
+from tbrisim.dynamics import OccupationTrajectory
+from tbrisim.hamiltonian import HamiltonianMatrix
+from tbrisim.spectral import EigenDecomposition, spectral_stats
+from tbrisim.strength import StrengthProfile, strength_function
 
 FIG1_ETA = 0.003
 FIG2_ETA = 0.083
@@ -28,19 +33,19 @@ class System:
     """One fully analyzed disorder realization."""
 
     params: tb.ModelParams
-    basis: tb.Basis
+    basis: Basis
     spectrum: np.ndarray         # ascending orbital energies
-    tensor: tb.TwoBodyTensor
-    h: tb.HamiltonianMatrix
-    decomp: tb.EigenDecomposition
+    tensor: np.ndarray           # the (P, P) pair-pair table
+    h: HamiltonianMatrix
+    decomp: EigenDecomposition
     spacing_mid: float | None
     i: int
-    partition: tb.ClassPartition
-    profile: tb.StrengthProfile
+    partition: ClassPartition
+    profile: StrengthProfile
     gamma: float
     delta_e: float
     grid: tb.TimeGrid
-    trajectory: tb.OccupationTrajectory
+    trajectory: OccupationTrajectory
     n_inf: np.ndarray
 
 
@@ -51,14 +56,14 @@ def make_system(n: int, m: int, eta: float, seed: int, initial="mid-spectrum") -
     tensor = tb.sample_two_body(params)
     h = tb.build_hamiltonian(basis, spectrum, tensor)
     decomp = tb.diagonalize(h)
-    spacing_mid = tb.spectral_stats(decomp) if basis.size >= 10 else None
+    spacing_mid = spectral_stats(decomp) if basis.size >= 10 else None
     diag = h.diagonal()
     if initial == "mid-spectrum":
         i = int(np.argmin(np.abs(diag - np.median(diag))))
     else:
         i = int(initial)
     partition = tb.classify(basis, int(basis.states[i]))
-    profile = tb.strength_function(decomp, i)
+    profile = strength_function(decomp, i)
     delta_e = tb.energy_variance(h, i)
     try:
         gamma = tb.golden_rule_gamma(h, partition, i)
@@ -103,7 +108,7 @@ def realization_fit_inputs(eta: float, seed: int):
     i = int(np.argmin(np.abs(diag - np.median(diag))))
     partition = tb.classify(basis, int(basis.states[i]))
     return (
-        tb.strength_function(decomp, i),
+        strength_function(decomp, i),
         tb.golden_rule_gamma(h, partition, i),
         tb.asymptotic_occupations(decomp, i, basis),
         spectrum,
@@ -120,12 +125,12 @@ def percentile_occupations(eta: float, seed: int, percentiles):
 
 
 @lru_cache(maxsize=1)
-def _basis_6_12() -> tb.Basis:
+def _basis_6_12() -> Basis:
     return tb.build_basis(6, 12)
 
 
 @pytest.fixture(scope="session")
-def basis_6_12() -> tb.Basis:
+def basis_6_12() -> Basis:
     return _basis_6_12()
 
 

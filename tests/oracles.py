@@ -46,7 +46,6 @@ from tbrisim.hamiltonian import (
     _TENSOR_STREAM,
     HamiltonianMatrix,
     ModelParams,
-    TwoBodyTensor,
 )
 from tbrisim.spectral import EigenDecomposition
 from tbrisim.strength import MOMENT_NODES, StrengthProfile, _adaptive_bins
@@ -90,19 +89,19 @@ def operator_hamiltonian(m: int, epsilon, tensor_matrix, pairs) -> np.ndarray:
 
 
 def orbital_pairs(m: int) -> list[tuple[int, int]]:
-    """Pairs (p, q), p < q, in lexicographic order: the row order of ``TwoBodyTensor.matrix``."""
+    """Pairs (p, q), p < q, in lexicographic order: the row order of ``sample_two_body``'s table."""
     return list(combinations(range(m), 2))
 
 
 def pair_index(m: int) -> dict[tuple[int, int], int]:
-    """Row of each orbital pair in ``TwoBodyTensor.matrix``."""
+    """Row of each orbital pair in ``sample_two_body``'s table."""
     return {pq: a for a, pq in enumerate(orbital_pairs(m))}
 
 
-def tensor_element(tensor: TwoBodyTensor, p: int, q: int, r: int, s: int) -> float:
-    """Amplitude V[(p,q),(r,s)]; requires p < q and r < s."""
-    index = pair_index(tensor.m)
-    return float(tensor.matrix[index[(p, q)], index[(r, s)]])
+def tensor_element(tensor: np.ndarray, m: int, p: int, q: int, r: int, s: int) -> float:
+    """Amplitude V[(p,q),(r,s)] of the table of m orbitals; requires p < q and r < s."""
+    index = pair_index(m)
+    return float(tensor[index[(p, q)], index[(r, s)]])
 
 
 def mean_spacing(epsilon: np.ndarray) -> float:
@@ -110,7 +109,7 @@ def mean_spacing(epsilon: np.ndarray) -> float:
     return float(epsilon[-1] - epsilon[0]) / (len(epsilon) - 1)
 
 
-def rowwise_two_body(params: ModelParams) -> TwoBodyTensor:
+def rowwise_two_body(params: ModelParams) -> np.ndarray:
     """``sample_two_body`` as it was: one draw per upper-triangle row, mirrored row by row."""
     n_pairs = params.m * (params.m - 1) // 2
     rng = np.random.default_rng([params.seed, _TENSOR_STREAM])
@@ -120,7 +119,7 @@ def rowwise_two_body(params: ModelParams) -> TwoBodyTensor:
         row = scale * rng.standard_normal(n_pairs - a)
         matrix[a, a:] = row
         matrix[a:, a] = row
-    return TwoBodyTensor(params.m, matrix)
+    return matrix
 
 
 def project_to_basis(full_matrix: np.ndarray, states) -> np.ndarray:
@@ -223,20 +222,21 @@ def expm_amplitudes(h_entries: np.ndarray, i: int, t: float) -> np.ndarray:
 def loop_hamiltonian(
     basis: Basis,
     epsilon: np.ndarray,
-    tensor: TwoBodyTensor,
+    tensor: np.ndarray,
 ) -> HamiltonianMatrix:
     """Assemble the dense symmetric matrix of H0 + V on the basis.
 
     Matrix elements follow the two-body selection rule: states differing in
     more than two orbitals are not connected.
     """
-    if len(epsilon) != basis.m or tensor.m != basis.m:
+    n_pairs = basis.m * (basis.m - 1) // 2
+    if len(epsilon) != basis.m or tensor.shape != (n_pairs, n_pairs):
         raise ParameterError(
             f"inconsistent orbital counts: basis m={basis.m}, "
-            f"spectrum m={len(epsilon)}, tensor m={tensor.m}"
+            f"spectrum m={len(epsilon)}, tensor shape {tensor.shape}"
         )
     eps = epsilon.tolist()
-    v = tensor.matrix.tolist()
+    v = tensor.tolist()
     pairs = pair_index(basis.m)
     index = {state: j for j, state in enumerate(basis.states.tolist())}
     n_states = basis.size

@@ -20,6 +20,8 @@ import tbrisim as tb
 from tbrisim import cli
 from tbrisim.basis import occupancy_matrix
 from tbrisim.dynamics import survival_probability
+from tbrisim.strength import strength_function
+from tbrisim.theory import n_pc_envelope
 
 from conftest import MEDIAN_SEEDS, realization_widths, strict_json
 from oracles import expm_amplitudes, occupation_numbers
@@ -80,7 +82,7 @@ def test_criterion_03_moment_identity(fixture, request):
     rng = np.random.default_rng(33)
     worst = 0.0
     for i in rng.choice(s.basis.size, size=10, replace=False):
-        profile = tb.strength_function(s.decomp, int(i))
+        profile = strength_function(s.decomp, int(i))
         delta_sq = tb.energy_variance(s.h, int(i)) ** 2
         worst = max(worst, abs(profile.second_central_moment() - delta_sq) / delta_sq)
     ok = worst <= 1e-8
@@ -168,7 +170,7 @@ def test_criterion_09_saturation(fig2):
     Gaussian statistics are off by a factor of order 3.
     """
     floor = tb.dynamics.average_survival(fig2.decomp, fig2.i)
-    n_env = tb.n_pc_envelope(fig2.profile)
+    n_env = n_pc_envelope(fig2.profile)
     ratio = floor / (3.0 / n_env)
     ok = 0.5 <= ratio <= 2.0
     report(

@@ -338,12 +338,12 @@ def test_each_fit_returns_its_strict_json_manifest_record(tmp_path, fig1, fig2):
     """A fit's result is the record the manifest stores: strict JSON as it is returned,
     the uniform profile's infinite temperature included."""
     records = {
-        "bw_fit": tb.fit_bw(fig2.profile, gamma0=fig2.gamma),
-        "hybrid_fit": tb.fit_hybrid(fig2.profile, gamma0=fig2.gamma),
-        "fermi_dirac": tb.fit_fermi_dirac(fig2.n_inf, fig2.spectrum, 6),
+        "bw_fit": strength.fit_bw(fig2.profile, gamma0=fig2.gamma),
+        "hybrid_fit": strength.fit_hybrid(fig2.profile, gamma0=fig2.gamma),
+        "fermi_dirac": theory.fit_fermi_dirac(fig2.n_inf, fig2.spectrum, 6),
     }
-    fig1_fd = tb.fit_fermi_dirac(fig1.n_inf, fig1.spectrum, 6)
-    uniform_fd = tb.fit_fermi_dirac(np.full(12, 0.5), np.arange(12.0), 6)
+    fig1_fd = theory.fit_fermi_dirac(fig1.n_inf, fig1.spectrum, 6)
+    uniform_fd = theory.fit_fermi_dirac(np.full(12, 0.5), np.arange(12.0), 6)
     for record in (records["bw_fit"], records["hybrid_fit"], fig1_fd, uniform_fd):
         json.dumps(record, allow_nan=False)
     doc = copy.deepcopy(config.PRESETS["reproduce-fig2"])

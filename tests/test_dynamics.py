@@ -15,6 +15,8 @@ import tbrisim as tb
 from tbrisim.basis import occupancy_matrix
 from tbrisim.dynamics import survival_probability
 from tbrisim.exceptions import ParameterError, PreconditionError
+from tbrisim.spectral import EigenDecomposition
+from tbrisim.strength import strength_function
 
 from conftest import make_system
 from oracles import (
@@ -64,6 +66,17 @@ def test_non_finite_times_and_w0_raise():
         tb.predict_occupations(n0, s.n_inf, [1.0, math.nan], [0.0, 1.0])
 
 
+@pytest.mark.parametrize(("delta_e", "gamma", "points"), [
+    (math.nan, 1.0, 400), (1.0, math.nan, 400), (math.inf, 1.0, 400), (1.0, math.inf, 400),
+    (1.0, 1.0, -1), (0.0, 0.0, -1),
+])
+def test_default_grid_refuses_a_bad_width_or_point_count(delta_e, gamma, points):
+    """A NaN or infinite width, or a negative point count, raises ParameterError: not a grid
+    with its NaN times dropped (NaN widths gave 81 and 2 points), nor numpy's ValueError."""
+    with pytest.raises(ParameterError, match="finite widths"):
+        tb.default_grid(delta_e, gamma, 3, points=points)
+
+
 def test_default_grid_shape(fig1):
     grid = fig1.grid
     assert grid.points[0] == 0.0
@@ -80,10 +93,13 @@ def test_default_grid_free_fermion_fallback():
 
 def test_sort_dedupe_and_sorted_median_equal_numpy_bit_for_bit():
     """The numpy.ma-free stand-ins give np.unique's and np.median's bytes, empty input and
-    repeated or descending times included."""
+    repeated or descending times included, and a NaN or -inf time is kept for ``TimeGrid``
+    to refuse, not dropped."""
     rng = np.random.default_rng(0)
     repeated = rng.choice(rng.random(7), 40)
-    for times in (np.array([]), np.linspace(2.0, 2.0, 5), np.geomspace(9.0, 0.1, 30), repeated):
+    non_finite = np.array([1.0, math.nan, 0.0, -math.inf, 1.0])
+    for times in (np.array([]), np.linspace(2.0, 2.0, 5), np.geomspace(9.0, 0.1, 30), repeated,
+                  non_finite):
         assert tb.dynamics._sorted_unique(times).tobytes() == np.unique(times).tobytes()
     for size in (1, 2, 924, 925):
         values = np.sort(rng.normal(size=size))
@@ -432,7 +448,7 @@ def test_grid_time_on_a_node_takes_the_node_value(small_3_6):
 
 def test_unitarity_guard_rejects_non_orthonormal_vectors(small_3_6):
     s = small_3_6
-    bad = tb.EigenDecomposition(energies=s.decomp.energies, vectors=s.decomp.vectors * 1.001)
+    bad = EigenDecomposition(energies=s.decomp.energies, vectors=s.decomp.vectors * 1.001)
     with pytest.raises(PreconditionError, match="unitarity"):
         tb.evolve_amplitudes(bad, s.i, s.grid)
     with pytest.raises(PreconditionError, match="unitarity"):
@@ -444,7 +460,7 @@ def test_unitarity_guard_sees_a_small_drift_on_an_interpolated_prefix(small_3_6)
     whose prefix is reduced at the K2 nodes and interpolated still refuses them, on the
     fixture grid (s > 0 and a tail) and on one interpolated whole (s = T, no tail)."""
     s = small_3_6
-    bad = tb.EigenDecomposition(energies=s.decomp.energies, vectors=s.decomp.vectors * (1 + 1e-9))
+    bad = EigenDecomposition(energies=s.decomp.energies, vectors=s.decomp.vectors * (1 + 1e-9))
     whole = np.linspace(0.0, 1.0, 400)
     assert 0 < s.trajectory.interpolated_points < len(s.grid)
     assert tb.dynamics._plan(s.decomp.energies, whole)[0] == len(whole)
@@ -521,7 +537,7 @@ def test_compound_occupations_are_kept_per_decomposition(small_2_4, small_3_6):
         table = tb.dynamics.compound_occupations(s.decomp, s.basis)
         assert tables.setdefault(id(s), table) is table
         assert table.shape == (s.basis.m, s.decomp.size)
-    decomp = tb.EigenDecomposition(small_3_6.decomp.energies, small_3_6.decomp.vectors.copy())
+    decomp = EigenDecomposition(small_3_6.decomp.energies, small_3_6.decomp.vectors.copy())
     first = tb.dynamics.compound_occupations(decomp, small_3_6.basis)
     assert tb.dynamics.compound_occupations(decomp, small_3_6.basis) is first
     assert first is not tables[id(small_3_6)]
@@ -610,7 +626,7 @@ def test_survival_time_reversal(fig1):
     """W0(-t) = W0(t): W0 at -t is W0 of the mirrored spectrum -E at t."""
     times = np.array([0.3, 1.7, 4.0])
     forward = survival_probability(fig1.decomp, fig1.i, times)
-    mirrored = tb.EigenDecomposition(-fig1.decomp.energies[::-1], fig1.decomp.vectors[:, ::-1])
+    mirrored = EigenDecomposition(-fig1.decomp.energies[::-1], fig1.decomp.vectors[:, ::-1])
     backward = survival_probability(mirrored, fig1.i, times)
     assert np.abs(forward - backward).max() < 1e-12
 
@@ -729,12 +745,12 @@ def test_evolve_rejects_bad_index(fig1):
 
 def _golden_rule_at(s, i):
     """Gamma_GR of state i, with the partition of the state index i would wrap to."""
-    partition = tb.classify(s.basis, int(s.basis.states[i % s.basis.size]))
+    partition = tb.classify(s.basis, int(s.basis.states[int(i) % s.basis.size]))
     return tb.golden_rule_gamma(s.h, partition, i)
 
 
 INDEXED = {
-    "strength_function": lambda s, i: tb.strength_function(s.decomp, i),
+    "strength_function": lambda s, i: strength_function(s.decomp, i),
     "energy_variance": lambda s, i: tb.energy_variance(s.h, i),
     "golden_rule_gamma": _golden_rule_at,
     "evolve_amplitudes": lambda s, i: tb.evolve_amplitudes(s.decomp, i, np.array([0.0])),
@@ -746,15 +762,40 @@ INDEXED = {
 }
 
 
-@pytest.mark.parametrize("where", ["negative", "size"])
+@pytest.mark.parametrize("where", ["negative", "size", "bool", "float"])
 @pytest.mark.parametrize("name", sorted(INDEXED))
 def test_every_basis_index_check_is_one_rule(small_3_6, name, where):
     """0 <= i < N everywhere: -1 does not wrap to the last state, and N raises
-    PreconditionError, not a bare IndexError."""
+    PreconditionError, not a bare IndexError.  True (once read as state 1) and 3.0 are no
+    index, and are refused before numpy warns or raises."""
     size = small_3_6.basis.size
-    i = -1 if where == "negative" else size
-    with pytest.raises(PreconditionError, match=rf"basis index {i} outside \[0, {size}\)"):
+    i, message = {
+        "negative": (-1, rf"basis index -1 outside \[0, {size}\)"),
+        "size": (size, rf"basis index {size} outside \[0, {size}\)"),
+        "bool": (True, "basis index True is not an integer"),
+        "float": (3.0, "basis index 3.0 is not an integer"),
+    }[where]
+    with pytest.raises(PreconditionError, match=message):
         INDEXED[name](small_3_6, i)
+
+
+@pytest.mark.parametrize("name", sorted(INDEXED))
+def test_a_numpy_integer_is_a_basis_index(small_3_6, name):
+    INDEXED[name](small_3_6, np.int64(small_3_6.i))
+
+
+@pytest.mark.parametrize("name", ["asymptotic_occupations", "simulate_trajectory"])
+def test_a_basis_of_another_size_is_refused(small_3_6, name):
+    """A basis of another N than the decomposition's raises PreconditionError before any
+    product, not numpy's ValueError from inside matmul."""
+    s, other = small_3_6, tb.build_basis(2, 6)   # 15 states, against 20
+    call = {
+        "asymptotic_occupations": lambda: tb.asymptotic_occupations(s.decomp, s.i, other),
+        "simulate_trajectory": lambda: tb.simulate_trajectory(s.decomp, other, s.partition, s.i,
+                                                              s.grid),
+    }[name]
+    with pytest.raises(PreconditionError, match="basis of 15 states for a decomposition of 20"):
+        call()
 
 
 @pytest.mark.parametrize("order", ["descending", "shuffled", "negative", "repeated"])

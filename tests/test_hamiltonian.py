@@ -64,35 +64,39 @@ def test_spectrum_jitter_deterministic_and_sorted():
 
 def test_tensor_zero_at_eta_zero():
     params = tb.ModelParams(n=2, m=4, eta=0.0, seed=3)
-    assert not tb.sample_two_body(params).matrix.any()
+    assert not tb.sample_two_body(params).any()
 
 
 def test_tensor_deterministic():
     params = tb.ModelParams(n=6, m=12, eta=0.05, seed=9)
     t1 = tb.sample_two_body(params)
     t2 = tb.sample_two_body(params)
-    assert np.array_equal(t1.matrix, t2.matrix)
+    assert np.array_equal(t1, t2)
 
 
 def test_tensor_symmetry_and_element_access():
     params = tb.ModelParams(n=6, m=12, eta=0.05, seed=9)
     tensor = tb.sample_two_body(params)
-    assert np.array_equal(tensor.matrix, tensor.matrix.T)
-    assert tensor_element(tensor, 0, 1, 2, 3) == tensor_element(tensor, 2, 3, 0, 1)
+    assert isinstance(tensor, np.ndarray) and tensor.shape == (66, 66)
+    assert np.array_equal(tensor, tensor.T)
+    assert tensor_element(tensor, 12, 0, 1, 2, 3) == tensor_element(tensor, 12, 2, 3, 0, 1)
 
 
 def test_tensor_refuses_an_asymmetric_or_misshapen_matrix():
-    """An asymmetric V would build H from one half of the table; a wrong shape has no pair order."""
-    matrix = tb.sample_two_body(tb.ModelParams(n=2, m=4, eta=0.05, seed=9)).matrix.copy()
-    assert tb.TwoBodyTensor(4, matrix).matrix is matrix
+    """``build_hamiltonian`` refuses the table of an asymmetric V, which would build H from one
+    half of it, and a table whose shape has no pair order for the basis's m."""
+    params, params5 = (tb.ModelParams(n=2, m=m, eta=0.05, seed=9) for m in (4, 5))
+    basis, basis5 = tb.build_basis(2, 4), tb.build_basis(2, 5)
+    spectrum, spectrum5 = tb.sample_spectrum(params), tb.sample_spectrum(params5)
+    matrix = tb.sample_two_body(params)
     asymmetric = matrix.copy()
     asymmetric[0, 1] += 1e-12
     with pytest.raises(ParameterError, match="symmetric"):
-        tb.TwoBodyTensor(4, asymmetric)
+        tb.build_hamiltonian(basis, spectrum, asymmetric)
     with pytest.raises(ParameterError, match=r"needs shape \(6, 6\)"):
-        tb.TwoBodyTensor(4, matrix[:5, :5])
+        tb.build_hamiltonian(basis, spectrum, matrix[:5, :5])
     with pytest.raises(ParameterError, match=r"needs shape \(10, 10\)"):
-        tb.TwoBodyTensor(5, matrix)
+        tb.build_hamiltonian(basis5, spectrum5, matrix)
 
 
 @pytest.mark.parametrize("m", [2, 4, 6, 12, 14])
@@ -104,9 +108,9 @@ def test_two_body_draw_bitwise_equals_rowwise_loop(m):
     for eta in (0.0, 0.083):
         params = tb.ModelParams(n=1, m=m, eta=eta, seed=5)
         drawn, expected = tb.sample_two_body(params), rowwise_two_body(params)
-        assert drawn.matrix.tobytes() == expected.matrix.tobytes(), eta
+        assert drawn.tobytes() == expected.tobytes(), eta
         if eta == 0.0 and m > 2:
-            assert np.signbit(expected.matrix).any()   # signed zeros are compared
+            assert np.signbit(expected).any()   # signed zeros are compared
 
 
 def test_two_body_draws_share_one_read_only_index_pair():
@@ -126,7 +130,7 @@ def test_tensor_variance_matches_eta():
     eta = 0.02
     params = tb.ModelParams(n=6, m=12, eta=eta, seed=21)
     tensor = tb.sample_two_body(params)
-    triu = tensor.matrix[np.triu_indices_from(tensor.matrix)]
+    triu = tensor[np.triu_indices_from(tensor)]
     mean_sq = np.mean(triu**2)
     sigma_stat = eta * np.sqrt(2.0 / len(triu))
     assert abs(mean_sq - eta) < 5 * sigma_stat
@@ -153,7 +157,7 @@ def test_hamiltonian_matches_operator_algebra_oracle(n, m, eta, seed):
     spectrum = tb.sample_spectrum(params)
     tensor = tb.sample_two_body(params)
     h = tb.build_hamiltonian(basis, spectrum, tensor)
-    full = operator_hamiltonian(m, spectrum, tensor.matrix, orbital_pairs(m))
+    full = operator_hamiltonian(m, spectrum, tensor, orbital_pairs(m))
     expected = project_to_basis(full, basis.states)
     assert np.abs(h.entries - expected).max() < 1e-12
 
@@ -486,8 +490,8 @@ def test_hamiltonian_linear_in_tensor():
     spectrum = tb.sample_spectrum(params)
     tensor = tb.sample_two_body(params)
     h1 = tb.build_hamiltonian(basis, spectrum, tensor).entries
-    h3 = tb.build_hamiltonian(basis, spectrum, tb.TwoBodyTensor(6, 3.0 * tensor.matrix)).entries
-    h0 = tb.build_hamiltonian(basis, spectrum, tb.TwoBodyTensor(6, 0.0 * tensor.matrix)).entries
+    h3 = tb.build_hamiltonian(basis, spectrum, 3.0 * tensor).entries
+    h0 = tb.build_hamiltonian(basis, spectrum, 0.0 * tensor).entries
     assert np.allclose(h3 - h0, 3.0 * (h1 - h0), atol=1e-12)
 
 

@@ -23,7 +23,7 @@ def synthetic_profile(shape_fn, spacing=0.02, half_span=30.0, center=0.0):
     weights = shape_fn(energies)
     weights = weights / weights.sum()
     e_i = float(weights @ energies)
-    return tb.StrengthProfile(energies=energies, weights=weights, e_i=e_i)
+    return strength.StrengthProfile(energies=energies, weights=weights, e_i=e_i)
 
 
 def rms_width(profile):
@@ -50,7 +50,7 @@ def test_adaptive_bins_take_runs_of_ten_levels(n, bins):
     and half a spacing past the end levels; the heights integrate to the total weight 1."""
     energies = np.arange(n, dtype=float) ** 2 / n   # unequal spacings, so each midpoint is its own
     weights = np.arange(1.0, n + 1) / (n * (n + 1) / 2)
-    profile = tb.StrengthProfile(energies=energies, weights=weights, e_i=float(weights @ energies))
+    profile = strength.StrengthProfile(energies=energies, weights=weights, e_i=float(weights @ energies))
     inner = [0.5 * (energies[a - 1] + energies[a]) for a, _ in bins[1:]]
     edges = np.array([
         energies[0] - 0.5 * (energies[1] - energies[0]), *inner,
@@ -65,7 +65,7 @@ def test_adaptive_bins_take_runs_of_ten_levels(n, bins):
 
 def test_free_fermion_profile_is_delta():
     s = make_system(3, 6, eta=0.0, seed=1, initial=4)
-    profile = tb.strength_function(s.decomp, 4)
+    profile = strength.strength_function(s.decomp, 4)
     assert profile.weights.max() == pytest.approx(1.0, abs=1e-12)
     assert profile.n_pc_ipr() == pytest.approx(1.0, abs=1e-10)
 
@@ -81,7 +81,7 @@ def test_profile_first_moment_is_diagonal_energy(fig2):
 
 def test_profile_rejects_bad_index(fig1):
     with pytest.raises(PreconditionError):
-        tb.strength_function(fig1.decomp, 924)
+        strength.strength_function(fig1.decomp, 924)
 
 
 def test_energy_variance_free_case():
@@ -95,7 +95,7 @@ def test_second_moment_identity(fixture, request):
     s = request.getfixturevalue(fixture)
     rng = np.random.default_rng(7)
     for i in rng.choice(s.basis.size, size=10, replace=False):
-        profile = tb.strength_function(s.decomp, int(i))
+        profile = strength.strength_function(s.decomp, int(i))
         delta = tb.energy_variance(s.h, int(i))
         assert profile.second_central_moment() == pytest.approx(delta**2, rel=1e-8)
 
@@ -103,7 +103,7 @@ def test_second_moment_identity(fixture, request):
 def test_npc_ipr_at_least_one(fig1):
     rng = np.random.default_rng(2)
     for i in rng.choice(fig1.basis.size, size=20, replace=False):
-        assert tb.strength_function(fig1.decomp, int(i)).n_pc_ipr() >= 1.0
+        assert strength.strength_function(fig1.decomp, int(i)).n_pc_ipr() >= 1.0
 
 
 def test_golden_rule_zero_interaction():
@@ -134,7 +134,7 @@ def test_golden_rule_scales_linearly_with_eta():
     tensor = tb.sample_two_body(params)
     gammas = []
     for scale in (1.0, np.sqrt(2.0), 2.0):
-        h = tb.build_hamiltonian(basis, spectrum, tb.TwoBodyTensor(12, scale * tensor.matrix))
+        h = tb.build_hamiltonian(basis, spectrum, scale * tensor)
         diag = h.diagonal()
         i = int(np.argmin(np.abs(diag - np.median(diag))))
         part = tb.classify(basis, int(basis.states[i]))
@@ -145,28 +145,28 @@ def test_golden_rule_scales_linearly_with_eta():
 
 def test_fit_bw_recovers_synthetic_width():
     profile = synthetic_profile(breit_wigner(0.5), spacing=0.005)
-    fit = tb.fit_bw(profile, gamma0=rms_width(profile))
+    fit = strength.fit_bw(profile, gamma0=rms_width(profile))
     assert fit["gamma"] == pytest.approx(0.5, rel=0.05)
     assert fit["center"] == pytest.approx(0.0, abs=0.05)
 
 
 def test_fit_bw_rejects_single_component():
     s = make_system(3, 6, eta=0.0, seed=1, initial=4)
-    profile = tb.strength_function(s.decomp, 4)
+    profile = strength.strength_function(s.decomp, 4)
     with pytest.raises(PreconditionError):
-        tb.fit_bw(profile, gamma0=1.0)
+        strength.fit_bw(profile, gamma0=1.0)
 
 
 @pytest.mark.parametrize("gamma0", [0.0, -1.0, float("nan"), float("inf")])
 def test_fits_refuse_a_start_width_that_is_not_positive_and_finite(fig2, gamma0):
     """Gamma_GR is 0 only without class-1 coupling, and then N_pc < 5 refuses first."""
-    for fit in (tb.fit_bw, tb.fit_hybrid):
+    for fit in (strength.fit_bw, strength.fit_hybrid):
         with pytest.raises(PreconditionError, match="start width"):
             fit(fig2.profile, gamma0=gamma0)
 
 
 def test_fit_bw_consistent_with_golden_rule(fig1):
-    fit = tb.fit_bw(fig1.profile, gamma0=fig1.gamma)
+    fit = strength.fit_bw(fig1.profile, gamma0=fig1.gamma)
     assert abs(fit["gamma"] / fig1.gamma - 1) < 0.40
 
 
@@ -174,7 +174,7 @@ def test_fit_hybrid_recovers_synthetic_parameters():
     profile = synthetic_profile(
         hybrid_shape(1.0, 0.0, 5.8, 10.5), spacing=0.05, half_span=40.0
     )
-    fit = tb.fit_hybrid(profile, gamma0=rms_width(profile))
+    fit = strength.fit_hybrid(profile, gamma0=rms_width(profile))
     assert fit["sigma"] == pytest.approx(5.8, rel=0.10)
     assert fit["gamma"] == pytest.approx(10.5, rel=0.10)
     assert abs(fit["e_c"]) < 0.5
@@ -185,13 +185,13 @@ def test_fit_hybrid_wide_band_limit_matches_bw():
     profile = synthetic_profile(
         hybrid_shape(1.0, 0.0, 20.0, 0.5), spacing=0.005, half_span=30.0
     )
-    bw = tb.fit_bw(profile, gamma0=rms_width(profile))
-    hybrid = tb.fit_hybrid(profile, gamma0=rms_width(profile))
+    bw = strength.fit_bw(profile, gamma0=rms_width(profile))
+    hybrid = strength.fit_hybrid(profile, gamma0=rms_width(profile))
     assert hybrid["gamma"] == pytest.approx(bw["gamma"], rel=0.10)
 
 
 def test_fit_hybrid_normalization_self_consistent(fig2):
-    fit = tb.fit_hybrid(fig2.profile, gamma0=fig2.gamma)
+    fit = strength.fit_hybrid(fig2.profile, gamma0=fig2.gamma)
     assert fit["b_derived"] == pytest.approx(fit["b_fitted"], rel=0.10)
 
 
@@ -215,7 +215,7 @@ def _fit_case(case):
 
 def _bw_agrees_with_scipy(profile, gamma0) -> bool:
     try:
-        fit = tb.fit_bw(profile, gamma0=gamma0)
+        fit = strength.fit_bw(profile, gamma0=gamma0)
     except FitConvergenceError:
         return False
     gamma, center = scipy_bw_fit(profile, gamma0)
@@ -227,7 +227,7 @@ def _bw_agrees_with_scipy(profile, gamma0) -> bool:
 
 def _hybrid_agrees_with_scipy(profile, gamma0) -> bool:
     try:
-        fit = tb.fit_hybrid(profile, gamma0=gamma0)
+        fit = strength.fit_hybrid(profile, gamma0=gamma0)
     except FitConvergenceError:
         return False
     return bool(np.allclose(
@@ -265,7 +265,7 @@ def test_flipped_jacobian_column_fails_the_oracle(monkeypatch):
 
 def test_fit_hybrid_sigma_meets_the_moment_identity(fig2):
     """The fitted shape's second moment about E_i is the profile's, Delta_E^2."""
-    fit = tb.fit_hybrid(fig2.profile, gamma0=fig2.gamma)
+    fit = strength.fit_hybrid(fig2.profile, gamma0=fig2.gamma)
     e = np.linspace(fig2.profile.energies[0], fig2.profile.energies[-1], strength.MOMENT_NODES)
     shape = hybrid_shape(1.0, fit["e_c"], fit["sigma"], fit["gamma"], e_i=fig2.profile.e_i)(e)
     moment = np.trapezoid(shape * (e - fig2.profile.e_i) ** 2, e) / np.trapezoid(shape, e)
@@ -275,8 +275,8 @@ def test_fit_hybrid_sigma_meets_the_moment_identity(fig2):
 
 def test_fit_diagnostics(fig2):
     """Iterations, standard errors and bound flags come with every fit."""
-    bw = tb.fit_bw(fig2.profile, gamma0=fig2.gamma)
-    hybrid = tb.fit_hybrid(fig2.profile, gamma0=fig2.gamma)
+    bw = strength.fit_bw(fig2.profile, gamma0=fig2.gamma)
+    hybrid = strength.fit_hybrid(fig2.profile, gamma0=fig2.gamma)
     assert bw["iterations"] > 0 and hybrid["iterations"] > 0
     assert set(bw["stderr"]) == {"gamma", "center"}
     assert set(hybrid["stderr"]) == {"b_fitted", "gamma"}
@@ -287,7 +287,7 @@ def test_fit_diagnostics(fig2):
 def test_fit_reports_parameter_at_bound():
     """A pure Gaussian drives Gamma to its upper bound, which the fit reports."""
     profile = synthetic_profile(lambda e: np.exp(-e * e / 2), spacing=0.01, half_span=8.0)
-    fit = tb.fit_hybrid(profile, gamma0=1.0)
+    fit = strength.fit_hybrid(profile, gamma0=1.0)
     assert "gamma" in fit["at_bound"]
     assert fit["sigma"] == pytest.approx(1.0, rel=1e-3)
 
@@ -314,7 +314,7 @@ def test_compound_occupations_mid_spectrum_plateau(fig2):
 
 
 def test_spreading_params_bundle(fig2):
-    sp = tb.spreading_params(
+    sp = strength.spreading_params(
         fig2.profile, fig2.delta_e, fig2.gamma, fig2.spacing_mid
     )
     assert sp["n_pc_ipr"] == pytest.approx(fig2.profile.n_pc_ipr(), rel=1e-12)

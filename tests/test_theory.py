@@ -11,6 +11,7 @@ import tbrisim as tb
 from scipy.optimize import brentq
 from tbrisim import theory
 from tbrisim.exceptions import ParameterError, PreconditionError
+from tbrisim.strength import StrengthProfile
 
 from conftest import FIG1_ETA, FIG2_ETA, percentile_occupations, realization_fit_inputs
 from oracles import kernel_density, scipy_fermi_dirac, smoothed_weight_density
@@ -72,14 +73,14 @@ def test_survival_models_require_positive_widths():
 def _ladder_profile(weights):
     """Profile on unit-spaced levels 0..N-1."""
     energies = np.arange(len(weights), dtype=float)
-    return tb.StrengthProfile(energies=energies, weights=weights, e_i=float(weights @ energies))
+    return StrengthProfile(energies=energies, weights=weights, e_i=float(weights @ energies))
 
 
 def test_n_pc_envelope_of_flat_weights_is_n():
     """The kernel mean of a constant is that constant, so 1/N everywhere gives N."""
     n = 300
     profile = _ladder_profile(np.full(n, 1.0 / n))
-    assert tb.n_pc_envelope(profile) == pytest.approx(n, rel=1e-12)
+    assert theory.n_pc_envelope(profile) == pytest.approx(n, rel=1e-12)
 
 
 def test_n_pc_envelope_carries_porter_thomas_factor():
@@ -89,7 +90,7 @@ def test_n_pc_envelope_carries_porter_thomas_factor():
     levels = np.arange(n) - (n - 1) / 2
     weights = np.exp(-0.5 * (levels / (n / 12)) ** 2) * rng.standard_normal(n) ** 2
     weights /= weights.sum()
-    ratio = (weights @ weights) * tb.n_pc_envelope(_ladder_profile(weights)) / 3.0
+    ratio = (weights @ weights) * theory.n_pc_envelope(_ladder_profile(weights)) / 3.0
     assert 0.5 <= ratio <= 2.0
 
 
@@ -102,7 +103,7 @@ def test_n_pc_envelope_matches_density_ratio(fig2):
         energies, energies, bandwidth
     )
     expected = 1.0 / (envelope @ envelope)
-    assert tb.n_pc_envelope(fig2.profile) == pytest.approx(expected, rel=1e-12)
+    assert theory.n_pc_envelope(fig2.profile) == pytest.approx(expected, rel=1e-12)
 
 
 def test_gaussian_model_tracks_exact_survival(fig2):
@@ -134,7 +135,7 @@ def test_deviation_gives_the_prediction_error_and_the_per_point_rms(fig2):
     rms, worst, per_point = tb.prediction_error(s.trajectory.occupations, pred)
     assert worst == float(np.abs(diff).max())
     assert per_point == float(np.sqrt(np.mean(diff**2))) != rms
-    first = tb.ThermalizationPrediction(grid=tb.TimeGrid(pred.grid.points[:1]),
+    first = theory.ThermalizationPrediction(grid=tb.TimeGrid(pred.grid.points[:1]),
                                         occupations=pred.occupations[:, :1])
     assert tb.prediction_error(s.trajectory.occupations[:, :1], first) == (
         float(np.sqrt(np.mean(diff[:, 0] ** 2))), float(np.abs(diff[:, 0]).max()),
@@ -145,7 +146,7 @@ def test_fermi_dirac_recovers_synthetic_parameters():
     eps = np.arange(12.0)
     beta_true, alpha_true = 0.5, 2.75
     ninf = 1.0 / (np.exp(beta_true * eps - alpha_true) + 1.0)
-    fit = tb.fit_fermi_dirac(ninf, eps, n=6)
+    fit = theory.fit_fermi_dirac(ninf, eps, n=6)
     assert fit["beta"] == pytest.approx(beta_true, rel=0.01)
     assert fit["alpha"] == pytest.approx(alpha_true, rel=0.01)
     assert fit["residual"] < 1e-8
@@ -156,7 +157,7 @@ def test_fermi_dirac_constraint_holds():
     rng = np.random.default_rng(1)
     ninf = np.clip(0.5 + 0.2 * rng.standard_normal(12), 0.05, 0.95)
     ninf *= 6.0 / ninf.sum()
-    fit = tb.fit_fermi_dirac(ninf, eps, n=6)
+    fit = theory.fit_fermi_dirac(ninf, eps, n=6)
     filled = 1.0 / (np.exp(fit["beta"] * eps - fit["alpha"]) + 1.0)
     assert filled.sum() == pytest.approx(6.0, abs=1e-8)
 
@@ -165,7 +166,7 @@ def test_fermi_dirac_uniform_is_infinite_temperature():
     """n/m on every level is the interior point beta = 0, alpha = ln(n / (m - n))."""
     eps = np.arange(12.0)
     for n in (6, 3):
-        fit = tb.fit_fermi_dirac(np.full(12, n / 12), eps, n=n)
+        fit = theory.fit_fermi_dirac(np.full(12, n / 12), eps, n=n)
         assert set(fit) == {"beta", "alpha", "residual", "at_bound"}
         assert abs(fit["beta"]) <= 1e-12   # |beta| d0, with d0 = 1
         assert fit["alpha"] == pytest.approx(math.log(n / (12 - n)), abs=1e-12)
@@ -176,7 +177,7 @@ def test_fermi_dirac_uniform_is_infinite_temperature():
 def test_fermi_dirac_step_function_is_cold():
     eps = np.arange(12.0)
     ninf = np.array([1.0] * 6 + [0.0] * 6)
-    fit = tb.fit_fermi_dirac(ninf, eps, n=6)
+    fit = theory.fit_fermi_dirac(ninf, eps, n=6)
     assert fit["beta"] > 20
     assert fit["residual"] < 1e-6
 
@@ -185,14 +186,14 @@ def test_fermi_dirac_flags_a_temperature_at_the_scan_edge():
     """A step ends at beta = +1e3 / d0, the top of the scan; fig1 seed 2, whose
     occupations rise with eps, and fig2 seed 1 end inside it, fig1 seed 2 at beta < 0."""
     eps = np.arange(12.0)
-    step = tb.fit_fermi_dirac(np.array([1.0] * 6 + [0.0] * 6), eps, n=6)
+    step = theory.fit_fermi_dirac(np.array([1.0] * 6 + [0.0] * 6), eps, n=6)
     assert step["beta"] == pytest.approx(1e3, rel=1e-12)
     assert step["at_bound"] == ("beta",)
     for eta, seed, sign in ((FIG1_ETA, 2, -1), (FIG2_ETA, 1, 1)):
         _, _, ninf, spectrum = realization_fit_inputs(eta, seed)
-        fit = tb.fit_fermi_dirac(ninf, spectrum, n=6)
+        fit = theory.fit_fermi_dirac(ninf, spectrum, n=6)
         assert fit["at_bound"] == () and np.sign(fit["beta"]) == sign, (eta, seed, fit)
-    assert tb.fit_fermi_dirac(np.full(12, 0.5), eps, n=6)["at_bound"] == ()
+    assert theory.fit_fermi_dirac(np.full(12, 0.5), eps, n=6)["at_bound"] == ()
 
 
 def test_fermi_dirac_flags_a_misfit_flat_to_the_scan_edge():
@@ -204,7 +205,7 @@ def test_fermi_dirac_flags_a_misfit_flat_to_the_scan_edge():
     unflagged; the flat misfit flags it.
     """
     eps = np.arange(12.0)
-    fit = tb.fit_fermi_dirac(np.array([0.0] * 6 + [1.0] * 6), eps, n=6)
+    fit = theory.fit_fermi_dirac(np.array([0.0] * 6 + [1.0] * 6), eps, n=6)
     one_step = 10 ** (9 / 119)   # ratio of adjacent |beta| in the scan
     assert -1e3 / one_step < fit["beta"] < -1e2
     assert fit["residual"] < 1e-100
@@ -214,7 +215,7 @@ def test_fermi_dirac_flags_a_misfit_flat_to_the_scan_edge():
 def test_fermi_dirac_rejects_length_mismatch():
     eps = np.arange(12.0)
     with pytest.raises(ParameterError):
-        tb.fit_fermi_dirac(np.full(6, 0.5), eps, n=6)
+        theory.fit_fermi_dirac(np.full(6, 0.5), eps, n=6)
 
 
 def test_fermi_dirac_rejects_out_of_range():
@@ -223,22 +224,22 @@ def test_fermi_dirac_rejects_out_of_range():
         bad = np.full(12, 0.5)
         bad[0] = value
         with pytest.raises(PreconditionError):
-            tb.fit_fermi_dirac(bad, eps, n=6)
+            theory.fit_fermi_dirac(bad, eps, n=6)
 
 
 def test_fermi_dirac_rejects_equal_energies():
     """Equal orbital energies have no level spacing to scale beta by."""
     with pytest.raises(PreconditionError):
-        tb.fit_fermi_dirac(np.full(12, 0.5), np.full(12, 2.0), n=6)
+        theory.fit_fermi_dirac(np.full(12, 0.5), np.full(12, 2.0), n=6)
 
 
 @pytest.mark.parametrize("case", ["noisy", "fig2-seed1"])
 def test_fermi_dirac_does_not_depend_on_the_order_of_the_levels(case):
     """Permuting (occupations, energies) together, or reversing both, gives the same record."""
     ninf, eps = _fermi_dirac_case(case)
-    fit = tb.fit_fermi_dirac(ninf, eps, n=6)
+    fit = theory.fit_fermi_dirac(ninf, eps, n=6)
     for order in (np.random.default_rng(0).permutation(12), np.arange(12)[::-1]):
-        other = tb.fit_fermi_dirac(ninf[order], eps[order], n=6)
+        other = theory.fit_fermi_dirac(ninf[order], eps[order], n=6)
         assert other["beta"] == pytest.approx(fit["beta"], rel=1e-12)
         assert other["alpha"] == pytest.approx(fit["alpha"], rel=1e-12)
         assert other["residual"] == pytest.approx(fit["residual"], rel=1e-12)
@@ -256,8 +257,8 @@ def test_fermi_dirac_fits_occupations_rising_with_energy(eta, seed):
     """
     occupations, spectrum = percentile_occupations(eta, seed, (75, 90))
     for ninf in occupations:
-        fit = tb.fit_fermi_dirac(ninf, spectrum, n=6)
-        mirrored = tb.fit_fermi_dirac(ninf[::-1], spectrum, n=6)
+        fit = theory.fit_fermi_dirac(ninf, spectrum, n=6)
+        mirrored = theory.fit_fermi_dirac(ninf[::-1], spectrum, n=6)
         assert fit["beta"] < 0 and fit["at_bound"] == ()
         assert mirrored["beta"] == pytest.approx(-fit["beta"], rel=1e-9)
         assert abs(mirrored["residual"] - fit["residual"]) <= 1e-15
@@ -313,7 +314,7 @@ def test_fermi_dirac_matches_scipy(case):
     have their minimum at beta < 0.
     """
     ninf, spectrum = _fermi_dirac_case(case)
-    fit = tb.fit_fermi_dirac(ninf, spectrum, n=6)
+    fit = theory.fit_fermi_dirac(ninf, spectrum, n=6)
     beta, alpha, residual = scipy_fermi_dirac(ninf, spectrum, 6)
     assert fit["residual"] <= residual + 1e-14
     assert fit["beta"] == pytest.approx(beta, rel=1e-5)
