@@ -26,7 +26,6 @@ sum_k w_k^2.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +37,6 @@ from .spectral import EigenDecomposition
 from .strength import strength_function
 
 UNITARITY_TOL = 1e-10
-ROW_BLOCK = 256
 _NODE_EPS = np.finfo(float).eps   # target of the Chebyshev truncation bound
 
 
@@ -325,38 +323,21 @@ def survival_probability(decomp: EigenDecomposition, i: int, grid) -> np.ndarray
     return parts[0::2] ** 2 + parts[1::2] ** 2
 
 
-_COMPOUND_OCCUPATIONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def compound_occupations(decomp: EigenDecomposition, basis: Basis) -> np.ndarray:
-    """(m, N) read-only n_alpha^(k) = sum_f [alpha in f] C_f(k)^2 of every eigenstate k, summed
-    in ``ROW_BLOCK`` rows (no N x N square) once per decomposition and (n, m), kept while it is."""
-    key, cached = _COMPOUND_OCCUPATIONS.get(decomp, (None, None))
-    if key == (basis.n, basis.m):
-        return cached
-    occupied, table = occupancy_matrix(basis), np.zeros((basis.m, decomp.size))
-    for lo in range(0, decomp.size, ROW_BLOCK):
-        table += occupied[:, lo : lo + ROW_BLOCK] @ decomp.vectors[lo : lo + ROW_BLOCK] ** 2
-    table.flags.writeable = False
-    _COMPOUND_OCCUPATIONS[decomp] = ((basis.n, basis.m), table)
-    return table
-
-
 def _check_state(decomp: EigenDecomposition, basis: Basis, i: int) -> None:
-    """``check_index``, and PreconditionError unless ``basis`` has the decomposition's N
-    states (of another (n, m) with as many, it is not caught: the decomposition keeps none)."""
+    """``check_index``, and PreconditionError unless ``basis`` has the (n, m) of the
+    decomposition's basis."""
     check_index(i, decomp.size)
-    if basis.size != decomp.size:
-        raise PreconditionError(
-            f"basis of {basis.size} states for a decomposition of {decomp.size}")
+    if (basis.n, basis.m) != (decomp.basis.n, decomp.basis.m):
+        raise PreconditionError(f"basis of (n, m) = ({basis.n}, {basis.m}) for a decomposition "
+                                f"of ({decomp.basis.n}, {decomp.basis.m})")
 
 
 def asymptotic_occupations(decomp: EigenDecomposition, i: int, basis: Basis) -> np.ndarray:
     """Diagonal ensemble n_alpha(inf) = sum_k C_i(k)^2 n_alpha^(k): the compound-state
     occupations weighted by the strength function of i (Flambaum & Izrailev, PRE 56,
-    5144 (1997)); O(mN) once ``compound_occupations`` holds the decomposition's table."""
+    5144 (1997)); O(mN) once the decomposition holds its ``compound_occupations``."""
     _check_state(decomp, basis, i)
-    return compound_occupations(decomp, basis) @ decomp.vectors[i] ** 2
+    return decomp.compound_occupations @ decomp.vectors[i] ** 2
 
 
 def simulate_trajectory(

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
+from .basis import Basis, occupancy_matrix
 from .exceptions import EigensolverError, InsufficientStatisticsError, PreconditionError
 from .hamiltonian import HamiltonianMatrix
 
@@ -21,21 +23,24 @@ MIN_WINDOW_LEVELS = 10
 # Columns gauged at a time: abs() and argmax's transposed copy stay N x 64,
 # not N x N (halves the gauge at N=3432, where those copies page-fault).
 GAUGE_BLOCK = 64
+# Rows of V squared at a time in the compound-occupation table: no N x N square.
+ROW_BLOCK = 256
 
 
 @dataclass(frozen=True, eq=False)
 class EigenDecomposition:
-    """Eigenvalues (ascending) and the orthonormal eigenvector matrix.
+    """Eigenvalues (ascending), the orthonormal eigenvector matrix and the basis of both.
 
-    Column k of ``vectors`` holds the components of eigenstate k over the
-    basis; row f holds the expansion of basis state f over eigenstates.
+    Column k of ``vectors`` holds the components of eigenstate k over ``basis``;
+    row f holds the expansion of basis state f over eigenstates.
     ``diagonalize`` also records its two probe residuals (see
     ``_check_decomposition``); a decomposition built another way has None.
-    Equality is identity, so tables derived from it can be kept weakly beside it.
+    Equality is identity.
     """
 
     energies: np.ndarray
     vectors: np.ndarray
+    basis: Basis
     orthonormality_residual: float | None = None
     reconstruction_residual: float | None = None
 
@@ -43,18 +48,29 @@ class EigenDecomposition:
     def size(self) -> int:
         return len(self.energies)
 
+    @functools.cached_property
+    def compound_occupations(self) -> np.ndarray:
+        """(m, N) read-only n_alpha^(k) = sum_f [alpha in f] C_f(k)^2 of every eigenstate k,
+        summed in ``ROW_BLOCK`` rows on first use and kept with the decomposition."""
+        occupied, table = occupancy_matrix(self.basis), np.zeros((self.basis.m, self.size))
+        for lo in range(0, self.size, ROW_BLOCK):
+            table += occupied[:, lo : lo + ROW_BLOCK] @ self.vectors[lo : lo + ROW_BLOCK] ** 2
+        table.flags.writeable = False
+        return table
 
-def diagonalize(h: HamiltonianMatrix | np.ndarray) -> EigenDecomposition:
-    """Full symmetric eigendecomposition with a fixed sign gauge.
+
+def diagonalize(h: HamiltonianMatrix) -> EigenDecomposition:
+    """Full symmetric eigendecomposition of H over its basis, with a fixed sign gauge.
 
     The gauge makes the largest-magnitude component of every eigenvector
     positive, so repeated runs and dumps are reproducible; the flip is done
     in place, in blocks of columns.  Orthonormality and reconstruction are
     then verified in O(N^2) by ``_check_decomposition``.
     """
-    matrix = h.entries if isinstance(h, HamiltonianMatrix) else np.asarray(h, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise PreconditionError(f"expected a square matrix, got shape {matrix.shape}")
+    matrix, size = h.entries, h.basis.size
+    if matrix.shape != (size, size):
+        raise PreconditionError(f"expected a {size} x {size} matrix for the basis, "
+                                f"got shape {matrix.shape}")
     if not np.all(np.isfinite(matrix)):
         raise PreconditionError("matrix contains non-finite entries")
     try:
@@ -70,7 +86,7 @@ def diagonalize(h: HamiltonianMatrix | np.ndarray) -> EigenDecomposition:
 
     ortho, recon = _check_decomposition(matrix, energies, vectors)
     return EigenDecomposition(
-        energies=energies, vectors=vectors,
+        energies=energies, vectors=vectors, basis=h.basis,
         orthonormality_residual=ortho, reconstruction_residual=recon,
     )
 

@@ -65,11 +65,12 @@ def energy_variance(h: HamiltonianMatrix, i: int) -> float:
     """Delta_E: root of the off-diagonal row sum, sum_{f != i} H_if^2.
 
     This equals the exact second central moment of the strength function of
-    state i, by the operator identity <i|H^2|i> - H_ii^2 = sum_f H_if^2.
+    state i, by the operator identity <i|H^2|i> - H_ii^2 = sum_f H_if^2, summed
+    without H_ii^2: subtracting it from the full sum would cancel a weak coupling away.
     """
     check_index(i, h.basis.size)
     row = h.entries[i]
-    return float(np.sqrt(row @ row - row[i] ** 2))
+    return float(np.sqrt(row[:i] @ row[:i] + row[i + 1 :] @ row[i + 1 :]))
 
 
 def golden_rule_gamma(h: HamiltonianMatrix, partition: ClassPartition, i: int) -> float:
@@ -256,9 +257,9 @@ def _moment_sigma(u, weights, gamma, target, bounds):
     distances ``u`` from E_i, f the normalized shape.  With both factors
     centred on E_i, d(m2)/d(log sigma) = Var_f(u) / sigma^2 > 0: the root is
     unique, and Newton's method in log sigma, kept inside a bisection
-    bracket, finds it.  Returns sigma, d(log sigma)/d(log Gamma) by the
-    implicit function theorem (0 when sigma sits on a bound), and whether
-    it does.
+    bracket, finds it; where the slope rounds to 0 (a shape on one node) it
+    bisects.  Returns sigma, d(log sigma)/d(log Gamma) by the implicit function
+    theorem (0 on a bound or a zero slope), and whether sigma sits on a bound.
     """
 
     def moments(t):
@@ -281,14 +282,14 @@ def _moment_sigma(u, weights, gamma, target, bounds):
         else:
             lo = t
         dm_dt = slope(u / np.exp(2 * t))
-        t_new = t - (m2 - target) / dm_dt
+        t_new = t - (m2 - target) / dm_dt if dm_dt > 0 else 0.5 * (lo + hi)
         if not lo <= t_new <= hi:
             t_new = 0.5 * (lo + hi)
         if abs(t_new - t) <= 4 * np.finfo(float).eps * (1 + abs(t)):
             break
         t = t_new
     dlog_shape_dlg = -(gamma**2 / 2) / (u + gamma**2 / 4)
-    return float(np.exp(t)), float(-slope(dlog_shape_dlg) / dm_dt), False
+    return float(np.exp(t)), float(-slope(dlog_shape_dlg) / dm_dt if dm_dt > 0 else 0.0), False
 
 
 def fit_hybrid(profile: StrengthProfile, *, gamma0: float) -> dict:

@@ -15,6 +15,7 @@ import tbrisim as tb
 from tbrisim.basis import occupancy_matrix
 from tbrisim.dynamics import survival_probability
 from tbrisim.exceptions import ParameterError, PreconditionError
+from tbrisim.hamiltonian import HamiltonianMatrix
 from tbrisim.spectral import EigenDecomposition
 from tbrisim.strength import strength_function
 
@@ -448,7 +449,8 @@ def test_grid_time_on_a_node_takes_the_node_value(small_3_6):
 
 def test_unitarity_guard_rejects_non_orthonormal_vectors(small_3_6):
     s = small_3_6
-    bad = EigenDecomposition(energies=s.decomp.energies, vectors=s.decomp.vectors * 1.001)
+    bad = EigenDecomposition(energies=s.decomp.energies, vectors=s.decomp.vectors * 1.001,
+                             basis=s.basis)
     with pytest.raises(PreconditionError, match="unitarity"):
         tb.evolve_amplitudes(bad, s.i, s.grid)
     with pytest.raises(PreconditionError, match="unitarity"):
@@ -460,7 +462,8 @@ def test_unitarity_guard_sees_a_small_drift_on_an_interpolated_prefix(small_3_6)
     whose prefix is reduced at the K2 nodes and interpolated still refuses them, on the
     fixture grid (s > 0 and a tail) and on one interpolated whole (s = T, no tail)."""
     s = small_3_6
-    bad = EigenDecomposition(energies=s.decomp.energies, vectors=s.decomp.vectors * (1 + 1e-9))
+    bad = EigenDecomposition(energies=s.decomp.energies, vectors=s.decomp.vectors * (1 + 1e-9),
+                             basis=s.basis)
     whole = np.linspace(0.0, 1.0, 400)
     assert 0 < s.trajectory.interpolated_points < len(s.grid)
     assert tb.dynamics._plan(s.decomp.energies, whole)[0] == len(whole)
@@ -521,7 +524,7 @@ def test_compound_occupations_match_the_oracle(fixture, request):
     """Every column k is the eigenstate-k occupations of the one-column oracle, within
     (N - 1) eps (two sums of N non-negative terms <= 1), and sums to n."""
     s = request.getfixturevalue(fixture)
-    table = tb.dynamics.compound_occupations(s.decomp, s.basis)
+    table = s.decomp.compound_occupations
     assert table.shape == (s.basis.m, s.decomp.size) and not table.flags.writeable
     bound = (s.decomp.size - 1) * np.finfo(float).eps
     for k in range(s.decomp.size):
@@ -530,21 +533,27 @@ def test_compound_occupations_match_the_oracle(fixture, request):
 
 
 def test_compound_occupations_are_kept_per_decomposition(small_2_4, small_3_6):
-    """Two decompositions used alternately keep their own tables; a table does not keep
-    its decomposition alive."""
+    """Two decompositions used alternately keep their own tables, each computed once on
+    first use; a table is read-only, the attribute cannot be replaced, and the table is
+    freed with its decomposition."""
     tables = {}
     for s in (small_2_4, small_3_6, small_2_4, small_3_6):
-        table = tb.dynamics.compound_occupations(s.decomp, s.basis)
+        table = s.decomp.compound_occupations
         assert tables.setdefault(id(s), table) is table
         assert table.shape == (s.basis.m, s.decomp.size)
-    decomp = EigenDecomposition(small_3_6.decomp.energies, small_3_6.decomp.vectors.copy())
-    first = tb.dynamics.compound_occupations(decomp, small_3_6.basis)
-    assert tb.dynamics.compound_occupations(decomp, small_3_6.basis) is first
+    decomp = EigenDecomposition(small_3_6.decomp.energies, small_3_6.decomp.vectors.copy(),
+                                small_3_6.basis)
+    first = decomp.compound_occupations
+    assert decomp.compound_occupations is first
     assert first is not tables[id(small_3_6)]
-    ref = weakref.ref(decomp)
-    del decomp
+    with pytest.raises(ValueError):
+        first[0, 0] = 1.0
+    with pytest.raises(AttributeError):
+        decomp.compound_occupations = first.copy()
+    refs = weakref.ref(decomp), weakref.ref(first)
+    del decomp, first
     gc.collect()
-    assert ref() is None
+    assert all(ref() is None for ref in refs)
 
 
 def test_mid_grid_prefix_and_direct_grid_match_the_oracles(small_3_6, monkeypatch):
@@ -626,7 +635,8 @@ def test_survival_time_reversal(fig1):
     """W0(-t) = W0(t): W0 at -t is W0 of the mirrored spectrum -E at t."""
     times = np.array([0.3, 1.7, 4.0])
     forward = survival_probability(fig1.decomp, fig1.i, times)
-    mirrored = EigenDecomposition(-fig1.decomp.energies[::-1], fig1.decomp.vectors[:, ::-1])
+    mirrored = EigenDecomposition(-fig1.decomp.energies[::-1], fig1.decomp.vectors[:, ::-1],
+                                  fig1.basis)
     backward = survival_probability(mirrored, fig1.i, times)
     assert np.abs(forward - backward).max() < 1e-12
 
@@ -717,7 +727,8 @@ def test_late_time_mean_of_w0_is_the_exact_floor(fixture, request):
 def test_average_survival_on_a_two_level_matrix():
     """W0 = 1 - 2 w0 w1 (1 - cos((E1 - E0) t)) has mean w0^2 + w1^2, to the rounding of
     the two-term sum."""
-    decomp = tb.diagonalize(np.array([[0.3, 0.4], [0.4, -0.2]]))
+    decomp = tb.diagonalize(HamiltonianMatrix(np.array([[0.3, 0.4], [0.4, -0.2]]),
+                                              tb.build_basis(1, 2)))
     w = decomp.vectors[0] ** 2
     exact = w[0] ** 2 + w[1] ** 2
     assert abs(tb.dynamics.average_survival(decomp, 0) - exact) <= np.finfo(float).eps * exact
@@ -786,16 +797,19 @@ def test_a_numpy_integer_is_a_basis_index(small_3_6, name):
 
 @pytest.mark.parametrize("name", ["asymptotic_occupations", "simulate_trajectory"])
 def test_a_basis_of_another_size_is_refused(small_3_6, name):
-    """A basis of another N than the decomposition's raises PreconditionError before any
-    product, not numpy's ValueError from inside matmul."""
-    s, other = small_3_6, tb.build_basis(2, 6)   # 15 states, against 20
-    call = {
-        "asymptotic_occupations": lambda: tb.asymptotic_occupations(s.decomp, s.i, other),
-        "simulate_trajectory": lambda: tb.simulate_trajectory(s.decomp, other, s.partition, s.i,
-                                                              s.grid),
-    }[name]
-    with pytest.raises(PreconditionError, match="basis of 15 states for a decomposition of 20"):
-        call()
+    """A basis of another (n, m) than the decomposition's raises PreconditionError before
+    any product: of another N, not numpy's ValueError from inside matmul, and of the same
+    N = 20, not m = 20 "occupations" that sum to 1."""
+    s = small_3_6
+    for other in (tb.build_basis(2, 6), tb.build_basis(1, 20)):   # 15 and 20 states
+        call = {
+            "asymptotic_occupations": lambda: tb.asymptotic_occupations(s.decomp, s.i, other),
+            "simulate_trajectory": lambda: tb.simulate_trajectory(s.decomp, other, s.partition,
+                                                                  s.i, s.grid),
+        }[name]
+        with pytest.raises(PreconditionError, match=rf"basis of \(n, m\) = \({other.n}, "
+                                                    rf"{other.m}\) for a decomposition of \(3, 6\)"):
+            call()
 
 
 @pytest.mark.parametrize("order", ["descending", "shuffled", "negative", "repeated"])

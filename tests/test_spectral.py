@@ -8,6 +8,7 @@ import pytest
 import tbrisim as tb
 from tbrisim import spectral
 from tbrisim.exceptions import EigensolverError, InsufficientStatisticsError, PreconditionError
+from tbrisim.hamiltonian import HamiltonianMatrix
 from tbrisim.spectral import ORTHONORMALITY_TOL, PROBE_MARGIN, RECONSTRUCTION_TOL
 
 from oracles import exact_eigen_residuals, windowed_mid_spacing
@@ -16,14 +17,14 @@ FIXTURES = ("small_2_4", "small_3_6", "fig1", "fig2")
 
 
 def test_one_by_one():
-    d = tb.diagonalize(np.array([[2.5]]))
+    d = tb.diagonalize(HamiltonianMatrix(np.array([[2.5]]), tb.build_basis(1, 1)))
     assert d.energies.tolist() == [2.5]
     assert d.vectors.tolist() == [[1.0]]
 
 
 def test_two_by_two_analytic():
     a, b = 1.0, 0.25
-    d = tb.diagonalize(np.array([[a, b], [b, a]]))
+    d = tb.diagonalize(HamiltonianMatrix(np.array([[a, b], [b, a]]), tb.build_basis(1, 2)))
     assert np.allclose(d.energies, [a - b, a + b], atol=1e-14)
     inv_sqrt2 = 1 / np.sqrt(2)
     assert np.allclose(np.abs(d.vectors), inv_sqrt2, atol=1e-14)
@@ -70,15 +71,21 @@ def test_diagonalize_deterministic(small_3_6):
 
 
 def test_diagonalize_rejects_bad_input():
+    """A matrix that is not N x N for its basis of N states, square or not, or one with a
+    non-finite entry, is refused before eigh."""
+    two = tb.build_basis(1, 2)
     with pytest.raises(PreconditionError):
-        tb.diagonalize(np.ones((2, 3)))
+        tb.diagonalize(HamiltonianMatrix(np.ones((2, 3)), two))
+    with pytest.raises(PreconditionError, match="expected a 2 x 2 matrix for the basis"):
+        tb.diagonalize(HamiltonianMatrix(np.eye(3), two))
     with pytest.raises(PreconditionError):
-        tb.diagonalize(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        tb.diagonalize(HamiltonianMatrix(np.array([[np.nan, 0.0], [0.0, 1.0]]), two))
 
 
 def test_stats_equidistant_spectrum():
-    energies = np.arange(101, dtype=float) * 0.5
-    decomp = spectral.EigenDecomposition(energies=energies, vectors=np.eye(101))
+    energies = np.arange(66, dtype=float) * 0.5   # 66 levels: the basis of 2 on 12 orbitals
+    decomp = spectral.EigenDecomposition(energies=energies, vectors=np.eye(66),
+                                         basis=tb.build_basis(2, 12))
     assert spectral.spectral_stats(decomp) == pytest.approx(0.5, rel=1e-12)
 
 
@@ -105,7 +112,8 @@ def test_mid_spacing_bytes_unchanged_by_the_shared_helper(request, name):
 
 
 def test_stats_needs_three_levels():
-    decomp = spectral.EigenDecomposition(energies=np.array([0.0, 1.0]), vectors=np.eye(2))
+    decomp = spectral.EigenDecomposition(energies=np.array([0.0, 1.0]), vectors=np.eye(2),
+                                         basis=tb.build_basis(1, 2))
     with pytest.raises(PreconditionError):
         spectral.spectral_stats(decomp)
 
@@ -154,7 +162,8 @@ def test_probe_check_rejects_what_the_exact_check_rejects(request, name, kind):
     system = request.getfixturevalue(name)
     h, energies, vectors = _mutate(kind, system.h.entries, system.decomp.energies,
                                    system.decomp.vectors)
-    ortho, recon = exact_eigen_residuals(h, spectral.EigenDecomposition(energies, vectors))
+    ortho, recon = exact_eigen_residuals(h, spectral.EigenDecomposition(energies, vectors,
+                                                                        system.basis))
     assert ortho > ORTHONORMALITY_TOL or recon > RECONSTRUCTION_TOL
     with pytest.raises(EigensolverError) as caught:
         spectral._check_decomposition(h, energies, vectors)
@@ -163,8 +172,8 @@ def test_probe_check_rejects_what_the_exact_check_rejects(request, name, kind):
 
 @pytest.mark.parametrize("name", ["small_3_6", "fig2"])
 def test_in_place_gauge_matches_the_copying_gauge_bitwise(request, name):
-    h = request.getfixturevalue(name).h.entries
-    energies, vectors = np.linalg.eigh(h)
+    h = request.getfixturevalue(name).h
+    energies, vectors = np.linalg.eigh(h.entries)
     lead = np.argmax(np.abs(vectors), axis=0)
     flip = vectors[lead, np.arange(vectors.shape[1])] < 0
     copied = vectors * np.where(flip, -1.0, 1.0)
@@ -174,5 +183,6 @@ def test_in_place_gauge_matches_the_copying_gauge_bitwise(request, name):
 
 
 def test_residuals_default_to_none():
-    decomp = spectral.EigenDecomposition(energies=np.array([0.0, 1.0]), vectors=np.eye(2))
+    decomp = spectral.EigenDecomposition(energies=np.array([0.0, 1.0]), vectors=np.eye(2),
+                                         basis=tb.build_basis(1, 2))
     assert decomp.orthonormality_residual is None and decomp.reconstruction_residual is None

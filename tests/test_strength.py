@@ -89,6 +89,19 @@ def test_energy_variance_free_case():
     assert tb.energy_variance(s.h, 0) == 0.0
 
 
+def test_energy_variance_keeps_a_weak_coupling():
+    """At eta 1e-16 the couplings of (3, 6) are ~1e-8 against H_ii = 7: H_ii^2 subtracted
+    from the full row sum cancels their squares to 0.  The off-diagonal sum is the one with the
+    diagonal deleted, summed in another order: each of the two sums of N - 1 squares is
+    within (N - 1) eps relative of the exact one, so their roots agree within N eps."""
+    s = make_system(3, 6, eta=1e-16, seed=1)
+    off = np.delete(s.h.entries[s.i], s.i)
+    expected = float(np.sqrt(off @ off))
+    delta = tb.energy_variance(s.h, s.i)
+    assert delta > 0
+    assert abs(delta - expected) <= s.basis.size * np.finfo(float).eps * expected
+
+
 @pytest.mark.parametrize("fixture", ["fig1", "fig2"])
 def test_second_moment_identity(fixture, request):
     """Profile variance equals the off-diagonal row norm, row by row."""
@@ -271,6 +284,16 @@ def test_fit_hybrid_sigma_meets_the_moment_identity(fig2):
     moment = np.trapezoid(shape * (e - fig2.profile.e_i) ** 2, e) / np.trapezoid(shape, e)
     assert moment == pytest.approx(fig2.delta_e**2, rel=1e-8)
     assert fit["sigma"] >= fig2.delta_e
+
+
+def test_fit_hybrid_bisects_where_the_moment_has_no_slope():
+    """At eta 1e-10 (fig2 basis, seed 1) the shape collapses onto one moment node near the
+    lower sigma bound, where d(m2)/d(log sigma) rounds to 0: the solver bisects there
+    instead of dividing by it (a RuntimeWarning is an error in this suite)."""
+    profile, gamma, *_ = realization_fit_inputs(1e-10, 1)
+    fit = strength.fit_hybrid(profile, gamma0=gamma)
+    assert np.isfinite(fit["sigma"]) and fit["sigma"] >= np.sqrt(profile.second_central_moment())
+    assert np.isfinite(fit["gamma"]) and fit["gamma"] > 0
 
 
 def test_fit_diagnostics(fig2):
