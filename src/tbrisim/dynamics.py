@@ -5,22 +5,20 @@ written as c_k = C_i(k), the amplitude on basis state f at time t is
 
     A_f(t) = sum_k c_k C_f(k) exp(-i E_k t)        (hbar = 1).
 
-``evolve_amplitudes`` evaluates every grid time directly, in one time-major
-GEMM, phase rows times V^T.  Every phase row, cos and sin alike, comes from
-one tangent of the half angle (``_sincos``), within a stated few eps of the
-exact values.
-Occupation numbers, the survival probability W0 and cascade-class
-populations are reductions of |A_f(t)|^2, real and even in t.  On a prefix
-[t_1, t_s] of the grid ``simulate_trajectory`` evaluates the centred sum
-exp(i c t) A_f(t), whose values at -t are the conjugates of those at t, at
-the non-negative half of K first-kind Chebyshev nodes of [-t_s, t_s], carries
-it to K2 nodes of twice the bandwidth, reduces there and interpolates the
-reduced rows (``_reduce``); the rest of the grid, where a log grid is sparse,
-is evaluated directly in the same GEMM.  The split follows from a cost estimate
-(``_plan``), K and K2 from stated a-priori bounds of ~eps.
-The diagonal-ensemble (infinite-time) occupations derive from the
-occupations of the eigenstates, and the infinite-time mean of W0 is
-sum_k w_k^2.
+Every phase row, scaled by C_i(k) (``_phase_rows``), comes from one tangent of the
+half angle (``_sincos``), within a stated few eps of the exact values; times V^T in
+one time-major GEMM they give ``evolve_amplitudes``, times C_i the survival amplitude.
+Occupation numbers, the survival probability W0 and cascade-class populations are
+reductions of |A_f(t)|^2, real and even in t.  On a prefix [t_1, t_s] of the grid
+``simulate_trajectory`` evaluates the centred sum exp(i c t) A_f(t), whose values at
+-t are the conjugates of those at t, at the ceil(K/2) first-kind Chebyshev nodes >= 0
+of [-t_s, t_s], carries it to the K2 nodes >= 0 of twice the bandwidth, reduces there
+and interpolates the reduced rows (``_reduce``), by the folded weights of those half
+grids (``_folded``); the rest of the grid, where a log grid is sparse, is evaluated
+directly in the same GEMM.  The split follows from a cost estimate (``_plan``), K and
+K2 from stated a-priori bounds of ~eps.  The diagonal-ensemble (infinite-time)
+occupations derive from the occupations of the eigenstates, and the infinite-time mean
+of W0 is sum_k w_k^2.
 """
 
 from __future__ import annotations
@@ -166,66 +164,49 @@ def _plan(energies: np.ndarray, times: np.ndarray) -> tuple[int, int]:
     return best, int(counts[best])
 
 
-def _chebyshev_nodes(radius: float, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """First-kind Chebyshev nodes on [-radius, radius] and their barycentric weights.
+def _folded(radius: float, count: int, targets: np.ndarray):
+    """The ceil(K/2) first-kind Chebyshev nodes >= 0 of [-radius, radius], descending, with
+    the (ceil(K/2), T) and (K//2, T) weights L_j + L_mirror(j) and L_j - L_mirror(j) that
+    carry an even and an odd function from its values there to the ``targets`` >= 0.
 
-    Descending and exactly symmetric: node K-1-j is -node j, an odd K has 0.0
-    in the middle, and mirrored weights differ at most in sign.
+    Node x_j has the barycentric weight w_j = (-1)^j sin((2j + 1) pi / 2K), its mirror -x_j
+    (-1)^(K-1) w_j (Berrut & Trefethen, SIAM Rev. 46, 501 (2004)); an odd K's node 0.0 is
+    its own mirror, entered once with no odd row.  A target on a node keeps that node's
+    unit column in both sets, an odd part of zero at the node 0.0.
     """
-    angles = (2 * np.arange((count + 1) // 2) + 1) * np.pi / (2 * count)
-    half = radius * np.cos(angles)
-    half[count // 2 :] = 0.0
-    nodes = np.concatenate((half, -half[: count // 2][::-1]))
-    weights = np.concatenate((np.sin(angles), np.sin(angles[: count // 2])[::-1]))
+    even, odd = (count + 1) // 2, count // 2
+    angles = (2 * np.arange(even) + 1) * np.pi / (2 * count)
+    nodes, weights = radius * np.cos(angles), np.sin(angles)
+    nodes[odd:] = 0.0
     weights[1::2] *= -1.0
-    return nodes, weights
-
-
-def _lagrange_matrix(nodes: np.ndarray, weights: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """(K, T) barycentric Lagrange weights carrying node values to ``times``.
-
-    A time that equals a node exactly gets that node's unit column.
-    """
-    offsets = times - nodes[:, None]
+    offsets = targets - nodes[:, None]
     exact = offsets == 0.0
     offsets[exact] = 1.0
-    lagrange = weights[:, None] / offsets
-    lagrange /= lagrange.sum(axis=0)
+    near = weights[:, None] / offsets
+    far = (-1.0) ** (count - 1) * weights[:odd, None] / (targets + nodes[:odd, None])
+    scale = near.sum(axis=0) + far.sum(axis=0)
+    folded, far = near / scale, far / scale
+    odd_part = folded[:odd] - far
+    folded[:odd] += far
     hits = exact.any(axis=0)
-    lagrange[:, hits] = exact[:, hits]
-    return lagrange
+    folded[:, hits], odd_part[:, hits] = exact[:, hits], exact[:odd, hits]
+    return nodes, folded, odd_part
 
 
-def _folded(nodes: np.ndarray, weights: np.ndarray, times: np.ndarray):
-    """(ceil(K/2), T) and (K//2, T) weights L_j + L_mirror(j) and L_j - L_mirror(j): they
-    carry an even and an odd function from its values at the nodes >= 0 to ``times``.
+def _phase_rows(decomp: EigenDecomposition, i: int, nodes: np.ndarray, sines: int, times):
+    """(len(nodes) + sines + 2T, N) phase rows scaled by C_i(k): cos at the ``nodes``, sin at
+    the first ``sines`` of them (with the energies centred at c), then cos, -sin per time.
 
-    A time on a node keeps that node's unit column: the middle node of an odd K is
-    its own mirror, so its column is 2 L_j halved, exactly.
+    Each pair of row sets is one ``_sincos`` of the half angles.  Times V^T they are the
+    node values and the amplitudes; times C_i, the survival amplitude's parts.
     """
-    even, odd = (len(nodes) + 1) // 2, len(nodes) // 2
-    lagrange = _lagrange_matrix(nodes, weights, times)
-    mirror = lagrange[::-1]
-    folded, odd_part = lagrange[:even] + mirror[:even], lagrange[:odd] - mirror[:odd]
-    folded[odd:] *= 0.5
-    return folded, odd_part
-
-
-def _node_values(decomp: EigenDecomposition, i: int, nodes: np.ndarray, tail_times: np.ndarray):
-    """The one GEMM: the (K + 2T', N) rows of node cos | node sin | tail cos, -sin per time,
-    times V^T, for the K ``nodes`` and the T' ``tail_times``.
-
-    Each pair of row sets is one ``_sincos`` of the half angles of the nodes >= 0 (with
-    the energies centred at c) or of the tail; the rows are scaled by C_i(k) and
-    released after the product.  With no nodes every time is a tail time.
-    """
-    energies, count = decomp.energies, len(nodes)
-    centre, even = 0.5 * (energies.max() + energies.min()), (count + 1) // 2
-    phases = np.empty((count + 2 * len(tail_times), decomp.size))
-    _sincos(np.outer(0.5 * nodes[:even], centre - energies), phases[:even], phases[even:count])
-    _sincos(np.outer(0.5 * tail_times, -energies), phases[count::2], phases[count + 1 :: 2])
+    energies, cosines = decomp.energies, len(nodes)
+    count, centre = cosines + sines, 0.5 * (energies.max() + energies.min())
+    phases = np.empty((count + 2 * len(times), decomp.size))
+    _sincos(np.outer(0.5 * nodes, centre - energies), phases[:cosines], phases[cosines:count])
+    _sincos(np.outer(0.5 * times, -energies), phases[count::2], phases[count + 1 :: 2])
     phases *= decomp.vectors[i]
-    return phases @ decomp.vectors.T   # (K + 2T') x N x N
+    return phases
 
 
 def _checked_drift(norms: np.ndarray) -> float:
@@ -245,15 +226,15 @@ def _reduce(
     even in t (A_f(-t) = conj A_f(t)) and band-limited to [-W, W], W = E_max - E_min.
     So on the prefix they are interpolated after the reduction, on K2 first-kind
     Chebyshev nodes of [-t_s, t_s], K2 from the criterion of ``_node_count`` at
-    omega' = W t_s.  The barycentric Lagrange weights of the K nodes (Berrut &
-    Trefethen, SIAM Rev. 46, 501 (2004)), folded as L_j +- L_mirror(j) (``_folded``),
-    carry their cos rows (the even real part of exp(i c t) A_f) and sin rows (the odd
-    imaginary part) to the ceil(K2/2) nodes >= 0, in one pair of GEMMs.  |A_f|^2 there
-    and on the tail (squared in place) fills one array of ceil(K2/2) + T - s rows, with
-    no phase to put back, whose rows are summed and reduced in one pass; the folded
-    weights of the K2 nodes carry the r reduced rows and the norms to the s prefix
-    times, which get no N-wide row.  The drift is the largest over the K2 node norms,
-    the tail and the interpolated prefix norms.
+    omega' = W t_s.  ``_folded`` makes both half grids: K2 with its weights to the s
+    prefix times, then K with its weights L_j +- L_mirror(j) to the ceil(K2/2) nodes
+    >= 0, which carry the K ``_phase_rows`` values, cos rows (the even real part of
+    exp(i c t) A_f) and sin rows (the odd imaginary part), there in one pair of GEMMs.
+    |A_f|^2 there and on the tail (squared in place) fills one array of
+    ceil(K2/2) + T - s rows, with no phase to put back, whose rows are summed and
+    reduced in one pass; the K2 weights carry the r reduced rows and the norms to the
+    prefix times, which get no N-wide row.  The drift is the largest over the K2 node
+    norms, the tail and the interpolated prefix norms.
 
     Bound: at K nodes, each of the real and imaginary parts of exp(-i a u),
     u = t / t_s and |a| <= omega = (W/2) t_s, is off by at most
@@ -271,12 +252,10 @@ def _reduce(
     split, count = _plan(decomp.energies, times)
     radius, width = times[split - 1] if split else 0.0, np.ptp(decomp.energies)
     count2 = int(_node_count(width * radius, 2 * count)) if split else 0   # K2 <= 2K
-    nodes, weights = _chebyshev_nodes(radius, count)
-    nodes2, weights2 = _chebyshev_nodes(radius, count2)
-    even, half = (count + 1) // 2, (count2 + 1) // 2
-    folded, odd_part = _folded(nodes, weights, nodes2[:half])
-    carry = _folded(nodes2, weights2, times[:split])[0].T
-    values = _node_values(decomp, i, nodes, times[split:])
+    nodes2, carry, _ = _folded(radius, count2, times[:split])
+    nodes, folded, odd_part = _folded(radius, count, nodes2)
+    even, half = len(nodes), len(nodes2)
+    values = _phase_rows(decomp, i, nodes, len(odd_part), times[split:]) @ decomp.vectors.T
     squares = np.empty((half + len(times) - split, decomp.size))   # K2 nodes >= 0, then tail
     re, im = squares[:half], odd_part.T @ values[even:count]
     np.matmul(folded.T, values[:even], out=re)
@@ -285,8 +264,8 @@ def _reduce(
     re *= re   # |A_f|^2, in place
     re += np.square(im, out=im)
     norms, rows = squares.sum(axis=1), squares @ reduction.T
-    drift = _checked_drift(np.concatenate((norms, carry @ norms[:half])))
-    reduced = np.concatenate((carry @ rows[:half], rows[half:]))
+    drift = _checked_drift(np.concatenate((norms, carry.T @ norms[:half])))
+    reduced = np.concatenate((carry.T @ rows[:half], rows[half:]))
     return reduced.T, drift, split, count
 
 
@@ -297,29 +276,25 @@ def evolve_amplitudes(decomp: EigenDecomposition, i: int, grid) -> np.ndarray:
     so NaN, infinite, descending, unordered, negative or repeated times raise ParameterError.
 
     Every time is evaluated directly: the 2T phase rows cos(E_k t), -sin(E_k t),
-    interleaved per time and formed by ``_sincos`` from the tangent of the half
-    angle, are scaled by C_i(k) and multiplied by V^T in one real time-major GEMM,
-    2T x N x N.  Only ``simulate_trajectory`` interpolates a prefix (``_reduce``).
+    interleaved per time and scaled by C_i(k) (``_phase_rows``), are multiplied by
+    V^T in one real time-major GEMM, 2T x N x N.  Only ``simulate_trajectory``
+    interpolates a prefix (``_reduce``).
 
     Bound: each amplitude is within eps (3 max_k |E_k| t + 2N) of the exact one for
     the rounding of the angles and of the N-term sums, plus the most ``_sincos``
     moves a phase factor, 7.5 eps on its cos and 5 eps on its sin.
     """
     check_index(i, decomp.size)
-    times = TimeGrid(grid).points
-    values = _node_values(decomp, i, np.empty(0), times)   # 2T x N x N
+    values = _phase_rows(decomp, i, np.empty(0), 0, TimeGrid(grid).points) @ decomp.vectors.T
     _checked_drift(np.einsum("tf,tf->t", values, values).reshape(-1, 2).sum(axis=1))
     return np.ascontiguousarray(values.T).view(np.complex128)
 
 
 def survival_probability(decomp: EigenDecomposition, i: int, grid) -> np.ndarray:
-    """W0(t) = |sum_k w_k exp(-i E_k t)|^2 with w_k the strength weights of i, on the times
-    of ``grid`` read as a ``TimeGrid``."""
+    """W0(t) = |sum_k w_k exp(-i E_k t)|^2 with w_k = C_i(k)^2 the strength weights of i, on
+    the times of ``grid`` read as a ``TimeGrid``: the ``_phase_rows`` times C_i."""
     check_index(i, decomp.size)
-    times = TimeGrid(grid).points
-    phases = np.empty((decomp.size, 2 * len(times)))   # cos(E_k t_j), -sin(E_k t_j) interleaved
-    _sincos(np.outer(-0.5 * decomp.energies, times), phases[:, 0::2], phases[:, 1::2])
-    parts = decomp.vectors[i, :] ** 2 @ phases
+    parts = _phase_rows(decomp, i, np.empty(0), 0, TimeGrid(grid).points) @ decomp.vectors[i]
     return parts[0::2] ** 2 + parts[1::2] ** 2
 
 

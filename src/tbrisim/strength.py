@@ -310,6 +310,10 @@ def fit_hybrid(profile: StrengthProfile, *, gamma0: float) -> dict:
     Returns the manifest's ``hybrid_fit`` record: ``b_fitted``, ``e_c``
     (= E_i), ``sigma``, ``gamma``, ``b_derived``, then the keys of ``_fit``,
     whose ``at_bound`` also names sigma when it sits on a bound.
+
+    PreconditionError when Delta_E < 10 h, h the moment nodes' spacing: sampling a shape
+    at spacing h shifts its second moment by up to h^2/12 (Sheppard's correction), more
+    than Delta_E^2 / 1200 below that, so sigma would follow the nodes, not the data.
     """
     _check_fit_precondition(profile, gamma0)
     centers, heights = _adaptive_bins(profile)
@@ -317,7 +321,11 @@ def fit_hybrid(profile: StrengthProfile, *, gamma0: float) -> dict:
     target = profile.second_central_moment()
     span = profile.energies[-1] - profile.energies[0]
     nodes = np.linspace(profile.energies[0], profile.energies[-1], MOMENT_NODES)
-    weights = np.full(MOMENT_NODES, nodes[1] - nodes[0])
+    spacing = nodes[1] - nodes[0]
+    if not target >= (10 * spacing) ** 2:   # NaN fails too
+        raise PreconditionError(f"Delta_E = {np.sqrt(target):.3g} is under 10 moment-node "
+                                f"spacings ({10 * spacing:.3g}): sigma would follow the quadrature")
+    weights = np.full(MOMENT_NODES, spacing)
     weights[[0, -1]] *= 0.5
     u_nodes, u_centers = (nodes - e_i) ** 2, (centers - e_i) ** 2
     # the Lorentzian factor narrows a Gaussian centred with it, so sigma >= Delta_E

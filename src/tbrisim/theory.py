@@ -54,9 +54,9 @@ def predict_occupations(n0, ninf, w0, grid) -> ThermalizationPrediction:
 
 def survival_models(gamma: float, delta_e: float, grid) -> tuple[np.ndarray, np.ndarray]:
     """Model W0 curves (exp(-Gamma t), exp(-Delta_E^2 t^2)) on the times of ``grid``, read
-    as a ``TimeGrid``; a zero width gives ones."""
-    if not (gamma >= 0 and delta_e >= 0):   # NaN fails both
-        raise ParameterError(f"survival models need widths >= 0, got {gamma!r}, {delta_e!r}")
+    as a ``TimeGrid``; a zero width gives ones, a negative, NaN or infinite one ParameterError."""
+    if not (0 <= gamma < math.inf and 0 <= delta_e < math.inf):   # NaN fails both
+        raise ParameterError(f"survival models need finite widths >= 0, got {gamma!r}, {delta_e!r}")
     t = TimeGrid(grid).points
     return np.exp(-gamma * t), np.exp(-(delta_e**2) * t * t)
 
@@ -208,10 +208,12 @@ def prediction_error(n_exact, prediction: ThermalizationPrediction) -> tuple[flo
 
     The RMS weighs time uniformly (trapezoid rule), so it does not depend on how
     densely any time zone was sampled; the other two run over all grid points.
+    ``n_exact`` is read as a float array; a NaN or infinite cell raises ParameterError.
     """
-    if n_exact.shape != prediction.occupations.shape:
-        raise ParameterError(f"shape mismatch: exact {n_exact.shape} vs predicted "
-                             f"{prediction.occupations.shape}")
+    n_exact, shape = np.asarray(n_exact, dtype=float), prediction.occupations.shape
+    if n_exact.shape != shape or not np.all(np.isfinite(n_exact)):
+        raise ParameterError(f"exact occupations must be finite, of the predicted shape {shape}; "
+                             f"got shape {n_exact.shape}")
     diff, times = n_exact - prediction.occupations, prediction.grid.points
     squares = diff**2
     per_point = rms = float(np.sqrt(np.mean(squares))) if diff.size else 0.0

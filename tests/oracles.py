@@ -388,6 +388,36 @@ def libm_sincos(half: np.ndarray, cos_out: np.ndarray, sin_out: np.ndarray) -> N
     np.sin(angle[: len(sin_out)], out=sin_out)
 
 
+def full_grid_folded(radius: float, count: int, targets: np.ndarray):
+    """``dynamics._folded`` from the whole symmetric grid: the K first-kind Chebyshev nodes of
+    [-radius, radius] with their barycentric weights, the (K, T) Lagrange matrix to
+    ``targets`` and the mirror fold L_j +- L_mirror(j) of its two halves.
+
+    Returns the ceil(K/2) nodes >= 0 and the (ceil(K/2), T) and (K//2, T) folded weights.
+    The full grid is built descending and exactly symmetric: node K-1-j is -node j, and an
+    odd K's middle node is 0.0, its own mirror, whose column is 2 L_j halved.  A target on a
+    node gets that node's unit column of the Lagrange matrix before the fold.
+    """
+    angles = (2 * np.arange((count + 1) // 2) + 1) * np.pi / (2 * count)
+    half = radius * np.cos(angles)
+    half[count // 2 :] = 0.0
+    nodes = np.concatenate((half, -half[: count // 2][::-1]))
+    weights = np.concatenate((np.sin(angles), np.sin(angles[: count // 2])[::-1]))
+    weights[1::2] *= -1.0
+    offsets = targets - nodes[:, None]
+    exact = offsets == 0.0
+    offsets[exact] = 1.0
+    lagrange = weights[:, None] / offsets
+    lagrange /= lagrange.sum(axis=0)
+    hits = exact.any(axis=0)
+    lagrange[:, hits] = exact[:, hits]
+    even, odd = (count + 1) // 2, count // 2
+    mirror = lagrange[::-1]
+    folded, odd_part = lagrange[:even] + mirror[:even], lagrange[:odd] - mirror[:odd]
+    folded[odd:] *= 0.5
+    return nodes[:even], folded, odd_part
+
+
 def direct_amplitudes(decomp: EigenDecomposition, i: int, grid) -> np.ndarray:
     """(N, T) amplitudes from the phases at every grid time: a real GEMM of 2T x N x N.
 

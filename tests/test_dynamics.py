@@ -26,6 +26,7 @@ from oracles import (
     compound_occupations,
     direct_amplitudes,
     expm_amplitudes,
+    full_grid_folded,
     libm_sincos,
     occupation_numbers,
     split_occupation_terms,
@@ -168,12 +169,12 @@ def test_trajectory_matches_complex_oracle(fixture, request):
 
 
 def _fig2_phase_angles(s) -> tuple[np.ndarray, np.ndarray]:
-    """The angles of fig2's node rows (the nodes >= 0) and tail rows, as ``_node_values`` forms them."""
+    """The angles of fig2's node rows (the nodes >= 0) and tail rows, as ``_phase_rows`` forms them."""
     energies, times = s.decomp.energies, s.grid.points
     split, count = tb.dynamics._plan(energies, times)
-    nodes, _ = tb.dynamics._chebyshev_nodes(times[split - 1], count)
+    nodes = tb.dynamics._folded(times[split - 1], count, np.empty(0))[0]
     centre = 0.5 * (energies.max() + energies.min())
-    node_angles = np.outer(nodes[: (count + 1) // 2], centre - energies)
+    node_angles = np.outer(nodes, centre - energies)
     return node_angles, np.outer(times[split:], -energies)
 
 
@@ -351,15 +352,15 @@ def test_odd_node_sets_share_zero_through_a_unit_column():
     K node 0.0 passes its value to the K2 node 0.0 through an exact unit column, with
     nothing from the odd part.  The folded weights carry an even and an odd function
     of band 1 on [-1, 1] to the K2 nodes within 1e-13."""
-    nodes, weights = tb.dynamics._chebyshev_nodes(1.0, 19)
-    nodes2, _ = tb.dynamics._chebyshev_nodes(1.0, 25)
-    folded, odd_part = tb.dynamics._folded(nodes, weights, nodes2[:13])
+    nodes2 = tb.dynamics._folded(1.0, 25, np.empty(0))[0]
+    nodes, folded, odd_part = tb.dynamics._folded(1.0, 19, nodes2)
+    assert nodes.shape == (10,) and nodes2.shape == (13,)
     assert folded.shape == (10, 13) and odd_part.shape == (9, 13)
     assert nodes2[12] == nodes[9] == 0.0
     assert folded[:, -1].tobytes() == np.eye(10)[-1].tobytes()
     assert not odd_part[:, -1].any()
-    assert np.abs(folded.T @ np.cos(nodes[:10]) - np.cos(nodes2[:13])).max() <= 1e-13
-    assert np.abs(odd_part.T @ np.sin(nodes[:9]) - np.sin(nodes2[:13])).max() <= 1e-13
+    assert np.abs(folded.T @ np.cos(nodes) - np.cos(nodes2)).max() <= 1e-13
+    assert np.abs(odd_part.T @ np.sin(nodes[:9]) - np.sin(nodes2)).max() <= 1e-13
 
 
 @pytest.mark.parametrize("grid", ["fig1", "fig2", "uniform"])
@@ -376,23 +377,52 @@ def test_plan_minimises_the_predicted_cost(grid, request, small_3_6):
         assert count == 0
 
 
-def test_chebyshev_nodes_are_exactly_symmetric():
-    """Node K-1-j is exactly -node j, an odd K's middle node is 0.0, mirrored weights match in size."""
-    for count in (1, 2, 7, 80):
-        nodes, weights = tb.dynamics._chebyshev_nodes(3.7, count)
-        half = count // 2
-        assert nodes[:half].tobytes() == (-nodes[::-1][:half]).tobytes()
-        assert np.all(np.diff(nodes) < 0) and np.all(np.abs(nodes) < 3.7)
-        assert np.abs(weights).tobytes() == np.abs(weights[::-1]).tobytes()
-        assert count % 2 == 0 or nodes[half] == 0.0
+FOLD_COUNTS = (1, 2, 7, 19, 25, 80, 133)
+
+
+@pytest.mark.parametrize("count", FOLD_COUNTS)
+def test_folded_weights_match_the_full_grid_oracle(count):
+    """The half grid's nodes are the full grid's nodes >= 0, bit for bit: descending, below
+    the radius, an odd K's last one 0.0.  Its folded weights, to the nodes >= 0 of every K2
+    in ``FOLD_COUNTS`` and to 400 prefix times on [0, radius], are within 8 eps of the full
+    grid's fold (``oracles.full_grid_folded``), on radii 1, 3.7 and 123.4.
+
+    Both form the same terms w_j / (t - x_j) bit for bit (t + x_j is t - (-x_j), and the
+    mirror's weight differs from w_j in sign only); they differ in the order in which the
+    denominator adds its K terms, the half grid summing the mirror terms apart, and hence
+    in the rounding of one quotient per weight.  The terms' absolute sum is the Lebesgue
+    function times the denominator, below Lambda_133 < 4.2 times it, so a reordered sum
+    moves the weights (|L_j| < 1.3 here) by a few eps: 6.5 eps at most on these grids.
+    A target on a node takes that node's unit column, in the odd weights too but for the
+    node 0.0, where an odd function vanishes.
+    """
+    eps = np.finfo(float).eps
+    for radius in (1.0, 3.7, 123.4):
+        half_nodes = [tb.dynamics._folded(radius, k2, np.empty(0))[0] for k2 in FOLD_COUNTS]
+        prefix = np.linspace(0.0, radius, 400)
+        for targets in (np.concatenate(half_nodes), prefix):
+            nodes, folded, odd_part = tb.dynamics._folded(radius, count, targets.copy())
+            ref_nodes, ref_folded, ref_odd = full_grid_folded(radius, count, targets.copy())
+            assert nodes.tobytes() == ref_nodes.tobytes()
+            assert np.all(np.diff(nodes) < 0) and np.all(nodes >= 0.0) and nodes[0] < radius
+            assert count % 2 == 0 or nodes[-1] == 0.0
+            assert folded.shape == ((count + 1) // 2, len(targets))
+            assert odd_part.shape == (count // 2, len(targets))
+            assert np.abs(folded - ref_folded).max() <= 8 * eps
+            assert odd_part.size == 0 or np.abs(odd_part - ref_odd).max() <= 8 * eps
+        on_nodes, odd_on_nodes = tb.dynamics._folded(radius, count, nodes.copy())[1:]
+        assert on_nodes.tobytes() == np.eye(len(nodes)).tobytes()
+        assert odd_on_nodes.tobytes() == np.eye(count // 2, len(nodes)).tobytes()
 
 
 def _on_node_grid(decomp) -> tuple[np.ndarray, int, int]:
-    """200 points on [0, 1], the first s from K nodes, plus two of those nodes exactly."""
+    """200 points on [0, 1], the first s from K nodes, plus two of the K2 nodes >= 0 exactly,
+    the nodes the reduced rows are interpolated from."""
     base = np.linspace(0.0, 1.0, 200)
     split, count = tb.dynamics._plan(decomp.energies, base)
-    nodes, _ = tb.dynamics._chebyshev_nodes(base[split - 1], count)
-    return np.union1d(base, nodes[[0, count // 4]]), split + 2, count
+    count2 = _reduced_nodes(decomp, base, split, count)
+    nodes2 = tb.dynamics._folded(base[split - 1], count2, np.empty(0))[0]
+    return np.union1d(base, nodes2[[0, count2 // 4]]), split + 2, count
 
 
 @pytest.mark.parametrize(
@@ -435,16 +465,20 @@ def test_grids_match_matrix_exponential(grid, small_3_6):
 
 
 def test_grid_time_on_a_node_takes_the_node_value(small_3_6):
-    times, split, count = _on_node_grid(small_3_6.decomp)
-    assert tb.dynamics._plan(small_3_6.decomp.energies, times) == (split, count)
-    nodes, weights = tb.dynamics._chebyshev_nodes(times[split - 1], count)
-    lagrange = tb.dynamics._lagrange_matrix(nodes, weights, times[:split])
-    for k in (0, count // 4):
-        j = int(np.searchsorted(times, nodes[k]))
-        assert times[j] == nodes[k]
-        assert lagrange[:, j].tobytes() == np.eye(count)[k].tobytes()
-    assert np.all(np.isfinite(lagrange))
-    assert np.abs(lagrange.sum(axis=0) - 1.0).max() < 1e-14
+    """A prefix time on a K2 node >= 0 takes that node's unit column of the folded weights
+    that carry the reduced rows to the prefix; every column sums to 1, as the full grid's
+    Lagrange weights do, so a constant carries exactly up to rounding."""
+    decomp = small_3_6.decomp
+    times, split, count = _on_node_grid(decomp)
+    assert tb.dynamics._plan(decomp.energies, times) == (split, count)
+    count2 = _reduced_nodes(decomp, times, split, count)
+    nodes2, carry, _ = tb.dynamics._folded(times[split - 1], count2, times[:split])
+    for k in (0, count2 // 4):
+        j = int(np.searchsorted(times, nodes2[k]))
+        assert times[j] == nodes2[k]
+        assert carry[:, j].tobytes() == np.eye(len(nodes2))[k].tobytes()
+    assert np.all(np.isfinite(carry))
+    assert np.abs(carry.sum(axis=0) - 1.0).max() < 1e-14
 
 
 def test_unitarity_guard_rejects_non_orthonormal_vectors(small_3_6):

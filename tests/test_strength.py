@@ -287,13 +287,38 @@ def test_fit_hybrid_sigma_meets_the_moment_identity(fig2):
 
 
 def test_fit_hybrid_bisects_where_the_moment_has_no_slope():
-    """At eta 1e-10 (fig2 basis, seed 1) the shape collapses onto one moment node near the
-    lower sigma bound, where d(m2)/d(log sigma) rounds to 0: the solver bisects there
-    instead of dividing by it (a RuntimeWarning is an error in this suite)."""
+    """At eta 1e-10 (fig2 basis, seed 1) Delta_E is 0.01 moment-node spacings: ``fit_hybrid``
+    refuses the profile.  Its moment solver, on the fit's 2001 trapezoid nodes and at the
+    fit's upper Gamma bound (10 spans, which the solver tries on this profile), starts at
+    the lower sigma bound Delta_E, where the shape sits on one node and d(m2)/d(log sigma)
+    rounds to 0: it bisects there instead of dividing by it (a RuntimeWarning is an error
+    in this suite)."""
     profile, gamma, *_ = realization_fit_inputs(1e-10, 1)
-    fit = strength.fit_hybrid(profile, gamma0=gamma)
-    assert np.isfinite(fit["sigma"]) and fit["sigma"] >= np.sqrt(profile.second_central_moment())
-    assert np.isfinite(fit["gamma"]) and fit["gamma"] > 0
+    with pytest.raises(PreconditionError, match="moment-node spacings"):
+        strength.fit_hybrid(profile, gamma0=gamma)
+    e, target = profile.energies, profile.second_central_moment()
+    span = e[-1] - e[0]
+    nodes = np.linspace(e[0], e[-1], strength.MOMENT_NODES)
+    weights = np.full(len(nodes), nodes[1] - nodes[0])
+    weights[[0, -1]] *= 0.5
+    bounds = (np.sqrt(target), 10 * span)
+    u = (nodes - profile.e_i) ** 2
+    sigma, dlog_sigma, at_bound = strength._moment_sigma(u, weights, 10 * span, target, bounds)
+    assert np.isfinite(sigma) and sigma >= np.sqrt(target) and np.isfinite(dlog_sigma)
+    assert not at_bound
+
+
+def test_fit_hybrid_refuses_a_width_under_the_moment_quadrature():
+    """At eta 1e-8 (fig2 basis, seed 1) Delta_E = 0.0021 is 0.12 spacings of the moment
+    nodes, under the stated 10: the fit is unavailable with the reason, and sigma falls
+    back to Delta_E rather than the quadrature's 0.093."""
+    profile, gamma, *_ = realization_fit_inputs(1e-8, 1)
+    delta_e = float(np.sqrt(profile.second_central_moment()))
+    with pytest.raises(PreconditionError, match="under 10 moment-node spacings"):
+        strength.fit_hybrid(profile, gamma0=gamma)
+    record = strength.attempt_fit(strength.fit_hybrid, profile, gamma0=gamma)
+    assert record["status"] == "unavailable" and "quadrature" in record["reason"]
+    assert strength.spreading_params(profile, delta_e, gamma, 1.0)["sigma"] == delta_e
 
 
 def test_fit_diagnostics(fig2):

@@ -70,6 +70,14 @@ def test_survival_models_require_positive_widths():
             tb.survival_models(gamma, delta_e, np.array([0.0]))
 
 
+def test_survival_models_refuse_an_infinite_width():
+    """An infinite width is refused, as ``default_grid`` refuses it, rather than giving
+    exp(-inf * 0) = NaN at t = 0, where W0 is 1."""
+    for gamma, delta_e in [(math.inf, 1.0), (1.0, math.inf)]:
+        with pytest.raises(ParameterError, match="finite"):
+            tb.survival_models(gamma, delta_e, np.array([0.0, 1.0]))
+
+
 def _ladder_profile(weights):
     """Profile on unit-spaced levels 0..N-1."""
     energies = np.arange(len(weights), dtype=float)
@@ -140,6 +148,20 @@ def test_deviation_gives_the_prediction_error_and_the_per_point_rms(fig2):
     assert tb.prediction_error(s.trajectory.occupations[:, :1], first) == (
         float(np.sqrt(np.mean(diff[:, 0] ** 2))), float(np.abs(diff[:, 0]).max()),
         float(np.sqrt(np.mean(diff[:, 0] ** 2))))
+
+
+def test_prediction_error_reads_a_nested_list_and_refuses_non_finite_cells(fig2):
+    """The exact occupations are read as a float array, so a nested list gives the array's
+    deviation; a NaN or infinite cell is refused rather than returned as a NaN error."""
+    s = fig2
+    pred = tb.predict_occupations(s.trajectory.occupations[:, 0], s.n_inf, s.trajectory.w0, s.grid)
+    exact = s.trajectory.occupations
+    assert tb.prediction_error(exact.tolist(), pred) == tb.prediction_error(exact, pred)
+    for bad in (math.nan, math.inf):
+        cells = exact.copy()
+        cells[3, 7] = bad
+        with pytest.raises(ParameterError, match="finite"):
+            tb.prediction_error(cells, pred)
 
 
 def test_fermi_dirac_recovers_synthetic_parameters():
