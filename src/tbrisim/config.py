@@ -61,7 +61,7 @@ RETIRED = {
     "config.output.binary_dumps": (
         lambda value: value is False,
         "the .npy dumps are retired; numpy.save on h.entries, decomp.energies or decomp.vectors "
-        '(README "Library use") replaces them, so only false is accepted',
+        '(V up to each column\'s sign) (README "Library use") replaces them, so only false is accepted',
     ),
 }
 _UNKNOWN = (lambda value: False, 'unknown key; README "Config file" lists the keys')

@@ -20,9 +20,6 @@ PROBE_MARGIN = 10.0
 BANDWIDTH_SPACINGS = 3.0
 # Levels a spectral window must hold: the mid-spectrum spacing's and the golden-rule density's.
 MIN_WINDOW_LEVELS = 10
-# Columns gauged at a time: abs() and argmax's transposed copy stay N x 64,
-# not N x N (halves the gauge at N=3432, where those copies page-fault).
-GAUGE_BLOCK = 64
 # Rows of V squared at a time in the compound-occupation table: no N x N square.
 ROW_BLOCK = 256
 
@@ -60,12 +57,12 @@ class EigenDecomposition:
 
 
 def diagonalize(h: HamiltonianMatrix) -> EigenDecomposition:
-    """Full symmetric eigendecomposition of H over its basis, with a fixed sign gauge.
+    """Full symmetric eigendecomposition of H over its basis: ``np.linalg.eigh``'s arrays.
 
-    The gauge makes the largest-magnitude component of every eigenvector
-    positive, so repeated runs and dumps are reproducible; the flip is done
-    in place, in blocks of columns.  Orthonormality and reconstruction are
-    then verified in O(N^2) by ``_check_decomposition``.
+    V carries LAPACK's column signs; no output depends on them, since every
+    observable reads C_f(k) through C_f(k)^2 or a product within one column.
+    Orthonormality and reconstruction are verified in O(N^2) by
+    ``_check_decomposition``.
     """
     matrix, size = h.entries, h.basis.size
     if matrix.shape != (size, size):
@@ -77,12 +74,6 @@ def diagonalize(h: HamiltonianMatrix) -> EigenDecomposition:
         energies, vectors = np.linalg.eigh(matrix)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"eigensolver did not converge: {exc}") from exc
-
-    for lo in range(0, len(energies), GAUGE_BLOCK):
-        block = vectors[:, lo : lo + GAUGE_BLOCK]   # a view: the flip writes into vectors
-        lead = np.argmax(np.abs(block), axis=0)
-        flip = block[lead, np.arange(block.shape[1])] < 0
-        block *= np.where(flip, -1.0, 1.0)
 
     ortho, recon = _check_decomposition(matrix, energies, vectors)
     return EigenDecomposition(

@@ -43,6 +43,8 @@ def predict_occupations(n0, ninf, w0, grid) -> ThermalizationPrediction:
     w0 = np.asarray(w0, dtype=float)
     if n0.shape != ninf.shape:
         raise ParameterError(f"length mismatch: n0 has {n0.shape}, ninf has {ninf.shape}")
+    if not (np.all(np.isfinite(n0)) and np.all(np.isfinite(ninf))):
+        raise ParameterError("occupations n0 and ninf must be finite")
     if not np.all((w0 >= -1e-12) & (w0 <= 1 + 1e-12)):   # NaN fails too
         raise ParameterError("W0 series must lie in [0, 1]")
     occupations = n0[:, None] * w0[None, :] + ninf[:, None] * (1.0 - w0[None, :])

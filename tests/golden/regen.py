@@ -6,6 +6,10 @@ column names, the per-column sums and sums of squares, and ``ROWS`` fixed
 rows: the first, the last and rows evenly spaced between.  For the
 ``MATRICES`` case it holds the same for H, E and V, rebuilt from the run's
 ``config.json`` through the library, one matrix row per table row.
+V is digested with each column's largest-magnitude component (argmax's
+first, on ties) made positive: ``diagonalize`` returns LAPACK's column
+signs, which LAPACK does not promise and another BLAS build may pick
+differently, and no output reads them.
 Table numbers are kept to ``DIGITS`` significant digits: that rounding,
 5e-11 relative, sits far below the comparison's tolerance of 1e-9 and
 keeps the three files under 60 KB.
@@ -84,9 +88,11 @@ def _matrix_digests(doc: dict) -> dict:
     basis = tb.build_basis(params.n, params.m)
     h = tb.build_hamiltonian(basis, tb.sample_spectrum(params), tb.sample_two_body(params))
     decomp = tb.diagonalize(h)
+    vectors = decomp.vectors
+    lead = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
     out = {}
     for name, values in (("hamiltonian.npy", h.entries), ("eigenvalues.npy", decomp.energies),
-                         ("eigenvectors.npy", decomp.vectors)):
+                         ("eigenvectors.npy", vectors * np.where(lead < 0, -1.0, 1.0))):
         values = values.reshape(len(values), -1)
         out[name] = _table_digest([str(j) for j in range(values.shape[1])], values.tolist())
     return out

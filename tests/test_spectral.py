@@ -7,9 +7,11 @@ import pytest
 
 import tbrisim as tb
 from tbrisim import spectral
+from tbrisim.dynamics import survival_probability
 from tbrisim.exceptions import EigensolverError, InsufficientStatisticsError, PreconditionError
 from tbrisim.hamiltonian import HamiltonianMatrix
 from tbrisim.spectral import ORTHONORMALITY_TOL, PROBE_MARGIN, RECONSTRUCTION_TOL
+from tbrisim.strength import strength_function
 
 from oracles import exact_eigen_residuals, windowed_mid_spacing
 
@@ -56,12 +58,6 @@ def test_frobenius_identity(fig1):
     lhs = (fig1.decomp.energies**2).sum()
     rhs = (fig1.h.entries**2).sum()
     assert abs(lhs - rhs) < 1e-8 * abs(rhs)
-
-
-def test_sign_gauge_fixed(fig1):
-    c = fig1.decomp.vectors
-    lead = np.argmax(np.abs(c), axis=0)
-    assert np.all(c[lead, np.arange(c.shape[1])] > 0)
 
 
 def test_diagonalize_deterministic(small_3_6):
@@ -171,15 +167,33 @@ def test_probe_check_rejects_what_the_exact_check_rejects(request, name, kind):
 
 
 @pytest.mark.parametrize("name", ["small_3_6", "fig2"])
-def test_in_place_gauge_matches_the_copying_gauge_bitwise(request, name):
+def test_diagonalize_returns_eighs_arrays_bitwise(request, name):
     h = request.getfixturevalue(name).h
     energies, vectors = np.linalg.eigh(h.entries)
-    lead = np.argmax(np.abs(vectors), axis=0)
-    flip = vectors[lead, np.arange(vectors.shape[1])] < 0
-    copied = vectors * np.where(flip, -1.0, 1.0)
     decomp = tb.diagonalize(h)
-    assert decomp.vectors.tobytes() == copied.tobytes()
     assert decomp.energies.tobytes() == energies.tobytes()
+    assert decomp.vectors.tobytes() == vectors.tobytes()
+
+
+@pytest.mark.parametrize("name", ["small_3_6", "fig2"])
+def test_outputs_do_not_read_eigenvector_signs(request, name):
+    """V's column signs are LAPACK's: flipping any set of columns leaves every output
+    bitwise unchanged, since each reads C_f(k) squared or times C_i(k) of its own column."""
+    system = request.getfixturevalue(name)
+    decomp, i = system.decomp, system.i
+    signs = np.random.default_rng(41).choice([-1.0, 1.0], size=decomp.size)
+    assert (signs < 0).any() and (signs > 0).any()
+    flipped = spectral.EigenDecomposition(decomp.energies, decomp.vectors * signs, decomp.basis)
+
+    def outputs(d):
+        traj = tb.simulate_trajectory(d, system.basis, system.partition, i, system.grid)
+        return [strength_function(d, i).weights, d.compound_occupations,
+                tb.asymptotic_occupations(d, i, system.basis), traj.occupations, traj.w0,
+                traj.class_populations, traj.unitarity_drift,
+                tb.evolve_amplitudes(d, i, system.grid), survival_probability(d, i, system.grid)]
+
+    for got, want in zip(outputs(flipped), outputs(decomp), strict=True):
+        assert np.array_equal(got, want)
 
 
 def test_residuals_default_to_none():

@@ -51,6 +51,9 @@ def test_prediction_rejects_mismatched_lengths():
         tb.predict_occupations(np.ones(3), np.ones(4), np.ones(5), np.arange(5.0))
     with pytest.raises(ParameterError, match="grid"):
         tb.predict_occupations(np.ones(3), np.ones(3), np.ones(5), np.arange(4.0))
+    for n0, ninf in (([math.nan, 1.0], [0.5, 0.5]), ([1.0, 1.0], [0.5, math.inf])):
+        with pytest.raises(ParameterError, match="finite"):
+            tb.predict_occupations(n0, ninf, [1.0, 0.5], [0.0, 1.0])
 
 
 def test_survival_models_at_zero():
