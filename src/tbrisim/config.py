@@ -21,8 +21,8 @@ from .exceptions import ParameterError
 from .hamiltonian import ModelParams
 from .spectral import MIN_WINDOW_LEVELS
 
-# Dense N x N float64 arrays alive at the peak of a run: H, the copy eigh
-# factorizes, its workspace (~2 N^2) and the eigenvectors.
+# Dense N x N float64 arrays alive at a run's peak: H, the copy dsyevd overwrites with V, its
+# workspace (~2 N^2), and eigh's separate V where np.linalg.eigh runs instead of dsyevd in place.
 DENSE_COPIES = 6
 # Bytes per state and grid point at the trajectory's peak: its phase rows and their product.
 POINT_BYTES = 32

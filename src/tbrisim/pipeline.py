@@ -9,6 +9,7 @@ the config echo and the manifest.  A stage that fails raises
 
 from __future__ import annotations
 
+import ctypes
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -20,43 +21,24 @@ from .config import ExperimentConfig, config_hash
 from .exceptions import StageError
 from .export import sha256, write_json, write_table
 from .hamiltonian import HamiltonianMatrix, build_hamiltonian, sample_spectrum, sample_two_body
-from .spectral import PROBES, _sorted_median, diagonalize, spectral_stats
-
-_BLAS_THREAD_GETTERS = (
-    "scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads",
-)
-
-
-def _blas_threads() -> int | None:
-    """Thread count of the loaded OpenBLAS, read through its getter; None if none is found."""
-    import ctypes
-
-    try:
-        with open("/proc/self/maps") as fh:
-            libraries = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
-    except OSError:
-        return None
-    for path in libraries:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for symbol in _BLAS_THREAD_GETTERS:
-            if hasattr(lib, symbol):
-                getter = getattr(lib, symbol)
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                return int(getter())
-    return None
+from .spectral import (PROBES, _eigensolver, _numpy_openblas, _sorted_median, diagonalize,
+                       spectral_stats)
 
 
 def _environment() -> dict:
-    """numpy version, BLAS build and BLAS thread count: eigh's last bits depend on them."""
+    """numpy version, BLAS build and threads, eigensolver path: eigh's last bits depend on them."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    lib, threads = _numpy_openblas(), None
+    if lib is not None:   # numpy's OpenBLAS, by its LAPACK symbol
+        getter = lib.scipy_openblas_get_num_threads64_
+        getter.argtypes, getter.restype = [], ctypes.c_int
+        threads = int(getter())
     return {
         "numpy": np.__version__,
         "blas": blas.get("name"),
         "blas_version": blas.get("version"),
-        "blas_threads": _blas_threads(),
+        "blas_threads": threads,
+        "eigensolver": _eigensolver(),
     }
 
 

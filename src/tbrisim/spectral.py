@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ctypes
 import functools
 from dataclasses import dataclass
 
@@ -22,6 +23,8 @@ BANDWIDTH_SPACINGS = 3.0
 MIN_WINDOW_LEVELS = 10
 # Rows of V squared at a time in the compound-occupation table: no N x N square.
 ROW_BLOCK = 256
+# LAPACK's divide-and-conquer symmetric eigensolver in numpy's OpenBLAS: 64-bit integers (ILP64).
+_DSYEVD = "scipy_dsyevd_64_"
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,9 +59,35 @@ class EigenDecomposition:
         return table
 
 
+@functools.cache
+def _numpy_openblas() -> ctypes.CDLL | None:
+    """numpy's OpenBLAS: the mapped OpenBLAS exporting ``_DSYEVD``, found once in
+    ``/proc/self/maps``; None without one (scipy's copy has only the 32-bit ``scipy_dsyevd_``)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        if hasattr(lib, _DSYEVD):
+            return lib
+    return None
+
+
+def _eigensolver() -> str:
+    """The path ``diagonalize`` takes in this process, as the manifest records it."""
+    return "numpy.linalg.eigh" if _numpy_openblas() is None else "dsyevd in place"
+
+
 def diagonalize(h: HamiltonianMatrix) -> EigenDecomposition:
     """Full symmetric eigendecomposition of H over its basis: ``np.linalg.eigh``'s arrays.
 
+    Where numpy's OpenBLAS is loaded, ``_dsyevd`` runs eigh's LAPACK call in
+    place, byte-equal to eigh and one N x N array smaller; elsewhere eigh runs.
     V carries LAPACK's column signs; no output depends on them, since every
     observable reads C_f(k) through C_f(k)^2 or a product within one column.
     Orthonormality and reconstruction are verified in O(N^2) by
@@ -70,16 +99,44 @@ def diagonalize(h: HamiltonianMatrix) -> EigenDecomposition:
                                 f"got shape {matrix.shape}")
     if not np.all(np.isfinite(matrix)):
         raise PreconditionError("matrix contains non-finite entries")
-    try:
-        energies, vectors = np.linalg.eigh(matrix)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"eigensolver did not converge: {exc}") from exc
+    lib = _numpy_openblas()
+    if lib is not None:
+        energies, vectors = _dsyevd(getattr(lib, _DSYEVD), matrix)
+    else:
+        try:
+            energies, vectors = np.linalg.eigh(matrix)
+        except np.linalg.LinAlgError as exc:
+            raise EigensolverError(f"eigensolver did not converge: {exc}") from exc
 
     ortho, recon = _check_decomposition(matrix, energies, vectors)
     return EigenDecomposition(
         energies=energies, vectors=vectors, basis=h.basis,
         orthonormality_residual=ortho, reconstruction_residual=recon,
     )
+
+
+def _dsyevd(routine, matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(E, V) of the symmetric ``matrix`` by the ILP64 dsyevd ``routine``, called as eigh calls it:
+    jobz "V" and uplo "L" on a Fortran-order copy, which LAPACK overwrites with V, and the work
+    arrays of the lwork = liwork = -1 query, freed before V is copied C-contiguous."""
+    vectors, energies = np.array(matrix, dtype=float, order="F"), np.empty(len(matrix))
+    floats, ints = (np.ctypeslib.ndpointer(kind, flags="F") for kind in (np.float64, np.int64))
+    scalar, text = ctypes.POINTER(ctypes.c_int64), ctypes.c_char_p
+    routine.restype = None
+    routine.argtypes = [text, text, scalar, floats, scalar, floats, floats, scalar, ints, scalar,
+                        scalar, ctypes.c_size_t, ctypes.c_size_t]   # hidden string lengths
+    n, lwork, liwork, info = (ctypes.c_int64(value) for value in (len(matrix), -1, -1, 0))
+    work, iwork = np.zeros(1), np.zeros(1, dtype=np.int64)
+    routine(b"V", b"L", n, vectors, n, energies, work, lwork, iwork, liwork, info, 1, 1)
+    work, iwork = np.empty(int(work[0])), np.empty(int(iwork[0]), dtype=np.int64)
+    lwork.value, liwork.value = len(work), len(iwork)
+    routine(b"V", b"L", n, vectors, n, energies, work, lwork, iwork, liwork, info, 1, 1)
+    del work, iwork
+    if info.value < 0:
+        raise RuntimeError(f"dsyevd rejected its argument {-info.value}")
+    if info.value > 0:
+        raise EigensolverError(f"eigensolver did not converge: dsyevd info {info.value}")
+    return energies, np.ascontiguousarray(vectors)
 
 
 def _check_decomposition(

@@ -364,7 +364,8 @@ def test_manifest_records_eigensolver_and_environment(tmp_path):
     assert isinstance(saved["derived"]["fermi_dirac"]["at_bound"], list)
     environment = saved["environment"]
     assert environment["numpy"] == np.__version__
-    assert set(environment) == {"numpy", "blas", "blas_version", "blas_threads"}
+    assert set(environment) == {"numpy", "blas", "blas_version", "blas_threads",
+                                "eigensolver"}
     threads = environment["blas_threads"]
     assert threads is None or threads >= 1
 

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -166,13 +171,72 @@ def test_probe_check_rejects_what_the_exact_check_rejects(request, name, kind):
     assert caught.value.residual > 0
 
 
+def _loaded_libraries() -> set[str]:
+    """File names of the shared libraries mapped into this process (empty off Linux)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            return {Path(line.split()[-1]).name for line in fh if ".so" in line}
+    except OSError:
+        return set()
+
+
+@pytest.mark.parametrize("path", ["dsyevd in place", "numpy.linalg.eigh"],
+                         ids=["in-place", "fallback"])
 @pytest.mark.parametrize("name", ["small_3_6", "fig2"])
-def test_diagonalize_returns_eighs_arrays_bitwise(request, name):
+def test_diagonalize_returns_eighs_arrays_bitwise(request, monkeypatch, name, path):
+    """Both paths give eigh's bytes; with numpy's ILP64 OpenBLAS loaded, dsyevd in place runs."""
     h = request.getfixturevalue(name).h
     energies, vectors = np.linalg.eigh(h.entries)
+    if path == "numpy.linalg.eigh":
+        monkeypatch.setattr(spectral, "_numpy_openblas", lambda: None)
+    eigh, ran = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: ran.append(a) or eigh(a))
     decomp = tb.diagonalize(h)
     assert decomp.energies.tobytes() == energies.tobytes()
     assert decomp.vectors.tobytes() == vectors.tobytes()
+    ran_path = "numpy.linalg.eigh" if ran else "dsyevd in place"
+    numpy_openblas = any(lib.startswith("libscipy_openblas64_") for lib in _loaded_libraries())
+    assert ran_path == spectral._eigensolver() == (path if numpy_openblas else "numpy.linalg.eigh")
+
+
+_PEAK_SCRIPT = """
+import sys
+import tbrisim as tb
+from tbrisim import spectral
+
+if sys.argv[1] == "numpy.linalg.eigh":
+    spectral._numpy_openblas = lambda: None
+
+def peak_mb():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM")) / 1024
+
+def hamiltonian(n, m):
+    params = tb.ModelParams(n=n, m=m, eta=0.083, seed=1)
+    return tb.build_hamiltonian(tb.build_basis(n, m), tb.sample_spectrum(params),
+                                tb.sample_two_body(params))
+
+tb.diagonalize(hamiltonian(4, 8))   # warm-up: OpenBLAS's buffers exist before the measure
+h = hamiltonian(6, 12)
+before = peak_mb()
+tb.diagonalize(h)
+assert spectral._eigensolver() == sys.argv[1]
+print(peak_mb() - before)
+"""
+
+
+@pytest.mark.skipif(spectral._numpy_openblas() is None, reason="dsyevd in place is unavailable")
+def test_dsyevd_in_place_saves_one_dense_array_at_the_peak():
+    """The peak rise of diagonalizing the fig2 H (N = 924) in a fresh process is at least
+    3/4 of one N x N float64 array (8 N^2 B) lower in place than through np.linalg.eigh."""
+    env, rises = dict(os.environ, PYTHONPATH=str(Path(tb.__file__).parents[1])), {}
+    for path in ("dsyevd in place", "numpy.linalg.eigh"):
+        done = subprocess.run([sys.executable, "-c", _PEAK_SCRIPT, path], capture_output=True,
+                              text=True, timeout=120, env=env)
+        assert done.returncode == 0, done.stderr
+        rises[path] = float(done.stdout)
+    dense_mb = 8 * 924**2 / 2**20
+    assert rises["numpy.linalg.eigh"] - rises["dsyevd in place"] >= 0.75 * dense_mb, rises
 
 
 @pytest.mark.parametrize("name", ["small_3_6", "fig2"])
