@@ -21,8 +21,9 @@ from .exceptions import ParameterError
 from .hamiltonian import ModelParams
 from .spectral import MIN_WINDOW_LEVELS
 
-# Dense N x N float64 arrays alive at a run's peak: H, the copy dsyevd overwrites with V, its
-# workspace (~2 N^2), and eigh's separate V where np.linalg.eigh runs instead of dsyevd in place.
+# Dense N x N float64 arrays alive at a run's peak where np.linalg.eigh runs: H, eigh's copy of
+# H, its workspace (~2 N^2) and its separate V. dsyevd's steps in place hold only H, the
+# eigenvector matrix they fill and one workspace (~N^2); the guard sizes for the fallback.
 DENSE_COPIES = 6
 # Bytes per state and grid point at the trajectory's peak: its phase rows and their product.
 POINT_BYTES = 32

@@ -21,10 +21,21 @@ PROBE_MARGIN = 10.0
 BANDWIDTH_SPACINGS = 3.0
 # Levels a spectral window must hold: the mid-spectrum spacing's and the golden-rule density's.
 MIN_WINDOW_LEVELS = 10
-# Rows of V squared at a time in the compound-occupation table: no N x N square.
+# Rows at a time in the compound-occupation table, the symmetry check and H's restore: no N x N
+# temporary.
 ROW_BLOCK = 256
-# LAPACK's divide-and-conquer symmetric eigensolver in numpy's OpenBLAS: 64-bit integers (ILP64).
-_DSYEVD = "scipy_dsyevd_64_"
+# max|H| outside [sqrt(safmin/eps), 1/that] = [2^-485, 2^485], dsyevd scales H before its steps.
+_UNSCALED = float(np.sqrt(np.finfo(float).tiny / np.finfo(float).eps))
+# dsyevd's three steps with jobz "V" in numpy's OpenBLAS (ILP64) and their ctypes signatures:
+# reduction to a tridiagonal T, T's eigenvectors by divide and conquer, and their back-transform.
+_INT, _TEXT, _LEN = ctypes.POINTER(ctypes.c_int64), ctypes.c_char_p, ctypes.c_size_t
+_F, _I = (np.ctypeslib.ndpointer(kind, flags="F") for kind in (np.float64, np.int64))
+_STEPS = {
+    "scipy_dsytrd_64_": [_TEXT, _INT, _F, _INT, _F, _F, _F, _F, _INT, _INT, _LEN],
+    "scipy_dstedc_64_": [_TEXT, _INT, _F, _F, _F, _INT, _F, _INT, _I, _INT, _INT, _LEN],
+    "scipy_dormtr_64_": [_TEXT, _TEXT, _TEXT, _INT, _INT, _F, _INT, _F, _F, _INT, _F, _INT, _INT,
+                         _LEN, _LEN, _LEN],   # the trailing _LEN are hidden string lengths
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,8 +72,9 @@ class EigenDecomposition:
 
 @functools.cache
 def _numpy_openblas() -> ctypes.CDLL | None:
-    """numpy's OpenBLAS: the mapped OpenBLAS exporting ``_DSYEVD``, found once in
-    ``/proc/self/maps``; None without one (scipy's copy has only the 32-bit ``scipy_dsyevd_``)."""
+    """numpy's OpenBLAS: the mapped OpenBLAS exporting the ``_STEPS``, found once in
+    ``/proc/self/maps``, with their signatures set; None without one (scipy's copy has only
+    the 32-bit ``scipy_dsytrd_`` and its kin)."""
     try:
         with open("/proc/self/maps") as fh:
             paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
@@ -73,35 +85,42 @@ def _numpy_openblas() -> ctypes.CDLL | None:
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        if hasattr(lib, _DSYEVD):
+        if all(hasattr(lib, name) for name in _STEPS):
+            for name, argtypes in _STEPS.items():
+                getattr(lib, name).argtypes, getattr(lib, name).restype = argtypes, None
             return lib
     return None
 
 
 def _eigensolver() -> str:
-    """The path ``diagonalize`` takes in this process, as the manifest records it."""
+    """The path ``diagonalize`` takes in this process, as the manifest records it; an H that
+    dsyevd would rescale takes eigh on either path (the bytes are eigh's on both)."""
     return "numpy.linalg.eigh" if _numpy_openblas() is None else "dsyevd in place"
 
 
 def diagonalize(h: HamiltonianMatrix) -> EigenDecomposition:
     """Full symmetric eigendecomposition of H over its basis: ``np.linalg.eigh``'s arrays.
 
-    Where numpy's OpenBLAS is loaded, ``_dsyevd`` runs eigh's LAPACK call in
-    place, byte-equal to eigh and one N x N array smaller; elsewhere eigh runs.
-    V carries LAPACK's column signs; no output depends on them, since every
-    observable reads C_f(k) through C_f(k)^2 or a product within one column.
-    Orthonormality and reconstruction are verified in O(N^2) by
-    ``_check_decomposition``.
+    H must equal its transpose bit for bit. Where numpy's OpenBLAS is loaded,
+    ``_dsyevd_in_place`` runs the LAPACK steps of eigh's dsyevd in H's own
+    storage and restores H, byte-equal to eigh and two N x N arrays smaller;
+    elsewhere, or where dsyevd would rescale H, eigh runs. H holds the same
+    bytes when this returns or raises. V carries LAPACK's column signs; no
+    output depends on them, since every observable reads C_f(k) through
+    C_f(k)^2 or a product within one column. Orthonormality and
+    reconstruction are verified in O(N^2) by ``_check_decomposition``.
     """
-    matrix, size = h.entries, h.basis.size
+    matrix, size = np.asarray(h.entries, dtype=float), h.basis.size
     if matrix.shape != (size, size):
         raise PreconditionError(f"expected a {size} x {size} matrix for the basis, "
                                 f"got shape {matrix.shape}")
     if not np.all(np.isfinite(matrix)):
         raise PreconditionError("matrix contains non-finite entries")
-    lib = _numpy_openblas()
-    if lib is not None:
-        energies, vectors = _dsyevd(getattr(lib, _DSYEVD), matrix)
+    if not _is_symmetric(matrix):
+        raise PreconditionError("matrix is not exactly symmetric")
+    lib, scale = _numpy_openblas(), _max_abs(matrix)
+    if lib is not None and (scale == 0 or _UNSCALED <= scale <= 1 / _UNSCALED):
+        energies, vectors = _dsyevd_in_place(lib, np.require(matrix, requirements="CAW"))
     else:
         try:
             energies, vectors = np.linalg.eigh(matrix)
@@ -115,28 +134,63 @@ def diagonalize(h: HamiltonianMatrix) -> EigenDecomposition:
     )
 
 
-def _dsyevd(routine, matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(E, V) of the symmetric ``matrix`` by the ILP64 dsyevd ``routine``, called as eigh calls it:
-    jobz "V" and uplo "L" on a Fortran-order copy, which LAPACK overwrites with V, and the work
-    arrays of the lwork = liwork = -1 query, freed before V is copied C-contiguous."""
-    vectors, energies = np.array(matrix, dtype=float, order="F"), np.empty(len(matrix))
-    floats, ints = (np.ctypeslib.ndpointer(kind, flags="F") for kind in (np.float64, np.int64))
-    scalar, text = ctypes.POINTER(ctypes.c_int64), ctypes.c_char_p
-    routine.restype = None
-    routine.argtypes = [text, text, scalar, floats, scalar, floats, floats, scalar, ints, scalar,
-                        scalar, ctypes.c_size_t, ctypes.c_size_t]   # hidden string lengths
-    n, lwork, liwork, info = (ctypes.c_int64(value) for value in (len(matrix), -1, -1, 0))
-    work, iwork = np.zeros(1), np.zeros(1, dtype=np.int64)
-    routine(b"V", b"L", n, vectors, n, energies, work, lwork, iwork, liwork, info, 1, 1)
-    work, iwork = np.empty(int(work[0])), np.empty(int(iwork[0]), dtype=np.int64)
-    lwork.value, liwork.value = len(work), len(iwork)
-    routine(b"V", b"L", n, vectors, n, energies, work, lwork, iwork, liwork, info, 1, 1)
-    del work, iwork
+def _is_symmetric(matrix: np.ndarray) -> bool:
+    """Whether the float64 ``matrix`` equals its transpose bit for bit, compared in row blocks."""
+    bits = matrix.view(np.int64)
+    return all(np.array_equal(bits[lo : lo + ROW_BLOCK, lo:], bits[lo:, lo : lo + ROW_BLOCK].T)
+               for lo in range(0, len(bits), ROW_BLOCK))
+
+
+def _max_abs(matrix: np.ndarray) -> float:
+    """max|H| without an N x N temporary."""
+    return float(max(matrix.max(), -matrix.min()))
+
+
+def _dsyevd_in_place(lib: ctypes.CDLL, matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(E, V) of the symmetric C-order ``matrix`` by the three steps dsyevd (jobz "V", uplo "L")
+    runs inside itself, with its workspace sizes, so E and V are its bytes.
+
+    dsytrd reads ``matrix``'s buffer as Fortran order, i.e. H^T = H, and overwrites its C-upper
+    triangle and diagonal with T and the reflectors; dstedc writes T's eigenvectors into a fresh
+    Fortran-order Z and dormtr applies the reflectors to Z. The three share one workspace of
+    dsyevd's N^2 + 4N + 1 floats (dormtr's block size depends on it), so H, Z and that workspace
+    are the peak. Z is copied C-contiguous as V; then the untouched C-lower triangle and the
+    saved diagonal restore H, also when a step fails.
+    """
+    size = len(matrix)
+    n, info = ctypes.c_int64(size), ctypes.c_int64(0)
+    lwork, liwork = ctypes.c_int64(size * size + 4 * size + 1), ctypes.c_int64(3 + 5 * size)
+    energies, off_diagonal, tau = np.empty(size), np.empty(size), np.empty(size)
+    diagonal, reflectors = matrix.diagonal().copy(), matrix.T
+    try:
+        work = np.empty(lwork.value)
+        lib.scipy_dsytrd_64_(b"L", n, reflectors, n, energies, off_diagonal, tau, work, lwork,
+                             info, 1)
+        _check_info("dsytrd", info)
+        vectors = np.empty((size, size), order="F")
+        lib.scipy_dstedc_64_(b"I", n, energies, off_diagonal, vectors, n, work, lwork,
+                             np.empty(liwork.value, dtype=np.int64), liwork, info, 1)
+        _check_info("dstedc", info)
+        lib.scipy_dormtr_64_(b"L", b"L", b"N", n, n, reflectors, n, tau, vectors, n, work, lwork,
+                             info, 1, 1, 1)
+        _check_info("dormtr", info)
+        del work
+        vectors = np.ascontiguousarray(vectors)   # frees Z before the restore's row blocks
+    finally:
+        for lo in range(0, size, ROW_BLOCK):
+            hi = min(lo + ROW_BLOCK, size)
+            np.copyto(matrix[lo:hi, lo:], matrix[lo:, lo:hi].T,
+                      where=np.arange(lo, size) > np.arange(lo, hi)[:, None])
+        np.fill_diagonal(matrix, diagonal)
+    return energies, vectors
+
+
+def _check_info(step: str, info: ctypes.c_int64) -> None:
+    """Raise on a LAPACK step's nonzero ``info``: < 0 a rejected argument, > 0 no convergence."""
     if info.value < 0:
-        raise RuntimeError(f"dsyevd rejected its argument {-info.value}")
+        raise RuntimeError(f"{step} rejected its argument {-info.value}")
     if info.value > 0:
-        raise EigensolverError(f"eigensolver did not converge: dsyevd info {info.value}")
-    return energies, np.ascontiguousarray(vectors)
+        raise EigensolverError(f"eigensolver did not converge: {step} info {info.value}")
 
 
 def _check_decomposition(
@@ -174,7 +228,7 @@ def _check_decomposition(
     ortho = float(np.abs(vectors.T @ images[:, :PROBES] - probes).max())
     if not ortho <= ORTHONORMALITY_TOL / PROBE_MARGIN:
         raise EigensolverError("eigenvectors not orthonormal", residual=ortho)
-    scale = max(matrix.max(), -matrix.min()) or 1.0   # max|H| without an N x N temporary
+    scale = _max_abs(matrix) or 1.0
     recon = float(np.abs(matrix @ images[:, :PROBES] - images[:, PROBES:]).max())
     if not recon <= RECONSTRUCTION_TOL * scale / PROBE_MARGIN:
         raise EigensolverError("reconstruction residual too large", residual=recon)
