@@ -19,12 +19,8 @@ from pathlib import Path
 
 from .exceptions import ParameterError
 from .hamiltonian import ModelParams
-from .spectral import MIN_WINDOW_LEVELS
+from .spectral import DENSE_COPIES, MIN_WINDOW_LEVELS
 
-# Dense N x N float64 arrays alive at a run's peak where np.linalg.eigh runs: H, eigh's copy of
-# H, its workspace (~2 N^2) and its separate V. dsyevd's steps in place hold only H, the
-# eigenvector matrix they fill and one workspace (~N^2); the guard sizes for the fallback.
-DENSE_COPIES = 6
 # Bytes per state and grid point at the trajectory's peak: its phase rows and their product.
 POINT_BYTES = 32
 # The documents `tbrisim reproduce-fig1/-fig2` start from.
@@ -171,9 +167,15 @@ def _check_size(model: ModelParams, points: int) -> None:
 
     A run needs ``MIN_WINDOW_LEVELS`` basis states for the mid-spectrum
     spacing and, when eta > 0, as many class-1 states, n (m - n) +
-    C(n, 2) C(m - n, 2), for the golden-rule density.  Its dense H and
-    eigendecomposition (``DENSE_COPIES``) and its trajectory (``POINT_BYTES``)
-    must fit in physical memory.
+    C(n, 2) C(m - n, 2), for the golden-rule density: so n = m and n=2, m=4
+    are refused, and n=2, m=5 runs at eta = 0 but not at eta > 0.  These are
+    the run's own windows: over 1 <= n <= m <= 9, seeds 1-3, eta 0, 0.003 and
+    0.083 and jitter 0 and 0.3, every model the rule lets through ran, and
+    every one it refuses would fail a window check inside the run (exit 3).
+    Its dense H and eigendecomposition (``DENSE_COPIES`` N x N arrays of 8 B)
+    and its trajectory (``POINT_BYTES`` per state and grid point: the phase
+    rows and their product, both alive at its peak) must fit in physical
+    memory.
     """
     n, m = model.n, model.m
     states = math.comb(m, n)

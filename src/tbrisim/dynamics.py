@@ -116,8 +116,8 @@ def _sincos(half: np.ndarray, cos_out: np.ndarray, sin_out: np.ndarray) -> None:
     its first ``len(sin_out)`` rows, so it may cover fewer rows than ``cos_out``.
 
     numpy's float64 ``tan`` is SIMD on AVX-512 CPUs, several times the speed of its
-    libm ``cos`` and ``sin``.  Halving is exact, so an angle formed as 0.5 x is half
-    of the angle formed as x, with the same rounding.
+    libm ``cos`` and ``sin``, and libm's elsewhere.  Halving is exact, so an angle
+    formed as 0.5 x is half of the angle formed as x, with the same rounding.
 
     Bound, per entry, with t within 1 ULP (relative eps) of tan(half): t^2 is within
     2 eps and its rounding adds eps/2, 1 + t^2 another eps/2 and the division
@@ -138,7 +138,12 @@ def _sincos(half: np.ndarray, cos_out: np.ndarray, sin_out: np.ndarray) -> None:
 
 
 def _node_count(omega, most: int) -> np.ndarray:
-    """Smallest K <= most with omega^K / (2^(K-1) K!) <= _NODE_EPS, per omega; most + 1 if none."""
+    """Smallest K <= most with omega^K / (2^(K-1) K!) <= _NODE_EPS, per omega; most + 1 if none.
+
+    That quantity bounds the error of K first-kind Chebyshev nodes in each of the real and
+    imaginary parts of exp(-i a u) on u in [-1, 1], |a| <= omega (Tal-Ezer & Kosloff, J. Chem.
+    Phys. 81, 3967 (1984)).
+    """
     counts = np.arange(1, most + 1)   # the largest omega K nodes resolve grows with K
     log_limits = math.log(_NODE_EPS) + (counts - 1) * math.log(2.0) + np.cumsum(np.log(counts))
     return np.searchsorted(np.exp(log_limits / counts), omega) + 1
@@ -149,10 +154,11 @@ def _plan(energies: np.ndarray, times: np.ndarray) -> tuple[int, int]:
 
     s minimises N (K + 2 (T - s)) + K s per row, with omega = (W/2) t_s for K;
     the first minimum is taken, so s = 0 (K = 0, 2 N T) unless a prefix is
-    cheaper.  N (K + 2 (T - s)) counts the GEMM's columns, and K s stands in
-    for the rest of ``_reduce``: the carry of the K node values to ceil(K2/2)
-    nodes, the K2 weights built for the s prefix times and the carry of the
-    reduced rows.  It is a proxy, kept because it measured faster than pricing
+    cheaper, and then every time is evaluated directly, through the same code.
+    N (K + 2 (T - s)) counts the GEMM's columns, and K s stands in for the rest
+    of ``_reduce``: the carry of the K node values to ceil(K2/2) nodes, the K2
+    weights built for the s prefix times and the carry of the reduced rows.
+    It is a proxy, kept because it measured faster than pricing
     the node carry alone, ceil(K2/2) K, which picks a wider prefix and a larger
     K2.  K >= 2T is never cheaper, so no count past 2T is resolved.
     """
@@ -169,8 +175,11 @@ def _folded(radius: float, count: int, targets: np.ndarray):
     the (ceil(K/2), T) and (K//2, T) weights L_j + L_mirror(j) and L_j - L_mirror(j) that
     carry an even and an odd function from its values there to the ``targets`` >= 0.
 
-    Node x_j has the barycentric weight w_j = (-1)^j sin((2j + 1) pi / 2K), its mirror -x_j
-    (-1)^(K-1) w_j (Berrut & Trefethen, SIAM Rev. 46, 501 (2004)); an odd K's node 0.0 is
+    A function that is even or odd about 0 needs its values at the nodes >= 0 only, so
+    K nodes cost ceil(K/2) cos rows and K//2 sin rows, K phase rows, not 2K.  Node x_j has
+    the barycentric weight w_j = (-1)^j sin((2j + 1) pi / 2K), its mirror -x_j
+    (-1)^(K-1) w_j (Berrut & Trefethen, SIAM Rev. 46, 501 (2004)), so the folded weights
+    are formed on the half grid, with no K x T Lagrange matrix; an odd K's node 0.0 is
     its own mirror, entered once with no odd row.  A target on a node keeps that node's
     unit column in both sets, an odd part of zero at the node 0.0.
     """
@@ -198,7 +207,10 @@ def _phase_rows(decomp: EigenDecomposition, i: int, nodes: np.ndarray, sines: in
     the first ``sines`` of them (with the energies centred at c), then cos, -sin per time.
 
     Each pair of row sets is one ``_sincos`` of the half angles.  Times V^T they are the
-    node values and the amplitudes; times C_i, the survival amplitude's parts.
+    node values and the amplitudes; times C_i, the survival amplitude's parts.  The rows are
+    time-major, each written contiguously, so ``rows @ V.T`` is one real GEMM, which ran
+    faster than the transposed product V @ rows.T.  It is not chunked: the rows and their
+    product are whole arrays either way, so chunks would lower no peak.
     """
     energies, cosines = decomp.energies, len(nodes)
     count, centre = cosines + sines, 0.5 * (energies.max() + energies.min())
@@ -234,7 +246,8 @@ def _reduce(
     ceil(K2/2) + T - s rows, with no phase to put back, whose rows are summed and
     reduced in one pass; the K2 weights carry the r reduced rows and the norms to the
     prefix times, which get no N-wide row.  The drift is the largest over the K2 node
-    norms, the tail and the interpolated prefix norms.
+    norms, the tail and the interpolated prefix norms.  The phase rows are released after
+    the GEMM, so its values and the array of squares set the memory peak.
 
     Bound: at K nodes, each of the real and imaginary parts of exp(-i a u),
     u = t / t_s and |a| <= omega = (W/2) t_s, is off by at most
@@ -278,7 +291,10 @@ def evolve_amplitudes(decomp: EigenDecomposition, i: int, grid) -> np.ndarray:
     Every time is evaluated directly: the 2T phase rows cos(E_k t), -sin(E_k t),
     interleaved per time and scaled by C_i(k) (``_phase_rows``), are multiplied by
     V^T in one real time-major GEMM, 2T x N x N.  Only ``simulate_trajectory``
-    interpolates a prefix (``_reduce``).
+    interpolates a prefix (``_reduce``).  Given the same phase rows, the amplitudes are
+    bit for bit those of that product: a BLAS micro-kernel rounds the rows of a short edge
+    tile differently, so a product taken in chunks, or the other way round, differs from
+    it in the last bits of a few rows.
 
     Bound: each amplitude is within eps (3 max_k |E_k| t + 2N) of the exact one for
     the rounding of the angles and of the N-term sums, plus the most ``_sincos``

@@ -9,7 +9,6 @@ the config echo and the manifest.  A stage that fails raises
 
 from __future__ import annotations
 
-import ctypes
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -21,25 +20,7 @@ from .config import ExperimentConfig, config_hash
 from .exceptions import StageError
 from .export import sha256, write_json, write_table
 from .hamiltonian import HamiltonianMatrix, build_hamiltonian, sample_spectrum, sample_two_body
-from .spectral import (PROBES, _eigensolver, _numpy_openblas, _sorted_median, diagonalize,
-                       spectral_stats)
-
-
-def _environment() -> dict:
-    """numpy version, BLAS build and threads, eigensolver path: eigh's last bits depend on them."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    lib, threads = _numpy_openblas(), None
-    if lib is not None:   # numpy's OpenBLAS, by its LAPACK symbol
-        getter = lib.scipy_openblas_get_num_threads64_
-        getter.argtypes, getter.restype = [], ctypes.c_int
-        threads = int(getter())
-    return {
-        "numpy": np.__version__,
-        "blas": blas.get("name"),
-        "blas_version": blas.get("version"),
-        "blas_threads": threads,
-        "eigensolver": _eigensolver(),
-    }
+from .spectral import PROBES, _environment, _sorted_median, diagonalize, spectral_stats
 
 
 def select_initial_state(h: HamiltonianMatrix, rule: int | str) -> int:

@@ -98,12 +98,36 @@ def _eigensolver() -> str:
     return "numpy.linalg.eigh" if _numpy_openblas() is None else "dsyevd in place"
 
 
+def _environment() -> dict:
+    """numpy version, BLAS build and threads, eigensolver path: eigh's last bits depend on them."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    lib, threads = _numpy_openblas(), None
+    if lib is not None:   # numpy's OpenBLAS, by its LAPACK symbol
+        getter = lib.scipy_openblas_get_num_threads64_
+        getter.argtypes, getter.restype = [], ctypes.c_int
+        threads = int(getter())
+    return {
+        "numpy": np.__version__,
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "blas_threads": threads,
+        "eigensolver": _eigensolver(),
+    }
+
+
+# Dense N x N float64 arrays alive at a run's peak where np.linalg.eigh runs: H, eigh's copy of
+# H, its workspace (~2 N^2) and its separate V. dsyevd's steps in place hold only H, the
+# eigenvector matrix they fill and one workspace (~N^2); the guard sizes for the fallback.
+DENSE_COPIES = 6
+
+
 def diagonalize(h: HamiltonianMatrix) -> EigenDecomposition:
     """Full symmetric eigendecomposition of H over its basis: ``np.linalg.eigh``'s arrays.
 
     H must equal its transpose bit for bit. Where numpy's OpenBLAS is loaded,
-    ``_dsyevd_in_place`` runs the LAPACK steps of eigh's dsyevd in H's own
-    storage and restores H, byte-equal to eigh and two N x N arrays smaller;
+    ``_dsyevd_in_place`` runs the LAPACK steps of eigh's dsyevd (Anderson et
+    al., LAPACK Users' Guide, 3rd ed., SIAM (1999)) in H's own storage and
+    restores H, byte-equal to eigh and two N x N arrays smaller;
     elsewhere, or where dsyevd would rescale H, eigh runs. H holds the same
     bytes when this returns or raises. V carries LAPACK's column signs; no
     output depends on them, since every observable reads C_f(k) through
@@ -114,10 +138,7 @@ def diagonalize(h: HamiltonianMatrix) -> EigenDecomposition:
     if matrix.shape != (size, size):
         raise PreconditionError(f"expected a {size} x {size} matrix for the basis, "
                                 f"got shape {matrix.shape}")
-    if not np.all(np.isfinite(matrix)):
-        raise PreconditionError("matrix contains non-finite entries")
-    if not _is_symmetric(matrix):
-        raise PreconditionError("matrix is not exactly symmetric")
+    _check_entries(matrix)
     lib, scale = _numpy_openblas(), _max_abs(matrix)
     if lib is not None and (scale == 0 or _UNSCALED <= scale <= 1 / _UNSCALED):
         energies, vectors = _dsyevd_in_place(lib, np.require(matrix, requirements="CAW"))
@@ -134,11 +155,17 @@ def diagonalize(h: HamiltonianMatrix) -> EigenDecomposition:
     )
 
 
-def _is_symmetric(matrix: np.ndarray) -> bool:
-    """Whether the float64 ``matrix`` equals its transpose bit for bit, compared in row blocks."""
+def _check_entries(matrix: np.ndarray) -> None:
+    """PreconditionError unless the float64 ``matrix`` is finite and equals its transpose bit for
+    bit, both checked on the strips matrix[lo : lo + ROW_BLOCK, lo:]: no N x N temporary.  The
+    strips hold the upper triangle and the diagonal, which cover every entry once the strip's
+    symmetry is checked, so a non-finite entry in either triangle is refused."""
     bits = matrix.view(np.int64)
-    return all(np.array_equal(bits[lo : lo + ROW_BLOCK, lo:], bits[lo:, lo : lo + ROW_BLOCK].T)
-               for lo in range(0, len(bits), ROW_BLOCK))
+    for lo in range(0, len(bits), ROW_BLOCK):
+        if not np.isfinite(matrix[lo : lo + ROW_BLOCK, lo:]).all():
+            raise PreconditionError("matrix contains non-finite entries")
+        if not np.array_equal(bits[lo : lo + ROW_BLOCK, lo:], bits[lo:, lo : lo + ROW_BLOCK].T):
+            raise PreconditionError("matrix is not exactly symmetric")
 
 
 def _max_abs(matrix: np.ndarray) -> float:

@@ -120,6 +120,9 @@ def _adaptive_bins(profile: StrengthProfile):
 
 
 def _check_fit_precondition(profile: StrengthProfile, gamma0: float) -> None:
+    """PreconditionError for a profile of fewer than ``MIN_FIT_COMPONENTS`` principal components,
+    or a start width that is not positive and finite.  The run starts both line-shape fits at
+    Gamma_GR, which is 0 only without class-1 coupling, where the component count refuses first."""
     if profile.n_pc_ipr() < MIN_FIT_COMPONENTS:
         raise PreconditionError(
             f"too few principal components ({profile.n_pc_ipr():.2f} < "
@@ -305,7 +308,9 @@ def fit_hybrid(profile: StrengthProfile, *, gamma0: float) -> dict:
     sigma and Gamma trade against each other from one realization to the
     next; with E_c free, E_c runs off to where the moment equation has no
     root on weak-coupling profiles.  B is reported both as fitted and as
-    re-derived from unit normalization of the shape.
+    re-derived from unit normalization of the shape.  In the Gaussian limit
+    (Gamma >> sigma) Gamma runs to its bound, and ``at_bound`` says so.  The
+    moment is a trapezoid sum over ``MOMENT_NODES`` nodes spanning the spectrum.
 
     Returns the manifest's ``hybrid_fit`` record: ``b_fitted``, ``e_c``
     (= E_i), ``sigma``, ``gamma``, ``b_derived``, then the keys of ``_fit``,

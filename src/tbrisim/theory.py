@@ -72,7 +72,8 @@ def n_pc_envelope(profile: StrengthProfile) -> float:
     single components.  For Gaussian components <w^2> = 3 <w>^2, hence the raw
     inverse participation ratio is about a third of this count and the
     long-time W0 floor sum_k w_k^2 is about 3 / n_pc_envelope (Flambaum &
-    Izrailev, PRE 56, 5144 (1997)).
+    Izrailev, PRE 56, 5144 (1997)): 1 / n_pc_ipr already holds the factor 3
+    and is the floor itself, not a third of it.
 
     rho is the kernel density of the same levels at the same bandwidth, so
     one kernel block K gives F~/rho = (K @ w) / K.sum(axis=1); the kernel
@@ -151,15 +152,20 @@ def fit_fermi_dirac(ninf, epsilon, n: int) -> dict:
     spacings (one vectorized solve for all of them), and refined by
     bisection on the sign of its slope within two scan steps of the best.
     Infinite temperature (n(eps) = n/m) is the interior point beta = 0, and
-    occupations that rise with eps give beta < 0; T = 1/beta and the
-    chemical potential mu = alpha/beta wherever beta != 0.
+    occupations that rise with eps give beta < 0, as an initial state above
+    the spectrum's centre relaxes to, the orbital spectrum being bounded;
+    T = 1/beta and the chemical potential mu = alpha/beta wherever beta != 0.
+    The order of the levels does not matter.  Occupations outside [0, 1]
+    (NaN included) and orbital energies that are all equal raise
+    PreconditionError.
 
     Returns the manifest's ``fermi_dirac`` record: ``beta``, ``alpha``, the
     RMS ``residual`` and ``at_bound``, which holds "beta" when beta ends
     within one scan step of either end of the scan, or when the misfit at
     the scan's end on the optimum's side is within rounding (4 eps) of its
     minimum: either way the minimum lies at or beyond the end of the scan,
-    and beta is only bounded from one side.
+    and beta is only bounded from one side.  A step profile is the second
+    case: it fits equally well at every |beta| above ~70 inverse level spacings.
     """
     ninf = np.asarray(ninf, dtype=float)
     eps = np.asarray(epsilon, dtype=float)

@@ -30,16 +30,25 @@ def library_use() -> tuple[str, list[str]]:
 
 
 def test_library_use_runs(tmp_path, monkeypatch):
-    """Both blocks run; the second writes its run under ``tmp_path``."""
+    """Both blocks run as shown: the step-by-step analysis, then the whole run, whose output
+    directory lands under ``tmp_path``."""
     _, (first, second) = library_use()
     names: dict = {}
     exec(compile(first, "README.md", "exec"), names)
-    assert math.isfinite(names["rms"])
+    assert math.isfinite(names["rms"]) and names["worst"] >= names["rms"] >= 0
     assert names["traj"].w0.tobytes() == names["traj"].class_populations[0].tobytes()
     monkeypatch.chdir(tmp_path)
     exec(compile(second, "README.md", "exec"), {})
     manifest = json.loads((tmp_path / "runs" / "x" / "manifest.json").read_text())
     assert math.isfinite(manifest["derived"]["rms_eq14"])
+
+
+def test_readme_states_no_timing_or_memory_figure():
+    """README is the user's document: a timing, memory or throughput figure, or a host's vCPU
+    count, belongs to the CHANGES.md entry that measured it, where it keeps its date."""
+    figure = re.compile(r"\d\s*(?:ns|ms|MB|MiB|GB|GF/s)(?![A-Za-z])|\bvCPU")
+    found = [line for line in README.read_text().splitlines() if figure.search(line)]
+    assert found == []
 
 
 def test_top_level_names_are_the_documented_api():

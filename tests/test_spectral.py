@@ -73,7 +73,8 @@ def test_diagonalize_deterministic(small_3_6):
 
 def test_diagonalize_rejects_bad_input():
     """A matrix that is not N x N for its basis of N states, square or not, or one with a
-    non-finite entry, is refused before eigh."""
+    non-finite entry, is refused before eigh: on the diagonal, in both triangles of a strip
+    past the first, or in one triangle only, and the refused matrix keeps its bytes."""
     two = tb.build_basis(1, 2)
     with pytest.raises(PreconditionError):
         tb.diagonalize(HamiltonianMatrix(np.ones((2, 3)), two))
@@ -81,6 +82,20 @@ def test_diagonalize_rejects_bad_input():
         tb.diagonalize(HamiltonianMatrix(np.eye(3), two))
     with pytest.raises(PreconditionError):
         tb.diagonalize(HamiltonianMatrix(np.array([[np.nan, 0.0], [0.0, 1.0]]), two))
+    with pytest.raises(PreconditionError, match="non-finite"):
+        tb.diagonalize(HamiltonianMatrix(np.array([[1.0, 0.0], [0.0, np.inf]]), two))
+    wide = tb.build_basis(4, 11)   # 330 states: two strips of ROW_BLOCK rows
+    assert wide.size > spectral.ROW_BLOCK
+    for cells, refusal in (([(300, 10), (10, 300)], "non-finite"),
+                           ([(300, 280), (280, 300)], "non-finite"),
+                           ([(10, 300)], "non-finite"), ([(300, 10)], "not exactly symmetric")):
+        matrix = np.eye(wide.size)
+        for cell in cells:
+            matrix[cell] = np.nan
+        before = matrix.tobytes()
+        with pytest.raises(PreconditionError, match=refusal):
+            tb.diagonalize(HamiltonianMatrix(matrix, wide))
+        assert matrix.tobytes() == before
 
 
 def test_stats_equidistant_spectrum():
