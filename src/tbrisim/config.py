@@ -119,8 +119,11 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 def sweep_configs(base: dict, etas) -> tuple[Path, list[ExperimentConfig]]:
     """A sweep's root, the base's output directory or runs/sweep, and per eta the base with
-    that eta in ``root/eta=<repr(eta)>``, validated, the base first, before any run."""
+    that eta in ``root/eta=<repr(eta)>``, validated before any run; an eta given twice exits 2."""
     outdir = config_from_dict(base).outdir   # first, so that every block below is an object
+    for k, eta in enumerate(etas):
+        if eta in etas[:k]:
+            raise ParameterError(f"eta {eta!r} is repeated; a sweep runs each eta once")
     model, output = base.get("model", {}), base.get("output", {})
     root = Path(outdir if "directory" in output else "runs/sweep")
     return root, [config_from_dict({**base, "model": {**model, "eta": eta},
@@ -151,7 +154,12 @@ def _merge(default, value, where: str):
     types, name = _ACCEPTED[type(default)]
     if isinstance(value, bool) or not isinstance(value, types):
         raise ParameterError(f"{where} must be {name}, got {value!r}")
-    return float(value) if isinstance(default, float) else value
+    if float not in types or value is None:
+        return value
+    try:   # one spelling per number, 1 and 1.0 or -0.0 and 0.0, so one hash per experiment
+        return float(value) + 0.0
+    except OverflowError as exc:
+        raise ParameterError(f"{where} is an integer beyond the float range") from exc
 
 
 def config_hash(doc: dict) -> str:

@@ -7,6 +7,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .basis import Basis, occupancy_matrix
 from .exceptions import EigensolverError, InsufficientStatisticsError, PreconditionError
@@ -72,24 +73,15 @@ class EigenDecomposition:
 
 @functools.cache
 def _numpy_openblas() -> ctypes.CDLL | None:
-    """numpy's OpenBLAS: the mapped OpenBLAS exporting the ``_STEPS``, found once in
-    ``/proc/self/maps``, with their signatures set; None without one (scipy's copy has only
-    the 32-bit ``scipy_dsytrd_`` and its kin)."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
-    except OSError:
+    """numpy's OpenBLAS, through the extension ``np.linalg.eigh`` calls (a lookup on its handle
+    searches its dependencies, so scipy's copy, with only the 32-bit ``scipy_dsytrd_`` and its
+    kin, is never found), with the ``_STEPS``' signatures set; None where it lacks them."""
+    lib = ctypes.CDLL(_umath_linalg.__file__)
+    if not all(hasattr(lib, name) for name in _STEPS):
         return None
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        if all(hasattr(lib, name) for name in _STEPS):
-            for name, argtypes in _STEPS.items():
-                getattr(lib, name).argtypes, getattr(lib, name).restype = argtypes, None
-            return lib
-    return None
+    for name, argtypes in _STEPS.items():
+        getattr(lib, name).argtypes, getattr(lib, name).restype = argtypes, None
+    return lib
 
 
 def _eigensolver() -> str:
@@ -100,17 +92,12 @@ def _eigensolver() -> str:
 
 def _environment() -> dict:
     """numpy version, BLAS build and threads, eigensolver path: eigh's last bits depend on them."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    lib, threads = _numpy_openblas(), None
-    if lib is not None:   # numpy's OpenBLAS, by its LAPACK symbol
-        getter = lib.scipy_openblas_get_num_threads64_
-        getter.argtypes, getter.restype = [], ctypes.c_int
-        threads = int(getter())
+    blas, lib = np.show_config(mode="dicts")["Build Dependencies"]["blas"], _numpy_openblas()
     return {
         "numpy": np.__version__,
         "blas": blas.get("name"),
         "blas_version": blas.get("version"),
-        "blas_threads": threads,
+        "blas_threads": None if lib is None else lib.scipy_openblas_get_num_threads64_(),
         "eigensolver": _eigensolver(),
     }
 

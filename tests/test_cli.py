@@ -94,6 +94,8 @@ def test_config_validation_errors():
         {"initial_state": 63.5},
         {"model": {"eta": 0.083, "sed": 7}, "gird": {"points": 50}},   # misspelt keys
         {"output": {"binary_dump": True}},
+        {"model": {**small, "eta": 10**400}},   # an integer no float holds
+        {"model": small, "grid": {"kind": "log", "start": 1, "stop": 10**400}},
     ):
         with pytest.raises(ParameterError):
             config.config_from_dict(doc)
@@ -112,6 +114,21 @@ def test_one_initial_state_has_one_config_hash(stored, spellings):
     parsed = [config.config_from_dict({"model": small, "initial_state": s}) for s in spellings]
     assert {p.document["initial_state"] for p in parsed} == {stored}
     assert len({config.config_hash(p.to_dict()) for p in parsed}) == 1
+
+
+@pytest.mark.parametrize("one, other", [
+    ({"model": {"eta": -0.0}}, {"model": {"eta": 0.0}}),
+    ({"model": {"jitter": -0.0}}, {}),
+    ({"grid": {"kind": "log", "start": 1, "stop": 9.0}},
+     {"grid": {"kind": "log", "start": 1.0, "stop": 9.0}}),
+    ({"grid": {"kind": "linear", "start": -0.0, "stop": 9.0}},
+     {"grid": {"kind": "linear", "start": 0, "stop": 9.0}}),
+], ids=["eta", "jitter", "log-start", "linear-start"])
+def test_one_number_has_one_config_hash(one, other):
+    """Two spellings of one number, -0.0 and 0.0 or 1 and 1.0, give one config hash, so two
+    runs of one experiment write the same headers and agree under ``inspect --against``."""
+    hashes = {config.config_hash(config.config_from_dict(doc).to_dict()) for doc in (one, other)}
+    assert len(hashes) == 1
 
 
 def test_auto_grid_accepts_only_null_ends(tmp_path, capsys):
@@ -349,9 +366,11 @@ def test_each_fit_returns_its_strict_json_manifest_record(tmp_path, fig1, fig2):
     doc = copy.deepcopy(config.PRESETS["reproduce-fig2"])
     doc["output"]["directory"] = str(tmp_path / "fig2")
     pipeline.run(config.config_from_dict(doc))
-    saved = json.loads((tmp_path / "fig2" / "manifest.json").read_text())["derived"]
+    saved = strict_json((tmp_path / "fig2" / "manifest.json").read_text())["derived"]
     for key, record in records.items():
         assert saved[key] == json.loads(json.dumps({"status": "converged", **record})), key
+    assert set(saved["fermi_dirac"]) == {"status", "beta", "alpha", "residual", "at_bound"}
+    assert "w0_longtime_average" not in saved
 
 
 def test_manifest_records_eigensolver_and_environment(tmp_path):
@@ -465,6 +484,19 @@ def test_failed_hybrid_fit_falls_back_to_delta_e(tmp_path, monkeypatch):
     assert derived["sigma"] == derived["delta_e"]
 
 
+@pytest.mark.parametrize("eta", [1e-16, 1e-8])
+def test_a_vanishing_interaction_runs_on_delta_e(tmp_path, eta):
+    """A default-model run at a vanishing eta raises no RuntimeWarning (the suite makes one an
+    error): Delta_E stays positive (2.08e-7 at 1e-16), the hybrid fit is unavailable, since
+    Delta_E is under its moment quadrature, and sigma falls back to Delta_E."""
+    doc = {"model": {"eta": eta}, "output": {"directory": str(tmp_path / "out")}}
+    pipeline.run(config.config_from_dict(doc))
+    derived = strict_json((tmp_path / "out" / "manifest.json").read_text())["derived"]
+    assert derived["delta_e"] > 0
+    assert derived["hybrid_fit"]["status"] == "unavailable"
+    assert derived["sigma"] == derived["delta_e"]
+
+
 def test_run_free_fermions_frozen(tmp_path):
     """eta = 0: occupations never move and W0 stays exactly 1."""
     manifest = pipeline.run(config.config_from_dict(small_doc(tmp_path, eta=0.0)))
@@ -491,6 +523,7 @@ def test_free_fermion_manifest_records_the_undefined_n_pc_ratio_as_null(tmp_path
     derived = strict_json((tmp_path / "out" / "manifest.json").read_text())["derived"]
     assert derived["mean_spacing_mid"] == 0.0 and derived["gamma_golden_rule"] == 0.0
     assert derived["n_pc_ratio"] is None
+    assert derived["n_pc_ipr"] == 1.0   # every eigenstate is one basis state
 
 
 def test_run_deterministic_outputs(tmp_path):
@@ -816,13 +849,16 @@ def test_main_sweep(tmp_path, capsys):
 
 
 def test_sweep_checks_every_eta_before_the_first_run(tmp_path, capsys):
-    """One invalid eta exits 2 before any run: the sweep creates no directory."""
+    """An invalid or a repeated eta exits 2 before any run: the sweep creates no directory."""
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(small_doc(tmp_path, output={
         "directory": str(tmp_path / "sweep")})))
-    assert cli.main(["sweep", "--eta", "0.1,nan", "--config", str(config_path)]) == 2
-    assert capsys.readouterr().err.startswith("config error: ")
-    assert not (tmp_path / "sweep").exists()
+    for etas, named in (("0.1,nan", "eta must be finite"), ("0.1,0.1", "eta 0.1 is repeated"),
+                        ("0.1,1e-1", "eta 0.1 is repeated")):
+        assert cli.main(["sweep", "--eta", etas, "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and named in err, etas
+        assert not (tmp_path / "sweep").exists()
 
 
 def test_sweep_gives_each_eta_its_own_directory(tmp_path, capsys):

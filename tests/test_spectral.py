@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ctypes
 import os
 import subprocess
 import sys
@@ -193,6 +194,37 @@ def _loaded_libraries() -> set[str]:
             return {Path(line.split()[-1]).name for line in fh if ".so" in line}
     except OSError:
         return set()
+
+
+def _mapped_openblas_with_steps() -> ctypes.CDLL | None:
+    """The oracle: the first OpenBLAS mapped into this process, by sorted path in
+    ``/proc/self/maps``, that exports dsyevd's three ``_STEPS``; None without one."""
+    with open("/proc/self/maps") as fh:
+        paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        if all(hasattr(lib, name) for name in spectral._STEPS):
+            return lib
+    return None
+
+
+@pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="no /proc/self/maps")
+def test_numpy_openblas_is_the_mapped_openblas_with_the_steps():
+    """Through numpy.linalg's extension, the three ``_STEPS`` and the thread getter resolve to
+    the addresses the mapped OpenBLAS gives them, with scipy's own OpenBLAS mapped too."""
+    import scipy.linalg  # noqa: F401  (maps scipy's OpenBLAS)
+
+    names = [*spectral._STEPS, "scipy_openblas_get_num_threads64_"]
+    libs = [spectral._numpy_openblas(), _mapped_openblas_with_steps()]
+    if None in libs:
+        assert libs == [None, None]
+        return
+    found, scanned = ([ctypes.cast(getattr(lib, name), ctypes.c_void_p).value for name in names]
+                      for lib in libs)
+    assert found == scanned
 
 
 PATHS = pytest.mark.parametrize("path", ["dsyevd in place", "numpy.linalg.eigh"],
