@@ -26,7 +26,7 @@ from pathlib import Path
 # The benchmark (perfbench/) looks up run, emit_plotdata and config_from_dict in this module.
 from .config import PRESETS, config_from_dict, sweep_configs
 from .exceptions import ParameterError, StageError
-from .export import INSPECT_TOL, check_run, write_table
+from .export import INSPECT_TOL, check_run, read_document, write_table
 from .pipeline import emit_plotdata, run  # noqa: F401
 
 
@@ -68,15 +68,7 @@ def _config_doc(args) -> dict:
     --seed and --out, where given, as its seed and output directory."""
     path, doc = getattr(args, "config", None), copy.deepcopy(PRESETS.get(args.command, {}))
     if path is not None:
-        try:
-            with open(path) as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise ParameterError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ParameterError(f"config {path} is not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ParameterError(f"config {path} must hold a JSON object, got {doc!r}")
+        doc = read_document(path, "config")
     for name, key, value in (("model", "seed", args.seed), ("output", "directory", args.out)):
         if value is not None:
             block = doc.setdefault(name, {})
@@ -111,11 +103,11 @@ def _cmd_sweep(args) -> int:
         raise ParameterError("eta list is empty")
     root, configs = sweep_configs(_config_doc(args), etas)
     summary = []
-    for eta, config in zip(etas, configs):
+    for config in configs:
         manifest = run(config)
         d = manifest["derived"]
         # eta as its repr, the text of its run directory's name
-        summary.append({"eta": repr(eta), "gamma_golden_rule": d["gamma_golden_rule"],
+        summary.append({"eta": repr(config.model.eta), "gamma_golden_rule": d["gamma_golden_rule"],
                         "gamma_bw_fit": d["bw_fit"].get("gamma"), "delta_e": d["delta_e"],
                         "n_pc_ipr": d["n_pc_ipr"], "rms_eq14": d["rms_eq14"],
                         "config_hash": manifest["config_hash"]})

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .exceptions import ParameterError
 from .hamiltonian import ModelParams
-from .spectral import DENSE_COPIES, MIN_WINDOW_LEVELS
+from .spectral import DENSE_COPIES, MIN_WINDOW_LEVELS, _eigensolver
 
 # Bytes per state and grid point at the trajectory's peak: its phase rows and their product.
 POINT_BYTES = 32
@@ -118,9 +118,11 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 
 def sweep_configs(base: dict, etas) -> tuple[Path, list[ExperimentConfig]]:
-    """A sweep's root, the base's output directory or runs/sweep, and per eta the base with
-    that eta in ``root/eta=<repr(eta)>``, validated before any run; an eta given twice exits 2."""
+    """A sweep's root, the base's output directory or runs/sweep, and per eta, spelt as a config
+    spells it (-0.0 as 0.0), the base with that eta in ``root/eta=<repr(eta)>``, validated
+    before any run; an eta given twice exits 2."""
     outdir = config_from_dict(base).outdir   # first, so that every block below is an object
+    etas = [_merge(DEFAULTS["model"]["eta"], eta, "config.model.eta") for eta in etas]
     for k, eta in enumerate(etas):
         if eta in etas[:k]:
             raise ParameterError(f"eta {eta!r} is repeated; a sweep runs each eta once")
@@ -180,10 +182,9 @@ def _check_size(model: ModelParams, points: int) -> None:
     the run's own windows: over 1 <= n <= m <= 9, seeds 1-3, eta 0, 0.003 and
     0.083 and jitter 0 and 0.3, every model the rule lets through ran, and
     every one it refuses would fail a window check inside the run (exit 3).
-    Its dense H and eigendecomposition (``DENSE_COPIES`` N x N arrays of 8 B)
-    and its trajectory (``POINT_BYTES`` per state and grid point: the phase
-    rows and their product, both alive at its peak) must fit in physical
-    memory.
+    Its dense H and eigendecomposition (``DENSE_COPIES`` N x N arrays of 8 B on the path
+    ``diagonalize`` takes) and its trajectory (``POINT_BYTES`` per state and grid point: the
+    phase rows and their product, both alive at its peak) must fit in ``_available_memory()``.
     """
     n, m = model.n, model.m
     states = math.comb(m, n)
@@ -194,17 +195,26 @@ def _check_size(model: ModelParams, points: int) -> None:
     if model.eta > 0 and class1 < MIN_WINDOW_LEVELS:
         raise ParameterError(f"n={n}, m={m} couples {class1} class-1 states; the golden-rule "
                              f"density needs at least {MIN_WINDOW_LEVELS} when eta > 0")
-    need = states**2 * 8 * DENSE_COPIES + states * points * POINT_BYTES
-    try:
-        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (ValueError, OSError):   # not reported on this platform
-        return
-    if 0 < physical < need:
+    solver, available = _eigensolver(), _available_memory()
+    need = states**2 * 8 * DENSE_COPIES[solver] + states * points * POINT_BYTES
+    if 0 < available < need:   # 0: not reported
         raise ParameterError(
-            f"n={n}, m={m} has {states} basis states; the dense Hamiltonian, "
-            f"its eigendecomposition and {points} grid points need ~{need / 1e9:.3g} GB, "
-            f"more than the {physical / 1e9:.3g} GB of physical memory"
+            f"n={n}, m={m} has {states} basis states; the dense Hamiltonian, its "
+            f"eigendecomposition ({solver}) and {points} grid points need ~{need / 1e9:.3g} GB, "
+            f"more than the {available / 1e9:.3g} GB of available memory"
         )
+
+
+def _available_memory() -> int:
+    """Bytes of MemAvailable where /proc/meminfo reports it, else of physical memory, else 0."""
+    try:
+        with open("/proc/meminfo") as fh:   # "MemAvailable:   7713440 kB"
+            return int(dict(line.split(":", 1) for line in fh)["MemAvailable"].split()[0]) * 1024
+    except (OSError, KeyError, ValueError):   # no /proc, or a kernel that does not report it
+        try:
+            return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        except (ValueError, OSError):   # not reported on this platform
+            return 0
 
 
 def _initial_bitmask(rule, n: int, m: int) -> int | None:

@@ -1,4 +1,4 @@
-"""The run files: the two writers of every one, and the two checks of ``inspect``.
+"""The run files: their two writers, the reader of every JSON document and ``inspect``'s checks.
 
 A table is a few ``# `` header lines, one row of column names and one row
 per record, numbers at 17 significant digits, every line ended by LF
@@ -67,6 +67,20 @@ def _cell(value) -> str:
     return value if isinstance(value, str) else format(value, ".17g")
 
 
+def read_document(path, what: str) -> dict:
+    """The JSON object in the file ``path``; ParameterError (exit 2), naming "``what`` ``path``",
+    if it cannot be read, is not UTF-8 JSON, holds an integer past Python's 4,300-digit limit,
+    nests deeper than the parser allows or holds no object."""
+    name = f"{what} {path}".lstrip()
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ParameterError(f"{name} is not valid JSON or cannot be read: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParameterError(f"{name} must hold a JSON object, got {type(doc).__name__}")
+    return doc
+
+
 def sha256(path) -> str:
     """Hex SHA-256 of a file's bytes, the digest a manifest lists for it."""
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
@@ -78,20 +92,14 @@ def check_run(rundir, against=None):
     hex digits (0), "MISSING" or "HASH MISMATCH" (3); then, ``against`` given, the
     ``compare_runs`` of those files and the manifest.  ParameterError for a bad manifest."""
     rundir, path = Path(rundir), Path(rundir) / "manifest.json"
-    if not path.exists():
-        raise ParameterError(f"no manifest at {path}")
-    try:
-        manifest = json.loads(path.read_text())
-    except ValueError as exc:   # not JSON, or not text
-        raise ParameterError(f"manifest {path} is not valid JSON: {exc}") from exc
-    if not (isinstance(manifest, dict) and all(key in manifest for key in _MANIFEST_KEYS)
-            and isinstance(manifest.get("files", {}), dict)):
-        raise ParameterError(f"manifest {path} must be an object with "
+    manifest = read_document(path, "manifest")
+    if not (manifest.keys() >= {*_MANIFEST_KEYS} and isinstance(manifest.get("files", {}), dict)):
+        raise ParameterError(f"manifest {path} must hold "
                              f"{', '.join(_MANIFEST_KEYS)} and, if any, a files object")
     yield json.dumps({k: manifest[k] for k in _MANIFEST_KEYS}, indent=2), 0
     files = manifest.get("files", {})
     for name, recorded in files.items():
-        if not (rundir / name).exists():
+        if not (rundir / name).is_file():
             yield f"{name}: MISSING", 3
         elif sha256(rundir / name) != recorded:
             yield f"{name}: HASH MISMATCH", 3
@@ -105,10 +113,10 @@ def _fields(path: Path) -> dict:
     """JSON leaves by key path but _UNCOMPARED_KEYS, or CSV cells by line:column, as numbers
     where they parse as one."""
     try:
-        text = path.read_text()
-        pending = [("", json.loads(text))] if path.suffix == ".json" else []
-    except ValueError as exc:   # not JSON, or not text
-        raise ParameterError(f"{path} is not valid {path.suffix[1:].upper()}: {exc}") from exc
+        text = path.read_text() if path.suffix == ".csv" else ""
+    except ValueError as exc:   # not text
+        raise ParameterError(f"{path} is not valid CSV: {exc}") from exc
+    pending = [("", read_document(path, ""))] if path.suffix == ".json" else []
     fields = {}
     while pending:   # a JSON document, walked down to its leaves
         where, doc = pending.pop()
@@ -119,13 +127,12 @@ def _fields(path: Path) -> dict:
             pending += [(f"{where}[{j}]", value) for j, value in enumerate(doc)]
         else:
             fields[where] = doc
-    if path.suffix == ".csv":
-        for r, line in enumerate(text.splitlines()):
-            for c, cell in enumerate(line.split(",")):
-                try:
-                    fields[f"{r}:{c}"] = float(cell)
-                except ValueError:
-                    fields[f"{r}:{c}"] = cell
+    for r, line in enumerate(text.splitlines()):   # a table, cell by cell
+        for c, cell in enumerate(line.split(",")):
+            try:
+                fields[f"{r}:{c}"] = float(cell)
+            except ValueError:
+                fields[f"{r}:{c}"] = cell
     return fields
 
 
@@ -136,8 +143,8 @@ def compare_runs(rundir, other, names):
     rundir, other = Path(rundir), Path(other)
     for name in names:
         mine, theirs = rundir / name, other / name
-        if not (mine.exists() and theirs.exists()):
-            yield f"{name}: MISSING in {other if mine.exists() else rundir}", 3
+        if not (mine.is_file() and theirs.is_file()):
+            yield f"{name}: MISSING in {other if mine.is_file() else rundir}", 3
             continue
         if mine.read_bytes() == theirs.read_bytes():
             yield f"{name}: bytes equal", 0

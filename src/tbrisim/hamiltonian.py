@@ -248,24 +248,16 @@ def _couplings(n: int, m: int) -> _Couplings:
     n_sums, band, first_sum = n_states * n_move1 // 2, _band_rows(n_states), 2 * n_pairs**2 + m
     zero = first_sum + n_sums   # ext index of the 0.0; the diagonal's slots follow it
     dense = _index_dtype(zero + n_states) is np.int16
-    # One allocation backs every field: separate arrays measured about 2 MB
-    # more peak RSS in the dense work that follows at N=924.  Wider fields
-    # come first, so each is aligned.
-    term_type = np.dtype(_index_dtype(first_sum - 1))
-    layout = {"diagonal": ((n + len(occ_pairs), n_states), term_type),
-              "move1_term": ((n - 1, n_sums), term_type)}
+    term_type = _index_dtype(first_sum - 1)
+    fields = {"diagonal": np.empty((n + len(occ_pairs), n_states), term_type),
+              "move1_term": np.empty((n - 1, n_sums), term_type)}
     if dense:
-        layout["template"] = ((n_states, n_states), np.dtype(np.int16))
+        fields["template"] = np.empty((n_states, n_states), np.int16)
     else:
-        layout |= {"at": ((n_states, n_move2 + n_move1),
-                          np.dtype(_index_dtype(band * n_states - 1))),
-                   "move2_source": ((n_states, n_move2), term_type),
-                   "move1_source": ((n_states, n_move1), np.dtype(_index_dtype(zero - 1)))}
-    fields = sorted(layout.items(), key=lambda field: -field[1][1].itemsize)
-    ends = np.cumsum([math.prod(shape) * dtype.itemsize for _, (shape, dtype) in fields])
-    blocks = np.split(np.empty(ends[-1], np.uint8), ends[:-1])
-    structure = _Couplings(**{name: block.view(dtype).reshape(shape)
-                              for (name, (shape, dtype)), block in zip(fields, blocks)})
+        fields |= {"at": np.empty((n_states, n_move2 + n_move1), _index_dtype(band * n_states - 1)),
+                   "move2_source": np.empty((n_states, n_move2), term_type),
+                   "move1_source": np.empty((n_states, n_move1), _index_dtype(zero - 1))}
+    structure = _Couplings(**fields)
     template = structure.template
 
     structure.diagonal[:n] = 2 * n_pairs**2 + occ.T

@@ -102,10 +102,9 @@ def _environment() -> dict:
     }
 
 
-# Dense N x N float64 arrays alive at a run's peak where np.linalg.eigh runs: H, eigh's copy of
-# H, its workspace (~2 N^2) and its separate V. dsyevd's steps in place hold only H, the
-# eigenvector matrix they fill and one workspace (~N^2); the guard sizes for the fallback.
-DENSE_COPIES = 6
+# Dense N x N float64 arrays alive at a run's peak, by ``_eigensolver`` path: eigh holds H, its
+# copy, its workspace (~2 N^2) and V; dsyevd in place holds H, V and one workspace (~N^2).
+DENSE_COPIES = {"numpy.linalg.eigh": 6, "dsyevd in place": 3}
 
 
 def diagonalize(h: HamiltonianMatrix) -> EigenDecomposition:

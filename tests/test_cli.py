@@ -426,6 +426,27 @@ def test_size_guard_refuses_a_dense_matrix_beyond_physical_memory(tmp_path):
     assert config.config_from_dict({"model": {"n": 7, "m": 14}}).model.n == 7
 
 
+@pytest.mark.parametrize("solver, copies", [("dsyevd in place", 3), ("numpy.linalg.eigh", 6)])
+def test_size_guard_sizes_for_the_eigensolver_path(monkeypatch, solver, copies):
+    """The guard counts the N x N arrays of the path diagonalize takes, three in place and six
+    on eigh, plus the trajectory, against the memory reported available: n=6, m=12 (N=924)
+    with 400 points validates with exactly that much and is refused with a byte less.
+    Arithmetic only: both the path and the memory are patched, and nothing runs."""
+    need = 924**2 * 8 * copies + 924 * 400 * config.POINT_BYTES
+    monkeypatch.setattr(config, "_eigensolver", lambda: solver)
+    monkeypatch.setattr(config, "_available_memory", lambda: need)
+    assert config.config_from_dict({"model": {"n": 6, "m": 12}}).model.n == 6
+    monkeypatch.setattr(config, "_available_memory", lambda: need - 1)
+    with pytest.raises(ParameterError, match=re.escape(f"({solver})")):
+        config.config_from_dict({"model": {"n": 6, "m": 12}})
+
+
+def test_available_memory_is_at_most_physical_memory():
+    """MemAvailable, where reported, lies within physical memory, the fallback."""
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    assert 0 < config._available_memory() <= physical
+
+
 def test_size_guard_counts_the_trajectory_grid():
     """n=6, m=12 validates with 400 points; 10**11 points, each holding POINT_BYTES per
     state of phase rows and their product, exceed physical memory and are refused by
@@ -729,10 +750,23 @@ def test_inspect_against_and_sweep_output_is_pinned(tmp_path, capsys):
     assert (sweep / "summary.csv").read_bytes() == "".join(f"{row}\n" for row in rows).encode()
 
 
+# JSON that Python's parser refuses: nested deeper than its recursion limit, and an
+# integer past its 4,300-digit conversion limit.
+NESTED = "[" * 200_000 + "]" * 200_000
+DIGITS = '{"model": {"seed": ' + "9" * 5_000 + "}}"
+
+
 def test_main_config_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")
     assert cli.main(["run", "--config", str(bad)]) == 2
+    for content in (DIGITS.encode(), b"\xff\xfe{", NESTED.encode()):   # one line, no output
+        bad.write_bytes(content)
+        capsys.readouterr()
+        assert cli.main(["run", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config {bad} ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
     missing = cli.main(["inspect", str(tmp_path / "nowhere")])
     assert missing == 2
     listed = tmp_path / "list.json"   # a flag cannot write into a config that is not an object
@@ -746,17 +780,25 @@ def test_main_config_error_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("text", [
     "not json", "[1, 2]", '{"files": {}}',
     '{"config_hash": "x", "seed": 1, "derived": {}, "files": []}',
+    pytest.param(NESTED, id="nested"), pytest.param(None, id="directory"),
 ])
 def test_inspect_refuses_a_malformed_manifest(tmp_path, capsys, text):
     """A manifest that is not JSON, not an object, lacks config_hash/seed/derived or holds
-    files that are not an object exits 2."""
-    (tmp_path / "manifest.json").write_text(text)
+    files that are not an object exits 2, as does a manifest.json that is a directory."""
+    if text is None:
+        (tmp_path / "manifest.json").mkdir()
+    else:
+        (tmp_path / "manifest.json").write_text(text)
     assert cli.main(["inspect", str(tmp_path)]) == 2
-    assert capsys.readouterr().err.startswith("config error: manifest ")
+    err = capsys.readouterr().err
+    assert err.startswith("config error: manifest ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("name,content", [
     ("manifest.json", b"not json"), ("occupations.csv", b"\xff\xfe not text"),
+    pytest.param("manifest.json", NESTED.encode(), id="manifest.json-nested"),
+    pytest.param("manifest.json", DIGITS.encode(), id="manifest.json-digits"),
+    pytest.param("config.json", b"\xff\xfe{", id="config.json-not utf-8"),
 ])
 def test_inspect_against_refuses_a_malformed_file(tmp_path, capsys, name, content):
     """A file of the other run that is not JSON, or not text, exits 2 with a config error."""
@@ -785,6 +827,22 @@ def test_inspect_against_reports_a_file_missing_in_the_run(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert f"strength.csv: MISSING in {lacking}" in lines
     assert "occupations.csv: bytes equal" in lines and "manifest.json: bytes equal" in lines
+
+
+def test_inspect_reports_a_directory_in_place_of_a_file_as_missing(tmp_path, capsys):
+    """A directory where the manifest lists a file is that file MISSING (exit 3), in the
+    run itself and in the run it is compared with."""
+    doc = small_doc(tmp_path, output={"directory": str(tmp_path / "a")})
+    pipeline.run(config.config_from_dict(doc))
+    other = tmp_path / "b"
+    shutil.copytree(tmp_path / "a", other)
+    (other / "strength.csv").unlink()
+    (other / "strength.csv").mkdir()
+    capsys.readouterr()
+    assert cli.main(["inspect", str(other)]) == 3
+    assert "strength.csv: MISSING" in capsys.readouterr().out.splitlines()
+    assert cli.main(["inspect", str(tmp_path / "a"), "--against", str(other)]) == 3
+    assert f"strength.csv: MISSING in {other}" in capsys.readouterr().out.splitlines()
 
 
 def test_negative_seed_exits_2_before_the_run(tmp_path, capsys):
@@ -871,6 +929,23 @@ def test_sweep_gives_each_eta_its_own_directory(tmp_path, capsys):
     assert runs == ["eta=0.1", "eta=0.1000001"]
     for name in runs:
         assert cli.main(["inspect", str(tmp_path / "sweep" / name)]) == 0
+
+
+def test_sweep_names_negative_zero_as_the_zero_it_runs(tmp_path, capsys):
+    """eta -0.0 runs as 0.0, the config's spelling, and its directory and summary row say
+    0.0; given with 0.0 it is a repeated eta."""
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(small_doc(tmp_path, output={
+        "directory": str(tmp_path / "sweep")})))
+    assert cli.main(["sweep", "--eta=0.0,-0.0", "--config", str(config_path)]) == 2
+    assert "eta 0.0 is repeated" in capsys.readouterr().err
+    assert cli.main(["sweep", "--eta=-0.0,0.1", "--config", str(config_path)]) == 0
+    runs = sorted(path.name for path in (tmp_path / "sweep").iterdir() if path.is_dir())
+    assert runs == ["eta=0.0", "eta=0.1"]
+    with open(tmp_path / "sweep" / "summary.csv") as fh:
+        assert [row["eta"] for row in csv.DictReader(fh)] == ["0.0", "0.1"]
+    saved = json.loads((tmp_path / "sweep" / "eta=0.0" / "config.json").read_text())
+    assert repr(saved["model"]["eta"]) == "0.0"
 
 
 def test_preset_configs():

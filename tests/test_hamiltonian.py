@@ -216,12 +216,16 @@ def test_index_blocks_keep_structure_and_h_bitwise(n, m, block, monkeypatch):
     params = tb.ModelParams(n=n, m=m, eta=0.083, seed=3, jitter=0.3)
     basis = tb.build_basis(n, m)
     spectrum, tensor = tb.sample_spectrum(params), tb.sample_two_body(params)
-    structure = _couplings(n, m).diagonal.base.tobytes()   # every field, either layout
+    def structure():   # every field's bytes, either layout
+        return {name: None if array is None else array.tobytes()
+                for name, array in vars(_couplings(n, m)).items()}
+
+    default = structure()
     expected = tb.build_hamiltonian(basis, spectrum, tensor).entries.tobytes()
     monkeypatch.setattr(hamiltonian, "INDEX_BLOCK", block)
     _couplings.cache_clear()
     try:
-        assert _couplings(n, m).diagonal.base.tobytes() == structure
+        assert structure() == default
         assert tb.build_hamiltonian(basis, spectrum, tensor).entries.tobytes() == expected
     finally:
         _couplings.cache_clear()   # later tests build the structure with the default blocks
@@ -349,7 +353,7 @@ def test_cached_structure_survives_another_size():
 
 @pytest.mark.parametrize("n,m,nbytes", [(2, 4, 132), (4, 8, 14_560), (6, 12, 1_912_680)])
 def test_dense_coupling_template(n, m, nbytes):
-    """Read-only fields of one backing array; the (N, N) int16 template points every element
+    """Read-only fields of nbytes in all; the (N, N) int16 template points every element
     of H at its value in ext: zeros at the one 0.0 slot, the diagonal at its own slots, and
     per row M2 two-orbital entries at signed elements and M1 one-orbital ones at sums."""
     couplings = _couplings(n, m)
@@ -358,12 +362,16 @@ def test_dense_coupling_template(n, m, nbytes):
     first_sum = 2 * pairs**2 + m
     zero = first_sum + size * move1 // 2
     template = couplings.template
-    assert (template.shape, template.dtype) == ((size, size), np.dtype(np.int16))
     assert couplings.at is couplings.move2_source is couplings.move1_source is None
-    for array in (template, couplings.diagonal, couplings.move1_term):
-        assert not array.flags.writeable
-        assert array.base is template.base
-    assert template.base.nbytes == nbytes
+    term_type = np.dtype(_index_dtype(first_sum - 1))
+    fields = {"template": ((size, size), np.dtype(np.int16)),
+              "diagonal": ((n + comb(n, 2), size), term_type),
+              "move1_term": ((n - 1, size * move1 // 2), term_type)}
+    for name, (shape, dtype) in fields.items():
+        array = getattr(couplings, name)
+        assert (array.shape, array.dtype) == (shape, dtype), name
+        assert not array.flags.writeable, name
+    assert sum(getattr(couplings, name).nbytes for name in fields) == nbytes
     assert np.array_equal(np.diag(template), np.arange(zero + 1, zero + 1 + size))
     states = tb.build_basis(n, m).states
     flipped = np.bitwise_count(states[:, None] ^ states)   # 4 for a two-orbital move
@@ -394,7 +402,7 @@ def test_template_check_refuses_an_index_outside_ext(monkeypatch):
 
 @pytest.mark.parametrize("n,m,nbytes", [(1, 17, 1_700), (3, 20, 3_399_480), (2, 45, 6_056_820)])
 def test_row_grouped_coupling_layout(n, m, nbytes):
-    """Read-only fields of one backing array: every entry off the diagonal once, row by row,
+    """Read-only fields of nbytes in all: every entry off the diagonal once, row by row,
     each row's two-orbital moves first, with positions counted from the band's first row."""
     couplings = _couplings(n, m)
     assert couplings.template is None
@@ -410,14 +418,12 @@ def test_row_grouped_coupling_layout(n, m, nbytes):
         "diagonal": ((n + comb(n, 2), size), term_type),
         "move1_term": ((n - 1, size * move1 // 2), term_type),
     }
-    backing = couplings.at.base
     for name, (shape, dtype) in fields.items():
         array = getattr(couplings, name)
         assert array.shape == shape, name
         assert array.dtype == dtype, name
         assert not array.flags.writeable, name
-        assert array.base is backing, name
-    assert backing.nbytes == sum(getattr(couplings, name).nbytes for name in fields) == nbytes
+    assert sum(getattr(couplings, name).nbytes for name in fields) == nbytes
     band_row, cols = np.divmod(couplings.at.astype(np.int64), size)
     row = np.arange(size)[:, None]
     assert np.all(band_row == row % rows)
