@@ -8,7 +8,7 @@ run can be verified byte for byte.  Subcommands:
     run             execute a config (--seed and --out override its seed and directory)
     reproduce-fig1  run the preset of the paper's figure 1 or 2
     reproduce-fig2  (``config.PRESETS``)
-    sweep           run the configs of ``config.sweep_configs`` and tabulate the widths
+    sweep           run the configs of ``config.sweep_configs``; ``pipeline.sweep`` tabulates them
     inspect         print the lines of ``export.check_run``: the manifest, each file's
                     hash check and, with --against OTHER, its comparison with OTHER's
 
@@ -26,8 +26,8 @@ from pathlib import Path
 # The benchmark (perfbench/) looks up run, emit_plotdata and config_from_dict in this module.
 from .config import PRESETS, config_from_dict, sweep_configs
 from .exceptions import ParameterError, StageError
-from .export import INSPECT_TOL, check_run, read_document, write_table
-from .pipeline import emit_plotdata, run  # noqa: F401
+from .export import INSPECT_TOL, check_run, read_document
+from .pipeline import emit_plotdata, run, sweep  # noqa: F401
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -101,19 +101,7 @@ def _cmd_sweep(args) -> int:
         raise ParameterError(f"bad eta list {args.etas!r}: {exc}") from exc
     if not etas:
         raise ParameterError("eta list is empty")
-    root, configs = sweep_configs(_config_doc(args), etas)
-    summary = []
-    for config in configs:
-        manifest = run(config)
-        d = manifest["derived"]
-        # eta as its repr, the text of its run directory's name
-        summary.append({"eta": repr(config.model.eta), "gamma_golden_rule": d["gamma_golden_rule"],
-                        "gamma_bw_fit": d["bw_fit"].get("gamma"), "delta_e": d["delta_e"],
-                        "n_pc_ipr": d["n_pc_ipr"], "rms_eq14": d["rms_eq14"],
-                        "config_hash": manifest["config_hash"]})
-    root.mkdir(parents=True, exist_ok=True)
-    write_table(root / "summary.csv", {c: [row[c] for row in summary] for c in summary[0]})
-    print(f"sweep summary in {root / 'summary.csv'}")
+    print(f"sweep summary in {sweep(*sweep_configs(_config_doc(args), etas))}")
     return 0
 
 

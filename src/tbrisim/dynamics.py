@@ -32,7 +32,6 @@ from .basis import Basis, ClassPartition, check_index, check_reference, occupanc
 from .exceptions import ParameterError, PreconditionError
 from .export import write_table
 from .spectral import EigenDecomposition
-from .strength import strength_function
 
 UNITARITY_TOL = 1e-10
 _NODE_EPS = np.finfo(float).eps   # target of the Chebyshev truncation bound
@@ -364,7 +363,9 @@ def average_survival(decomp: EigenDecomposition, i: int) -> float:
     5144 (1997)): exact when no level repeats, and where one does no validated config mixes
     its eigenvectors (at eta = 0 H is diagonal and eigh returns unit vectors).  The name is
     kept for the benchmark's ``quench`` op and its tracer, which call it."""
-    return strength_function(decomp, i).ipr()
+    check_index(i, decomp.size)
+    w = decomp.vectors[i] ** 2   # the strength function's weights
+    return float(w @ w)
 
 
 def write_trajectory_csv(traj: OccupationTrajectory, path, *, header_lines=()) -> None:

@@ -17,7 +17,7 @@ import numpy as np
 from . import dynamics, strength, theory
 from .basis import build_basis, classify, occupation_bits
 from .config import ExperimentConfig, config_hash
-from .exceptions import StageError
+from .exceptions import ParameterError, StageError
 from .export import sha256, write_json, write_table
 from .hamiltonian import HamiltonianMatrix, build_hamiltonian, sample_spectrum, sample_two_body
 from .spectral import PROBES, _environment, _sorted_median, diagonalize, spectral_stats
@@ -65,7 +65,10 @@ def run(config: ExperimentConfig) -> dict:
     doc = config.to_dict()
     cfg_hash = config_hash(doc)
     outdir = Path(config.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:   # a path that cannot be a directory (a file, or a path under one) is a config error
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ParameterError(f"output directory {outdir} cannot be made: {exc}") from exc
     written: list[Path] = []
     header_lines = [f"config_hash={cfg_hash}", f"seed={config.model.seed}"]
 
@@ -158,3 +161,16 @@ def run(config: ExperimentConfig) -> dict:
         }
         write_json(outdir / "manifest.json", manifest)
     return manifest
+
+
+def sweep(root: Path, configs: list[ExperimentConfig]) -> Path:
+    """Run the configs in order; tabulate them in ``root``/summary.csv, each eta as the repr
+    its run directory is named by, and return the table's path."""
+    rows = []
+    for config, manifest in zip(configs, map(run, configs)):
+        d = manifest["derived"]
+        rows.append((repr(config.model.eta), d["gamma_golden_rule"], d["bw_fit"].get("gamma"),
+                     d["delta_e"], d["n_pc_ipr"], d["rms_eq14"], manifest["config_hash"]))
+    names = "eta gamma_golden_rule gamma_bw_fit delta_e n_pc_ipr rms_eq14 config_hash".split()
+    write_table(root / "summary.csv", dict(zip(names, zip(*rows))))
+    return root / "summary.csv"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import copy
 import csv
 import hashlib
@@ -96,6 +97,7 @@ def test_config_validation_errors():
         {"output": {"binary_dump": True}},
         {"model": {**small, "eta": 10**400}},   # an integer no float holds
         {"model": small, "grid": {"kind": "log", "start": 1, "stop": 10**400}},
+        {"model": small, "grid": {"kind": "log", "start": 0.0, "stop": 10.0, "points": 10}},
     ):
         with pytest.raises(ParameterError):
             config.config_from_dict(doc)
@@ -772,6 +774,13 @@ def test_main_config_error_exit_code(tmp_path, capsys):
     listed = tmp_path / "list.json"   # a flag cannot write into a config that is not an object
     listed.write_text("[1, 2]")
     assert cli.main(["run", "--config", str(listed), "--seed", "3"]) == 2
+    listed.write_text(json.dumps({"model": [1]}))   # nor into a block that is not an object
+    capsys.readouterr()
+    assert cli.main(["run", "--config", str(listed), "--seed", "3", "--out",
+                     str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: config block 'model' must be a JSON object, got [1]\n"
+    assert not (tmp_path / "out").exists()
     base = tmp_path / "base.json"   # a sweep checks its base config before the first run
     base.write_text(json.dumps({"output": {"directory": 5}}))
     assert cli.main(["sweep", "--eta", "0.1", "--config", str(base)]) == 2
@@ -855,6 +864,40 @@ def test_negative_seed_exits_2_before_the_run(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--config", "c.json", "--out", "F"],
+    ["reproduce-fig2", "--out", "F/sub"],
+    ["sweep", "--eta", "0.1,0.2", "--config", "c.json", "--out", "F"],
+])
+def test_an_output_path_that_cannot_be_a_directory_exits_2(tmp_path, capsys, monkeypatch, argv):
+    """An output directory that names an existing file, or a path under one, is a config
+    error (exit 2, one line) before the basis is enumerated: the file keeps its bytes and
+    nothing is created."""
+    def enumerated(*args):
+        raise AssertionError("the basis was enumerated")
+
+    monkeypatch.setattr(pipeline, "build_basis", enumerated)
+    (tmp_path / "c.json").write_text(json.dumps(small_doc(tmp_path)))
+    (tmp_path / "F").write_bytes(b"a file\n")
+    before = sorted(tmp_path.rglob("*"))
+    assert cli.main([str(tmp_path / a) if a.startswith(("c.json", "F")) else a for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: output directory {tmp_path / 'F'}")
+    assert err.count("\n") == 1 and "cannot be made" in err
+    assert sorted(tmp_path.rglob("*")) == before
+    assert (tmp_path / "F").read_bytes() == b"a file\n"
+
+
+def test_cli_makes_no_directory_and_writes_no_file():
+    """cli.py parses arguments and formats output: it opens no file, makes no directory and
+    calls no writer; pipeline and export do all three."""
+    writers = {"open", "mkdir", "write_text", "write_bytes", "write_table", "write_json"}
+    tree = ast.parse(Path(cli.__file__).read_text())
+    called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+              for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert "print" in called and called.isdisjoint(writers), called & writers
+
+
 def test_main_flag_overrides(tmp_path, capsys):
     """--seed and --out override the document's seed and directory; the rest is the document's."""
     grid = {"kind": "linear", "start": 0.0, "stop": 5.0, "points": 40}
@@ -912,10 +955,11 @@ def test_sweep_checks_every_eta_before_the_first_run(tmp_path, capsys):
     config_path.write_text(json.dumps(small_doc(tmp_path, output={
         "directory": str(tmp_path / "sweep")})))
     for etas, named in (("0.1,nan", "eta must be finite"), ("0.1,0.1", "eta 0.1 is repeated"),
-                        ("0.1,1e-1", "eta 0.1 is repeated")):
+                        ("0.1,1e-1", "eta 0.1 is repeated"), ("0.1,x", "bad eta list '0.1,x'"),
+                        (",", "eta list is empty")):
         assert cli.main(["sweep", "--eta", etas, "--config", str(config_path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: ") and named in err, etas
+        assert err.startswith("config error: ") and named in err and err.count("\n") == 1, etas
         assert not (tmp_path / "sweep").exists()
 
 
