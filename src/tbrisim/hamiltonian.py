@@ -216,8 +216,9 @@ def _couplings(n: int, m: int) -> _Couplings:
     template's range is checked once here, so ``np.take(mode="clip")`` has nothing to clamp.  One
     loop writes either layout, over blocks of consecutive states, at most ``INDEX_BLOCK`` moves of
     a kind per block (or one state), so the int64 temporaries stay bounded: a cold build peaks at
-    3.7 MB at N=924 and 11.8 MB at N=3432 under tracemalloc, of which 1.91 and 8.3 MB are kept.
-    A move from f is above the diagonal exactly when its target exceeds f, as the basis is sorted.
+    3.7 MB at N=924 and 12.0 MB at N=3432 under tracemalloc, of which 1.91 and 8.3 MB are kept.
+    A move from f is above the diagonal exactly when its target exceeds f, as the basis is sorted;
+    it takes its own sum, and one below its partner's, found by the move back in ``move1_source``.
     Only one-orbital targets are searched for: a two-orbital move is two one-orbital ones."""
     states = basis_states(n, m)
     n_states, n_pairs = len(states), m * (m - 1) // 2
@@ -251,12 +252,13 @@ def _couplings(n: int, m: int) -> _Couplings:
     term_type = _index_dtype(first_sum - 1)
     fields = {"diagonal": np.empty((n + len(occ_pairs), n_states), term_type),
               "move1_term": np.empty((n - 1, n_sums), term_type)}
+    move1_source = np.empty((n_states, n_move1), _index_dtype(zero - 1))   # kept if sparse
     if dense:
-        fields["template"] = np.empty((n_states, n_states), np.int16)
+        fields["template"] = np.full((n_states, n_states), zero, np.int16)
     else:
         fields |= {"at": np.empty((n_states, n_move2 + n_move1), _index_dtype(band * n_states - 1)),
                    "move2_source": np.empty((n_states, n_move2), term_type),
-                   "move1_source": np.empty((n_states, n_move1), _index_dtype(zero - 1))}
+                   "move1_source": move1_source}
     structure = _Couplings(**fields)
     template = structure.template
 
@@ -264,7 +266,6 @@ def _couplings(n: int, m: int) -> _Couplings:
     for row, (a1, a2) in zip(structure.diagonal[n:], occ_pairs):
         row[:] = (n_pairs + 1) * pair(occ[:, a1], occ[:, a2])
     if dense:
-        template.fill(zero)
         np.fill_diagonal(template, np.arange(zero + 1, zero + 1 + n_states))
 
     one_move = np.searchsorted(states, states[:, None, None] ^ (1 << occ[:, :, None])
@@ -291,20 +292,16 @@ def _couplings(n: int, m: int) -> _Couplings:
             s = occ_f[:, rank + (rank >= np.arange(n)), None]
             structure.move1_term[rank, start:end] = term(
                 f, np.minimum(p, s), np.maximum(p, s), np.minimum(r, s), np.maximum(r, s))[upper]
-        upper, sums = upper.reshape(count, -1), np.arange(first_sum + start, first_sum + end)
-        if dense:   # a lower entry's upper partner, in an earlier row, is written
+        upper, source = upper.reshape(count, -1), move1_source[block]
+        source[upper] = np.arange(first_sum + start, first_sum + end)
+        reverse = move(targets, r, p).reshape(count, -1)   # the move back, from g to f
+        source[~upper] = move1_source[cols[~upper], reverse[~upper]]   # in an earlier row
+        if dense:
             template[row, move2_cols] = move2_terms
-            rows = np.broadcast_to(row, cols.shape)
-            template[rows[upper], cols[upper]] = sums
-            template[rows[~upper], cols[~upper]] = template[cols[~upper], rows[~upper]]
+            template[row, cols] = source
         else:
-            structure.at[block, :n_move2] = row % band * n_states + move2_cols
-            structure.at[block, n_move2:] = row % band * n_states + cols
+            structure.at[block] = row % band * n_states + np.hstack((move2_cols, cols))
             structure.move2_source[block] = move2_terms
-            source = structure.move1_source[block]
-            source[upper] = sums
-            reverse = move(targets, r, p).reshape(count, -1)   # the move back, from g to f
-            source[~upper] = structure.move1_source[cols[~upper], reverse[~upper]]
         del move2_cols, move2_terms   # kept into the next block, they cost 0.5 MB cold peak
 
     if dense:

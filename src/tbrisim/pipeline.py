@@ -58,17 +58,21 @@ def emit_plotdata(grid: dynamics.TimeGrid, models, path, *, header_lines=()) -> 
     write_table(path, columns, header_lines=header)
 
 
+def _make_outdir(config: ExperimentConfig) -> Path:   # a file, or a path under one: exit 2
+    try:
+        Path(config.outdir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ParameterError(f"output directory {config.outdir} cannot be made: {exc}") from exc
+    return Path(config.outdir)
+
+
 def run(config: ExperimentConfig) -> dict:
     """Execute the full pipeline for one config and write all outputs; return the manifest,
     the dict written to manifest.json: the config echo, its hash and seed, the derived
     values, the file hashes and the library environment that produced the bytes."""
     doc = config.to_dict()
     cfg_hash = config_hash(doc)
-    outdir = Path(config.outdir)
-    try:   # a path that cannot be a directory (a file, or a path under one) is a config error
-        outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ParameterError(f"output directory {outdir} cannot be made: {exc}") from exc
+    outdir = _make_outdir(config)
     written: list[Path] = []
     header_lines = [f"config_hash={cfg_hash}", f"seed={config.model.seed}"]
 
@@ -164,8 +168,9 @@ def run(config: ExperimentConfig) -> dict:
 
 
 def sweep(root: Path, configs: list[ExperimentConfig]) -> Path:
-    """Run the configs in order; tabulate them in ``root``/summary.csv, each eta as the repr
-    its run directory is named by, and return the table's path."""
+    """Make every config's directory, then run the configs in order; tabulate them in
+    ``root``/summary.csv, each eta as the repr its run directory is named by, and return it."""
+    list(map(_make_outdir, configs))   # a config error here comes before any run
     rows = []
     for config, manifest in zip(configs, map(run, configs)):
         d = manifest["derived"]

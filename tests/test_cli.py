@@ -443,10 +443,25 @@ def test_size_guard_sizes_for_the_eigensolver_path(monkeypatch, solver, copies):
         config.config_from_dict({"model": {"n": 6, "m": 12}})
 
 
-def test_available_memory_is_at_most_physical_memory():
-    """MemAvailable, where reported, lies within physical memory, the fallback."""
+def test_available_memory_is_at_most_physical_memory(monkeypatch):
+    """MemAvailable, where reported, lies within physical memory, the fallback where
+    /proc/meminfo cannot be read; where physical memory is not reported either it is 0,
+    and the size guard is off."""
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     assert 0 < config._available_memory() <= physical
+
+    def unreadable(*args, **kwargs):
+        raise FileNotFoundError("/proc/meminfo")
+
+    def unreported(name):
+        raise ValueError(f"unrecognized configuration name {name!r}")
+
+    monkeypatch.setattr(config, "open", unreadable, raising=False)   # shadows the builtin
+    assert config._available_memory() == physical
+    monkeypatch.setattr(os, "sysconf", unreported)
+    assert config._available_memory() == 0
+    huge = config.config_from_dict({"model": {"n": 6, "m": 12}, "grid": {"points": 10**11}})
+    assert huge.document["grid"]["points"] == 10**11
 
 
 def test_size_guard_counts_the_trajectory_grid():
@@ -949,8 +964,10 @@ def test_main_sweep(tmp_path, capsys):
     assert not (tmp_path / "sweep" / "summary.json").exists()
 
 
-def test_sweep_checks_every_eta_before_the_first_run(tmp_path, capsys):
-    """An invalid or a repeated eta exits 2 before any run: the sweep creates no directory."""
+def test_sweep_checks_every_eta_before_the_first_run(tmp_path, capsys, monkeypatch):
+    """An invalid or a repeated eta exits 2 before any run: the sweep creates no directory.
+    A run directory that cannot be made, a file where the second eta's would go, exits 2
+    before the basis is enumerated: the first run's directory stays empty, no summary written."""
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(small_doc(tmp_path, output={
         "directory": str(tmp_path / "sweep")})))
@@ -961,6 +978,21 @@ def test_sweep_checks_every_eta_before_the_first_run(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and named in err and err.count("\n") == 1, etas
         assert not (tmp_path / "sweep").exists()
+
+    def enumerated(*args):
+        raise AssertionError("the basis was enumerated")
+
+    monkeypatch.setattr(pipeline, "build_basis", enumerated)
+    blocking = tmp_path / "sweep" / "eta=0.2"
+    blocking.parent.mkdir()
+    blocking.write_bytes(b"a file\n")
+    assert cli.main(["sweep", "--eta", "0.1,0.2", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: output directory {blocking} cannot be made: ")
+    assert err.count("\n") == 1
+    assert [path for path in (tmp_path / "sweep").rglob("*") if path.is_file()] == [blocking]
+    assert blocking.read_bytes() == b"a file\n"
+    assert not (tmp_path / "sweep" / "summary.csv").exists()
 
 
 def test_sweep_gives_each_eta_its_own_directory(tmp_path, capsys):
@@ -1018,7 +1050,8 @@ def test_reproduce_fig1_manifest_values(tmp_path, capsys):
 
 
 def test_main_numerical_stage_error_exit_code(tmp_path, capsys, monkeypatch):
-    """A stage that fails surfaces as a stage error (exit 3) that names the stage."""
+    """A stage that fails surfaces as a stage error (exit 3) that names the stage and, from
+    the export stage on, the files written so far."""
     def too_few(decomp):
         raise InsufficientStatisticsError("only 6 levels near the median; need >= 10")
 
@@ -1028,6 +1061,17 @@ def test_main_numerical_stage_error_exit_code(tmp_path, capsys, monkeypatch):
     assert cli.main(["run", "--config", str(config_path)]) == 3
     err = capsys.readouterr().err
     assert "diagonalization" in err
+    assert "partial outputs" not in err   # nothing is written before the export stage
+
+    def disk_full(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.undo()
+    monkeypatch.setattr(strength, "write_profile_csv", disk_full)
+    assert cli.main(["run", "--config", str(config_path)]) == 3
+    stage_line, partial_line = capsys.readouterr().err.splitlines()
+    assert stage_line.startswith("numerical error in stage 'export': ")
+    assert partial_line.startswith(f"partial outputs: {tmp_path / 'out' / 'config.json'}, ")
 
 
 @pytest.mark.parametrize("jitter", [0.0, 0.3])
