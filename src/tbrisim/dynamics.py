@@ -189,14 +189,15 @@ def _folded(radius: float, count: int, targets: np.ndarray):
     weights[1::2] *= -1.0
     offsets = targets - nodes[:, None]
     exact = offsets == 0.0
+    hits = exact.any(axis=0)
     offsets[exact] = 1.0
     near = weights[:, None] / offsets
     far = (-1.0) ** (count - 1) * weights[:odd, None] / (targets + nodes[:odd, None])
     scale = near.sum(axis=0) + far.sum(axis=0)
+    scale[hits] = 1.0   # a hit's sums may round to 0; its columns are set below
     folded, far = near / scale, far / scale
     odd_part = folded[:odd] - far
     folded[:odd] += far
-    hits = exact.any(axis=0)
     folded[:, hits], odd_part[:, hits] = exact[:, hits], exact[:odd, hits]
     return nodes, folded, odd_part
 

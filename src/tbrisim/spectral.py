@@ -124,8 +124,7 @@ def diagonalize(h: HamiltonianMatrix) -> EigenDecomposition:
     if matrix.shape != (size, size):
         raise PreconditionError(f"expected a {size} x {size} matrix for the basis, "
                                 f"got shape {matrix.shape}")
-    _check_entries(matrix)
-    lib, scale = _numpy_openblas(), _max_abs(matrix)
+    lib, scale = _numpy_openblas(), _check_entries(matrix)
     if lib is not None and (scale == 0 or _UNSCALED <= scale <= 1 / _UNSCALED):
         energies, vectors = _dsyevd_in_place(lib, np.require(matrix, requirements="CAW"))
     else:
@@ -134,29 +133,29 @@ def diagonalize(h: HamiltonianMatrix) -> EigenDecomposition:
         except np.linalg.LinAlgError as exc:
             raise EigensolverError(f"eigensolver did not converge: {exc}") from exc
 
-    ortho, recon = _check_decomposition(matrix, energies, vectors)
+    ortho, recon = _check_decomposition(matrix, energies, vectors, scale)
     return EigenDecomposition(
         energies=energies, vectors=vectors, basis=h.basis,
         orthonormality_residual=ortho, reconstruction_residual=recon,
     )
 
 
-def _check_entries(matrix: np.ndarray) -> None:
-    """PreconditionError unless the float64 ``matrix`` is finite and equals its transpose bit for
-    bit, both checked on the strips matrix[lo : lo + ROW_BLOCK, lo:]: no N x N temporary.  The
-    strips hold the upper triangle and the diagonal, which cover every entry once the strip's
-    symmetry is checked, so a non-finite entry in either triangle is refused."""
-    bits = matrix.view(np.int64)
+def _check_entries(matrix: np.ndarray) -> float:
+    """max|H| of the float64 ``matrix``; PreconditionError unless it is finite and equals its
+    transpose bit for bit. One pass over the strips matrix[lo : lo + ROW_BLOCK, lo:] (no N x N
+    temporary) reads each strip's min and max, which a NaN or an infinity makes non-finite, and
+    its symmetry. The strips hold the upper triangle and the diagonal, which cover every entry
+    once the strip's symmetry is checked: their min and max are H's."""
+    bits, scale = matrix.view(np.int64), 0.0
     for lo in range(0, len(bits), ROW_BLOCK):
-        if not np.isfinite(matrix[lo : lo + ROW_BLOCK, lo:]).all():
+        strip = matrix[lo : lo + ROW_BLOCK, lo:]
+        low, high = strip.min(), strip.max()
+        if not -np.inf < low <= high < np.inf:
             raise PreconditionError("matrix contains non-finite entries")
-        if not np.array_equal(bits[lo : lo + ROW_BLOCK, lo:], bits[lo:, lo : lo + ROW_BLOCK].T):
+        if not np.array_equal(strip.view(np.int64), bits[lo:, lo : lo + ROW_BLOCK].T):
             raise PreconditionError("matrix is not exactly symmetric")
-
-
-def _max_abs(matrix: np.ndarray) -> float:
-    """max|H| without an N x N temporary."""
-    return float(max(matrix.max(), -matrix.min()))
+        scale = max(scale, high, -low)
+    return float(scale)
 
 
 def _dsyevd_in_place(lib: ctypes.CDLL, matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -207,7 +206,7 @@ def _check_info(step: str, info: ctypes.c_int64) -> None:
 
 
 def _check_decomposition(
-    matrix: np.ndarray, energies: np.ndarray, vectors: np.ndarray
+    matrix: np.ndarray, energies: np.ndarray, vectors: np.ndarray, scale: float
 ) -> tuple[float, float]:
     """Random-probe residuals of V^T V = 1 and H V = V E; raises EigensolverError.
 
@@ -218,8 +217,8 @@ def _check_decomposition(
 
     Tolerances: each probe residual must stay below the exact check's
     max-norm tolerance divided by ``PROBE_MARGIN``, i.e. ORTHONORMALITY_TOL
-    / 10 and RECONSTRUCTION_TOL * max|H| / 10.  This does not loosen the
-    exact check.  Let R be V^T V - 1 (or H V - V E) and suppose the exact
+    / 10 and RECONSTRUCTION_TOL * max|H| / 10, max|H| being ``scale`` (1 where it is 0).
+    This does not loosen the exact check.  Let R be V^T V - 1 (or H V - V E) and suppose the exact
     check fails, |R_ij| > tol for some entry.  Row i of R X then holds k
     independent draws (R x_p)_i ~ N(0, |R_i|^2), where the norm of row i
     is |R_i| >= |R_ij| > tol, and each lies below tol / PROBE_MARGIN with
@@ -241,9 +240,8 @@ def _check_decomposition(
     ortho = float(np.abs(vectors.T @ images[:, :PROBES] - probes).max())
     if not ortho <= ORTHONORMALITY_TOL / PROBE_MARGIN:
         raise EigensolverError("eigenvectors not orthonormal", residual=ortho)
-    scale = _max_abs(matrix) or 1.0
     recon = float(np.abs(matrix @ images[:, :PROBES] - images[:, PROBES:]).max())
-    if not recon <= RECONSTRUCTION_TOL * scale / PROBE_MARGIN:
+    if not recon <= RECONSTRUCTION_TOL * (scale or 1.0) / PROBE_MARGIN:
         raise EigensolverError("reconstruction residual too large", residual=recon)
     return ortho, recon
 

@@ -318,7 +318,8 @@ def fit_hybrid(profile: StrengthProfile, *, gamma0: float) -> dict:
 
     PreconditionError when Delta_E < 10 h, h the moment nodes' spacing: sampling a shape
     at spacing h shifts its second moment by up to h^2/12 (Sheppard's correction), more
-    than Delta_E^2 / 1200 below that, so sigma would follow the nodes, not the data.
+    than Delta_E^2 / 1200 below that, so sigma would follow the nodes, not the data; also
+    when the shape at ``gamma0`` squares to 0 (it underflows from Gamma ~ 1e77): B has no start.
     """
     _check_fit_precondition(profile, gamma0)
     centers, heights = _adaptive_bins(profile)
@@ -347,7 +348,10 @@ def fit_hybrid(profile: StrengthProfile, *, gamma0: float) -> dict:
         return model - heights, np.column_stack([model, model * dlog_dlg])
 
     unit = shape(gamma0)[0]   # B enters linearly: start from its least-squares value
-    b0 = max(float(unit @ heights) / float(unit @ unit), 1e-300)
+    norm = float(unit @ unit)
+    if not norm > 0:
+        raise PreconditionError(f"the hybrid shape underflows at the start width {gamma0:.3g}")
+    b0 = max(float(unit @ heights) / norm, 1e-300)
     lower = np.array([-np.inf, np.log(1e-9)])
     upper = np.array([np.inf, np.log(10 * span)])
     x, diagnostics = _fit(

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 import tbrisim as tb
-from tbrisim import cli, config, pipeline, spectral, strength, theory
+from tbrisim import cli, config, export, pipeline, spectral, strength, theory
 from tbrisim.exceptions import (
     FitConvergenceError,
     InsufficientStatisticsError,
@@ -535,6 +535,24 @@ def test_a_vanishing_interaction_runs_on_delta_e(tmp_path, eta):
     assert derived["sigma"] == derived["delta_e"]
 
 
+def test_a_huge_eta_runs_without_a_warning(tmp_path):
+    """n=3, m=6 runs at eta 1e30 and 1e200 exit 0 on seeds 1-3 with no RuntimeWarning (the
+    suite makes one an error): the trajectory's fold at a target on the node 0.0 divides by no
+    scale that rounds to 0, and at 1e200, where the hybrid shape's squared norm at its start
+    width underflows, the hybrid fit is unavailable, not a ZeroDivisionError."""
+    path = tmp_path / "config.json"
+    for eta in (1e30, 1e200):
+        for seed in (1, 2, 3):
+            out = tmp_path / f"{eta:g}-{seed}"
+            path.write_text(json.dumps(small_doc(tmp_path, eta=eta, seed=seed,
+                                                 output={"directory": str(out)})))
+            assert cli.main(["run", "--config", str(path)]) == 0, (eta, seed)
+            hybrid = strict_json((out / "manifest.json").read_text())["derived"]["hybrid_fit"]
+            if eta == 1e200:
+                assert hybrid["status"] == "unavailable"
+                assert hybrid["reason"].startswith("the hybrid shape underflows at the start")
+
+
 def test_run_free_fermions_frozen(tmp_path):
     """eta = 0: occupations never move and W0 stays exactly 1."""
     manifest = pipeline.run(config.config_from_dict(small_doc(tmp_path, eta=0.0)))
@@ -663,7 +681,8 @@ def _scale_cell(path: Path, factor: float) -> None:
 
 def test_main_inspect_against_another_run(tmp_path, capsys):
     """Two runs of one config: bytes equal, routing and the trajectory plan ignored; a
-    numeric change is reported with its size and fails above INSPECT_TOL; a missing file fails."""
+    numeric change is reported with its size and fails above INSPECT_TOL; a missing file fails,
+    and so does a listed file that is not a table and differs."""
     outs = []
     for tag in ("a", "b"):
         doc = small_doc(tmp_path, output={"directory": str(tmp_path / tag)})
@@ -710,6 +729,11 @@ def test_main_inspect_against_another_run(tmp_path, capsys):
     target.unlink()
     assert cli.main(["inspect", outs[0], "--against", outs[1]]) == 3
     assert "occupations.csv: MISSING" in capsys.readouterr().out
+
+    for out, text in zip(outs, ("a\n", "b\n")):
+        (Path(out) / "notes.txt").write_text(text)
+    assert list(export.compare_runs(*outs, ["notes.txt"])) == [
+        ("notes.txt: bytes differ (not a table)", 3)]
 
 
 def test_inspect_against_and_sweep_output_is_pinned(tmp_path, capsys):

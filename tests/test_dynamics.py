@@ -85,6 +85,7 @@ def test_default_grid_shape(fig1):
     assert grid.points[1] == pytest.approx(0.01 / fig1.delta_e)
     assert grid.points[-1] == pytest.approx(10 * 6 / fig1.gamma)
     assert 350 <= len(grid) <= 450
+    assert tb.default_grid(1.0, 1e6, 1).points[-1] == pytest.approx(100 * 0.01)   # 10/Gamma < start
 
 
 def test_default_grid_free_fermion_fallback():

@@ -75,7 +75,8 @@ def test_diagonalize_deterministic(small_3_6):
 def test_diagonalize_rejects_bad_input():
     """A matrix that is not N x N for its basis of N states, square or not, or one with a
     non-finite entry, is refused before eigh: on the diagonal, in both triangles of a strip
-    past the first, or in one triangle only, and the refused matrix keeps its bytes."""
+    past the first, or in one triangle only (a -inf too), and the refused matrix keeps its
+    bytes."""
     two = tb.build_basis(1, 2)
     with pytest.raises(PreconditionError):
         tb.diagonalize(HamiltonianMatrix(np.ones((2, 3)), two))
@@ -87,12 +88,14 @@ def test_diagonalize_rejects_bad_input():
         tb.diagonalize(HamiltonianMatrix(np.array([[1.0, 0.0], [0.0, np.inf]]), two))
     wide = tb.build_basis(4, 11)   # 330 states: two strips of ROW_BLOCK rows
     assert wide.size > spectral.ROW_BLOCK
-    for cells, refusal in (([(300, 10), (10, 300)], "non-finite"),
-                           ([(300, 280), (280, 300)], "non-finite"),
-                           ([(10, 300)], "non-finite"), ([(300, 10)], "not exactly symmetric")):
+    for cells, value, refusal in (([(300, 10), (10, 300)], np.nan, "non-finite"),
+                                  ([(300, 280), (280, 300)], np.nan, "non-finite"),
+                                  ([(300, 280)], -np.inf, "non-finite"),
+                                  ([(10, 300)], np.nan, "non-finite"),
+                                  ([(300, 10)], np.nan, "not exactly symmetric")):
         matrix = np.eye(wide.size)
         for cell in cells:
-            matrix[cell] = np.nan
+            matrix[cell] = value
         before = matrix.tobytes()
         with pytest.raises(PreconditionError, match=refusal):
             tb.diagonalize(HamiltonianMatrix(matrix, wide))
@@ -142,7 +145,7 @@ def test_probe_and_exact_residuals_within_tolerances(request, name):
     scale = np.abs(h).max()
     assert decomp.orthonormality_residual <= ORTHONORMALITY_TOL / PROBE_MARGIN
     assert decomp.reconstruction_residual <= RECONSTRUCTION_TOL * scale / PROBE_MARGIN
-    assert spectral._check_decomposition(h, decomp.energies, decomp.vectors) == (
+    assert spectral._check_decomposition(h, decomp.energies, decomp.vectors, scale) == (
         decomp.orthonormality_residual, decomp.reconstruction_residual,
     )
     ortho, recon = exact_eigen_residuals(h, decomp)
@@ -183,7 +186,7 @@ def test_probe_check_rejects_what_the_exact_check_rejects(request, name, kind):
                                                                         system.basis))
     assert ortho > ORTHONORMALITY_TOL or recon > RECONSTRUCTION_TOL
     with pytest.raises(EigensolverError) as caught:
-        spectral._check_decomposition(h, energies, vectors)
+        spectral._check_decomposition(h, energies, vectors, np.abs(h).max())
     assert caught.value.residual > 0
 
 
@@ -312,7 +315,8 @@ def test_a_matrix_dsyevd_would_rescale_goes_to_eigh(monkeypatch, small_3_6, fact
 @pytest.mark.skipif(spectral._numpy_openblas() is None, reason="dsyevd in place is unavailable")
 def test_a_failed_step_leaves_h_intact(monkeypatch, fig2):
     """dstedc reporting no convergence, after dsytrd has overwritten H's upper triangle, raises
-    EigensolverError and leaves H's bytes as they were."""
+    EigensolverError and leaves H's bytes as they were; so does eigh's LinAlgError on the
+    fallback path."""
     lib = spectral._numpy_openblas()
     dstedc, overwritten = lib.scipy_dstedc_64_, []
     h = HamiltonianMatrix(fig2.h.entries.copy(), fig2.basis)
@@ -327,6 +331,15 @@ def test_a_failed_step_leaves_h_intact(monkeypatch, fig2):
     with pytest.raises(EigensolverError, match="did not converge: dstedc info 1"):
         tb.diagonalize(h)
     assert overwritten == [True]
+    assert h.entries.tobytes() == before
+
+    def no_convergence(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(spectral, "_numpy_openblas", lambda: None)
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    with pytest.raises(EigensolverError, match="did not converge: Eigenvalues did not converge"):
+        tb.diagonalize(h)
     assert h.entries.tobytes() == before
 
 
