@@ -14,7 +14,6 @@ units of the ladder spacing d0: a ladder of spacing d0 gives d0 times this H.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -36,8 +35,20 @@ class ModelParams:
     eta is the mean squared two-body element in units of the squared
     ladder spacing; jitter displaces each single-particle level by jitter*u
     spacings with u uniform on [-1/2, 1/2].  The seed fixes both the level
-    jitter and the tensor.  eta must be finite, and the seed non-negative;
-    m is at most 63, since a basis state is an int64 bitmask.
+    jitter and the tensor.  The seed is non-negative, and m is at most 63,
+    since a basis state is an int64 bitmask.
+
+    eta lies in [0, 1e300], where every stage's arithmetic stays finite.  H
+    scales as sqrt(eta) at large eta, so the largest square a run forms
+    overflows first.  That is not H's entries, nor sum_f H_if^2 = Delta_E^2
+    (mean c eta, c = n (m - n) (n - 1) + C(n, 2) C(m - n, 2)), nor the start
+    width Gamma_GR (under 5.2 spans at n <= 7, m = 2n, seeds 1-3), but the
+    fits' width bound of 10 spans, squared in Gamma^2/4 and 2 sigma^2:
+    200 span^2.  The span is under 6 sqrt(c eta) (3.3-5.2 over 13 bases up to
+    N=3432, seeds 1-5), so 200 span^2 < 7200 c eta stays finite at eta 1e300
+    while c < 2.5e4; c <= 15,930 in every basis of up to 2e5 states, which
+    the memory guard admits only in terabytes.  The squares overflow from
+    eta 1e304 at n=3, m=6 and from 1e302 at n=6, m=12.
     """
 
     n: int
@@ -51,8 +62,8 @@ class ModelParams:
             raise ParameterError(f"need 0 < n <= m, got n={self.n}, m={self.m}")
         if self.m > 63:
             raise ParameterError(f"m must be at most 63 (an int64 bitmask), got m={self.m}")
-        if not math.isfinite(self.eta):
-            raise ParameterError(f"eta must be finite, got {self.eta}")
+        if not self.eta <= 1e300:   # NaN fails too
+            raise ParameterError(f"eta must be finite and at most 1e300, got {self.eta}")
         if self.eta < 0:
             raise ParameterError(f"eta must be non-negative, got {self.eta}")
         if self.seed < 0:

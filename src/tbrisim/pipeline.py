@@ -102,7 +102,7 @@ def run(config: ExperimentConfig) -> dict:
         gamma_gr = strength.golden_rule_gamma(h, partition, i)
         bw_record = strength.attempt_fit(strength.fit_bw, profile, gamma0=gamma_gr)
         hybrid_record = strength.attempt_fit(strength.fit_hybrid, profile, gamma0=gamma_gr)
-        spreading = strength.spreading_params(profile, delta_e, gamma_gr, spacing_mid)
+        sigma = strength.spreading_params(profile, delta_e, gamma_gr)
     with stage("dynamics"):
         grid = _build_grid(config, delta_e, gamma_gr, partition.n_classes)
         trajectory = dynamics.simulate_trajectory(decomp, basis, partition, i, grid)
@@ -136,7 +136,9 @@ def run(config: ExperimentConfig) -> dict:
             "gamma_golden_rule": gamma_gr,
             "bw_fit": bw_record,
             "hybrid_fit": hybrid_record,
-            **spreading,
+            "sigma": sigma,
+            "n_pc_ratio": gamma_gr / spacing_mid if spacing_mid > 0 else None,
+            "n_pc_ipr": profile.n_pc_ipr(),
             "n_pc_envelope": n_pc_env,
             "initial_state_index": i,
             "initial_state_bitmask": bitmask,

@@ -384,26 +384,10 @@ def attempt_fit(fit, *args, **kwargs) -> dict:
         return {"status": "unavailable", "reason": str(exc)}
 
 
-def spreading_params(
-    profile: StrengthProfile,
-    delta_e: float,
-    gamma_gr: float,
-    mean_spacing: float,
-) -> dict:
-    """The width and band parameters of one initial state, from its profile and widths.
-
-    Returns the manifest's ``sigma``, ``e_c``, ``n_pc_ratio`` and
-    ``n_pc_ipr``.  sigma comes from the hybrid fit and falls back to
-    Delta_E when ``attempt_fit`` finds that fit unavailable; E_c is the
-    profile's first moment, where the hybrid shape is centred; n_pc_ratio
-    is Gamma over the mid-spectrum spacing, None if that is 0.
-    """
-    return {
-        "sigma": attempt_fit(fit_hybrid, profile, gamma0=gamma_gr).get("sigma", delta_e),
-        "e_c": profile.e_i,
-        "n_pc_ratio": gamma_gr / mean_spacing if mean_spacing > 0 else None,
-        "n_pc_ipr": profile.n_pc_ipr(),
-    }
+def spreading_params(profile: StrengthProfile, delta_e: float, gamma_gr: float) -> float:
+    """The manifest's ``sigma``: the band width of a hybrid fit started at ``gamma_gr``, or
+    Delta_E where ``attempt_fit`` finds that fit unavailable."""
+    return attempt_fit(fit_hybrid, profile, gamma0=gamma_gr).get("sigma", delta_e)
 
 
 def write_profile_csv(profile: StrengthProfile, path, *, header_lines=()) -> None:

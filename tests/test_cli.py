@@ -165,20 +165,6 @@ def test_readme_config_block_is_the_default():
     assert shown.to_dict() == config.config_from_dict({}).to_dict()
 
 
-def test_readme_library_use_runs(tmp_path, monkeypatch):
-    """README's "Library use" examples run as shown: the step-by-step analysis, then the
-    whole run, whose output directory lands under a temporary working directory."""
-    readme = (Path(__file__).parents[1] / "README.md").read_text()
-    section = readme.split("## Library use", 1)[1].split("\n## ", 1)[0]
-    steps, whole = (part.split("```", 1)[0] for part in section.split("```python\n")[1:3])
-    namespace = {}
-    exec(compile(steps, "README.md", "exec"), namespace)
-    assert math.isfinite(namespace["rms"]) and namespace["worst"] >= namespace["rms"] >= 0
-    monkeypatch.chdir(tmp_path)
-    exec(compile(whole, "README.md", "exec"), {})
-    assert (tmp_path / "runs" / "x" / "manifest.json").is_file()
-
-
 def test_readme_synopsis_lists_each_subcommands_flags():
     """README's "Command line" block names every subcommand with exactly the --flags that
     its parser accepts."""
@@ -373,6 +359,8 @@ def test_each_fit_returns_its_strict_json_manifest_record(tmp_path, fig1, fig2):
         assert saved[key] == json.loads(json.dumps({"status": "converged", **record})), key
     assert set(saved["fermi_dirac"]) == {"status", "beta", "alpha", "residual", "at_bound"}
     assert "w0_longtime_average" not in saved
+    assert saved["n_pc_ipr"] == fig2.profile.n_pc_ipr()
+    assert saved["n_pc_ratio"] == fig2.gamma / fig2.spacing_mid
 
 
 def test_manifest_records_eigensolver_and_environment(tmp_path):
@@ -535,20 +523,29 @@ def test_a_vanishing_interaction_runs_on_delta_e(tmp_path, eta):
     assert derived["sigma"] == derived["delta_e"]
 
 
-def test_a_huge_eta_runs_without_a_warning(tmp_path):
-    """n=3, m=6 runs at eta 1e30 and 1e200 exit 0 on seeds 1-3 with no RuntimeWarning (the
-    suite makes one an error): the trajectory's fold at a target on the node 0.0 divides by no
-    scale that rounds to 0, and at 1e200, where the hybrid shape's squared norm at its start
-    width underflows, the hybrid fit is unavailable, not a ZeroDivisionError."""
+def test_a_huge_eta_runs_without_a_warning(tmp_path, capsys):
+    """n=3, m=6 runs at eta 1e30, 1e200 and 1e300 exit 0 on seeds 1-3 with no RuntimeWarning
+    (the suite makes one an error): the trajectory's fold at a target on the node 0.0 divides
+    by no scale that rounds to 0, and from 1e200, where the hybrid shape's squared norm at its
+    start width underflows, the hybrid fit is unavailable, not a ZeroDivisionError.  Above
+    ``ModelParams``' bound of 1e300, 1e306 (an overflow in the fits' squared widths) and 1e307
+    (infinite widths) exit 2 with one config error line and write nothing."""
     path = tmp_path / "config.json"
-    for eta in (1e30, 1e200):
+    for eta in (1e30, 1e200, 1e300, 1e306, 1e307):
         for seed in (1, 2, 3):
             out = tmp_path / f"{eta:g}-{seed}"
             path.write_text(json.dumps(small_doc(tmp_path, eta=eta, seed=seed,
                                                  output={"directory": str(out)})))
-            assert cli.main(["run", "--config", str(path)]) == 0, (eta, seed)
+            capsys.readouterr()
+            code = cli.main(["run", "--config", str(path)])
+            if eta > 1e300:
+                assert code == 2 and not out.exists(), (eta, seed)
+                assert capsys.readouterr().err == (
+                    f"config error: eta must be finite and at most 1e300, got {eta!r}\n")
+                continue
+            assert code == 0, (eta, seed)
             hybrid = strict_json((out / "manifest.json").read_text())["derived"]["hybrid_fit"]
-            if eta == 1e200:
+            if eta >= 1e200:
                 assert hybrid["status"] == "unavailable"
                 assert hybrid["reason"].startswith("the hybrid shape underflows at the start")
 

@@ -9,6 +9,7 @@ import types
 from pathlib import Path
 
 import tbrisim as tb
+from tbrisim import config, pipeline
 
 README = Path(__file__).parents[1] / "README.md"
 # The names the first "Library use" block calls, the two its prose documents, and the exceptions.
@@ -41,6 +42,18 @@ def test_library_use_runs(tmp_path, monkeypatch):
     exec(compile(second, "README.md", "exec"), {})
     manifest = json.loads((tmp_path / "runs" / "x" / "manifest.json").read_text())
     assert math.isfinite(manifest["derived"]["rms_eq14"])
+
+
+def test_manifest_table_names_every_derived_leaf_a_run_writes(tmp_path):
+    """The "Manifest" table's first column names exactly the top-level ``derived`` leaves of
+    a run's manifest, so a retired leaf leaves the table with the run."""
+    section = README.read_text().split("\n### Manifest\n", 1)[1].split("\n### ", 1)[0]
+    rows = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
+    named = [name for cell in rows for name in re.findall(r"`(\w+)`", cell)]
+    doc = {"model": {"n": 3, "m": 6, "eta": 0.1, "seed": 5}, "grid": {"points": 20},
+           "output": {"directory": str(tmp_path / "run")}}
+    derived = pipeline.run(config.config_from_dict(doc))["derived"]
+    assert sorted(named) == sorted(derived)
 
 
 def test_readme_states_no_timing_or_memory_figure():

@@ -318,7 +318,7 @@ def test_fit_hybrid_refuses_a_width_under_the_moment_quadrature():
         strength.fit_hybrid(profile, gamma0=gamma)
     record = strength.attempt_fit(strength.fit_hybrid, profile, gamma0=gamma)
     assert record["status"] == "unavailable" and "quadrature" in record["reason"]
-    assert strength.spreading_params(profile, delta_e, gamma, 1.0)["sigma"] == delta_e
+    assert strength.spreading_params(profile, delta_e, gamma) == delta_e
 
 
 def test_fit_diagnostics(fig2):
@@ -359,15 +359,6 @@ def test_compound_occupations_mid_spectrum_plateau(fig2):
     k = fig2.basis.size // 2
     occ = compound_occupations(fig2.decomp, fig2.basis, k)
     assert np.all(np.abs(occ - 0.5) < 0.1)
-
-
-def test_spreading_params_bundle(fig2):
-    sp = strength.spreading_params(
-        fig2.profile, fig2.delta_e, fig2.gamma, fig2.spacing_mid
-    )
-    assert sp["n_pc_ipr"] == pytest.approx(fig2.profile.n_pc_ipr(), rel=1e-12)
-    assert sp["n_pc_ratio"] == pytest.approx(fig2.gamma / fig2.spacing_mid)
-    assert sp["sigma"] > 0
 
 
 def test_profile_csv_round_trip(tmp_path, fig1):
