@@ -209,7 +209,7 @@ def _fit(residual, x0, lower, upper, names, log_params, peak):
     dof = max(len(r) - len(x), 1)
     cov = (r @ r) / dof * np.linalg.pinv(jac.T @ jac)
     se = np.sqrt(np.maximum(np.diag(cov), 0.0))
-    se = np.where(log_params, np.exp(x) * se, se)
+    se[log_params] *= np.exp(x[log_params])
     return x, {
         "residual": float(np.sqrt(np.mean(r**2)) / peak),
         "iterations": iterations,
@@ -242,7 +242,7 @@ def fit_bw(profile: StrengthProfile, *, gamma0: float) -> dict:
     upper = np.array([np.log(10 * span), profile.energies[-1] + span])
     x, diagnostics = _fit(
         residual, [np.log(gamma0), profile.e_i], lower, upper,
-        ("gamma", "center"), (True, False), heights.max(),
+        ("gamma", "center"), np.array([True, False]), heights.max(),
     )
     return {"gamma": float(np.exp(x[0])), "center": float(x[1]), **diagnostics}
 
@@ -356,7 +356,7 @@ def fit_hybrid(profile: StrengthProfile, *, gamma0: float) -> dict:
     upper = np.array([np.inf, np.log(10 * span)])
     x, diagnostics = _fit(
         residual, [np.log(b0), np.log(gamma0)], lower, upper,
-        ("b_fitted", "gamma"), (True, True), heights.max(),
+        ("b_fitted", "gamma"), np.array([True, True]), heights.max(),
     )
     b_fit, gamma = (float(v) for v in np.exp(x))
     sigma, _, sigma_at_bound = _moment_sigma(u_nodes, weights, gamma, target, sigma_bounds)

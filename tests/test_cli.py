@@ -529,25 +529,28 @@ def test_a_huge_eta_runs_without_a_warning(tmp_path, capsys):
     by no scale that rounds to 0, and from 1e200, where the hybrid shape's squared norm at its
     start width underflows, the hybrid fit is unavailable, not a ZeroDivisionError.  Above
     ``ModelParams``' bound of 1e300, 1e306 (an overflow in the fits' squared widths) and 1e307
-    (infinite widths) exit 2 with one config error line and write nothing."""
+    (infinite widths) exit 2 with one config error line and write nothing.  n=5, m=10 runs at
+    eta 1e6 (seeds 1-3) and 1e8 (seed 2), whose Breit-Wigner centres lie above 709.8, exit 0:
+    the fit's standard errors exponentiate only its log-parametrised width."""
     path = tmp_path / "config.json"
-    for eta in (1e30, 1e200, 1e300, 1e306, 1e307):
-        for seed in (1, 2, 3):
-            out = tmp_path / f"{eta:g}-{seed}"
-            path.write_text(json.dumps(small_doc(tmp_path, eta=eta, seed=seed,
-                                                 output={"directory": str(out)})))
-            capsys.readouterr()
-            code = cli.main(["run", "--config", str(path)])
-            if eta > 1e300:
-                assert code == 2 and not out.exists(), (eta, seed)
-                assert capsys.readouterr().err == (
-                    f"config error: eta must be finite and at most 1e300, got {eta!r}\n")
-                continue
-            assert code == 0, (eta, seed)
-            hybrid = strict_json((out / "manifest.json").read_text())["derived"]["hybrid_fit"]
-            if eta >= 1e200:
-                assert hybrid["status"] == "unavailable"
-                assert hybrid["reason"].startswith("the hybrid shape underflows at the start")
+    cases = [(3, eta, seed) for eta in (1e30, 1e200, 1e300, 1e306, 1e307) for seed in (1, 2, 3)]
+    for n, eta, seed in cases + [(5, 1e6, 1), (5, 1e6, 2), (5, 1e6, 3), (5, 1e8, 2)]:
+        out = tmp_path / f"{n}-{eta:g}-{seed}"
+        doc = small_doc(tmp_path, eta=eta, seed=seed, output={"directory": str(out)})
+        doc["model"].update(n=n, m=2 * n)
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = cli.main(["run", "--config", str(path)])
+        if eta > 1e300:
+            assert code == 2 and not out.exists(), (eta, seed)
+            assert capsys.readouterr().err == (
+                f"config error: eta must be finite and at most 1e300, got {eta!r}\n")
+            continue
+        assert code == 0, (n, eta, seed)
+        hybrid = strict_json((out / "manifest.json").read_text())["derived"]["hybrid_fit"]
+        if eta >= 1e200:
+            assert hybrid["status"] == "unavailable"
+            assert hybrid["reason"].startswith("the hybrid shape underflows at the start")
 
 
 def test_run_free_fermions_frozen(tmp_path):
