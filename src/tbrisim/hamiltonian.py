@@ -40,15 +40,15 @@ class ModelParams:
 
     eta lies in [0, 1e300], where every stage's arithmetic stays finite.  H
     scales as sqrt(eta) at large eta, so the largest square a run forms
-    overflows first.  That is not H's entries, nor sum_f H_if^2 = Delta_E^2
-    (mean c eta, c = n (m - n) (n - 1) + C(n, 2) C(m - n, 2)), nor the start
-    width Gamma_GR (under 5.2 spans at n <= 7, m = 2n, seeds 1-3), but the
-    fits' width bound of 10 spans, squared in Gamma^2/4 and 2 sigma^2:
-    200 span^2.  The span is under 6 sqrt(c eta) (3.3-5.2 over 13 bases up to
-    N=3432, seeds 1-5), so 200 span^2 < 7200 c eta stays finite at eta 1e300
-    while c < 2.5e4; c <= 15,930 in every basis of up to 2e5 states, which
-    the memory guard admits only in terabytes.  The squares overflow from
-    eta 1e304 at n=3, m=6 and from 1e302 at n=6, m=12.
+    overflows first.  The line-shape fits square only numbers in units of
+    Delta_E, so that square is (E_k - E_i)^2 in the profile's Delta_E^2, at
+    most span^2.  With c eta the mean of sum_f H_if^2, c = n (m - n) (n - 1)
+    + C(n, 2) C(m - n, 2), the span is 3.3-5.2 sqrt(c eta) over 13 bases up
+    to N=3432, seeds 1-5, so span^2 < 36 c eta stays finite at eta 1e300
+    while c < 4.9e6; c <= 261,392 for every m <= 63 (n=32, m=63).
+    Runs overflow from eta 1e305 at n=6, m=12 and from 1e307 at n=3, m=6.  A
+    larger bound would show nothing new: H / sqrt(eta) tends to one matrix,
+    and every fit scales with it.
     """
 
     n: int

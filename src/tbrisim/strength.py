@@ -119,10 +119,12 @@ def _adaptive_bins(profile: StrengthProfile):
     return 0.5 * (edges[:-1] + edges[1:]), np.array(sums) / np.diff(edges)
 
 
-def _check_fit_precondition(profile: StrengthProfile, gamma0: float) -> None:
-    """PreconditionError for a profile of fewer than ``MIN_FIT_COMPONENTS`` principal components,
-    or a start width that is not positive and finite.  The run starts both line-shape fits at
-    Gamma_GR, which is 0 only without class-1 coupling, where the component count refuses first."""
+def _reduced_bins(profile: StrengthProfile, gamma0: float):
+    """Delta_E and what both line shapes fit, in x = (E - E_i)/Delta_E: the bin centres, their
+    weight densities per unit x, the spectrum's ends and the start width ``gamma0``/Delta_E.
+    PreconditionError for fewer than ``MIN_FIT_COMPONENTS`` principal components or a start width
+    that is not positive and finite.  The run starts both line-shape fits at Gamma_GR, which is 0
+    only without class-1 coupling, where the component count refuses first."""
     if profile.n_pc_ipr() < MIN_FIT_COMPONENTS:
         raise PreconditionError(
             f"too few principal components ({profile.n_pc_ipr():.2f} < "
@@ -130,6 +132,10 @@ def _check_fit_precondition(profile: StrengthProfile, gamma0: float) -> None:
         )
     if not (gamma0 > 0 and np.isfinite(gamma0)):   # NaN fails the first test
         raise PreconditionError(f"the fit's start width must be positive and finite, got {gamma0}")
+    delta_e = float(np.sqrt(profile.second_central_moment()))
+    centers, heights = _adaptive_bins(profile)
+    ends = (profile.energies[[0, -1]] - profile.e_i) / delta_e
+    return delta_e, (centers - profile.e_i) / delta_e, heights * delta_e, ends, gamma0 / delta_e
 
 
 def _box_step(normal, grad, damping, x, lower, upper):
@@ -197,18 +203,18 @@ def _levenberg_marquardt(fun, x0, lower, upper):
     raise FitConvergenceError(f"line-shape fit did not converge in {FIT_MAX_ITER} steps")
 
 
-def _fit(residual, x0, lower, upper, names, log_params, peak):
+def _fit(residual, x0, lower, upper, names, log_params, peak, delta_e):
     """Fit ``residual`` in the box: x and the keys every fit record carries.
 
     They are the RMS ``residual`` relative to ``peak``, the ``iterations``
-    taken, each parameter's ``stderr`` from s^2 (J^T J)^-1 (of the value
-    itself for log-parametrised ones: se(v) = v se(log v)) and ``at_bound``,
-    the names of the parameters on a bound.
+    taken, each parameter's ``stderr`` in energy units, from ``delta_e``^2 s^2 (J^T J)^-1
+    (of the value itself for log-parametrised ones: se(v) = v se(log v)) and
+    ``at_bound``, the names of the parameters on a bound.
     """
     x, r, jac, iterations = _levenberg_marquardt(residual, x0, lower, upper)
     dof = max(len(r) - len(x), 1)
     cov = (r @ r) / dof * np.linalg.pinv(jac.T @ jac)
-    se = np.sqrt(np.maximum(np.diag(cov), 0.0))
+    se = delta_e * np.sqrt(np.maximum(np.diag(cov), 0.0))
     se[log_params] *= np.exp(x[log_params])
     return x, {
         "residual": float(np.sqrt(np.mean(r**2)) / peak),
@@ -221,14 +227,14 @@ def _fit(residual, x0, lower, upper, names, log_params, peak):
 def fit_bw(profile: StrengthProfile, *, gamma0: float) -> dict:
     """Least-squares Breit-Wigner fit of the binned weight density, started at width ``gamma0``.
 
-    Model: (Gamma/2pi) / ((E - E0)^2 + Gamma^2/4), the unit-normalized
-    Lorentzian, fitted in (log Gamma, E0).  Returns the manifest's
-    ``bw_fit`` record: the fitted width ``gamma`` and ``center``, then the
-    keys of ``_fit``.
+    Model: (gamma/2pi) / ((x - x0)^2 + gamma^2/4), the unit-normalized Lorentzian in
+    x = (E - E_i)/Delta_E (``_reduced_bins``), fitted in (log gamma, x0), gamma in
+    [1e-9, 10 span/Delta_E] and x0 within one span of the spectrum's ends.  Returns the
+    manifest's ``bw_fit`` record: ``gamma`` = Delta_E gamma and ``center`` = E_i + Delta_E x0,
+    then the keys of ``_fit``.
     """
-    _check_fit_precondition(profile, gamma0)
-    centers, heights = _adaptive_bins(profile)
-    span = profile.energies[-1] - profile.energies[0]
+    delta_e, centers, heights, ends, start = _reduced_bins(profile, gamma0)
+    span = ends[1] - ends[0]
 
     def residual(x):
         gamma = np.exp(x[0])
@@ -238,26 +244,27 @@ def fit_bw(profile: StrengthProfile, *, gamma0: float) -> dict:
         jac = np.column_stack([model * (1 - gamma**2 / (2 * denom)), model * 2 * d / denom])
         return model - heights, jac
 
-    lower = np.array([np.log(1e-9), profile.energies[0] - span])
-    upper = np.array([np.log(10 * span), profile.energies[-1] + span])
+    lower = np.array([np.log(1e-9), ends[0] - span])
+    upper = np.array([np.log(10 * span), ends[1] + span])
     x, diagnostics = _fit(
-        residual, [np.log(gamma0), profile.e_i], lower, upper,
-        ("gamma", "center"), np.array([True, False]), heights.max(),
+        residual, [np.log(start), 0.0], lower, upper,
+        ("gamma", "center"), np.array([True, False]), heights.max(), delta_e,
     )
-    return {"gamma": float(np.exp(x[0])), "center": float(x[1]), **diagnostics}
+    return {"gamma": delta_e * float(np.exp(x[0])), "center": profile.e_i + delta_e * float(x[1]),
+            **diagnostics}
 
 
 def _hybrid_shape(u, sigma, gamma):
-    """exp(-u / (2 sigma^2)) / (u + Gamma^2/4) and its Lorentzian factor, u = (E - E_i)^2."""
+    """exp(-u / (2 sigma^2)) / (u + Gamma^2/4) and its Lorentzian factor, u = x^2."""
     lor = 1.0 / (u + gamma**2 / 4)
     return np.exp(-u / (2 * sigma**2)) * lor, lor
 
 
-def _moment_sigma(u, weights, gamma, target, bounds):
-    """sigma at which the hybrid shape's second moment about E_i equals ``target``.
+def _moment_sigma(u, weights, gamma, bounds):
+    """sigma at which the hybrid shape's second moment about E_i is Delta_E^2, 1 in x.
 
     The moment is the trapezoid sum m2 = sum f u over nodes at squared
-    distances ``u`` from E_i, f the normalized shape.  With both factors
+    distances ``u`` = x^2 from E_i, f the normalized shape.  With both factors
     centred on E_i, d(m2)/d(log sigma) = Var_f(u) / sigma^2 > 0: the root is
     unique, and Newton's method in log sigma, kept inside a bisection
     bracket, finds it; where the slope rounds to 0 (a shape on one node) it
@@ -273,19 +280,19 @@ def _moment_sigma(u, weights, gamma, target, bounds):
         return m2, lambda a: f @ (u * a) - m2 * (f @ a)
 
     lo, hi = np.log(bounds)
-    if moments(lo)[0] >= target:
+    if moments(lo)[0] >= 1:
         return bounds[0], 0.0, True
-    if moments(hi)[0] <= target:
+    if moments(hi)[0] <= 1:
         return bounds[1], 0.0, True
     t = lo
     for _ in range(100):
         m2, slope = moments(t)
-        if m2 > target:
+        if m2 > 1:
             hi = t
         else:
             lo = t
         dm_dt = slope(u / np.exp(2 * t))
-        t_new = t - (m2 - target) / dm_dt if dm_dt > 0 else 0.5 * (lo + hi)
+        t_new = t - (m2 - 1) / dm_dt if dm_dt > 0 else 0.5 * (lo + hi)
         if not lo <= t_new <= hi:
             t_new = 0.5 * (lo + hi)
         if abs(t_new - t) <= 4 * np.finfo(float).eps * (1 + abs(t)):
@@ -298,47 +305,42 @@ def _moment_sigma(u, weights, gamma, target, bounds):
 def fit_hybrid(profile: StrengthProfile, *, gamma0: float) -> dict:
     """Fit the Gaussian-band / Lorentzian-core hybrid line shape, started at width ``gamma0``.
 
-    Model for the weight density:
-        B * exp(-(E - E_c)^2 / (2 sigma^2)) / ((E - E_i)^2 + Gamma^2/4)
-    with E_c = E_i, the profile's first moment (H_ii).  sigma is not a free
-    parameter: the profile's second moment about E_i is exactly Delta_E^2
-    (``energy_variance``), and sigma is solved so that the normalized
-    shape, restricted to the spectrum, has that moment.  Only B and Gamma
-    are fitted, which the binned data identify.  With sigma free as well,
-    sigma and Gamma trade against each other from one realization to the
-    next; with E_c free, E_c runs off to where the moment equation has no
-    root on weak-coupling profiles.  B is reported both as fitted and as
-    re-derived from unit normalization of the shape.  In the Gaussian limit
-    (Gamma >> sigma) Gamma runs to its bound, and ``at_bound`` says so.  The
-    moment is a trapezoid sum over ``MOMENT_NODES`` nodes spanning the spectrum.
+    Model for the weight density per unit x = (E - E_i)/Delta_E (``_reduced_bins``):
+        b * exp(-(x - x_c)^2 / (2 s^2)) / (x^2 + gamma^2/4)
+    with x_c = 0: E_c = E_i, the profile's first moment (H_ii).  s is not a free parameter:
+    the profile's second moment about E_i is exactly Delta_E^2 (``energy_variance``), 1 in x,
+    and s is solved so that the normalized shape, restricted to the spectrum, has that
+    moment.  Only b and gamma are fitted, which the binned data identify.  With s free as
+    well, s and gamma trade against each other from one realization to the next; with x_c
+    free, x_c runs off to where the moment equation has no root on weak-coupling profiles.
+    B is reported both as fitted and as re-derived from unit normalization of the shape.
+    In the Gaussian limit (gamma >> s) gamma runs to its bound, and ``at_bound`` says so.
+    The moment is a trapezoid sum over ``MOMENT_NODES`` nodes spanning the spectrum.
+    gamma lies in [1e-9, 10 span/Delta_E] and s in [1, 10 span/Delta_E]: the Lorentzian
+    factor narrows a Gaussian centred with it, so sigma >= Delta_E.
 
-    Returns the manifest's ``hybrid_fit`` record: ``b_fitted``, ``e_c``
-    (= E_i), ``sigma``, ``gamma``, ``b_derived``, then the keys of ``_fit``,
-    whose ``at_bound`` also names sigma when it sits on a bound.
+    Returns the manifest's ``hybrid_fit`` record in energy units: ``b_fitted`` = Delta_E b,
+    ``e_c`` (= E_i), ``sigma`` = Delta_E s, ``gamma`` = Delta_E gamma, ``b_derived``, then
+    the keys of ``_fit``, whose ``at_bound`` also names sigma when it sits on a bound.
 
     PreconditionError when Delta_E < 10 h, h the moment nodes' spacing: sampling a shape
     at spacing h shifts its second moment by up to h^2/12 (Sheppard's correction), more
-    than Delta_E^2 / 1200 below that, so sigma would follow the nodes, not the data; also
-    when the shape at ``gamma0`` squares to 0 (it underflows from Gamma ~ 1e77): B has no start.
+    than Delta_E^2 / 1200 below that, so sigma would follow the nodes, not the data.
     """
-    _check_fit_precondition(profile, gamma0)
-    centers, heights = _adaptive_bins(profile)
-    e_i = profile.e_i
-    target = profile.second_central_moment()
-    span = profile.energies[-1] - profile.energies[0]
-    nodes = np.linspace(profile.energies[0], profile.energies[-1], MOMENT_NODES)
+    delta_e, centers, heights, ends, start = _reduced_bins(profile, gamma0)
+    span = ends[1] - ends[0]
+    nodes = np.linspace(ends[0], ends[1], MOMENT_NODES)
     spacing = nodes[1] - nodes[0]
-    if not target >= (10 * spacing) ** 2:   # NaN fails too
-        raise PreconditionError(f"Delta_E = {np.sqrt(target):.3g} is under 10 moment-node "
-                                f"spacings ({10 * spacing:.3g}): sigma would follow the quadrature")
+    if not 10 * spacing <= 1:   # Delta_E is 1 in x; NaN fails too
+        raise PreconditionError(f"Delta_E = {delta_e:.3g} is under 10 moment-node spacings ("
+                                f"{10 * spacing * delta_e:.3g}): sigma would follow the quadrature")
     weights = np.full(MOMENT_NODES, spacing)
     weights[[0, -1]] *= 0.5
-    u_nodes, u_centers = (nodes - e_i) ** 2, (centers - e_i) ** 2
-    # the Lorentzian factor narrows a Gaussian centred with it, so sigma >= Delta_E
-    sigma_bounds = (np.sqrt(target), 10 * span)
+    u_nodes, u_centers = nodes**2, centers**2
+    sigma_bounds = (1.0, 10 * span)
 
     def shape(gamma):
-        sigma, dt_dlg, _ = _moment_sigma(u_nodes, weights, gamma, target, sigma_bounds)
+        sigma, dt_dlg, _ = _moment_sigma(u_nodes, weights, gamma, sigma_bounds)
         unit, lor = _hybrid_shape(u_centers, sigma, gamma)
         return unit, -lor * gamma**2 / 2 + u_centers / sigma**2 * dt_dlg
 
@@ -347,29 +349,26 @@ def fit_hybrid(profile: StrengthProfile, *, gamma0: float) -> dict:
         model = np.exp(x[0]) * unit
         return model - heights, np.column_stack([model, model * dlog_dlg])
 
-    unit = shape(gamma0)[0]   # B enters linearly: start from its least-squares value
-    norm = float(unit @ unit)
-    if not norm > 0:
-        raise PreconditionError(f"the hybrid shape underflows at the start width {gamma0:.3g}")
-    b0 = max(float(unit @ heights) / norm, 1e-300)
+    unit = shape(start)[0]   # b enters linearly: start from its least-squares value
+    b0 = float(unit @ heights) / float(unit @ unit)
     lower = np.array([-np.inf, np.log(1e-9)])
     upper = np.array([np.inf, np.log(10 * span)])
     x, diagnostics = _fit(
-        residual, [np.log(b0), np.log(gamma0)], lower, upper,
-        ("b_fitted", "gamma"), np.array([True, True]), heights.max(),
+        residual, [np.log(b0), np.log(start)], lower, upper,
+        ("b_fitted", "gamma"), np.array([True, True]), heights.max(), delta_e,
     )
     b_fit, gamma = (float(v) for v in np.exp(x))
-    sigma, _, sigma_at_bound = _moment_sigma(u_nodes, weights, gamma, target, sigma_bounds)
+    sigma, _, sigma_at_bound = _moment_sigma(u_nodes, weights, gamma, sigma_bounds)
     if sigma_at_bound:
         diagnostics["at_bound"] += ("sigma",)
 
     # Unit normalization of the fitted shape fixes B independently; the integral runs
     # three level-density bandwidths (``kernel_bandwidth``) past half the span.
-    margin = 3 * kernel_bandwidth(profile.energies) + 0.5 * span
-    grid = np.linspace(profile.energies[0] - margin, profile.energies[-1] + margin, 4001)
-    b_derived = float(1.0 / np.trapezoid(_hybrid_shape((grid - e_i) ** 2, sigma, gamma)[0], grid))
-    return {"b_fitted": b_fit, "e_c": e_i, "sigma": sigma, "gamma": gamma,
-            "b_derived": b_derived, **diagnostics}
+    margin = 3 * kernel_bandwidth(profile.energies) / delta_e + 0.5 * span
+    grid = np.linspace(ends[0] - margin, ends[1] + margin, 4001)
+    b_derived = float(1.0 / np.trapezoid(_hybrid_shape(grid**2, sigma, gamma)[0], grid))
+    return {"b_fitted": delta_e * b_fit, "e_c": profile.e_i, "sigma": delta_e * sigma,
+            "gamma": delta_e * gamma, "b_derived": delta_e * b_derived, **diagnostics}
 
 
 def attempt_fit(fit, *args, **kwargs) -> dict:

@@ -526,12 +526,13 @@ def test_a_vanishing_interaction_runs_on_delta_e(tmp_path, eta):
 def test_a_huge_eta_runs_without_a_warning(tmp_path, capsys):
     """n=3, m=6 runs at eta 1e30, 1e200 and 1e300 exit 0 on seeds 1-3 with no RuntimeWarning
     (the suite makes one an error): the trajectory's fold at a target on the node 0.0 divides
-    by no scale that rounds to 0, and from 1e200, where the hybrid shape's squared norm at its
-    start width underflows, the hybrid fit is unavailable, not a ZeroDivisionError.  Above
-    ``ModelParams``' bound of 1e300, 1e306 (an overflow in the fits' squared widths) and 1e307
-    (infinite widths) exit 2 with one config error line and write nothing.  n=5, m=10 runs at
-    eta 1e6 (seeds 1-3) and 1e8 (seed 2), whose Breit-Wigner centres lie above 709.8, exit 0:
-    the fit's standard errors exponentiate only its log-parametrised width."""
+    by no scale that rounds to 0, and from 1e200 the hybrid fit, which works in units of
+    Delta_E, reads as at 1e30: it converges on seeds 1 and 2, and on seed 3, whose 2 bins
+    leave its 2 parameters a valley flat to the cost's rounding, it runs out of steps.
+    Above ``ModelParams``' bound of 1e300, 1e306 and 1e307 (an overflow in Delta_E^2) exit 2
+    with one config error line and write nothing.  n=5, m=10 runs at eta 1e6 (seeds 1-3) and
+    1e8 (seed 2), whose Breit-Wigner centres lie above 709.8, exit 0: the fit's standard
+    errors exponentiate only its log-parametrised width."""
     path = tmp_path / "config.json"
     cases = [(3, eta, seed) for eta in (1e30, 1e200, 1e300, 1e306, 1e307) for seed in (1, 2, 3)]
     for n, eta, seed in cases + [(5, 1e6, 1), (5, 1e6, 2), (5, 1e6, 3), (5, 1e8, 2)]:
@@ -548,9 +549,10 @@ def test_a_huge_eta_runs_without_a_warning(tmp_path, capsys):
             continue
         assert code == 0, (n, eta, seed)
         hybrid = strict_json((out / "manifest.json").read_text())["derived"]["hybrid_fit"]
-        if eta >= 1e200:
-            assert hybrid["status"] == "unavailable"
-            assert hybrid["reason"].startswith("the hybrid shape underflows at the start")
+        if eta >= 1e200 and seed < 3:
+            assert hybrid["status"] == "converged", hybrid
+        elif eta >= 1e200:
+            assert hybrid["reason"] == "line-shape fit did not converge in 200 steps", hybrid
 
 
 def test_run_free_fermions_frozen(tmp_path):
@@ -1191,6 +1193,26 @@ def test_config_fuzzer_runs_or_exits_2(tmp_path, capsys):
         print(f"config fuzzer: exit codes {dict(sorted(codes.items()))}, "
               f"edge initial states (model, state) {edge}")
     assert codes.get(0, 0) > 0 and codes.get(2, 0) > 0
+
+
+def test_model_draws_run_or_exit_2(tmp_path, capsys):
+    """24 drawn models through ``main``, where the fuzzer above mutates one n=3, m=6 document:
+    n from 3 to 6 with m = 2n, eta log-uniform in [1e-8, 1e300] and a drawn seed.  Each runs
+    (0) or is refused (2) with no RuntimeWarning (the suite makes one an error)."""
+    rng, codes = random.Random(7), {}
+    for k in range(24):
+        n = rng.randint(3, 6)
+        model = {"n": n, "m": 2 * n, "eta": 10 ** rng.uniform(-8, 300),
+                 "seed": rng.randrange(10**6)}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"model": model, "grid": {"kind": "auto", "points": 40},
+                                    "output": {"directory": str(tmp_path / f"run{k}")}}))
+        code = cli.main(["run", "--config", str(path)])
+        err = capsys.readouterr().err
+        codes[code] = codes.get(code, 0) + 1
+        assert code in (0, 2), (model, err)
+    with capsys.disabled():
+        print(f"model draws: exit codes {dict(sorted(codes.items()))}")
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():

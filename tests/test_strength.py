@@ -288,23 +288,22 @@ def test_fit_hybrid_sigma_meets_the_moment_identity(fig2):
 
 def test_fit_hybrid_bisects_where_the_moment_has_no_slope():
     """At eta 1e-10 (fig2 basis, seed 1) Delta_E is 0.01 moment-node spacings: ``fit_hybrid``
-    refuses the profile.  Its moment solver, on the fit's 2001 trapezoid nodes and at the
-    fit's upper Gamma bound (10 spans, which the solver tries on this profile), starts at
-    the lower sigma bound Delta_E, where the shape sits on one node and d(m2)/d(log sigma)
+    refuses the profile.  Its moment solver, in units of Delta_E on the fit's 2001 trapezoid
+    nodes and at the fit's upper Gamma bound (10 spans, which the solver tries on this profile),
+    starts at the lower sigma bound 1, where the shape sits on one node and d(m2)/d(log sigma)
     rounds to 0: it bisects there instead of dividing by it (a RuntimeWarning is an error
     in this suite)."""
     profile, gamma, *_ = realization_fit_inputs(1e-10, 1)
     with pytest.raises(PreconditionError, match="moment-node spacings"):
         strength.fit_hybrid(profile, gamma0=gamma)
-    e, target = profile.energies, profile.second_central_moment()
-    span = e[-1] - e[0]
-    nodes = np.linspace(e[0], e[-1], strength.MOMENT_NODES)
+    x = (profile.energies - profile.e_i) / np.sqrt(profile.second_central_moment())
+    span = x[-1] - x[0]
+    nodes = np.linspace(x[0], x[-1], strength.MOMENT_NODES)
     weights = np.full(len(nodes), nodes[1] - nodes[0])
     weights[[0, -1]] *= 0.5
-    bounds = (np.sqrt(target), 10 * span)
-    u = (nodes - profile.e_i) ** 2
-    sigma, dlog_sigma, at_bound = strength._moment_sigma(u, weights, 10 * span, target, bounds)
-    assert np.isfinite(sigma) and sigma >= np.sqrt(target) and np.isfinite(dlog_sigma)
+    sigma, dlog_sigma, at_bound = strength._moment_sigma(nodes**2, weights, 10 * span,
+                                                         (1.0, 10 * span))
+    assert np.isfinite(sigma) and sigma >= 1.0 and np.isfinite(dlog_sigma)
     assert not at_bound
 
 
@@ -338,6 +337,35 @@ def test_fit_reports_parameter_at_bound():
     fit = strength.fit_hybrid(profile, gamma0=1.0)
     assert "gamma" in fit["at_bound"]
     assert fit["sigma"] == pytest.approx(1.0, rel=1e-3)
+
+
+def _fits_in_delta_e(eta, seed, state):
+    """Both fit records of basis state ``state`` at n=5, m=10, in units of Delta_E about E_i."""
+    params = tb.ModelParams(n=5, m=10, eta=eta, seed=seed)
+    basis = tb.build_basis(5, 10)
+    h = tb.build_hamiltonian(basis, tb.sample_spectrum(params), tb.sample_two_body(params))
+    i = basis.position(state)
+    profile = strength.strength_function(tb.diagonalize(h), i)
+    gamma = tb.golden_rule_gamma(h, tb.classify(basis, state), i)
+    delta_e = np.sqrt(profile.second_central_moment())
+    bw, hybrid = (fit(profile, gamma0=gamma) for fit in (strength.fit_bw, strength.fit_hybrid))
+    return {"bw gamma": bw["gamma"] / delta_e, "bw center": (bw["center"] - profile.e_i) / delta_e,
+            "hybrid gamma": hybrid["gamma"] / delta_e, "sigma": hybrid["sigma"] / delta_e,
+            "b_fitted": hybrid["b_fitted"] / delta_e}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_fit_records_scale_with_delta_e(seed):
+    """H / sqrt(eta) tends to one matrix at large eta, and both line shapes are fitted in units
+    of Delta_E about E_i: at n=5, m=10, Gamma/Delta_E, (centre - E_i)/Delta_E, sigma/Delta_E
+    and B/Delta_E read the same at eta 1e20, 1e100 and 1e300, to 1e-9 relative.  The state is
+    fixed by its bitmask, since "mid-spectrum" picks different states across eta.  From 1e60
+    on they agree to ~5e-14; at 1e20 the ladder still moves H / sqrt(eta) by ~1e-10, which
+    this state's fits read as up to 2.2e-10 (other states, up to 7e-9)."""
+    reference = _fits_in_delta_e(1e300, seed, 0b1011001100)
+    for eta in (1e20, 1e100):
+        assert _fits_in_delta_e(eta, seed, 0b1011001100) == pytest.approx(reference, rel=1e-9,
+                                                                          abs=0), eta
 
 
 def test_compound_occupations_free_case():
