@@ -65,7 +65,7 @@ class ClassPartition:
 
     reference: FockState
     class_of: np.ndarray    # int64, one entry per basis state
-    n_classes: int          # class-index bound, min(n, m - n)
+    n_classes: int          # largest class, ceil(min(n, m - n) / 2)
 
     def members(self, cls: int) -> np.ndarray:
         return np.nonzero(self.class_of == cls)[0]
@@ -110,12 +110,12 @@ def classify(basis: Basis, reference: FockState) -> ClassPartition:
 
     A state whose occupancy differs in j particles (Hamming distance 2j) is
     ceil(j/2) moves away, because each two-body move relocates at most two
-    particles.  Classes run up to the bound min(n, m - n); classes above the
-    largest reachable move count are empty.
+    particles.  From every reference some state differs in j = min(n, m - n)
+    particles, so the classes run from 0 to exactly ceil(min(n, m - n) / 2).
     """
     ref = int(reference)
     basis.position(ref)
-    n_classes = min(basis.n, basis.m - basis.n)
+    n_classes = (min(basis.n, basis.m - basis.n) + 1) // 2
     moved = np.bitwise_count(basis.states ^ ref).astype(np.int64) // 2
     return ClassPartition(reference=ref, class_of=(moved + 1) // 2, n_classes=n_classes)
 

@@ -80,18 +80,18 @@ def default_grid(
 ) -> TimeGrid:
     """Log-spaced grid resolving the quadratic, exponential and saturated zones.
 
-    Runs from 0.01/Delta_E to 10*n_classes/Gamma with a linear refinement
-    around 1/Gamma, plus t = 0.  Degenerate widths (free fermions) fall back
-    to a linear grid on [0, 10*n_classes].  A NaN or infinite width, or a
-    negative point count, raises ParameterError.
+    Runs from 0.01/Delta_E to 20*n_classes/Gamma, 10/Gamma for each of the up to two
+    particles a class's two-body move relocates, refined linearly around 1/Gamma, plus t = 0.
+    Degenerate widths (free fermions) fall back to a linear grid on [0, 20*n_classes].
+    A NaN or infinite width, or a negative point count, raises ParameterError.
     """
     if not (math.isfinite(delta_e) and math.isfinite(gamma)) or points < 0:
         raise ParameterError(f"grid needs finite widths and points >= 0, got Delta_E={delta_e}, "
                              f"Gamma={gamma}, points={points}")
     if delta_e <= 0 or gamma <= 0:
-        return TimeGrid(np.linspace(0.0, 10.0 * max(n_classes, 1), points))
+        return TimeGrid(np.linspace(0.0, 20.0 * max(n_classes, 1), points))
     start = 0.01 / delta_e
-    stop = 10.0 * max(n_classes, 1) / gamma
+    stop = 20.0 * max(n_classes, 1) / gamma
     if stop <= start:
         stop = 100.0 * start
     n_lin = points // 5

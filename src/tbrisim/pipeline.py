@@ -26,9 +26,10 @@ from .spectral import PROBES, _environment, _sorted_median, diagonalize, spectra
 def select_initial_state(h: HamiltonianMatrix, rule: int | str) -> int:
     """The basis index of a config's initial-state rule: "mid-spectrum" or a bitmask.
 
-    "mid-spectrum" picks the state whose diagonal energy is closest to the
-    median diagonal energy (lowest index on ties); a bitmask that is not a
-    basis state raises PreconditionError.
+    "mid-spectrum" picks the state whose diagonal energy is closest to the median (lowest
+    index on ties): on an even N the float median's rounding picks one of the two middle
+    energies, equally far from their exact midpoint (seeds 1-10: fig1 the upper on 1, 4, 7, 9,
+    fig2 on all but 5, 10).  A bitmask that is not a basis state raises PreconditionError.
     """
     if rule == "mid-spectrum":
         diag = h.diagonal()

@@ -122,9 +122,9 @@ def _adaptive_bins(profile: StrengthProfile):
 def _reduced_bins(profile: StrengthProfile, gamma0: float):
     """Delta_E and what both line shapes fit, in x = (E - E_i)/Delta_E: the bin centres, their
     weight densities per unit x, the spectrum's ends and the start width ``gamma0``/Delta_E.
-    PreconditionError for fewer than ``MIN_FIT_COMPONENTS`` principal components or a start width
-    that is not positive and finite.  The run starts both line-shape fits at Gamma_GR, which is 0
-    only without class-1 coupling, where the component count refuses first."""
+    PreconditionError for fewer than ``MIN_FIT_COMPONENTS`` principal components, a start width
+    not positive and finite, or 2 bins or fewer (under 30 levels).  The run starts both fits at
+    Gamma_GR, 0 only without class-1 coupling, where the component count refuses first."""
     if profile.n_pc_ipr() < MIN_FIT_COMPONENTS:
         raise PreconditionError(
             f"too few principal components ({profile.n_pc_ipr():.2f} < "
@@ -134,6 +134,8 @@ def _reduced_bins(profile: StrengthProfile, gamma0: float):
         raise PreconditionError(f"the fit's start width must be positive and finite, got {gamma0}")
     delta_e = float(np.sqrt(profile.second_central_moment()))
     centers, heights = _adaptive_bins(profile)
+    if len(centers) <= 2:   # both line shapes fit 2 parameters
+        raise PreconditionError(f"{len(centers)} bins are too few to fit a 2-parameter line shape")
     ends = (profile.energies[[0, -1]] - profile.e_i) / delta_e
     return delta_e, (centers - profile.e_i) / delta_e, heights * delta_e, ends, gamma0 / delta_e
 
@@ -212,7 +214,7 @@ def _fit(residual, x0, lower, upper, names, log_params, peak, delta_e):
     ``at_bound``, the names of the parameters on a bound.
     """
     x, r, jac, iterations = _levenberg_marquardt(residual, x0, lower, upper)
-    dof = max(len(r) - len(x), 1)
+    dof = len(r) - len(x)
     cov = (r @ r) / dof * np.linalg.pinv(jac.T @ jac)
     se = delta_e * np.sqrt(np.maximum(np.diag(cov), 0.0))
     se[log_params] *= np.exp(x[log_params])

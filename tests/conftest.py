@@ -13,6 +13,7 @@ import tbrisim as tb
 from tbrisim.basis import Basis, ClassPartition
 from tbrisim.dynamics import OccupationTrajectory
 from tbrisim.hamiltonian import HamiltonianMatrix
+from tbrisim.pipeline import select_initial_state
 from tbrisim.spectral import EigenDecomposition, spectral_stats
 from tbrisim.strength import StrengthProfile, strength_function
 
@@ -57,11 +58,7 @@ def make_system(n: int, m: int, eta: float, seed: int, initial="mid-spectrum") -
     h = tb.build_hamiltonian(basis, spectrum, tensor)
     decomp = tb.diagonalize(h)
     spacing_mid = spectral_stats(decomp) if basis.size >= 10 else None
-    diag = h.diagonal()
-    if initial == "mid-spectrum":
-        i = int(np.argmin(np.abs(diag - np.median(diag))))
-    else:
-        i = int(initial)
+    i = select_initial_state(h, "mid-spectrum") if initial == "mid-spectrum" else int(initial)
     partition = tb.classify(basis, int(basis.states[i]))
     profile = strength_function(decomp, i)
     delta_e = tb.energy_variance(h, i)
@@ -85,8 +82,7 @@ def realization_widths(eta: float, seed: int) -> tuple[float, float]:
     params = tb.ModelParams(n=6, m=12, eta=eta, seed=seed)
     basis = _basis_6_12()
     h = tb.build_hamiltonian(basis, tb.sample_spectrum(params), tb.sample_two_body(params))
-    diag = h.diagonal()
-    i = int(np.argmin(np.abs(diag - np.median(diag))))
+    i = select_initial_state(h, "mid-spectrum")
     partition = tb.classify(basis, int(basis.states[i]))
     return tb.golden_rule_gamma(h, partition, i), tb.energy_variance(h, i)
 
@@ -104,8 +100,7 @@ def _realization(eta: float, seed: int):
 def realization_fit_inputs(eta: float, seed: int):
     """(profile, golden-rule Gamma, asymptotic occupations, spectrum) of the mid-spectrum state."""
     basis, spectrum, h, decomp = _realization(eta, seed)
-    diag = h.diagonal()
-    i = int(np.argmin(np.abs(diag - np.median(diag))))
+    i = select_initial_state(h, "mid-spectrum")
     partition = tb.classify(basis, int(basis.states[i]))
     return (
         strength_function(decomp, i),

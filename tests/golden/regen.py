@@ -34,6 +34,7 @@ import numpy as np
 
 import tbrisim as tb
 from tbrisim import cli, config
+from tbrisim.export import compare_runs
 
 GOLDEN = Path(__file__).resolve().parent
 ROWS = 12
@@ -144,11 +145,17 @@ def render(doc, indent: str = "") -> str:
 
 
 def main() -> int:
+    """Regenerate every case, first printing how its fresh digest differs from the committed
+    one, as ``tests/test_golden.py`` compares them."""
     with tempfile.TemporaryDirectory() as tmp:
         for name in CASES:
             path = GOLDEN / f"{name}.json"
+            fresh = Path(tmp) / path.name
             doc = digest(produce(name, Path(tmp)), matrices=name == MATRICES)
-            path.write_text(render(doc) + "\n")
+            fresh.write_text(render(doc) + "\n")
+            for line, _ in compare_runs(fresh.parent, GOLDEN, [path.name]):
+                print(line)
+            path.write_text(fresh.read_text())
             print(f"wrote {path} ({path.stat().st_size} bytes)")
     return 0
 

@@ -179,11 +179,22 @@ def test_classify_sizes_sum_and_hamming_oracle(basis_6_12):
     diag_state = int(basis_6_12.states[462])
     part = tb.classify(basis_6_12, diag_state)
     assert np.bincount(part.class_of, minlength=part.n_classes + 1).sum() == 924
-    assert part.n_classes == 6
+    assert part.n_classes == 3
     # exhaustive recount from Hamming distances
     for j, s in enumerate(basis_6_12.states):
         moved = (int(s) ^ diag_state).bit_count() // 2
         assert part.class_of[j] == (moved + 1) // 2
+
+
+def test_classify_counts_exactly_the_reachable_classes():
+    """n_classes is the largest class, ceil(min(n, m - n)/2), reached from every reference,
+    and no class up to it is empty: a two-body move relocates up to two particles."""
+    for n, m in [(2, 5), (3, 6), (3, 7), (4, 8), (5, 10), (6, 12), (7, 14)]:
+        basis = tb.build_basis(n, m)
+        for j in (0, 1, basis.size // 3, basis.size // 2, basis.size - 1):
+            part = tb.classify(basis, int(basis.states[j]))
+            assert part.n_classes == part.class_of.max() == (min(n, m - n) + 1) // 2, (n, m, j)
+            assert np.bincount(part.class_of).min() > 0, (n, m, j)
 
 
 def test_classify_rejects_foreign_reference(basis_6_12):

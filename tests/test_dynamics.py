@@ -91,7 +91,7 @@ def test_default_grid_shape(fig1):
 def test_default_grid_free_fermion_fallback():
     grid = tb.default_grid(0.0, 0.0, 3)
     assert grid.points[0] == 0.0
-    assert grid.points[-1] == 30.0
+    assert grid.points[-1] == 60.0
 
 
 def test_sort_dedupe_and_sorted_median_equal_numpy_bit_for_bit():
@@ -885,5 +885,6 @@ def test_trajectory_csv_round_trip(tmp_path, small_3_6):
     for row in rows[:: max(len(rows) // 10, 1)]:
         n_sum = sum(float(row[f"n_{a}"]) for a in range(6))
         assert n_sum == pytest.approx(3.0, abs=1e-10)
-        w_sum = float(row["W0"]) + sum(float(row[f"W_{s}"]) for s in range(1, 4))
+        w_sum = float(row["W0"]) + sum(float(row[f"W_{s}"]) for s in range(1, 3))
         assert w_sum == pytest.approx(1.0, abs=1e-10)
+    assert list(rows[0])[-3:] == ["W0", "W_1", "W_2"]   # n=3, m=6 reaches classes 1 and 2

@@ -10,6 +10,7 @@ import pytest
 import tbrisim as tb
 from tbrisim import strength
 from tbrisim.exceptions import FitConvergenceError, PreconditionError
+from tbrisim.pipeline import select_initial_state
 
 from conftest import FIG1_ETA, FIG2_ETA, make_system, realization_fit_inputs
 from oracles import compound_occupations, scipy_bw_fit, scipy_hybrid_fit
@@ -148,8 +149,7 @@ def test_golden_rule_scales_linearly_with_eta():
     gammas = []
     for scale in (1.0, np.sqrt(2.0), 2.0):
         h = tb.build_hamiltonian(basis, spectrum, scale * tensor)
-        diag = h.diagonal()
-        i = int(np.argmin(np.abs(diag - np.median(diag))))
+        i = select_initial_state(h, "mid-spectrum")
         part = tb.classify(basis, int(basis.states[i]))
         gammas.append(tb.golden_rule_gamma(h, part, i))
     assert gammas[1] / gammas[0] == pytest.approx(2.0, rel=0.15)
