@@ -230,13 +230,11 @@ def prediction_error(n_exact, prediction: ThermalizationPrediction) -> tuple[flo
     return rms, float(np.abs(diff).max()) if diff.size else 0.0, per_point
 
 
-def write_prediction_csv(
-    prediction: ThermalizationPrediction, path, *, header_lines=()
-) -> None:
-    """Same row layout as the trajectory export plus a provenance column."""
+def write_prediction_csv(prediction: ThermalizationPrediction, path, *, header_lines=()) -> None:
+    """One row per time: t, n_0..n_{m-1}; the method is named once, in the last header line."""
     columns = {
         "t": prediction.grid.points,
         **{f"n_{a}": row for a, row in enumerate(prediction.occupations)},
-        "provenance": ["eq14-exactW0"] * len(prediction.grid.points),
     }
-    write_table(path, columns, header_lines=header_lines)
+    header = [*header_lines, "method=eq14-exactW0: n(0) W0 + n(inf) (1 - W0), W0 exact"]
+    write_table(path, columns, header_lines=header)

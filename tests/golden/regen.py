@@ -20,6 +20,10 @@ Run this script only in a change whose CHANGES.md entry names the values
 that move and says why; never to admit an unexplained change:
 
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python tests/golden/regen.py
+
+It rewrites a case leaf by leaf (``merge``): a number within the comparison's
+tolerance of its committed value keeps the committed value, so a refresh on
+another host moves only the leaves that changed.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import numpy as np
 
 import tbrisim as tb
 from tbrisim import cli, config
-from tbrisim.export import compare_runs
+from tbrisim.export import INSPECT_TOL, compare_runs
 
 GOLDEN = Path(__file__).resolve().parent
 ROWS = 12
@@ -144,9 +148,26 @@ def render(doc, indent: str = "") -> str:
     return "{\n" + ",\n".join(members) + f"\n{indent}}}"
 
 
+def merge(committed, fresh):
+    """``fresh``, with each numeric leaf within INSPECT_TOL * max(1, |a|, |b|) of the committed
+    leaf at its place put back to the committed value.  Dicts merge key by key over the fresh
+    keys, so a key only in ``committed`` is dropped; lists of equal length merge item by item;
+    anything else, text or a list of another length, is the fresh value."""
+    if isinstance(committed, dict) and isinstance(fresh, dict):
+        return {key: merge(committed[key], value) if key in committed else value
+                for key, value in fresh.items()}
+    if isinstance(committed, list) and isinstance(fresh, list) and len(committed) == len(fresh):
+        return [merge(a, b) for a, b in zip(committed, fresh)]
+    if (_is_number(committed) and _is_number(fresh)
+            and abs(committed - fresh) <= INSPECT_TOL * max(1.0, abs(committed), abs(fresh))):
+        return committed
+    return fresh
+
+
 def main() -> int:
-    """Regenerate every case, first printing how its fresh digest differs from the committed
-    one, as ``tests/test_golden.py`` compares them."""
+    """Regenerate every case: print how its fresh digest differs from the committed one, as
+    ``tests/test_golden.py`` compares them, and write the case's ``merge`` of the two where
+    that differs from the file."""
     with tempfile.TemporaryDirectory() as tmp:
         for name in CASES:
             path = GOLDEN / f"{name}.json"
@@ -155,8 +176,11 @@ def main() -> int:
             fresh.write_text(render(doc) + "\n")
             for line, _ in compare_runs(fresh.parent, GOLDEN, [path.name]):
                 print(line)
-            path.write_text(fresh.read_text())
-            print(f"wrote {path} ({path.stat().st_size} bytes)")
+            old = path.read_text()
+            text = render(merge(json.loads(old), doc)) + "\n"
+            if text != old:
+                path.write_text(text)
+                print(f"wrote {path} ({len(text)} bytes)")
     return 0
 
 

@@ -317,6 +317,9 @@ def test_every_table_has_lf_lines_and_full_rows(tmp_path):
         assert b"\r" not in data, path.name
         rows = [line.split(",") for line in data.decode().split("\n")[:-1] if line[0] != "#"]
         assert len(rows) > 1 and {len(row) for row in rows} == {len(rows[0])}, path.name
+        if path.name != "summary.csv":   # its eta cell names the run directory
+            table = np.loadtxt([",".join(row) for row in rows[1:]], delimiter=",")
+            assert table.shape == (len(rows) - 1, len(rows[0])), path.name
 
 
 def _fitted_doc(tmp_path):

@@ -14,7 +14,7 @@ import pytest
 
 from tbrisim.export import compare_runs
 
-from golden.regen import CASES, GOLDEN, MATRICES, digest, produce, render
+from golden.regen import CASES, GOLDEN, MATRICES, digest, merge, produce, render
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -26,3 +26,16 @@ def test_run_matches_its_golden_digest(tmp_path, name):
     [(line, status)] = compare_runs(fresh, GOLDEN, [f"{name}.json"])
     assert status == 0, line
     assert f"only in {GOLDEN}:" not in line, line
+
+
+def test_regen_merge_keeps_committed_leaves_within_tolerance():
+    """A number within INSPECT_TOL keeps its committed value; a number beyond it, a key of
+    one side only, text and a list of another length follow the fresh digest."""
+    committed = {"kept": [1.0, 2e-16, 5], "moved": 1.0, "gone": 3.0,
+                 "row": [1.0, "eq14"], "label": "old", "shape": [4, 2]}
+    fresh = {"kept": [1.0 + 5e-10, 3e-16, 5], "moved": 1.0 + 2e-9, "new": 4.0,
+             "row": [1.0 + 5e-10], "label": "new", "shape": [4, 3]}
+    assert merge(committed, fresh) == {
+        "kept": [1.0, 2e-16, 5], "moved": 1.0 + 2e-9, "new": 4.0,
+        "row": [1.0 + 5e-10], "label": "new", "shape": [4, 3],
+    }

@@ -356,7 +356,8 @@ def test_prediction_csv_provenance(tmp_path, small_3_6):
     )
     path = tmp_path / "prediction.csv"
     tb.theory.write_prediction_csv(pred, path, header_lines=["seed=5"])
-    lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
-    assert lines[0].endswith("provenance")
-    assert lines[1].endswith("eq14-exactW0")
-    assert len(lines) - 1 == len(small_3_6.grid)
+    text = path.read_text()
+    lines = [l for l in text.splitlines() if not l.startswith("#")]
+    assert lines[0].split(",") == ["t", *(f"n_{a}" for a in range(6))]   # no provenance column
+    assert text.count("eq14-exactW0") == 1 and text.splitlines()[1].startswith("# method=eq14")
+    assert np.loadtxt(lines[1:], delimiter=",").shape == (len(small_3_6.grid), 7)   # all floats
