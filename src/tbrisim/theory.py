@@ -26,6 +26,7 @@ from .strength import StrengthProfile
 
 ENVELOPE_BLOCK = 256
 ALPHA_MAX_STEPS = 200    # bisection alone reaches adjacent floats in ~55 steps at m=12
+ZOOM_POINTS = 17         # 2**4 + 1: four bisection steps of the Fermi-Dirac fit per solve
 
 
 @dataclass(frozen=True)
@@ -128,18 +129,18 @@ def _alpha_for_filling(eps: np.ndarray, betas, n: int) -> np.ndarray:
     return alpha[:, 0]
 
 
-def _misfit_slope(eps: np.ndarray, ninf: np.ndarray, beta: float, n: int) -> float:
-    """Sign of d/d(beta) of the squared Fermi-Dirac misfit, alpha held by the constraint.
-
-    With w = f (1 - f), the constraint sum f = n gives df/d(beta) =
-    -w (eps - epsbar), epsbar the w-weighted mean of eps.
-    """
-    alpha = _alpha_for_filling(eps, [beta], n)[0]
-    filled = _fermi_dirac(eps, alpha, beta)
+def _misfit(eps: np.ndarray, ninf: np.ndarray, betas, n: int):
+    """(RMS misfit, slope of the squared misfit up to a positive factor, alpha) at each beta,
+    alpha held by the constraint: with w = f (1 - f), sum f = n gives df/d(beta) =
+    -w (eps - epsbar), epsbar the w-weighted mean of eps.  sum w > 0, since the clip keeps
+    every f above 1e-218 and the constraint keeps one below 1."""
+    beta = np.asarray(betas, dtype=float)
+    alpha = _alpha_for_filling(eps, beta, n)
+    filled = _fermi_dirac(eps, alpha[:, None], beta[:, None])
     w = filled * (1 - filled)
-    if not w.sum() > 0:   # every level frozen at 0 or 1: the misfit is flat here
-        return 0.0
-    return float((filled - ninf) @ (w * ((w @ eps) / w.sum() - eps)))
+    epsbar = np.vecdot(w, eps) / w.sum(axis=1)
+    slope = np.vecdot(filled - ninf, w * (epsbar[:, None] - eps))
+    return np.sqrt(np.mean((filled - ninf) ** 2, axis=1)), slope, alpha
 
 
 def fit_fermi_dirac(ninf, epsilon, n: int) -> dict:
@@ -150,7 +151,8 @@ def fit_fermi_dirac(ninf, epsilon, n: int) -> dict:
     beta; the remaining 1-D problem is scanned over beta = 0 and 120
     log-spaced |beta| of either sign, from 1e-6 to 1e3 inverse level
     spacings (one vectorized solve for all of them), and refined by
-    bisection on the sign of its slope within two scan steps of the best.
+    bisection on the sign of its slope within two scan steps of the best,
+    one vectorized solve for the 15 midpoints of every four steps.
     Infinite temperature (n(eps) = n/m) is the interior point beta = 0, and
     occupations that rise with eps give beta < 0, as an initial state above
     the spectrum's centre relaxes to, the orbital spectrum being bounded;
@@ -181,15 +183,9 @@ def fit_fermi_dirac(ninf, epsilon, n: int) -> dict:
     if not d0 > 0:
         raise PreconditionError("orbital energies must not all be equal")
 
-    def rms(beta):
-        beta = np.atleast_1d(beta)
-        alpha = _alpha_for_filling(eps, beta, n)
-        filled = _fermi_dirac(eps, alpha[:, None], beta[:, None])
-        return np.sqrt(np.mean((filled - ninf) ** 2, axis=1)), alpha
-
     steps = np.geomspace(1e-6, 1e3, 120) / d0
     coarse = np.concatenate((-steps[::-1], [0.0], steps))
-    misfit = rms(coarse)[0]
+    misfit = _misfit(eps, ninf, coarse, n)[0]
     k = int(np.argmin(misfit))
     # flat to rounding out to the scan's end on the optimum's side: beta is not identified
     edge = misfit[0] if 2 * k < len(coarse) else misfit[-1]
@@ -197,14 +193,17 @@ def fit_fermi_dirac(ninf, epsilon, n: int) -> dict:
     # Bisect the sign of the slope, not the misfit: near its minimum the misfit
     # is flat to rounding over ~1e-7 relative in beta, its slope is not.  Near
     # beta = 0 the bisection stops at rounding of the smallest scanned |beta|.
+    # One solve gives the slope at the 15 midpoints the next four steps can visit.
     a, b = coarse[max(k - 2, 0)], coarse[min(k + 2, len(coarse) - 1)]
-    while a < 0.5 * (a + b) < b and b - a > np.finfo(float).eps * steps[0]:
-        mid = 0.5 * (a + b)
-        if _misfit_slope(eps, ninf, mid, n) > 0:
-            b = mid
-        else:
-            a = mid
-    (residual,), (alpha,) = rms(a)
+    rising = {}
+    while a < (mid := 0.5 * (a + b)) < b and b - a > np.finfo(float).eps * steps[0]:
+        if mid not in rising:
+            trials = np.array([a, b])
+            while len(trials) < ZOOM_POINTS:
+                trials = np.insert(trials, range(1, len(trials)), 0.5 * (trials[:-1] + trials[1:]))
+            rising = dict(zip(trials[1:-1].tolist(), _misfit(eps, ninf, trials[1:-1], n)[1] > 0))
+        a, b = (a, mid) if rising[mid] else (mid, b)
+    (residual,), _, (alpha,) = _misfit(eps, ninf, [a], n)
     return {
         "beta": float(a), "alpha": float(alpha), "residual": float(residual),
         "at_bound": ("beta",) if flat_to_edge or not coarse[1] < a < coarse[-2] else (),

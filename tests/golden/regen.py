@@ -23,7 +23,8 @@ that move and says why; never to admit an unexplained change:
 
 It rewrites a case leaf by leaf (``merge``): a number within the comparison's
 tolerance of its committed value keeps the committed value, so a refresh on
-another host moves only the leaves that changed.
+another host moves only the leaves that changed, and a column dropped from
+a table leaves the other columns' cells as they were.
 """
 
 from __future__ import annotations
@@ -152,8 +153,12 @@ def merge(committed, fresh):
     """``fresh``, with each numeric leaf within INSPECT_TOL * max(1, |a|, |b|) of the committed
     leaf at its place put back to the committed value.  Dicts merge key by key over the fresh
     keys, so a key only in ``committed`` is dropped; lists of equal length merge item by item;
-    anything else, text or a list of another length, is the fresh value."""
+    anything else, text or a list of another length, is the fresh value.  A table digest's
+    ``sum``, ``sum_sq`` and rows are first laid out on the fresh columns by name, so a column
+    dropped or added leaves every other column's committed cells."""
     if isinstance(committed, dict) and isinstance(fresh, dict):
+        if "columns" in committed and "columns" in fresh:
+            committed = _on_columns(committed, fresh["columns"])
         return {key: merge(committed[key], value) if key in committed else value
                 for key, value in fresh.items()}
     if isinstance(committed, list) and isinstance(fresh, list) and len(committed) == len(fresh):
@@ -162,6 +167,16 @@ def merge(committed, fresh):
             and abs(committed - fresh) <= INSPECT_TOL * max(1.0, abs(committed), abs(fresh))):
         return committed
     return fresh
+
+
+def _on_columns(table: dict, columns: list) -> dict:
+    """A table digest's per-column lists laid out on ``columns``, None for a column it lacks."""
+    def cells(values):
+        by_name = dict(zip(table["columns"], values))
+        return [by_name.get(name) for name in columns]
+
+    return {**table, "sum": cells(table["sum"]), "sum_sq": cells(table["sum_sq"]),
+            "rows": {row: cells(values) for row, values in table["rows"].items()}}
 
 
 def main() -> int:

@@ -13,7 +13,9 @@ through the full products V^T V and H V, the mid-spectrum spacing
 and long-time grid as each was computed on its own before they shared
 one helper, and the amplitudes evaluated directly at every grid time from
 libm phases in the transposed layout, the reference of ``evolve_amplitudes``
-and of the trajectory's directly evaluated tail.
+and of the trajectory's directly evaluated tail.  The Fermi-Dirac fit's
+bisection one scalar slope at a time, each solving alpha for a single
+beta, is the reference of its vectorized refinement.
 The bitmask helpers and ``fermionic_phase``, one state and one operator
 at a time, are the reference of the vectorized signs in
 ``hamiltonian._sign_bit``; the tensor drawn one row at a time is the
@@ -49,6 +51,7 @@ from tbrisim.hamiltonian import (
 )
 from tbrisim.spectral import EigenDecomposition
 from tbrisim.strength import MOMENT_NODES, StrengthProfile, _adaptive_bins
+from tbrisim.theory import _alpha_for_filling, _fermi_dirac
 
 _SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]])
 _PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -545,6 +548,39 @@ def scipy_fermi_dirac(ninf, eps, n: int) -> tuple[float, float, float]:
                           options={"xatol": 1e-12 * max(abs(lo), abs(hi))})
     beta = float(fit.x)
     return beta, alpha_at(beta), float(fit.fun)
+
+
+def _misfit_slope(eps: np.ndarray, ninf: np.ndarray, beta: float, n: int) -> float:
+    """d/d(beta) of the squared Fermi-Dirac misfit at one beta, up to a positive factor,
+    alpha held by the constraint: with w = f (1 - f), df/d(beta) = -w (eps - epsbar)."""
+    alpha = _alpha_for_filling(eps, [beta], n)[0]
+    filled = _fermi_dirac(eps, alpha, beta)
+    w = filled * (1 - filled)
+    if not w.sum() > 0:
+        return 0.0
+    return float((filled - ninf) @ (w * ((w @ eps) / w.sum() - eps)))
+
+
+def bisected_fermi_dirac_beta(ninf, eps, n: int) -> float:
+    """``fit_fermi_dirac``'s beta by the scalar loop it refines: the same scan of beta = 0
+    and 120 log-spaced |beta| of either sign, then one bisection step per slope, each
+    solving alpha for a single beta, until no float lies strictly inside the bracket or
+    its width is at most eps times the smallest scanned |beta|."""
+    ninf, eps = np.asarray(ninf, dtype=float), np.asarray(eps, dtype=float)
+    steps = np.geomspace(1e-6, 1e3, 120) / (np.ptp(eps) / (len(eps) - 1))
+    coarse = np.concatenate((-steps[::-1], [0.0], steps))
+    alpha = _alpha_for_filling(eps, coarse, n)
+    misfit = np.sqrt(np.mean((_fermi_dirac(eps, alpha[:, None], coarse[:, None]) - ninf) ** 2,
+                             axis=1))
+    k = int(np.argmin(misfit))
+    a, b = coarse[max(k - 2, 0)], coarse[min(k + 2, len(coarse) - 1)]
+    while a < 0.5 * (a + b) < b and b - a > np.finfo(float).eps * steps[0]:
+        mid = 0.5 * (a + b)
+        if _misfit_slope(eps, ninf, mid, n) > 0:
+            b = mid
+        else:
+            a = mid
+    return float(a)
 
 
 def exact_eigen_residuals(h, decomp: EigenDecomposition) -> tuple[float, float]:

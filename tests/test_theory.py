@@ -14,7 +14,12 @@ from tbrisim.exceptions import ParameterError, PreconditionError
 from tbrisim.strength import StrengthProfile
 
 from conftest import FIG1_ETA, FIG2_ETA, percentile_occupations, realization_fit_inputs
-from oracles import kernel_density, scipy_fermi_dirac, smoothed_weight_density
+from oracles import (
+    bisected_fermi_dirac_beta,
+    kernel_density,
+    scipy_fermi_dirac,
+    smoothed_weight_density,
+)
 
 
 def test_prediction_frozen_when_w0_is_one():
@@ -237,6 +242,50 @@ def test_fermi_dirac_flags_a_misfit_flat_to_the_scan_edge():
     assert fit["at_bound"] == ("beta",)
 
 
+@pytest.mark.parametrize(
+    "case, n",
+    [("step", 6), ("reversed-step", 6), ("uniform", 6), ("uniform", 3), ("noisy", 6)]
+    + [(f"{fig}-seed{seed}", 6) for fig in ("fig1", "fig2") for seed in (1, 2, 3)],
+)
+def test_fermi_dirac_refines_as_the_scalar_bisection(case, n):
+    """One solve of the slope at the midpoints of four bisection steps ends where the scalar
+    loop, one alpha solve per step, ends: bit for bit, where the slope's sign is flat
+    (the steps) or noisy near its root (the noisy profile), and where the bracket's width
+    stops the loop (uniform occupations, beta = 0)."""
+    ninf, eps = _fermi_dirac_case(case)
+    ninf = ninf * (n / 6)
+    beta = theory.fit_fermi_dirac(ninf, eps, n=n)["beta"]
+    assert beta == bisected_fermi_dirac_beta(ninf, eps, n)
+
+
+@pytest.mark.parametrize("eta", [FIG1_ETA, FIG2_ETA], ids=["fig1", "fig2"])
+def test_misfit_slope_has_the_sign_of_the_misfits_difference(eta):
+    """At beta two and three scan steps either side of the optimum, the slope is negative
+    below it and positive above, as a central difference of the RMS misfit is."""
+    _, _, ninf, eps = realization_fit_inputs(eta, 1)
+    beta = theory.fit_fermi_dirac(ninf, eps, n=6)["beta"]
+    betas = beta * 10 ** (9 / 119 * np.array([-3.0, -2.0, 2.0, 3.0]))   # both optima are > 0
+    slope = theory._misfit(eps, ninf, betas, 6)[1]
+    h = 1e-6 * betas
+    diff = theory._misfit(eps, ninf, betas + h, 6)[0] - theory._misfit(eps, ninf, betas - h, 6)[0]
+    assert list(np.sign(slope)) == list(np.sign(diff)) == [-1, -1, 1, 1]
+
+
+def test_fermi_dirac_slope_reads_zero_where_every_level_freezes():
+    """Across a gap of two level spacings a step freezes: from beta ~ 190 every level's
+    term (f - n_inf) w (epsbar - eps) of the slope underflows, and the slope reads exactly 0,
+    which moves the bracket's left end.  The fit ends one float below the bracket's top,
+    four scan steps from the scan's end, with a misfit of 0 flat to the edge."""
+    eps = np.array([0.0, 1, 2, 3, 4, 5, 7, 8, 9, 10, 11, 12])
+    ninf = np.array([1.0] * 6 + [0.0] * 6)
+    betas = np.geomspace(1e-6, 1e3, 120) / (12 / 11)
+    slope = theory._misfit(eps, ninf, betas, 6)[1]
+    assert np.all(slope[betas > 190] == 0) and np.all(slope[betas < 35] < 0)
+    fit = theory.fit_fermi_dirac(ninf, eps, n=6)
+    assert fit["beta"] == 543.6516153759667 == np.nextafter(betas[-4], 0)
+    assert fit["residual"] == 0.0 and fit["at_bound"] == ("beta",)
+
+
 def test_fermi_dirac_rejects_length_mismatch():
     eps = np.arange(12.0)
     with pytest.raises(ParameterError):
@@ -310,10 +359,14 @@ def test_alpha_for_filling_matches_brentq():
 
 
 def _fermi_dirac_case(case):
-    """(occupations, spectrum) of a synthetic profile or of fig1/fig2 seeds 1-3."""
+    """(occupations, spectrum) of a synthetic profile of n=6 in m=12, or of fig1/fig2
+    seeds 1-3."""
     eps = np.arange(12.0)
     if case == "thermal":
         return 1.0 / (np.exp((eps - 5.5) / 2.0) + 1.0), eps
+    if case in ("step", "reversed-step", "uniform"):
+        step = np.array([1.0] * 6 + [0.0] * 6)
+        return {"step": step, "reversed-step": step[::-1], "uniform": np.full(12, 0.5)}[case], eps
     if case == "noisy":
         rng = np.random.default_rng(1)
         ninf = np.clip(0.5 + 0.2 * rng.standard_normal(12), 0.05, 0.95)
