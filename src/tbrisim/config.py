@@ -23,11 +23,6 @@ from .spectral import DENSE_COPIES, MIN_WINDOW_LEVELS, _eigensolver
 
 # Bytes per state and grid point at the trajectory's peak: its phase rows and their product.
 POINT_BYTES = 32
-# A cgroup's memory (limit, usage) files, v2 then v1.  A limit of "max" (v2) or of 2**62 or
-# more (v1 reads 9223372036854771712 where none is set) is no limit.
-CGROUP_MEMORY = (("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory.current"),
-                 ("/sys/fs/cgroup/memory/memory.limit_in_bytes",
-                  "/sys/fs/cgroup/memory/memory.usage_in_bytes"))
 # The documents `tbrisim reproduce-fig1/-fig2` start from.
 PRESETS = {
     "reproduce-fig1": {"model": {"eta": 0.003}, "output": {"directory": "runs/fig1"}},
@@ -189,8 +184,7 @@ def _check_size(model: ModelParams, points: int) -> None:
     every one it refuses would fail a window check inside the run (exit 3).
     Its dense H and eigendecomposition (``DENSE_COPIES`` N x N arrays of 8 B on the path
     ``diagonalize`` takes) and its trajectory (``POINT_BYTES`` per state and grid point: the
-    phase rows and their product, both alive at its peak) must fit in ``_available_memory()``,
-    the host's MemAvailable or, where it is smaller, the headroom under the cgroup's limit.
+    phase rows and their product, both alive at its peak) must fit in ``_available_memory()``.
     """
     n, m = model.n, model.m
     states = math.comb(m, n)
@@ -212,28 +206,15 @@ def _check_size(model: ModelParams, points: int) -> None:
 
 
 def _available_memory() -> int:
-    """Bytes of MemAvailable where /proc/meminfo reports it, else of physical memory, else 0
-    (not reported); at most the cgroup's headroom, its memory limit less its usage, where the
-    cgroup sets a limit."""
+    """Bytes of MemAvailable where /proc/meminfo reports it, else of physical memory, else 0."""
     try:
         with open("/proc/meminfo") as fh:   # "MemAvailable:   7713440 kB"
-            meminfo = dict(line.split(":", 1) for line in fh)
-        available = int(meminfo["MemAvailable"].split()[0]) * 1024
+            return int(dict(line.split(":", 1) for line in fh)["MemAvailable"].split()[0]) * 1024
     except (OSError, KeyError, ValueError):   # no /proc, or a kernel that does not report it
         try:
-            available = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+            return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         except (ValueError, OSError):   # not reported on this platform
-            available = 0
-    for limit_path, usage_path in CGROUP_MEMORY:
-        try:
-            with open(limit_path) as limit_file, open(usage_path) as usage_file:
-                limit, usage = limit_file.read().strip(), int(usage_file.read())
-        except (OSError, ValueError):   # not this cgroup version
-            continue
-        if limit.isdigit() and int(limit) < 2**62:
-            return min(available or math.inf, int(limit) - usage)   # 0: not reported
-        break
-    return available
+            return 0
 
 
 def _initial_bitmask(rule, n: int, m: int) -> int | None:

@@ -26,7 +26,6 @@ from .strength import StrengthProfile
 
 ENVELOPE_BLOCK = 256
 ALPHA_MAX_STEPS = 200    # bisection alone reaches adjacent floats in ~55 steps at m=12
-ZOOM_POINTS = 17         # 2**4 + 1: four bisection steps of the Fermi-Dirac fit per solve
 
 
 @dataclass(frozen=True)
@@ -137,10 +136,10 @@ def _misfit(eps: np.ndarray, ninf: np.ndarray, betas, n: int):
     beta = np.asarray(betas, dtype=float)
     alpha = _alpha_for_filling(eps, beta, n)
     filled = _fermi_dirac(eps, alpha[:, None], beta[:, None])
-    w = filled * (1 - filled)
+    w, excess = filled * (1 - filled), filled - ninf
     epsbar = np.vecdot(w, eps) / w.sum(axis=1)
-    slope = np.vecdot(filled - ninf, w * (epsbar[:, None] - eps))
-    return np.sqrt(np.mean((filled - ninf) ** 2, axis=1)), slope, alpha
+    slope = np.vecdot(excess, w * (epsbar[:, None] - eps))
+    return np.sqrt((excess * excess).sum(axis=1) / len(eps)), slope, alpha
 
 
 def fit_fermi_dirac(ninf, epsilon, n: int) -> dict:
@@ -151,8 +150,7 @@ def fit_fermi_dirac(ninf, epsilon, n: int) -> dict:
     beta; the remaining 1-D problem is scanned over beta = 0 and 120
     log-spaced |beta| of either sign, from 1e-6 to 1e3 inverse level
     spacings (one vectorized solve for all of them), and refined by
-    bisection on the sign of its slope within two scan steps of the best,
-    one vectorized solve for the 15 midpoints of every four steps.
+    bisection on the sign of its slope within two scan steps of the best.
     Infinite temperature (n(eps) = n/m) is the interior point beta = 0, and
     occupations that rise with eps give beta < 0, as an initial state above
     the spectrum's centre relaxes to, the orbital spectrum being bounded;
@@ -193,16 +191,13 @@ def fit_fermi_dirac(ninf, epsilon, n: int) -> dict:
     # Bisect the sign of the slope, not the misfit: near its minimum the misfit
     # is flat to rounding over ~1e-7 relative in beta, its slope is not.  Near
     # beta = 0 the bisection stops at rounding of the smallest scanned |beta|.
-    # One solve gives the slope at the 15 midpoints the next four steps can visit.
     a, b = coarse[max(k - 2, 0)], coarse[min(k + 2, len(coarse) - 1)]
-    rising = {}
-    while a < (mid := 0.5 * (a + b)) < b and b - a > np.finfo(float).eps * steps[0]:
-        if mid not in rising:
-            trials = np.array([a, b])
-            while len(trials) < ZOOM_POINTS:
-                trials = np.insert(trials, range(1, len(trials)), 0.5 * (trials[:-1] + trials[1:]))
-            rising = dict(zip(trials[1:-1].tolist(), _misfit(eps, ninf, trials[1:-1], n)[1] > 0))
-        a, b = (a, mid) if rising[mid] else (mid, b)
+    while a < 0.5 * (a + b) < b and b - a > np.finfo(float).eps * steps[0]:
+        mid = 0.5 * (a + b)
+        if _misfit(eps, ninf, [mid], n)[1][0] > 0:
+            b = mid
+        else:
+            a = mid
     (residual,), _, (alpha,) = _misfit(eps, ninf, [a], n)
     return {
         "beta": float(a), "alpha": float(alpha), "residual": float(residual),

@@ -14,8 +14,8 @@ and long-time grid as each was computed on its own before they shared
 one helper, and the amplitudes evaluated directly at every grid time from
 libm phases in the transposed layout, the reference of ``evolve_amplitudes``
 and of the trajectory's directly evaluated tail.  The Fermi-Dirac fit's
-bisection one scalar slope at a time, each solving alpha for a single
-beta, is the reference of its vectorized refinement.
+bisection on a scalar slope, 1-D products at a single beta, is the
+reference of the bisection on the batched misfit.
 The bitmask helpers and ``fermionic_phase``, one state and one operator
 at a time, are the reference of the vectorized signs in
 ``hamiltonian._sign_bit``; the tensor drawn one row at a time is the
@@ -561,18 +561,22 @@ def _misfit_slope(eps: np.ndarray, ninf: np.ndarray, beta: float, n: int) -> flo
     return float((filled - ninf) @ (w * ((w @ eps) / w.sum() - eps)))
 
 
-def bisected_fermi_dirac_beta(ninf, eps, n: int) -> float:
-    """``fit_fermi_dirac``'s beta by the scalar loop it refines: the same scan of beta = 0
-    and 120 log-spaced |beta| of either sign, then one bisection step per slope, each
-    solving alpha for a single beta, until no float lies strictly inside the bracket or
-    its width is at most eps times the smallest scanned |beta|."""
+def bisected_fermi_dirac(ninf, eps, n: int) -> tuple[float, float, float]:
+    """``fit_fermi_dirac``'s (beta, alpha, residual) by its loop on a scalar slope: the same
+    scan of beta = 0 and 120 log-spaced |beta| of either sign, then one bisection step per
+    slope, each solving alpha for a single beta, until no float lies strictly inside the
+    bracket or its width is at most eps times the smallest scanned |beta|."""
     ninf, eps = np.asarray(ninf, dtype=float), np.asarray(eps, dtype=float)
+
+    def rms(beta):
+        beta = np.atleast_1d(beta)
+        alpha = _alpha_for_filling(eps, beta, n)
+        filled = _fermi_dirac(eps, alpha[:, None], beta[:, None])
+        return np.sqrt(np.mean((filled - ninf) ** 2, axis=1)), alpha
+
     steps = np.geomspace(1e-6, 1e3, 120) / (np.ptp(eps) / (len(eps) - 1))
     coarse = np.concatenate((-steps[::-1], [0.0], steps))
-    alpha = _alpha_for_filling(eps, coarse, n)
-    misfit = np.sqrt(np.mean((_fermi_dirac(eps, alpha[:, None], coarse[:, None]) - ninf) ** 2,
-                             axis=1))
-    k = int(np.argmin(misfit))
+    k = int(np.argmin(rms(coarse)[0]))
     a, b = coarse[max(k - 2, 0)], coarse[min(k + 2, len(coarse) - 1)]
     while a < 0.5 * (a + b) < b and b - a > np.finfo(float).eps * steps[0]:
         mid = 0.5 * (a + b)
@@ -580,7 +584,8 @@ def bisected_fermi_dirac_beta(ninf, eps, n: int) -> float:
             b = mid
         else:
             a = mid
-    return float(a)
+    (residual,), (alpha,) = rms(a)
+    return float(a), float(alpha), float(residual)
 
 
 def exact_eigen_residuals(h, decomp: EigenDecomposition) -> tuple[float, float]:

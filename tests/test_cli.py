@@ -6,7 +6,6 @@ import ast
 import copy
 import csv
 import hashlib
-import io
 import json
 import math
 import os
@@ -454,40 +453,6 @@ def test_available_memory_is_at_most_physical_memory(monkeypatch):
     assert config._available_memory() == 0
     huge = config.config_from_dict({"model": {"n": 6, "m": 12}, "grid": {"points": 10**11}})
     assert huge.document["grid"]["points"] == 10**11
-
-
-def test_available_memory_is_at_most_the_cgroup_headroom(monkeypatch):
-    """Where the cgroup sets a memory limit, the memory available is at most the limit less
-    the usage: v2's memory.max and memory.current where they exist, else v1's
-    memory.limit_in_bytes and memory.usage_in_bytes.  v2's "max" and v1's
-    9223372036854771712 set no limit.  Arithmetic only: the file reader is patched."""
-    gib, files = 2**30, {}
-    v2 = ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory.current")
-    v1 = ("/sys/fs/cgroup/memory/memory.limit_in_bytes",
-          "/sys/fs/cgroup/memory/memory.usage_in_bytes")
-
-    def read(path):
-        if path not in files:
-            raise FileNotFoundError(path)
-        return io.StringIO(files[path])
-
-    def available(*cgroups, meminfo="MemTotal: 16777216 kB\nMemAvailable: 8388608 kB\n"):
-        files.clear()
-        files.update({"/proc/meminfo": meminfo} if meminfo else {})
-        for paths, limit, usage in cgroups:
-            files.update(zip(paths, [str(limit), str(usage)]))
-        return config._available_memory()
-
-    monkeypatch.setattr(config, "open", read, raising=False)   # shadows the builtin
-    assert available() == 8 * gib
-    assert available((v1, 4 * gib, gib)) == 3 * gib
-    assert available((v1, 9223372036854771712, gib)) == 8 * gib
-    assert available((v2, 6 * gib, gib), (v1, 2 * gib, gib)) == 5 * gib   # v2 is read first
-    assert available((v2, "max", gib), (v1, 2 * gib, gib)) == 8 * gib
-    assert available((v2, 20 * gib, gib)) == 8 * gib   # MemAvailable is the smaller
-    monkeypatch.setattr(os, "sysconf", lambda name: 0)   # host memory not reported either
-    assert available((v1, 4 * gib, gib), meminfo=None) == 3 * gib
-    assert available((v1, 9223372036854771712, gib), meminfo=None) == 0
 
 
 def test_size_guard_counts_the_trajectory_grid():

@@ -15,7 +15,7 @@ from tbrisim.strength import StrengthProfile
 
 from conftest import FIG1_ETA, FIG2_ETA, percentile_occupations, realization_fit_inputs
 from oracles import (
-    bisected_fermi_dirac_beta,
+    bisected_fermi_dirac,
     kernel_density,
     scipy_fermi_dirac,
     smoothed_weight_density,
@@ -248,14 +248,27 @@ def test_fermi_dirac_flags_a_misfit_flat_to_the_scan_edge():
     + [(f"{fig}-seed{seed}", 6) for fig in ("fig1", "fig2") for seed in (1, 2, 3)],
 )
 def test_fermi_dirac_refines_as_the_scalar_bisection(case, n):
-    """One solve of the slope at the midpoints of four bisection steps ends where the scalar
-    loop, one alpha solve per step, ends: bit for bit, where the slope's sign is flat
-    (the steps) or noisy near its root (the noisy profile), and where the bracket's width
-    stops the loop (uniform occupations, beta = 0)."""
+    """The bisection on ``_misfit``'s batched slope ends where the scalar loop, one 1-D
+    slope per step, ends, with the same alpha and residual: bit for bit, where the slope's
+    sign is flat (the steps) or noisy near its root (the noisy profile), and where the
+    bracket's width stops the loop (uniform occupations, beta = 0)."""
     ninf, eps = _fermi_dirac_case(case)
     ninf = ninf * (n / 6)
-    beta = theory.fit_fermi_dirac(ninf, eps, n=n)["beta"]
-    assert beta == bisected_fermi_dirac_beta(ninf, eps, n)
+    fit = theory.fit_fermi_dirac(ninf, eps, n=n)
+    assert (fit["beta"], fit["alpha"], fit["residual"]) == bisected_fermi_dirac(ninf, eps, n)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_fermi_dirac_refines_as_the_scalar_bisection_off_centre(seed):
+    """As above, for fig1 states at the 2nd, 10th, 40th and 98th percentile of the diagonal
+    energies: summing the slope's or the residual's terms in another order than the 1-D
+    products and the mean moves some of these records by ulps."""
+    occupations, spectrum = percentile_occupations(FIG1_ETA, seed, (2, 10, 40, 98))
+    for ninf in occupations:
+        fit = theory.fit_fermi_dirac(ninf, spectrum, n=6)
+        assert (fit["beta"], fit["alpha"], fit["residual"]) == bisected_fermi_dirac(
+            ninf, spectrum, 6
+        )
 
 
 @pytest.mark.parametrize("eta", [FIG1_ETA, FIG2_ETA], ids=["fig1", "fig2"])
